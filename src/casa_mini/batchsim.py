@@ -125,7 +125,7 @@ class BatchSim:
     ):
         self.delay = delay or DelayModel()
         self.total_slots = slots
-        self.batch_key = batch_key
+        self.token_gate = tokens.TokenGate(batch_key, "batch") if batch_key is not None else None
         self.on_start = on_start  # fn(job, now)
         self.on_stop = on_stop  # fn(job, now)
         self.jobs: dict[int, BatchJob] = {}
@@ -150,8 +150,8 @@ class BatchSim:
     # ---- operations --------------------------------------------------------
 
     def submit(self, spec: JobSpec, now: float) -> int:
-        if self.batch_key is not None:
-            tokens.verify_token(spec.batch_token, self.batch_key, "batch", now)
+        if self.token_gate is not None:
+            self.token_gate.check(spec.batch_token, now)
         self.clock = max(self.clock, now)
         self._next_handle += 1
         handle = self._next_handle

@@ -119,40 +119,65 @@ def oracle_peak_workers(cfg: BenchConfig) -> float:
     return math.sqrt(2.0 * cfg.total_events / (cfg.rate * cfg.c))
 
 
+BENCH_COLUMNS = ("px", "py", "eta", "phi")
+
+
 def generate_dataset(cfg: BenchConfig, root: str, n_files: int | None = None) -> tuple[DatasetSpec, list[int]]:
-    """Seeded synthetic event files under <root>/store/<name>/, root:// URLs."""
+    """Seeded synthetic event files under <root>/store/<name>/, root:// URLs.
+
+    Files already there are reused only when the manifest beside them records
+    this name, file list, seed and event counts and every file has the byte
+    size those imply.  Otherwise every file is written again, each under a
+    temporary name and then renamed into place, and the manifest last.
+    """
     n_files = cfg.n_files if n_files is None else n_files
+    n = cfg.events_per_file
     store_dir = os.path.join(root, "store", cfg.dataset_name)
-    os.makedirs(store_dir, exist_ok=True)
-    files = []
-    for i in range(n_files):
-        rng = np.random.default_rng(cfg.seed * 100003 + i)
-        n = cfg.events_per_file
-        columns = {
-            "px": rng.normal(0.0, 30.0, n),
-            "py": rng.normal(0.0, 30.0, n),
-            "eta": rng.normal(0.0, 1.5, n),
-            "phi": rng.uniform(-math.pi, math.pi, n),
-        }
-        path = os.path.join(store_dir, f"part{i:02d}.cacf")
-        if not os.path.exists(path):
-            cacf.write_dataset_file(columns, path)
-        files.append(f"root://origin.sim//store/{cfg.dataset_name}/part{i:02d}.cacf")
+    names = [f"part{i:02d}.cacf" for i in range(n_files)]
+    paths = [os.path.join(store_dir, name) for name in names]
+    files = [f"root://origin.sim//store/{cfg.dataset_name}/{name}" for name in names]
     manifest = {
         "name": cfg.dataset_name,
         "files": files,
-        "events_per_file": [cfg.events_per_file] * n_files,
+        "events_per_file": [n] * n_files,
+        "seed": cfg.seed,
     }
-    manifest_dir = os.path.join(root, "store", "datasets")
-    os.makedirs(manifest_dir, exist_ok=True)
-    with open(os.path.join(manifest_dir, f"{cfg.dataset_name}.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
+    manifest_path = os.path.join(root, "store", "datasets", f"{cfg.dataset_name}.json")
+    size = cacf.file_size(BENCH_COLUMNS, n)
+    if _read_manifest(manifest_path) != manifest or not all(
+        os.path.isfile(p) and os.path.getsize(p) == size for p in paths
+    ):
+        os.makedirs(store_dir, exist_ok=True)
+        os.makedirs(os.path.dirname(manifest_path), exist_ok=True)
+        if os.path.exists(manifest_path):
+            os.remove(manifest_path)  # no manifest vouches for half-written files
+        for i, path in enumerate(paths):
+            rng = np.random.default_rng(cfg.seed * 100003 + i)
+            columns = {
+                "px": rng.normal(0.0, 30.0, n),
+                "py": rng.normal(0.0, 30.0, n),
+                "eta": rng.normal(0.0, 1.5, n),
+                "phi": rng.uniform(-math.pi, math.pi, n),
+            }
+            cacf.write_dataset_file(columns, path + ".tmp")
+            os.replace(path + ".tmp", path)
+        with open(manifest_path + ".tmp", "w") as fh:
+            json.dump(manifest, fh, indent=1)
+        os.replace(manifest_path + ".tmp", manifest_path)
     dataset = DatasetSpec(
         name=cfg.dataset_name,
         files=tuple(files),
-        n_events_total=n_files * cfg.events_per_file,
+        n_events_total=n_files * n,
     )
-    return dataset, [cfg.events_per_file] * n_files
+    return dataset, [n] * n_files
+
+
+def _read_manifest(path: str) -> dict | None:
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError):
+        return None
 
 
 @dataclass

@@ -23,6 +23,9 @@ from .types import ColumnBatch, DatasetSpec, FileChunk, check_column_name
 MAGIC = b"CACF"
 VERSION = 1
 _FIXED_HEADER = struct.Struct("<4sIIQ")
+# Bytes read_header asks for first: the whole header of any file whose column
+# table is short, and well inside the proxy's first cache block.
+HEADER_PREFIX = 4096
 
 
 class CacfError(ValueError):
@@ -59,6 +62,12 @@ def write_dataset_file(columns: Mapping[str, np.ndarray], path: str) -> int:
     return written
 
 
+def file_size(columns: Sequence[str], n_events: int) -> int:
+    """Byte size of the file write_dataset_file writes for these columns."""
+    table = sum(2 + len(name.encode("utf-8")) for name in columns)
+    return _FIXED_HEADER.size + table + 8 * len(columns) * n_events
+
+
 # A RangeReader returns the bytes of [offset, offset+length), truncated at EOF.
 RangeReader = Callable[[int, int], bytes]
 
@@ -88,10 +97,12 @@ class CacfHeader:
 
 
 def read_header(read: RangeReader) -> CacfHeader:
-    fixed = read(0, _FIXED_HEADER.size)
-    if len(fixed) < _FIXED_HEADER.size:
+    """Parse a file's header from one range read of its first HEADER_PREFIX
+    bytes; only a column table that runs past the prefix costs more reads."""
+    buf = read(0, HEADER_PREFIX)
+    if len(buf) < _FIXED_HEADER.size:
         raise CacfError("truncated header")
-    magic, version, n_columns, n_events = _FIXED_HEADER.unpack(fixed)
+    magic, version, n_columns, n_events = _FIXED_HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise CacfError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -99,16 +110,23 @@ def read_header(read: RangeReader) -> CacfHeader:
     names = []
     offset = _FIXED_HEADER.size
     for _ in range(n_columns):
-        raw_len = read(offset, 2)
-        if len(raw_len) < 2:
-            raise CacfError("truncated column table")
-        (name_len,) = struct.unpack("<H", raw_len)
-        raw_name = read(offset + 2, name_len)
-        if len(raw_name) < name_len:
-            raise CacfError("truncated column table")
-        names.append(raw_name.decode("utf-8"))
+        buf = _read_through(read, buf, offset + 2)
+        (name_len,) = struct.unpack_from("<H", buf, offset)
+        buf = _read_through(read, buf, offset + 2 + name_len)
+        names.append(buf[offset + 2 : offset + 2 + name_len].decode("utf-8"))
         offset += 2 + name_len
     return CacfHeader(n_events=n_events, columns=tuple(names), payload_offset=offset)
+
+
+def _read_through(read: RangeReader, buf: bytes, end: int) -> bytes:
+    """Extend buf, the file's first len(buf) bytes, to at least `end` bytes,
+    doubling each read so a long column table takes few of them."""
+    while len(buf) < end:
+        more = read(len(buf), max(end - len(buf), len(buf)))
+        if not more:
+            raise CacfError("truncated column table")
+        buf += more
+    return buf
 
 
 def read_header_path(path: str) -> CacfHeader:

@@ -223,12 +223,12 @@ class SyncDataProxy:
     ):
         self.store = BlockStore(block_size=block_size, max_bytes=max_bytes)
         self.origin = origin
-        self.data_key = data_key
+        self.token_gate = tokens.TokenGate(data_key, "data")
         self._clock = clock
 
     def fetch(self, path: str, offset: int, length: int, token: str, now: float | None = None) -> bytes:
         now = self._clock() if now is None else now
-        tokens.verify_token(token, self.data_key, "data", now)  # before any origin contact
+        self.token_gate.check(token, now)  # before any origin contact
         _check_fetch_args(offset, length)
         wanted = self.store.block_range(offset, length)
         blocks: list[bytes] = []
@@ -292,16 +292,15 @@ class OriginServer:
     def __init__(self, root: str, cred: str):
         self.local = LocalOrigin(root, cred)
         self._server: asyncio.AbstractServer | None = None
+        self._conns = wire.ConnectionTasks()
 
     async def start(self, host: str, port: int) -> tuple[str, int]:
-        self._server = await asyncio.start_server(self._handle, host, port)
+        self._server = await asyncio.start_server(self._conns.wrap(self._handle), host, port)
         addr = self._server.sockets[0].getsockname()
         return addr[0], addr[1]
 
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._conns.close(self._server)
 
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         try:
@@ -345,22 +344,21 @@ class DataProxyServer:
         self.store = BlockStore(block_size=block_size, max_bytes=max_bytes, cache_dir=cache_dir)
         self.origin_addr = origin_addr
         self.federation_cred = federation_cred
-        self.data_key = data_key
+        self.token_gate = tokens.TokenGate(data_key, "data")
         self._clock = clock
         self._inflight: dict[tuple[str, int], asyncio.Future] = {}
         self._origin_lock = asyncio.Lock()
         self._origin_conn: tuple[asyncio.StreamReader, asyncio.StreamWriter] | None = None
         self._server: asyncio.AbstractServer | None = None
+        self._conns = wire.ConnectionTasks()
 
     async def start(self, host: str, port: int) -> tuple[str, int]:
-        self._server = await asyncio.start_server(self._handle, host, port)
+        self._server = await asyncio.start_server(self._conns.wrap(self._handle), host, port)
         addr = self._server.sockets[0].getsockname()
         return addr[0], addr[1]
 
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._conns.close(self._server)
         if self._origin_conn is not None:
             self._origin_conn[1].close()
             self._origin_conn = None
@@ -380,6 +378,12 @@ class DataProxyServer:
             except (ConnectionError, asyncio.IncompleteReadError):
                 self._origin_conn = None
                 raise ProxyError("origin connection lost") from None
+            except asyncio.CancelledError:
+                # The reply may still arrive: a reused connection would hand
+                # it to the next request.
+                writer.close()
+                self._origin_conn = None
+                raise
 
     async def _get_block(self, path: str, idx: int) -> bytes:
         key = (path, idx)
@@ -396,7 +400,11 @@ class DataProxyServer:
         self._inflight[key] = fut
         try:
             data = await self._origin_fetch(path, idx * self.store.block_size, self.store.block_size)
-        except Exception as exc:
+        except BaseException as exc:
+            # Settle the followers on any exit, cancellation included; the
+            # next request for the block fetches it again.
+            if not isinstance(exc, Exception):
+                exc = ProxyError(f"origin fetch of {path} block {idx} did not finish")
             fut.set_exception(exc)
             fut.exception()  # mark retrieved for the no-follower case
             raise
@@ -409,7 +417,7 @@ class DataProxyServer:
             del self._inflight[key]
 
     async def fetch(self, path: str, offset: int, length: int, token: str) -> bytes:
-        tokens.verify_token(token, self.data_key, "data", self._clock())
+        self.token_gate.check(token, self._clock())
         _check_fetch_args(offset, length)
         wanted = self.store.block_range(offset, length)
         blocks = [await self._get_block(path, idx) for idx in wanted]

@@ -189,11 +189,10 @@ class SniProxy:
     peek_timeout: float = DEFAULT_PEEK_TIMEOUT
     _server: asyncio.AbstractServer | None = None
     _admin: asyncio.AbstractServer | None = None
-    _conns: set = field(default_factory=set)
-    _closing: bool = False
+    _conns: wire.ConnectionTasks = field(default_factory=wire.ConnectionTasks)
 
     async def start(self, host: str, port: int) -> tuple[str, int]:
-        self._server = await asyncio.start_server(self._tracked_handle, host, port)
+        self._server = await asyncio.start_server(self._conns.wrap(self._handle), host, port)
         addr = self._server.sockets[0].getsockname()
         return addr[0], addr[1]
 
@@ -202,30 +201,8 @@ class SniProxy:
         addr = self._admin.sockets[0].getsockname()
         return addr[0], addr[1]
 
-    async def _tracked_handle(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conns.add(task)
-        try:
-            await self._handle(reader, writer)
-        except asyncio.CancelledError:
-            # asyncio's start_server callback (3.11) calls task.exception()
-            # on the handler task, which logs a cancelled task as an error.
-            # A cancel from close() is the normal end of a relay.
-            if not self._closing:
-                raise
-        finally:
-            self._conns.discard(task)
-
     async def close(self) -> None:
-        self._closing = True
-        for server in (self._server, self._admin):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
-        for task in list(self._conns):
-            task.cancel()
-        if self._conns:
-            await asyncio.gather(*self._conns, return_exceptions=True)
+        await self._conns.close(self._server, self._admin)
 
     async def _peek_hello(self, reader: asyncio.StreamReader) -> tuple[bytes, str | None]:
         buf = b""

@@ -99,6 +99,7 @@ class ClusterRecord:
     sni_hostname: str
     scheduler_addr: tuple[str, int]
     service: SchedulerService
+    batch_client: BatchClient  # the scheduler's scale-out link to the batch service
     dedicated_worker: subprocess.Popen | None
     created_at: float
     cred_dir: str
@@ -286,6 +287,7 @@ class Facility:
                 sni_hostname=bundle.sni_hostname,
                 scheduler_addr=sched_addr,
                 service=service,
+                batch_client=batch_client,
                 dedicated_worker=dedicated,
                 created_at=time.time(),
                 cred_dir=cred_dir,
@@ -337,6 +339,7 @@ class Facility:
         except Exception:
             pass
         await record.service.close()
+        record.batch_client.close()
         if record.dedicated_worker is not None:
             await reap(record.dedicated_worker)
         log.info("cluster %s torn down", cluster_id)

@@ -108,6 +108,9 @@ class VirtualFacility:
         self.autoscaler = Autoscaler(self.state, policy, self._request_workers, self._cancel_worker)
         self.sim_workers: dict[str, _SimWorker] = {}
         self._pipelines: dict[str, KernelPipeline] = {}
+        # Dataset files are immutable (the proxy's block cache assumes it too),
+        # so each file's header is read once for the facility's lifetime.
+        self._headers: dict[str, cacf.CacfHeader] = {}
         self._batch_wakeups: set[float] = set()
         self._kill_plan: list[tuple[float, str]] = []
 
@@ -208,7 +211,10 @@ class VirtualFacility:
             reader = cacf.local_range_reader(target.path)
         else:
             reader = self.proxy.range_reader(target.path, target.token)
-        batch = cacf.read_chunk(reader, spec.chunk, sorted(pipeline.input_columns()))
+        header = self._headers.get(spec.chunk.file)
+        if header is None:
+            header = self._headers[spec.chunk.file] = cacf.read_header(reader)
+        batch = cacf.read_chunk(reader, spec.chunk, sorted(pipeline.input_columns()), header=header)
         result = run_pipeline(batch, pipeline, chunk_id=spec.chunk.chunk_id, worker_id=worker_id)
         result.t_start = t_start
         result.t_end = t_end

@@ -92,3 +92,35 @@ def verify_token(token: str, key: bytes, aud: str, now: float) -> dict:
     if not isinstance(exp, (int, float)) or exp <= now:
         raise TokenExpired("token expired")
     return claims
+
+
+# How many verified token strings one TokenGate remembers.
+GATE_CAPACITY = 4096
+
+
+class TokenGate:
+    """verify_token for one key and audience, with the MAC checked once per
+    token string.
+
+    The first call with a string runs the full verify_token.  The string's
+    `exp` is then remembered, and a later call with the identical string only
+    checks `exp > now`: the same bytes always carry the same MAC, audience and
+    expiry.  A failure is never remembered.  At most GATE_CAPACITY strings
+    are kept, the oldest dropped first.
+    """
+
+    def __init__(self, key: bytes, aud: str):
+        self.key = key
+        self.aud = aud
+        self._exp: dict[str, float] = {}
+
+    def check(self, token: str, now: float) -> None:
+        exp = self._exp.get(token)
+        if exp is None:
+            exp = verify_token(token, self.key, self.aud, now)["exp"]
+            if len(self._exp) >= GATE_CAPACITY:
+                del self._exp[next(iter(self._exp))]
+            self._exp[token] = exp
+        elif exp <= now:
+            del self._exp[token]
+            raise TokenExpired("token expired")

@@ -125,3 +125,46 @@ def raise_on_err(msg: WireMessage) -> WireMessage:
     if msg.kind == "Err":
         raise RequestError(msg.body.get("code", "error"), msg.body.get("message", ""))
     return msg
+
+
+class ConnectionTasks:
+    """The connection handler tasks of one asyncio server.
+
+    `wrap(handler)` gives the callback for asyncio.start_server;
+    `close(*servers)` stops the servers accepting, cancels every handler
+    still running and waits for them.  A handler that close() cancelled ends
+    quietly: on Python 3.11, start_server's done-callback calls
+    task.exception() on a cancelled handler and logs it as an error.  Any
+    other cancellation still propagates.
+    """
+
+    def __init__(self):
+        self._tasks: set[asyncio.Task] = set()
+        self._closing = False
+
+    def wrap(self, handler):
+        async def tracked(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+            task = asyncio.current_task()
+            self._tasks.add(task)
+            try:
+                await handler(reader, writer)
+            except asyncio.CancelledError:
+                if not self._closing:
+                    raise
+            finally:
+                self._tasks.discard(task)
+
+        return tracked
+
+    async def close(self, *servers: asyncio.AbstractServer | None) -> None:
+        running = [server for server in servers if server is not None]
+        for server in running:
+            server.close()
+        self._closing = True
+        tasks = list(self._tasks)
+        for task in tasks:
+            task.cancel()
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
+        for server in running:
+            await server.wait_closed()

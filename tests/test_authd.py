@@ -79,6 +79,90 @@ def test_token_payload_tamper_invalidates_mac():
             tokens.verify_token(forged, key, "data", now=0.0)
 
 
+def _count_verifies(monkeypatch):
+    """Count full verify_token runs; the gate looks it up by module name."""
+    calls = []
+    real = tokens.verify_token
+
+    def counted(token, *args, **kwargs):
+        calls.append(token)
+        return real(token, *args, **kwargs)
+
+    monkeypatch.setattr(tokens, "verify_token", counted)
+    return calls
+
+
+def test_gate_checks_mac_once_and_expiry_every_time(monkeypatch):
+    calls = _count_verifies(monkeypatch)
+    key = b"g" * 32
+    gate = tokens.TokenGate(key, "data")
+    token = tokens.mint_token(key, "alice", "data", exp=1000.0)
+    for now in (1.0, 500.0, 999.9):
+        gate.check(token, now)
+    assert calls == [token]
+    with pytest.raises(tokens.TokenExpired):
+        gate.check(token, 1000.0)
+    with pytest.raises(tokens.TokenExpired):
+        gate.check(token, 2000.0)
+
+
+def test_gate_rejects_tampered_string_after_good_one():
+    key = b"g" * 32
+    gate = tokens.TokenGate(key, "data")
+    token = tokens.mint_token(key, "alice", "data", exp=1000.0)
+    gate.check(token, 1.0)
+    for i, ch in enumerate(token):
+        tampered = token[:i] + ("A" if ch != "A" else "B") + token[i + 1 :]
+        with pytest.raises(tokens.TokenError):
+            gate.check(tampered, 1.0)
+    gate.check(token, 1.0)
+
+
+def test_gate_rejects_wrong_audience_and_wrong_key():
+    key = b"g" * 32
+    token = tokens.mint_token(key, "alice", "data", exp=1000.0)
+    tokens.TokenGate(key, "data").check(token, 1.0)
+    with pytest.raises(tokens.TokenWrongAudience):
+        tokens.TokenGate(key, "batch").check(token, 1.0)
+    with pytest.raises(tokens.TokenBadMac):
+        tokens.TokenGate(b"h" * 32, "data").check(token, 1.0)
+
+
+def test_gate_does_not_remember_failures(monkeypatch):
+    calls = _count_verifies(monkeypatch)
+    key = b"g" * 32
+    gate = tokens.TokenGate(key, "data")
+    token = tokens.mint_token(key, "alice", "data", exp=1000.0)
+    for _ in range(2):
+        with pytest.raises(tokens.TokenExpired):
+            gate.check(token, 1000.0)
+    assert len(calls) == 2
+    gate.check(token, 1.0)  # valid at an earlier time: verified afresh, then remembered
+    gate.check(token, 2.0)
+    assert len(calls) == 3
+    wrong = tokens.TokenGate(key, "batch")
+    for _ in range(2):
+        with pytest.raises(tokens.TokenWrongAudience):
+            wrong.check(token, 1.0)
+    assert len(calls) == 5
+
+
+def test_gate_memory_is_bounded(monkeypatch):
+    monkeypatch.setattr(tokens, "GATE_CAPACITY", 3)
+    calls = _count_verifies(monkeypatch)
+    key = b"g" * 32
+    gate = tokens.TokenGate(key, "data")
+    minted = [tokens.mint_token(key, f"user{i}", "data", exp=1000.0) for i in range(10)]
+    for token in minted:
+        gate.check(token, 1.0)
+        assert len(gate._exp) <= 3
+    assert len(calls) == 10
+    gate.check(minted[-1], 1.0)  # newest is remembered
+    assert len(calls) == 10
+    gate.check(minted[0], 1.0)  # oldest was dropped: verified again
+    assert len(calls) == 11
+
+
 # ---- identity assertions ---------------------------------------------------------
 
 

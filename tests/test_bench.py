@@ -1,9 +1,15 @@
+import json
 import math
+import os
 
+import numpy as np
 import pytest
 
+from casa_mini import cacf
 from casa_mini.bench import (
+    BENCH_COLUMNS,
     BenchConfig,
+    generate_dataset,
     oracle_peak_workers,
     oracle_throughput,
     oracle_wallclock,
@@ -74,6 +80,49 @@ def test_adaptive_first_decision_is_26(tmp_path):
     first = next(e for e in facility.state.events if e.kind == "ScaleDecision")
     assert "target=26" in first.detail and "queued=104" in first.detail
     assert job.state == "done"
+
+
+def _local(root, url):
+    return url.replace("root://origin.sim//store/", os.path.join(root, "store") + "/")
+
+
+def _assert_same_files(root_a, dataset_a, root_b, dataset_b):
+    for url_a, url_b in zip(dataset_a.files, dataset_b.files, strict=True):
+        a = cacf.read_columns_path(_local(root_a, url_a))
+        b = cacf.read_columns_path(_local(root_b, url_b))
+        assert a.names() == b.names() == list(BENCH_COLUMNS)
+        for name in BENCH_COLUMNS:
+            assert a[name].tobytes() == b[name].tobytes()
+
+
+def test_generate_dataset_replaces_other_seed_and_size(tmp_path):
+    root, fresh_root = str(tmp_path / "shared"), str(tmp_path / "fresh")
+    generate_dataset(BenchConfig(seed=7, n_files=2, events_per_file=1000), root)
+    dataset, epf = generate_dataset(BenchConfig(seed=8, n_files=2, events_per_file=500), root)
+    fresh, _ = generate_dataset(BenchConfig(seed=8, n_files=2, events_per_file=500), fresh_root)
+    assert epf == [500, 500]
+    assert [cacf.read_header_path(_local(root, f)).n_events for f in dataset.files] == [500, 500]
+    _assert_same_files(root, dataset, fresh_root, fresh)
+    with open(os.path.join(root, "store", "datasets", "bench.json")) as fh:
+        manifest = json.load(fh)
+    assert manifest["seed"] == 8 and manifest["events_per_file"] == [500, 500]
+    assert manifest["files"] == list(dataset.files)
+
+
+def test_generate_dataset_reuses_only_intact_files(tmp_path):
+    root, fresh_root = str(tmp_path / "shared"), str(tmp_path / "fresh")
+    cfg = BenchConfig(n_files=2, events_per_file=300)
+    dataset, _ = generate_dataset(cfg, root)
+    paths = [_local(root, f) for f in dataset.files]
+    stamps = [os.stat(p).st_mtime_ns for p in paths]
+    generate_dataset(cfg, root)
+    assert [os.stat(p).st_mtime_ns for p in paths] == stamps  # nothing rewritten
+    with open(paths[1], "r+b") as fh:
+        fh.truncate(100)
+    generate_dataset(cfg, root)
+    fresh, _ = generate_dataset(cfg, fresh_root)
+    _assert_same_files(root, dataset, fresh_root, fresh)
+    assert not any(name.endswith(".tmp") for name in os.listdir(os.path.dirname(paths[0])))
 
 
 # ---- stall report -----------------------------------------------------------------

@@ -68,6 +68,78 @@ def test_bad_version(tmp_path):
         cacf.read_header_path(path)
 
 
+def _counting(read):
+    """A RangeReader that records every (offset, length) it is asked for."""
+    calls = []
+
+    def counted(offset, length):
+        calls.append((offset, length))
+        return read(offset, length)
+
+    return counted, calls
+
+
+def _two_column_file(tmp_path):
+    path = str(tmp_path / "t.cacf")
+    cacf.write_dataset_file({"pt": np.array([1.0, 2.0]), "eta": np.array([3.0, 4.0])}, path)
+    return path
+
+
+def test_read_header_is_one_range_read(tmp_path):
+    path = _two_column_file(tmp_path)
+    read, calls = _counting(cacf.local_range_reader(path))
+    hdr = cacf.read_header(read)
+    assert calls == [(0, cacf.HEADER_PREFIX)]
+    assert hdr == cacf.CacfHeader(n_events=2, columns=("pt", "eta"), payload_offset=29)
+    assert hdr.payload_offset + 2 * 2 * 8 == cacf.file_size(hdr.columns, hdr.n_events)
+
+
+@pytest.mark.parametrize("n_columns, n_reads", [(70, 2), (400, 4)])
+def test_column_table_longer_than_prefix(tmp_path, n_columns, n_reads):
+    path = str(tmp_path / "wide.cacf")
+    names = [f"c{i:03d}_" + "x" * 59 for i in range(n_columns)]  # 64-byte names
+    columns = {name: np.full(3, float(i)) for i, name in enumerate(names)}
+    assert cacf.write_dataset_file(columns, path) == cacf.file_size(names, 3)
+    read, calls = _counting(cacf.local_range_reader(path))
+    hdr = cacf.read_header(read)
+    assert hdr.columns == tuple(names) and hdr.n_events == 3
+    assert hdr.payload_offset == 20 + 66 * n_columns > cacf.HEADER_PREFIX
+    assert len(calls) == n_reads  # each further read doubles what was read
+    back = cacf.read_chunk(read, FileChunk(path, start=1, len=2, chunk_id=0), [names[-1]], header=hdr)
+    assert back[names[-1]].tolist() == [n_columns - 1.0] * 2
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (0, "truncated header"),
+        (19, "truncated header"),
+        (20, "truncated column table"),
+        (21, "truncated column table"),
+        (23, "truncated column table"),
+        (24, "truncated column table"),
+        (28, "truncated column table"),
+    ],
+)
+def test_truncated_header(tmp_path, cut, message):
+    # header: 20 fixed bytes, then "pt" at 20..23 and "eta" at 24..28
+    path = _two_column_file(tmp_path)
+    with open(path, "r+b") as fh:
+        fh.truncate(cut)
+    with pytest.raises(cacf.CacfError, match=message):
+        cacf.read_header_path(path)
+
+
+def test_truncated_long_column_table(tmp_path):
+    path = str(tmp_path / "wide.cacf")
+    names = [f"c{i:03d}_" + "x" * 59 for i in range(100)]
+    cacf.write_dataset_file({name: np.zeros(1) for name in names}, path)
+    with open(path, "r+b") as fh:
+        fh.truncate(cacf.HEADER_PREFIX + 100)
+    with pytest.raises(cacf.CacfError, match="truncated column table"):
+        cacf.read_header_path(path)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.dictionaries(

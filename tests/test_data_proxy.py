@@ -1,11 +1,12 @@
 import asyncio
+import json
 import os
 import random
 
 import numpy as np
 import pytest
 
-from casa_mini import cacf, data_proxy, tokens
+from casa_mini import cacf, data_proxy, tokens, wire
 from casa_mini.data_proxy import (
     BadFederationCred,
     DataProxyServer,
@@ -323,3 +324,57 @@ def test_lru_cap_smaller_than_one_fetch_still_correct(store):
     raw = open(os.path.join(store, "store", "ds1", "f0.cacf"), "rb").read()
     got = proxy.fetch("/store/ds1/f0.cacf", 100, 10 * block, _token())
     assert got == raw[100 : 100 + 10 * block]
+
+
+def test_cancelled_leader_settles_followers(store):
+    # An origin that holds its first reply until released: the single-flight
+    # leader for block 0 is cancelled while that reply is pending.
+    async def scenario():
+        local = LocalOrigin(store, CRED)
+        release = asyncio.Event()
+        served = 0
+
+        async def held_origin(reader, writer):
+            nonlocal served
+            try:
+                while True:
+                    req = json.loads(await wire.read_frame_raw(reader))
+                    served += 1
+                    if served == 1:
+                        await release.wait()
+                    data = local.fetch(req["path"], req["offset"], req["length"], req["cred"])
+                    writer.write(data_proxy._tagged(data_proxy.TAG_OK, data))
+                    await writer.drain()
+            except (asyncio.IncompleteReadError, ConnectionError):
+                pass
+            finally:
+                writer.close()
+
+        server = await asyncio.start_server(held_origin, "127.0.0.1", 0)
+        proxy = DataProxyServer(server.sockets[0].getsockname()[:2], CRED, KEY, clock=lambda: 0.0)
+        path = "/store/ds1/f0.cacf"
+        with open(os.path.join(store, "store", "ds1", "f0.cacf"), "rb") as fh:
+            raw = fh.read()
+        try:
+            leader = asyncio.create_task(proxy.fetch(path, 0, 100, _token()))
+            while served == 0:
+                await asyncio.sleep(0.005)
+            follower = asyncio.create_task(proxy.fetch(path, 200, 100, _token()))
+            await asyncio.sleep(0.02)  # the follower now waits on the leader's block
+            leader.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await leader
+            with pytest.raises(ProxyError):
+                await asyncio.wait_for(follower, 2.0)
+            release.set()  # the held reply goes to a connection the proxy dropped
+            # the next requests refetch over a fresh connection and get their own bytes
+            block = data_proxy.BLOCK_SIZE
+            assert await asyncio.wait_for(proxy.fetch(path, block, 100, _token()), 2.0) == raw[block : block + 100]
+            assert await asyncio.wait_for(proxy.fetch(path, 0, 100, _token()), 2.0) == raw[:100]
+            assert proxy.stats()["origin_fetches"] == 2
+        finally:
+            await proxy.close()
+            server.close()
+            await server.wait_closed()
+
+    run_async(scenario())

@@ -1,5 +1,6 @@
 import asyncio
 import json
+import logging
 import os
 import signal
 import ssl
@@ -10,10 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from casa_mini import cacf, client
+from casa_mini import cacf, client, wire
 from casa_mini.bench import BenchConfig, generate_dataset
+from casa_mini.data_proxy import ProxyClient
 from casa_mini.engine.pipeline import KernelPipeline, run_pipeline
 from casa_mini.launcher import Facility, FacilityConfig, reap
+from casa_mini.tokens import mint_token
 from casa_mini.types import ColumnBatch
 
 from .conftest import make_assertion, run_async
@@ -190,6 +193,48 @@ def test_stop_reaps_dedicated_worker(idp_keys, tmp_path):
         assert worker.returncode is not None
 
     run_async(scenario())
+
+
+def test_teardown_closes_batch_client(idp_keys, tmp_path):
+    async def scenario():
+        facility, dataset, epf = small_facility(idp_keys, tmp_path)
+        addrs = await facility.start()
+        try:
+            await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            batch_client = facility.clusters["alice-1"].batch_client
+            with pytest.raises(wire.RequestError):  # any request opens the connection
+                await batch_client.status(999)
+            writer = batch_client._conn[1]
+            await facility.teardown_cluster("alice-1")
+            assert batch_client._conn is None
+            assert writer.is_closing()
+        finally:
+            await facility.stop()
+
+    run_async(scenario())
+
+
+def test_stop_after_fetch_logs_no_error(idp_keys, tmp_path, caplog):
+    clients = []
+
+    async def scenario():
+        facility, dataset, epf = small_facility(idp_keys, tmp_path)
+        addrs = await facility.start()
+        token = mint_token(facility.keys.data, "alice", "data", exp=time.time() + 600)
+        clients.append(ProxyClient(addrs["data_proxy"]))
+        try:
+            data = await asyncio.to_thread(clients[0].fetch, "/store/mini/part00.cacf", 0, 64, token)
+            assert data[:4] == b"CACF"
+        finally:
+            await facility.stop()
+
+    try:
+        run_async(scenario())  # the loop closes while a worker's proxy connection is open
+    finally:
+        for proxy_client in clients:
+            proxy_client.close()
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [], [r.getMessage() for r in errors]
 
 
 def test_reap_kills_worker_that_ignores_sigterm():

@@ -27,6 +27,29 @@ def test_virtual_loop_ordering_and_past_rejection():
         loop.schedule_at(1.0, lambda: None)
 
 
+def test_one_header_read_per_file(tmp_path, monkeypatch):
+    cfg, ctx = small_ctx(tmp_path)  # 2 files of 10 chunks each
+    reads = []
+    proxy_reader = ctx.proxy.range_reader
+
+    def counting_reader(path, token):
+        read = proxy_reader(path, token)
+
+        def counted(offset, length):
+            reads.append((path, offset))
+            return read(offset, length)
+
+        return counted
+
+    monkeypatch.setattr(ctx.proxy, "range_reader", counting_reader)
+    job, _ = run_once(ctx, fixed_policy(3, cfg))
+    assert job.state == "done"
+    header_paths = sorted(path for path, offset in reads if offset == 0)
+    assert header_paths == ["/store/bench/part00.cacf", "/store/bench/part01.cacf"]
+    # apart from the headers, only the pipeline's 3 input columns of each chunk
+    assert len(reads) == 2 + 3 * len(job.chunks)
+
+
 def test_single_worker_throughput_matches_rate(tmp_path):
     cfg, ctx = small_ctx(tmp_path)
     job, facility = run_once(ctx, fixed_policy(1, cfg))
