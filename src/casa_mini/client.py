@@ -98,8 +98,10 @@ class SchedulerClient:
             try:
                 await wire.send_message(writer, msg)
                 return await wire.read_message(reader)
-            except (ConnectionError, asyncio.IncompleteReadError, ssl.SSLError):
-                self._conn = None
+            except BaseException:
+                # A reply still owed, as after a cancelled WaitJob, would
+                # otherwise be read as the answer to the next request.
+                self.close()
                 raise
 
     async def submit_job(
@@ -134,15 +136,20 @@ class SchedulerClient:
         )
         return reply.body
 
-    async def wait_job(self, job_id: str, timeout: float = 60.0, poll: float = 0.1) -> dict:
-        deadline = asyncio.get_running_loop().time() + timeout
+    async def wait_job(self, job_id: str, timeout: float = 60.0) -> dict:
+        """The job's status once it has finished or failed.  The scheduler
+        answers each WaitJob when the job ends, or after at most the time
+        left (it may cap that), so this asks again until its deadline."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
         while True:
-            status = await self.job_status(job_id)
+            left = max(0.0, deadline - loop.time())
+            reply = await self._request(wire.WireMessage("WaitJob", {"job_id": job_id, "timeout": left}))
+            status = wire.raise_on_err(reply).body
             if status["state"] != "running":
                 return status
-            if asyncio.get_running_loop().time() > deadline:
+            if loop.time() >= deadline:
                 raise TimeoutError(f"job {job_id} still running after {timeout}s")
-            await asyncio.sleep(poll)
 
     async def scale_request(self, **body) -> dict:
         reply = wire.raise_on_err(await self._request(wire.WireMessage("ScaleRequest", body)))

@@ -273,7 +273,7 @@ async def _read_block_reply(reader: asyncio.StreamReader) -> bytes:
 def _untag(body: bytes) -> bytes:
     if not body:
         raise ProxyError("empty block reply")
-    tag, payload = body[0], body[1:]
+    tag, payload = body[0], bytes(memoryview(body)[1:])
     if tag == TAG_OK:
         return payload
     message = payload.decode("utf-8", "replace")
@@ -461,8 +461,34 @@ class DataProxyServer:
             writer.close()
 
 
+class _NoReply(ConnectionError):
+    """The connection ended before the first byte of a reply."""
+
+
+def _recv_exact(sock: socket.socket, count: int, first: bool = False) -> bytearray:
+    """Read exactly `count` bytes.  With `first`, a connection that ends
+    before any of them arrive raises _NoReply."""
+    buf = bytearray(count)
+    with memoryview(buf) as view:
+        got = 0
+        while got < count:
+            try:
+                n = sock.recv_into(view[got:])
+            except ConnectionResetError:
+                n = 0
+            if not n:
+                raise (_NoReply if first and not got else ConnectionError)("proxy connection closed")
+            got += n
+    return buf
+
+
 class ProxyClient:
-    """Blocking proxy client; safe inside worker task threads."""
+    """Blocking proxy client; one per worker task thread, kept across tasks.
+
+    The proxy may close a connection that was idle between tasks, so a
+    request on a reused connection that gets no reply byte is sent once more
+    on a new one; Fetch is idempotent.
+    """
 
     def __init__(self, proxy: tuple[str, int], timeout: float = 30.0):
         self.addr = proxy
@@ -480,32 +506,32 @@ class ProxyClient:
             self._sock = None
 
     def fetch(self, path: str, offset: int, length: int, token: str) -> bytes:
+        request = wire.encode(
+            wire.WireMessage("Fetch", {"path": path, "offset": offset, "length": length, "token": token})
+        )
+        reused = self._sock is not None
+        try:
+            reply = self._exchange(request)
+        except _NoReply:
+            if not reused:
+                raise
+            reply = self._exchange(request)
+        return _untag(reply)
+
+    def _exchange(self, request: bytes) -> bytearray:
         sock = self._connect()
         try:
-            sock.sendall(
-                wire.encode(
-                    wire.WireMessage(
-                        "Fetch", {"path": path, "offset": offset, "length": length, "token": token}
-                    )
-                )
-            )
-            header = self._recv_exact(sock, _LEN.size)
-            (length_,) = _LEN.unpack(header)
-            if length_ > MAX_FETCH + 1:
-                raise ProxyError(f"oversized block reply of {length_} bytes")
-            return _untag(self._recv_exact(sock, length_))
-        except (ConnectionError, socket.timeout):
-            self.close()
+            try:
+                sock.sendall(request)
+            except ConnectionError as exc:
+                raise _NoReply(str(exc)) from exc
+            (size,) = _LEN.unpack(_recv_exact(sock, _LEN.size, first=True))
+            if size > MAX_FETCH + 1:
+                raise ProxyError(f"oversized block reply of {size} bytes")
+            return _recv_exact(sock, size)
+        except BaseException:
+            self.close()  # the stream is out of step with the requests
             raise
-
-    def _recv_exact(self, sock: socket.socket, count: int) -> bytes:
-        buf = b""
-        while len(buf) < count:
-            chunk = sock.recv(count - len(buf))
-            if not chunk:
-                raise ConnectionError("proxy connection closed")
-            buf += chunk
-        return buf
 
     def range_reader(self, path: str, token: str):
         def read(offset: int, length: int) -> bytes:

@@ -34,6 +34,7 @@ log = logging.getLogger(__name__)
 DEDICATED_CORES = 8
 BATCH_CORES = 4
 REAP_TIMEOUT = 5.0
+REGISTER_TIMEOUT = 15.0  # for a dedicated worker's WorkerHello
 
 
 async def reap(proc: subprocess.Popen, timeout: float = REAP_TIMEOUT) -> int:
@@ -315,30 +316,23 @@ class Facility:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        deadline = time.monotonic() + 15.0
-        while time.monotonic() < deadline:
-            w = service.state.workers.get(worker_id)
-            if w is not None and w.arrived:
-                return proc
-            await asyncio.sleep(0.05)
-        await reap(proc)
-        raise RuntimeError(f"dedicated worker for {bundle.cluster_id} did not register")
+        try:
+            await service.wait_worker(worker_id, REGISTER_TIMEOUT)
+        except TimeoutError:
+            await reap(proc)
+            raise RuntimeError(f"dedicated worker for {bundle.cluster_id} did not register") from None
+        return proc
 
     async def teardown_cluster(self, cluster_id: str) -> dict:
         record = self.clusters.pop(cluster_id, None)
         if record is None:
             raise KeyError(f"unknown cluster {cluster_id!r}")
         await record.service.cancel_all_batch_workers()
-        for job in record.service.state.jobs.values():
-            if job.state == "running":
-                job.failed |= job.queued | set(job.assigned)
-                job.queued.clear()
-                job.assigned.clear()
         try:
             self.sni.routes.remove(record.sni_hostname)
         except Exception:
             pass
-        await record.service.close()
+        await record.service.close()  # fails the cluster's unfinished jobs
         record.batch_client.close()
         if record.dedicated_worker is not None:
             await reap(record.dedicated_worker)

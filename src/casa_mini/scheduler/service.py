@@ -29,6 +29,11 @@ from .state import (
 
 log = logging.getLogger(__name__)
 
+# Longest a WaitJob is held before the current status is sent back; a client
+# that wants to wait longer asks again.  It bounds how long a handler serves
+# a client that has gone away.
+MAX_WAIT = 10.0
+
 
 def server_ssl_context(host_cert_path: str, host_key_path: str, ca_path: str) -> ssl.SSLContext:
     ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
@@ -78,24 +83,34 @@ class SchedulerService:
         self._worker_conns: dict[str, asyncio.StreamWriter] = {}
         self._send_locks: dict[str, asyncio.Lock] = {}
         self._server: asyncio.AbstractServer | None = None
-        self._ticker: asyncio.Task | None = None
-        self._done_events: dict[str, asyncio.Event] = {}
+        self._tasks = wire.BackgroundTasks()
+        self._closed = False
+        # ("job", job_id) or ("worker", worker_id) -> event set when that job
+        # leaves "running" or that worker arrives; popped when set.
+        self._waiters: dict[tuple[str, str], asyncio.Event] = {}
 
     # ---- lifecycle ---------------------------------------------------------
 
     async def start(self, host: str, port: int, ssl_context: ssl.SSLContext) -> tuple[str, int]:
         self._server = await asyncio.start_server(self._handle, host, port, ssl=ssl_context)
-        self._ticker = asyncio.create_task(self._tick_loop())
+        self._tasks.spawn(self._tick_loop())
         addr = self._server.sockets[0].getsockname()
         return addr[0], addr[1]
 
     async def close(self) -> None:
-        if self._ticker is not None:
-            self._ticker.cancel()
-            try:
-                await self._ticker
-            except asyncio.CancelledError:
-                pass
+        """Stop serving.  Every unfinished job fails, and every waiter wakes:
+        a client waiting on a job gets its failed status, and its connection
+        closes after that reply."""
+        self._closed = True
+        await self._tasks.close()
+        for job in self.state.jobs.values():
+            if job.state == "running":
+                job.failed |= job.queued | set(job.assigned)
+                job.queued.clear()
+                job.assigned.clear()
+        for event in self._waiters.values():
+            event.set()
+        self._waiters.clear()
         for writer in list(self._worker_conns.values()):
             writer.close()
         if self._server is not None:
@@ -118,7 +133,7 @@ class SchedulerService:
         for _ in range(count):
             worker_id = self.state.next_worker_id()
             self.state.expect_worker(now, n_cores=self.worker_cores, worker_id=worker_id)
-            asyncio.create_task(self._submit_one(worker_id))
+            self._tasks.spawn(self._submit_one(worker_id))
 
     async def _submit_one(self, worker_id: str) -> None:
         try:
@@ -138,7 +153,7 @@ class SchedulerService:
         if conn is not None:
             conn.close()
         if handle is not None and self.scale_cancel is not None:
-            asyncio.create_task(self._cancel_handle(handle))
+            self._tasks.spawn(self._cancel_handle(handle))
 
     async def _cancel_handle(self, handle) -> None:
         try:
@@ -155,7 +170,6 @@ class SchedulerService:
                 log.info("requeued %d chunks from lost workers", len(lost))
             self.autoscaler.tick(now)
             await self._dispatch(now)
-            self._signal_done()
 
     # ---- dispatch -------------------------------------------------------------
 
@@ -172,16 +186,40 @@ class SchedulerService:
             except (ConnectionError, RuntimeError) as exc:
                 log.warning("assign to %s failed: %s", worker_id, exc)
 
-    def _signal_done(self) -> None:
-        for job_id, event in self._done_events.items():
-            job = self.state.jobs.get(job_id)
-            if job is not None and job.state != "running":
-                event.set()
+    def _wake(self, key: tuple[str, str]) -> None:
+        event = self._waiters.pop(key, None)
+        if event is not None:
+            event.set()
 
-    async def wait_job(self, job_id: str, timeout: float = 60.0) -> dict:
-        event = self._done_events.setdefault(job_id, asyncio.Event())
-        await asyncio.wait_for(event.wait(), timeout)
-        return self.state.jobs[job_id].status()
+    async def _wait(self, key: tuple[str, str], timeout: float) -> None:
+        """Wait, at most `timeout` seconds, until `_wake(key)` or close()."""
+        if self._closed:
+            return
+        event = self._waiters.setdefault(key, asyncio.Event())
+        try:
+            await asyncio.wait_for(event.wait(), timeout)
+        except asyncio.TimeoutError:
+            pass
+
+    async def wait_job(self, job_id: str, timeout: float = MAX_WAIT) -> dict:
+        """A job's status as soon as it leaves "running", or its current
+        status after `timeout` seconds."""
+        job = self.state.jobs.get(job_id)
+        if job is None:
+            raise SchedulerError(f"unknown job {job_id!r}")
+        if job.state == "running" and timeout > 0:
+            await self._wait(("job", job_id), timeout)
+        return job.status()
+
+    async def wait_worker(self, worker_id: str, timeout: float) -> None:
+        """Return once the worker has said WorkerHello; raise TimeoutError
+        if it has not within `timeout` seconds."""
+        w = self.state.workers.get(worker_id)
+        if w is None or not w.arrived:
+            await self._wait(("worker", worker_id), timeout)
+            w = self.state.workers.get(worker_id)
+        if w is None or not w.arrived:
+            raise TimeoutError(f"worker {worker_id} did not register within {timeout}s")
 
     # ---- connection handling -----------------------------------------------------
 
@@ -194,16 +232,17 @@ class SchedulerService:
                     msg = await wire.read_message(reader)
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
-                now = self.clock()
                 try:
-                    reply = await self._one_message(msg, identity, writer, now)
+                    reply = await self._one_message(msg, identity, writer, worker_id)
                     if msg.kind == "WorkerHello":
                         worker_id = reply.body.get("worker_id", worker_id)
                     async with self._send_locks.setdefault(
                         worker_id or f"conn-{id(writer)}", asyncio.Lock()
                     ):
                         await wire.send_message(writer, reply)
-                except wire.FrameTooLarge:
+                except (wire.FrameTooLarge, ConnectionError):  # or the peer left mid-wait
+                    break
+                if self._closed:
                     break
         except wire.WireError as exc:
             log.warning("scheduler: closing connection from %r: %s", identity, exc)
@@ -213,9 +252,22 @@ class SchedulerService:
             self._send_locks.pop(f"conn-{id(writer)}", None)
             writer.close()
 
+    def _check_sender(self, body: dict, bound: str | None) -> str:
+        """The worker this connection registered as with WorkerHello, which
+        a message body that names a worker must agree with."""
+        if bound is None:
+            raise SchedulerError("no WorkerHello on this connection")
+        named = body.get("worker_id", bound)
+        if named != bound:
+            raise SchedulerError(f"connection of worker {bound!r} sent a message for {named!r}")
+        return bound
+
     async def _one_message(
-        self, msg: wire.WireMessage, identity: str, writer: asyncio.StreamWriter, now: float
+        self, msg: wire.WireMessage, identity: str, writer: asyncio.StreamWriter, bound: str | None
     ) -> wire.WireMessage:
+        """Serve one request.  `bound` is the worker this connection
+        registered as, if any."""
+        now = self.clock()
         try:
             if msg.kind == "WorkerHello":
                 worker_id = self.state.worker_arrived(
@@ -226,28 +278,24 @@ class SchedulerService:
                 )
                 self._worker_conns[worker_id] = writer
                 self._send_locks.setdefault(worker_id, asyncio.Lock())
-                asyncio.create_task(self._dispatch(now))
+                self._wake(("worker", worker_id))
+                self._tasks.spawn(self._dispatch(now))
                 return wire.ok({"worker_id": worker_id})
             if msg.kind == "Heartbeat":
-                self.state.heartbeat(msg.body["worker_id"], now)
+                self.state.heartbeat(self._check_sender(msg.body, bound), now)
                 return wire.ok()
-            if msg.kind == "TaskDone":
-                result = TaskResult.from_dict(msg.body["result"])
-                status = self.state.complete_task(
-                    msg.body["worker_id"], msg.body["job_id"], int(msg.body["chunk_id"]), result, now
-                )
-                asyncio.create_task(self._dispatch(now))
-                self._signal_done()
-                return wire.ok(status)
-            if msg.kind == "TaskFailed":
-                status = self.state.fail_task(
-                    msg.body["worker_id"],
-                    msg.body["job_id"],
-                    int(msg.body["chunk_id"]),
-                    msg.body.get("reason", ""),
-                    now,
-                )
-                self._signal_done()
+            if msg.kind in ("TaskDone", "TaskFailed"):
+                worker_id = self._check_sender(msg.body, bound)
+                job_id, chunk_id = msg.body["job_id"], int(msg.body["chunk_id"])
+                if msg.kind == "TaskDone":
+                    result = TaskResult.from_dict(msg.body["result"])
+                    status = self.state.complete_task(worker_id, job_id, chunk_id, result, now)
+                    self._tasks.spawn(self._dispatch(now))
+                else:
+                    reason = msg.body.get("reason", "")
+                    status = self.state.fail_task(worker_id, job_id, chunk_id, reason, now)
+                if status["state"] != "running":
+                    self._wake(("job", job_id))
                 return wire.ok(status)
             if msg.kind == "SubmitJob":
                 ds = msg.body["dataset"]
@@ -265,13 +313,16 @@ class SchedulerService:
                     identity=identity,
                 )
                 self.autoscaler.tick(now)
-                asyncio.create_task(self._dispatch(now))
+                self._tasks.spawn(self._dispatch(now))
                 return wire.ok({"job_id": job_id})
-            if msg.kind == "JobStatus":
-                job = self.state.jobs.get(msg.body["job_id"])
-                if job is None:
-                    return wire.err("unknown_job", f"unknown job {msg.body.get('job_id')!r}")
-                return wire.ok(job.status())
+            if msg.kind in ("JobStatus", "WaitJob"):
+                job_id = msg.body["job_id"]
+                if job_id not in self.state.jobs:
+                    return wire.err("unknown_job", f"unknown job {job_id!r}")
+                timeout = 0.0
+                if msg.kind == "WaitJob":
+                    timeout = min(float(msg.body.get("timeout", MAX_WAIT)), MAX_WAIT)
+                return wire.ok(await self.wait_job(job_id, timeout))
             if msg.kind == "ScaleRequest":
                 if msg.body.get("export") == "task_stream":
                     return wire.ok({"task_stream_csv": events_to_csv(self.state.events)})

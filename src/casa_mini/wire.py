@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import struct
 from dataclasses import dataclass, field
+
+log = logging.getLogger(__name__)
 
 MAX_FRAME = 16 * 1024 * 1024
 _LEN = struct.Struct(">I")
@@ -27,6 +30,7 @@ KINDS = frozenset(
         "TaskFailed",
         "SubmitJob",
         "JobStatus",
+        "WaitJob",
         "ScaleRequest",
         # facility services
         "Login",
@@ -168,3 +172,33 @@ class ConnectionTasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         for server in running:
             await server.wait_closed()
+
+
+class BackgroundTasks:
+    """Tasks started for their effect, not their result.
+
+    The set keeps each task referenced until it ends, so it cannot be
+    garbage-collected mid-run, and an exception one raises is logged rather
+    than lost.  `close()` cancels those still running and waits for them.
+    """
+
+    def __init__(self):
+        self._tasks: set[asyncio.Task] = set()
+
+    def spawn(self, coro) -> asyncio.Task:
+        task = asyncio.get_running_loop().create_task(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._done)
+        return task
+
+    def _done(self, task: asyncio.Task) -> None:
+        self._tasks.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            log.error("background task %s failed", task.get_coro().__qualname__, exc_info=task.exception())
+
+    async def close(self) -> None:
+        tasks = list(self._tasks)
+        for task in tasks:
+            task.cancel()
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)

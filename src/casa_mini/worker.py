@@ -4,7 +4,9 @@ Invoked as a subprocess with one argument, the path to a JSON config (this
 is the payload a batch job carries).  Chunk data is opened through the
 URL-rewrite hook, so remote files are fetched from the caching proxy with
 the worker's data token; task execution runs in threads, one per logical
-core, while the control connection stays responsive for heartbeats.
+core, while the control connection stays responsive for heartbeats.  Each
+task thread keeps its proxy connection across tasks, and the worker keeps
+the header of every file it has read.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import json
 import logging
 import ssl
 import sys
+import threading
 import time
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 
 from . import cacf, wire
 from .data_proxy import ProxyClient, rewrite_url
@@ -26,6 +31,7 @@ log = logging.getLogger(__name__)
 
 RETRIES = 3
 RETRY_DELAY = 0.5
+HEADER_CACHE_FILES = 4096  # headers a worker keeps, least recently used dropped first
 
 
 class WorkerConfig:
@@ -52,22 +58,59 @@ class WorkerConfig:
             return cls(json.load(fh))
 
 
-def execute_task(spec: TaskSpec, cfg: WorkerConfig, worker_id: str):
+class DataPath:
+    """A worker's way to its chunk data, kept across tasks.
+
+    Each task thread has its own proxy connection, opened on first use; the
+    CACF header of every file read is kept (dataset files are immutable, as
+    the proxy's block cache also assumes), at most HEADER_CACHE_FILES of them.
+    """
+
+    def __init__(self, cfg: WorkerConfig):
+        self.cfg = cfg
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._clients: list[ProxyClient] = []
+        self._headers: OrderedDict[str, cacf.CacfHeader] = OrderedDict()
+
+    def reader(self, url: str) -> cacf.RangeReader:
+        target = rewrite_url(url, self.cfg.proxy, self.cfg.data_token)
+        if target.proxy is None:
+            return cacf.local_range_reader(target.path)
+        client = getattr(self._local, "client", None)
+        if client is None:
+            client = self._local.client = ProxyClient(target.proxy)
+            with self._lock:
+                self._clients.append(client)
+        return client.range_reader(target.path, target.token)
+
+    def header(self, url: str, read: cacf.RangeReader) -> cacf.CacfHeader:
+        with self._lock:
+            header = self._headers.get(url)
+            if header is not None:
+                self._headers.move_to_end(url)
+                return header
+        header = cacf.read_header(read)
+        with self._lock:
+            self._headers[url] = header
+            if len(self._headers) > HEADER_CACHE_FILES:
+                self._headers.popitem(last=False)
+        return header
+
+    def close(self) -> None:
+        with self._lock:
+            clients, self._clients = self._clients, []
+        for client in clients:
+            client.close()
+
+
+def execute_task(spec: TaskSpec, data: DataPath, worker_id: str):
     """Fetch the chunk (proxy or local), run the pipeline; runs in a thread."""
     pipeline = KernelPipeline.from_json(list(spec.pipeline))
-    target = rewrite_url(spec.chunk.file, cfg.proxy, cfg.data_token)
     t_start = time.time()
-    client = None
-    try:
-        if target.proxy is None:
-            reader = cacf.local_range_reader(target.path)
-        else:
-            client = ProxyClient(target.proxy)
-            reader = client.range_reader(target.path, target.token)
-        batch = cacf.read_chunk(reader, spec.chunk, sorted(pipeline.input_columns()))
-    finally:
-        if client is not None:
-            client.close()
+    read = data.reader(spec.chunk.file)
+    header = data.header(spec.chunk.file, read)
+    batch = cacf.read_chunk(read, spec.chunk, sorted(pipeline.input_columns()), header=header)
     result = run_pipeline(batch, pipeline, chunk_id=spec.chunk.chunk_id, worker_id=worker_id)
     result.t_start = t_start
     result.t_end = time.time()
@@ -78,7 +121,9 @@ class WorkerAgent:
     def __init__(self, cfg: WorkerConfig):
         self.cfg = cfg
         self.worker_id = cfg.worker_id or ""
-        self._sem = asyncio.Semaphore(cfg.n_cores)
+        self._pool = ThreadPoolExecutor(max_workers=cfg.n_cores, thread_name_prefix="task")
+        self._data = DataPath(cfg)
+        self._tasks = wire.BackgroundTasks()
         self._send_lock = asyncio.Lock()
         self._writer: asyncio.StreamWriter | None = None
 
@@ -110,62 +155,39 @@ class WorkerAgent:
 
     async def _run_task(self, body: dict) -> None:
         spec = TaskSpec.from_dict(body)
-        async with self._sem:
-            try:
-                result = await asyncio.to_thread(execute_task, spec, self.cfg, self.worker_id)
-            except TokenError as exc:
-                await self._send(
-                    wire.WireMessage(
-                        "TaskFailed",
-                        {
-                            "worker_id": self.worker_id,
-                            "job_id": spec.job_id,
-                            "chunk_id": spec.chunk.chunk_id,
-                            "reason": f"data token rejected: {exc}",
-                        },
-                    )
-                )
-                return
-            except Exception as exc:
-                await self._send(
-                    wire.WireMessage(
-                        "TaskFailed",
-                        {
-                            "worker_id": self.worker_id,
-                            "job_id": spec.job_id,
-                            "chunk_id": spec.chunk.chunk_id,
-                            "reason": str(exc),
-                        },
-                    )
-                )
-                return
-        await self._send(
-            wire.WireMessage(
-                "TaskDone",
-                {
-                    "worker_id": self.worker_id,
-                    "job_id": spec.job_id,
-                    "chunk_id": spec.chunk.chunk_id,
-                    "result": result.to_dict(),
-                },
-            )
-        )
+        reply = {"worker_id": self.worker_id, "job_id": spec.job_id, "chunk_id": spec.chunk.chunk_id}
+        loop = asyncio.get_running_loop()
+        try:
+            result = await loop.run_in_executor(self._pool, execute_task, spec, self._data, self.worker_id)
+        except Exception as exc:
+            reason = f"data token rejected: {exc}" if isinstance(exc, TokenError) else str(exc)
+            await self._send(wire.WireMessage("TaskFailed", {**reply, "reason": reason}))
+            return
+        await self._send(wire.WireMessage("TaskDone", {**reply, "result": result.to_dict()}))
 
     async def _session(self, reader: asyncio.StreamReader) -> None:
-        heartbeat = asyncio.create_task(self._heartbeat_loop())
+        heartbeat = self._tasks.spawn(self._heartbeat_loop())
         try:
             while True:
                 msg = await wire.read_message(reader)
                 if msg.kind == "Ok" and "worker_id" in msg.body and not self.worker_id:
                     self.worker_id = msg.body["worker_id"]
                 elif msg.kind == "AssignTask":
-                    asyncio.create_task(self._run_task(msg.body))
+                    self._tasks.spawn(self._run_task(msg.body))
                 elif msg.kind == "Err":
                     log.warning("scheduler error: %s", msg.body)
         finally:
             heartbeat.cancel()
 
     async def run(self) -> int:
+        try:
+            return await self._serve()
+        finally:
+            await self._tasks.close()
+            self._data.close()
+            self._pool.shutdown(wait=False, cancel_futures=True)
+
+    async def _serve(self) -> int:
         while True:
             conn = None
             for attempt in range(1, RETRIES + 1):

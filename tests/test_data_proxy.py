@@ -2,6 +2,9 @@ import asyncio
 import json
 import os
 import random
+import socket
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,7 +94,7 @@ def test_cold_then_warm_counters(store):
 def test_read_through_equals_direct(store):
     proxy, _ = _sync_proxy(store, block_size=4096)
     path = os.path.join(store, "store", "ds1", "f0.cacf")
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     rng = random.Random(7)
     for _ in range(50):
         offset = rng.randint(0, len(raw) + 100)
@@ -193,7 +196,7 @@ def test_single_flight_and_networked_path(store):
         assert origin.local.fetches == before
 
         # blocking client used by workers sees identical bytes
-        raw = open(os.path.join(store, "store", "ds1", "f0.cacf"), "rb").read()
+        raw = Path(store, "store", "ds1", "f0.cacf").read_bytes()
         client = ProxyClient(proxy_addr)
         got = await asyncio.to_thread(client.fetch, "/store/ds1/f0.cacf", 123, 4567, _token())
         assert got == raw[123 : 123 + 4567]
@@ -254,7 +257,7 @@ def test_cache_dir_survives_restart(store, tmp_path):
         second = DataProxyServer(origin_addr, CRED, KEY, cache_dir=cache_dir, clock=lambda: 0.0)
         data = await second.fetch("/store/ds1/f0.cacf", 0, 100_000, _token())
         assert origin.local.fetches == cold
-        raw = open(os.path.join(store, "store", "ds1", "f0.cacf"), "rb").read()
+        raw = Path(store, "store", "ds1", "f0.cacf").read_bytes()
         assert data == raw[:100_000]
         await second.close()
         await origin.close()
@@ -305,23 +308,25 @@ def test_standalone_origin_and_proxy_processes(store, tmp_path):
             host_port = proxy_line.split(" on ", 1)[1].split(" -> ")[0].strip()
             host, port = host_port.rsplit(":", 1)
             client = ProxyClient((host, int(port)))
-            raw = open(os.path.join(store, "store", "ds1", "f0.cacf"), "rb").read()
+            raw = Path(store, "store", "ds1", "f0.cacf").read_bytes()
             got = client.fetch("/store/ds1/f0.cacf", 100, 5000, _token())
             assert got == raw[100:5100]
             client.close()
         finally:
             proxy.terminate()
             proxy.wait(timeout=10)
+            proxy.stdout.close()
     finally:
         origin.terminate()
         origin.wait(timeout=10)
+        origin.stdout.close()
 
 
 def test_lru_cap_smaller_than_one_fetch_still_correct(store):
     # a fetch spanning more blocks than the cache retains must still splice right
     block = 4096
     proxy, _ = _sync_proxy(store, block_size=block, max_bytes=2 * block)
-    raw = open(os.path.join(store, "store", "ds1", "f0.cacf"), "rb").read()
+    raw = Path(store, "store", "ds1", "f0.cacf").read_bytes()
     got = proxy.fetch("/store/ds1/f0.cacf", 100, 10 * block, _token())
     assert got == raw[100 : 100 + 10 * block]
 
@@ -378,3 +383,80 @@ def test_cancelled_leader_settles_followers(store):
             await server.wait_closed()
 
     run_async(scenario())
+
+
+class ScriptedProxy:
+    """A peer that answers each Fetch with `reply(request)`, written `piece`
+    bytes at a time, and closes each connection after `per_conn` replies."""
+
+    def __init__(self, reply, piece: int = 1 << 20, per_conn: int = 1 << 30):
+        self.reply, self.piece, self.per_conn = reply, piece, per_conn
+        self.connections = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.addr = self.listener.getsockname()[:2]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return
+            self.connections += 1
+            with conn:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for _ in range(self.per_conn):
+                    header = conn.recv(4, socket.MSG_WAITALL)
+                    if len(header) < 4:
+                        break
+                    request = json.loads(conn.recv(int.from_bytes(header, "big"), socket.MSG_WAITALL))
+                    frame = data_proxy._tagged(data_proxy.TAG_OK, self.reply(request["body"]))
+                    for start in range(0, len(frame), self.piece):
+                        conn.sendall(frame[start : start + self.piece])
+
+    def close(self):
+        self.listener.shutdown(socket.SHUT_RDWR)  # wakes the accept()
+        self.listener.close()
+        self.thread.join(timeout=5)
+
+
+def _pattern(body: dict) -> bytes:
+    return bytes((body["offset"] + i) % 251 for i in range(body["length"]))
+
+
+def test_proxy_client_reads_a_reply_sent_in_small_pieces():
+    peer = ScriptedProxy(_pattern, piece=7)
+    client = ProxyClient(peer.addr)
+    try:
+        got = client.fetch("/store/x", 3, 20_000, "t")
+        assert isinstance(got, bytes) and got == _pattern({"offset": 3, "length": 20_000})
+        assert client.fetch("/store/x", 0, 0, "t") == b""
+    finally:
+        client.close()
+        peer.close()
+
+
+def test_reused_proxy_client_reconnects_once_when_dropped():
+    peer = ScriptedProxy(_pattern, per_conn=1)  # drops each connection after one reply
+    client = ProxyClient(peer.addr)
+    try:
+        assert client.fetch("/store/x", 0, 100, "t") == _pattern({"offset": 0, "length": 100})
+        # the connection kept from the first fetch is closed by now
+        assert client.fetch("/store/x", 100, 50, "t") == _pattern({"offset": 100, "length": 50})
+        assert peer.connections == 2
+    finally:
+        client.close()
+        peer.close()
+
+
+def test_fresh_proxy_client_does_not_retry():
+    peer = ScriptedProxy(_pattern, per_conn=0)  # closes every connection unanswered
+    client = ProxyClient(peer.addr)
+    try:
+        with pytest.raises(ConnectionError):
+            client.fetch("/store/x", 0, 100, "t")
+        assert peer.connections == 1
+    finally:
+        client.close()
+        peer.close()

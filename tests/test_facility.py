@@ -296,7 +296,7 @@ def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
     from casa_mini.data_proxy import OriginServer, DataProxyServer
     from casa_mini.tokens import TokenError
     from casa_mini.types import FileChunk, TaskSpec
-    from casa_mini.worker import WorkerConfig, execute_task
+    from casa_mini.worker import DataPath, WorkerConfig, execute_task
 
     os.makedirs(tmp_path / "store" / "d", exist_ok=True)
     cacf_mod.write_dataset_file({"pt": np.arange(100.0)}, str(tmp_path / "store" / "d" / "f.cacf"))
@@ -324,10 +324,87 @@ def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
             chunk=FileChunk(file="root://origin//store/d/f.cacf", start=0, len=50, chunk_id=0),
             pipeline=tuple(PIPELINE),
         )
+        data = DataPath(cfg)
         with pytest.raises(TokenError):
-            await asyncio.to_thread(execute_task, spec, cfg, "w1")
+            await asyncio.to_thread(execute_task, spec, data, "w1")
+        data.close()
         assert origin.local.fetches == 0
         await proxy.close()
         await origin.close()
 
     run_async(scenario())
+
+
+def test_worker_keeps_headers_and_proxy_connection_across_tasks(tmp_path, monkeypatch):
+    from casa_mini.data_proxy import DataProxyServer, OriginServer
+    from casa_mini.types import FileChunk, TaskSpec
+    from casa_mini.worker import DataPath, WorkerConfig, execute_task
+
+    os.makedirs(tmp_path / "store" / "d", exist_ok=True)
+    for name in ("a", "b"):
+        cacf.write_dataset_file(
+            {"px": np.arange(100.0), "py": np.ones(100)}, str(tmp_path / "store" / "d" / f"{name}.cacf")
+        )
+    header_reads = []
+    read_header = cacf.read_header
+    monkeypatch.setattr(cacf, "read_header", lambda read: header_reads.append(1) or read_header(read))
+
+    async def scenario():
+        origin = OriginServer(str(tmp_path), "fed")
+        proxy = DataProxyServer(await origin.start("127.0.0.1", 0), "fed", b"k" * 32)
+        proxy_addr = await proxy.start("127.0.0.1", 0)
+        cfg = WorkerConfig(
+            {
+                "ingress": ["127.0.0.1", 1],
+                "sni": "x",
+                "ca": "c",
+                "cert": "c",
+                "key": "k",
+                "proxy": list(proxy_addr),
+                "data_token": mint_token(b"k" * 32, "alice", "data", exp=time.time() + 600),
+            }
+        )
+        specs = [
+            TaskSpec(
+                job_id="job-1",
+                chunk=FileChunk(file=f"root://origin//store/d/{name}.cacf", start=start, len=50, chunk_id=i),
+                pipeline=tuple(PIPELINE),
+            )
+            for i, (name, start) in enumerate([("a", 0), ("a", 50), ("b", 0), ("b", 50)])
+        ]
+        data = DataPath(cfg)
+        try:
+            # one thread, as a task thread runs one task after another
+            results = await asyncio.to_thread(lambda: [execute_task(s, data, "w1") for s in specs])
+            assert len(data._clients) == 1
+        finally:
+            data.close()
+            await proxy.close()
+            await origin.close()
+        return results
+
+    results = run_async(scenario())
+    assert len(header_reads) == 2  # one per file, not one per task
+    assert [r.n_events_in for r in results] == [50] * 4
+    assert sum(r.n_events_pass for r in results) == 2 * int(np.count_nonzero(np.hypot(np.arange(100.0), 1.0) > 20))
+
+
+def test_worker_header_cache_is_bounded(tmp_path, monkeypatch):
+    from casa_mini import worker
+    from casa_mini.types import FileChunk, TaskSpec
+
+    paths = []
+    for name in ("a", "b"):
+        paths.append(str(tmp_path / f"{name}.cacf"))
+        cacf.write_dataset_file({"px": np.arange(10.0), "py": np.ones(10)}, paths[-1])
+    header_reads = []
+    read_header = cacf.read_header
+    monkeypatch.setattr(cacf, "read_header", lambda read: header_reads.append(1) or read_header(read))
+    monkeypatch.setattr(worker, "HEADER_CACHE_FILES", 1)
+    cfg = worker.WorkerConfig({"ingress": ["127.0.0.1", 1], "sni": "x", "ca": "c", "cert": "c", "key": "k"})
+    data = worker.DataPath(cfg)
+    for i, path in enumerate([paths[0], paths[0], paths[1], paths[0]]):
+        spec = TaskSpec(job_id="job-1", chunk=FileChunk(file=path, start=0, len=10, chunk_id=i), pipeline=tuple(PIPELINE))
+        assert worker.execute_task(spec, data, "w1").n_events_in == 10
+    assert len(header_reads) == 3  # b pushed a out
+    assert list(data._headers) == [paths[0]]

@@ -1,0 +1,291 @@
+"""The networked scheduler: pushed job completion and worker registration,
+message checks, and background tasks.  Each test runs a SchedulerService
+behind mutual TLS, a client, and a scripted worker connection."""
+
+import asyncio
+import logging
+import ssl
+import time
+
+import numpy as np
+import pytest
+
+from casa_mini import cacf, certs, wire
+from casa_mini.client import SchedulerClient
+from casa_mini.engine.pipeline import TaskResult
+from casa_mini.scheduler.service import SchedulerService, server_ssl_context
+
+from .conftest import run_async
+
+HOST = "alice-1.dask.local"
+PIPELINE = [{"hist": ["h_pt", "pt", 10, 0, 100]}]
+
+
+@pytest.fixture()
+def tls(tmp_path):
+    ca = certs.make_ca("service-test-ca")
+    paths = {}
+    for name, pair in (("host", certs.make_host_cert(ca, HOST)), ("user", certs.make_user_cert(ca, "alice"))):
+        for part, text in (("cert", pair.cert_pem), ("key", pair.key_pem)):
+            path = tmp_path / f"{name}-{part}.pem"
+            path.write_text(text)
+            paths[f"{name}_{part}"] = str(path)
+    ca_path = tmp_path / "ca.pem"
+    ca_path.write_text(ca.cert_pem)
+    paths["ca"] = str(ca_path)
+    data = tmp_path / "f.cacf"
+    cacf.write_dataset_file({"pt": np.arange(200.0)}, str(data))
+    paths["data"] = str(data)
+    return paths
+
+
+class Rig:
+    """A started service, a client connected to it, and a dataset of one
+    200-event file."""
+
+    def __init__(self, tls):
+        self.tls = tls
+        self.service = SchedulerService("alice-1")
+
+    async def __aenter__(self):
+        ctx = server_ssl_context(self.tls["host_cert"], self.tls["host_key"], self.tls["ca"])
+        self.addr = await self.service.start("127.0.0.1", 0, ctx)
+        self.client = SchedulerClient(self.addr, HOST, self.tls["ca"], self.tls["user_cert"], self.tls["user_key"])
+        return self
+
+    async def __aexit__(self, *exc):
+        await self.client.aclose()
+        await self.service.close()
+
+    async def submit(self, chunk_size: int = 200) -> str:
+        return await self.client.submit_job(PIPELINE, "d", [self.tls["data"]], [200], chunk_size)
+
+    async def worker(self, worker_id: str) -> "ScriptedWorker":
+        ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
+        ctx.load_verify_locations(self.tls["ca"])
+        ctx.load_cert_chain(self.tls["user_cert"], self.tls["user_key"])
+        reader, writer = await asyncio.open_connection(*self.addr, ssl=ctx, server_hostname=HOST)
+        w = ScriptedWorker(reader, writer)
+        reply = await w.request("WorkerHello", {"worker_id": worker_id, "n_cores": 4})
+        assert reply.body["worker_id"] == worker_id
+        return w
+
+
+class ScriptedWorker:
+    """A worker connection driven by the test: it reports what it is told."""
+
+    def __init__(self, reader, writer):
+        self.reader, self.writer = reader, writer
+        self.assigned: list[dict] = []
+
+    async def _next(self) -> wire.WireMessage:
+        msg = await wire.read_message(self.reader)
+        while msg.kind == "AssignTask":
+            self.assigned.append(msg.body)
+            msg = await wire.read_message(self.reader)
+        return msg
+
+    async def request(self, kind: str, body: dict) -> wire.WireMessage:
+        await wire.send_message(self.writer, wire.WireMessage(kind, body))
+        return await self._next()
+
+    async def next_task(self) -> dict:
+        while not self.assigned:
+            self.assigned.append((await wire.read_message(self.reader)).body)
+        return self.assigned.pop(0)
+
+    async def done(self, task: dict, worker_id: str) -> wire.WireMessage:
+        chunk = task["chunk"]
+        result = TaskResult(chunk_id=chunk["chunk_id"], n_events_in=chunk["len"], n_events_pass=0, histograms=[])
+        body = {"worker_id": worker_id, "job_id": task["job_id"], "chunk_id": chunk["chunk_id"], "result": result.to_dict()}
+        return await self.request("TaskDone", body)
+
+    def close(self):
+        self.writer.close()
+
+
+def test_wait_job_returns_when_the_job_finishes(tls):
+    async def scenario():
+        async with Rig(tls) as rig:
+            w = await rig.worker("w1")
+            lags = []
+            for _ in range(5):
+                job_id = await rig.submit()
+                task = await w.next_task()
+                waiting = asyncio.ensure_future(rig.client.wait_job(job_id, timeout=10))
+                await asyncio.sleep(0.05)
+                assert not waiting.done()
+                assert (await w.done(task, "w1")).kind == "Ok"
+                status = await waiting
+                lags.append(time.time() - status["finished_at"])
+                assert status["state"] == "done"
+            w.close()
+            assert max(lags) < 0.03, lags
+
+    run_async(scenario())
+
+
+def test_wait_on_finished_job_returns_at_once(tls):
+    async def scenario():
+        async with Rig(tls) as rig:
+            w = await rig.worker("w1")
+            job_id = await rig.submit()
+            await w.done(await w.next_task(), "w1")
+            status = await asyncio.wait_for(rig.service.wait_job(job_id, 5.0), 0.05)
+            assert status["state"] == "done"
+            w.close()
+
+    run_async(scenario())
+
+
+def test_wait_on_closed_cluster_returns_failed(tls):
+    async def scenario():
+        async with Rig(tls) as rig:
+            job_id = await rig.submit()  # no worker: the job stays queued
+            waiting = asyncio.ensure_future(rig.client.wait_job(job_id, timeout=30))
+            await asyncio.sleep(0.1)
+            assert not waiting.done()
+            closed_at = time.monotonic()
+            await rig.service.close()
+            status = await asyncio.wait_for(waiting, 1.0)
+            assert time.monotonic() - closed_at < 1.0
+            assert status["state"] == "failed"
+            assert rig.service._waiters == {}
+
+    run_async(scenario())
+
+
+def test_wait_job_times_out_at_its_deadline_with_one_request(tls):
+    async def scenario():
+        async with Rig(tls) as rig:
+            job_id = await rig.submit()
+            sent = []
+            request = rig.client._request
+
+            async def counted(msg):
+                sent.append(msg.kind)
+                return await request(msg)
+
+            rig.client._request = counted
+            start = time.monotonic()
+            with pytest.raises(TimeoutError):
+                await rig.client.wait_job(job_id, timeout=0.3)
+            assert 0.3 <= time.monotonic() - start < 0.5
+            assert sent == ["WaitJob"]
+            assert (await rig.client.job_status(job_id))["state"] == "running"
+
+    run_async(scenario())
+
+
+def test_cancelled_wait_leaves_the_client_usable(tls, caplog):
+    async def scenario():
+        async with Rig(tls) as rig:
+            w = await rig.worker("w1")
+            job_id = await rig.submit()
+            waiting = asyncio.ensure_future(rig.client.wait_job(job_id, timeout=30))
+            await asyncio.sleep(0.05)
+            waiting.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await waiting
+            # the owed WaitJob reply is not taken for the next request's
+            second = await rig.submit()
+            assert second != job_id
+            await w.done(await w.next_task(), "w1")
+            assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
+            w.close()
+
+    run_async(scenario())
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [], [r.getMessage() for r in errors]
+
+
+def test_done_events_are_dropped_once_fired(tls):
+    async def scenario():
+        async with Rig(tls) as rig:
+            w = await rig.worker("w1")
+            for _ in range(3):
+                job_id = await rig.submit()
+                waiting = asyncio.ensure_future(rig.client.wait_job(job_id, timeout=10))
+                await w.done(await w.next_task(), "w1")
+                assert (await waiting)["state"] == "done"
+            assert rig.service._waiters == {}
+            w.close()
+
+    run_async(scenario())
+
+
+def test_wait_worker_is_woken_by_its_hello(tls):
+    async def scenario():
+        async with Rig(tls) as rig:
+            waiting = asyncio.ensure_future(rig.service.wait_worker("w1", 5.0))
+            await asyncio.sleep(0.05)
+            assert not waiting.done()
+            w = await rig.worker("w1")
+            await asyncio.wait_for(waiting, 0.05)
+            await rig.service.wait_worker("w1", 0.0)  # already there
+            with pytest.raises(TimeoutError):
+                await rig.service.wait_worker("w2", 0.05)
+            w.close()
+
+    run_async(scenario())
+
+
+def test_task_reports_use_the_connection_worker(tls):
+    async def scenario():
+        async with Rig(tls) as rig:
+            a = await rig.worker("wA")
+            b = await rig.worker("wB")
+            job_id = await rig.submit(chunk_size=100)  # two chunks, one each
+            task_a, task_b = await a.next_task(), await b.next_task()
+            # wA claims wB's chunk: refused, and the chunk stays wB's
+            reply = await a.done(task_b, "wB")
+            assert reply.kind == "Err" and "wA" in reply.body["message"]
+            body = {"worker_id": "wB", "job_id": job_id, "chunk_id": task_b["chunk"]["chunk_id"], "reason": "x"}
+            assert (await a.request("TaskFailed", body)).kind == "Err"
+            assert (await a.request("Heartbeat", {"worker_id": "wB"})).kind == "Err"
+            job = rig.service.state.jobs[job_id]
+            assert job.assigned == {0: "wA", 1: "wB"} and not job.failed
+            assert (await a.done(task_a, "wA")).kind == "Ok"
+            assert (await b.done(task_b, "wB")).body["state"] == "done"
+            a.close()
+            b.close()
+
+    run_async(scenario())
+
+
+def test_failing_background_task_is_logged(tls, caplog):
+    async def scenario():
+        async with Rig(tls) as rig:
+
+            async def broken(now):
+                raise RuntimeError("dispatch broke")
+
+            rig.service._dispatch = broken
+            w = await rig.worker("w1")  # WorkerHello starts a dispatch
+            await asyncio.sleep(0.05)
+            w.close()
+
+    with caplog.at_level(logging.ERROR):
+        run_async(scenario())
+    logged = [r for r in caplog.records if r.name.startswith("casa_mini") and r.exc_info]
+    assert any("dispatch broke" in str(r.exc_info[1]) for r in logged), caplog.text
+
+
+def test_close_cancels_background_tasks(tls):
+    async def scenario():
+        rig = Rig(tls)
+        async with rig:
+            started = asyncio.Event()
+
+            async def slow(now):
+                started.set()
+                await asyncio.sleep(60)
+
+            rig.service._dispatch = slow
+            w = await rig.worker("w1")
+            await started.wait()
+            pending = set(rig.service._tasks._tasks)
+            w.close()
+        assert pending and all(t.done() for t in pending)
+
+    run_async(scenario())
