@@ -16,7 +16,7 @@ import json
 import logging
 import secrets
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes, serialization
@@ -136,7 +136,7 @@ class AuthService:
         self.token_ttl = token_ttl
         self.facility_domain = facility_domain
         self._clock = clock
-        self._bundles: dict[str, CredentialBundle] = {}
+        self._bundles: dict[str, tuple[CredentialBundle, float]] = {}  # subject -> (bundle, tokens' exp)
         self._counter = 0
 
     def verify_identity(self, assertion: dict, required_group: str | None = None) -> str:
@@ -160,27 +160,34 @@ class AuthService:
         return sub
 
     def mint_bundle(self, subject: str, ttl: float | None = None) -> CredentialBundle:
-        """Mint (or return the existing) credential bundle for a subject."""
-        existing = self._bundles.get(subject)
-        if existing is not None:
-            return existing
+        """Mint the credential bundle for a subject, or return the existing one;
+        once its tokens have expired, the same cluster and certs get fresh ones."""
         ttl = self.token_ttl if ttl is None else ttl
         now = self._clock()
-        self._counter += 1
-        cluster_id = f"{subject}-{self._counter}"
-        hostname = f"{cluster_id}.{self.facility_domain}"
-        ca = certs.make_ca(f"casa-mini ca {cluster_id}", ttl_s=max(ttl, 3600.0))
-        bundle = CredentialBundle(
-            cluster_id=cluster_id,
-            subject=subject,
-            ca=ca,
-            host=certs.make_host_cert(ca, hostname, ttl_s=max(ttl, 3600.0)),
-            user=certs.make_user_cert(ca, subject, ttl_s=max(ttl, 3600.0)),
-            batch_token=tokens.mint_token(self.keys.batch, subject, "batch", now + ttl),
-            data_token=tokens.mint_token(self.keys.data, subject, "data", now + ttl),
-            sni_hostname=hostname,
-        )
-        self._bundles[subject] = bundle
+        bundle, tokens_exp = self._bundles.get(subject, (None, now))
+        if bundle is not None and now < tokens_exp:
+            return bundle
+        fresh = {
+            "batch_token": tokens.mint_token(self.keys.batch, subject, "batch", now + ttl),
+            "data_token": tokens.mint_token(self.keys.data, subject, "data", now + ttl),
+        }
+        if bundle is not None:
+            bundle = replace(bundle, **fresh)
+        else:
+            self._counter += 1
+            cluster_id = f"{subject}-{self._counter}"
+            hostname = f"{cluster_id}.{self.facility_domain}"
+            ca = certs.make_ca(f"casa-mini ca {cluster_id}", ttl_s=max(ttl, 3600.0))
+            bundle = CredentialBundle(
+                cluster_id=cluster_id,
+                subject=subject,
+                ca=ca,
+                host=certs.make_host_cert(ca, hostname, ttl_s=max(ttl, 3600.0)),
+                user=certs.make_user_cert(ca, subject, ttl_s=max(ttl, 3600.0)),
+                sni_hostname=hostname,
+                **fresh,
+            )
+        self._bundles[subject] = (bundle, now + ttl)
         return bundle
 
     def verify_token(self, token: str, aud: str, now: float | None = None) -> dict:

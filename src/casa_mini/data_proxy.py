@@ -157,8 +157,10 @@ class BlockStore:
         if self.cache_dir:
             disk = self._disk_path(path, idx)
             if not os.path.exists(disk):
-                with open(disk, "wb") as fh:
+                # a crash mid-write leaves only the temporary file, which get never reads
+                with open(disk + ".tmp", "wb") as fh:
                     fh.write(data)
+                os.replace(disk + ".tmp", disk)
         if self.max_bytes is not None:
             while self._total > self.max_bytes and len(self._blocks) > 1:
                 _, evicted = self._blocks.popitem(last=False)

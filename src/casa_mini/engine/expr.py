@@ -11,16 +11,19 @@ Grammar, loosest binding first:
     unary   :=  "-" unary | primary
     primary :=  NUMBER | IDENT | IDENT "(" expr ("," expr)* ")" | "(" expr ")"
 
-Everything evaluates in a single f64 domain: comparisons and logical
-operators produce 1.0/0.0, any comparison with a NaN operand yields 0.0,
-and domain errors (sqrt/log of negatives) propagate as NaN.
+Values are f64: comparisons and logical operators produce 1.0/0.0, any
+comparison with a NaN operand yields 0.0, a value is true when it is not
+0.0 (NaN is true), and domain errors (sqrt/log of negatives) propagate as
+NaN.  An expression is compiled once into nested closures; comparisons and
+logic stay bool arrays and become f64 only where arithmetic, a function or
+the caller needs a number.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -224,60 +227,88 @@ def needed_columns(expr: Expr) -> set[str]:
     return out
 
 
-def _truthy(x: np.ndarray) -> np.ndarray:
-    return x != 0.0
+Evaluator = Callable[[Mapping[str, np.ndarray]], np.ndarray]
 
 
-def _compare(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    raw = {
-        "<": np.less,
-        "<=": np.less_equal,
-        ">": np.greater,
-        ">=": np.greater_equal,
-        "==": np.equal,
-        "!=": np.not_equal,
-    }[op](a, b)
-    # any NaN operand makes the comparison 0.0, including !=
-    valid = ~(np.isnan(a) | np.isnan(b))
-    return raw & valid
+def _not_equal(a, b):
+    # false when either side is NaN, as numpy already makes every other comparison
+    return np.less(a, b) | np.greater(a, b)
 
 
-def _eval(node: Expr, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+_BINARY = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide,
+    "<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal, "==": np.equal, "!=": _not_equal,
+    "&&": np.logical_and, "||": np.logical_or,
+}
+_CALLS = {"sqrt": np.sqrt, "abs": np.abs, "log": np.log, "exp": np.exp, "min": np.minimum, "max": np.maximum}
+_BOOL_OPS = frozenset(_CMP_OPS) | {"&&", "||", "!"}
+
+
+def _is_bool(node: Expr) -> bool:
+    return isinstance(node, (Bin, Unary)) and node.op in _BOOL_OPS
+
+
+def compile_number(expr: Expr) -> Evaluator:
+    """Compile to a function of the columns giving f64 values (or an f64
+    scalar for a constant); comparisons and logic give 1.0/0.0."""
+    evaluate = _compile(expr)
+    if not _is_bool(expr):
+        return evaluate
+    return lambda cols: evaluate(cols).astype(np.float64)
+
+
+def compile_truth(expr: Expr) -> Evaluator:
+    """Compile to a function of the columns giving the bool mask `expr != 0`
+    (NaN is true).  Comparisons and logic never pass through f64."""
+    evaluate = _compile(expr)
+    if _is_bool(expr):
+        return evaluate
+    return lambda cols: evaluate(cols) != 0.0
+
+
+def _compile(node: Expr) -> Evaluator:
+    """Bool-valued nodes (see _is_bool) give bool arrays, the rest f64."""
     if isinstance(node, Num):
-        return np.float64(node.value)
+        value = np.float64(node.value)
+        return lambda cols: value
     if isinstance(node, Col):
-        try:
-            return columns[node.name]
-        except KeyError:
-            raise ExprEvalError(f"unknown identifier {node.name!r}") from None
+        name = node.name
+
+        def column(cols):
+            try:
+                return cols[name]
+            except KeyError:
+                raise ExprEvalError(f"unknown identifier {name!r}") from None
+
+        return column
     if isinstance(node, Unary):
-        val = _eval(node.operand, columns)
-        if node.op == "-":
-            return np.negative(val)
-        return (~_truthy(val)).astype(np.float64)
+        if node.op == "!":
+            operand = compile_truth(node.operand)
+            return lambda cols: ~operand(cols)
+        operand = compile_number(node.operand)
+        return lambda cols: np.negative(operand(cols))
     if isinstance(node, Bin):
-        a = _eval(node.left, columns)
         if node.op in ("&&", "||"):
-            b = _eval(node.right, columns)
-            ta, tb = _truthy(a), _truthy(b)
-            out = (ta & tb) if node.op == "&&" else (ta | tb)
-            return out.astype(np.float64)
-        b = _eval(node.right, columns)
-        if node.op in _CMP_OPS:
-            return _compare(node.op, a, b).astype(np.float64)
-        return {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide}[node.op](a, b)
+            left, right = compile_truth(node.left), compile_truth(node.right)
+        elif node.op in _CMP_OPS:  # bool operands compare as 0/1, as their f64 values would
+            left, right = _compile(node.left), _compile(node.right)
+        else:
+            left, right = compile_number(node.left), compile_number(node.right)
+        op = _BINARY[node.op]
+        return lambda cols: op(left(cols), right(cols))
     if isinstance(node, Call):
-        args = [_eval(a, columns) for a in node.args]
-        fn = {
-            "sqrt": np.sqrt,
-            "abs": np.abs,
-            "log": np.log,
-            "exp": np.exp,
-            "min": np.minimum,
-            "max": np.maximum,
-        }[node.fn]
-        return fn(*args)
+        fn = _CALLS[node.fn]
+        args = [compile_number(a) for a in node.args]
+        return lambda cols: fn(*[arg(cols) for arg in args])
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def broadcast(values, n_events: int) -> np.ndarray:
+    """values as an f64 vector of n_events; a scalar is repeated."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (n_events,):
+        values = np.full(n_events, float(values))
+    return values
 
 
 def eval_expr(expr: Expr, columns, n_events: int | None = None) -> np.ndarray:
@@ -286,7 +317,4 @@ def eval_expr(expr: Expr, columns, n_events: int | None = None) -> np.ndarray:
     if n_events is None:
         n_events = next(iter(cols.values())).shape[0] if cols else 0
     with np.errstate(all="ignore"):
-        result = np.asarray(_eval(expr, cols), dtype=np.float64)
-    if result.shape != (n_events,):
-        result = np.full(n_events, float(result))
-    return result
+        return broadcast(compile_number(expr)(cols), n_events)

@@ -7,18 +7,22 @@ The JSON form is a list like
      {"hist": ["h_pt", "pt", 60, 0, 300]}]
 
 run_pipeline applies steps in order against a ColumnBatch; filters drop rows
-whose expression is 0.0, histograms fill from the rows surviving so far.
+whose expression is 0.0, histograms fill from the rows surviving so far.  A
+pipeline is compiled once, on first use, into a plan: its input columns,
+each step's compiled expression, and for each filter the columns a later
+step reads, which are the only ones the filter keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from ..types import ColumnBatch
-from .expr import Expr, ExprError, eval_expr, needed_columns, parse_expr
+from .expr import Expr, ExprError, broadcast, compile_number, compile_truth, needed_columns, parse_expr
 from .hist import Histogram, fill_histogram
 
 
@@ -74,16 +78,27 @@ class KernelPipeline:
         if n_hists == 0:
             raise PipelineError("pipeline has no histogram step")
 
-    def input_columns(self) -> set[str]:
+    def input_columns(self) -> frozenset[str]:
         """Source columns the pipeline reads (defines excluded)."""
-        defined: set[str] = set()
-        needed: set[str] = set()
-        for step in self.steps:
-            expr = step.expr
-            needed |= needed_columns(expr) - defined
+        return self._plan[0]
+
+    @cached_property
+    def _plan(self) -> tuple[frozenset[str], tuple]:
+        """(input columns, (step, compiled expression, columns kept) per step);
+        a filter keeps every column a later step reads, other steps keep ()."""
+        steps = []
+        inputs: set[str] = set()
+        read_later: set[str] = set()
+        for step in reversed(self.steps):
+            if isinstance(step, Filter):
+                steps.append((step, compile_truth(step.expr), tuple(sorted(read_later))))
+            else:
+                steps.append((step, compile_number(step.expr), ()))
             if isinstance(step, Define):
-                defined.add(step.name)
-        return needed
+                inputs.discard(step.name)  # later steps read the define, not a source column
+            inputs |= needed_columns(step.expr)
+            read_later |= needed_columns(step.expr)
+        return frozenset(inputs), tuple(reversed(steps))
 
     def to_json(self) -> list:
         out = []
@@ -159,33 +174,30 @@ class TaskResult:
         )
 
 
-def run_pipeline(
-    batch: ColumnBatch,
-    pipeline: KernelPipeline,
-    chunk_id: int = 0,
-    worker_id: str = "",
-    kernel: str | None = None,
-) -> TaskResult:
+def run_pipeline(batch: ColumnBatch, pipeline: KernelPipeline, chunk_id: int = 0, worker_id: str = "") -> TaskResult:
     columns: dict[str, np.ndarray] = dict(batch.columns)
     n_rows = batch.n_events
     histograms: list[Histogram] = []
-    for i, step in enumerate(pipeline.steps):
-        try:
-            if isinstance(step, Define):
-                if step.name in columns:
-                    raise PipelineError(f"define {step.name!r} shadows an existing column")
-                columns[step.name] = eval_expr(step.expr, columns, n_rows)
-            elif isinstance(step, Filter):
-                mask = eval_expr(step.expr, columns, n_rows) != 0.0
-                columns = {name: arr[mask] for name, arr in columns.items()}
-                n_rows = int(mask.sum())
-            else:
-                values = eval_expr(step.expr, columns, n_rows)
-                histograms.append(
-                    fill_histogram(values, step.name, step.n_bins, step.lo, step.hi, kernel=kernel)
-                )
-        except (ExprError, PipelineError) as exc:
-            raise PipelineError(str(exc), step=i) from exc
+    with np.errstate(all="ignore"):
+        for i, (step, evaluate, keep) in enumerate(pipeline._plan[1]):
+            try:
+                if isinstance(step, Define):
+                    # defines never shadow each other, and a filter may have dropped the column
+                    if step.name in batch.columns:
+                        raise PipelineError(f"define {step.name!r} shadows an existing column")
+                    columns[step.name] = broadcast(evaluate(columns), n_rows)
+                elif isinstance(step, Filter):
+                    mask = evaluate(columns)
+                    if mask.ndim == 0:
+                        mask = np.full(n_rows, bool(mask))
+                    rows = np.flatnonzero(mask)
+                    columns = {name: columns[name].take(rows) for name in keep if name in columns}
+                    n_rows = rows.shape[0]
+                else:
+                    values = broadcast(evaluate(columns), n_rows)
+                    histograms.append(fill_histogram(values, step.name, step.n_bins, step.lo, step.hi))
+            except (ExprError, PipelineError) as exc:
+                raise PipelineError(str(exc), step=i) from exc
     return TaskResult(
         chunk_id=chunk_id,
         n_events_in=batch.n_events,

@@ -186,13 +186,21 @@ class Facility:
         config_path = os.path.join(self.run_dir, f"batch-job-{job.handle}.json")
         with open(config_path, "w") as fh:
             json.dump(job.spec.worker_config, fh)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "casa_mini.worker", config_path],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
+        # named like its config: worker ids repeat across clusters, handles do not
+        proc = self._spawn_worker(config_path, f"batch-job-{job.handle}")
         self._batch_procs[job.handle] = proc
         log.info("batch job %d started worker pid %d", job.handle, proc.pid)
+
+    def _spawn_worker(self, config_path: str, log_name: str) -> subprocess.Popen:
+        """Start a worker process whose stdout and stderr go to run_dir/logs/<log_name>.log."""
+        log_dir = os.path.join(self.run_dir, "logs")
+        os.makedirs(log_dir, exist_ok=True)
+        with open(os.path.join(log_dir, f"{log_name}.log"), "ab") as out:
+            return subprocess.Popen(
+                [sys.executable, "-m", "casa_mini.worker", config_path],
+                stdout=out,
+                stderr=subprocess.STDOUT,
+            )
 
     def _stop_batch_worker(self, job, now: float) -> None:
         proc = self._batch_procs.pop(job.handle, None)
@@ -311,11 +319,7 @@ class Facility:
         config_path = os.path.join(cred_dir, "dedicated-worker.json")
         with open(config_path, "w") as fh:
             json.dump(config, fh)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "casa_mini.worker", config_path],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
+        proc = self._spawn_worker(config_path, worker_id)
         try:
             await service.wait_worker(worker_id, REGISTER_TIMEOUT)
         except TimeoutError:

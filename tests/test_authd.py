@@ -225,6 +225,25 @@ def test_mint_bundle_idempotent_per_subject(auth):
     assert a is b
 
 
+def test_mint_bundle_refreshes_expired_tokens(idp):
+    now = [1000.0]
+    auth = authd.AuthService(idp[1], token_ttl=60.0, clock=lambda: now[0])
+    first = auth.mint_bundle("alice")
+    now[0] = 1059.0
+    assert auth.mint_bundle("alice") is first
+    now[0] = 1060.0  # a token with exp <= now is expired
+    with pytest.raises(tokens.TokenExpired):
+        auth.verify_token(first.data_token, "data")
+    again = auth.mint_bundle("alice")
+    assert again is not first
+    # same cluster and certificates, fresh tokens
+    assert (again.cluster_id, again.sni_hostname) == (first.cluster_id, first.sni_hostname)
+    assert (again.ca, again.host, again.user) == (first.ca, first.host, first.user)
+    for aud, token in (("batch", again.batch_token), ("data", again.data_token)):
+        assert auth.verify_token(token, aud)["exp"] == 1120.0
+    assert auth.mint_bundle("alice") is again
+
+
 def test_cross_ca_isolation(auth):
     alice = auth.mint_bundle("alice")
     bob = auth.mint_bundle("bob")

@@ -12,6 +12,7 @@ import pytest
 from casa_mini import cacf, data_proxy, tokens, wire
 from casa_mini.data_proxy import (
     BadFederationCred,
+    BlockStore,
     DataProxyServer,
     FetchTarget,
     LocalOrigin,
@@ -263,6 +264,44 @@ def test_cache_dir_survives_restart(store, tmp_path):
         await origin.close()
 
     run_async(scenario())
+
+
+def test_crash_mid_write_never_serves_a_partial_block(tmp_path, monkeypatch):
+    cache_dir = str(tmp_path / "cache")
+    block = bytes(range(256)) * 16
+
+    class DiskFull(OSError):
+        pass
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "w" not in mode:
+            return fh
+
+        class HalfWriter:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                fh.close()
+
+            def write(self, data):
+                fh.write(data[: len(data) // 2])
+                raise DiskFull("no space left on device")
+
+        return HalfWriter()
+
+    monkeypatch.setattr(data_proxy, "open", failing_open, raising=False)
+    with pytest.raises(DiskFull):
+        BlockStore(block_size=len(block), cache_dir=cache_dir).put("/store/ds1/f0.cacf", 0, block)
+    monkeypatch.undo()
+    assert os.listdir(cache_dir), "the interrupted write left nothing on disk"
+
+    # a restarted store never serves the leftover, and a later put completes it
+    restarted = BlockStore(block_size=len(block), cache_dir=cache_dir)
+    assert restarted.get("/store/ds1/f0.cacf", 0) is None
+    restarted.put("/store/ds1/f0.cacf", 0, block)
+    assert BlockStore(block_size=len(block), cache_dir=cache_dir).get("/store/ds1/f0.cacf", 0) == block
 
 
 def test_standalone_origin_and_proxy_processes(store, tmp_path):

@@ -73,6 +73,17 @@ def test_eval_nan_comparisons_zero():
         assert eval_expr(parse_expr(f"a {op} b"), cols)[0] == 0.0
 
 
+def test_comparison_used_as_a_number():
+    nan = math.nan
+    cols = {"a": np.array([1.0, 2.0, 3.0, nan, 1.0, nan]), "b": np.array([2.0, 2.0, 1.0, 1.0, nan, nan])}
+    out = eval_expr(parse_expr("(a<b)*2 + (a!=b)"), cols)
+    assert out.dtype == np.float64
+    assert out.tolist() == [3.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+    assert eval_expr(parse_expr("-(a<b)"), cols).tolist() == [-1.0, -0.0, -0.0, -0.0, -0.0, -0.0]
+    assert np.signbit(eval_expr(parse_expr("-(a<b)"), cols)).all()
+    assert eval_expr(parse_expr("sqrt(a==b) + min(a>b, 0.5)"), cols).tolist() == [0.0, 1.0, 0.5, 0.0, 0.0, 0.0]
+
+
 def test_eval_constant_broadcast():
     out = eval_expr(parse_expr("0"), {"a": np.array([1.0, 2.0, 3.0])})
     assert np.array_equal(out, [0.0, 0.0, 0.0])

@@ -7,6 +7,7 @@ import ssl
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -285,6 +286,22 @@ def test_worker_exits_nonzero_without_scheduler(tmp_path, idp_keys):
         timeout=30,
     )
     assert proc.returncode == 1
+
+
+def test_worker_that_exits_on_bad_config_leaves_traceback_in_its_log(idp_keys, tmp_path):
+    facility, _, _ = small_facility(idp_keys, tmp_path)
+    os.makedirs(facility.run_dir)
+    bad = {"worker_id": "w0001", "ingress": ["127.0.0.1", 1], "sni": "x.dask.local"}  # no credentials
+    facility._start_batch_worker(SimpleNamespace(handle=7, spec=SimpleNamespace(worker_config=bad)), 0.0)
+    proc = facility._batch_procs.pop(7)
+    try:
+        assert proc.wait(timeout=30) == 1
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    text = (tmp_path / "run" / "logs" / "batch-job-7.log").read_text()
+    assert "Traceback" in text and "KeyError: 'ca'" in text
 
 
 def test_task_fails_cleanly_on_rejected_data_token(tmp_path):

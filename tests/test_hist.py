@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casa_mini.engine.hist import (
-    HAS_NUMBA,
     HistError,
     Histogram,
     fill_counts,
@@ -115,24 +114,64 @@ def test_merge_associative_commutative(values, spec, cut):
     assert (left.underflow, left.overflow, left.n_filled) == (whole.underflow, whole.overflow, whole.n_filled)
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-@settings(max_examples=100, deadline=None)
-@given(values=values_strategy, spec=spec_strategy)
-def test_numba_and_numpy_kernels_identical(values, spec):
-    n_bins, lo, width = spec
-    arr = np.asarray(values, dtype=np.float64)
-    c_np, u_np, o_np = fill_counts(arr, n_bins, lo, lo + width, kernel="numpy")
-    c_nb, u_nb, o_nb = fill_counts(arr, n_bins, lo, lo + width, kernel="numba")
-    assert np.array_equal(c_np, c_nb) and (u_np, o_np) == (u_nb, o_nb)
+def _reference_fill_counts(values: np.ndarray, n_bins: int, lo: float, hi: float):
+    # the five-pass kernel that fill_counts replaced, kept verbatim as the reference
+    nan = np.isnan(values)
+    under = values < lo
+    over = (values >= hi) | nan
+    inside = ~(under | over)
+    idx = np.floor((values[inside] - lo) / (hi - lo) * n_bins).astype(np.int64)
+    # guard against float rounding landing exactly on n_bins for v just below hi
+    np.minimum(idx, n_bins - 1, out=idx)
+    counts = np.bincount(idx, minlength=n_bins).astype(np.uint64)
+    return counts, int(under.sum()), int(over.sum())
 
 
-def test_kernel_env_selection(monkeypatch):
-    from casa_mini.engine import hist
+@st.composite
+def edge_case_fills(draw):
+    """A spec (lo = 0 one time in three) and values crowding its bin edges."""
+    n_bins = draw(st.integers(min_value=1, max_value=64))
+    lo = draw(st.one_of(st.just(0.0), st.floats(min_value=-1e3, max_value=1e3)))
+    hi = lo + draw(st.floats(min_value=1e-3, max_value=1e4))
+    edges = [lo + k * (hi - lo) / n_bins for k in range(n_bins + 1)]
+    special = edges + [
+        hi,
+        np.nextafter(hi, -math.inf),
+        np.nextafter(lo, -math.inf),
+        math.inf,
+        -math.inf,
+        math.nan,
+        -0.0,
+        -5e-324,
+        -1e-310,
+        -2.2250738585072014e-308,
+    ]
+    near = st.tuples(st.sampled_from(edges), st.sampled_from([-math.inf, math.inf])).map(lambda t: np.nextafter(*t))
+    values = draw(
+        st.lists(
+            st.one_of(st.sampled_from(special), near, st.floats(allow_nan=True, allow_infinity=True)),
+            max_size=300,
+        )
+    )
+    return np.asarray(values, dtype=np.float64), n_bins, lo, hi
 
-    monkeypatch.setenv("CASA_MINI_KERNEL", "numpy")
-    assert hist.active_kernel() == "numpy"
-    if HAS_NUMBA:
-        monkeypatch.setenv("CASA_MINI_KERNEL", "numba")
-        assert hist.active_kernel() == "numba"
-    monkeypatch.delenv("CASA_MINI_KERNEL")
-    assert hist.active_kernel() in ("numba", "numpy")
+
+@settings(max_examples=300, deadline=None)
+@given(case=edge_case_fills())
+@example(case=(np.array([-5e-324, -0.0, 0.0, 5e-324]), 60, 0.0, 300.0))
+@example(case=(np.array([300.0, np.nextafter(300.0, 0.0), math.nan, math.inf, -math.inf]), 7, 0.0, 300.0))
+# just below hi, where the index rounds to n_bins and only the clamp keeps it in the last bin
+@example(case=(np.array([np.nextafter(-50.6903740838365, -math.inf)]), 55, -460.4265724722594, -50.6903740838365))
+def test_fill_counts_matches_reference_kernel(case):
+    values, n_bins, lo, hi = case
+    counts, under, over = fill_counts(values, n_bins, lo, hi)
+    ref_counts, ref_under, ref_over = _reference_fill_counts(values, n_bins, lo, hi)
+    assert counts.dtype == ref_counts.dtype and np.array_equal(counts, ref_counts)
+    assert (under, over) == (ref_under, ref_over)
+    assert type(under) is int and type(over) is int
+
+
+def test_negative_denormal_underflows_at_lo_zero():
+    # (v - lo) / (hi - lo) * n_bins rounds to -0.0, which must not land in bin 0
+    h = fill_histogram(np.array([-5e-324, -0.0]), "h", 60, 0.0, 300.0)
+    assert h.underflow == 1 and h.counts[0] == 1 and h.overflow == 0

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casa_mini.engine.hist import merge_histograms
-from casa_mini.engine.pipeline import KernelPipeline, PipelineError, TaskResult, run_pipeline
+from casa_mini.engine.expr import eval_expr
+from casa_mini.engine.hist import fill_histogram, merge_histograms
+from casa_mini.engine.pipeline import Define, Filter, KernelPipeline, PipelineError, TaskResult, run_pipeline
 from casa_mini.types import ColumnBatch
 
 PIPELINE_JSON = [
@@ -82,6 +83,54 @@ def test_json_round_trip():
 def test_input_columns():
     pipeline = KernelPipeline.from_json(PIPELINE_JSON)
     assert pipeline.input_columns() == {"px", "py"}
+
+
+def _reference_run(batch: ColumnBatch, pipeline: KernelPipeline):
+    # the step loop that the compiled plan replaced: every filter copies every column
+    columns = dict(batch.columns)
+    n_rows = batch.n_events
+    histograms = []
+    for step in pipeline.steps:
+        if isinstance(step, Define):
+            columns[step.name] = eval_expr(step.expr, columns, n_rows)
+        elif isinstance(step, Filter):
+            mask = eval_expr(step.expr, columns, n_rows) != 0.0
+            columns = {name: arr[mask] for name, arr in columns.items()}
+            n_rows = int(mask.sum())
+        else:
+            histograms.append(
+                fill_histogram(eval_expr(step.expr, columns, n_rows), step.name, step.n_bins, step.lo, step.hi)
+            )
+    return n_rows, histograms
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31), n_events=st.integers(min_value=0, max_value=300))
+def test_filters_keep_only_live_columns_with_the_same_result(seed, n_events):
+    pipeline = KernelPipeline.from_json(
+        [
+            {"define": ["pt", "sqrt(px*px+py*py)"]},
+            {"filter": "pt>1 || eta != eta"},
+            {"filter": "abs(eta)<2 && !(phi == 0)"},
+            {"hist": ["h_pt", "pt", 12, 0, 6]},
+        ]
+    )
+    # the first filter keeps what the second filter and the histogram read, the second only pt
+    assert [keep for step, _, keep in pipeline._plan[1] if isinstance(step, Filter)] == [
+        ("eta", "phi", "pt"),
+        ("pt",),
+    ]
+    rng = np.random.default_rng(seed)
+    columns = {name: rng.normal(0, 2, n_events) for name in ("px", "py", "eta", "phi", "unused")}
+    columns["eta"][rng.random(n_events) < 0.1] = np.nan
+    columns["phi"][rng.random(n_events) < 0.1] = 0.0
+    batch = ColumnBatch(columns)
+    result = run_pipeline(batch, pipeline)
+    n_pass, want = _reference_run(batch, pipeline)
+    assert result.n_events_pass == n_pass
+    (got,) = result.histograms
+    assert np.array_equal(got.counts, want[0].counts) and got.counts.dtype == want[0].counts.dtype
+    assert (got.underflow, got.overflow, got.n_filled) == (want[0].underflow, want[0].overflow, want[0].n_filled)
 
 
 def test_task_result_round_trip():
