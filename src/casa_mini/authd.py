@@ -199,8 +199,13 @@ class AuthService:
         return self.mint_bundle(self.verify_identity(assertion))
 
 
-async def serve(auth: AuthService, host: str, port: int, on_login=None) -> asyncio.AbstractServer:
-    """Framed-JSON login endpoint; on_login(bundle) may add reply fields."""
+async def serve(
+    auth: AuthService, host: str, port: int, on_login=None, conns: wire.ConnectionTasks | None = None
+) -> asyncio.AbstractServer:
+    """Framed-JSON login endpoint; on_login(bundle) may add reply fields.
+
+    Its connection handlers run in `conns`, whose close(server) stops the
+    endpoint and ends every open connection quietly."""
 
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         try:
@@ -229,4 +234,4 @@ async def serve(auth: AuthService, host: str, port: int, on_login=None) -> async
         finally:
             writer.close()
 
-    return await asyncio.start_server(handle, host, port)
+    return await asyncio.start_server((conns or wire.ConnectionTasks()).wrap(handle), host, port)

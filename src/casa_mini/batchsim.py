@@ -6,17 +6,21 @@ tick) starts s0 + c*k after it arrived, so scale-up bursts stagger — the
 linear-in-wave-index stall the benchmark measures.  The discrete-event core
 is clock-agnostic: submit() schedules transitions, advance(to) fires them;
 the network service drives it from wall time, the virtual facility from its
-event loop.
+event loop.  No event scans the jobs: slots in use and committed are counters
+each transition updates, and pending starts sit in a (start_at, handle) heap
+whose entries are dropped once their job is no longer Starting.
 """
 
 from __future__ import annotations
 
 import asyncio
 import csv
+import heapq
 import io
 import logging
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import tokens, wire
@@ -135,17 +139,10 @@ class BatchSim:
         self._rng = random.Random(self.delay.seed)
         self._wave_key: int | None = None
         self._wave_count = 0
-        self._waiting: list[int] = []  # queued handles, FIFO
-
-    # ---- slot accounting ---------------------------------------------------
-
-    @property
-    def in_use(self) -> int:
-        return sum(1 for j in self.jobs.values() if j.state == RUNNING)
-
-    @property
-    def committed(self) -> int:
-        return sum(1 for j in self.jobs.values() if j.state in (STARTING, RUNNING))
+        self._waiting: deque[int] = deque()  # queued handles, FIFO
+        self._starts: list[tuple[float, int]] = []  # (start_at, handle) of Starting jobs
+        self.in_use = 0  # jobs Running
+        self.committed = 0  # jobs Starting or Running
 
     # ---- operations --------------------------------------------------------
 
@@ -175,27 +172,30 @@ class BatchSim:
             delay *= 1.0 + self.delay.jitter * self._rng.uniform(-1.0, 1.0)
         job.state = STARTING
         job.start_at = now + delay
+        self.committed += 1
+        heapq.heappush(self._starts, (job.start_at, job.handle))
         self._log(job.handle, QUEUED, STARTING, now)
 
+    def _next_start(self) -> tuple[float, int] | None:
+        """The earliest (start_at, handle) of a job still Starting."""
+        while self._starts and self.jobs[self._starts[0][1]].state != STARTING:
+            heapq.heappop(self._starts)  # cancelled before it started
+        return self._starts[0] if self._starts else None
+
     def next_event_time(self) -> float | None:
-        starts = [j.start_at for j in self.jobs.values() if j.state == STARTING]
-        return min(starts) if starts else None
+        start = self._next_start()
+        return start[0] if start else None
 
     def advance(self, to: float) -> list[Transition]:
         """Fire every transition scheduled up to `to`, in time order."""
         if to < self.clock:
             raise BatchError(f"time cannot move backwards ({to} < {self.clock})")
         fired: list[Transition] = []
-        while True:
-            due = [
-                j
-                for j in self.jobs.values()
-                if j.state == STARTING and j.start_at is not None and j.start_at <= to
-            ]
-            if not due:
-                break
-            job = min(due, key=lambda j: (j.start_at, j.handle))
+        while (start := self._next_start()) is not None and start[0] <= to:
+            heapq.heappop(self._starts)
+            job = self.jobs[start[1]]
             self.clock = max(self.clock, job.start_at)
+            self.in_use += 1
             job.state = RUNNING
             job.started_at = job.start_at
             tr = self._log(job.handle, STARTING, RUNNING, job.start_at)
@@ -216,8 +216,12 @@ class BatchSim:
         job.state = CANCELLED
         job.ended_at = now
         job.start_at = None
-        if handle in self._waiting:
+        if prev == QUEUED:
             self._waiting.remove(handle)
+        else:
+            self.committed -= 1
+            if prev == RUNNING:
+                self.in_use -= 1
         self._log(handle, prev, CANCELLED, now)
         if prev == RUNNING and self.on_stop is not None:
             self.on_stop(job, now)
@@ -234,13 +238,15 @@ class BatchSim:
             return job.state
         job.state = DONE
         job.ended_at = now
+        self.in_use -= 1
+        self.committed -= 1
         self._log(handle, RUNNING, DONE, now)
         self._promote_waiting(now)
         return job.state
 
     def _promote_waiting(self, now: float) -> None:
         while self._waiting and self.committed < self.total_slots:
-            handle = self._waiting.pop(0)
+            handle = self._waiting.popleft()
             self._schedule_start(self.jobs[handle], now)
 
     def _log(self, handle: int, frm: str, to: str, t: float) -> Transition:
@@ -256,10 +262,11 @@ class BatchService:
         self.sim = sim
         self.clock = clock
         self._server: asyncio.AbstractServer | None = None
+        self._conns = wire.ConnectionTasks()
         self._pump: asyncio.Task | None = None
 
     async def start(self, host: str, port: int) -> tuple[str, int]:
-        self._server = await asyncio.start_server(self._handle, host, port)
+        self._server = await asyncio.start_server(self._conns.wrap(self._handle), host, port)
         self._pump = asyncio.create_task(self._advance_loop())
         addr = self._server.sockets[0].getsockname()
         return addr[0], addr[1]
@@ -271,9 +278,7 @@ class BatchService:
                 await self._pump
             except asyncio.CancelledError:
                 pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._conns.close(self._server)
 
     async def _advance_loop(self) -> None:
         while True:

@@ -21,7 +21,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from . import authd
+from . import authd, wire
 from .batchsim import BatchService, BatchSim, DelayModel, JobSpec
 from .client import BatchClient
 from .data_proxy import DataProxyServer, OriginServer
@@ -35,6 +35,7 @@ DEDICATED_CORES = 8
 BATCH_CORES = 4
 REAP_TIMEOUT = 5.0
 REGISTER_TIMEOUT = 15.0  # for a dedicated worker's WorkerHello
+EXIT_POLL = 0.1  # how often batch worker processes are checked for an exit
 
 
 async def reap(proc: subprocess.Popen, timeout: float = REAP_TIMEOUT) -> int:
@@ -135,7 +136,9 @@ class Facility:
         self.clusters: dict[str, ClusterRecord] = {}
         self.addresses: dict[str, tuple[str, int]] = {}
         self._authd_server: asyncio.AbstractServer | None = None
+        self._authd_conns = wire.ConnectionTasks()
         self._batch_procs: dict[int, subprocess.Popen] = {}
+        self._tasks = wire.BackgroundTasks()
         self._reaping: set[asyncio.Task] = set()
         self._provision_lock = asyncio.Lock()
         self._next_sched_port = cfg.scheduler_base_port
@@ -151,12 +154,13 @@ class Facility:
         )
         self.addresses["data_proxy"] = await self.proxy.start(bind, self.cfg.ports.get("data_proxy", 0))
         self.addresses["batch"] = await self.batch_service.start(bind, self.cfg.ports.get("batch", 0))
+        self._tasks.spawn(self._watch_batch_exits())
         self.addresses["ingress"] = await self.sni.start(bind, self.cfg.ports.get("ingress", 0))
         self.addresses["ingress_admin"] = await self.sni.start_admin(
             bind, self.cfg.ports.get("ingress_admin", 0)
         )
         self._authd_server = await authd.serve(
-            self.auth, bind, self.cfg.ports.get("authd", 0), on_login=self._on_login
+            self.auth, bind, self.cfg.ports.get("authd", 0), on_login=self._on_login, conns=self._authd_conns
         )
         self.addresses["authd"] = self._authd_server.sockets[0].getsockname()[:2]
         log.info("facility up: %s", {k: list(v) for k, v in self.addresses.items()})
@@ -168,6 +172,7 @@ class Facility:
                 await self.teardown_cluster(cluster_id)
             except Exception as exc:
                 log.warning("teardown of %s during stop failed: %s", cluster_id, exc)
+        await self._tasks.close()
         procs = list(self._batch_procs.values())
         self._batch_procs.clear()
         await asyncio.gather(*(reap(proc) for proc in procs), *self._reaping)
@@ -176,9 +181,7 @@ class Facility:
         if self.proxy is not None:
             await self.proxy.close()
         await self.origin.close()
-        if self._authd_server is not None:
-            self._authd_server.close()
-            await self._authd_server.wait_closed()
+        await self._authd_conns.close(self._authd_server)
 
     # ---- batch worker processes -------------------------------------------------
 
@@ -201,6 +204,17 @@ class Facility:
                 stdout=out,
                 stderr=subprocess.STDOUT,
             )
+
+    async def _watch_batch_exits(self) -> None:
+        """Return the slot of every batch worker process that exits on its own
+        (shutdown or crash); a cancelled job's process is no longer watched."""
+        while True:
+            await asyncio.sleep(EXIT_POLL)
+            for handle, proc in list(self._batch_procs.items()):
+                if proc.poll() is not None:
+                    del self._batch_procs[handle]
+                    log.warning("batch job %d: worker pid %d exited with %d", handle, proc.pid, proc.returncode)
+                    self.batch_sim.finish(handle, self.batch_service.clock())
 
     def _stop_batch_worker(self, job, now: float) -> None:
         proc = self._batch_procs.pop(job.handle, None)

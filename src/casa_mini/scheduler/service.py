@@ -103,11 +103,7 @@ class SchedulerService:
         closes after that reply."""
         self._closed = True
         await self._tasks.close()
-        for job in self.state.jobs.values():
-            if job.state == "running":
-                job.failed |= job.queued | set(job.assigned)
-                job.queued.clear()
-                job.assigned.clear()
+        self.state.fail_unfinished()
         for event in self._waiters.values():
             event.set()
         self._waiters.clear()

@@ -10,6 +10,12 @@ among workers with spare cores the fewest-running wins, worker_id breaking
 ties.  Workers are recorded when they are *requested* (registered_at), and
 become assignable when they arrive; the gap to their first task is the
 per-worker stall the benchmark profiles.
+
+No event scans every worker or every job: the choice of worker pops a heap
+of (len(running), worker_id) entries, pushed whenever a worker arrives or
+its running set changes and dropped when popped out of date, in the spirit
+of the idle and saturated worker sets of dask.distributed; the queued and
+assigned totals the autoscaler reads are counters kept at each mutation.
 """
 
 from __future__ import annotations
@@ -116,6 +122,9 @@ class JobState:
     n_events_pass: int = 0
     finished_at: float | None = None
 
+    def __post_init__(self):
+        self.pipeline_spec = tuple(self.pipeline_json)  # what every TaskSpec carries
+
     @property
     def state(self) -> str:
         if self.failed and not self.queued and not self.assigned:
@@ -149,10 +158,37 @@ class ClusterState:
         self.jobs: dict[str, JobState] = {}
         self.events: list[TaskStreamEvent] = []
         self._queue: list[tuple[int, int, str]] = []  # (job_seq, chunk_id, job_id)
+        # (len(running), worker_id) of every worker with a spare core, plus
+        # out-of-date entries that are dropped when popped
+        self._free: list[tuple[int, str]] = []
+        self._n_queued = 0
+        self._n_assigned = 0
         self._job_seq = 0
         self._worker_seq = 0
 
     # ---- workers ----------------------------------------------------------
+
+    def _offer(self, w: WorkerState) -> None:
+        """Record that `w` arrived or its running set changed: push its entry
+        if it can take a task, and rebuild the heap from the live workers once
+        it holds more than twice as many entries as there are workers."""
+        if w.arrived and w.capacity > 0:
+            heapq.heappush(self._free, (len(w.running), w.worker_id))
+        if len(self._free) > 2 * len(self.workers):
+            self._free = [
+                (len(v.running), v.worker_id) for v in self.workers.values() if v.arrived and v.capacity > 0
+            ]
+            heapq.heapify(self._free)
+
+    def _pop_free(self) -> WorkerState | None:
+        """The arrived worker with a spare core and the fewest running tasks,
+        lowest worker_id first; its entry leaves the heap."""
+        while self._free:
+            n_running, worker_id = heapq.heappop(self._free)
+            w = self.workers.get(worker_id)
+            if w is not None and w.arrived and len(w.running) == n_running and w.capacity > 0:
+                return w
+        return None
 
     def next_worker_id(self) -> str:
         self._worker_seq += 1
@@ -195,6 +231,7 @@ class ClusterState:
         w.identity = identity
         w.last_heartbeat = max(w.last_heartbeat, now)
         w.idle_since = now
+        self._offer(w)
         return worker_id
 
     def heartbeat(self, worker_id: str, now: float) -> None:
@@ -214,6 +251,8 @@ class ClusterState:
             if job.assigned.get(chunk_id) == worker_id:
                 del job.assigned[chunk_id]
                 job.queued.add(chunk_id)
+                self._n_assigned -= 1
+                self._n_queued += 1
                 heapq.heappush(self._queue, (job.seq, chunk_id, job_id))
                 requeued.append(chunk_id)
         self.events.append(TaskStreamEvent("WorkerDown", worker_id, None, now, reason))
@@ -265,6 +304,7 @@ class ClusterState:
             submitted_at=now,
         )
         job.queued = set(job.chunks)
+        self._n_queued += len(job.queued)
         self.jobs[job_id] = job
         for c in chunks:
             heapq.heappush(self._queue, (job.seq, c.chunk_id, job_id))
@@ -272,10 +312,19 @@ class ClusterState:
         return job_id
 
     def total_queued(self) -> int:
-        return sum(len(j.queued) for j in self.jobs.values())
+        return self._n_queued
 
     def total_assigned(self) -> int:
-        return sum(len(j.assigned) for j in self.jobs.values())
+        return self._n_assigned
+
+    def fail_unfinished(self) -> None:
+        """Fail every queued and assigned chunk (the cluster is going away)."""
+        for job in self.jobs.values():
+            if job.state == "running":
+                job.failed |= job.queued | set(job.assigned)
+                job.queued.clear()
+                job.assigned.clear()
+        self._n_queued = self._n_assigned = 0
 
     def unfinished_jobs(self) -> list[str]:
         return [j.job_id for j in self.jobs.values() if j.state == "running"]
@@ -285,24 +334,26 @@ class ClusterState:
     def schedule_step(self, now: float) -> list[tuple[str, TaskSpec]]:
         assignments: list[tuple[str, TaskSpec]] = []
         while self._queue:
-            eligible = [w for w in self.workers.values() if w.arrived and w.capacity > 0]
-            if not eligible:
-                break
             seq, chunk_id, job_id = self._queue[0]
             job = self.jobs[job_id]
             if chunk_id not in job.queued:
                 heapq.heappop(self._queue)  # stale entry (completed elsewhere or re-pushed)
                 continue
+            worker = self._pop_free()
+            if worker is None:
+                break
             heapq.heappop(self._queue)
-            worker = min(eligible, key=lambda w: (len(w.running), w.worker_id))
             job.queued.remove(chunk_id)
             job.assigned[chunk_id] = worker.worker_id
+            self._n_queued -= 1
+            self._n_assigned += 1
             worker.running.add((job_id, chunk_id))
+            self._offer(worker)
             if worker.first_task_at is None:
                 worker.first_task_at = now
             self.events.append(TaskStreamEvent("TaskStart", worker.worker_id, chunk_id, now, job_id))
             assignments.append(
-                (worker.worker_id, TaskSpec(job_id=job_id, chunk=job.chunks[chunk_id], pipeline=tuple(job.pipeline_json)))
+                (worker.worker_id, TaskSpec(job_id=job_id, chunk=job.chunks[chunk_id], pipeline=job.pipeline_spec))
             )
         return assignments
 
@@ -321,6 +372,7 @@ class ClusterState:
                 f"chunk {chunk_id} of {job_id} is not assigned to worker {worker_id!r}"
             )
         del job.assigned[chunk_id]
+        self._n_assigned -= 1
         job.done.add(chunk_id)
         job.n_events_in += result.n_events_in
         job.n_events_pass += result.n_events_pass
@@ -329,11 +381,7 @@ class ClusterState:
                 job.merged[h.name] = merge_histograms(job.merged[h.name], h)
             else:
                 job.merged[h.name] = h
-        worker = self.workers.get(worker_id)
-        if worker is not None:
-            worker.running.discard((job_id, chunk_id))
-            if not worker.running:
-                worker.idle_since = now
+        self._release(worker_id, job_id, chunk_id, now)
         self.events.append(TaskStreamEvent("TaskEnd", worker_id, chunk_id, now, job_id))
         if not job.queued and not job.assigned and job.finished_at is None and not job.failed:
             job.finished_at = now
@@ -345,17 +393,22 @@ class ClusterState:
             raise SchedulerError(f"unknown job {job_id!r}")
         if job.assigned.get(chunk_id) == worker_id:
             del job.assigned[chunk_id]
+            self._n_assigned -= 1
             job.failed.add(chunk_id)
-            worker = self.workers.get(worker_id)
-            if worker is not None:
-                worker.running.discard((job_id, chunk_id))
-                if not worker.running:
-                    worker.idle_since = now
+            self._release(worker_id, job_id, chunk_id, now)
             self.events.append(
                 TaskStreamEvent("TaskEnd", worker_id, chunk_id, now, f"failed: {reason}")
             )
             log.warning("task %s/%d failed on %s: %s", job_id, chunk_id, worker_id, reason)
         return job.status()
+
+    def _release(self, worker_id: str, job_id: str, chunk_id: int, now: float) -> None:
+        worker = self.workers.get(worker_id)
+        if worker is not None:
+            worker.running.discard((job_id, chunk_id))
+            if not worker.running:
+                worker.idle_since = now
+            self._offer(worker)
 
     def record_scale_decision(self, target: int, queued: int, running: int, now: float) -> None:
         self.events.append(

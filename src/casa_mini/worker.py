@@ -6,7 +6,8 @@ URL-rewrite hook, so remote files are fetched from the caching proxy with
 the worker's data token; task execution runs in threads, one per logical
 core, while the control connection stays responsive for heartbeats.  Each
 task thread keeps its proxy connection across tasks, and the worker keeps
-the header of every file it has read.
+the header of every file it has read and the compiled pipeline of every job
+it has run.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ log = logging.getLogger(__name__)
 RETRIES = 3
 RETRY_DELAY = 0.5
 HEADER_CACHE_FILES = 4096  # headers a worker keeps, least recently used dropped first
+PIPELINE_CACHE_JOBS = 64  # compiled job pipelines a worker keeps, likewise
 
 
 class WorkerConfig:
@@ -64,6 +66,9 @@ class DataPath:
     Each task thread has its own proxy connection, opened on first use; the
     CACF header of every file read is kept (dataset files are immutable, as
     the proxy's block cache also assumes), at most HEADER_CACHE_FILES of them.
+    Each job's pipeline is parsed and compiled once and kept by job_id (job
+    ids are unique within the one cluster a worker serves), at most
+    PIPELINE_CACHE_JOBS of them.
     """
 
     def __init__(self, cfg: WorkerConfig):
@@ -72,6 +77,7 @@ class DataPath:
         self._lock = threading.Lock()
         self._clients: list[ProxyClient] = []
         self._headers: OrderedDict[str, cacf.CacfHeader] = OrderedDict()
+        self._pipelines: OrderedDict[str, KernelPipeline] = OrderedDict()
 
     def reader(self, url: str) -> cacf.RangeReader:
         target = rewrite_url(url, self.cfg.proxy, self.cfg.data_token)
@@ -84,18 +90,27 @@ class DataPath:
                 self._clients.append(client)
         return client.range_reader(target.path, target.token)
 
+    def _cached(self, cache: OrderedDict, key: str, make, limit: int):
+        """cache[key], made by make() on a miss; least recently used dropped past limit."""
+        with self._lock:
+            value = cache.get(key)
+            if value is not None:
+                cache.move_to_end(key)
+                return value
+        value = make()
+        with self._lock:
+            cache[key] = value
+            if len(cache) > limit:
+                cache.popitem(last=False)
+        return value
+
     def header(self, url: str, read: cacf.RangeReader) -> cacf.CacfHeader:
-        with self._lock:
-            header = self._headers.get(url)
-            if header is not None:
-                self._headers.move_to_end(url)
-                return header
-        header = cacf.read_header(read)
-        with self._lock:
-            self._headers[url] = header
-            if len(self._headers) > HEADER_CACHE_FILES:
-                self._headers.popitem(last=False)
-        return header
+        return self._cached(self._headers, url, lambda: cacf.read_header(read), HEADER_CACHE_FILES)
+
+    def pipeline(self, spec: TaskSpec) -> KernelPipeline:
+        return self._cached(
+            self._pipelines, spec.job_id, lambda: KernelPipeline.from_json(list(spec.pipeline)), PIPELINE_CACHE_JOBS
+        )
 
     def close(self) -> None:
         with self._lock:
@@ -106,7 +121,7 @@ class DataPath:
 
 def execute_task(spec: TaskSpec, data: DataPath, worker_id: str):
     """Fetch the chunk (proxy or local), run the pipeline; runs in a thread."""
-    pipeline = KernelPipeline.from_json(list(spec.pipeline))
+    pipeline = data.pipeline(spec)
     t_start = time.time()
     read = data.reader(spec.chunk.file)
     header = data.header(spec.chunk.file, read)

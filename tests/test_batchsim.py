@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casa_mini.authd import FacilityKeys
 from casa_mini.batchsim import (
@@ -132,14 +134,58 @@ def test_cancel_unknown_handle():
         sim.cancel(99, 0.0)
 
 
+def _check_against_scans(sim):
+    assert sim.in_use == sum(1 for j in sim.jobs.values() if j.state == RUNNING)
+    assert sim.committed == sum(1 for j in sim.jobs.values() if j.state in (STARTING, RUNNING))
+    starts = [j.start_at for j in sim.jobs.values() if j.state == STARTING]
+    assert sim.next_event_time() == (min(starts) if starts else None)
+    assert list(sim._waiting) == sorted(h for h, j in sim.jobs.items() if j.state == QUEUED)
+
+
 def test_slot_accounting_matches_running():
     sim = BatchSim(slots=3, delay=DelayModel(s0=1.0, c=1.0))
     handles = [sim.submit(_spec(), 0.0) for _ in range(5)]
+    _check_against_scans(sim)
     times = sorted({sim.jobs[h].start_at for h in handles if sim.jobs[h].start_at} | {6.0, 9.0})
     for t in times:
         sim.advance(t)
         assert sim.in_use == sum(1 for j in sim.jobs.values() if j.state == RUNNING)
         assert sim.in_use <= sim.total_slots
+        _check_against_scans(sim)
+    # every other transition: a worker exits, a Starting and a Running job are cancelled
+    for op, handle, now in [
+        (sim.finish, handles[0], 10.0),  # promotes handles[3]
+        (sim.cancel, handles[3], 10.5),  # cancelled while Starting; promotes handles[4]
+        (sim.cancel, handles[1], 11.0),
+        (sim.advance, None, 20.0),
+        (sim.finish, handles[2], 21.0),
+        (sim.finish, handles[4], 22.0),
+    ]:
+        op(now) if handle is None else op(handle, now)
+        _check_against_scans(sim)
+    assert sim.committed == 0 and sim.next_event_time() is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(st.sampled_from(["submit", "advance", "cancel", "finish"]), st.integers(0, 30)), max_size=60
+    ),
+    slots=st.integers(1, 4),
+)
+def test_counters_and_next_start_match_scans_under_jitter(ops, slots):
+    sim = BatchSim(slots=slots, delay=DelayModel(s0=0.5, c=0.5, jitter=0.5, seed=3))
+    now = 0.0
+    for op, k in ops:
+        now += k / 10
+        if op == "submit":
+            sim.submit(_spec(), now)
+        elif op == "advance":
+            sim.advance(now)
+        elif sim.jobs:
+            handle = 1 + k % len(sim.jobs)
+            (sim.cancel if op == "cancel" else sim.finish)(handle, now)
+        _check_against_scans(sim)
 
 
 def test_wave_availability_invariant():

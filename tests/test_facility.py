@@ -3,7 +3,9 @@ import json
 import logging
 import os
 import signal
+import socket
 import ssl
+import struct
 import subprocess
 import sys
 import time
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from casa_mini import cacf, client, wire
+from casa_mini.batchsim import JobSpec
 from casa_mini.bench import BenchConfig, generate_dataset
 from casa_mini.data_proxy import ProxyClient
 from casa_mini.engine.pipeline import KernelPipeline, run_pipeline
@@ -425,3 +428,113 @@ def test_worker_header_cache_is_bounded(tmp_path, monkeypatch):
         assert worker.execute_task(spec, data, "w1").n_events_in == 10
     assert len(header_reads) == 3  # b pushed a out
     assert list(data._headers) == [paths[0]]
+
+
+def test_stop_after_login_and_batch_submit_logs_no_error(idp_keys, tmp_path, caplog):
+    socks = []
+
+    def request(addr, msg: wire.WireMessage) -> wire.WireMessage:
+        """One request on a fresh blocking connection, which is left open."""
+        sock = socket.create_connection(tuple(addr), timeout=10)
+        socks.append(sock)
+        sock.sendall(wire.encode(msg))
+        with sock.makefile("rb") as reply:
+            (length,) = struct.unpack(">I", reply.read(4))
+            return wire.raise_on_err(wire.decode(reply.read(length)))
+
+    async def scenario():
+        facility, dataset, epf = small_facility(idp_keys, tmp_path)
+        facility.batch_sim.delay.s0 = 60.0  # the submitted job stays Starting: no worker process
+        addrs = await facility.start()
+        try:
+            login = wire.WireMessage("Login", {"assertion": make_assertion(idp_keys)})
+            reply = (await asyncio.to_thread(request, addrs["authd"], login)).body
+            submit = wire.WireMessage("SubmitJob", JobSpec(batch_token=reply["batch_token"]).to_dict())
+            handle = (await asyncio.to_thread(request, addrs["batch"], submit)).body["handle"]
+            assert facility.batch_sim.jobs[handle].state == "Starting"
+        finally:
+            await facility.stop()
+
+    try:
+        run_async(scenario())  # the loop closes while both connections are open
+    finally:
+        for sock in socks:
+            sock.close()
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [], [r.getMessage() for r in errors]
+
+
+def test_batch_worker_that_exits_returns_its_slot(idp_keys, tmp_path):
+    procs = []
+
+    async def wait_for(condition, timeout=20.0):
+        deadline = time.monotonic() + timeout
+        while not condition():
+            assert time.monotonic() < deadline, "timed out"
+            await asyncio.sleep(0.02)
+
+    async def scenario():
+        facility, dataset, epf = small_facility(idp_keys, tmp_path, slot_pool=1)
+        facility.cfg.heartbeat_timeout = 120.0  # the dead worker is not replaced during the test
+        sim = facility.batch_sim
+        addrs = await facility.start()
+        try:
+            reply = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            sc = scheduler_client(reply, write_client_creds(reply, str(tmp_path / "alice")))
+            await sc.scale_request(mode="fixed", fixed_n=3)  # the dedicated worker and two batch workers
+            await wait_for(lambda: len(sim.jobs) == 2 and min(sim.jobs) in facility._batch_procs)
+            first, second = sorted(sim.jobs)
+            assert sim.jobs[second].state == "Queued" and list(sim._waiting) == [second]
+            assert sim.committed == 1
+
+            procs.append(facility._batch_procs[first])
+            procs[0].kill()
+            await wait_for(lambda: sim.jobs[first].state == "Done")
+            assert sim.jobs[second].state in ("Starting", "Running")  # promoted into the freed slot
+            assert list(sim._waiting) == [] and sim.committed == 1
+
+            await wait_for(lambda: second in facility._batch_procs)
+            procs.append(facility._batch_procs[second])
+            procs[1].kill()
+            await wait_for(lambda: sim.jobs[second].state == "Done")
+            assert sim.committed == 0 and sim.in_use == 0
+            sc.close()
+        finally:
+            await facility.stop()
+
+    try:
+        run_async(scenario())
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    assert [proc.returncode for proc in procs] == [-signal.SIGKILL] * 2
+
+
+def test_worker_compiles_each_jobs_pipeline_once(tmp_path, monkeypatch):
+    from casa_mini import worker
+    from casa_mini.types import FileChunk, TaskSpec
+
+    path = str(tmp_path / "a.cacf")
+    cacf.write_dataset_file({"px": np.arange(40.0), "py": np.ones(40)}, path)
+    built = []
+    from_json = KernelPipeline.from_json
+    monkeypatch.setattr(KernelPipeline, "from_json", classmethod(lambda cls, spec: built.append(1) or from_json(spec)))
+    cfg = worker.WorkerConfig({"ingress": ["127.0.0.1", 1], "sni": "x", "ca": "c", "cert": "c", "key": "k"})
+    data = worker.DataPath(cfg)
+
+    def run(job_id, chunk_id):
+        chunk = FileChunk(file=path, start=10 * chunk_id, len=10, chunk_id=chunk_id)
+        return worker.execute_task(TaskSpec(job_id=job_id, chunk=chunk, pipeline=tuple(PIPELINE)), data, "w1")
+
+    results = [run("job-1", i) for i in range(4)]
+    assert len(built) == 1  # four tasks of one job, one KernelPipeline
+    assert [r.n_events_in for r in results] == [10] * 4
+    assert sum(r.n_events_pass for r in results) == int(np.count_nonzero(np.hypot(np.arange(40.0), 1.0) > 20))
+
+    monkeypatch.setattr(worker, "PIPELINE_CACHE_JOBS", 1)
+    for job_id in ("job-2", "job-2", "job-1"):
+        run(job_id, 0)
+    assert len(built) == 3  # job-2 once, then job-1 again: job-2 pushed it out
+    assert list(data._pipelines) == ["job-1"]

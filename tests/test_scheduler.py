@@ -258,3 +258,81 @@ def test_fail_task_marks_failed():
     status = state.fail_task("w1", job_id, 0, "boom", 1.0)
     assert status["state"] == "failed"
     assert state.jobs[job_id].failed == {0}
+
+
+# ---- the worker heap and the counters, against scans over every worker and job ----
+
+
+def _check_counters(state):
+    assert state.total_queued() == sum(len(j.queued) for j in state.jobs.values())
+    assert state.total_assigned() == sum(len(j.assigned) for j in state.jobs.values())
+
+
+def _schedule_checked(state, now):
+    """schedule_step, with each choice checked against min(eligible, key=(len(running), worker_id))
+    over every worker, as the scan it replaced chose."""
+    running = {wid: len(w.running) for wid, w in state.workers.items() if w.arrived}
+    queued = state.total_queued()  # checked against the jobs by _check_counters
+    assignments = state.schedule_step(now)
+    for worker_id, _ in assignments:
+        eligible = [wid for wid, n in running.items() if n < state.workers[wid].n_cores]
+        assert worker_id == min(eligible, key=lambda wid: (running[wid], wid))
+        running[worker_id] += 1
+    spare = sum(state.workers[wid].n_cores - n for wid, n in running.items())
+    assert len(assignments) == queued or spare == 0  # stops only when out of tasks or cores
+    return assignments
+
+
+OPS = st.sampled_from(["expect", "arrive", "schedule", "complete", "fail", "remove", "submit"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(st.tuples(OPS, st.integers(0, 5), st.integers(1, 4)), max_size=80))
+def test_worker_choice_matches_scan(ops):
+    state = ClusterState()
+    _submit(state, chunk_size=10)  # 20 chunks
+    now = 0.0
+    for op, i, n in ops:
+        now += 1.0
+        worker_id = f"w{i}"
+        tasks = sorted(
+            (wid, job_id, chunk_id) for wid, w in state.workers.items() for job_id, chunk_id in w.running
+        )
+        if op == "expect" and worker_id not in state.workers:
+            state.expect_worker(now, n_cores=n, worker_id=worker_id)
+        elif op == "arrive":
+            state.worker_arrived(worker_id, "alice", now, n_cores=n)
+        elif op == "schedule":
+            _schedule_checked(state, now)
+        elif op in ("complete", "fail") and tasks:
+            wid, job_id, chunk_id = tasks[(i * 7 + n) % len(tasks)]
+            if op == "complete":
+                state.complete_task(wid, job_id, chunk_id, _result(chunk_id, n=10), now)
+            else:
+                state.fail_task(wid, job_id, chunk_id, "boom", now)
+        elif op == "remove":
+            state.remove_worker(worker_id, now, "gone")
+        elif op == "submit":
+            _submit(state, chunk_size=25 * n)
+        _check_counters(state)
+    _schedule_checked(state, now + 1.0)
+    _check_counters(state)
+
+
+def test_worker_heap_stays_bounded():
+    # Jobs smaller than the free cores never drain the heap, so every
+    # completion leaves one out-of-date entry behind until it is rebuilt.
+    state = ClusterState()
+    for k, n_cores in enumerate((1, 2, 4, 8)):
+        state.worker_arrived(f"w{k}", "alice", 0.0, n_cores=n_cores)
+    bound = 2 * len(state.workers)
+    for cycle in range(10_000):
+        now = float(cycle)
+        job_id = _submit(state, chunk_size=50, n_files=1, events=50 * (1 + cycle % 3))
+        assigned = _schedule_checked(state, now)
+        assert len(state._free) <= bound
+        for worker_id, spec in assigned:
+            state.complete_task(worker_id, job_id, spec.chunk.chunk_id, _result(spec.chunk.chunk_id), now)
+            assert len(state._free) <= bound
+    _check_counters(state)
+    assert state.total_queued() == state.total_assigned() == 0
