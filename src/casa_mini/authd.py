@@ -13,7 +13,6 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
-import logging
 import secrets
 import time
 from dataclasses import dataclass, replace
@@ -23,8 +22,6 @@ from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec
 
 from . import certs, tokens, wire
-
-log = logging.getLogger(__name__)
 
 DEFAULT_GROUP = "cms"
 DEFAULT_TTL = 3600.0
@@ -207,31 +204,20 @@ async def serve(
     Its connection handlers run in `conns`, whose close(server) stops the
     endpoint and ends every open connection quietly."""
 
-    async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+    async def respond(msg: wire.WireMessage) -> wire.WireMessage:
+        if msg.kind != "Login":
+            return wire.err("bad_request", f"unsupported kind {msg.kind}")
         try:
-            while True:
-                try:
-                    msg = await wire.read_message(reader)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                if msg.kind != "Login":
-                    await wire.send_message(writer, wire.err("bad_request", f"unsupported kind {msg.kind}"))
-                    continue
-                try:
-                    bundle = auth.login(msg.body.get("assertion", {}))
-                except AuthError as exc:
-                    await wire.send_message(writer, wire.err(exc.code, str(exc)))
-                    continue
-                reply = bundle.to_wire()
-                if on_login is not None:
-                    extra = on_login(bundle)
-                    if asyncio.iscoroutine(extra):
-                        extra = await extra
-                    reply.update(extra or {})
-                await wire.send_message(writer, wire.ok(reply))
-        except wire.WireError as exc:
-            log.warning("authd: closing connection: %s", exc)
-        finally:
-            writer.close()
+            bundle = auth.login(msg.body.get("assertion", {}))
+        except AuthError as exc:
+            return wire.err(exc.code, str(exc))
+        reply = bundle.to_wire()
+        if on_login is not None:
+            extra = on_login(bundle)
+            if asyncio.iscoroutine(extra):
+                extra = await extra
+            reply.update(extra or {})
+        return wire.ok(reply)
 
-    return await asyncio.start_server((conns or wire.ConnectionTasks()).wrap(handle), host, port)
+    handler = (conns or wire.ConnectionTasks()).wrap(wire.answering(respond, "authd"))
+    return await asyncio.start_server(handler, host, port)

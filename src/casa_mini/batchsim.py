@@ -17,15 +17,12 @@ import asyncio
 import csv
 import heapq
 import io
-import logging
 import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
 
 from . import tokens, wire
-
-log = logging.getLogger(__name__)
 
 QUEUED = "Queued"
 STARTING = "Starting"
@@ -263,21 +260,18 @@ class BatchService:
         self.clock = clock
         self._server: asyncio.AbstractServer | None = None
         self._conns = wire.ConnectionTasks()
-        self._pump: asyncio.Task | None = None
+        self._pump = wire.BackgroundTasks()  # the advance loop
 
     async def start(self, host: str, port: int) -> tuple[str, int]:
-        self._server = await asyncio.start_server(self._conns.wrap(self._handle), host, port)
-        self._pump = asyncio.create_task(self._advance_loop())
+        self._server = await asyncio.start_server(
+            self._conns.wrap(wire.answering(self._respond, "batch")), host, port
+        )
+        self._pump.spawn(self._advance_loop())
         addr = self._server.sockets[0].getsockname()
         return addr[0], addr[1]
 
     async def close(self) -> None:
-        if self._pump is not None:
-            self._pump.cancel()
-            try:
-                await self._pump
-            except asyncio.CancelledError:
-                pass
+        await self._pump.close()
         await self._conns.close(self._server)
 
     async def _advance_loop(self) -> None:
@@ -285,35 +279,20 @@ class BatchService:
             self.sim.advance(self.clock())
             await asyncio.sleep(0.05)
 
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    async def _respond(self, msg: wire.WireMessage) -> wire.WireMessage:
+        now = self.clock()
         try:
-            while True:
-                try:
-                    msg = await wire.read_message(reader)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                now = self.clock()
-                try:
-                    if msg.kind == "SubmitJob":
-                        handle = self.sim.submit(JobSpec.from_dict(msg.body), now)
-                        await wire.send_message(writer, wire.ok({"handle": handle}))
-                    elif msg.kind == "Cancel":
-                        state = self.sim.cancel(int(msg.body["handle"]), now)
-                        await wire.send_message(writer, wire.ok({"state": state}))
-                    elif msg.kind == "JobStatus":
-                        job = self.sim.jobs.get(int(msg.body["handle"]))
-                        if job is None:
-                            raise BatchError("unknown job handle")
-                        await wire.send_message(
-                            writer, wire.ok({"state": job.state, "start_at": job.start_at})
-                        )
-                    else:
-                        await wire.send_message(writer, wire.err("bad_request", f"unsupported kind {msg.kind}"))
-                except tokens.TokenError as exc:
-                    await wire.send_message(writer, wire.err("bad_token", str(exc)))
-                except (BatchError, KeyError, TypeError, ValueError) as exc:
-                    await wire.send_message(writer, wire.err("batch_error", str(exc)))
-        except wire.WireError as exc:
-            log.warning("batch: closing connection: %s", exc)
-        finally:
-            writer.close()
+            if msg.kind == "SubmitJob":
+                return wire.ok({"handle": self.sim.submit(JobSpec.from_dict(msg.body), now)})
+            if msg.kind == "Cancel":
+                return wire.ok({"state": self.sim.cancel(int(msg.body["handle"]), now)})
+            if msg.kind == "JobStatus":
+                job = self.sim.jobs.get(int(msg.body["handle"]))
+                if job is None:
+                    raise BatchError("unknown job handle")
+                return wire.ok({"state": job.state, "start_at": job.start_at})
+            return wire.err("bad_request", f"unsupported kind {msg.kind}")
+        except tokens.TokenError as exc:
+            return wire.err("bad_token", str(exc))
+        except (BatchError, KeyError, TypeError, ValueError) as exc:
+            return wire.err("batch_error", str(exc))

@@ -5,11 +5,11 @@ federation credential (users never hold one), caches them, and serves byte
 ranges to anyone presenting a valid data token.  Per-block single-flight
 coordination means concurrent cold reads cause exactly one origin fetch.
 
-Wire formats
-  proxy listener:  WireMessage {kind:"Fetch", body:{path, offset, length, token}}
-                   reply: length-prefixed block, first byte a status tag
-  origin listener: length-prefixed JSON {path, offset, length, cred}
-                   reply: length-prefixed block, first byte a status tag
+Wire format
+  Both listeners take one request, a framed WireMessage
+  {kind:"Fetch", body:{path, offset, length, token | cred}}: the proxy checks
+  a user's data token, the origin the proxy's federation credential.  Each
+  reply is a length-prefixed block whose first byte is a status tag (TAG_*).
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import hmac
-import json
-import logging
 import os
 import socket
 import struct
@@ -27,8 +25,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import tokens, wire
-
-log = logging.getLogger(__name__)
 
 BLOCK_SIZE = 64 * 1024
 MAX_FETCH = 16 * 1024 * 1024
@@ -205,6 +201,7 @@ class LocalOrigin:
     def fetch(self, path: str, offset: int, length: int, cred: str) -> bytes:
         if not hmac.compare_digest(cred.encode(), self.cred.encode()):
             raise BadFederationCred("bad federation credential")
+        _check_fetch_args(offset, length)
         full = self.resolve(path)
         self.fetches += 1
         with open(full, "rb") as fh:
@@ -297,37 +294,28 @@ class OriginServer:
         self._conns = wire.ConnectionTasks()
 
     async def start(self, host: str, port: int) -> tuple[str, int]:
-        self._server = await asyncio.start_server(self._conns.wrap(self._handle), host, port)
+        self._server = await asyncio.start_server(
+            self._conns.wrap(wire.answering(self._respond, "origin")), host, port
+        )
         addr = self._server.sockets[0].getsockname()
         return addr[0], addr[1]
 
     async def close(self) -> None:
         await self._conns.close(self._server)
 
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    async def _respond(self, msg: wire.WireMessage) -> bytes:
+        if msg.kind != "Fetch":
+            return _tagged(TAG_ERROR, f"unsupported kind {msg.kind}".encode())
+        body = msg.body
         try:
-            while True:
-                try:
-                    raw = await wire.read_frame_raw(reader)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                try:
-                    req = json.loads(raw.decode("utf-8"))
-                    data = self.local.fetch(
-                        req["path"], int(req["offset"]), int(req["length"]), req.get("cred", "")
-                    )
-                    writer.write(_tagged(TAG_OK, data))
-                except BadFederationCred as exc:
-                    writer.write(_tagged(TAG_BAD_CRED, str(exc).encode()))
-                except OriginNotFound as exc:
-                    writer.write(_tagged(TAG_NOT_FOUND, str(exc).encode()))
-                except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                    writer.write(_tagged(TAG_ERROR, str(exc).encode()))
-                await writer.drain()
-        except wire.WireError:
-            pass
-        finally:
-            writer.close()
+            data = self.local.fetch(body["path"], int(body["offset"]), int(body["length"]), body.get("cred", ""))
+        except BadFederationCred as exc:
+            return _tagged(TAG_BAD_CRED, str(exc).encode())
+        except OriginNotFound as exc:
+            return _tagged(TAG_NOT_FOUND, str(exc).encode())
+        except (KeyError, TypeError, ValueError) as exc:
+            return _tagged(TAG_ERROR, str(exc).encode())
+        return _tagged(TAG_OK, data)
 
 
 class DataProxyServer:
@@ -355,7 +343,9 @@ class DataProxyServer:
         self._conns = wire.ConnectionTasks()
 
     async def start(self, host: str, port: int) -> tuple[str, int]:
-        self._server = await asyncio.start_server(self._conns.wrap(self._handle), host, port)
+        self._server = await asyncio.start_server(
+            self._conns.wrap(wire.answering(self._respond, "data proxy")), host, port
+        )
         addr = self._server.sockets[0].getsockname()
         return addr[0], addr[1]
 
@@ -370,11 +360,11 @@ class DataProxyServer:
             if self._origin_conn is None:
                 self._origin_conn = await asyncio.open_connection(*self.origin_addr)
             reader, writer = self._origin_conn
-            payload = json.dumps(
-                {"path": path, "offset": offset, "length": length, "cred": self.federation_cred}
-            ).encode()
+            request = wire.WireMessage(
+                "Fetch", {"path": path, "offset": offset, "length": length, "cred": self.federation_cred}
+            )
             try:
-                writer.write(_LEN.pack(len(payload)) + payload)
+                writer.write(wire.encode(request))
                 await writer.drain()
                 return await _read_block_reply(reader)
             except (ConnectionError, asyncio.IncompleteReadError):
@@ -430,37 +420,19 @@ class DataProxyServer:
     def stats(self) -> dict:
         return self.store.stats.as_dict()
 
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    async def _respond(self, msg: wire.WireMessage) -> bytes:
+        if msg.kind != "Fetch":
+            return _tagged(TAG_ERROR, f"unsupported kind {msg.kind}".encode())
+        body = msg.body
         try:
-            while True:
-                try:
-                    msg = await wire.read_message(reader)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                if msg.kind == "JobStatus" and msg.body.get("what") == "stats":
-                    await wire.send_message(writer, wire.ok(self.stats()))
-                    continue
-                if msg.kind != "Fetch":
-                    writer.write(_tagged(TAG_ERROR, f"unsupported kind {msg.kind}".encode()))
-                    await writer.drain()
-                    continue
-                body = msg.body
-                try:
-                    data = await self.fetch(
-                        body["path"], int(body["offset"]), int(body["length"]), body.get("token", "")
-                    )
-                    writer.write(_tagged(TAG_OK, data))
-                except tokens.TokenError as exc:
-                    writer.write(_tagged(TAG_BAD_TOKEN, str(exc).encode()))
-                except OriginNotFound as exc:
-                    writer.write(_tagged(TAG_NOT_FOUND, str(exc).encode()))
-                except (ProxyError, KeyError, TypeError, ValueError) as exc:
-                    writer.write(_tagged(TAG_ERROR, str(exc).encode()))
-                await writer.drain()
-        except wire.WireError:
-            pass
-        finally:
-            writer.close()
+            data = await self.fetch(body["path"], int(body["offset"]), int(body["length"]), body.get("token", ""))
+        except tokens.TokenError as exc:
+            return _tagged(TAG_BAD_TOKEN, str(exc).encode())
+        except OriginNotFound as exc:
+            return _tagged(TAG_NOT_FOUND, str(exc).encode())
+        except (ProxyError, KeyError, TypeError, ValueError) as exc:
+            return _tagged(TAG_ERROR, str(exc).encode())
+        return _tagged(TAG_OK, data)
 
 
 class _NoReply(ConnectionError):

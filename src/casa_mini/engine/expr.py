@@ -235,12 +235,21 @@ def _not_equal(a, b):
     return np.less(a, b) | np.greater(a, b)
 
 
+def _first_unless(beats):
+    # min or max as on floats: a unless b beats it, so min(-0.0, 0.0) is -0.0
+    # (np.minimum gives 0.0); NaN on either side gives NaN
+    return lambda a, b: np.where(beats(b, a) | np.isnan(b), b, a)
+
+
 _BINARY = {
     "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide,
     "<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal, "==": np.equal, "!=": _not_equal,
     "&&": np.logical_and, "||": np.logical_or,
 }
-_CALLS = {"sqrt": np.sqrt, "abs": np.abs, "log": np.log, "exp": np.exp, "min": np.minimum, "max": np.maximum}
+_CALLS = {
+    "sqrt": np.sqrt, "abs": np.abs, "log": np.log, "exp": np.exp,
+    "min": _first_unless(np.less), "max": _first_unless(np.greater),
+}
 _BOOL_OPS = frozenset(_CMP_OPS) | {"&&", "||", "!"}
 
 

@@ -197,7 +197,9 @@ class SniProxy:
         return addr[0], addr[1]
 
     async def start_admin(self, host: str, port: int) -> tuple[str, int]:
-        self._admin = await asyncio.start_server(self._handle_admin, host, port)
+        self._admin = await asyncio.start_server(
+            self._conns.wrap(wire.answering(self._respond_admin, "ingress admin")), host, port
+        )
         addr = self._admin.sockets[0].getsockname()
         return addr[0], addr[1]
 
@@ -251,36 +253,16 @@ class SniProxy:
                     except OSError:
                         pass
 
-    async def _handle_admin(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    async def _respond_admin(self, msg: wire.WireMessage) -> wire.WireMessage:
         try:
-            while True:
-                try:
-                    msg = await wire.read_message(reader)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                try:
-                    if msg.kind == "RegisterRoute":
-                        host, port = msg.body["backend"]
-                        version = self.routes.register(msg.body["hostname"], (host, port))
-                        await wire.send_message(writer, wire.ok({"version": version}))
-                    elif msg.kind == "RemoveRoute":
-                        version = self.routes.remove(msg.body["hostname"])
-                        await wire.send_message(writer, wire.ok({"version": version}))
-                    elif msg.kind == "ListRoutes":
-                        await wire.send_message(
-                            writer,
-                            wire.ok(
-                                {
-                                    "version": self.routes.version,
-                                    "routes": {k: list(v) for k, v in self.routes.entries().items()},
-                                }
-                            ),
-                        )
-                    else:
-                        await wire.send_message(writer, wire.err("bad_request", f"unsupported kind {msg.kind}"))
-                except (RouteError, KeyError, TypeError, ValueError) as exc:
-                    await wire.send_message(writer, wire.err("route_error", str(exc)))
-        except wire.WireError as exc:
-            log.warning("ingress admin: closing connection: %s", exc)
-        finally:
-            writer.close()
+            if msg.kind == "RegisterRoute":
+                host, port = msg.body["backend"]
+                return wire.ok({"version": self.routes.register(msg.body["hostname"], (host, port))})
+            if msg.kind == "RemoveRoute":
+                return wire.ok({"version": self.routes.remove(msg.body["hostname"])})
+            if msg.kind == "ListRoutes":
+                routes = {k: list(v) for k, v in self.routes.entries().items()}
+                return wire.ok({"version": self.routes.version, "routes": routes})
+            return wire.err("bad_request", f"unsupported kind {msg.kind}")
+        except (RouteError, KeyError, TypeError, ValueError) as exc:
+            return wire.err("route_error", str(exc))

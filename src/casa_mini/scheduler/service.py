@@ -33,6 +33,8 @@ log = logging.getLogger(__name__)
 # that wants to wait longer asks again.  It bounds how long a handler serves
 # a client that has gone away.
 MAX_WAIT = 10.0
+# Longest close() lets the requests it finds in progress send their replies.
+CLOSE_GRACE = 1.0
 
 
 def server_ssl_context(host_cert_path: str, host_key_path: str, ca_path: str) -> ssl.SSLContext:
@@ -83,6 +85,8 @@ class SchedulerService:
         self._worker_conns: dict[str, asyncio.StreamWriter] = {}
         self._send_locks: dict[str, asyncio.Lock] = {}
         self._server: asyncio.AbstractServer | None = None
+        self._conns = wire.ConnectionTasks()
+        self._answering: set[asyncio.Task] = set()  # handlers between a request and its reply
         self._tasks = wire.BackgroundTasks()
         self._closed = False
         # ("job", job_id) or ("worker", worker_id) -> event set when that job
@@ -92,26 +96,25 @@ class SchedulerService:
     # ---- lifecycle ---------------------------------------------------------
 
     async def start(self, host: str, port: int, ssl_context: ssl.SSLContext) -> tuple[str, int]:
-        self._server = await asyncio.start_server(self._handle, host, port, ssl=ssl_context)
+        self._server = await asyncio.start_server(self._conns.wrap(self._handle), host, port, ssl=ssl_context)
         self._tasks.spawn(self._tick_loop())
         addr = self._server.sockets[0].getsockname()
         return addr[0], addr[1]
 
     async def close(self) -> None:
         """Stop serving.  Every unfinished job fails, and every waiter wakes:
-        a client waiting on a job gets its failed status, and its connection
-        closes after that reply."""
+        a client waiting on a job gets its failed status.  Requests in
+        progress send their replies, then every connection ends."""
         self._closed = True
         await self._tasks.close()
         self.state.fail_unfinished()
+        answering = list(self._answering)
         for event in self._waiters.values():
             event.set()
         self._waiters.clear()
-        for writer in list(self._worker_conns.values()):
-            writer.close()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        if answering:
+            await asyncio.wait(answering, timeout=CLOSE_GRACE)
+        await self._conns.close(self._server)
 
     async def cancel_all_batch_workers(self) -> None:
         for worker_id, w in list(self.state.workers.items()):
@@ -222,12 +225,16 @@ class SchedulerService:
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         identity = _peer_cn(writer)
         worker_id: str | None = None
+        task = asyncio.current_task()
         try:
-            while True:
+            while not self._closed:
                 try:
                     msg = await wire.read_message(reader)
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
+                if self._closed:  # a request that arrives during close() is not served
+                    break
+                self._answering.add(task)
                 try:
                     reply = await self._one_message(msg, identity, writer, worker_id)
                     if msg.kind == "WorkerHello":
@@ -238,8 +245,8 @@ class SchedulerService:
                         await wire.send_message(writer, reply)
                 except (wire.FrameTooLarge, ConnectionError):  # or the peer left mid-wait
                     break
-                if self._closed:
-                    break
+                finally:
+                    self._answering.discard(task)
         except wire.WireError as exc:
             log.warning("scheduler: closing connection from %r: %s", identity, exc)
         finally:

@@ -4,6 +4,9 @@ A frame is a 4-byte big-endian length prefix followed by a UTF-8 JSON object
 {"kind": str, "body": object}.  Frames above 16 MiB are a protocol violation
 and close the connection.  Binary payloads (data-plane blocks) use the same
 length prefix around raw bytes instead of JSON; see data_proxy.
+
+`answering` is the one read, answer and close loop of every request/reply
+service; `ConnectionTasks` ends a server's open connections at shutdown.
 """
 
 from __future__ import annotations
@@ -84,23 +87,12 @@ def decode(payload: bytes) -> WireMessage:
     return WireMessage(kind=obj["kind"], body=body)
 
 
-def encode_block(data: bytes) -> bytes:
-    """Length-prefix a raw binary block (data-plane replies)."""
-    if len(data) > MAX_FRAME:
-        raise FrameTooLarge(f"block of {len(data)} bytes exceeds {MAX_FRAME}")
-    return _LEN.pack(len(data)) + data
-
-
-async def read_frame_raw(reader: asyncio.StreamReader) -> bytes:
+async def read_message(reader: asyncio.StreamReader) -> WireMessage:
     header = await reader.readexactly(_LEN.size)
     (length,) = _LEN.unpack(header)
     if length > MAX_FRAME:
         raise FrameTooLarge(f"incoming frame of {length} bytes exceeds {MAX_FRAME}")
-    return await reader.readexactly(length)
-
-
-async def read_message(reader: asyncio.StreamReader) -> WireMessage:
-    return decode(await read_frame_raw(reader))
+    return decode(await reader.readexactly(length))
 
 
 async def send_message(writer: asyncio.StreamWriter, msg: WireMessage) -> None:
@@ -129,6 +121,34 @@ def raise_on_err(msg: WireMessage) -> WireMessage:
     if msg.kind == "Err":
         raise RequestError(msg.body.get("code", "error"), msg.body.get("message", ""))
     return msg
+
+
+def answering(respond, name: str):
+    """The connection handler of a request/reply service.
+
+    It reads each request and writes back `await respond(msg)`: a
+    WireMessage, or bytes that are already framed (a data-plane block).  It
+    ends quietly when the peer closes, logs a warning and closes on a frame
+    that is not a message, and always closes the writer.  `name` labels the
+    log line.
+    """
+
+    async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        try:
+            while True:
+                try:
+                    msg = await read_message(reader)
+                except (asyncio.IncompleteReadError, ConnectionError):
+                    return
+                reply = await respond(msg)
+                writer.write(reply if isinstance(reply, bytes) else encode(reply))
+                await writer.drain()
+        except WireError as exc:
+            log.warning("%s: closing connection: %s", name, exc)
+        finally:
+            writer.close()
+
+    return handle
 
 
 class ConnectionTasks:

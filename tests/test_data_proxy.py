@@ -1,5 +1,6 @@
 import asyncio
 import json
+import logging
 import os
 import random
 import socket
@@ -227,6 +228,32 @@ def test_origin_rejects_bad_federation_cred(store):
     run_async(scenario())
 
 
+def test_origin_answers_a_negative_offset_with_an_error(store, caplog):
+    # an unreadable range gets an error reply on a connection that stays
+    # open, not an unhandled exception in the handler
+    raw = Path(store, "store", "ds1", "f0.cacf").read_bytes()
+
+    async def scenario():
+        origin = OriginServer(store, CRED)
+        reader, writer = await asyncio.open_connection(*await origin.start("127.0.0.1", 0))
+
+        async def fetch(offset):
+            body = {"path": "/store/ds1/f0.cacf", "offset": offset, "length": 10, "cred": CRED}
+            writer.write(wire.encode(wire.WireMessage("Fetch", body)))
+            header = await asyncio.wait_for(reader.readexactly(4), 5)
+            return header + await reader.readexactly(int.from_bytes(header, "big"))
+
+        try:
+            assert await fetch(-5) == data_proxy._tagged(data_proxy.TAG_ERROR, b"negative offset or length")
+            assert await fetch(0) == data_proxy._tagged(data_proxy.TAG_OK, raw[:10])
+        finally:
+            writer.close()
+            await origin.close()
+
+    run_async(scenario())
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+
 def test_warm_second_pass_zero_origin_fetches(store):
     proxy, origin = _sync_proxy(store, block_size=8192)
     path = os.path.join(store, "store", "ds1", "f0.cacf")
@@ -382,7 +409,7 @@ def test_cancelled_leader_settles_followers(store):
             nonlocal served
             try:
                 while True:
-                    req = json.loads(await wire.read_frame_raw(reader))
+                    req = (await wire.read_message(reader)).body
                     served += 1
                     if served == 1:
                         await release.wait()

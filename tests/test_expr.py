@@ -84,6 +84,17 @@ def test_comparison_used_as_a_number():
     assert eval_expr(parse_expr("sqrt(a==b) + min(a>b, 0.5)"), cols).tolist() == [0.0, 1.0, 0.5, 0.0, 0.0, 0.0]
 
 
+def test_min_max_keep_the_first_of_equal_arguments():
+    # as min(a, b) and max(a, b) on floats: the sign of a tied zero comes from
+    # the first argument, and NaN on either side gives NaN
+    cols = {"a": np.array([-0.0, 0.0, math.nan, 1.0]), "b": np.array([0.0, -0.0, 1.0, math.nan])}
+    for fn in ("min", "max"):
+        out = eval_expr(parse_expr(f"{fn}(a, b)"), cols)
+        assert np.signbit(out[:2]).tolist() == [True, False]
+        assert np.isnan(out[2:]).all()
+    assert eval_expr(parse_expr("1/min(a, 0)"), cols)[0] == -math.inf
+
+
 def test_eval_constant_broadcast():
     out = eval_expr(parse_expr("0"), {"a": np.array([1.0, 2.0, 3.0])})
     assert np.array_equal(out, [0.0, 0.0, 0.0])

@@ -5,7 +5,7 @@ import ssl
 
 import pytest
 
-from casa_mini import certs
+from casa_mini import certs, wire
 from casa_mini.ingress import (
     MalformedHello,
     NeedMoreData,
@@ -242,8 +242,13 @@ def test_close_with_live_relay_logs_no_error(tmp_path, caplog):
         ctx.load_verify_locations(ca_path)
         reader, writer = await asyncio.open_connection(*ingress, ssl=ctx, server_hostname="live.dask.local")
         assert await reader.readline() == b"tag:b0\n"  # the relay is up and idle
-        await proxy.close()  # cancels the relay mid-connection
+        admin_reader, admin_writer = await asyncio.open_connection(*await proxy.start_admin("127.0.0.1", 0))
+        await wire.send_message(admin_writer, wire.WireMessage("ListRoutes", {}))
+        assert (await wire.read_message(admin_reader)).kind == "Ok"  # the admin handler is up and idle
+        await proxy.close()  # cancels the relay mid-connection, and the admin handler
+        assert await asyncio.wait_for(admin_reader.read(), 5) == b""
         writer.close()
+        admin_writer.close()
         await backend.close()
 
     run_async(scenario())

@@ -60,12 +60,15 @@ class Rig:
     async def submit(self, chunk_size: int = 200) -> str:
         return await self.client.submit_job(PIPELINE, "d", [self.tls["data"]], [200], chunk_size)
 
-    async def worker(self, worker_id: str) -> "ScriptedWorker":
+    async def connect(self) -> "ScriptedWorker":
         ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
         ctx.load_verify_locations(self.tls["ca"])
         ctx.load_cert_chain(self.tls["user_cert"], self.tls["user_key"])
         reader, writer = await asyncio.open_connection(*self.addr, ssl=ctx, server_hostname=HOST)
-        w = ScriptedWorker(reader, writer)
+        return ScriptedWorker(reader, writer)
+
+    async def worker(self, worker_id: str) -> "ScriptedWorker":
+        w = await self.connect()
         reply = await w.request("WorkerHello", {"worker_id": worker_id, "n_cores": 4})
         assert reply.body["worker_id"] == worker_id
         return w
@@ -289,3 +292,19 @@ def test_close_cancels_background_tasks(tls):
         assert pending and all(t.done() for t in pending)
 
     run_async(scenario())
+
+
+def test_close_ends_open_connections(tls, caplog):
+    async def scenario():
+        async with Rig(tls) as rig:
+            job_id = await rig.submit()
+            conn = await rig.connect()
+            assert (await conn.request("JobStatus", {"job_id": job_id})).kind == "Ok"
+            await rig.service.close()
+            # the handler has ended and closed the connection
+            assert await asyncio.wait_for(conn.reader.read(), 5) == b""
+            conn.close()
+
+    run_async(scenario())
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [], [r.getMessage() for r in errors]

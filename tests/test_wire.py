@@ -1,10 +1,17 @@
 import asyncio
+import contextlib
+import logging
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casa_mini import wire
+from casa_mini import authd, data_proxy, tokens, wire
+from casa_mini.batchsim import BatchService, BatchSim
+from casa_mini.ingress import SniProxy
+
+from .conftest import make_assertion, run_async
 
 json_values = st.recursive(
     st.none()
@@ -78,3 +85,121 @@ def test_raise_on_err():
     with pytest.raises(wire.RequestError, match="boom: went wrong"):
         wire.raise_on_err(wire.err("boom", "went wrong"))
     assert wire.raise_on_err(wire.ok({"a": 1})).body == {"a": 1}
+
+
+# ---- the answer loop of every request/reply service ------------------------------
+
+CRED = "fed-secret"
+DATA_KEY = b"d" * 32
+BLOB = bytes(range(256)) * 4
+
+
+@contextlib.asynccontextmanager
+async def _batch(tmp_path, idp_keys):
+    service = BatchService(BatchSim(), clock=time.time)
+    try:
+        yield await service.start("127.0.0.1", 0), wire.WireMessage("SubmitJob", {})
+    finally:
+        await service.close()
+
+
+@contextlib.asynccontextmanager
+async def _authd(tmp_path, idp_keys):
+    conns = wire.ConnectionTasks()
+    server = await authd.serve(authd.AuthService(idp_keys[1]), "127.0.0.1", 0, conns=conns)
+    try:
+        login = wire.WireMessage("Login", {"assertion": make_assertion(idp_keys)})
+        yield server.sockets[0].getsockname()[:2], login
+    finally:
+        await conns.close(server)
+
+
+@contextlib.asynccontextmanager
+async def _ingress_admin(tmp_path, idp_keys):
+    proxy = SniProxy()
+    try:
+        yield await proxy.start_admin("127.0.0.1", 0), wire.WireMessage("ListRoutes", {})
+    finally:
+        await proxy.close()
+
+
+@contextlib.asynccontextmanager
+async def _origin(tmp_path, idp_keys):
+    (tmp_path / "store").mkdir()
+    (tmp_path / "store" / "blob").write_bytes(BLOB)
+    origin = data_proxy.OriginServer(str(tmp_path), CRED)
+    try:
+        fetch = {"path": "/store/blob", "offset": 3, "length": 100, "cred": CRED}
+        yield await origin.start("127.0.0.1", 0), wire.WireMessage("Fetch", fetch)
+    finally:
+        await origin.close()
+
+
+@contextlib.asynccontextmanager
+async def _data_proxy(tmp_path, idp_keys):
+    async with _origin(tmp_path, idp_keys) as (origin_addr, _):
+        proxy = data_proxy.DataProxyServer(origin_addr, CRED, DATA_KEY)
+        try:
+            token = tokens.mint_token(DATA_KEY, "alice", "data", exp=time.time() + 600)
+            fetch = {"path": "/store/blob", "offset": 3, "length": 100, "token": token}
+            yield await proxy.start("127.0.0.1", 0), wire.WireMessage("Fetch", fetch)
+        finally:
+            await proxy.close()
+
+
+def _refused(kind: str) -> bytes:
+    return wire.encode(wire.err("bad_request", f"unsupported kind {kind}"))
+
+
+def _refused_block(kind: str) -> bytes:
+    return data_proxy._tagged(data_proxy.TAG_ERROR, f"unsupported kind {kind}".encode())
+
+
+def _answered(frame: bytes) -> bool:
+    return wire.decode(frame[4:]).kind == "Ok"
+
+
+def _served_block(frame: bytes) -> bool:
+    return frame == data_proxy._tagged(data_proxy.TAG_OK, BLOB[3:103])
+
+
+# log label -> how to start the service, its reply to an unsupported kind, and
+# whether a reply to its valid request succeeded
+SERVICES = {
+    "batch": (_batch, _refused, _answered),
+    "authd": (_authd, _refused, _answered),
+    "ingress admin": (_ingress_admin, _refused, _answered),
+    "origin": (_origin, _refused_block, _served_block),
+    "data proxy": (_data_proxy, _refused_block, _served_block),
+}
+
+
+async def _read_frame(reader: asyncio.StreamReader) -> bytes:
+    header = await asyncio.wait_for(reader.readexactly(4), 5)
+    return header + await asyncio.wait_for(reader.readexactly(int.from_bytes(header, "big")), 5)
+
+
+@pytest.mark.parametrize("name", SERVICES)
+def test_service_answers_errors_and_closes_on_a_bad_frame(name, tmp_path, idp_keys, caplog):
+    started, refused, succeeded = SERVICES[name]
+
+    async def scenario():
+        async with started(tmp_path, idp_keys) as (addr, valid):
+            reader, writer = await asyncio.open_connection(*addr)
+            try:
+                # an unsupported kind gets the service's error reply; the
+                # same connection then answers a valid request
+                writer.write(wire.encode(wire.WireMessage("Heartbeat", {})))
+                assert await _read_frame(reader) == refused("Heartbeat")
+                writer.write(wire.encode(valid))
+                assert succeeded(await _read_frame(reader))
+                # a frame that is not a message ends the connection
+                writer.write(len(b"not json").to_bytes(4, "big") + b"not json")
+                assert await asyncio.wait_for(reader.read(), 5) == b""
+            finally:
+                writer.close()
+
+    with caplog.at_level(logging.WARNING):
+        run_async(scenario())
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
+    assert any(r.getMessage().startswith(f"{name}: closing connection") for r in caplog.records)
