@@ -10,6 +10,8 @@ Wire format
   {kind:"Fetch", body:{path, offset, length, token | cred}}: the proxy checks
   a user's data token, the origin the proxy's federation credential.  Each
   reply is a length-prefixed block whose first byte is a status tag (TAG_*).
+  A request that is not a Fetch, or whose path or secret is not a string or
+  whose offset or length is not an integer, gets TAG_ERROR.
 """
 
 from __future__ import annotations
@@ -48,6 +50,16 @@ class OriginNotFound(ProxyError):
 
 class BadFederationCred(ProxyError):
     pass
+
+
+# The status tag of each error a Fetch can end in; any other error is
+# TAG_ERROR, and a client raises ProxyError for it.
+_ERROR_TAGS = {
+    OriginNotFound: TAG_NOT_FOUND,
+    BadFederationCred: TAG_BAD_CRED,
+    tokens.TokenError: TAG_BAD_TOKEN,
+}
+_TAG_ERRORS = {tag: cls for cls, tag in _ERROR_TAGS.items()}
 
 
 @dataclass(frozen=True)
@@ -260,13 +272,18 @@ def _tagged(tag: int, payload: bytes) -> bytes:
     return _LEN.pack(1 + len(payload)) + bytes([tag]) + payload
 
 
+def _error_reply(exc: ValueError) -> bytes:
+    tag = next((tag for cls, tag in _ERROR_TAGS.items() if isinstance(exc, cls)), TAG_ERROR)
+    return _tagged(tag, str(exc).encode())
+
+
 async def _read_block_reply(reader: asyncio.StreamReader) -> bytes:
+    """The tagged body of one block reply."""
     header = await reader.readexactly(_LEN.size)
     (length,) = _LEN.unpack(header)
     if length > MAX_FETCH + 1:
         raise ProxyError(f"oversized block reply of {length} bytes")
-    body = await reader.readexactly(length)
-    return _untag(body)
+    return await reader.readexactly(length)
 
 
 def _untag(body: bytes) -> bytes:
@@ -275,14 +292,20 @@ def _untag(body: bytes) -> bytes:
     tag, payload = body[0], bytes(memoryview(body)[1:])
     if tag == TAG_OK:
         return payload
-    message = payload.decode("utf-8", "replace")
-    if tag == TAG_NOT_FOUND:
-        raise OriginNotFound(message)
-    if tag == TAG_BAD_CRED:
-        raise BadFederationCred(message)
-    if tag == TAG_BAD_TOKEN:
-        raise tokens.TokenError(message)
-    raise ProxyError(message)
+    raise _TAG_ERRORS.get(tag, ProxyError)(payload.decode("utf-8", "replace"))
+
+
+def _parse_fetch(msg: wire.WireMessage, secret: str) -> tuple[str, int, int, str]:
+    """The path, offset, length and `secret` ("token" or "cred") of a Fetch."""
+    if msg.kind != "Fetch":
+        raise ProxyError(f"unsupported kind {msg.kind}")
+    body = msg.body
+    path, offset, length, key = body.get("path"), body.get("offset"), body.get("length"), body.get(secret, "")
+    if not (isinstance(path, str) and isinstance(key, str)):
+        raise ProxyError(f"Fetch path and {secret} must be strings")
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in (offset, length)):
+        raise ProxyError("Fetch offset and length must be integers")
+    return path, offset, length, key
 
 
 class OriginServer:
@@ -304,17 +327,10 @@ class OriginServer:
         await self._conns.close(self._server)
 
     async def _respond(self, msg: wire.WireMessage) -> bytes:
-        if msg.kind != "Fetch":
-            return _tagged(TAG_ERROR, f"unsupported kind {msg.kind}".encode())
-        body = msg.body
         try:
-            data = self.local.fetch(body["path"], int(body["offset"]), int(body["length"]), body.get("cred", ""))
-        except BadFederationCred as exc:
-            return _tagged(TAG_BAD_CRED, str(exc).encode())
-        except OriginNotFound as exc:
-            return _tagged(TAG_NOT_FOUND, str(exc).encode())
-        except (KeyError, TypeError, ValueError) as exc:
-            return _tagged(TAG_ERROR, str(exc).encode())
+            data = self.local.fetch(*_parse_fetch(msg, "cred"))
+        except ValueError as exc:
+            return _error_reply(exc)
         return _tagged(TAG_OK, data)
 
 
@@ -337,8 +353,7 @@ class DataProxyServer:
         self.token_gate = tokens.TokenGate(data_key, "data")
         self._clock = clock
         self._inflight: dict[tuple[str, int], asyncio.Future] = {}
-        self._origin_lock = asyncio.Lock()
-        self._origin_conn: tuple[asyncio.StreamReader, asyncio.StreamWriter] | None = None
+        self._origin = wire.Channel(lambda: asyncio.open_connection(*origin_addr))
         self._server: asyncio.AbstractServer | None = None
         self._conns = wire.ConnectionTasks()
 
@@ -351,31 +366,17 @@ class DataProxyServer:
 
     async def close(self) -> None:
         await self._conns.close(self._server)
-        if self._origin_conn is not None:
-            self._origin_conn[1].close()
-            self._origin_conn = None
+        self._origin.close()
 
     async def _origin_fetch(self, path: str, offset: int, length: int) -> bytes:
-        async with self._origin_lock:
-            if self._origin_conn is None:
-                self._origin_conn = await asyncio.open_connection(*self.origin_addr)
-            reader, writer = self._origin_conn
-            request = wire.WireMessage(
-                "Fetch", {"path": path, "offset": offset, "length": length, "cred": self.federation_cred}
-            )
-            try:
-                writer.write(wire.encode(request))
-                await writer.drain()
-                return await _read_block_reply(reader)
-            except (ConnectionError, asyncio.IncompleteReadError):
-                self._origin_conn = None
-                raise ProxyError("origin connection lost") from None
-            except asyncio.CancelledError:
-                # The reply may still arrive: a reused connection would hand
-                # it to the next request.
-                writer.close()
-                self._origin_conn = None
-                raise
+        request = wire.WireMessage(
+            "Fetch", {"path": path, "offset": offset, "length": length, "cred": self.federation_cred}
+        )
+        try:
+            body = await self._origin.request(request, _read_block_reply)
+        except (ConnectionError, asyncio.IncompleteReadError):
+            raise ProxyError("origin connection lost") from None
+        return _untag(body)
 
     async def _get_block(self, path: str, idx: int) -> bytes:
         key = (path, idx)
@@ -421,17 +422,10 @@ class DataProxyServer:
         return self.store.stats.as_dict()
 
     async def _respond(self, msg: wire.WireMessage) -> bytes:
-        if msg.kind != "Fetch":
-            return _tagged(TAG_ERROR, f"unsupported kind {msg.kind}".encode())
-        body = msg.body
         try:
-            data = await self.fetch(body["path"], int(body["offset"]), int(body["length"]), body.get("token", ""))
-        except tokens.TokenError as exc:
-            return _tagged(TAG_BAD_TOKEN, str(exc).encode())
-        except OriginNotFound as exc:
-            return _tagged(TAG_NOT_FOUND, str(exc).encode())
-        except (ProxyError, KeyError, TypeError, ValueError) as exc:
-            return _tagged(TAG_ERROR, str(exc).encode())
+            data = await self.fetch(*_parse_fetch(msg, "token"))
+        except ValueError as exc:
+            return _error_reply(exc)
         return _tagged(TAG_OK, data)
 
 

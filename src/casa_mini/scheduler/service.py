@@ -45,13 +45,6 @@ def server_ssl_context(host_cert_path: str, host_key_path: str, ca_path: str) ->
     return ctx
 
 
-def client_ssl_context(ca_path: str, cert_path: str, key_path: str) -> ssl.SSLContext:
-    ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
-    ctx.load_verify_locations(ca_path)
-    ctx.load_cert_chain(cert_path, key_path)
-    return ctx
-
-
 def _peer_cn(writer: asyncio.StreamWriter) -> str:
     cert = writer.get_extra_info("peercert") or {}
     for rdn in cert.get("subject", ()):

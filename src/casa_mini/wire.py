@@ -7,6 +7,8 @@ length prefix around raw bytes instead of JSON; see data_proxy.
 
 `answering` is the one read, answer and close loop of every request/reply
 service; `ConnectionTasks` ends a server's open connections at shutdown.
+`Channel` is the client side: one kept connection that requests take turns
+on.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import ssl
 import struct
 from dataclasses import dataclass, field
 
@@ -121,6 +124,66 @@ def raise_on_err(msg: WireMessage) -> WireMessage:
     if msg.kind == "Err":
         raise RequestError(msg.body.get("code", "error"), msg.body.get("message", ""))
     return msg
+
+
+def client_ssl_context(ca_path: str, cert_path: str, key_path: str) -> ssl.SSLContext:
+    """Mutual TLS as a facility client: trust the cluster CA, present a
+    certificate it minted."""
+    ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
+    ctx.load_verify_locations(ca_path)
+    ctx.load_cert_chain(cert_path, key_path)
+    return ctx
+
+
+class Channel:
+    """A request/reply connection, opened on first use and then kept.
+
+    `open_connection()` returns a new (reader, writer) pair.  Requests take
+    turns on the connection.  Any exception or cancellation during an
+    exchange closes it, since the peer may still owe a reply that the next
+    request would read as its own; the next request opens a new one.
+    """
+
+    def __init__(self, open_connection):
+        self._open_connection = open_connection
+        self._conn: tuple[asyncio.StreamReader, asyncio.StreamWriter] | None = None
+        self._lock = asyncio.Lock()
+
+    async def request(self, msg: WireMessage, read_reply=read_message):
+        """Send `msg` and return `await read_reply(reader)`, by default the
+        reply message."""
+        async with self._lock:
+            if self._conn is None:
+                self._conn = await self._open_connection()
+            reader, writer = self._conn
+            try:
+                await send_message(writer, msg)
+                return await read_reply(reader)
+            except BaseException:
+                self.close()
+                raise
+
+    async def call(self, kind: str, body: dict) -> dict:
+        """The body of the Ok reply to a `kind` request; an Err reply raises
+        RequestError."""
+        return raise_on_err(await self.request(WireMessage(kind, body))).body
+
+    def close(self) -> None:
+        if self._conn is not None:
+            self._conn[1].close()
+            self._conn = None
+
+    async def aclose(self) -> None:
+        """Close and wait, at most 5 s, for the transport (a TLS shutdown
+        included) to finish on the running loop."""
+        if self._conn is None:
+            return
+        writer = self._conn[1]
+        self.close()
+        try:
+            await asyncio.wait_for(writer.wait_closed(), 5.0)
+        except (OSError, asyncio.TimeoutError):
+            pass
 
 
 def answering(respond, name: str):

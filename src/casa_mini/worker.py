@@ -142,15 +142,11 @@ class WorkerAgent:
         self._send_lock = asyncio.Lock()
         self._writer: asyncio.StreamWriter | None = None
 
-    def _ssl_context(self) -> ssl.SSLContext:
-        ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
-        ctx.load_verify_locations(self.cfg.ca)
-        ctx.load_cert_chain(self.cfg.cert, self.cfg.key)
-        return ctx
-
     async def _connect(self) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
         reader, writer = await asyncio.open_connection(
-            *self.cfg.ingress, ssl=self._ssl_context(), server_hostname=self.cfg.sni
+            *self.cfg.ingress,
+            ssl=wire.client_ssl_context(self.cfg.ca, self.cfg.cert, self.cfg.key),
+            server_hostname=self.cfg.sni,
         )
         await wire.send_message(
             writer,

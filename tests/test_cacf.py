@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ def test_write_read_round_trip(tmp_path):
     path = str(tmp_path / "t.cacf")
     cols = {"pt": np.array([1.0, 2.0, 3.0])}
     n = cacf.write_dataset_file(cols, path)
-    assert n == len(open(path, "rb").read())
+    assert n == len(Path(path).read_bytes())
     hdr = cacf.read_header_path(path)
     assert hdr.n_events == 3 and hdr.columns == ("pt",)
     back = cacf.read_columns_path(path)
@@ -61,9 +63,9 @@ def test_bad_magic(tmp_path):
 def test_bad_version(tmp_path):
     path = str(tmp_path / "t.cacf")
     cacf.write_dataset_file({"pt": np.array([1.0])}, path)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[4] = 9
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(bytes(raw))
     with pytest.raises(cacf.CacfError, match="unsupported version"):
         cacf.read_header_path(path)
 

@@ -526,3 +526,114 @@ def test_fresh_proxy_client_does_not_retry():
     finally:
         client.close()
         peer.close()
+
+
+def test_oversized_origin_reply_drops_the_origin_connection(store):
+    # The origin's first reply announces more bytes than a block reply may
+    # hold and is followed by a well-formed frame; a kept connection would
+    # read that frame as the reply to the next request.
+    async def scenario():
+        local = LocalOrigin(store, CRED)
+        connections = 0
+        served = 0
+
+        async def origin(reader, writer):
+            nonlocal connections, served
+            connections += 1
+            try:
+                while True:
+                    req = (await wire.read_message(reader)).body
+                    served += 1
+                    if served == 1:
+                        writer.write((data_proxy.MAX_FETCH + 2).to_bytes(4, "big"))
+                        writer.write(data_proxy._tagged(data_proxy.TAG_OK, b"stale"))
+                    else:
+                        data = local.fetch(req["path"], req["offset"], req["length"], req["cred"])
+                        writer.write(data_proxy._tagged(data_proxy.TAG_OK, data))
+                    await writer.drain()
+            except (asyncio.IncompleteReadError, ConnectionError):
+                pass
+            finally:
+                writer.close()
+
+        conns = wire.ConnectionTasks()
+        server = await asyncio.start_server(conns.wrap(origin), "127.0.0.1", 0)
+        proxy = DataProxyServer(server.sockets[0].getsockname()[:2], CRED, KEY, clock=lambda: 0.0)
+        path = "/store/ds1/f0.cacf"
+        raw = Path(store, "store", "ds1", "f0.cacf").read_bytes()
+        try:
+            with pytest.raises(ProxyError, match="oversized block reply"):
+                await asyncio.wait_for(proxy.fetch(path, 0, 100, _token()), 2.0)
+            assert await asyncio.wait_for(proxy.fetch(path, 0, 100, _token()), 2.0) == raw[:100]
+            assert connections == 2
+        finally:
+            await proxy.close()
+            await conns.close(server)
+
+    run_async(scenario())
+
+
+FETCH = {"path": "/store/ds1/f0.cacf", "offset": 0, "length": 10}
+
+# the listener sent a malformed Fetch, and the field it gets wrong
+MALFORMED = [
+    ("origin", "path", 5),
+    ("origin", "cred", 5),
+    ("origin", "length", "10"),
+    ("origin", "cred", "\ud800"),  # a string that has no UTF-8 encoding
+    ("proxy", "token", 5),
+    ("proxy", "path", 5),
+    ("proxy", "offset", True),
+]
+
+
+@pytest.mark.parametrize("listener, field, value", MALFORMED)
+def test_malformed_fetch_gets_an_error_reply(store, caplog, listener, field, value):
+    raw = Path(store, "store", "ds1", "f0.cacf").read_bytes()
+
+    async def scenario():
+        origin = OriginServer(store, CRED)
+        origin_addr = await origin.start("127.0.0.1", 0)
+        proxy = DataProxyServer(origin_addr, CRED, KEY, clock=lambda: 0.0)
+        proxy_addr = await proxy.start("127.0.0.1", 0)
+        if listener == "origin":
+            addr, valid = origin_addr, {**FETCH, "cred": CRED}
+        else:
+            addr, valid = proxy_addr, {**FETCH, "token": _token()}
+        reader, writer = await asyncio.open_connection(*addr)
+
+        async def fetch(body):
+            writer.write(wire.encode(wire.WireMessage("Fetch", body)))
+            header = await asyncio.wait_for(reader.readexactly(4), 5)
+            return header + await asyncio.wait_for(reader.readexactly(int.from_bytes(header, "big")), 5)
+
+        try:
+            assert (await fetch({**valid, field: value}))[4] == data_proxy.TAG_ERROR
+            assert origin.local.fetches == 0
+            # the same connection then serves a valid request
+            assert await fetch(valid) == data_proxy._tagged(data_proxy.TAG_OK, raw[:10])
+        finally:
+            writer.close()
+            await proxy.close()
+            await origin.close()
+
+    run_async(scenario())
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+
+def test_unreachable_origin_gets_an_error_reply(caplog):
+    async def scenario():
+        closed = socket.create_server(("127.0.0.1", 0))
+        origin_addr = closed.getsockname()[:2]
+        closed.close()  # nothing listens there now
+        proxy = DataProxyServer(origin_addr, CRED, KEY, clock=lambda: 0.0)
+        client = ProxyClient(await proxy.start("127.0.0.1", 0))
+        try:
+            with pytest.raises(ProxyError, match="origin connection lost"):
+                await asyncio.to_thread(client.fetch, "/store/ds1/f0.cacf", 0, 10, _token())
+        finally:
+            client.close()
+            await proxy.close()
+
+    run_async(scenario())
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []

@@ -163,13 +163,13 @@ def test_wait_job_times_out_at_its_deadline_with_one_request(tls):
         async with Rig(tls) as rig:
             job_id = await rig.submit()
             sent = []
-            request = rig.client._request
+            request = rig.client.request
 
             async def counted(msg):
                 sent.append(msg.kind)
                 return await request(msg)
 
-            rig.client._request = counted
+            rig.client.request = counted
             start = time.monotonic()
             with pytest.raises(TimeoutError):
                 await rig.client.wait_job(job_id, timeout=0.3)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from casa_mini import authd, data_proxy, tokens, wire
 from casa_mini.batchsim import BatchService, BatchSim
+from casa_mini.client import BatchClient
 from casa_mini.ingress import SniProxy
 
 from .conftest import make_assertion, run_async
@@ -203,3 +204,83 @@ def test_service_answers_errors_and_closes_on_a_bad_frame(name, tmp_path, idp_ke
         run_async(scenario())
     assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
     assert any(r.getMessage().startswith(f"{name}: closing connection") for r in caplog.records)
+
+
+# ---- Channel: the kept client connection ---------------------------------------
+
+
+@contextlib.asynccontextmanager
+async def _scripted(handler):
+    conns = wire.ConnectionTasks()
+    server = await asyncio.start_server(conns.wrap(handler), "127.0.0.1", 0)
+    try:
+        yield server.sockets[0].getsockname()[:2]
+    finally:
+        await conns.close(server)
+
+
+def test_cancelled_batch_request_leaves_no_reply_for_the_next():
+    # The server holds its first reply; the request waiting on it is
+    # cancelled, and the next request must get its own reply.
+    async def scenario():
+        received = 0
+
+        async def held_first(reader, writer):
+            nonlocal received
+            try:
+                while True:
+                    msg = await wire.read_message(reader)
+                    received += 1
+                    if received == 1:
+                        await asyncio.sleep(0.2)
+                    await wire.send_message(writer, wire.ok({"handle": msg.body["handle"]}))
+            except (asyncio.IncompleteReadError, ConnectionError):
+                pass
+            finally:
+                writer.close()
+
+        async with _scripted(held_first) as addr:
+            batch = BatchClient(addr)
+            try:
+                first = asyncio.create_task(batch.status(1))
+                while received == 0:
+                    await asyncio.sleep(0.005)
+                first.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await first
+                assert await asyncio.wait_for(batch.status(2), 2.0) == {"handle": 2}
+            finally:
+                batch.close()
+
+    run_async(scenario())
+
+
+@pytest.mark.parametrize(
+    "bad_reply", [b"", (wire.MAX_FRAME + 1).to_bytes(4, "big")], ids=["closed", "oversized frame"]
+)
+def test_failed_exchange_closes_the_connection(bad_reply):
+    async def scenario():
+        async def answers_once(reader, writer):
+            try:
+                await wire.read_message(reader)
+                await wire.send_message(writer, wire.ok({"handle": 1}))
+                await wire.read_message(reader)
+                writer.write(bad_reply)
+                await writer.drain()
+            finally:
+                writer.close()
+
+        async with _scripted(answers_once) as addr:
+            batch = BatchClient(addr)
+            try:
+                assert await batch.status(1) == {"handle": 1}
+                writer = batch._conn[1]
+                with pytest.raises((asyncio.IncompleteReadError, wire.WireError)):
+                    await asyncio.wait_for(batch.status(1), 2.0)
+                assert batch._conn is None and writer.is_closing()
+                # the next request opens a new connection
+                assert await asyncio.wait_for(batch.status(1), 2.0) == {"handle": 1}
+            finally:
+                batch.close()
+
+    run_async(scenario())
