@@ -201,9 +201,3 @@ def plan_chunks(
             start += length
     return chunks
 
-
-def dataset_from_files(name: str, paths: Sequence[str]) -> tuple[DatasetSpec, list[int]]:
-    """Build a DatasetSpec from local files, returning per-file event counts."""
-    counts = [read_header_path(p).n_events for p in paths]
-    return DatasetSpec(name=name, files=tuple(paths), n_events_total=sum(counts)), counts
-

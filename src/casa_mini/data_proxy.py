@@ -22,6 +22,7 @@ import hmac
 import os
 import socket
 import struct
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -82,23 +83,6 @@ def parse_remote_url(url: str) -> RemoteUrl | None:
     if not path.startswith("/store/"):
         raise ProxyError(f"remote path must begin with /store/, got {path!r}")
     return RemoteUrl(host=host, path=path)
-
-
-@dataclass(frozen=True)
-class FetchTarget:
-    """Where a worker's open goes after the rewrite hook."""
-
-    proxy: tuple[str, int] | None  # None -> plain local file access
-    path: str
-    token: str = ""
-
-
-def rewrite_url(url: str, proxy: tuple[str, int], token: str) -> FetchTarget:
-    """Point a remote URL at the local proxy and attach the data token."""
-    remote = parse_remote_url(url)
-    if remote is None:
-        return FetchTarget(proxy=None, path=url)
-    return FetchTarget(proxy=proxy, path=remote.path, token=token)
 
 
 @dataclass
@@ -451,7 +435,8 @@ def _recv_exact(sock: socket.socket, count: int, first: bool = False) -> bytearr
 
 
 class ProxyClient:
-    """Blocking proxy client; one per worker task thread, kept across tasks.
+    """Blocking proxy client.  Each thread that fetches through it has its
+    own connection, opened on first use and kept across requests.
 
     The proxy may close a connection that was idle between tasks, so a
     request on a reused connection that gets no reply byte is sent once more
@@ -461,23 +446,35 @@ class ProxyClient:
     def __init__(self, proxy: tuple[str, int], timeout: float = 30.0):
         self.addr = proxy
         self.timeout = timeout
-        self._sock: socket.socket | None = None
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._socks: set[socket.socket] = set()  # every thread's open connection
+
+    def _sock(self) -> socket.socket | None:
+        """This thread's connection, unless it has been closed."""
+        sock = getattr(self._local, "sock", None)
+        return sock if sock is not None and sock.fileno() >= 0 else None
 
     def _connect(self) -> socket.socket:
-        if self._sock is None:
-            self._sock = socket.create_connection(self.addr, timeout=self.timeout)
-        return self._sock
+        sock = self._sock()
+        if sock is None:
+            sock = self._local.sock = socket.create_connection(self.addr, timeout=self.timeout)
+            with self._lock:
+                self._socks.add(sock)
+        return sock
 
     def close(self) -> None:
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
+        """Close every thread's connection; a later fetch opens a new one."""
+        with self._lock:
+            socks, self._socks = self._socks, set()
+        for sock in socks:
+            sock.close()
 
     def fetch(self, path: str, offset: int, length: int, token: str) -> bytes:
         request = wire.encode(
             wire.WireMessage("Fetch", {"path": path, "offset": offset, "length": length, "token": token})
         )
-        reused = self._sock is not None
+        reused = self._sock() is not None
         try:
             reply = self._exchange(request)
         except _NoReply:
@@ -498,7 +495,9 @@ class ProxyClient:
                 raise ProxyError(f"oversized block reply of {size} bytes")
             return _recv_exact(sock, size)
         except BaseException:
-            self.close()  # the stream is out of step with the requests
+            with self._lock:  # the stream is out of step with the requests
+                self._socks.discard(sock)
+            sock.close()
             raise
 
     def range_reader(self, path: str, token: str):

@@ -137,10 +137,10 @@ class SchedulerService:
             log.warning("batch submit for %s failed: %s", worker_id, exc)
             self.state.remove_worker(worker_id, self.clock(), f"batch submit failed: {exc}")
 
-    def _cancel_worker(self, worker_id: str, now: float) -> None:
+    def _cancel_worker(self, worker_id: str, now: float, reason: str = "scaled down") -> None:
         w = self.state.workers.get(worker_id)
         handle = w.batch_handle if w is not None else None
-        self.state.remove_worker(worker_id, now, "scaled down")
+        self.state.remove_worker(worker_id, now, reason)
         conn = self._worker_conns.pop(worker_id, None)
         if conn is not None:
             conn.close()
@@ -245,6 +245,10 @@ class SchedulerService:
         finally:
             if worker_id is not None and self._worker_conns.get(worker_id) is writer:
                 del self._worker_conns[worker_id]
+                if not self._closed:  # its chunks go back to the queue, to be dispatched at once
+                    now = self.clock()
+                    self._cancel_worker(worker_id, now, "connection closed")
+                    self._tasks.spawn(self._dispatch(now))
             self._send_locks.pop(f"conn-{id(writer)}", None)
             writer.close()
 

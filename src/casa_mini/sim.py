@@ -4,9 +4,10 @@ advancing deterministically from one event loop.
 Simulated compute charges chunk_len / rate virtual seconds per task against a
 worker's single execution timeline (`rate` is the per-worker event rate; a
 worker's cores bound how many tasks it holds, not its throughput), while task
-*results* come from really evaluating the pipeline on the chunk, fetched
-through the facility data proxy.  That keeps the scaling study analytic and
-the merged histograms oracle-checkable at the same time.
+*results* come from really evaluating the pipeline on the chunk, loaded by
+the live worker's own DataPath with remote files read through the facility
+data proxy.  That keeps the scaling study analytic and the merged histograms
+oracle-checkable at the same time.
 
 Same seed, same submissions: identical event order, identical task stream.
 """
@@ -18,10 +19,9 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field
 
-from . import cacf
 from .batchsim import BatchSim, DelayModel, JobSpec
-from .data_proxy import SyncDataProxy, rewrite_url
-from .engine.pipeline import KernelPipeline, run_pipeline
+from .data_proxy import SyncDataProxy
+from .engine.pipeline import run_pipeline
 from .scheduler.state import (
     AUTOSCALE_INTERVAL,
     DEFAULT_CORES,
@@ -31,6 +31,7 @@ from .scheduler.state import (
     ScalePolicy,
 )
 from .types import DatasetSpec, TaskSpec
+from .worker import DataPath
 
 log = logging.getLogger(__name__)
 
@@ -95,7 +96,6 @@ class VirtualFacility:
     ):
         self.loop = VirtualLoop()
         self.proxy = proxy
-        self.data_token = data_token
         self.batch_token = batch_token
         self.params = params or SimParams()
         self.state = ClusterState()
@@ -107,10 +107,9 @@ class VirtualFacility:
         )
         self.autoscaler = Autoscaler(self.state, policy, self._request_workers, self._cancel_worker)
         self.sim_workers: dict[str, _SimWorker] = {}
-        self._pipelines: dict[str, KernelPipeline] = {}
-        # Dataset files are immutable (the proxy's block cache assumes it too),
-        # so each file's header is read once for the facility's lifetime.
-        self._headers: dict[str, cacf.CacfHeader] = {}
+        # the live worker's data path; self.proxy.range_reader is looked up
+        # on each task, so a proxy patched after construction is the one read
+        self.data = DataPath(lambda path, token: self.proxy.range_reader(path, token), data_token)
         self._batch_wakeups: set[float] = set()
         self._kill_plan: list[tuple[float, str]] = []
 
@@ -205,16 +204,7 @@ class VirtualFacility:
         self._dispatch(now)
 
     def _execute(self, spec: TaskSpec, worker_id: str, t_start: float, t_end: float):
-        pipeline = self._pipelines[spec.job_id]
-        target = rewrite_url(spec.chunk.file, ("sim", 0), self.data_token)
-        if target.proxy is None:
-            reader = cacf.local_range_reader(target.path)
-        else:
-            reader = self.proxy.range_reader(target.path, target.token)
-        header = self._headers.get(spec.chunk.file)
-        if header is None:
-            header = self._headers[spec.chunk.file] = cacf.read_header(reader)
-        batch = cacf.read_chunk(reader, spec.chunk, sorted(pipeline.input_columns()), header=header)
+        pipeline, batch = self.data.load(spec)
         result = run_pipeline(batch, pipeline, chunk_id=spec.chunk.chunk_id, worker_id=worker_id)
         result.t_start = t_start
         result.t_end = t_end
@@ -245,7 +235,6 @@ class VirtualFacility:
         job_id = self.state.submit_job(
             pipeline_json, dataset, chunk_size, now=self.loop.now, events_per_file=events_per_file
         )
-        self._pipelines[job_id] = self.state.jobs[job_id].pipeline
         for t, worker_id in sorted(self._kill_plan):
             self.loop.schedule_at(t, lambda w=worker_id: self._kill(w, self.loop.now))
         self.loop.schedule_at(self.loop.now, self._tick)

@@ -1,13 +1,13 @@
 """Worker agent: joins its cluster over mTLS, executes assigned tasks.
 
 Invoked as a subprocess with one argument, the path to a JSON config (this
-is the payload a batch job carries).  Chunk data is opened through the
-URL-rewrite hook, so remote files are fetched from the caching proxy with
-the worker's data token; task execution runs in threads, one per logical
-core, while the control connection stays responsive for heartbeats.  Each
-task thread keeps its proxy connection across tasks, and the worker keeps
-the header of every file it has read and the compiled pipeline of every job
-it has run.
+is the payload a batch job carries).  Task execution runs in threads, one
+per logical core, while the control connection stays responsive for
+heartbeats.  A task's chunk reaches its pipeline through DataPath, which the
+virtual facility (`sim`) uses too: remote files come from the caching proxy
+with the worker's data token, over one kept connection per task thread, and
+the header of every file read and the compiled pipeline of every job run
+are kept.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 from . import cacf, wire
-from .data_proxy import ProxyClient, rewrite_url
+from .data_proxy import ProxyClient, ProxyError, parse_remote_url
 from .engine.pipeline import KernelPipeline, run_pipeline
 from .tokens import TokenError
-from .types import TaskSpec
+from .types import ColumnBatch, TaskSpec
 
 log = logging.getLogger(__name__)
 
@@ -61,34 +62,33 @@ class WorkerConfig:
 
 
 class DataPath:
-    """A worker's way to its chunk data, kept across tasks.
+    """The one way from a TaskSpec to its compiled pipeline and its columns,
+    kept across tasks; the live worker and the virtual facility each keep one.
 
-    Each task thread has its own proxy connection, opened on first use; the
-    CACF header of every file read is kept (dataset files are immutable, as
-    the proxy's block cache also assumes), at most HEADER_CACHE_FILES of them.
-    Each job's pipeline is parsed and compiled once and kept by job_id (job
-    ids are unique within the one cluster a worker serves), at most
+    A root:// chunk is read through `remote(path, token)` with the data
+    token; with no `remote`, it is refused rather than looked for on local
+    disk.  A local path is read from local disk.  The CACF header of every
+    file read is kept (dataset files are immutable, as the proxy's block
+    cache also assumes), at most HEADER_CACHE_FILES of them.  Each job's
+    pipeline is parsed and compiled once and kept by job_id (job ids are
+    unique within the one cluster a DataPath serves), at most
     PIPELINE_CACHE_JOBS of them.
     """
 
-    def __init__(self, cfg: WorkerConfig):
-        self.cfg = cfg
-        self._local = threading.local()
+    def __init__(self, remote: Callable[[str, str], cacf.RangeReader] | None, token: str = ""):
+        self.remote = remote
+        self.token = token
         self._lock = threading.Lock()
-        self._clients: list[ProxyClient] = []
         self._headers: OrderedDict[str, cacf.CacfHeader] = OrderedDict()
         self._pipelines: OrderedDict[str, KernelPipeline] = OrderedDict()
 
     def reader(self, url: str) -> cacf.RangeReader:
-        target = rewrite_url(url, self.cfg.proxy, self.cfg.data_token)
-        if target.proxy is None:
-            return cacf.local_range_reader(target.path)
-        client = getattr(self._local, "client", None)
-        if client is None:
-            client = self._local.client = ProxyClient(target.proxy)
-            with self._lock:
-                self._clients.append(client)
-        return client.range_reader(target.path, target.token)
+        remote = parse_remote_url(url)
+        if remote is None:
+            return cacf.local_range_reader(url)
+        if self.remote is None:
+            raise ProxyError(f"no data proxy to read {url}")
+        return self.remote(remote.path, self.token)
 
     def _cached(self, cache: OrderedDict, key: str, make, limit: int):
         """cache[key], made by make() on a miss; least recently used dropped past limit."""
@@ -104,28 +104,20 @@ class DataPath:
                 cache.popitem(last=False)
         return value
 
-    def header(self, url: str, read: cacf.RangeReader) -> cacf.CacfHeader:
-        return self._cached(self._headers, url, lambda: cacf.read_header(read), HEADER_CACHE_FILES)
-
-    def pipeline(self, spec: TaskSpec) -> KernelPipeline:
-        return self._cached(
+    def load(self, spec: TaskSpec) -> tuple[KernelPipeline, ColumnBatch]:
+        """The task's compiled pipeline and the chunk columns it reads."""
+        pipeline = self._cached(
             self._pipelines, spec.job_id, lambda: KernelPipeline.from_json(list(spec.pipeline)), PIPELINE_CACHE_JOBS
         )
-
-    def close(self) -> None:
-        with self._lock:
-            clients, self._clients = self._clients, []
-        for client in clients:
-            client.close()
+        read = self.reader(spec.chunk.file)
+        header = self._cached(self._headers, spec.chunk.file, lambda: cacf.read_header(read), HEADER_CACHE_FILES)
+        return pipeline, cacf.read_chunk(read, spec.chunk, sorted(pipeline.input_columns()), header=header)
 
 
 def execute_task(spec: TaskSpec, data: DataPath, worker_id: str):
-    """Fetch the chunk (proxy or local), run the pipeline; runs in a thread."""
-    pipeline = data.pipeline(spec)
+    """Load the chunk and run the pipeline; runs in a task thread."""
     t_start = time.time()
-    read = data.reader(spec.chunk.file)
-    header = data.header(spec.chunk.file, read)
-    batch = cacf.read_chunk(read, spec.chunk, sorted(pipeline.input_columns()), header=header)
+    pipeline, batch = data.load(spec)
     result = run_pipeline(batch, pipeline, chunk_id=spec.chunk.chunk_id, worker_id=worker_id)
     result.t_start = t_start
     result.t_end = time.time()
@@ -137,7 +129,8 @@ class WorkerAgent:
         self.cfg = cfg
         self.worker_id = cfg.worker_id or ""
         self._pool = ThreadPoolExecutor(max_workers=cfg.n_cores, thread_name_prefix="task")
-        self._data = DataPath(cfg)
+        self._proxy = ProxyClient(cfg.proxy) if cfg.proxy else None
+        self._data = DataPath(self._proxy.range_reader if self._proxy else None, cfg.data_token)
         self._tasks = wire.BackgroundTasks()
         self._send_lock = asyncio.Lock()
         self._writer: asyncio.StreamWriter | None = None
@@ -195,7 +188,8 @@ class WorkerAgent:
             return await self._serve()
         finally:
             await self._tasks.close()
-            self._data.close()
+            if self._proxy is not None:
+                self._proxy.close()
             self._pool.shutdown(wait=False, cancel_futures=True)
 
     async def _serve(self) -> int:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from casa_mini import cacf
 from casa_mini.bench import (
     BENCH_COLUMNS,
     BenchConfig,
+    fixed_policy,
     generate_dataset,
+    make_context,
     oracle_peak_workers,
     oracle_throughput,
     oracle_wallclock,
     run_adaptive,
+    run_once,
     run_sweep,
     stall_report,
 )
@@ -176,3 +180,28 @@ def test_stall_report_excludes_taskless_workers():
 def test_stall_report_needs_events():
     with pytest.raises(ValueError):
         stall_report("kind,worker_id,chunk_id,t,detail\n")
+
+
+def test_benchmark_trace_sees_every_layer(tmp_path, monkeypatch):
+    """casabench times each layer by patching the names the program looks
+    up; a refactor that moves a call elsewhere silently zeroes its span."""
+    from casa_mini import sim
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "casabench"))
+    import layers
+    from spans import Tracer
+
+    cfg = BenchConfig(n_files=2, events_per_file=2000, chunk_size=500)
+    ctx = make_context(cfg, str(tmp_path))
+    run_pipeline = sim.run_pipeline
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        job, _ = run_once(ctx, fixed_policy(2, cfg))
+    finally:
+        tracer.uninstall()
+    assert job.state == "done"
+    spans = ("engine.pipeline", "cacf.read_chunk", "cacf.read_header", "data_proxy.fetch", "scheduler.schedule_step")
+    assert {name: tracer.calls[name] for name in spans if not tracer.calls[name]} == {}
+    assert tracer.calls["engine.pipeline"] == len(job.chunks)
+    assert sim.run_pipeline is run_pipeline

@@ -15,7 +15,6 @@ from casa_mini.data_proxy import (
     BadFederationCred,
     BlockStore,
     DataProxyServer,
-    FetchTarget,
     LocalOrigin,
     OriginNotFound,
     OriginServer,
@@ -23,9 +22,9 @@ from casa_mini.data_proxy import (
     ProxyError,
     SyncDataProxy,
     parse_remote_url,
-    rewrite_url,
 )
 from casa_mini.tokens import mint_token
+from casa_mini.worker import DataPath
 
 from .conftest import run_async
 from .oracles import blocks_for_ranges
@@ -50,22 +49,36 @@ def store(tmp_path):
     return root
 
 
-# ---- URL rewrite hook ---------------------------------------------------------
+# ---- remote URLs ------------------------------------------------------------------
 
 
-def test_rewrite_remote_url():
-    target = rewrite_url("root://aaa.example//store/ds1/f0.cacf", ("proxy", 9000), "tok")
-    assert target == FetchTarget(proxy=("proxy", 9000), path="/store/ds1/f0.cacf", token="tok")
+def _opener(opened):
+    def remote(path, token):
+        opened.append((path, token))
+        return lambda offset, length: b""
+
+    return remote
 
 
-def test_rewrite_local_path_passthrough():
-    target = rewrite_url("./f.cacf", ("proxy", 9000), "tok")
-    assert target.proxy is None and target.path == "./f.cacf"
+def test_data_path_sends_a_remote_url_to_its_opener():
+    opened = []
+    DataPath(_opener(opened), "tok").reader("root://aaa.example//store/ds1/f0.cacf")
+    assert opened == [("/store/ds1/f0.cacf", "tok")]
 
 
-def test_rewrite_missing_double_slash():
+def test_data_path_reads_a_local_path_from_local_disk(store):
+    opened = []
+    path = os.path.join(store, "store", "ds1", "f0.cacf")
+    read = DataPath(_opener(opened), "tok").reader(path)
+    assert opened == []
+    assert read(0, 4) == b"CACF"
+
+
+def test_data_path_rejects_a_missing_double_slash():
+    opened = []
     with pytest.raises(ProxyError, match="root://host//store"):
-        rewrite_url("root://aaa.example/missing-double-slash", ("proxy", 9000), "tok")
+        DataPath(_opener(opened), "tok").reader("root://aaa.example/missing-double-slash")
+    assert opened == []
 
 
 def test_rewrite_rejects_other_schemes_and_paths():

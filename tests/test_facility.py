@@ -344,10 +344,11 @@ def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
             chunk=FileChunk(file="root://origin//store/d/f.cacf", start=0, len=50, chunk_id=0),
             pipeline=tuple(PIPELINE),
         )
-        data = DataPath(cfg)
+        proxy_client = ProxyClient(cfg.proxy)
+        data = DataPath(proxy_client.range_reader, cfg.data_token)
         with pytest.raises(TokenError):
             await asyncio.to_thread(execute_task, spec, data, "w1")
-        data.close()
+        proxy_client.close()
         assert origin.local.fetches == 0
         await proxy.close()
         await origin.close()
@@ -392,13 +393,14 @@ def test_worker_keeps_headers_and_proxy_connection_across_tasks(tmp_path, monkey
             )
             for i, (name, start) in enumerate([("a", 0), ("a", 50), ("b", 0), ("b", 50)])
         ]
-        data = DataPath(cfg)
+        proxy_client = ProxyClient(cfg.proxy)
+        data = DataPath(proxy_client.range_reader, cfg.data_token)
         try:
             # one thread, as a task thread runs one task after another
             results = await asyncio.to_thread(lambda: [execute_task(s, data, "w1") for s in specs])
-            assert len(data._clients) == 1
+            assert len(proxy_client._socks) == 1
         finally:
-            data.close()
+            proxy_client.close()
             await proxy.close()
             await origin.close()
         return results
@@ -421,13 +423,37 @@ def test_worker_header_cache_is_bounded(tmp_path, monkeypatch):
     read_header = cacf.read_header
     monkeypatch.setattr(cacf, "read_header", lambda read: header_reads.append(1) or read_header(read))
     monkeypatch.setattr(worker, "HEADER_CACHE_FILES", 1)
-    cfg = worker.WorkerConfig({"ingress": ["127.0.0.1", 1], "sni": "x", "ca": "c", "cert": "c", "key": "k"})
-    data = worker.DataPath(cfg)
+    data = worker.DataPath(None)
     for i, path in enumerate([paths[0], paths[0], paths[1], paths[0]]):
         spec = TaskSpec(job_id="job-1", chunk=FileChunk(file=path, start=0, len=10, chunk_id=i), pipeline=tuple(PIPELINE))
         assert worker.execute_task(spec, data, "w1").n_events_in == 10
     assert len(header_reads) == 3  # b pushed a out
     assert list(data._headers) == [paths[0]]
+
+
+def test_remote_chunk_without_a_proxy_fails_its_task(monkeypatch):
+    from casa_mini import worker
+    from casa_mini.types import FileChunk, TaskSpec
+
+    opened = []
+    monkeypatch.setattr(cacf, "local_range_reader", lambda path: opened.append(path))
+    cfg = worker.WorkerConfig({"ingress": ["127.0.0.1", 1], "sni": "x", "ca": "c", "cert": "c", "key": "k"})
+    agent = worker.WorkerAgent(cfg)  # no "proxy" in its config
+    sent = []
+
+    async def send(msg):
+        sent.append(msg)
+
+    agent._send = send
+    url = "root://origin//store/d/f.cacf"
+    spec = TaskSpec(job_id="job-1", chunk=FileChunk(file=url, start=0, len=10, chunk_id=0), pipeline=tuple(PIPELINE))
+    try:
+        run_async(agent._run_task(spec.to_dict()))
+    finally:
+        agent._pool.shutdown()
+    assert [msg.kind for msg in sent] == ["TaskFailed"]
+    assert url in sent[0].body["reason"]
+    assert opened == []  # not read as /store/d/f.cacf from the worker's own disk
 
 
 def test_stop_after_login_and_batch_submit_logs_no_error(idp_keys, tmp_path, caplog):
@@ -521,8 +547,7 @@ def test_worker_compiles_each_jobs_pipeline_once(tmp_path, monkeypatch):
     built = []
     from_json = KernelPipeline.from_json
     monkeypatch.setattr(KernelPipeline, "from_json", classmethod(lambda cls, spec: built.append(1) or from_json(spec)))
-    cfg = worker.WorkerConfig({"ingress": ["127.0.0.1", 1], "sni": "x", "ca": "c", "cert": "c", "key": "k"})
-    data = worker.DataPath(cfg)
+    data = worker.DataPath(None)
 
     def run(job_id, chunk_id):
         chunk = FileChunk(file=path, start=10 * chunk_id, len=10, chunk_id=chunk_id)

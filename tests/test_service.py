@@ -308,3 +308,23 @@ def test_close_ends_open_connections(tls, caplog):
     run_async(scenario())
     errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert errors == [], [r.getMessage() for r in errors]
+
+
+def test_chunks_of_a_worker_whose_connection_closes_go_to_another(tls):
+    async def scenario():
+        async with Rig(tls) as rig:
+            w1 = await rig.worker("w1")
+            w2 = await rig.worker("w2")
+            job_id = await rig.submit()  # one chunk, which goes to w1
+            task = await w1.next_task()
+            w1.close()
+            moved = await asyncio.wait_for(w2.next_task(), 1.0)
+            assert moved == task
+            assert (await w2.done(moved, "w2")).body["state"] == "done"
+            assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
+            assert "w1" not in rig.service.state.workers
+            downs = [(e.worker_id, e.detail) for e in rig.service.state.events if e.kind == "WorkerDown"]
+            assert downs == [("w1", "connection closed")]
+            w2.close()
+
+    run_async(scenario())

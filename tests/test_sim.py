@@ -1,12 +1,18 @@
+import asyncio
 import csv
 import io
 
 import numpy as np
 import pytest
 
-from casa_mini.bench import BenchConfig, fixed_policy, make_context, run_once
+from casa_mini.bench import BENCH_PIPELINE, BenchConfig, fixed_policy, make_context, make_facility, run_once
+from casa_mini.data_proxy import DataProxyServer, OriginServer, ProxyClient
 from casa_mini.scheduler.state import events_to_csv
 from casa_mini.sim import VirtualLoop
+from casa_mini.types import FileChunk, TaskSpec
+from casa_mini.worker import DataPath, execute_task
+
+from .conftest import run_async
 
 
 def small_ctx(tmp_path, **overrides):
@@ -48,6 +54,32 @@ def test_one_header_read_per_file(tmp_path, monkeypatch):
     assert header_paths == ["/store/bench/part00.cacf", "/store/bench/part01.cacf"]
     # apart from the headers, only the pipeline's 3 input columns of each chunk
     assert len(reads) == 2 + 3 * len(job.chunks)
+
+
+def test_worker_and_virtual_facility_give_a_task_the_same_result(tmp_path):
+    cfg, ctx = small_ctx(tmp_path)
+    chunk = FileChunk(file=ctx.dataset.files[1], start=3000, len=1000, chunk_id=13)
+    spec = TaskSpec(job_id="job-1", chunk=chunk, pipeline=tuple(BENCH_PIPELINE))
+    virtual = make_facility(ctx, fixed_policy(1, cfg))._execute(spec, "w1", 0.0, 1.0)
+
+    async def live():
+        # the worker's own path: a networked proxy in front of the same files
+        origin = OriginServer(str(tmp_path), ctx.proxy.origin.cred)
+        proxy = DataProxyServer(await origin.start("127.0.0.1", 0), ctx.proxy.origin.cred, ctx.keys.data, clock=lambda: 0.0)
+        proxy_client = ProxyClient(await proxy.start("127.0.0.1", 0))
+        try:
+            data = DataPath(proxy_client.range_reader, ctx.data_token)
+            return await asyncio.to_thread(execute_task, spec, data, "w1")
+        finally:
+            proxy_client.close()
+            await proxy.close()
+            await origin.close()
+
+    result = run_async(live())
+    assert (result.chunk_id, result.n_events_in, result.n_events_pass) == (13, 1000, virtual.n_events_pass)
+    assert 0 < virtual.n_events_pass < 1000
+    assert [h.to_dict() for h in result.histograms] == [h.to_dict() for h in virtual.histograms]
+    assert len(virtual.histograms) == len(BENCH_PIPELINE) - 2  # every hist step
 
 
 def test_single_worker_throughput_matches_rate(tmp_path):
