@@ -4,11 +4,12 @@ Worker jobs are admitted against a slot pool and start after a seeded delay:
 the k-th submission of a wave (submissions landing in the same autoscale
 tick) starts s0 + c*k after it arrived, so scale-up bursts stagger — the
 linear-in-wave-index stall the benchmark measures.  The discrete-event core
-is clock-agnostic: submit() schedules transitions, advance(to) fires them;
-the network service drives it from wall time, the virtual facility from its
-event loop.  No event scans the jobs: slots in use and committed are counters
-each transition updates, and pending starts sit in a (start_at, handle) heap
-whose entries are dropped once their job is no longer Starting.
+is clock-agnostic: submit() schedules transitions, advance(to) fires them, and
+after each operation the sim asks its driver's wake(t), once per time, to
+advance it at its earliest pending start.  No event scans the jobs: slots in
+use and committed are counters each transition updates, and pending starts
+sit in a (start_at, handle) heap whose entries are dropped once their job is
+no longer Starting.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import io
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import tokens, wire
 
@@ -64,14 +65,7 @@ class JobSpec:
             raise BatchError("n_cores and memory_gb must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "image": self.image,
-            "n_cores": self.n_cores,
-            "memory_gb": self.memory_gb,
-            "open_ports": list(self.open_ports),
-            "worker_config": dict(self.worker_config),
-            "batch_token": self.batch_token,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobSpec":
@@ -129,6 +123,7 @@ class BatchSim:
         self.token_gate = tokens.TokenGate(batch_key, "batch") if batch_key is not None else None
         self.on_start = on_start  # fn(job, now)
         self.on_stop = on_stop  # fn(job, now)
+        self.wake = None  # fn(t), set by the driver: call advance at time t
         self.jobs: dict[int, BatchJob] = {}
         self.transitions: list[Transition] = []
         self.clock = 0.0
@@ -140,6 +135,7 @@ class BatchSim:
         self._starts: list[tuple[float, int]] = []  # (start_at, handle) of Starting jobs
         self.in_use = 0  # jobs Running
         self.committed = 0  # jobs Starting or Running
+        self._woken: set[float] = set()  # wake times not yet advanced past
 
     # ---- operations --------------------------------------------------------
 
@@ -156,6 +152,7 @@ class BatchSim:
             self._schedule_start(job, now)
         else:
             self._waiting.append(handle)
+        self._wake_next()
         return handle
 
     def _schedule_start(self, job: BatchJob, now: float) -> None:
@@ -183,6 +180,13 @@ class BatchSim:
         start = self._next_start()
         return start[0] if start else None
 
+    def _wake_next(self) -> None:
+        """Ask the driver, once per time, to advance at the earliest start."""
+        t = self.next_event_time() if self.wake is not None else None
+        if t is not None and t not in self._woken:
+            self._woken.add(t)
+            self.wake(t)
+
     def advance(self, to: float) -> list[Transition]:
         """Fire every transition scheduled up to `to`, in time order."""
         if to < self.clock:
@@ -200,6 +204,8 @@ class BatchSim:
             if self.on_start is not None:
                 self.on_start(job, job.start_at)
         self.clock = max(self.clock, to)
+        self._woken = {t for t in self._woken if t > to}
+        self._wake_next()
         return fired
 
     def cancel(self, handle: int, now: float) -> str:
@@ -222,8 +228,8 @@ class BatchSim:
         self._log(handle, prev, CANCELLED, now)
         if prev == RUNNING and self.on_stop is not None:
             self.on_stop(job, now)
-        if prev in (RUNNING, STARTING):
-            self._promote_waiting(now)
+        self._promote_waiting(now)  # a no-op unless a slot was freed
+        self._wake_next()
         return job.state
 
     def finish(self, handle: int, now: float) -> str:
@@ -239,6 +245,7 @@ class BatchSim:
         self.committed -= 1
         self._log(handle, RUNNING, DONE, now)
         self._promote_waiting(now)
+        self._wake_next()
         return job.state
 
     def _promote_waiting(self, now: float) -> None:
@@ -253,31 +260,38 @@ class BatchSim:
 
 
 class BatchService:
-    """Framed-JSON front end driving a BatchSim from wall time."""
+    """Framed-JSON front end to a BatchSim on wall time.  The sim's wake(t)
+    becomes a loop timer that advances it at t; close() cancels the timers
+    still pending, so no job starts after it."""
 
     def __init__(self, sim: BatchSim, clock):
         self.sim = sim
         self.clock = clock
         self._server: asyncio.AbstractServer | None = None
         self._conns = wire.ConnectionTasks()
-        self._pump = wire.BackgroundTasks()  # the advance loop
+        self._timers: dict[float, asyncio.TimerHandle] = {}  # by wake time
+        sim.wake = self._wake
 
     async def start(self, host: str, port: int) -> tuple[str, int]:
         self._server = await asyncio.start_server(
             self._conns.wrap(wire.answering(self._respond, "batch")), host, port
         )
-        self._pump.spawn(self._advance_loop())
         addr = self._server.sockets[0].getsockname()
         return addr[0], addr[1]
 
     async def close(self) -> None:
-        await self._pump.close()
+        self.sim.wake = None
+        for timer in self._timers.values():
+            timer.cancel()
         await self._conns.close(self._server)
 
-    async def _advance_loop(self) -> None:
-        while True:
-            self.sim.advance(self.clock())
-            await asyncio.sleep(0.05)
+    def _wake(self, t: float) -> None:
+        self._timers[t] = asyncio.get_running_loop().call_later(t - self.clock(), self._advance, t)
+
+    def _advance(self, t: float) -> None:
+        self._timers.pop(t, None)
+        # a timer may fire a little early, and a request may have moved the sim's clock past t
+        self.sim.advance(max(t, self.sim.clock))
 
     async def _respond(self, msg: wire.WireMessage) -> wire.WireMessage:
         now = self.clock()

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -63,24 +63,7 @@ class BenchConfig:
         return DelayModel(s0=self.s0, c=self.c, jitter=self.jitter, seed=self.seed)
 
     def to_json(self) -> dict:
-        return {
-            "n_files": self.n_files,
-            "events_per_file": self.events_per_file,
-            "chunk_size": self.chunk_size,
-            "rate": self.rate,
-            "s0": self.s0,
-            "c": self.c,
-            "jitter": self.jitter,
-            "seed": self.seed,
-            "sweep": list(self.sweep),
-            "repeats": self.repeats,
-            "n_cores": self.n_cores,
-            "slots": self.slots,
-            "tasks_per_worker": self.tasks_per_worker,
-            "n_max": self.n_max,
-            "data_root": self.data_root,
-            "dataset_name": self.dataset_name,
-        }
+        return {**asdict(self), "sweep": list(self.sweep)}
 
     @classmethod
     def from_json(cls, d: dict) -> "BenchConfig":

@@ -173,10 +173,10 @@ class Facility:
             except Exception as exc:
                 log.warning("teardown of %s during stop failed: %s", cluster_id, exc)
         await self._tasks.close()
+        await self.batch_service.close()  # no batch job starts from here on
         procs = list(self._batch_procs.values())
         self._batch_procs.clear()
         await asyncio.gather(*(reap(proc) for proc in procs), *self._reaping)
-        await self.batch_service.close()
         await self.sni.close()
         if self.proxy is not None:
             await self.proxy.close()

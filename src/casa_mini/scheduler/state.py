@@ -35,7 +35,6 @@ from ..types import DatasetSpec, FileChunk, TaskSpec
 log = logging.getLogger(__name__)
 
 DEFAULT_CORES = 4
-HEARTBEAT_INTERVAL = 2.0
 HEARTBEAT_TIMEOUT = 10.0
 AUTOSCALE_INTERVAL = 1.0
 

@@ -76,8 +76,6 @@ class _SimWorker:
 class SimParams:
     rate: float = 4000.0  # per-worker events/s in simulated compute
     n_cores: int = DEFAULT_CORES
-    heartbeat_timeout: float = HEARTBEAT_TIMEOUT
-    tick: float = AUTOSCALE_INTERVAL
 
 
 class VirtualFacility:
@@ -105,12 +103,12 @@ class VirtualFacility:
             batch_key=batch_key,
             on_start=self._on_batch_start,
         )
+        self.batch.wake = lambda t: self.loop.schedule_at(t, lambda: self.batch.advance(t))
         self.autoscaler = Autoscaler(self.state, policy, self._request_workers, self._cancel_worker)
         self.sim_workers: dict[str, _SimWorker] = {}
         # the live worker's data path; self.proxy.range_reader is looked up
         # on each task, so a proxy patched after construction is the one read
         self.data = DataPath(lambda path, token: self.proxy.range_reader(path, token), data_token)
-        self._batch_wakeups: set[float] = set()
         self._kill_plan: list[tuple[float, str]] = []
 
     # ---- batch plumbing ----------------------------------------------------
@@ -127,7 +125,6 @@ class VirtualFacility:
             self.state.expect_worker(
                 now, n_cores=self.params.n_cores, worker_id=worker_id, batch_handle=handle
             )
-        self._arm_batch_wakeup()
 
     def _cancel_worker(self, worker_id: str, now: float) -> None:
         w = self.state.workers.get(worker_id)
@@ -137,18 +134,6 @@ class VirtualFacility:
         if sw is not None:
             sw.alive = False
         self.state.remove_worker(worker_id, now, "scaled down")
-
-    def _arm_batch_wakeup(self) -> None:
-        t = self.batch.next_event_time()
-        if t is None or t in self._batch_wakeups:
-            return
-        self._batch_wakeups.add(t)
-        self.loop.schedule_at(t, lambda: self._batch_advance(t))
-
-    def _batch_advance(self, t: float) -> None:
-        self._batch_wakeups.discard(t)
-        self.batch.advance(t)
-        self._arm_batch_wakeup()
 
     def _on_batch_start(self, job, t: float) -> None:
         worker_id = job.spec.worker_config["worker_id"]
@@ -217,11 +202,11 @@ class VirtualFacility:
         for worker_id, sw in sorted(self.sim_workers.items()):
             if sw.alive and worker_id in self.state.workers:
                 self.state.heartbeat(worker_id, now)
-        self.state.reap_lost_workers(now, self.params.heartbeat_timeout)
+        self.state.reap_lost_workers(now, HEARTBEAT_TIMEOUT)
         self.autoscaler.tick(now)
         self._dispatch(now)
         if self.state.unfinished_jobs():
-            self.loop.schedule(self.params.tick, self._tick)
+            self.loop.schedule(AUTOSCALE_INTERVAL, self._tick)
 
     def run_job(
         self,

@@ -35,6 +35,7 @@ RETRIES = 3
 RETRY_DELAY = 0.5
 HEADER_CACHE_FILES = 4096  # headers a worker keeps, least recently used dropped first
 PIPELINE_CACHE_JOBS = 64  # compiled job pipelines a worker keeps, likewise
+HEARTBEAT_INTERVAL = 2.0
 
 
 class WorkerConfig:
@@ -48,7 +49,6 @@ class WorkerConfig:
         self.proxy = (raw["proxy"][0], int(raw["proxy"][1])) if raw.get("proxy") else None
         self.data_token = raw.get("data_token", "")
         self.n_cores = int(raw.get("n_cores", 4))
-        self.heartbeat_interval = float(raw.get("heartbeat_interval", 2.0))
         for name in ("ca", "cert", "key"):
             if not getattr(self, name):
                 raise ValueError(f"worker config missing credential {name!r}")
@@ -153,7 +153,7 @@ class WorkerAgent:
 
     async def _heartbeat_loop(self) -> None:
         while True:
-            await asyncio.sleep(self.cfg.heartbeat_interval)
+            await asyncio.sleep(HEARTBEAT_INTERVAL)
             if self.worker_id:
                 await self._send(wire.WireMessage("Heartbeat", {"worker_id": self.worker_id}))
 

@@ -174,7 +174,9 @@ def test_slot_accounting_matches_running():
     slots=st.integers(1, 4),
 )
 def test_counters_and_next_start_match_scans_under_jitter(ops, slots):
+    woken = []
     sim = BatchSim(slots=slots, delay=DelayModel(s0=0.5, c=0.5, jitter=0.5, seed=3))
+    sim.wake = woken.append
     now = 0.0
     for op, k in ops:
         now += k / 10
@@ -186,6 +188,9 @@ def test_counters_and_next_start_match_scans_under_jitter(ops, slots):
             handle = 1 + k % len(sim.jobs)
             (sim.cancel if op == "cancel" else sim.finish)(handle, now)
         _check_against_scans(sim)
+        # the earliest pending start, whatever op moved it, has been asked for exactly once
+        if sim.next_event_time() is not None:
+            assert woken.count(sim.next_event_time()) == 1
 
 
 def test_wave_availability_invariant():

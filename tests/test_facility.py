@@ -134,6 +134,34 @@ def test_batch_scale_out_completes_job(idp_keys, tmp_path):
     run_async(scenario())
 
 
+def test_no_batch_worker_starts_after_stop(idp_keys, tmp_path):
+    async def scenario():
+        facility, _, _ = small_facility(idp_keys, tmp_path)
+        await facility.start()
+        started = []
+        start_worker = facility.batch_sim.on_start
+        facility.batch_sim.on_start = lambda job, t: (started.append(job.handle), start_worker(job, t))
+        facility.batch_sim.delay.s0, facility.batch_sim.delay.c = 0.0, 0.5
+        token = mint_token(facility.keys.batch, "alice", "batch", exp=time.time() + 600)
+        now = facility.batch_service.clock()
+        first = facility.batch_sim.submit(JobSpec(batch_token=token), now)  # due at now + 0.5
+        second = facility.batch_sim.submit(JobSpec(batch_token=token), now)  # due at now + 1.0
+        try:
+            deadline = time.time() + 5.0
+            while facility.batch_sim.jobs[first].state != "Running" and time.time() < deadline:
+                await asyncio.sleep(0.01)
+            assert started == [first]  # a start that comes due is woken for
+        finally:
+            await facility.stop()
+        await asyncio.sleep(facility.batch_sim.jobs[second].start_at - time.time() + 0.3)
+        assert started == [first]
+        assert facility.batch_sim.jobs[second].state == "Starting"
+        assert facility._batch_procs == {}
+        assert not os.path.exists(os.path.join(facility.run_dir, f"batch-job-{second}.json"))
+
+    run_async(scenario())
+
+
 def test_two_users_two_routes_and_isolation(idp_keys, tmp_path):
     async def scenario():
         facility, dataset, epf = small_facility(idp_keys, tmp_path)

@@ -137,6 +137,37 @@ def test_kill_and_requeue_preserves_results(tmp_path):
     assert injected.finished_at > clean.finished_at
 
 
+def _batch_transitions(facility, worker_id):
+    handle = next(h for h, j in facility.batch.jobs.items() if j.spec.worker_config["worker_id"] == worker_id)
+    return [(tr.frm, tr.to, tr.t) for tr in facility.batch.transitions if tr.handle == handle]
+
+
+def test_job_promoted_when_a_worker_dies_starts(tmp_path):
+    # one slot: w0002 waits until w0001's process dies at t=4, then starts
+    # s0 + c = 3 s later, without a later submit to wake the batch system
+    cfg, ctx = small_ctx(tmp_path, slots=1)
+    job, facility = run_once(ctx, fixed_policy(2, cfg), kill_plan=[(4.0, "w0001")])
+    assert job.state == "done"
+    assert _batch_transitions(facility, "w0002")[1:3] == [("Queued", "Starting", 4.0), ("Starting", "Running", 7.0)]
+
+
+def test_job_promoted_by_a_scale_down_cancel_starts(tmp_path):
+    # one slot: at t=4 the cluster scales down to one worker by cancelling
+    # w0001, whose slot goes to w0002; nothing is submitted after that
+    cfg, ctx = small_ctx(tmp_path, slots=1)
+    facility = make_facility(ctx, fixed_policy(2, cfg))
+
+    def scale_down():
+        facility.autoscaler.policy.fixed_n = 1
+        facility.autoscaler.cancel_worker("w0001", facility.loop.now)
+
+    facility.loop.schedule_at(4.0, scale_down)
+    job = facility.run_job(BENCH_PIPELINE, ctx.dataset, cfg.chunk_size, ctx.events_per_file, max_time=1000.0)
+    assert job.state == "done"
+    assert _batch_transitions(facility, "w0002")[1:3] == [("Queued", "Starting", 4.0), ("Starting", "Running", 7.0)]
+    assert len(facility.batch.jobs) == 2
+
+
 def test_fixed_policy_replaces_dead_worker(tmp_path):
     cfg, ctx = small_ctx(tmp_path)
     job, facility = run_once(ctx, fixed_policy(2, cfg), kill_plan=[(5.0, "w0001")])
