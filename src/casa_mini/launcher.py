@@ -3,9 +3,15 @@
 One process starts every shared service: the identity broker, the SNI
 ingress, the batch system, and the data proxy with its federation origin.
 A successful login provisions that user's cluster: a dedicated scheduler
-behind mutual TLS, a warm 8-core worker already registered (first results
+behind mutual TLS, an 8-core worker already registered (first results
 without touching the batch system), and an ingress route so the cluster is
 reachable at <cluster-id>.<facility-domain> on the shared address.
+
+Every worker process, dedicated or batch, is forked by the facility's one
+zygote (`casa_mini.zygote`), which has already imported the worker, so a
+login does not wait for Python to start and numpy to import.  A worker's
+exit is reported as it happens: a batch worker that exits on its own gives
+its slot back at once.
 """
 
 from __future__ import annotations
@@ -15,8 +21,6 @@ import json
 import logging
 import os
 import secrets
-import subprocess
-import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -28,6 +32,7 @@ from .data_proxy import DataProxyServer, OriginServer
 from .ingress import SniProxy
 from .scheduler.service import SchedulerService, server_ssl_context
 from .scheduler.state import ScalePolicy
+from .zygote import WorkerProcess, Zygote, ZygoteError
 
 log = logging.getLogger(__name__)
 
@@ -35,23 +40,18 @@ DEDICATED_CORES = 8
 BATCH_CORES = 4
 REAP_TIMEOUT = 5.0
 REGISTER_TIMEOUT = 15.0  # for a dedicated worker's WorkerHello
-EXIT_POLL = 0.1  # how often batch worker processes are checked for an exit
 
 
-async def reap(proc: subprocess.Popen, timeout: float = REAP_TIMEOUT) -> int:
-    """Terminate a worker process and wait for its exit without blocking the
-    loop; kill it if it is still running after `timeout` seconds."""
-    if proc.poll() is None:
-        proc.terminate()
-    deadline = time.monotonic() + timeout
-    killed = False
-    while proc.poll() is None:
-        if not killed and time.monotonic() >= deadline:
-            log.warning("worker pid %d ignored SIGTERM for %.1f s; killing it", proc.pid, timeout)
-            proc.kill()
-            killed = True
-        await asyncio.sleep(0.02)
-    return proc.returncode
+async def reap(proc: WorkerProcess, timeout: float = REAP_TIMEOUT) -> int:
+    """Terminate a worker process and wait for its exit; kill it if it is
+    still running after `timeout` seconds."""
+    proc.terminate()
+    try:
+        return await asyncio.wait_for(proc.wait(), timeout)
+    except TimeoutError:
+        log.warning("worker pid %d ignored SIGTERM for %.1f s; killing it", proc.pid, timeout)
+        proc.kill()
+        return await proc.wait()
 
 
 @dataclass
@@ -102,7 +102,7 @@ class ClusterRecord:
     scheduler_addr: tuple[str, int]
     service: SchedulerService
     batch_client: BatchClient  # the scheduler's scale-out link to the batch service
-    dedicated_worker: subprocess.Popen | None
+    dedicated_worker: WorkerProcess | None
     created_at: float
     cred_dir: str
 
@@ -137,9 +137,10 @@ class Facility:
         self.addresses: dict[str, tuple[str, int]] = {}
         self._authd_server: asyncio.AbstractServer | None = None
         self._authd_conns = wire.ConnectionTasks()
-        self._batch_procs: dict[int, subprocess.Popen] = {}
+        self.zygote = Zygote()
+        self._batch_tasks: dict[int, asyncio.Task] = {}  # each batch job's worker, from fork to exit
+        self._batch_procs: dict[int, WorkerProcess] = {}  # batch workers forked and running
         self._tasks = wire.BackgroundTasks()
-        self._reaping: set[asyncio.Task] = set()
         self._provision_lock = asyncio.Lock()
         self._next_sched_port = cfg.scheduler_base_port
 
@@ -148,13 +149,13 @@ class Facility:
     async def start(self) -> dict:
         bind = self.cfg.bind
         os.makedirs(self.run_dir, exist_ok=True)
+        self.zygote.start()  # imports the worker while the services start
         self.addresses["origin"] = await self.origin.start(bind, self.cfg.ports.get("origin", 0))
         self.proxy = DataProxyServer(
             self.addresses["origin"], self.federation_cred, self.keys.data
         )
         self.addresses["data_proxy"] = await self.proxy.start(bind, self.cfg.ports.get("data_proxy", 0))
         self.addresses["batch"] = await self.batch_service.start(bind, self.cfg.ports.get("batch", 0))
-        self._tasks.spawn(self._watch_batch_exits())
         self.addresses["ingress"] = await self.sni.start(bind, self.cfg.ports.get("ingress", 0))
         self.addresses["ingress_admin"] = await self.sni.start_admin(
             bind, self.cfg.ports.get("ingress_admin", 0)
@@ -172,58 +173,63 @@ class Facility:
                 await self.teardown_cluster(cluster_id)
             except Exception as exc:
                 log.warning("teardown of %s during stop failed: %s", cluster_id, exc)
-        await self._tasks.close()
         await self.batch_service.close()  # no batch job starts from here on
-        procs = list(self._batch_procs.values())
-        self._batch_procs.clear()
-        await asyncio.gather(*(reap(proc) for proc in procs), *self._reaping)
+        await self._tasks.close()  # each batch job's task reaps its worker
         await self.sni.close()
         if self.proxy is not None:
             await self.proxy.close()
         await self.origin.close()
         await self._authd_conns.close(self._authd_server)
+        await self.zygote.close()  # kills any worker left, then ends and reaps the zygote
 
     # ---- batch worker processes -------------------------------------------------
 
     def _start_batch_worker(self, job, now: float) -> None:
-        config_path = os.path.join(self.run_dir, f"batch-job-{job.handle}.json")
-        with open(config_path, "w") as fh:
-            json.dump(job.spec.worker_config, fh)
-        # named like its config: worker ids repeat across clusters, handles do not
-        proc = self._spawn_worker(config_path, f"batch-job-{job.handle}")
-        self._batch_procs[job.handle] = proc
-        log.info("batch job %d started worker pid %d", job.handle, proc.pid)
+        # BatchSim calls this synchronously: the fork and the wait for the exit run as a task
+        task = self._tasks.spawn(self._run_batch_worker(job.handle, job.spec.worker_config))
+        self._batch_tasks[job.handle] = task
+        task.add_done_callback(lambda _: self._batch_tasks.pop(job.handle, None))
 
-    def _spawn_worker(self, config_path: str, log_name: str) -> subprocess.Popen:
-        """Start a worker process whose stdout and stderr go to run_dir/logs/<log_name>.log."""
+    async def _run_batch_worker(self, handle: int, worker_config: dict) -> int | None:
+        """A batch job's worker process from fork to exit; returns its exit code.
+        An exit of its own (shutdown or crash), or no process at all, gives the
+        slot back.  Cancelling the task reaps the process instead, or kills it
+        as soon as it is forked."""
+        config_path = os.path.join(self.run_dir, f"batch-job-{handle}.json")
+        try:
+            with open(config_path, "w") as fh:
+                json.dump(worker_config, fh)
+            # named like its config: worker ids repeat across clusters, handles do not
+            proc = await self._spawn_worker(config_path, f"batch-job-{handle}")
+        except (OSError, ZygoteError) as exc:
+            log.warning("batch job %d: no worker process: %s", handle, exc)
+            self.batch_sim.finish(handle, self.batch_service.clock())
+            return None
+        self._batch_procs[handle] = proc
+        log.info("batch job %d started worker pid %d", handle, proc.pid)
+        try:
+            code = await proc.wait()
+        except asyncio.CancelledError:
+            await reap(proc)
+            raise
+        finally:
+            del self._batch_procs[handle]
+        log.warning("batch job %d: worker pid %d exited with %d", handle, proc.pid, code)
+        self.batch_sim.finish(handle, self.batch_service.clock())
+        return code
+
+    async def _spawn_worker(self, config_path: str, log_name: str) -> WorkerProcess:
+        """Fork a worker process whose stdout and stderr go to run_dir/logs/<log_name>.log."""
         log_dir = os.path.join(self.run_dir, "logs")
         os.makedirs(log_dir, exist_ok=True)
-        with open(os.path.join(log_dir, f"{log_name}.log"), "ab") as out:
-            return subprocess.Popen(
-                [sys.executable, "-m", "casa_mini.worker", config_path],
-                stdout=out,
-                stderr=subprocess.STDOUT,
-            )
-
-    async def _watch_batch_exits(self) -> None:
-        """Return the slot of every batch worker process that exits on its own
-        (shutdown or crash); a cancelled job's process is no longer watched."""
-        while True:
-            await asyncio.sleep(EXIT_POLL)
-            for handle, proc in list(self._batch_procs.items()):
-                if proc.poll() is not None:
-                    del self._batch_procs[handle]
-                    log.warning("batch job %d: worker pid %d exited with %d", handle, proc.pid, proc.returncode)
-                    self.batch_sim.finish(handle, self.batch_service.clock())
+        return await self.zygote.spawn(config_path, os.path.join(log_dir, f"{log_name}.log"))
 
     def _stop_batch_worker(self, job, now: float) -> None:
-        proc = self._batch_procs.pop(job.handle, None)
-        if proc is not None:
+        task = self._batch_tasks.get(job.handle)
+        if task is not None:
             # Called synchronously from the batch service's Cancel handler;
-            # the wait runs as a task that stop() still awaits.
-            task = asyncio.get_running_loop().create_task(reap(proc))
-            self._reaping.add(task)
-            task.add_done_callback(self._reaping.discard)
+            # the task reaps the worker, and stop() still awaits it.
+            task.cancel()
 
     # ---- provisioning --------------------------------------------------------------
 
@@ -327,13 +333,13 @@ class Facility:
 
     async def _spawn_dedicated_worker(
         self, bundle: authd.CredentialBundle, cred_dir: str, service: SchedulerService
-    ) -> subprocess.Popen:
+    ) -> WorkerProcess:
         worker_id = f"{bundle.cluster_id}-dedicated"
         config = self._worker_config(bundle, cred_dir, worker_id, self.cfg.dedicated_cores)
         config_path = os.path.join(cred_dir, "dedicated-worker.json")
         with open(config_path, "w") as fh:
             json.dump(config, fh)
-        proc = self._spawn_worker(config_path, worker_id)
+        proc = await self._spawn_worker(config_path, worker_id)
         try:
             await service.wait_worker(worker_id, REGISTER_TIMEOUT)
         except TimeoutError:

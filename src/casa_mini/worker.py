@@ -1,13 +1,14 @@
 """Worker agent: joins its cluster over mTLS, executes assigned tasks.
 
-Invoked as a subprocess with one argument, the path to a JSON config (this
-is the payload a batch job carries).  Task execution runs in threads, one
-per logical core, while the control connection stays responsive for
-heartbeats.  A task's chunk reaches its pipeline through DataPath, which the
-virtual facility (`sim`) uses too: remote files come from the caching proxy
-with the worker's data token, over one kept connection per task thread, and
-the header of every file read and the compiled pipeline of every job run
-are kept.
+Runs as `main([config])` with one argument, the path to a JSON config (this
+is the payload a batch job carries): in a facility, in a process forked by
+the zygote (`casa_mini.zygote`); alone, as `python -m casa_mini.worker`.
+Task execution runs in threads, one per logical core, while the control
+connection stays responsive for heartbeats.  A task's chunk reaches its
+pipeline through DataPath, which the virtual facility (`sim`) uses too:
+remote files come from the caching proxy with the worker's data token, over
+one kept connection per task thread, and the header of every file read and
+the compiled pipeline of every job run are kept.
 """
 
 from __future__ import annotations

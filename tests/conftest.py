@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import asyncio
+import json
 import os
+import socket
 import time
 
 import pytest
 
-from casa_mini import authd
+from casa_mini import authd, certs
 from casa_mini.bench import BenchConfig, make_context
 
 
@@ -50,3 +52,35 @@ def anyio_run():
 
 def local_files_for(ctx, root: str) -> list[str]:
     return [f.replace("root://origin.sim//store/", os.path.join(root, "store") + "/") for f in ctx.dataset.files]
+
+
+@pytest.fixture()
+def silent_port():
+    """A local TCP port that takes connections into its backlog and never answers."""
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        yield sock.getsockname()[1]
+
+
+def idle_worker_config(directory, port: int) -> dict:
+    """A worker config whose ingress at `port` never answers: the worker
+    waits in its TLS handshake until it is killed."""
+    ca = certs.make_ca("idle-ca")
+    user = certs.make_user_cert(ca, "alice")
+    paths = {}
+    for name, text in (("ca", ca.cert_pem), ("cert", user.cert_pem), ("key", user.key_pem)):
+        paths[name] = os.path.join(directory, f"idle-{name}.pem")
+        with open(paths[name], "w") as fh:
+            fh.write(text)
+    return {"worker_id": "idle", "ingress": ["127.0.0.1", port], "sni": "idle.dask.local", "n_cores": 1, **paths}
+
+
+def stat_fields(pid: int) -> list[str]:
+    """/proc/<pid>/stat after the command name: state, ppid, ..."""
+    with open(f"/proc/{pid}/stat") as fh:
+        return fh.read().rsplit(")", 1)[1].split()
+
+
+def write_json(path, value) -> str:
+    with open(path, "w") as fh:
+        json.dump(value, fh)
+    return str(path)

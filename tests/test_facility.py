@@ -22,8 +22,9 @@ from casa_mini.engine.pipeline import KernelPipeline, run_pipeline
 from casa_mini.launcher import Facility, FacilityConfig, reap
 from casa_mini.tokens import mint_token
 from casa_mini.types import ColumnBatch
+from casa_mini.zygote import Zygote
 
-from .conftest import make_assertion, run_async
+from .conftest import idle_worker_config, make_assertion, run_async, stat_fields, write_json
 
 PIPELINE = [
     {"define": ["pt", "sqrt(px*px+py*py)"]},
@@ -218,7 +219,7 @@ def test_stop_reaps_dedicated_worker(idp_keys, tmp_path):
         try:
             await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
             worker = facility.clusters["alice-1"].dedicated_worker
-            assert worker.poll() is None
+            assert worker.returncode is None
         finally:
             await facility.stop()
         # returncode is set only by a wait: stop() itself reaped the process
@@ -269,22 +270,25 @@ def test_stop_after_fetch_logs_no_error(idp_keys, tmp_path, caplog):
     assert errors == [], [r.getMessage() for r in errors]
 
 
-def test_reap_kills_worker_that_ignores_sigterm():
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-c",
-            "import signal, sys, time\n"
-            "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
-            "print('ready', flush=True)\n"
-            "time.sleep(60)\n",
-        ],
-        stdout=subprocess.PIPE,
-    )
-    with proc:
-        assert proc.stdout.readline() == b"ready\n"
-        returncode = run_async(reap(proc, timeout=0.2))
+def test_reap_kills_worker_that_ignores_sigterm(tmp_path, silent_port):
+    async def scenario():
+        zygote = Zygote()
+        zygote.start()
+        try:
+            config = write_json(tmp_path / "worker.json", idle_worker_config(tmp_path, silent_port))
+            proc = await zygote.spawn(config, str(tmp_path / "worker.log"))
+            os.kill(proc.pid, signal.SIGSTOP)  # a stopped process does not act on SIGTERM
+            while stat_fields(proc.pid)[0] != "T":
+                await asyncio.sleep(0.005)
+            started = time.monotonic()
+            returncode = await reap(proc, timeout=0.2)
+            return returncode, time.monotonic() - started
+        finally:
+            await zygote.close()
+
+    returncode, elapsed = run_async(scenario())
     assert returncode == -signal.SIGKILL
+    assert elapsed >= 0.2
 
 
 def test_worker_exits_nonzero_without_scheduler(tmp_path, idp_keys):
@@ -320,17 +324,20 @@ def test_worker_exits_nonzero_without_scheduler(tmp_path, idp_keys):
 
 
 def test_worker_that_exits_on_bad_config_leaves_traceback_in_its_log(idp_keys, tmp_path):
-    facility, _, _ = small_facility(idp_keys, tmp_path)
-    os.makedirs(facility.run_dir)
-    bad = {"worker_id": "w0001", "ingress": ["127.0.0.1", 1], "sni": "x.dask.local"}  # no credentials
-    facility._start_batch_worker(SimpleNamespace(handle=7, spec=SimpleNamespace(worker_config=bad)), 0.0)
-    proc = facility._batch_procs.pop(7)
-    try:
-        assert proc.wait(timeout=30) == 1
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+    async def scenario():
+        facility, _, _ = small_facility(idp_keys, tmp_path)
+        await facility.start()
+        finished = []
+        facility.batch_sim.finish = lambda handle, now: finished.append(handle)
+        bad = {"worker_id": "w0001", "ingress": ["127.0.0.1", 1], "sni": "x.dask.local"}  # no credentials
+        try:
+            facility._start_batch_worker(SimpleNamespace(handle=7, spec=SimpleNamespace(worker_config=bad)), 0.0)
+            assert await asyncio.wait_for(facility._batch_tasks[7], 30) == 1
+            assert finished == [7]
+        finally:
+            await facility.stop()
+
+    run_async(scenario())
     text = (tmp_path / "run" / "logs" / "batch-job-7.log").read_text()
     assert "Traceback" in text and "KeyError: 'ca'" in text
 
@@ -518,7 +525,7 @@ def test_stop_after_login_and_batch_submit_logs_no_error(idp_keys, tmp_path, cap
     assert errors == [], [r.getMessage() for r in errors]
 
 
-def test_batch_worker_that_exits_returns_its_slot(idp_keys, tmp_path):
+def test_batch_worker_that_exits_returns_its_slot(idp_keys, tmp_path, silent_port):
     procs = []
 
     async def wait_for(condition, timeout=20.0):
@@ -529,15 +536,16 @@ def test_batch_worker_that_exits_returns_its_slot(idp_keys, tmp_path):
 
     async def scenario():
         facility, dataset, epf = small_facility(idp_keys, tmp_path, slot_pool=1)
-        facility.cfg.heartbeat_timeout = 120.0  # the dead worker is not replaced during the test
         sim = facility.batch_sim
-        addrs = await facility.start()
+        await facility.start()
         try:
-            reply = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
-            sc = scheduler_client(reply, write_client_creds(reply, str(tmp_path / "alice")))
-            await sc.scale_request(mode="fixed", fixed_n=3)  # the dedicated worker and two batch workers
-            await wait_for(lambda: len(sim.jobs) == 2 and min(sim.jobs) in facility._batch_procs)
-            first, second = sorted(sim.jobs)
+            # Two batch workers that never reach a scheduler, so only its exit
+            # ends each job.  (A scheduler that saw a worker's connection close
+            # would cancel its job too, and ask for a replacement.)
+            token = mint_token(facility.keys.batch, "alice", "batch", exp=time.time() + 600)
+            spec = JobSpec(worker_config=idle_worker_config(tmp_path, silent_port), batch_token=token)
+            first, second = (sim.submit(spec, facility.batch_service.clock()) for _ in range(2))
+            await wait_for(lambda: first in facility._batch_procs)
             assert sim.jobs[second].state == "Queued" and list(sim._waiting) == [second]
             assert sim.committed == 1
 
@@ -552,17 +560,10 @@ def test_batch_worker_that_exits_returns_its_slot(idp_keys, tmp_path):
             procs[1].kill()
             await wait_for(lambda: sim.jobs[second].state == "Done")
             assert sim.committed == 0 and sim.in_use == 0
-            sc.close()
         finally:
             await facility.stop()
 
-    try:
-        run_async(scenario())
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+    run_async(scenario())  # stop() reaps every worker process
     assert [proc.returncode for proc in procs] == [-signal.SIGKILL] * 2
 
 

@@ -1,0 +1,220 @@
+"""Every worker process is forked by the facility's zygote."""
+
+import asyncio
+import os
+import signal
+import time
+
+from casa_mini import client, zygote
+from casa_mini.batchsim import JobSpec
+from casa_mini.tokens import mint_token
+
+from .conftest import idle_worker_config, make_assertion, run_async, stat_fields
+from .test_facility import small_facility
+
+
+def alive(pid: int) -> bool:
+    """Neither gone nor a zombie."""
+    try:
+        return stat_fields(pid)[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def record_forks(monkeypatch) -> list:
+    """Every WorkerProcess the facility gets from its zygote, in order."""
+    forked = []
+
+    class Recorded(zygote.WorkerProcess):
+        def __init__(self, *args):
+            super().__init__(*args)
+            forked.append(self)
+
+    monkeypatch.setattr(zygote, "WorkerProcess", Recorded)
+    return forked
+
+
+async def wait_for(condition, timeout=20.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        await asyncio.sleep(0.002)
+
+
+def submit_idle_job(facility, tmp_path, port: int) -> int:
+    """A batch job, due at once, whose worker waits until it is killed."""
+    sim = facility.batch_sim
+    sim.delay.s0, sim.delay.c = 0.0, 0.0
+    token = mint_token(facility.keys.batch, "alice", "batch", exp=time.time() + 600)
+    spec = JobSpec(worker_config=idle_worker_config(tmp_path, port), batch_token=token)
+    return sim.submit(spec, facility.batch_service.clock())
+
+
+def test_dedicated_worker_is_a_child_of_the_zygote_and_clusters_share_none(idp_keys, tmp_path):
+    async def scenario():
+        facility, _, _ = small_facility(idp_keys, tmp_path)
+        addrs = await facility.start()
+        try:
+            alice = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            bob = await client.login(addrs["authd"], make_assertion(idp_keys, sub="bob"))
+            alice, bob = facility.clusters[alice["cluster_id"]], facility.clusters[bob["cluster_id"]]
+            assert alice.dedicated_worker.pid != bob.dedicated_worker.pid
+            for record in (alice, bob):
+                assert int(stat_fields(record.dedicated_worker.pid)[1]) == facility.zygote.pid
+                assert record.service.state.workers[f"{record.cluster_id}-dedicated"].arrived
+            # each cluster's worker is its own process: killing alice's leaves bob's
+            alice.dedicated_worker.kill()
+            assert await asyncio.wait_for(alice.dedicated_worker.wait(), 10) == -signal.SIGKILL
+            assert alive(bob.dedicated_worker.pid) and bob.dedicated_worker.returncode is None
+        finally:
+            await facility.stop()
+
+    run_async(scenario())
+
+
+def test_zygote_holds_no_cluster_file_and_runs_no_blas_thread(idp_keys, tmp_path):
+    async def scenario():
+        facility, _, _ = small_facility(idp_keys, tmp_path)
+        addrs = await facility.start()
+        try:
+            await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            await client.login(addrs["authd"], make_assertion(idp_keys, sub="bob"))
+            fd_dir = f"/proc/{facility.zygote.pid}/fd"
+            targets = [os.readlink(os.path.join(fd_dir, fd)) for fd in os.listdir(fd_dir)]
+            with open(f"/proc/{facility.zygote.pid}/status") as fh:
+                threads = int(fh.read().split("Threads:")[1].split()[0])
+            with open(f"/proc/{facility.zygote.pid}/environ", "rb") as fh:
+                environ = [entry.decode() for entry in fh.read().split(b"\0")]
+        finally:
+            await facility.stop()
+        return targets, threads, environ
+
+    targets, threads, environ = run_async(scenario())
+    clusters = os.path.realpath(tmp_path / "run" / "clusters")
+    assert targets and not [t for t in targets if t.startswith(clusters)], targets
+    assert threads == 1
+    # OpenBLAS stops its pool before each fork, so only the environment shows
+    # that the zygote never starts one (before its first fork) and its workers never restart one
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert f"{name}=1" in environ
+
+
+def test_sigkilled_batch_worker_returns_its_slot_within_50ms(idp_keys, tmp_path, silent_port):
+    async def scenario():
+        facility, _, _ = small_facility(idp_keys, tmp_path)
+        sim = facility.batch_sim
+        finished = {}
+        finish = sim.finish
+
+        def recording(handle, now):
+            finished[handle] = time.monotonic()
+            return finish(handle, now)
+
+        sim.finish = recording
+        await facility.start()
+        try:
+            handles = [submit_idle_job(facility, tmp_path, silent_port) for _ in range(2)]
+            await wait_for(lambda: all(h in facility._batch_procs for h in handles))
+            assert sim.committed == 2 and sim.in_use == 2
+            # the second kill comes right after the first slot came back
+            for handle in handles:
+                killed = time.monotonic()
+                facility._batch_procs[handle].kill()
+                await wait_for(lambda: handle in finished, timeout=5.0)
+                assert finished[handle] - killed <= 0.05
+                assert sim.jobs[handle].state == "Done"
+            assert sim.committed == 0 and sim.in_use == 0
+        finally:
+            await facility.stop()
+
+    run_async(scenario())
+
+
+def test_cancel_before_the_fork_reply_kills_the_worker(idp_keys, tmp_path, silent_port, monkeypatch):
+    forked = record_forks(monkeypatch)
+
+    async def scenario():
+        facility, _, _ = small_facility(idp_keys, tmp_path)
+        sim = facility.batch_sim
+        await facility.start()
+        zygote_pid = facility.zygote.pid
+        os.kill(zygote_pid, signal.SIGSTOP)  # it replies to nothing until SIGCONT
+        try:
+            handle = submit_idle_job(facility, tmp_path, silent_port)
+            await wait_for(lambda: facility.zygote._replies)  # the fork is asked for
+            assert sim.cancel(handle, facility.batch_service.clock()) == "Cancelled"
+            os.kill(zygote_pid, signal.SIGCONT)
+            await wait_for(lambda: forked)
+            assert await asyncio.wait_for(forked[0].wait(), 10) == -signal.SIGKILL
+            assert sim.committed == 0 and facility._batch_procs == {}
+        finally:
+            os.kill(zygote_pid, signal.SIGCONT)
+            await facility.stop()
+
+    run_async(scenario())
+    assert len(forked) == 1 and not alive(forked[0].pid)
+
+
+def test_stop_while_a_fork_is_in_flight_leaves_no_process(idp_keys, tmp_path, silent_port, monkeypatch):
+    forked = record_forks(monkeypatch)
+
+    async def scenario():
+        facility, _, _ = small_facility(idp_keys, tmp_path)
+        await facility.start()
+        zygote_pid = facility.zygote.pid
+        os.kill(zygote_pid, signal.SIGSTOP)
+        try:
+            submit_idle_job(facility, tmp_path, silent_port)
+            await wait_for(lambda: facility.zygote._replies)
+            stopping = asyncio.ensure_future(facility.stop())
+            await asyncio.sleep(0.1)
+            assert not stopping.done()  # it waits for the fork it asked for
+        finally:
+            os.kill(zygote_pid, signal.SIGCONT)
+        await asyncio.wait_for(stopping, 30)
+        assert facility._batch_procs == {} and facility.zygote.workers == {}
+        return zygote_pid
+
+    zygote_pid = run_async(scenario())
+    assert len(forked) == 1 and forked[0].returncode == -signal.SIGKILL
+    assert not alive(forked[0].pid)
+    assert not os.path.exists(f"/proc/{zygote_pid}")  # reaped, not only dead
+
+
+def test_zygote_death_kills_its_workers_and_the_next_login_gets_a_new_one(idp_keys, tmp_path, silent_port):
+    pids = []
+
+    async def scenario():
+        facility, _, _ = small_facility(idp_keys, tmp_path)
+        sim = facility.batch_sim
+        addrs = await facility.start()
+        try:
+            await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            dedicated = facility.clusters["alice-1"].dedicated_worker
+            handle = submit_idle_job(facility, tmp_path, silent_port)
+            await wait_for(lambda: handle in facility._batch_procs)
+            batch = facility._batch_procs[handle]
+            first = facility.zygote.pid
+            pids.extend([first, dedicated.pid, batch.pid])
+
+            os.kill(first, signal.SIGKILL)
+            for proc in (dedicated, batch):
+                assert await asyncio.wait_for(proc.wait(), 10) == -signal.SIGKILL
+                assert not alive(proc.pid)
+            await wait_for(lambda: sim.jobs[handle].state == "Done")
+            assert sim.committed == 0 and sim.in_use == 0
+            assert not os.path.exists(f"/proc/{first}")  # the facility reaped it
+
+            reply = await client.login(addrs["authd"], make_assertion(idp_keys, sub="bob"))
+            second = facility.zygote.pid
+            bob = facility.clusters[reply["cluster_id"]].dedicated_worker
+            assert second not in (None, first)
+            assert int(stat_fields(bob.pid)[1]) == second
+            pids.extend([second, bob.pid])
+        finally:
+            await facility.stop()
+
+    run_async(scenario())
+    assert len(pids) == 5
+    assert [pid for pid in pids if alive(pid)] == []
+    assert [pid for pid in (pids[0], pids[3]) if os.path.exists(f"/proc/{pid}")] == []
