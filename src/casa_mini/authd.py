@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
+import logging
 import secrets
 import time
 from dataclasses import dataclass, replace
@@ -22,6 +23,8 @@ from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec
 
 from . import certs, tokens, wire
+
+log = logging.getLogger(__name__)
 
 DEFAULT_GROUP = "cms"
 DEFAULT_TTL = 3600.0
@@ -199,7 +202,8 @@ class AuthService:
 async def serve(
     auth: AuthService, host: str, port: int, on_login=None, conns: wire.ConnectionTasks | None = None
 ) -> asyncio.AbstractServer:
-    """Framed-JSON login endpoint; on_login(bundle) may add reply fields.
+    """Framed-JSON login endpoint; on_login(bundle) may add reply fields,
+    and a login whose on_login raises gets a "provision_failed" Err reply.
 
     Its connection handlers run in `conns`, whose close(server) stops the
     endpoint and ends every open connection quietly."""
@@ -213,9 +217,13 @@ async def serve(
             return wire.err(exc.code, str(exc))
         reply = bundle.to_wire()
         if on_login is not None:
-            extra = on_login(bundle)
-            if asyncio.iscoroutine(extra):
-                extra = await extra
+            try:
+                extra = on_login(bundle)
+                if asyncio.iscoroutine(extra):
+                    extra = await extra
+            except Exception as exc:
+                log.warning("login of %s: provisioning failed: %s", bundle.subject, exc, exc_info=True)
+                return wire.err("provision_failed", str(exc))
             reply.update(extra or {})
         return wire.ok(reply)
 

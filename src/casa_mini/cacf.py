@@ -7,12 +7,14 @@ Layout (little-endian):
     then, per column in header order: n_events x f64 payload
 
 Readers go through a byte-range source so the same parsing code serves local
-files and the caching data proxy.
+files and the caching data proxy; a local file's reader reads one descriptor.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -73,11 +75,12 @@ RangeReader = Callable[[int, int], bytes]
 
 
 def local_range_reader(path: str) -> RangeReader:
-    def read(offset: int, length: int) -> bytes:
-        with open(path, "rb") as fh:
-            fh.seek(offset)
-            return fh.read(length)
+    fd = os.open(path, os.O_RDONLY)  # closed once the reader is garbage, so never under a read
 
+    def read(offset: int, length: int) -> bytes:
+        return os.pread(fd, length, offset)
+
+    weakref.finalize(read, os.close, fd)
     return read
 
 
@@ -113,7 +116,7 @@ def read_header(read: RangeReader) -> CacfHeader:
         buf = _read_through(read, buf, offset + 2)
         (name_len,) = struct.unpack_from("<H", buf, offset)
         buf = _read_through(read, buf, offset + 2 + name_len)
-        names.append(buf[offset + 2 : offset + 2 + name_len].decode("utf-8"))
+        names.append(check_column_name(buf[offset + 2 : offset + 2 + name_len].decode("utf-8")))
         offset += 2 + name_len
     return CacfHeader(n_events=n_events, columns=tuple(names), payload_offset=offset)
 
@@ -153,7 +156,7 @@ def read_chunk(
         if len(raw) != chunk.len * 8:
             raise CacfError(f"short read for column {name}")
         columns[name] = np.frombuffer(raw, dtype="<f8")
-    return ColumnBatch(columns, origin=(chunk.file, chunk.start))
+    return ColumnBatch.trusted(columns, chunk.len, origin=(chunk.file, chunk.start))  # read_header checked names
 
 
 def read_chunk_path(path: str, chunk: FileChunk, wanted: Sequence[str]) -> ColumnBatch:
@@ -162,11 +165,11 @@ def read_chunk_path(path: str, chunk: FileChunk, wanted: Sequence[str]) -> Colum
 
 def read_columns_path(path: str) -> ColumnBatch:
     """Whole-file read of every column (test and oracle helper)."""
-    hdr = read_header_path(path)
-    chunk = FileChunk(file=path, start=0, len=max(hdr.n_events, 1), chunk_id=0)
+    read = local_range_reader(path)
+    hdr = read_header(read)
     if hdr.n_events == 0:
         return ColumnBatch({name: np.empty(0) for name in hdr.columns}, origin=(path, 0))
-    return read_chunk(local_range_reader(path), chunk, hdr.columns, header=hdr)
+    return read_chunk(read, FileChunk(file=path, start=0, len=hdr.n_events, chunk_id=0), hdr.columns, header=hdr)
 
 
 def plan_chunks(

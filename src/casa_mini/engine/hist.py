@@ -7,7 +7,7 @@ fill_counts, fills every histogram with a single bincount.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,10 +20,10 @@ def fill_counts(values: np.ndarray, n_bins: int, lo: float, hi: float):
     """(counts, underflow, overflow) of f64 values; lo < hi and n_bins >= 1.
 
     One bincount over n_bins + 2 slots: slot 0 is underflow, slot b + 1 is
-    bin b, slot n_bins + 1 is overflow.
+    bin b, slot n_bins + 1 is overflow.  Call it under np.errstate(all="ignore"):
+    v far outside [lo, hi) may overflow to inf.
     """
-    with np.errstate(all="ignore"):  # v far outside [lo, hi) may overflow to inf
-        slot = np.floor((values - lo) / (hi - lo) * n_bins)
+    slot = np.floor((values - lo) / (hi - lo) * n_bins)
     # guard against float rounding landing exactly on n_bins for v just below hi
     np.minimum(slot, n_bins - 1, out=slot)
     slot += 1
@@ -59,17 +59,19 @@ class Histogram:
     def spec(self) -> tuple:
         return (self.name, self.n_bins, self.lo, self.hi)
 
+    def check_spec(self, other: "Histogram") -> None:
+        if self.spec() != other.spec():
+            raise HistError(f"histogram spec mismatch: {self.spec()} vs {other.spec()}")
+
+    def add(self, other: "Histogram") -> None:
+        """Merge other, which has passed check_spec, into this histogram in place."""
+        self.counts += other.counts
+        self.underflow += other.underflow
+        self.overflow += other.overflow
+        self.n_filled += other.n_filled
+
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_bins": self.n_bins,
-            "lo": self.lo,
-            "hi": self.hi,
-            "counts": [int(c) for c in self.counts],
-            "underflow": self.underflow,
-            "overflow": self.overflow,
-            "n_filled": self.n_filled,
-        }
+        return {**vars(self), "counts": self.counts.tolist()}  # keys in field order
 
     @classmethod
     def from_dict(cls, d: dict) -> "Histogram":
@@ -86,23 +88,14 @@ class Histogram:
 
 
 def fill_histogram(values: np.ndarray, name: str, n_bins: int, lo: float, hi: float) -> Histogram:
-    h = Histogram(name=name, n_bins=n_bins, lo=lo, hi=hi)
-    values = np.asarray(values, dtype=np.float64)
-    h.counts, h.underflow, h.overflow = fill_counts(values, n_bins, lo, hi)
-    h.n_filled = values.shape[0]
+    h = Histogram(name=name, n_bins=n_bins, lo=lo, hi=hi, n_filled=len(values))
+    with np.errstate(all="ignore"):
+        h.counts, h.underflow, h.overflow = fill_counts(np.asarray(values, dtype=np.float64), n_bins, lo, hi)
     return h
 
 
 def merge_histograms(a: Histogram, b: Histogram) -> Histogram:
-    if a.spec() != b.spec():
-        raise HistError(f"histogram spec mismatch: {a.spec()} vs {b.spec()}")
-    return Histogram(
-        name=a.name,
-        n_bins=a.n_bins,
-        lo=a.lo,
-        hi=a.hi,
-        counts=a.counts + b.counts,
-        underflow=a.underflow + b.underflow,
-        overflow=a.overflow + b.overflow,
-        n_filled=a.n_filled + b.n_filled,
-    )
+    a.check_spec(b)
+    merged = replace(a, counts=a.counts.copy())
+    merged.add(b)
+    return merged

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..types import ColumnBatch
 from .expr import Expr, ExprError, broadcast, compile_number, compile_truth, needed_columns, parse_expr
-from .hist import Histogram, fill_histogram
+from .hist import Histogram, fill_counts
 
 
 class PipelineError(ValueError):
@@ -151,15 +151,7 @@ class TaskResult:
             raise ValueError("n_events_pass exceeds n_events_in")
 
     def to_dict(self) -> dict:
-        return {
-            "chunk_id": self.chunk_id,
-            "n_events_in": self.n_events_in,
-            "n_events_pass": self.n_events_pass,
-            "histograms": [h.to_dict() for h in self.histograms],
-            "worker_id": self.worker_id,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-        }
+        return {**vars(self), "histograms": [h.to_dict() for h in self.histograms]}  # keys in field order
 
     @classmethod
     def from_dict(cls, d: dict) -> "TaskResult":
@@ -194,8 +186,8 @@ def run_pipeline(batch: ColumnBatch, pipeline: KernelPipeline, chunk_id: int = 0
                     columns = {name: columns[name].take(rows) for name in keep if name in columns}
                     n_rows = rows.shape[0]
                 else:
-                    values = broadcast(evaluate(columns), n_rows)
-                    histograms.append(fill_histogram(values, step.name, step.n_bins, step.lo, step.hi))
+                    counts = fill_counts(broadcast(evaluate(columns), n_rows), step.n_bins, step.lo, step.hi)
+                    histograms.append(Histogram(step.name, step.n_bins, step.lo, step.hi, *counts, n_filled=n_rows))
             except (ExprError, PipelineError) as exc:
                 raise PipelineError(str(exc), step=i) from exc
     return TaskResult(

@@ -17,6 +17,7 @@ its slot back at once.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import logging
 import os
@@ -271,12 +272,14 @@ class Facility:
         }
 
     async def provision_cluster(self, bundle: authd.CredentialBundle) -> ClusterRecord:
-        async with self._provision_lock:
+        async with self._provision_lock, contextlib.AsyncExitStack() as undo:
             existing = self.clusters.get(bundle.cluster_id)
             if existing is not None:
                 return existing
+            # until the cluster is provisioned, a failure undoes every step taken
             cred_dir = self._write_creds(bundle)
             batch_client = BatchClient(self.addresses["batch"])
+            undo.callback(batch_client.close)
 
             async def scale_submit(worker_id: str, n_cores: int) -> int:
                 spec = JobSpec(
@@ -306,10 +309,13 @@ class Facility:
             if self._next_sched_port:
                 port = self._next_sched_port
                 self._next_sched_port += 1
+            undo.push_async_callback(service.close)
             sched_addr = await service.start(self.cfg.bind, port, ssl_ctx)
             self.sni.routes.register(bundle.sni_hostname, sched_addr)
+            undo.callback(self.sni.routes.remove, bundle.sni_hostname)
 
             dedicated = await self._spawn_dedicated_worker(bundle, cred_dir, service)
+            undo.pop_all()  # provisioned: teardown_cluster releases it all from here on
             record = ClusterRecord(
                 cluster_id=bundle.cluster_id,
                 subject=bundle.subject,
@@ -334,18 +340,30 @@ class Facility:
     async def _spawn_dedicated_worker(
         self, bundle: authd.CredentialBundle, cred_dir: str, service: SchedulerService
     ) -> WorkerProcess:
+        """Fork the cluster's dedicated worker and wait until it registers.
+        A worker that exits first fails the provisioning at once, one that
+        has not registered after REGISTER_TIMEOUT fails it then."""
         worker_id = f"{bundle.cluster_id}-dedicated"
         config = self._worker_config(bundle, cred_dir, worker_id, self.cfg.dedicated_cores)
         config_path = os.path.join(cred_dir, "dedicated-worker.json")
         with open(config_path, "w") as fh:
             json.dump(config, fh)
         proc = await self._spawn_worker(config_path, worker_id)
+        registered = asyncio.ensure_future(service.wait_worker(worker_id, REGISTER_TIMEOUT))
+        exited = asyncio.ensure_future(proc.wait())
         try:
-            await service.wait_worker(worker_id, REGISTER_TIMEOUT)
-        except TimeoutError:
+            await asyncio.wait([registered, exited], return_when=asyncio.FIRST_COMPLETED)
+            if registered.done() and registered.exception() is None:
+                return proc
+            why = "did not register" if proc.returncode is None else f"exited with code {proc.returncode}"
+        except BaseException:
             await reap(proc)
-            raise RuntimeError(f"dedicated worker for {bundle.cluster_id} did not register") from None
-        return proc
+            raise
+        finally:
+            registered.cancel()
+            exited.cancel()
+        await reap(proc)
+        raise RuntimeError(f"dedicated worker for {bundle.cluster_id} {why}")
 
     async def teardown_cluster(self, cluster_id: str) -> dict:
         record = self.clusters.pop(cluster_id, None)

@@ -25,10 +25,9 @@ import heapq
 import io
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..cacf import plan_chunks
-from ..engine.hist import Histogram, merge_histograms
 from ..engine.pipeline import KernelPipeline, TaskResult
 from ..types import DatasetSpec, FileChunk, TaskSpec
 
@@ -368,6 +367,8 @@ class ClusterState:
             raise SchedulerError(
                 f"chunk {chunk_id} of {job_id} is not assigned to worker {worker_id!r}"
             )
+        for h in result.histograms:  # before any change, so a mismatch changes nothing
+            job.merged.get(h.name, h).check_spec(h)
         del job.assigned[chunk_id]
         self._n_assigned -= 1
         job.done.add(chunk_id)
@@ -375,9 +376,9 @@ class ClusterState:
         job.n_events_pass += result.n_events_pass
         for h in result.histograms:
             if h.name in job.merged:
-                job.merged[h.name] = merge_histograms(job.merged[h.name], h)
-            else:
-                job.merged[h.name] = h
+                job.merged[h.name].add(h)
+            else:  # the job's own copy, which later results are added into
+                job.merged[h.name] = replace(h, counts=h.counts.copy())
         self._release(worker_id, job_id, chunk_id, now)
         self.events.append(TaskStreamEvent("TaskEnd", worker_id, chunk_id, now, job_id))
         if not job.queued and not job.assigned and job.finished_at is None and not job.failed:

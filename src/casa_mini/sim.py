@@ -93,7 +93,6 @@ class VirtualFacility:
         batch_key: bytes | None = None,
     ):
         self.loop = VirtualLoop()
-        self.proxy = proxy
         self.batch_token = batch_token
         self.params = params or SimParams()
         self.state = ClusterState()
@@ -106,9 +105,7 @@ class VirtualFacility:
         self.batch.wake = lambda t: self.loop.schedule_at(t, lambda: self.batch.advance(t))
         self.autoscaler = Autoscaler(self.state, policy, self._request_workers, self._cancel_worker)
         self.sim_workers: dict[str, _SimWorker] = {}
-        # the live worker's data path; self.proxy.range_reader is looked up
-        # on each task, so a proxy patched after construction is the one read
-        self.data = DataPath(lambda path, token: self.proxy.range_reader(path, token), data_token)
+        self.data = DataPath(proxy.range_reader, data_token)  # the live worker's data path
         self._kill_plan: list[tuple[float, str]] = []
 
     # ---- batch plumbing ----------------------------------------------------
@@ -223,5 +220,8 @@ class VirtualFacility:
         for t, worker_id in sorted(self._kill_plan):
             self.loop.schedule_at(t, lambda w=worker_id: self._kill(w, self.loop.now))
         self.loop.schedule_at(self.loop.now, self._tick)
-        self.loop.run(max_time=max_time)
+        try:
+            self.loop.run(max_time=max_time)
+        finally:
+            self.data.close()
         return self.state.jobs[job_id]

@@ -54,6 +54,13 @@ class ColumnBatch:
         self.n_events = max(n_events, 0)
         self.origin = origin
 
+    @classmethod
+    def trusted(cls, columns: dict[str, np.ndarray], n_events: int, origin: tuple[str, int]) -> "ColumnBatch":
+        """Columns already as __init__ makes them: good names, read-only f64 vectors of n_events."""
+        batch = cls.__new__(cls)
+        batch.columns, batch.n_events, batch.origin = columns, n_events, origin
+        return batch
+
     def __getitem__(self, name: str) -> np.ndarray:
         return self.columns[name]
 

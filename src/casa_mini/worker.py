@@ -7,8 +7,8 @@ Task execution runs in threads, one per logical core, while the control
 connection stays responsive for heartbeats.  A task's chunk reaches its
 pipeline through DataPath, which the virtual facility (`sim`) uses too:
 remote files come from the caching proxy with the worker's data token, over
-one kept connection per task thread, and the header of every file read and
-the compiled pipeline of every job run are kept.
+one kept connection per task thread; the reader and header of every file
+read and the compiled pipeline of every job run are kept while it runs.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import resource
 import ssl
 import sys
 import threading
@@ -34,7 +35,10 @@ log = logging.getLogger(__name__)
 
 RETRIES = 3
 RETRY_DELAY = 0.5
-HEADER_CACHE_FILES = 4096  # headers a worker keeps, least recently used dropped first
+# Files (reader and header) a worker keeps, least recently used dropped first; a local
+# file's reader holds a descriptor, so they take at most a quarter of the process's limit.
+_NOFILE = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+HEADER_CACHE_FILES = 4096 if _NOFILE == resource.RLIM_INFINITY else min(4096, _NOFILE // 4)
 PIPELINE_CACHE_JOBS = 64  # compiled job pipelines a worker keeps, likewise
 HEARTBEAT_INTERVAL = 2.0
 
@@ -68,19 +72,19 @@ class DataPath:
 
     A root:// chunk is read through `remote(path, token)` with the data
     token; with no `remote`, it is refused rather than looked for on local
-    disk.  A local path is read from local disk.  The CACF header of every
-    file read is kept (dataset files are immutable, as the proxy's block
-    cache also assumes), at most HEADER_CACHE_FILES of them.  Each job's
-    pipeline is parsed and compiled once and kept by job_id (job ids are
-    unique within the one cluster a DataPath serves), at most
-    PIPELINE_CACHE_JOBS of them.
+    disk.  A local path is read from local disk.  Each file's reader (a local
+    one holds the file's descriptor until no task reads through it) and CACF
+    header are kept, at most HEADER_CACHE_FILES of them: dataset files are
+    immutable, as the proxy's block cache also assumes.  Each job's pipeline
+    is parsed and compiled once and kept by job_id (unique within the one
+    cluster a DataPath serves), at most PIPELINE_CACHE_JOBS of them.
     """
 
     def __init__(self, remote: Callable[[str, str], cacf.RangeReader] | None, token: str = ""):
         self.remote = remote
         self.token = token
         self._lock = threading.Lock()
-        self._headers: OrderedDict[str, cacf.CacfHeader] = OrderedDict()
+        self._files: OrderedDict[str, tuple[cacf.RangeReader, cacf.CacfHeader]] = OrderedDict()
         self._pipelines: OrderedDict[str, KernelPipeline] = OrderedDict()
 
     def reader(self, url: str) -> cacf.RangeReader:
@@ -92,13 +96,13 @@ class DataPath:
         return self.remote(remote.path, self.token)
 
     def _cached(self, cache: OrderedDict, key: str, make, limit: int):
-        """cache[key], made by make() on a miss; least recently used dropped past limit."""
+        """cache[key], made by make(key) on a miss; least recently used dropped past limit."""
         with self._lock:
             value = cache.get(key)
             if value is not None:
                 cache.move_to_end(key)
                 return value
-        value = make()
+        value = make(key)
         with self._lock:
             cache[key] = value
             if len(cache) > limit:
@@ -108,11 +112,18 @@ class DataPath:
     def load(self, spec: TaskSpec) -> tuple[KernelPipeline, ColumnBatch]:
         """The task's compiled pipeline and the chunk columns it reads."""
         pipeline = self._cached(
-            self._pipelines, spec.job_id, lambda: KernelPipeline.from_json(list(spec.pipeline)), PIPELINE_CACHE_JOBS
+            self._pipelines, spec.job_id, lambda _: KernelPipeline.from_json(list(spec.pipeline)), PIPELINE_CACHE_JOBS
         )
-        read = self.reader(spec.chunk.file)
-        header = self._cached(self._headers, spec.chunk.file, lambda: cacf.read_header(read), HEADER_CACHE_FILES)
+        read, header = self._cached(self._files, spec.chunk.file, self._open, HEADER_CACHE_FILES)
         return pipeline, cacf.read_chunk(read, spec.chunk, sorted(pipeline.input_columns()), header=header)
+
+    def _open(self, url: str) -> tuple[cacf.RangeReader, cacf.CacfHeader]:
+        read = self.reader(url)
+        return read, cacf.read_header(read)
+
+    def close(self) -> None:
+        """Drop every kept file, which a task still reading it closes when done."""
+        self._files = OrderedDict()  # a _cached call in flight keeps the old map
 
 
 def execute_task(spec: TaskSpec, data: DataPath, worker_id: str):
@@ -189,6 +200,7 @@ class WorkerAgent:
             return await self._serve()
         finally:
             await self._tasks.close()
+            self._data.close()
             if self._proxy is not None:
                 self._proxy.close()
             self._pool.shutdown(wait=False, cancel_futures=True)

@@ -55,6 +55,15 @@ def local_files_for(ctx, root: str) -> list[str]:
 
 
 @pytest.fixture()
+def opened_paths(monkeypatch) -> list[str]:
+    """Every path os.open is asked to open while the test runs."""
+    opened: list[str] = []
+    real_open = os.open
+    monkeypatch.setattr(os, "open", lambda path, *args, **kw: opened.append(str(path)) or real_open(path, *args, **kw))
+    return opened
+
+
+@pytest.fixture()
 def silent_port():
     """A local TCP port that takes connections into its backlog and never answers."""
     with socket.create_server(("127.0.0.1", 0)) as sock:

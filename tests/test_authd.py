@@ -290,3 +290,25 @@ def test_oversize_frame_closes_connection(auth):
         await server.wait_closed()
 
     asyncio.run(scenario())
+
+
+def test_login_whose_provisioning_fails_gets_an_err_reply(idp, auth):
+    import asyncio
+
+    from casa_mini import client, wire
+
+    async def on_login(bundle):
+        raise RuntimeError(f"no cluster for {bundle.cluster_id}")
+
+    async def scenario():
+        server = await authd.serve(auth, "127.0.0.1", 0, on_login=on_login)
+        try:
+            with pytest.raises(wire.RequestError) as failed:
+                await client.login(server.sockets[0].getsockname()[:2], make_assertion(idp, sub="frank"))
+        finally:
+            server.close()
+            await server.wait_closed()
+        return failed.value
+
+    failed = asyncio.run(scenario())
+    assert (failed.code, failed.message) == ("provision_failed", "no cluster for frank-1")

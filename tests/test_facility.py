@@ -8,6 +8,7 @@ import ssl
 import struct
 import subprocess
 import sys
+import threading
 import time
 from types import SimpleNamespace
 
@@ -108,6 +109,39 @@ def test_login_provision_and_dedicated_worker(idp_keys, tmp_path):
             sc.close()
         finally:
             await facility.stop()
+
+    run_async(scenario())
+
+
+def test_login_whose_dedicated_worker_dies_fails_at_once_and_leaves_nothing(idp_keys, tmp_path):
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        sched_port = sock.getsockname()[1]  # free again, for the cluster's scheduler
+
+    async def refused() -> bool:
+        try:
+            _, writer = await asyncio.open_connection("127.0.0.1", sched_port)
+        except ConnectionRefusedError:
+            return True
+        writer.close()
+        return False
+
+    async def scenario():
+        # a worker config with 0 cores makes the dedicated worker exit before it registers
+        facility, _, _ = small_facility(idp_keys, tmp_path, dedicated_cores=0, scheduler_base_port=sched_port)
+        addrs = await facility.start()
+        try:
+            start = time.monotonic()
+            with pytest.raises(wire.RequestError) as failed:
+                await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            assert time.monotonic() - start < 2.0  # not REGISTER_TIMEOUT
+            assert failed.value.code == "provision_failed"
+            assert "dedicated worker for alice-1 exited with code 1" in failed.value.message
+            assert facility.clusters == {} and len(facility.sni.routes) == 0
+            assert await refused()
+        finally:
+            await facility.stop()
+        assert len(facility.sni.routes) == 0
+        assert await refused()
 
     run_async(scenario())
 
@@ -463,15 +497,97 @@ def test_worker_header_cache_is_bounded(tmp_path, monkeypatch):
         spec = TaskSpec(job_id="job-1", chunk=FileChunk(file=path, start=0, len=10, chunk_id=i), pipeline=tuple(PIPELINE))
         assert worker.execute_task(spec, data, "w1").n_events_in == 10
     assert len(header_reads) == 3  # b pushed a out
-    assert list(data._headers) == [paths[0]]
+    assert list(data._files) == [paths[0]]
 
 
-def test_remote_chunk_without_a_proxy_fails_its_task(monkeypatch):
+def test_data_path_opens_each_local_file_once(tmp_path, opened_paths):
     from casa_mini import worker
     from casa_mini.types import FileChunk, TaskSpec
 
-    opened = []
-    monkeypatch.setattr(cacf, "local_range_reader", lambda path: opened.append(path))
+    paths = []
+    for name in ("a", "b"):
+        paths.append(str(tmp_path / f"{name}.cacf"))
+        cacf.write_dataset_file({"px": np.arange(100.0), "py": np.ones(100)}, paths[-1])
+    data = worker.DataPath(None)
+    for i in range(20):
+        chunk = FileChunk(file=paths[i % 2], start=10 * (i // 2), len=10, chunk_id=i)
+        spec = TaskSpec(job_id="job-1", chunk=chunk, pipeline=tuple(PIPELINE))
+        assert worker.execute_task(spec, data, "w1").n_events_in == 10
+    assert opened_paths == paths
+
+
+def test_kept_files_stay_within_the_descriptor_limit(tmp_path):
+    """120 local files through one DataPath in a process allowed 64 descriptors."""
+    script = f"""
+import resource
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+import numpy as np
+from casa_mini import cacf, worker
+from casa_mini.types import FileChunk, TaskSpec
+data = worker.DataPath(None)
+for i in range(120):
+    path = {str(tmp_path)!r} + f"/f{{i}}.cacf"
+    cacf.write_dataset_file({{"px": np.arange(10.0), "py": np.ones(10)}}, path)
+    spec = TaskSpec("job-1", FileChunk(path, 0, 10, i), tuple({PIPELINE!r}))
+    assert worker.execute_task(spec, data, "w1").n_events_in == 10
+print(len(data._files), worker.HEADER_CACHE_FILES)
+"""
+    src = os.path.dirname(os.path.dirname(cacf.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in [src, os.environ.get("PYTHONPATH")] if p)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["16", "16"]
+
+
+def test_evicted_file_stays_open_for_a_read_in_flight(tmp_path, monkeypatch):
+    """Task thread 1 has file a's reader when task thread 2 pushes a out of
+    a one-file cache; thread 1's read still gets a's bytes."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from casa_mini import worker
+    from casa_mini.types import FileChunk, TaskSpec
+
+    columns = {"a": {"px": np.arange(40.0), "py": np.ones(40)}, "b": {"px": np.arange(40.0) + 25, "py": np.ones(40)}}
+    paths = {}
+    for name, cols in columns.items():
+        paths[name] = str(tmp_path / f"{name}.cacf")
+        cacf.write_dataset_file(cols, paths[name])
+    monkeypatch.setattr(worker, "HEADER_CACHE_FILES", 1)
+    read_chunk = cacf.read_chunk
+    a_may_read = threading.Event()
+
+    def gated_read_chunk(read, chunk, wanted, header=None):
+        if chunk.file == paths["a"] and chunk.start == 0:
+            assert a_may_read.wait(10)
+        return read_chunk(read, chunk, wanted, header=header)
+
+    monkeypatch.setattr(cacf, "read_chunk", gated_read_chunk)
+    data = worker.DataPath(None)
+    pipeline = KernelPipeline.from_json(PIPELINE)
+
+    def task(name: str, start: int):
+        spec = TaskSpec(job_id="j", chunk=FileChunk(file=paths[name], start=start, len=20, chunk_id=0), pipeline=tuple(PIPELINE))
+        got = worker.execute_task(spec, data, "w1")
+        want = run_pipeline(ColumnBatch({n: v[start : start + 20] for n, v in columns[name].items()}), pipeline)
+        assert [h.to_dict() for h in got.histograms] == [h.to_dict() for h in want.histograms]
+
+    with ThreadPoolExecutor(2) as pool:
+        first = pool.submit(task, "a", 0)  # opens a, then waits to read it
+        deadline = time.monotonic() + 10
+        while paths["a"] not in data._files and time.monotonic() < deadline:
+            time.sleep(0.001)
+        pool.submit(task, "b", 0).result()  # b pushes a out
+        for name, start in [("a", 20), ("b", 20)]:  # and the two files keep trading places
+            pool.submit(task, name, start).result()
+        assert list(data._files) == [paths["b"]]
+        a_may_read.set()
+        first.result(timeout=10)
+
+
+def test_remote_chunk_without_a_proxy_fails_its_task(opened_paths):
+    from casa_mini import worker
+    from casa_mini.types import FileChunk, TaskSpec
+
     cfg = worker.WorkerConfig({"ingress": ["127.0.0.1", 1], "sni": "x", "ca": "c", "cert": "c", "key": "k"})
     agent = worker.WorkerAgent(cfg)  # no "proxy" in its config
     sent = []
@@ -486,9 +602,10 @@ def test_remote_chunk_without_a_proxy_fails_its_task(monkeypatch):
         run_async(agent._run_task(spec.to_dict()))
     finally:
         agent._pool.shutdown()
+    # not read as /store/d/f.cacf from the worker's own disk
+    assert [path for path in opened_paths if path.endswith(".cacf")] == []
     assert [msg.kind for msg in sent] == ["TaskFailed"]
     assert url in sent[0].body["reason"]
-    assert opened == []  # not read as /store/d/f.cacf from the worker's own disk
 
 
 def test_stop_after_login_and_batch_submit_logs_no_error(idp_keys, tmp_path, caplog):

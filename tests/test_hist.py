@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,7 +165,8 @@ def edge_case_fills(draw):
 @example(case=(np.array([np.nextafter(-50.6903740838365, -math.inf)]), 55, -460.4265724722594, -50.6903740838365))
 def test_fill_counts_matches_reference_kernel(case):
     values, n_bins, lo, hi = case
-    counts, under, over = fill_counts(values, n_bins, lo, hi)
+    with np.errstate(all="ignore"):  # as fill_counts asks of its caller
+        counts, under, over = fill_counts(values, n_bins, lo, hi)
     ref_counts, ref_under, ref_over = _reference_fill_counts(values, n_bins, lo, hi)
     assert counts.dtype == ref_counts.dtype and np.array_equal(counts, ref_counts)
     assert (under, over) == (ref_under, ref_over)
@@ -175,3 +177,24 @@ def test_negative_denormal_underflows_at_lo_zero():
     # (v - lo) / (hi - lo) * n_bins rounds to -0.0, which must not land in bin 0
     h = fill_histogram(np.array([-5e-324, -0.0]), "h", 60, 0.0, 300.0)
     assert h.underflow == 1 and h.counts[0] == 1 and h.overflow == 0
+
+
+def test_fill_histogram_alone_warns_of_nothing():
+    values = np.array([1e308, -1e308, math.nan, -5e-324])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            fill_counts(values, 4, 0.0, 1.0)  # the kernel leaves errstate to its caller
+        h = fill_histogram(values, "h", 4, 0.0, 1.0)
+    assert (h.underflow, h.overflow, int(h.counts.sum()), h.n_filled) == (2, 2, 0, 4)
+
+
+def test_add_merges_in_place_and_merge_leaves_its_inputs():
+    a = fill_histogram(np.array([1.0, 3.0, -1.0]), "h", 2, 0.0, 4.0)
+    b = fill_histogram(np.array([3.5, 9.0]), "h", 2, 0.0, 4.0)
+    m = merge_histograms(a, b)
+    assert (list(a.counts), a.n_filled, list(b.counts), b.n_filled) == ([1, 1], 3, [0, 1], 2)
+    counts = a.counts
+    a.add(b)
+    assert a.counts is counts and a.to_dict() == m.to_dict()
+    assert (list(a.counts), a.underflow, a.overflow, a.n_filled) == ([1, 2], 1, 1, 5)

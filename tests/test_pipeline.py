@@ -24,6 +24,24 @@ def test_run_pipeline_hand_example():
     assert result.histograms[0].n_filled == result.n_events_pass
 
 
+def test_one_errstate_per_task(monkeypatch):
+    entered = []
+
+    class CountingErrstate(np.errstate):
+        def __enter__(self):
+            entered.append(1)
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", CountingErrstate)
+    pipeline = KernelPipeline.from_json(
+        [{"hist": ["h_px", "px", 4, 0, 1]}, {"filter": "py > 0"}, {"hist": ["h_py", "py", 4, 0, 1]}]
+    )
+    batch = ColumnBatch({"px": np.array([1e308, -1e308, 0.5]), "py": np.array([1.0, 0.5, -1.0])})
+    result = run_pipeline(batch, pipeline)
+    assert len(entered) == 1  # run_pipeline's own, not one more per histogram
+    assert [(h.underflow, h.overflow) for h in result.histograms] == [(1, 1), (0, 1)]
+
+
 def test_empty_batch():
     batch = ColumnBatch({"px": np.empty(0), "py": np.empty(0)})
     result = run_pipeline(batch, KernelPipeline.from_json(PIPELINE_JSON))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casa_mini.engine.hist import Histogram
+from casa_mini.engine.hist import HistError, Histogram
 from casa_mini.engine.pipeline import TaskResult
 from casa_mini.scheduler.state import (
     Autoscaler,
@@ -109,6 +109,41 @@ def test_complete_flow_and_merge():
     job = state.jobs[job_id]
     assert job.finished_at == 2.0
     assert list(job.merged["h"].counts) == [5, 10]
+
+
+def test_completions_merge_into_the_jobs_own_copy():
+    state = ClusterState()
+    job_id = _submit(state, chunk_size=100, n_files=2)  # 2 chunks
+    state.worker_arrived("w1", "alice", 0.0)
+    state.schedule_step(0.0)
+    first, second = _result(0, n=100, counts=(1, 2)), _result(1, n=100, counts=(4, 8))
+    state.complete_task("w1", job_id, 0, first, 1.0)
+    merged = state.jobs[job_id].merged["h"]
+    assert merged is not first.histograms[0]
+    state.complete_task("w1", job_id, 1, second, 2.0)
+    assert state.jobs[job_id].merged["h"] is merged  # added into, not rebuilt
+    assert (list(merged.counts), merged.n_filled) == ([5, 10], 15)
+    assert list(first.histograms[0].counts) == [1, 2] and list(second.histograms[0].counts) == [4, 8]
+
+
+def test_mismatched_histogram_spec_changes_nothing():
+    state = ClusterState()
+    job_id = _submit(state, chunk_size=100, n_files=2)  # 2 chunks
+    state.worker_arrived("w1", "alice", 0.0)
+    state.schedule_step(0.0)
+
+    def result(chunk_id, g_bins):
+        r = _result(chunk_id, n=100, counts=(1, 2))
+        r.histograms.append(Histogram(name="g", n_bins=g_bins, lo=0.0, hi=10.0))
+        return r
+
+    state.complete_task("w1", job_id, 0, result(0, 2), 1.0)
+    job = state.jobs[job_id]
+    before = {name: h.to_dict() for name, h in job.merged.items()}
+    with pytest.raises(HistError, match="spec mismatch"):
+        state.complete_task("w1", job_id, 1, result(1, 3), 2.0)  # "h" matches, "g" does not
+    assert {name: h.to_dict() for name, h in job.merged.items()} == before
+    assert (job.done, job.assigned, job.n_events_in) == ({0}, {1: "w1"}, 100)
 
 
 def test_duplicate_completion_idempotent():

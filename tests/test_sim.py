@@ -1,6 +1,7 @@
 import asyncio
 import csv
 import io
+import os
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from casa_mini.bench import BENCH_PIPELINE, BenchConfig, fixed_policy, make_cont
 from casa_mini.data_proxy import DataProxyServer, OriginServer, ProxyClient
 from casa_mini.scheduler.state import events_to_csv
 from casa_mini.sim import VirtualLoop
-from casa_mini.types import FileChunk, TaskSpec
+from casa_mini.types import DatasetSpec, FileChunk, TaskSpec
 from casa_mini.worker import DataPath, execute_task
 
-from .conftest import run_async
+from .conftest import local_files_for, run_async
 
 
 def small_ctx(tmp_path, **overrides):
@@ -54,6 +55,30 @@ def test_one_header_read_per_file(tmp_path, monkeypatch):
     assert header_paths == ["/store/bench/part00.cacf", "/store/bench/part01.cacf"]
     # apart from the headers, only the pipeline's 3 input columns of each chunk
     assert len(reads) == 2 + 3 * len(job.chunks)
+
+
+def _local_job(tmp_path):
+    """A call that runs one job on a virtual facility over 2 local files of 10 chunks each."""
+    cfg, ctx = small_ctx(tmp_path)
+    files = tuple(local_files_for(ctx, str(tmp_path)))
+    dataset = DatasetSpec(name=ctx.dataset.name, files=files, n_events_total=cfg.total_events)
+    facility = make_facility(ctx, fixed_policy(3, cfg))
+    return lambda: facility.run_job(BENCH_PIPELINE, dataset, cfg.chunk_size, ctx.events_per_file)
+
+
+def test_each_local_file_is_opened_once_per_job(tmp_path, opened_paths):
+    run_job = _local_job(tmp_path)
+    opened_paths.clear()  # count only the job's own opens
+    job = run_job()
+    assert job.state == "done" and len(job.done) == 20
+    assert sorted(p for p in opened_paths if p.endswith(".cacf")) == sorted(job.dataset.files)
+
+
+def test_run_job_closes_every_file_it_opened(tmp_path):
+    run_job = _local_job(tmp_path)
+    baseline = len(os.listdir("/proc/self/fd"))
+    assert run_job().state == "done"
+    assert len(os.listdir("/proc/self/fd")) == baseline
 
 
 def test_worker_and_virtual_facility_give_a_task_the_same_result(tmp_path):
