@@ -3,7 +3,9 @@
 One asyncio event loop owns all state mutation; connection handlers never
 touch the state concurrently.  Workers and clients both connect to the same
 port (normally through the SNI ingress) with certificates minted by the
-cluster CA; the peer certificate's CN is the caller identity.
+cluster CA; the peer certificate's CN is the caller identity.  A worker's
+reports (Heartbeat, TaskDone, TaskFailed) are one-way, as in dask.distributed:
+it is sent only the Ok to its WorkerHello, AssignTask, and Err to refuse one.
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ class SchedulerService:
         self.worker_cores = worker_cores
         self.heartbeat_timeout = heartbeat_timeout
         self.autoscaler = Autoscaler(self.state, self.policy, self._request_workers, self._cancel_worker)
-        self._worker_conns: dict[str, asyncio.StreamWriter] = {}
-        self._send_locks: dict[str, asyncio.Lock] = {}
+        # worker_id -> its connection's writer, and the lock every send on it holds
+        self._worker_conns: dict[str, tuple[asyncio.StreamWriter, asyncio.Lock]] = {}
         self._server: asyncio.AbstractServer | None = None
         self._conns = wire.ConnectionTasks()
         self._answering: set[asyncio.Task] = set()  # handlers between a request and its reply
@@ -110,12 +112,9 @@ class SchedulerService:
         await self._conns.close(self._server)
 
     async def cancel_all_batch_workers(self) -> None:
-        for worker_id, w in list(self.state.workers.items()):
+        for w in list(self.state.workers.values()):
             if w.batch_handle is not None and self.scale_cancel is not None:
-                try:
-                    await self.scale_cancel(w.batch_handle)
-                except Exception as exc:
-                    log.warning("cancel of batch job %s failed: %s", w.batch_handle, exc)
+                await self._cancel_handle(w.batch_handle)
 
     # ---- autoscale plumbing --------------------------------------------------
 
@@ -143,7 +142,7 @@ class SchedulerService:
         self.state.remove_worker(worker_id, now, reason)
         conn = self._worker_conns.pop(worker_id, None)
         if conn is not None:
-            conn.close()
+            conn[0].close()
         if handle is not None and self.scale_cancel is not None:
             self._tasks.spawn(self._cancel_handle(handle))
 
@@ -167,11 +166,11 @@ class SchedulerService:
 
     async def _dispatch(self, now: float) -> None:
         for worker_id, spec in self.state.schedule_step(now):
-            writer = self._worker_conns.get(worker_id)
+            writer, lock = self._worker_conns.get(worker_id, (None, None))
             if writer is None:
                 continue
             try:
-                async with self._send_locks[worker_id]:
+                async with lock:
                     await wire.send_message(
                         writer, wire.WireMessage("AssignTask", spec.to_dict())
                     )
@@ -218,6 +217,7 @@ class SchedulerService:
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         identity = _peer_cn(writer)
         worker_id: str | None = None
+        conn = (writer, asyncio.Lock())
         task = asyncio.current_task()
         try:
             while not self._closed:
@@ -229,13 +229,13 @@ class SchedulerService:
                     break
                 self._answering.add(task)
                 try:
-                    reply = await self._one_message(msg, identity, writer, worker_id)
-                    if msg.kind == "WorkerHello":
-                        worker_id = reply.body.get("worker_id", worker_id)
-                    async with self._send_locks.setdefault(
-                        worker_id or f"conn-{id(writer)}", asyncio.Lock()
-                    ):
-                        await wire.send_message(writer, reply)
+                    reply = await self._one_message(msg, identity, worker_id)
+                    if msg.kind == "WorkerHello" and reply.kind == "Ok":  # before the dispatch it spawned runs
+                        worker_id = reply.body["worker_id"]
+                        self._worker_conns[worker_id] = conn
+                    if reply is not None:
+                        async with conn[1]:
+                            await wire.send_message(writer, reply)
                 except (wire.FrameTooLarge, ConnectionError):  # or the peer left mid-wait
                     break
                 finally:
@@ -243,13 +243,12 @@ class SchedulerService:
         except wire.WireError as exc:
             log.warning("scheduler: closing connection from %r: %s", identity, exc)
         finally:
-            if worker_id is not None and self._worker_conns.get(worker_id) is writer:
+            if worker_id is not None and self._worker_conns.get(worker_id) is conn:
                 del self._worker_conns[worker_id]
                 if not self._closed:  # its chunks go back to the queue, to be dispatched at once
                     now = self.clock()
                     self._cancel_worker(worker_id, now, "connection closed")
                     self._tasks.spawn(self._dispatch(now))
-            self._send_locks.pop(f"conn-{id(writer)}", None)
             writer.close()
 
     def _check_sender(self, body: dict, bound: str | None) -> str:
@@ -262,11 +261,9 @@ class SchedulerService:
             raise SchedulerError(f"connection of worker {bound!r} sent a message for {named!r}")
         return bound
 
-    async def _one_message(
-        self, msg: wire.WireMessage, identity: str, writer: asyncio.StreamWriter, bound: str | None
-    ) -> wire.WireMessage:
-        """Serve one request.  `bound` is the worker this connection
-        registered as, if any."""
+    async def _one_message(self, msg: wire.WireMessage, identity: str, bound: str | None) -> wire.WireMessage | None:
+        """Serve one message: its reply, or None for an accepted worker
+        report.  `bound` is the worker this connection registered as, if any."""
         now = self.clock()
         try:
             if msg.kind == "WorkerHello":
@@ -276,27 +273,30 @@ class SchedulerService:
                     now,
                     n_cores=int(msg.body.get("n_cores", self.worker_cores)),
                 )
-                self._worker_conns[worker_id] = writer
-                self._send_locks.setdefault(worker_id, asyncio.Lock())
                 self._wake(("worker", worker_id))
                 self._tasks.spawn(self._dispatch(now))
                 return wire.ok({"worker_id": worker_id})
             if msg.kind == "Heartbeat":
                 self.state.heartbeat(self._check_sender(msg.body, bound), now)
-                return wire.ok()
+                return None
             if msg.kind in ("TaskDone", "TaskFailed"):
                 worker_id = self._check_sender(msg.body, bound)
                 job_id, chunk_id = msg.body["job_id"], int(msg.body["chunk_id"])
+                refusal = None
                 if msg.kind == "TaskDone":
-                    result = TaskResult.from_dict(msg.body["result"])
-                    status = self.state.complete_task(worker_id, job_id, chunk_id, result, now)
+                    try:
+                        result = TaskResult.from_dict(msg.body["result"])
+                        job_state = self.state.complete_task(worker_id, job_id, chunk_id, result, now)
+                    except (KeyError, TypeError, ValueError) as exc:  # fails the chunk if this worker holds it
+                        refusal = wire.err("scheduler_error", str(exc))
+                        job_state = self.state.fail_task(worker_id, job_id, chunk_id, f"bad result: {exc}", now)
                     self._tasks.spawn(self._dispatch(now))
                 else:
                     reason = msg.body.get("reason", "")
-                    status = self.state.fail_task(worker_id, job_id, chunk_id, reason, now)
-                if status["state"] != "running":
+                    job_state = self.state.fail_task(worker_id, job_id, chunk_id, reason, now)
+                if job_state != "running":
                     self._wake(("job", job_id))
-                return wire.ok(status)
+                return refusal
             if msg.kind == "SubmitJob":
                 ds = msg.body["dataset"]
                 dataset = DatasetSpec(

@@ -353,15 +353,13 @@ class ClusterState:
             )
         return assignments
 
-    def complete_task(
-        self, worker_id: str, job_id: str, chunk_id: int, result: TaskResult, now: float
-    ) -> dict:
+    def complete_task(self, worker_id: str, job_id: str, chunk_id: int, result: TaskResult, now: float) -> str:
         job = self.jobs.get(job_id)
         if job is None:
             raise SchedulerError(f"unknown job {job_id!r}")
         if chunk_id in job.done:
             log.info("duplicate completion for %s chunk %d ignored", job_id, chunk_id)
-            return job.status()
+            return job.state
         owner = job.assigned.get(chunk_id)
         if owner != worker_id:
             raise SchedulerError(
@@ -383,9 +381,9 @@ class ClusterState:
         self.events.append(TaskStreamEvent("TaskEnd", worker_id, chunk_id, now, job_id))
         if not job.queued and not job.assigned and job.finished_at is None and not job.failed:
             job.finished_at = now
-        return job.status()
+        return job.state
 
-    def fail_task(self, worker_id: str, job_id: str, chunk_id: int, reason: str, now: float) -> dict:
+    def fail_task(self, worker_id: str, job_id: str, chunk_id: int, reason: str, now: float) -> str:
         job = self.jobs.get(job_id)
         if job is None:
             raise SchedulerError(f"unknown job {job_id!r}")
@@ -398,7 +396,7 @@ class ClusterState:
                 TaskStreamEvent("TaskEnd", worker_id, chunk_id, now, f"failed: {reason}")
             )
             log.warning("task %s/%d failed on %s: %s", job_id, chunk_id, worker_id, reason)
-        return job.status()
+        return job.state
 
     def _release(self, worker_id: str, job_id: str, chunk_id: int, now: float) -> None:
         worker = self.workers.get(worker_id)

@@ -28,7 +28,7 @@ _LEN = struct.Struct(">I")
 # Control-plane vocabulary.  Decoding any kind outside this set is rejected.
 KINDS = frozenset(
     {
-        # cluster control
+        # cluster control; a worker's reports get no reply unless refused (Err)
         "WorkerHello",
         "Heartbeat",
         "AssignTask",
@@ -103,8 +103,8 @@ async def send_message(writer: asyncio.StreamWriter, msg: WireMessage) -> None:
     await writer.drain()
 
 
-def ok(body: dict | None = None) -> WireMessage:
-    return WireMessage("Ok", body or {})
+def ok(body: dict) -> WireMessage:
+    return WireMessage("Ok", body)
 
 
 def err(code: str, message: str) -> WireMessage:

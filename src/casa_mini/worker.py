@@ -4,8 +4,9 @@ Runs as `main([config])` with one argument, the path to a JSON config (this
 is the payload a batch job carries): in a facility, in a process forked by
 the zygote (`casa_mini.zygote`); alone, as `python -m casa_mini.worker`.
 Task execution runs in threads, one per logical core, while the control
-connection stays responsive for heartbeats.  A task's chunk reaches its
-pipeline through DataPath, which the virtual facility (`sim`) uses too:
+connection stays responsive for heartbeats.  Reports get no reply unless the
+scheduler refuses one, with an Err the worker logs.  A task's chunk reaches
+its pipeline through DataPath, which the virtual facility (`sim`) uses too:
 remote files come from the caching proxy with the worker's data token, over
 one kept connection per task thread; the reader and header of every file
 read and the compiled pipeline of every job run are kept while it runs.
@@ -186,7 +187,7 @@ class WorkerAgent:
         try:
             while True:
                 msg = await wire.read_message(reader)
-                if msg.kind == "Ok" and "worker_id" in msg.body and not self.worker_id:
+                if msg.kind == "Ok":  # the reply to WorkerHello
                     self.worker_id = msg.body["worker_id"]
                 elif msg.kind == "AssignTask":
                     self._tasks.spawn(self._run_task(msg.body))

@@ -104,8 +104,7 @@ def test_complete_flow_and_merge():
     state.schedule_step(0.0)
     state.complete_task("w1", job_id, 0, _result(0, n=100, counts=(1, 2)), 1.0)
     assert state.jobs[job_id].state == "running"
-    status = state.complete_task("w1", job_id, 1, _result(1, n=100, counts=(4, 8)), 2.0)
-    assert status["state"] == "done"
+    assert state.complete_task("w1", job_id, 1, _result(1, n=100, counts=(4, 8)), 2.0) == "done"
     job = state.jobs[job_id]
     assert job.finished_at == 2.0
     assert list(job.merged["h"].counts) == [5, 10]
@@ -153,8 +152,8 @@ def test_duplicate_completion_idempotent():
     state.schedule_step(0.0)
     state.complete_task("w1", job_id, 0, _result(0, n=100), 1.0)
     before = state.jobs[job_id].status()
-    after = state.complete_task("w1", job_id, 0, _result(0, n=100), 2.0)
-    assert after == before
+    assert state.complete_task("w1", job_id, 0, _result(0, n=100), 2.0) == "done"
+    assert state.jobs[job_id].status() == before
     assert state.jobs[job_id].n_events_in == 100  # not double-counted
 
 
@@ -290,8 +289,7 @@ def test_fail_task_marks_failed():
     job_id = _submit(state, chunk_size=100, n_files=1)
     state.worker_arrived("w1", "alice", 0.0)
     state.schedule_step(0.0)
-    status = state.fail_task("w1", job_id, 0, "boom", 1.0)
-    assert status["state"] == "failed"
+    assert state.fail_task("w1", job_id, 0, "boom", 1.0) == "failed"
     assert state.jobs[job_id].failed == {0}
 
 

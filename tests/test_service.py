@@ -1,6 +1,7 @@
 """The networked scheduler: pushed job completion and worker registration,
-message checks, and background tasks.  Each test runs a SchedulerService
-behind mutual TLS, a client, and a scripted worker connection."""
+message checks, the traffic on the worker link, and background tasks.  Each
+test runs a SchedulerService behind mutual TLS, a client, and a scripted
+worker connection."""
 
 import asyncio
 import logging
@@ -12,6 +13,7 @@ import pytest
 
 from casa_mini import cacf, certs, wire
 from casa_mini.client import SchedulerClient
+from casa_mini.engine.hist import Histogram
 from casa_mini.engine.pipeline import TaskResult
 from casa_mini.scheduler.service import SchedulerService, server_ssl_context
 
@@ -74,34 +76,48 @@ class Rig:
         return w
 
 
+def done_body(task: dict, worker_id: str, histograms=()) -> dict:
+    """A TaskDone for an assigned task, with the given result histograms."""
+    chunk = task["chunk"]
+    result = TaskResult(chunk["chunk_id"], chunk["len"], 0, list(histograms))
+    return {"worker_id": worker_id, "job_id": task["job_id"], "chunk_id": chunk["chunk_id"], "result": result.to_dict()}
+
+
 class ScriptedWorker:
-    """A worker connection driven by the test: it reports what it is told."""
+    """A worker connection driven by the test: it reports what it is told,
+    and keeps every message the service sent it."""
 
     def __init__(self, reader, writer):
         self.reader, self.writer = reader, writer
+        self.received: list[wire.WireMessage] = []
         self.assigned: list[dict] = []
 
-    async def _next(self) -> wire.WireMessage:
+    async def _read(self) -> wire.WireMessage:
         msg = await wire.read_message(self.reader)
-        while msg.kind == "AssignTask":
+        self.received.append(msg)
+        if msg.kind == "AssignTask":
             self.assigned.append(msg.body)
-            msg = await wire.read_message(self.reader)
         return msg
 
-    async def request(self, kind: str, body: dict) -> wire.WireMessage:
+    async def report(self, kind: str, body: dict) -> None:
+        """Send a report, which the service answers only to refuse it."""
         await wire.send_message(self.writer, wire.WireMessage(kind, body))
-        return await self._next()
+
+    async def request(self, kind: str, body: dict) -> wire.WireMessage:
+        """Send a message and return its reply, past any AssignTask."""
+        await self.report(kind, body)
+        while (msg := await self._read()).kind == "AssignTask":
+            pass
+        return msg
 
     async def next_task(self) -> dict:
         while not self.assigned:
-            self.assigned.append((await wire.read_message(self.reader)).body)
+            msg = await self._read()
+            assert msg.kind == "AssignTask", msg
         return self.assigned.pop(0)
 
-    async def done(self, task: dict, worker_id: str) -> wire.WireMessage:
-        chunk = task["chunk"]
-        result = TaskResult(chunk_id=chunk["chunk_id"], n_events_in=chunk["len"], n_events_pass=0, histograms=[])
-        body = {"worker_id": worker_id, "job_id": task["job_id"], "chunk_id": chunk["chunk_id"], "result": result.to_dict()}
-        return await self.request("TaskDone", body)
+    async def done(self, task: dict, worker_id: str) -> None:
+        await self.report("TaskDone", done_body(task, worker_id))
 
     def close(self):
         self.writer.close()
@@ -118,7 +134,7 @@ def test_wait_job_returns_when_the_job_finishes(tls):
                 waiting = asyncio.ensure_future(rig.client.wait_job(job_id, timeout=10))
                 await asyncio.sleep(0.05)
                 assert not waiting.done()
-                assert (await w.done(task, "w1")).kind == "Ok"
+                await w.done(task, "w1")
                 status = await waiting
                 lags.append(time.time() - status["finished_at"])
                 assert status["state"] == "done"
@@ -241,17 +257,72 @@ def test_task_reports_use_the_connection_worker(tls):
             job_id = await rig.submit(chunk_size=100)  # two chunks, one each
             task_a, task_b = await a.next_task(), await b.next_task()
             # wA claims wB's chunk: refused, and the chunk stays wB's
-            reply = await a.done(task_b, "wB")
+            reply = await a.request("TaskDone", done_body(task_b, "wB"))
             assert reply.kind == "Err" and "wA" in reply.body["message"]
+            # nor may wA report wB's chunk as its own: a malformed result fails no chunk it does not hold
+            bad = {**done_body(task_b, "wA"), "result": {"chunk_id": 1}}
+            assert (await a.request("TaskDone", bad)).kind == "Err"
             body = {"worker_id": "wB", "job_id": job_id, "chunk_id": task_b["chunk"]["chunk_id"], "reason": "x"}
             assert (await a.request("TaskFailed", body)).kind == "Err"
             assert (await a.request("Heartbeat", {"worker_id": "wB"})).kind == "Err"
             job = rig.service.state.jobs[job_id]
             assert job.assigned == {0: "wA", 1: "wB"} and not job.failed
-            assert (await a.done(task_a, "wA")).kind == "Ok"
-            assert (await b.done(task_b, "wB")).body["state"] == "done"
+            await a.done(task_a, "wA")
+            await b.done(task_b, "wB")
+            assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
             a.close()
             b.close()
+
+    run_async(scenario())
+
+
+def test_worker_gets_only_its_hello_reply_tasks_and_refusals(tls):
+    async def scenario():
+        async with Rig(tls) as rig:
+            w = await rig.worker("w1")
+            job_id = await rig.submit(chunk_size=50)  # four chunks, all assigned to w1's four cores
+            await w.report("Heartbeat", {"worker_id": "w1"})
+            for _ in range(4):
+                await w.done(await w.next_task(), "w1")
+                await w.report("Heartbeat", {"worker_id": "w1"})
+            assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
+            # replies come in order, so once this refusal is read every earlier report's reply would have been
+            assert (await w.request("Heartbeat", {"worker_id": "w2"})).kind == "Err"
+            kinds = [msg.kind for msg in w.received]
+            assert kinds == ["Ok", "AssignTask", "AssignTask", "AssignTask", "AssignTask", "Err"], kinds
+            assert w.received[0].body == {"worker_id": "w1"}  # no job status, no histogram
+            w.close()
+            for _ in range(100):
+                if not rig.service._worker_conns:
+                    break
+                await asyncio.sleep(0.01)
+            assert rig.service._worker_conns == {}
+
+    run_async(scenario())
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        {"histograms": [Histogram("h_pt", 3, 0.0, 100.0).to_dict()]},  # does not merge with chunk 0's
+        {"histograms": "not a list"},  # malformed
+    ],
+    ids=["mismatched", "malformed"],
+)
+def test_result_that_cannot_be_merged_fails_its_job(tls, result):
+    async def scenario():
+        async with Rig(tls) as rig:
+            w = await rig.worker("w1")
+            job_id = await rig.submit(chunk_size=100)  # two chunks
+            first, second = await w.next_task(), await w.next_task()
+            await w.report("TaskDone", done_body(first, "w1", [Histogram("h_pt", 10, 0.0, 100.0)]))
+            body = done_body(second, "w1")
+            body["result"].update(result)
+            assert (await w.request("TaskDone", body)).kind == "Err"
+            status = await asyncio.wait_for(rig.client.wait_job(job_id, timeout=1), 1.0)
+            assert (status["state"], status["done"], status["failed"]) == ("failed", 1, 1)
+            assert rig.service.state.jobs[job_id].assigned == {}
+            w.close()
 
     run_async(scenario())
 
@@ -320,7 +391,7 @@ def test_chunks_of_a_worker_whose_connection_closes_go_to_another(tls):
             w1.close()
             moved = await asyncio.wait_for(w2.next_task(), 1.0)
             assert moved == task
-            assert (await w2.done(moved, "w2")).body["state"] == "done"
+            await w2.done(moved, "w2")
             assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
             assert "w1" not in rig.service.state.workers
             downs = [(e.worker_id, e.detail) for e in rig.service.state.events if e.kind == "WorkerDown"]
