@@ -5,6 +5,7 @@ from .pipeline import (
     Filter,
     HistSpec,
     KernelPipeline,
+    PassResult,
     PipelineError,
     TaskResult,
     run_pipeline,
@@ -25,6 +26,7 @@ __all__ = [
     "Filter",
     "HistSpec",
     "KernelPipeline",
+    "PassResult",
     "PipelineError",
     "TaskResult",
     "run_pipeline",

@@ -1,8 +1,9 @@
 """Fixed-binning histograms with associative merge.
 
 Binning convention: bin = floor((v - lo) / (hi - lo) * n_bins), lo inclusive,
-hi exclusive; v < lo underflows, v >= hi or NaN overflows.  One numpy kernel,
-fill_counts, fills every histogram with a single bincount.
+hi exclusive; v < lo underflows, v >= hi or NaN overflows.  bin_slots gives
+each value its slot among n_bins + 2, and every histogram is one bincount of
+slots: fill_counts for one histogram, run_pipeline for a histogram per segment.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ class HistError(ValueError):
     pass
 
 
-def fill_counts(values: np.ndarray, n_bins: int, lo: float, hi: float):
-    """(counts, underflow, overflow) of f64 values; lo < hi and n_bins >= 1.
+def bin_slots(values: np.ndarray, n_bins: int, lo: float, hi: float) -> np.ndarray:
+    """Slot of each f64 value among n_bins + 2; lo < hi and n_bins >= 1.
 
-    One bincount over n_bins + 2 slots: slot 0 is underflow, slot b + 1 is
-    bin b, slot n_bins + 1 is overflow.  Call it under np.errstate(all="ignore"):
-    v far outside [lo, hi) may overflow to inf.
+    Slot 0 is underflow, slot b + 1 is bin b, slot n_bins + 1 is overflow.
+    Call it under np.errstate(all="ignore"): v far outside [lo, hi) may
+    overflow to inf.
     """
     slot = np.floor((values - lo) / (hi - lo) * n_bins)
     # guard against float rounding landing exactly on n_bins for v just below hi
@@ -31,7 +32,13 @@ def fill_counts(values: np.ndarray, n_bins: int, lo: float, hi: float):
     # denormal over lo = 0 the index rounds to -0.0
     slot[values < lo] = 0
     slot[~(values < hi)] = n_bins + 1  # v >= hi and NaN
-    slots = np.bincount(slot.astype(np.intp), minlength=n_bins + 2)
+    return slot.astype(np.intp)
+
+
+def fill_counts(values: np.ndarray, n_bins: int, lo: float, hi: float):
+    """(counts, underflow, overflow) of f64 values: one bincount of their
+    bin_slots, under the same np.errstate as bin_slots."""
+    slots = np.bincount(bin_slots(values, n_bins, lo, hi), minlength=n_bins + 2)
     return slots[1:-1].astype(np.uint64), int(slots[0]), int(slots[-1])
 
 

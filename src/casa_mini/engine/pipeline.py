@@ -6,24 +6,26 @@ The JSON form is a list like
      {"filter": "pt>20"},
      {"hist": ["h_pt", "pt", 60, 0, 300]}]
 
-run_pipeline applies steps in order against a ColumnBatch; filters drop rows
-whose expression is 0.0, histograms fill from the rows surviving so far.  A
-pipeline is compiled once, on first use, into a plan: its input columns,
-each step's compiled expression, and for each filter the columns a later
-step reads, which are the only ones the filter keeps.
+run_pipeline applies steps in order against a ColumnBatch, read as one or
+more consecutive segments (a chunk each); filters drop rows whose expression
+is 0.0, histograms fill from the rows surviving so far, and each segment
+gets its own TaskResult.  A pipeline is compiled once, on first use, into a
+plan: its input columns, each step's compiled expression, and for each
+filter the columns a later step reads, which are the only ones the filter
+keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from ..types import ColumnBatch
 from .expr import Expr, ExprError, broadcast, compile_number, compile_truth, needed_columns, parse_expr
-from .hist import Histogram, fill_counts
+from .hist import Histogram, bin_slots
 
 
 class PipelineError(ValueError):
@@ -166,12 +168,47 @@ class TaskResult:
         )
 
 
-def run_pipeline(batch: ColumnBatch, pipeline: KernelPipeline, chunk_id: int = 0, worker_id: str = "") -> TaskResult:
+@dataclass
+class PassResult:
+    """One run_pipeline pass: a TaskResult per segment, in batch order."""
+
+    results: list[TaskResult]
+
+    @property
+    def n_events_in(self) -> int:
+        """Events the pass read: the whole batch."""
+        return sum(r.n_events_in for r in self.results)
+
+
+def run_pipeline(
+    batch: ColumnBatch,
+    pipeline: KernelPipeline,
+    lengths: Sequence[int] | None = None,
+    chunk_ids: Sequence[int] | None = None,
+) -> PassResult:
+    """Run the pipeline once over batch, read as consecutive segments of
+    `lengths` events (default: one segment, the whole batch) with chunk ids
+    `chunk_ids` (default 0, 1, ...); one TaskResult per segment.
+
+    Every row carries its segment id through each filter's take, and each
+    histogram is one bincount over segment * (n_bins + 2) + slot, so a
+    segment's result is, bit for bit, that of a pass over its rows alone.
+    """
+    lengths = [batch.n_events] if lengths is None else list(lengths)
+    chunk_ids = range(len(lengths)) if chunk_ids is None else chunk_ids
+    if len(chunk_ids) != len(lengths) or sum(lengths) != batch.n_events:
+        raise ValueError(
+            f"{len(lengths)} segments of {sum(lengths)} events, {len(chunk_ids)} chunk ids, "
+            f"for a {batch.n_events}-event batch"
+        )
+    n_segments = len(lengths)
+    segment = np.repeat(np.arange(n_segments), lengths)  # of each row still in
+    kept = lengths  # rows still in, per segment
     columns: dict[str, np.ndarray] = dict(batch.columns)
-    n_rows = batch.n_events
-    histograms: list[Histogram] = []
+    filled: list[tuple[HistSpec, np.ndarray, list[int]]] = []  # (step, slot counts, rows) per segment
     with np.errstate(all="ignore"):
         for i, (step, evaluate, keep) in enumerate(pipeline._plan[1]):
+            n_rows = segment.shape[0]
             try:
                 if isinstance(step, Define):
                     # defines never shadow each other, and a filter may have dropped the column
@@ -184,19 +221,28 @@ def run_pipeline(batch: ColumnBatch, pipeline: KernelPipeline, chunk_id: int = 0
                         mask = np.full(n_rows, bool(mask))
                     rows = np.flatnonzero(mask)
                     columns = {name: columns[name].take(rows) for name in keep if name in columns}
-                    n_rows = rows.shape[0]
+                    segment = segment.take(rows)
+                    kept = np.bincount(segment, minlength=n_segments).tolist()
                 else:
-                    counts = fill_counts(broadcast(evaluate(columns), n_rows), step.n_bins, step.lo, step.hi)
-                    histograms.append(Histogram(step.name, step.n_bins, step.lo, step.hi, *counts, n_filled=n_rows))
+                    width = step.n_bins + 2
+                    keys = segment * width
+                    keys += bin_slots(broadcast(evaluate(columns), n_rows), step.n_bins, step.lo, step.hi)
+                    slots = np.bincount(keys, minlength=n_segments * width).reshape(n_segments, width)
+                    filled.append((step, slots, kept))
             except (ExprError, PipelineError) as exc:
                 raise PipelineError(str(exc), step=i) from exc
-    return TaskResult(
-        chunk_id=chunk_id,
-        n_events_in=batch.n_events,
-        n_events_pass=n_rows,
-        histograms=histograms,
-        worker_id=worker_id,
-    )
+    results = [
+        TaskResult(chunk_id=chunk_id, n_events_in=n_in, n_events_pass=n_out, histograms=[])
+        for chunk_id, n_in, n_out in zip(chunk_ids, lengths, kept)
+    ]
+    for step, slots, n_rows in filled:
+        counts = slots[:, 1:-1].astype(np.uint64)
+        rows = zip(results, counts, slots[:, 0].tolist(), slots[:, -1].tolist(), n_rows)
+        for result, hist_counts, underflow, overflow, n_filled in rows:
+            result.histograms.append(
+                Histogram(step.name, step.n_bins, step.lo, step.hi, hist_counts, underflow, overflow, n_filled)
+            )
+    return PassResult(results)
 
 
 def _unparse(expr: Expr) -> str:

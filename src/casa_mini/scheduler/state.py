@@ -107,6 +107,7 @@ class JobState:
     job_id: str
     seq: int
     pipeline_json: list
+    pipeline: KernelPipeline  # parsed and checked once, at submission
     dataset: DatasetSpec
     chunks: dict[int, FileChunk]
     submitted_at: float
@@ -287,7 +288,7 @@ class ClusterState:
         events_per_file: list[int] | None = None,
         identity: str = "",
     ) -> str:
-        KernelPipeline.from_json(pipeline_json)  # a malformed pipeline is refused here, not by each task
+        pipeline = KernelPipeline.from_json(pipeline_json)  # a malformed pipeline is refused here, not by each task
         chunks = plan_chunks(dataset, chunk_size, events_per_file=events_per_file)
         self._job_seq += 1
         job_id = f"job-{self._job_seq:04d}"
@@ -295,6 +296,7 @@ class ClusterState:
             job_id=job_id,
             seq=self._job_seq,
             pipeline_json=pipeline_json,
+            pipeline=pipeline,
             dataset=dataset,
             chunks={c.chunk_id: c for c in chunks},
             submitted_at=now,

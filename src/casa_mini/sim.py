@@ -4,10 +4,13 @@ advancing deterministically from one event loop.
 Simulated compute charges chunk_len / rate virtual seconds per task against a
 worker's single execution timeline (`rate` is the per-worker event rate; a
 worker's cores bound how many tasks it holds, not its throughput), while task
-*results* come from really evaluating the pipeline on the chunk, loaded by
+*results* come from really evaluating the pipeline on the chunk, read by
 the live worker's own DataPath with remote files read through the facility
 data proxy.  That keeps the scaling study analytic and the merged histograms
-oracle-checkable at the same time.
+oracle-checkable at the same time.  The first task of a file reads the job's
+chunks of that file in one span and runs them in one segmented engine pass;
+the other chunks' results wait for their own tasks, so the per-call cost of
+the engine is paid once per file, not once per chunk.
 
 Same seed, same submissions: identical event order, identical task stream.
 """
@@ -16,24 +19,54 @@ from __future__ import annotations
 
 import heapq
 import logging
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .batchsim import BatchSim, DelayModel, JobSpec
 from .data_proxy import SyncDataProxy
-from .engine.pipeline import run_pipeline
+from .engine.pipeline import TaskResult, run_pipeline
 from .scheduler.state import (
     AUTOSCALE_INTERVAL,
     DEFAULT_CORES,
     HEARTBEAT_TIMEOUT,
     Autoscaler,
     ClusterState,
+    JobState,
     ScalePolicy,
 )
-from .types import DatasetSpec, TaskSpec
+from .types import DatasetSpec, FileChunk, TaskSpec
 from .worker import DataPath
 
 log = logging.getLogger(__name__)
+
+
+# Events one engine pass reads at most, so each column's one range read stays
+# far below the proxy's MAX_FETCH and a pass's arrays stay small (a longer
+# chunk runs alone).
+PASS_EVENTS = 1 << 16
+# Passes whose unused results are kept; a job has about one open pass per
+# file, and a pass dropped past this is run again for its chunks left.
+PASS_CACHE = 64
+
+
+def passes(chunks: Iterable[FileChunk]) -> Iterator[tuple[FileChunk, ...]]:
+    """The engine passes over chunks, in order: runs of adjacent chunks of
+    one file, of at most PASS_EVENTS events together."""
+    run: list[FileChunk] = []
+    n_events = 0
+    for chunk in chunks:
+        if run and (
+            chunk.file != run[-1].file
+            or chunk.start != run[-1].start + run[-1].len
+            or n_events + chunk.len > PASS_EVENTS
+        ):
+            yield tuple(run)
+            run, n_events = [], 0
+        run.append(chunk)
+        n_events += chunk.len
+    if run:
+        yield tuple(run)
 
 
 class VirtualLoop:
@@ -106,6 +139,9 @@ class VirtualFacility:
         self.autoscaler = Autoscaler(self.state, policy, self._request_workers, self._cancel_worker)
         self.sim_workers: dict[str, _SimWorker] = {}
         self.data = DataPath(proxy.range_reader, data_token)  # the live worker's data path
+        # (job_id, first chunk_id of a pass) -> results not yet handed out, least recently used first
+        self._results: OrderedDict[tuple[str, int], dict[int, TaskResult]] = OrderedDict()
+        self._spans: dict[str, dict[int, tuple[FileChunk, ...]]] = {}  # job_id -> chunk_id -> its pass
         self._kill_plan: list[tuple[float, str]] = []
 
     # ---- batch plumbing ----------------------------------------------------
@@ -185,18 +221,45 @@ class VirtualFacility:
         self._maybe_start_next(sw, now)
         self._dispatch(now)
 
-    def _execute(self, spec: TaskSpec, worker_id: str, t_start: float, t_end: float):
-        pipeline, batch = self.data.load(spec)
-        result = run_pipeline(batch, pipeline, chunk_id=spec.chunk.chunk_id, worker_id=worker_id)
-        result.t_start = t_start
-        result.t_end = t_end
+    def _execute(self, spec: TaskSpec, worker_id: str, t_start: float, t_end: float) -> TaskResult:
+        """The chunk's result from its engine pass, which the pass's first
+        task runs; each other chunk's result is kept until its own task runs
+        (a kill before that leaves it kept), and handed out once."""
+        job = self.state.jobs[spec.job_id]
+        span = self._span_of(job, spec.chunk.chunk_id)
+        key = (job.job_id, span[0].chunk_id)
+        results = self._results.pop(key, None)
+        if results is None:
+            results = self._run_pass(job, span)
+        result = results.pop(spec.chunk.chunk_id)
+        if results:
+            self._results[key] = results  # now the most recently used
+            if len(self._results) > PASS_CACHE:
+                self._results.popitem(last=False)
+        result.worker_id, result.t_start, result.t_end = worker_id, t_start, t_end
         return result
+
+    def _span_of(self, job: JobState, chunk_id: int) -> tuple[FileChunk, ...]:
+        """The chunks of the engine pass that runs chunk_id."""
+        spans = self._spans.get(job.job_id)
+        if spans is None:
+            spans = self._spans[job.job_id] = {c.chunk_id: span for span in passes(job.chunks.values()) for c in span}
+        return spans[chunk_id]
+
+    def _run_pass(self, job: JobState, span: tuple[FileChunk, ...]) -> dict[int, TaskResult]:
+        """One read of the span's columns and one engine pass over it; the
+        results of its chunks not yet done, by chunk id."""
+        first = span[0]
+        whole = FileChunk(file=first.file, start=first.start, len=sum(c.len for c in span), chunk_id=first.chunk_id)
+        batch = self.data.read(whole, job.pipeline)
+        passed = run_pipeline(batch, job.pipeline, [c.len for c in span], [c.chunk_id for c in span])
+        return {r.chunk_id: r for r in passed.results if r.chunk_id not in job.done}
 
     # ---- driving --------------------------------------------------------------
 
     def _tick(self) -> None:
         now = self.loop.now
-        for worker_id, sw in sorted(self.sim_workers.items()):
+        for worker_id, sw in self.sim_workers.items():  # a heartbeat emits no event, so any order
             if sw.alive and worker_id in self.state.workers:
                 self.state.heartbeat(worker_id, now)
         self.state.reap_lost_workers(now, HEARTBEAT_TIMEOUT)
@@ -224,4 +287,6 @@ class VirtualFacility:
             self.loop.run(max_time=max_time)
         finally:
             self.data.close()
+            self._results.clear()
+            self._spans.clear()
         return self.state.jobs[job_id]

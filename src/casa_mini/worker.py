@@ -30,7 +30,7 @@ from . import cacf, wire
 from .data_proxy import ProxyClient, ProxyError, parse_remote_url
 from .engine.pipeline import KernelPipeline, run_pipeline
 from .tokens import TokenError
-from .types import ColumnBatch, TaskSpec
+from .types import ColumnBatch, FileChunk, TaskSpec
 
 log = logging.getLogger(__name__)
 
@@ -70,6 +70,8 @@ class WorkerConfig:
 class DataPath:
     """The one way from a TaskSpec to its compiled pipeline and its columns,
     kept across tasks; the live worker and the virtual facility each keep one.
+    The live worker loads each task; the virtual facility, which has each
+    job's pipeline from its submission, reads a span of chunks at a time.
 
     A root:// chunk is read through `remote(path, token)` with the data
     token; with no `remote`, it is refused rather than looked for on local
@@ -115,8 +117,13 @@ class DataPath:
         pipeline = self._cached(
             self._pipelines, spec.job_id, lambda _: KernelPipeline.from_json(list(spec.pipeline)), PIPELINE_CACHE_JOBS
         )
-        read, header = self._cached(self._files, spec.chunk.file, self._open, HEADER_CACHE_FILES)
-        return pipeline, cacf.read_chunk(read, spec.chunk, sorted(pipeline.input_columns()), header=header)
+        return pipeline, self.read(spec.chunk, pipeline)
+
+    def read(self, chunk: FileChunk, pipeline: KernelPipeline) -> ColumnBatch:
+        """The columns the pipeline reads of a chunk, or of a span of chunks
+        of one file: one range read per column."""
+        read, header = self._cached(self._files, chunk.file, self._open, HEADER_CACHE_FILES)
+        return cacf.read_chunk(read, chunk, sorted(pipeline.input_columns()), header=header)
 
     def _open(self, url: str) -> tuple[cacf.RangeReader, cacf.CacfHeader]:
         read = self.reader(url)
@@ -131,7 +138,8 @@ def execute_task(spec: TaskSpec, data: DataPath, worker_id: str):
     """Load the chunk and run the pipeline; runs in a task thread."""
     t_start = time.time()
     pipeline, batch = data.load(spec)
-    result = run_pipeline(batch, pipeline, chunk_id=spec.chunk.chunk_id, worker_id=worker_id)
+    (result,) = run_pipeline(batch, pipeline, chunk_ids=[spec.chunk.chunk_id]).results  # one segment
+    result.worker_id = worker_id
     result.t_start = t_start
     result.t_end = time.time()
     return result

@@ -48,7 +48,8 @@ def _single_batch_oracle(ctx, root):
     pipeline = KernelPipeline.from_json(BENCH_PIPELINE)
     wanted = sorted(pipeline.input_columns())
     cols = {n: np.concatenate([cacf.read_columns_path(p)[n] for p in local]) for n in wanted}
-    return run_pipeline(ColumnBatch(cols), pipeline)
+    (result,) = run_pipeline(ColumnBatch(cols), pipeline).results
+    return result
 
 
 def _hists_equal(merged: dict, oracle) -> bool:

@@ -203,5 +203,6 @@ def test_benchmark_trace_sees_every_layer(tmp_path, monkeypatch):
     assert job.state == "done"
     spans = ("engine.pipeline", "cacf.read_chunk", "cacf.read_header", "data_proxy.fetch", "scheduler.schedule_step")
     assert {name: tracer.calls[name] for name in spans if not tracer.calls[name]} == {}
-    assert tracer.calls["engine.pipeline"] == len(job.chunks)
+    assert tracer.calls["engine.pipeline"] == len(job.dataset.files)  # one pass over each file's 4 chunks
+    assert tracer.counts["engine.events"] == cfg.total_events
     assert sim.run_pipeline is run_pipeline

@@ -74,7 +74,8 @@ def oracle_histograms(dataset, root: str, pipeline_json):
     pipeline = KernelPipeline.from_json(pipeline_json)
     wanted = sorted(pipeline.input_columns())
     cols = {n: np.concatenate([cacf.read_columns_path(p)[n] for p in local]) for n in wanted}
-    return run_pipeline(ColumnBatch(cols), pipeline)
+    (result,) = run_pipeline(ColumnBatch(cols), pipeline).results
+    return result
 
 
 def test_login_provision_and_dedicated_worker(idp_keys, tmp_path):
@@ -174,8 +175,20 @@ def test_no_batch_worker_starts_after_stop(idp_keys, tmp_path):
         facility, _, _ = small_facility(idp_keys, tmp_path)
         await facility.start()
         started = []
+        stopping = []
         start_worker = facility.batch_sim.on_start
-        facility.batch_sim.on_start = lambda job, t: (started.append(job.handle), start_worker(job, t))
+
+        def on_start(job, t):
+            started.append(job.handle)
+            start_worker(job, t)
+            if not stopping:
+                # Begin the stop here. Its first step cancels the batch service's
+                # timers, and runs before the timer of the second start, which the
+                # sim asks for only after this call. A stop begun once a poll saw
+                # this start could come after a stalled loop had run that timer.
+                stopping.append(asyncio.ensure_future(facility.stop()))
+
+        facility.batch_sim.on_start = on_start
         facility.batch_sim.delay.s0, facility.batch_sim.delay.c = 0.0, 0.5
         token = mint_token(facility.keys.batch, "alice", "batch", exp=time.time() + 600)
         now = facility.batch_service.clock()
@@ -187,7 +200,7 @@ def test_no_batch_worker_starts_after_stop(idp_keys, tmp_path):
                 await asyncio.sleep(0.01)
             assert started == [first]  # a start that comes due is woken for
         finally:
-            await facility.stop()
+            await (stopping[0] if stopping else facility.stop())
         await asyncio.sleep(facility.batch_sim.jobs[second].start_at - time.time() + 0.3)
         assert started == [first]
         assert facility.batch_sim.jobs[second].state == "Starting"
@@ -568,7 +581,8 @@ def test_evicted_file_stays_open_for_a_read_in_flight(tmp_path, monkeypatch):
     def task(name: str, start: int):
         spec = TaskSpec(job_id="j", chunk=FileChunk(file=paths[name], start=start, len=20, chunk_id=0), pipeline=tuple(PIPELINE))
         got = worker.execute_task(spec, data, "w1")
-        want = run_pipeline(ColumnBatch({n: v[start : start + 20] for n, v in columns[name].items()}), pipeline)
+        piece = ColumnBatch({n: v[start : start + 20] for n, v in columns[name].items()})
+        (want,) = run_pipeline(piece, pipeline).results
         assert [h.to_dict() for h in got.histograms] == [h.to_dict() for h in want.histograms]
 
     with ThreadPoolExecutor(2) as pool:

@@ -18,7 +18,7 @@ PIPELINE_JSON = [
 def test_run_pipeline_hand_example():
     # px=[3,0], py=[4,0]: pt=[5,0]; filter keeps the 5; one bin [0,10) gets it
     batch = ColumnBatch({"px": np.array([3.0, 0.0]), "py": np.array([4.0, 0.0])})
-    result = run_pipeline(batch, KernelPipeline.from_json(PIPELINE_JSON))
+    (result,) = run_pipeline(batch, KernelPipeline.from_json(PIPELINE_JSON)).results
     assert result.n_events_in == 2 and result.n_events_pass == 1
     assert list(result.histograms[0].counts) == [1]
     assert result.histograms[0].n_filled == result.n_events_pass
@@ -37,14 +37,14 @@ def test_one_errstate_per_task(monkeypatch):
         [{"hist": ["h_px", "px", 4, 0, 1]}, {"filter": "py > 0"}, {"hist": ["h_py", "py", 4, 0, 1]}]
     )
     batch = ColumnBatch({"px": np.array([1e308, -1e308, 0.5]), "py": np.array([1.0, 0.5, -1.0])})
-    result = run_pipeline(batch, pipeline)
+    (result,) = run_pipeline(batch, pipeline).results
     assert len(entered) == 1  # run_pipeline's own, not one more per histogram
     assert [(h.underflow, h.overflow) for h in result.histograms] == [(1, 1), (0, 1)]
 
 
 def test_empty_batch():
     batch = ColumnBatch({"px": np.empty(0), "py": np.empty(0)})
-    result = run_pipeline(batch, KernelPipeline.from_json(PIPELINE_JSON))
+    (result,) = run_pipeline(batch, KernelPipeline.from_json(PIPELINE_JSON)).results
     assert result.n_events_pass == 0
     assert sum(result.histograms[0].counts) == 0 and result.histograms[0].n_filled == 0
 
@@ -54,7 +54,7 @@ def test_constant_false_filter():
     pipeline = KernelPipeline.from_json(
         [{"filter": "0"}, {"hist": ["h", "px", 4, 0, 4]}]
     )
-    result = run_pipeline(batch, pipeline)
+    (result,) = run_pipeline(batch, pipeline).results
     assert result.n_events_pass == 0
 
 
@@ -93,8 +93,8 @@ def test_json_round_trip():
     again = KernelPipeline.from_json(pipeline.to_json())
     assert again.to_json() == pipeline.to_json()
     batch = ColumnBatch({"px": np.array([3.0, 0.0]), "py": np.array([4.0, 0.0])})
-    a = run_pipeline(batch, pipeline)
-    b = run_pipeline(batch, again)
+    (a,) = run_pipeline(batch, pipeline).results
+    (b,) = run_pipeline(batch, again).results
     assert np.array_equal(a.histograms[0].counts, b.histograms[0].counts)
 
 
@@ -143,7 +143,7 @@ def test_filters_keep_only_live_columns_with_the_same_result(seed, n_events):
     columns["eta"][rng.random(n_events) < 0.1] = np.nan
     columns["phi"][rng.random(n_events) < 0.1] = 0.0
     batch = ColumnBatch(columns)
-    result = run_pipeline(batch, pipeline)
+    (result,) = run_pipeline(batch, pipeline).results
     n_pass, want = _reference_run(batch, pipeline)
     assert result.n_events_pass == n_pass
     (got,) = result.histograms
@@ -153,7 +153,8 @@ def test_filters_keep_only_live_columns_with_the_same_result(seed, n_events):
 
 def test_task_result_round_trip():
     batch = ColumnBatch({"px": np.array([3.0, 0.0]), "py": np.array([4.0, 0.0])})
-    result = run_pipeline(batch, KernelPipeline.from_json(PIPELINE_JSON), chunk_id=7, worker_id="w1")
+    (result,) = run_pipeline(batch, KernelPipeline.from_json(PIPELINE_JSON), chunk_ids=[7]).results
+    result.worker_id = "w1"
     back = TaskResult.from_dict(result.to_dict())
     assert back.chunk_id == 7 and back.worker_id == "w1"
     assert back.n_events_pass == result.n_events_pass
@@ -193,13 +194,13 @@ def test_partition_invariance(n_events, chunk_size, seed, pipeline_json):
         "py": rng.normal(0, 2, n_events),
     }
     pipeline = KernelPipeline.from_json(pipeline_json)
-    whole = run_pipeline(ColumnBatch(columns), pipeline)
+    (whole,) = run_pipeline(ColumnBatch(columns), pipeline).results
 
     merged = None
     total_pass = 0
     for start in range(0, n_events, chunk_size):
         piece = {k: v[start : start + chunk_size] for k, v in columns.items()}
-        part = run_pipeline(ColumnBatch(piece), pipeline)
+        (part,) = run_pipeline(ColumnBatch(piece), pipeline).results
         total_pass += part.n_events_pass
         if merged is None:
             merged = part.histograms
@@ -212,3 +213,85 @@ def test_partition_invariance(n_events, chunk_size, seed, pipeline_json):
     for m, w in zip(merged, whole.histograms):
         assert np.array_equal(m.counts, w.counts)
         assert (m.underflow, m.overflow, m.n_filled) == (w.underflow, w.overflow, w.n_filled)
+
+
+# ---- segmented passes ---------------------------------------------------------
+
+_segment_pipeline_strategy = st.sampled_from(
+    [
+        PIPELINE_JSON,
+        [
+            {"define": ["one", "1"]},
+            {"filter": "1"},
+            {"hist": ["h_one", "one", 3, 0, 3]},
+            {"filter": "px>0"},
+            {"hist": ["h_px", "px", 5, -2, 3]},
+        ],
+        [
+            {"define": ["r", "sqrt(px*px+py*py)"]},
+            {"filter": "r>0.5 && px<40"},
+            {"hist": ["h_r", "r", 8, 0, 4]},
+            {"hist": ["h_px", "px", 5, -3, 3]},
+        ],
+        [{"filter": "0"}, {"hist": ["h", "px", 4, 0, 4]}],
+        [{"hist": ["h_all", "px", 4, -2, 2]}, {"filter": "px>0"}, {"filter": "py>0"}, {"hist": ["h", "px+py", 6, 0, 6]}],
+    ]
+)
+
+# NaN, +-inf, values whose slot overflows to +-inf, and the bin edges of the histograms above
+_SPECIAL_VALUES = np.array([np.nan, np.inf, -np.inf, 1e308, -1e308, -3.0, -2.0, -1.8, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=12),
+    seed=st.integers(min_value=0, max_value=2**31),
+    pipeline_json=_segment_pipeline_strategy,
+)
+def test_a_segmented_pass_equals_a_run_per_chunk(lengths, seed, pipeline_json):
+    """One pass over consecutive segments gives each segment, field by field,
+    what a run over its rows alone gives, and what the reference loop gives."""
+    rng = np.random.default_rng(seed)
+    n_events = sum(lengths)
+    columns = {}
+    for name in ("px", "py"):
+        values = rng.normal(0, 2, n_events)
+        special = rng.random(n_events) < 0.25
+        values[special] = rng.choice(_SPECIAL_VALUES, int(special.sum()))
+        columns[name] = values
+    ends = np.cumsum(lengths).tolist()
+    starts = [end - n for end, n in zip(ends, lengths)]
+    for start, end in zip(starts, ends):
+        if rng.random() < 0.3:
+            columns["px"][start:end] = -1.0  # a segment that px > 0 filters to no rows
+    pipeline = KernelPipeline.from_json(pipeline_json)
+    chunk_ids = [100 + 3 * i for i in range(len(lengths))]
+
+    passed = run_pipeline(ColumnBatch(columns), pipeline, lengths, chunk_ids)
+
+    assert passed.n_events_in == n_events
+    assert [r.chunk_id for r in passed.results] == chunk_ids
+    for result, chunk_id, start, end in zip(passed.results, chunk_ids, starts, ends):
+        piece = ColumnBatch({name: values[start:end] for name, values in columns.items()})
+        (alone,) = run_pipeline(piece, pipeline, chunk_ids=[chunk_id]).results
+        assert result.to_dict() == alone.to_dict()
+        assert (result.n_events_in, result.n_events_pass) == (end - start, alone.n_events_pass)
+        n_pass, want = _reference_run(piece, pipeline)
+        assert result.n_events_pass == n_pass
+        assert [h.to_dict() for h in result.histograms] == [h.to_dict() for h in want]
+
+
+def test_a_segmented_pass_refuses_a_define_that_shadows_a_column():
+    batch = ColumnBatch({"px": np.array([1.0, 2.0, 3.0])})
+    pipeline = KernelPipeline.from_json([{"define": ["px", "1"]}, {"hist": ["h", "px", 1, 0, 1]}])
+    with pytest.raises(PipelineError, match="step 0: define 'px' shadows an existing column"):
+        run_pipeline(batch, pipeline, [1, 2], [0, 1])
+
+
+def test_segments_must_cover_the_batch():
+    batch = ColumnBatch({"px": np.array([1.0, 2.0, 3.0])})
+    pipeline = KernelPipeline.from_json(PIPELINE_JSON)
+    with pytest.raises(ValueError, match="3-event batch"):
+        run_pipeline(batch, pipeline, [1, 1], [0, 1])
+    with pytest.raises(ValueError, match="1 chunk ids"):
+        run_pipeline(batch, pipeline, [1, 2], [0])

@@ -6,10 +6,13 @@ import os
 import numpy as np
 import pytest
 
+from casa_mini import sim
 from casa_mini.bench import BENCH_PIPELINE, BenchConfig, fixed_policy, make_context, make_facility, run_once
 from casa_mini.data_proxy import DataProxyServer, OriginServer, ProxyClient
+from casa_mini.engine.hist import merge_histograms
+from casa_mini.engine.pipeline import KernelPipeline, run_pipeline
 from casa_mini.scheduler.state import events_to_csv
-from casa_mini.sim import VirtualLoop
+from casa_mini.sim import PASS_EVENTS, VirtualLoop, passes
 from casa_mini.types import DatasetSpec, FileChunk, TaskSpec
 from casa_mini.worker import DataPath, execute_task
 
@@ -53,8 +56,84 @@ def test_one_header_read_per_file(tmp_path, monkeypatch):
     assert job.state == "done"
     header_paths = sorted(path for path, offset in reads if offset == 0)
     assert header_paths == ["/store/bench/part00.cacf", "/store/bench/part01.cacf"]
-    # apart from the headers, only the pipeline's 3 input columns of each chunk
-    assert len(reads) == 2 + 3 * len(job.chunks)
+    # apart from the headers, one read of each of the pipeline's 3 input columns per file
+    assert len(reads) == 2 + 3 * len(job.dataset.files)
+
+
+def test_each_job_pipeline_is_parsed_once(tmp_path, monkeypatch):
+    cfg, ctx = small_ctx(tmp_path)
+    parsed = []
+    from_json = KernelPipeline.from_json.__func__
+
+    def counting_from_json(cls, data):
+        parsed.append(data)
+        return from_json(cls, data)
+
+    monkeypatch.setattr(KernelPipeline, "from_json", classmethod(counting_from_json))
+    job, _ = run_once(ctx, fixed_policy(3, cfg))
+    assert job.state == "done"
+    assert parsed == [BENCH_PIPELINE]  # at submission; every file pass reuses it
+
+
+def _record_passes(monkeypatch) -> list:
+    """The chunk ids of every engine pass the virtual facility runs from now on."""
+    passed = []
+
+    def recording_run_pipeline(batch, pipeline, lengths=None, chunk_ids=None):
+        passed.append(list(chunk_ids))
+        return run_pipeline(batch, pipeline, lengths, chunk_ids)
+
+    monkeypatch.setattr(sim, "run_pipeline", recording_run_pipeline)
+    return passed
+
+
+def test_one_engine_pass_per_file_gives_the_per_chunk_results(tmp_path, monkeypatch):
+    cfg, ctx = small_ctx(tmp_path)  # 2 files of 10 chunks each
+    passed = _record_passes(monkeypatch)
+    job, facility = run_once(ctx, fixed_policy(3, cfg))
+    assert job.state == "done"
+    assert passed == [list(range(10)), list(range(10, 20))]
+    assert facility._results == {} and facility._spans == {}  # dropped when run_job returns
+    # the merged result equals per-chunk runs of the same chunks
+    data = DataPath(ctx.proxy.range_reader, ctx.data_token)
+    pipeline = KernelPipeline.from_json(BENCH_PIPELINE)
+    merged = {}
+    for chunk in job.chunks.values():
+        (alone,) = run_pipeline(data.read(chunk, pipeline), pipeline).results
+        for h in alone.histograms:
+            merged[h.name] = merge_histograms(merged[h.name], h) if h.name in merged else h
+    assert {name: h.to_dict() for name, h in merged.items()} == {name: h.to_dict() for name, h in job.merged.items()}
+
+
+def test_a_chunk_rerun_after_a_kill_reuses_its_pass(tmp_path, monkeypatch):
+    cfg, ctx = small_ctx(tmp_path)
+    passed = _record_passes(monkeypatch)
+    job, facility = run_once(ctx, fixed_policy(3, cfg), kill_plan=[(5.0, "w0001")])
+    assert job.state == "done"
+    on_w1 = [e for e in facility.state.events if e.worker_id == "w0001"]
+    lost = {e.chunk_id for e in on_w1 if e.kind == "TaskStart"} - {e.chunk_id for e in on_w1 if e.kind == "TaskEnd"}
+    assert lost and lost <= job.done  # w0001 died holding them, and other workers ran them
+    assert passed == [list(range(10)), list(range(10, 20))]  # from the passes already run
+
+
+def test_a_pass_dropped_from_the_cache_runs_again_for_the_chunks_left(tmp_path, monkeypatch):
+    cfg, ctx = small_ctx(tmp_path)
+    kept, _ = run_once(ctx, fixed_policy(3, cfg))
+    monkeypatch.setattr(sim, "PASS_CACHE", 0)  # every pass is dropped once its first result is handed out
+    passed = _record_passes(monkeypatch)
+    job, _ = run_once(ctx, fixed_policy(3, cfg))
+    assert job.state == "done"
+    assert sorted(map(tuple, passed)) == [tuple(range(10))] * 10 + [tuple(range(10, 20))] * 10  # a pass per task
+    assert (job.n_events_in, job.n_events_pass) == (kept.n_events_in, kept.n_events_pass)
+    assert {n: h.to_dict() for n, h in job.merged.items()} == {n: h.to_dict() for n, h in kept.merged.items()}
+
+
+def test_passes_split_at_files_gaps_and_the_event_bound():
+    a = [FileChunk("a", start, 1000, i) for i, start in enumerate(range(0, 5000, 1000))]
+    gap = FileChunk("a", 6000, 1000, 5)
+    b = [FileChunk("b", 0, PASS_EVENTS - 1, 6), FileChunk("b", PASS_EVENTS - 1, 2, 7), FileChunk("b", PASS_EVENTS + 1, 1, 8)]
+    big = FileChunk("c", 0, 2 * PASS_EVENTS, 9)
+    assert list(passes([*a, gap, *b, big])) == [tuple(a), (gap,), (b[0],), (b[1], b[2]), (big,)]
 
 
 def _local_job(tmp_path):
@@ -83,9 +162,13 @@ def test_run_job_closes_every_file_it_opened(tmp_path):
 
 def test_worker_and_virtual_facility_give_a_task_the_same_result(tmp_path):
     cfg, ctx = small_ctx(tmp_path)
-    chunk = FileChunk(file=ctx.dataset.files[1], start=3000, len=1000, chunk_id=13)
-    spec = TaskSpec(job_id="job-1", chunk=chunk, pipeline=tuple(BENCH_PIPELINE))
-    virtual = make_facility(ctx, fixed_policy(1, cfg))._execute(spec, "w1", 0.0, 1.0)
+    facility = make_facility(ctx, fixed_policy(1, cfg))
+    job_id = facility.state.submit_job(BENCH_PIPELINE, ctx.dataset, cfg.chunk_size, 0.0, ctx.events_per_file)
+    chunk = facility.state.jobs[job_id].chunks[13]
+    assert chunk == FileChunk(file=ctx.dataset.files[1], start=3000, len=1000, chunk_id=13)
+    spec = TaskSpec(job_id=job_id, chunk=chunk, pipeline=tuple(BENCH_PIPELINE))
+    virtual = facility._execute(spec, "w1", 0.0, 1.0)  # from the pass over the file's 10 chunks
+    assert (virtual.worker_id, virtual.t_start, virtual.t_end) == ("w1", 0.0, 1.0)
 
     async def live():
         # the worker's own path: a networked proxy in front of the same files
