@@ -21,7 +21,7 @@ import sys
 
 from . import client
 from .bench import BenchConfig, oracle_throughput, run_adaptive, run_sweep, stall_report
-from .data_proxy import ProxyClient
+from .data_proxy import ProxyClient, range_reader
 from .launcher import run_facility
 
 DEFAULT_HOME = os.path.join(os.path.expanduser("~"), ".casa-mini")
@@ -120,7 +120,7 @@ def _resolve_dataset(args, home: str, session: dict) -> dict:
     proxy = ProxyClient(tuple(session["data_proxy"]))
     try:
         manifest_path = f"/store/datasets/{args.dataset}.json"
-        reader = proxy.range_reader(manifest_path, token)
+        reader = range_reader(proxy.fetch, manifest_path, token)
         raw = b""
         offset = 0
         while True:

@@ -169,6 +169,20 @@ class BlockStore:
         return joined[rel : rel + length]
 
 
+def range_reader(fetch, path: str, token: str):
+    """A CACF range reader of `path` over a proxy's fetch(path, offset,
+    length, token); a read longer than MAX_FETCH goes as consecutive fetches
+    of at most MAX_FETCH bytes each."""
+
+    def read(offset: int, length: int) -> bytes:
+        if length <= MAX_FETCH:
+            return fetch(path, offset, length, token)
+        end = offset + length
+        return b"".join(fetch(path, at, min(MAX_FETCH, end - at), token) for at in range(offset, end, MAX_FETCH))
+
+    return read
+
+
 def _check_fetch_args(offset: int, length: int) -> None:
     if offset < 0 or length < 0:
         raise ProxyError("negative offset or length")
@@ -244,12 +258,6 @@ class SyncDataProxy:
 
     def stats(self) -> dict:
         return self.store.stats.as_dict()
-
-    def range_reader(self, path: str, token: str):
-        def read(offset: int, length: int) -> bytes:
-            return self.fetch(path, offset, length, token)
-
-        return read
 
 
 def _tagged(tag: int, payload: bytes) -> bytes:
@@ -499,9 +507,3 @@ class ProxyClient:
                 self._socks.discard(sock)
             sock.close()
             raise
-
-    def range_reader(self, path: str, token: str):
-        def read(offset: int, length: int) -> bytes:
-            return self.fetch(path, offset, length, token)
-
-        return read

@@ -102,17 +102,6 @@ class KernelPipeline:
             read_later |= needed_columns(step.expr)
         return frozenset(inputs), tuple(reversed(steps))
 
-    def to_json(self) -> list:
-        out = []
-        for step in self.steps:
-            if isinstance(step, Define):
-                out.append({"define": [step.name, _unparse(step.expr)]})
-            elif isinstance(step, Filter):
-                out.append({"filter": _unparse(step.expr)})
-            else:
-                out.append({"hist": [step.name, _unparse(step.expr), step.n_bins, step.lo, step.hi]})
-        return out
-
     @classmethod
     def from_json(cls, data: list) -> "KernelPipeline":
         steps: list[Step] = []
@@ -244,19 +233,3 @@ def run_pipeline(
             )
     return PassResult(results)
 
-
-def _unparse(expr: Expr) -> str:
-    # round-trippable but fully parenthesized; used only for serialization
-    from .expr import Bin, Call, Col, Num, Unary
-
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Col):
-        return expr.name
-    if isinstance(expr, Unary):
-        return f"({expr.op}{_unparse(expr.operand)})"
-    if isinstance(expr, Bin):
-        return f"({_unparse(expr.left)} {expr.op} {_unparse(expr.right)})"
-    if isinstance(expr, Call):
-        return f"{expr.fn}({', '.join(_unparse(a) for a in expr.args)})"
-    raise TypeError(f"not an expression node: {expr!r}")

@@ -26,6 +26,7 @@ from .state import (
     ClusterState,
     ScalePolicy,
     SchedulerError,
+    WorkerState,
     events_to_csv,
 )
 
@@ -76,7 +77,7 @@ class SchedulerService:
         self.clock = clock
         self.worker_cores = worker_cores
         self.heartbeat_timeout = heartbeat_timeout
-        self.autoscaler = Autoscaler(self.state, self.policy, self._request_workers, self._cancel_worker)
+        self.autoscaler = Autoscaler(self.state, self.policy, self._request_workers, self._release)
         # worker_id -> its connection's writer, and the lock every send on it holds
         self._worker_conns: dict[str, tuple[asyncio.StreamWriter, asyncio.Lock]] = {}
         self._server: asyncio.AbstractServer | None = None
@@ -134,17 +135,15 @@ class SchedulerService:
                 w.batch_handle = handle
         except Exception as exc:
             log.warning("batch submit for %s failed: %s", worker_id, exc)
-            self.state.remove_worker(worker_id, self.clock(), f"batch submit failed: {exc}")
+            self.autoscaler.drop_worker(worker_id, self.clock(), f"batch submit failed: {exc}")
 
-    def _cancel_worker(self, worker_id: str, now: float, reason: str = "scaled down") -> None:
-        w = self.state.workers.get(worker_id)
-        handle = w.batch_handle if w is not None else None
-        self.state.remove_worker(worker_id, now, reason)
-        conn = self._worker_conns.pop(worker_id, None)
+    def _release(self, w: WorkerState, now: float) -> None:
+        """A dropped worker's connection closes and its batch job is cancelled."""
+        conn = self._worker_conns.pop(w.worker_id, None)
         if conn is not None:
             conn[0].close()
-        if handle is not None and self.scale_cancel is not None:
-            self._tasks.spawn(self._cancel_handle(handle))
+        if w.batch_handle is not None and self.scale_cancel is not None:
+            self._tasks.spawn(self._cancel_handle(w.batch_handle))
 
     async def _cancel_handle(self, handle) -> None:
         try:
@@ -156,9 +155,8 @@ class SchedulerService:
         while True:
             await asyncio.sleep(AUTOSCALE_INTERVAL)
             now = self.clock()
-            lost = self.state.reap_lost_workers(now, self.heartbeat_timeout)
-            if lost:
-                log.info("requeued %d chunks from lost workers", len(lost))
+            for worker_id in self.state.reap_lost_workers(now, self.heartbeat_timeout):
+                self.autoscaler.drop_worker(worker_id, now, "heartbeat timeout")
             self.autoscaler.tick(now)
             await self._dispatch(now)
 
@@ -247,7 +245,7 @@ class SchedulerService:
                 del self._worker_conns[worker_id]
                 if not self._closed:  # its chunks go back to the queue, to be dispatched at once
                     now = self.clock()
-                    self._cancel_worker(worker_id, now, "connection closed")
+                    self.autoscaler.drop_worker(worker_id, now, "connection closed")
                     self._tasks.spawn(self._dispatch(now))
             writer.close()
 

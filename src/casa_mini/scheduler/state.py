@@ -239,7 +239,8 @@ class ClusterState:
         w.last_heartbeat = max(w.last_heartbeat, now)
 
     def remove_worker(self, worker_id: str, now: float, reason: str) -> list[int]:
-        """Drop a worker, requeueing whatever it was running."""
+        """Drop a worker, requeueing whatever it was running; only
+        Autoscaler.drop_worker calls it, so that the worker is also released."""
         w = self.workers.pop(worker_id, None)
         if w is None:
             return []
@@ -256,15 +257,10 @@ class ClusterState:
         self.events.append(TaskStreamEvent("WorkerDown", worker_id, None, now, reason))
         return requeued
 
-    def reap_lost_workers(self, now: float, timeout: float = HEARTBEAT_TIMEOUT) -> list[int]:
-        requeued = []
-        for worker_id in [
-            wid
-            for wid, w in sorted(self.workers.items())
-            if w.arrived and now - w.last_heartbeat > timeout
-        ]:
-            requeued.extend(self.remove_worker(worker_id, now, "heartbeat timeout"))
-        return requeued
+    def reap_lost_workers(self, now: float, timeout: float = HEARTBEAT_TIMEOUT) -> list[str]:
+        """The arrived workers silent for longer than `timeout`; the caller
+        drops each with Autoscaler.drop_worker."""
+        return [wid for wid, w in sorted(self.workers.items()) if w.arrived and now - w.last_heartbeat > timeout]
 
     def n_supplied(self) -> int:
         """Workers requested or alive; the autoscaler's notion of supply."""
@@ -417,20 +413,34 @@ class ClusterState:
 
 
 class Autoscaler:
-    """Drives worker supply toward the policy target via batch callbacks.
+    """Drives worker supply toward the policy target via batch callbacks,
+    and is the one way a worker leaves the cluster.
 
     request_workers(count, now) must create the batch jobs and call
-    state.expect_worker for each; cancel_worker(worker_id, now) must tear the
-    batch job down.  Scale-down touches only workers idle past the policy's
-    idle_timeout.
+    state.expect_worker for each.  Every departure (scale-down, a closed
+    connection, a heartbeat timeout, a failed batch submit, a killed
+    virtual worker) goes through drop_worker, which requeues the worker's
+    chunks, records its WorkerDown, and calls release(worker, now) to end
+    what the worker still holds: its batch job and its connection.
+    Scale-down touches only workers idle past the policy's idle_timeout.
     """
 
-    def __init__(self, state: ClusterState, policy: ScalePolicy, request_workers, cancel_worker):
+    def __init__(self, state: ClusterState, policy: ScalePolicy, request_workers, release):
         self.state = state
         self.policy = policy
         self.request_workers = request_workers
-        self.cancel_worker = cancel_worker
+        self.release = release
         self._last_target: int | None = None
+
+    def drop_worker(self, worker_id: str, now: float, reason: str) -> list[int]:
+        """Remove a worker and release what it holds; the chunk ids requeued."""
+        w = self.state.workers.get(worker_id)
+        if w is None:
+            return []
+        requeued = self.state.remove_worker(worker_id, now, reason)
+        self.release(w, now)
+        log.info("worker %s down (%s); %d chunks requeued", worker_id, reason, len(requeued))
+        return requeued
 
     def tick(self, now: float) -> int:
         queued = self.state.total_queued()
@@ -448,5 +458,5 @@ class Autoscaler:
         elif target < supply:
             spare = supply - target
             for worker_id in self.state.idle_workers(now, self.policy.idle_timeout)[:spare]:
-                self.cancel_worker(worker_id, now)
+                self.drop_worker(worker_id, now, "scaled down")
         return target

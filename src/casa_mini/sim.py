@@ -12,13 +12,18 @@ chunks of that file in one span and runs them in one segmented engine pass;
 the other chunks' results wait for their own tasks, so the per-call cost of
 the engine is paid once per file, not once per chunk.
 
+Workers fail as live ones do.  A killed worker is a process exit: its batch
+job finishes and its connection closes at the kill time, and it leaves
+through the same Autoscaler.drop_worker as every other departure (reason
+"connection closed"), which requeues its chunks.  A simulated worker never
+goes silent, so no heartbeat is recorded and none times out.
+
 Same seed, same submissions: identical event order, identical task stream.
 """
 
 from __future__ import annotations
 
 import heapq
-import logging
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -29,17 +34,14 @@ from .engine.pipeline import TaskResult, run_pipeline
 from .scheduler.state import (
     AUTOSCALE_INTERVAL,
     DEFAULT_CORES,
-    HEARTBEAT_TIMEOUT,
     Autoscaler,
     ClusterState,
     JobState,
     ScalePolicy,
+    WorkerState,
 )
 from .types import DatasetSpec, FileChunk, TaskSpec
 from .worker import DataPath
-
-log = logging.getLogger(__name__)
-
 
 # Events one engine pass reads at most, so each column's one range read stays
 # far below the proxy's MAX_FETCH and a pass's arrays stay small (a longer
@@ -98,8 +100,6 @@ class VirtualLoop:
 @dataclass
 class _SimWorker:
     worker_id: str
-    handle: int | None
-    n_cores: int
     alive: bool = True
     busy: bool = False
     pending: deque = field(default_factory=deque)
@@ -136,9 +136,9 @@ class VirtualFacility:
             on_start=self._on_batch_start,
         )
         self.batch.wake = lambda t: self.loop.schedule_at(t, lambda: self.batch.advance(t))
-        self.autoscaler = Autoscaler(self.state, policy, self._request_workers, self._cancel_worker)
+        self.autoscaler = Autoscaler(self.state, policy, self._request_workers, self._release)
         self.sim_workers: dict[str, _SimWorker] = {}
-        self.data = DataPath(proxy.range_reader, data_token)  # the live worker's data path
+        self.data = DataPath(proxy.fetch, data_token)  # the live worker's data path
         # (job_id, first chunk_id of a pass) -> results not yet handed out, least recently used first
         self._results: OrderedDict[tuple[str, int], dict[int, TaskResult]] = OrderedDict()
         self._spans: dict[str, dict[int, tuple[FileChunk, ...]]] = {}  # job_id -> chunk_id -> its pass
@@ -159,22 +159,20 @@ class VirtualFacility:
                 now, n_cores=self.params.n_cores, worker_id=worker_id, batch_handle=handle
             )
 
-    def _cancel_worker(self, worker_id: str, now: float) -> None:
-        w = self.state.workers.get(worker_id)
-        if w is not None and w.batch_handle is not None:
-            self.batch.cancel(w.batch_handle, now)
-        sw = self.sim_workers.pop(worker_id, None)
+    def _release(self, w: WorkerState, now: float) -> None:
+        """A dropped worker's simulated process is retired and its batch job
+        cancelled (a no-op for a job that has finished)."""
+        sw = self.sim_workers.pop(w.worker_id, None)
         if sw is not None:
             sw.alive = False
-        self.state.remove_worker(worker_id, now, "scaled down")
+        if w.batch_handle is not None:
+            self.batch.cancel(w.batch_handle, now)
 
     def _on_batch_start(self, job, t: float) -> None:
         worker_id = job.spec.worker_config["worker_id"]
         if worker_id not in self.state.workers:
             return  # cancelled before it started
-        self.sim_workers[worker_id] = _SimWorker(
-            worker_id=worker_id, handle=job.handle, n_cores=job.spec.n_cores
-        )
+        self.sim_workers[worker_id] = _SimWorker(worker_id)
         self.state.worker_arrived(worker_id, "sim", t, n_cores=job.spec.n_cores)
         self._dispatch(t)
 
@@ -184,13 +182,14 @@ class VirtualFacility:
         self._kill_plan.append((t, worker_id))
 
     def _kill(self, worker_id: str, now: float) -> None:
-        sw = self.sim_workers.get(worker_id)
-        if sw is None or not sw.alive:
-            return
-        sw.alive = False  # heartbeats stop; the scheduler reaps it after the timeout
-        if sw.handle is not None:
-            self.batch.finish(sw.handle, now)
-        log.info("killed worker %s at t=%s", worker_id, now)
+        """The worker's process dies, as a SIGKILL does in the live facility:
+        its batch job finishes and its connection closes, both at `now`, so
+        its chunks are requeued and dispatched at once."""
+        if worker_id not in self.sim_workers:
+            return  # not started, or already gone
+        self.batch.finish(self.state.workers[worker_id].batch_handle, now)
+        self.autoscaler.drop_worker(worker_id, now, "connection closed")
+        self._dispatch(now)
 
     # ---- task execution ------------------------------------------------------
 
@@ -259,10 +258,6 @@ class VirtualFacility:
 
     def _tick(self) -> None:
         now = self.loop.now
-        for worker_id, sw in self.sim_workers.items():  # a heartbeat emits no event, so any order
-            if sw.alive and worker_id in self.state.workers:
-                self.state.heartbeat(worker_id, now)
-        self.state.reap_lost_workers(now, HEARTBEAT_TIMEOUT)
         self.autoscaler.tick(now)
         self._dispatch(now)
         if self.state.unfinished_jobs():

@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 from . import cacf, wire
-from .data_proxy import ProxyClient, ProxyError, parse_remote_url
+from .data_proxy import ProxyClient, ProxyError, parse_remote_url, range_reader
 from .engine.pipeline import KernelPipeline, run_pipeline
 from .tokens import TokenError
 from .types import ColumnBatch, FileChunk, TaskSpec
@@ -73,18 +73,19 @@ class DataPath:
     The live worker loads each task; the virtual facility, which has each
     job's pipeline from its submission, reads a span of chunks at a time.
 
-    A root:// chunk is read through `remote(path, token)` with the data
-    token; with no `remote`, it is refused rather than looked for on local
-    disk.  A local path is read from local disk.  Each file's reader (a local
-    one holds the file's descriptor until no task reads through it) and CACF
+    A root:// chunk is read through a proxy's `fetch(path, offset, length,
+    token)` with the data token (`data_proxy.range_reader`); with no
+    `fetch`, it is refused rather than looked for on local disk.  A local
+    path is read from local disk.  Each file's reader (a local one holds
+    the file's descriptor until no task reads through it) and CACF
     header are kept, at most HEADER_CACHE_FILES of them: dataset files are
     immutable, as the proxy's block cache also assumes.  Each job's pipeline
     is parsed and compiled once and kept by job_id (unique within the one
     cluster a DataPath serves), at most PIPELINE_CACHE_JOBS of them.
     """
 
-    def __init__(self, remote: Callable[[str, str], cacf.RangeReader] | None, token: str = ""):
-        self.remote = remote
+    def __init__(self, fetch: Callable[[str, int, int, str], bytes] | None, token: str = ""):
+        self.fetch = fetch
         self.token = token
         self._lock = threading.Lock()
         self._files: OrderedDict[str, tuple[cacf.RangeReader, cacf.CacfHeader]] = OrderedDict()
@@ -94,9 +95,9 @@ class DataPath:
         remote = parse_remote_url(url)
         if remote is None:
             return cacf.local_range_reader(url)
-        if self.remote is None:
+        if self.fetch is None:
             raise ProxyError(f"no data proxy to read {url}")
-        return self.remote(remote.path, self.token)
+        return range_reader(self.fetch, remote.path, self.token)
 
     def _cached(self, cache: OrderedDict, key: str, make, limit: int):
         """cache[key], made by make(key) on a miss; least recently used dropped past limit."""
@@ -151,7 +152,7 @@ class WorkerAgent:
         self.worker_id = cfg.worker_id or ""
         self._pool = ThreadPoolExecutor(max_workers=cfg.n_cores, thread_name_prefix="task")
         self._proxy = ProxyClient(cfg.proxy) if cfg.proxy else None
-        self._data = DataPath(self._proxy.range_reader if self._proxy else None, cfg.data_token)
+        self._data = DataPath(self._proxy.fetch if self._proxy else None, cfg.data_token)
         self._tasks = wire.BackgroundTasks()
         self._send_lock = asyncio.Lock()
         self._writer: asyncio.StreamWriter | None = None

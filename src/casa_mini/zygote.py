@@ -14,7 +14,10 @@ child cannot yet have been reaped, so a signal sent through it never
 reaches a process that reused the pid.  The zygote reaps each child with
 waitpid when its pidfd turns readable, so the children count in
 RUSAGE_CHILDREN, and reports the exit code.  End of file on the socket
-ends the zygote, after it has killed and reaped any child left.
+ends the zygote, after it has killed and reaped any child left.  Each
+child asks the kernel (PR_SET_PDEATHSIG) for SIGKILL when the zygote dies,
+so none outlives it, not even one forked just before the zygote died,
+whose pidfd never reached the facility.
 
 `Zygote` is the facility's side.  It starts the zygote process, sends
 requests and reads replies from the event loop without blocking it, and
@@ -27,6 +30,7 @@ starts a new zygote.
 from __future__ import annotations
 
 import asyncio
+import ctypes
 import json
 import logging
 import os
@@ -42,6 +46,8 @@ from . import worker
 log = logging.getLogger(__name__)
 
 MAX_MESSAGE = 65536
+PR_SET_PDEATHSIG = 1  # linux/prctl.h
+_libc = ctypes.CDLL(None)
 # set in the zygote's environment, so numpy starts no BLAS thread pool in it
 BLAS_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -72,11 +78,16 @@ def _run_worker(config_path: str, log_path: str) -> int:
 
 
 def _fork(sock: socket.socket, children: dict[int, int], request: dict) -> tuple[int, int]:
-    """Fork one worker; return its pid and pidfd."""
+    """Fork one worker; return its pid and pidfd.  The child is killed when
+    the zygote dies, and exits at once if the zygote died before it asked."""
+    zygote_pid = os.getpid()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
+            _libc.prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+            if os.getppid() != zygote_pid:  # orphaned before the request took effect
+                os._exit(1)
             sock.close()
             for pidfd in children:
                 os.close(pidfd)

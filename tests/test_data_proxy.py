@@ -23,7 +23,9 @@ from casa_mini.data_proxy import (
     SyncDataProxy,
     parse_remote_url,
 )
+from casa_mini.engine.pipeline import KernelPipeline
 from casa_mini.tokens import mint_token
+from casa_mini.types import FileChunk
 from casa_mini.worker import DataPath
 
 from .conftest import run_async
@@ -53,17 +55,19 @@ def store(tmp_path):
 
 
 def _opener(opened):
-    def remote(path, token):
-        opened.append((path, token))
-        return lambda offset, length: b""
+    """A proxy fetch that records each request and serves nothing."""
 
-    return remote
+    def fetch(path, offset, length, token):
+        opened.append((path, offset, length, token))
+        return b""
+
+    return fetch
 
 
 def test_data_path_sends_a_remote_url_to_its_opener():
     opened = []
-    DataPath(_opener(opened), "tok").reader("root://aaa.example//store/ds1/f0.cacf")
-    assert opened == [("/store/ds1/f0.cacf", "tok")]
+    DataPath(_opener(opened), "tok").reader("root://aaa.example//store/ds1/f0.cacf")(0, 4)
+    assert opened == [("/store/ds1/f0.cacf", 0, 4, "tok")]
 
 
 def test_data_path_reads_a_local_path_from_local_disk(store):
@@ -155,6 +159,26 @@ def test_fetch_size_cap(store):
     proxy, _ = _sync_proxy(store)
     with pytest.raises(ProxyError, match="exceeds"):
         proxy.fetch("/store/ds1/f0.cacf", 0, data_proxy.MAX_FETCH + 1, _token())
+
+
+def test_data_path_reads_a_column_longer_than_one_fetch(tmp_path):
+    # 2,200,000 float64 events are 17,600,000 bytes, past MAX_FETCH in one column
+    os.makedirs(tmp_path / "store" / "big")
+    pt = np.arange(2_200_000, dtype=np.float64)
+    cacf.write_dataset_file({"pt": pt}, str(tmp_path / "store" / "big" / "f.cacf"))
+    proxy, _ = _sync_proxy(str(tmp_path))
+    lengths = []
+    fetch = proxy.fetch
+
+    def counted(path, offset, length, token):
+        lengths.append(length)
+        return fetch(path, offset, length, token)
+
+    data = DataPath(counted, _token())
+    chunk = FileChunk(file="root://origin//store/big/f.cacf", start=0, len=len(pt), chunk_id=0)
+    batch = data.read(chunk, KernelPipeline.from_json([{"hist": ["h", "pt", 10, 0, 1e7]}]))
+    assert np.array_equal(batch.columns["pt"], pt)
+    assert max(lengths) == data_proxy.MAX_FETCH and sum(lengths) > pt.nbytes  # the header, then the column in pieces
 
 
 def test_block_count_matches_oracle(store):

@@ -18,9 +18,11 @@ import pytest
 from casa_mini import cacf, client, wire
 from casa_mini.batchsim import JobSpec
 from casa_mini.bench import BenchConfig, generate_dataset
-from casa_mini.data_proxy import ProxyClient
+from casa_mini.data_proxy import LocalOrigin, ProxyClient, SyncDataProxy
 from casa_mini.engine.pipeline import KernelPipeline, run_pipeline
 from casa_mini.launcher import Facility, FacilityConfig, reap
+from casa_mini.scheduler.state import ScalePolicy
+from casa_mini.sim import SimParams, VirtualFacility
 from casa_mini.tokens import mint_token
 from casa_mini.types import ColumnBatch
 from casa_mini.zygote import Zygote
@@ -168,6 +170,61 @@ def test_batch_scale_out_completes_job(idp_keys, tmp_path):
             await facility.stop()
 
     run_async(scenario())
+
+
+def test_a_killed_batch_worker_leaves_alike_live_and_virtual(idp_keys, tmp_path):
+    """One dataset, one batch worker killed while it holds chunks: the live
+    facility (SIGKILL of its process) and the virtual one (a kill plan) each
+    requeue its chunks at once, record the same WorkerDown, and merge the
+    same histograms, bit for bit."""
+    facility, dataset, epf = small_facility(idp_keys, tmp_path)
+
+    # virtual: w0001 starts at t=3 (s0 + c) and holds 4 chunks of 5 s each at t=5
+    data_key = b"d" * 32
+    proxy = SyncDataProxy(LocalOrigin(str(tmp_path), "fed"), data_key, clock=lambda: 0.0)
+    virtual = VirtualFacility(
+        proxy,
+        mint_token(data_key, "alice", "data", exp=1e9),
+        "",
+        ScalePolicy(mode="fixed", fixed_n=2),
+        params=SimParams(rate=10.0),
+    )
+    virtual.kill_worker_at("w0001", 5.0)
+    virtual_job = virtual.run_job(PIPELINE, dataset, 50, epf)
+    events = virtual.state.events
+    down = next(e for e in events if e.kind == "WorkerDown")
+    assert (down.worker_id, down.t, down.detail) == ("w0001", 5.0, "connection closed")
+    held = {e.chunk_id for e in events[: events.index(down)] if e.worker_id == "w0001" and e.kind == "TaskStart"}
+    assert len(held) == 4 and not [e for e in events if e.kind == "TaskEnd" and e.worker_id == "w0001"]
+
+    async def live():
+        await facility.start()
+        try:
+            reply = await client.login(facility.addresses["authd"], make_assertion(idp_keys, sub="alice"))
+            sc = scheduler_client(reply, write_client_creds(reply, str(tmp_path / "alice")))
+            service = facility.clusters[reply["cluster_id"]].service
+            await sc.scale_request(mode="fixed", fixed_n=2)  # the dedicated worker and w0001
+            await service.wait_worker("w0001", 30)
+            worker = facility._batch_procs[service.state.workers["w0001"].batch_handle]
+            worker.send_signal(signal.SIGSTOP)  # it takes chunks and runs none of them
+            try:
+                job_id = await sc.submit_job(PIPELINE, "mini", list(dataset.files), epf, chunk_size=50)
+                assert service.state.workers["w0001"].running  # assigned at the submission
+            finally:
+                worker.kill()
+            status = await sc.wait_job(job_id, timeout=30)
+            downs = [(e.worker_id, e.detail) for e in service.state.events if e.kind == "WorkerDown"]
+            sc.close()
+            return status, downs
+        finally:
+            await facility.stop()
+
+    status, downs = run_async(live())
+    assert status["state"] == virtual_job.state == "done"
+    assert downs[0] == ("w0001", "connection closed")
+    assert status["histograms"] == virtual_job.status()["histograms"]
+    oracle = oracle_histograms(dataset, str(tmp_path), PIPELINE)
+    assert status["histograms"][0]["counts"] == [int(c) for c in oracle.histograms[0].counts]
 
 
 def test_no_batch_worker_starts_after_stop(idp_keys, tmp_path):
@@ -427,7 +484,7 @@ def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
             pipeline=tuple(PIPELINE),
         )
         proxy_client = ProxyClient(cfg.proxy)
-        data = DataPath(proxy_client.range_reader, cfg.data_token)
+        data = DataPath(proxy_client.fetch, cfg.data_token)
         with pytest.raises(TokenError):
             await asyncio.to_thread(execute_task, spec, data, "w1")
         proxy_client.close()
@@ -476,7 +533,7 @@ def test_worker_keeps_headers_and_proxy_connection_across_tasks(tmp_path, monkey
             for i, (name, start) in enumerate([("a", 0), ("a", 50), ("b", 0), ("b", 50)])
         ]
         proxy_client = ProxyClient(cfg.proxy)
-        data = DataPath(proxy_client.range_reader, cfg.data_token)
+        data = DataPath(proxy_client.fetch, cfg.data_token)
         try:
             # one thread, as a task thread runs one task after another
             results = await asyncio.to_thread(lambda: [execute_task(s, data, "w1") for s in specs])

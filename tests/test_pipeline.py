@@ -88,16 +88,6 @@ def test_bad_hist_spec():
         KernelPipeline.from_json([{"hist": ["h", "x", 4, 2, 2]}])
 
 
-def test_json_round_trip():
-    pipeline = KernelPipeline.from_json(PIPELINE_JSON)
-    again = KernelPipeline.from_json(pipeline.to_json())
-    assert again.to_json() == pipeline.to_json()
-    batch = ColumnBatch({"px": np.array([3.0, 0.0]), "py": np.array([4.0, 0.0])})
-    (a,) = run_pipeline(batch, pipeline).results
-    (b,) = run_pipeline(batch, again).results
-    assert np.array_equal(a.histograms[0].counts, b.histograms[0].counts)
-
-
 def test_input_columns():
     pipeline = KernelPipeline.from_json(PIPELINE_JSON)
     assert pipeline.input_columns() == {"px", "py"}

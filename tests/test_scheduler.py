@@ -172,9 +172,12 @@ def test_reap_requeues_running_chunks():
     state.worker_arrived("w1", "alice", 0.0)
     state.schedule_step(0.0)
     assert len(state.jobs[job_id].assigned) == 2
-    requeued = state.reap_lost_workers(now=20.0, timeout=10.0)
-    assert sorted(requeued) == [0, 1]
-    assert "w1" not in state.workers
+    assert state.reap_lost_workers(now=20.0, timeout=10.0) == ["w1"]
+    released = []
+    scaler = Autoscaler(state, ScalePolicy(), None, lambda w, now: released.append(w.worker_id))
+    assert sorted(scaler.drop_worker("w1", 20.0, "heartbeat timeout")) == [0, 1]
+    assert "w1" not in state.workers and released == ["w1"]
+    assert state.events[-1].detail == "heartbeat timeout"
     assert state.jobs[job_id].queued == {0, 1}
     # a fresh worker picks the chunks back up
     state.worker_arrived("w2", "alice", 21.0)
@@ -252,11 +255,15 @@ def test_autoscaler_requests_and_cancels():
     def request(count, now):
         for _ in range(count):
             wid = state.next_worker_id()
-            state.expect_worker(now, worker_id=wid)
+            state.expect_worker(now, worker_id=wid, batch_handle=100 + len(requested))
             requested.append(wid)
 
+    def release(w, now):  # the worker has left the state before its batch job is ended
+        assert w.worker_id not in state.workers
+        cancelled.append(w.batch_handle)
+
     policy = ScalePolicy(mode="adaptive", tasks_per_worker=4, idle_timeout=5.0)
-    scaler = Autoscaler(state, policy, request, lambda wid, now: cancelled.append(wid) or state.remove_worker(wid, now, "down"))
+    scaler = Autoscaler(state, policy, request, release)
     assert scaler.tick(0.0) == 2
     assert len(requested) == 2
     # drain the queue, workers become idle, scale-down after idle_timeout
@@ -269,7 +276,9 @@ def test_autoscaler_requests_and_cancels():
     scaler.tick(3.0)  # target 0 but nothing idle long enough
     assert cancelled == []
     scaler.tick(8.0)
-    assert sorted(cancelled) == sorted(requested)
+    assert sorted(cancelled) == [100, 101]  # each worker's batch job
+    assert state.workers == {}
+    assert [e.detail for e in state.events if e.kind == "WorkerDown"] == ["scaled down"] * 2
 
 
 def test_events_csv_shape():

@@ -16,6 +16,7 @@ from casa_mini.client import SchedulerClient
 from casa_mini.engine.hist import Histogram
 from casa_mini.engine.pipeline import TaskResult
 from casa_mini.scheduler.service import SchedulerService, server_ssl_context
+from casa_mini.scheduler.state import ScalePolicy
 
 from .conftest import run_async
 
@@ -397,5 +398,44 @@ def test_chunks_of_a_worker_whose_connection_closes_go_to_another(tls):
             downs = [(e.worker_id, e.detail) for e in rig.service.state.events if e.kind == "WorkerDown"]
             assert downs == [("w1", "connection closed")]
             w2.close()
+
+    run_async(scenario())
+
+
+async def until(condition, timeout: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        await asyncio.sleep(0.01)
+
+
+def test_silent_batch_worker_is_dropped_with_its_batch_job_and_connection(tls):
+    handles = iter(range(100, 200))
+    cancelled = []
+
+    async def scale_submit(worker_id, n_cores):
+        return next(handles)
+
+    async def scale_cancel(handle):
+        cancelled.append(handle)
+
+    async def scenario():
+        rig = Rig(tls)
+        rig.service = SchedulerService(
+            "alice-1", ScalePolicy(mode="fixed"), scale_submit, scale_cancel, heartbeat_timeout=0.5
+        )
+        async with rig:
+            state = rig.service.state
+            await rig.client.scale_request(mode="fixed", fixed_n=1)  # asks for batch worker w0001
+            await until(lambda: state.workers["w0001"].batch_handle is not None)
+            w = await rig.worker("w0001")  # and never sends a Heartbeat
+            # the next tick past the timeout drops it and closes its connection
+            assert await asyncio.wait_for(w.reader.read(), 5) == b""
+            w.close()
+            downs = [(e.worker_id, e.detail) for e in state.events if e.kind == "WorkerDown"]
+            assert downs == [("w0001", "heartbeat timeout")]
+            await until(lambda: cancelled)  # the cancel runs as a background task
+            assert cancelled == [100]  # its batch job ends; the replacement is a new one
+            assert "w0001" not in rig.service._worker_conns
 
     run_async(scenario())

@@ -40,18 +40,13 @@ def test_virtual_loop_ordering_and_past_rejection():
 def test_one_header_read_per_file(tmp_path, monkeypatch):
     cfg, ctx = small_ctx(tmp_path)  # 2 files of 10 chunks each
     reads = []
-    proxy_reader = ctx.proxy.range_reader
+    fetch = ctx.proxy.fetch
 
-    def counting_reader(path, token):
-        read = proxy_reader(path, token)
+    def counted(path, offset, *args):
+        reads.append((path, offset))
+        return fetch(path, offset, *args)
 
-        def counted(offset, length):
-            reads.append((path, offset))
-            return read(offset, length)
-
-        return counted
-
-    monkeypatch.setattr(ctx.proxy, "range_reader", counting_reader)
+    monkeypatch.setattr(ctx.proxy, "fetch", counted)
     job, _ = run_once(ctx, fixed_policy(3, cfg))
     assert job.state == "done"
     header_paths = sorted(path for path, offset in reads if offset == 0)
@@ -95,7 +90,7 @@ def test_one_engine_pass_per_file_gives_the_per_chunk_results(tmp_path, monkeypa
     assert passed == [list(range(10)), list(range(10, 20))]
     assert facility._results == {} and facility._spans == {}  # dropped when run_job returns
     # the merged result equals per-chunk runs of the same chunks
-    data = DataPath(ctx.proxy.range_reader, ctx.data_token)
+    data = DataPath(ctx.proxy.fetch, ctx.data_token)
     pipeline = KernelPipeline.from_json(BENCH_PIPELINE)
     merged = {}
     for chunk in job.chunks.values():
@@ -176,7 +171,7 @@ def test_worker_and_virtual_facility_give_a_task_the_same_result(tmp_path):
         proxy = DataProxyServer(await origin.start("127.0.0.1", 0), ctx.proxy.origin.cred, ctx.keys.data, clock=lambda: 0.0)
         proxy_client = ProxyClient(await proxy.start("127.0.0.1", 0))
         try:
-            data = DataPath(proxy_client.range_reader, ctx.data_token)
+            data = DataPath(proxy_client.fetch, ctx.data_token)
             return await asyncio.to_thread(execute_task, spec, data, "w1")
         finally:
             proxy_client.close()
@@ -236,8 +231,9 @@ def test_kill_and_requeue_preserves_results(tmp_path):
     clean, _ = run_once(ctx, fixed_policy(3, cfg))
     injected, facility = run_once(ctx, fixed_policy(3, cfg), kill_plan=[(5.0, "w0001")])
     assert injected.state == "done"
-    kinds = [e.kind for e in facility.state.events]
-    assert "WorkerDown" in kinds
+    # a kill is a closed connection at the kill time, as in the live facility, not a heartbeat timeout
+    downs = [(e.worker_id, e.t, e.detail) for e in facility.state.events if e.kind == "WorkerDown"]
+    assert downs == [("w0001", 5.0, "connection closed")]
     for name in clean.merged:
         assert np.array_equal(clean.merged[name].counts, injected.merged[name].counts)
         assert clean.merged[name].n_filled == injected.merged[name].n_filled
@@ -267,7 +263,7 @@ def test_job_promoted_by_a_scale_down_cancel_starts(tmp_path):
 
     def scale_down():
         facility.autoscaler.policy.fixed_n = 1
-        facility.autoscaler.cancel_worker("w0001", facility.loop.now)
+        facility.autoscaler.drop_worker("w0001", facility.loop.now, "scaled down")
 
     facility.loop.schedule_at(4.0, scale_down)
     job = facility.run_job(BENCH_PIPELINE, ctx.dataset, cfg.chunk_size, ctx.events_per_file, max_time=1000.0)

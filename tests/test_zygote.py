@@ -1,15 +1,20 @@
 """Every worker process is forked by the facility's zygote."""
 
 import asyncio
+import contextlib
+import json
 import os
 import signal
+import socket
+import subprocess
+import sys
 import time
 
 from casa_mini import client, zygote
 from casa_mini.batchsim import JobSpec
 from casa_mini.tokens import mint_token
 
-from .conftest import idle_worker_config, make_assertion, run_async, stat_fields
+from .conftest import idle_worker_config, make_assertion, run_async, stat_fields, write_json
 from .test_facility import small_facility
 
 
@@ -218,3 +223,37 @@ def test_zygote_death_kills_its_workers_and_the_next_login_gets_a_new_one(idp_ke
     assert len(pids) == 5
     assert [pid for pid in pids if alive(pid)] == []
     assert [pid for pid in (pids[0], pids[3]) if os.path.exists(f"/proc/{pid}")] == []
+
+
+def test_worker_dies_with_its_zygote_even_unknown_to_the_facility(tmp_path, silent_port):
+    # The zygote is driven over a bare socketpair, so no Zygote object kills
+    # the worker through its pidfd: only the kernel can, when the zygote dies.
+    ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "casa_mini.zygote", str(theirs.fileno())],
+        pass_fds=[theirs.fileno()],
+        env={**os.environ, **zygote.BLAS_THREADS},
+        stdin=subprocess.DEVNULL,
+    )
+    theirs.close()
+    pidfd = None
+    try:
+        config = write_json(tmp_path / "idle.json", idle_worker_config(tmp_path, silent_port))
+        ours.send(json.dumps({"config": config, "log": str(tmp_path / "idle.log")}).encode())
+        data, fds, _, _ = socket.recv_fds(ours, zygote.MAX_MESSAGE, 1)
+        pid, pidfd = json.loads(data)["pid"], fds[0]
+        assert alive(pid) and int(stat_fields(pid)[1]) == proc.pid
+        proc.kill()
+        proc.wait(10)
+        deadline = time.monotonic() + 5
+        while alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not alive(pid)
+    finally:
+        proc.kill()
+        proc.wait(10)
+        if pidfd is not None:
+            with contextlib.suppress(ProcessLookupError):
+                signal.pidfd_send_signal(pidfd, signal.SIGKILL)  # a worker left behind
+            os.close(pidfd)
+        ours.close()
