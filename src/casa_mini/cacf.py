@@ -8,6 +8,7 @@ Layout (little-endian):
 
 Readers go through a byte-range source so the same parsing code serves local
 files and the caching data proxy; a local file's reader reads one descriptor.
+A chunk's columns are one vectored read: one proxy request for all of them.
 """
 
 from __future__ import annotations
@@ -70,15 +71,23 @@ def file_size(columns: Sequence[str], n_events: int) -> int:
     return _FIXED_HEADER.size + table + 8 * len(columns) * n_events
 
 
-# A RangeReader returns the bytes of [offset, offset+length), truncated at EOF.
+# A RangeReader returns the bytes of [offset, offset+length), truncated at EOF;
+# a RangesReader returns those of each of a list of (offset, length) ranges,
+# in one request where it can.
 RangeReader = Callable[[int, int], bytes]
+RangesReader = Callable[[Sequence[tuple[int, int]]], list[bytes]]
 
 
-def local_range_reader(path: str) -> RangeReader:
+def one_range(read: RangesReader) -> RangeReader:
+    """The RangeReader that asks `read` for one range at a time."""
+    return lambda offset, length: read([(offset, length)])[0]
+
+
+def local_range_reader(path: str) -> RangesReader:
     fd = os.open(path, os.O_RDONLY)  # closed once the reader is garbage, so never under a read
 
-    def read(offset: int, length: int) -> bytes:
-        return os.pread(fd, length, offset)
+    def read(ranges: Sequence[tuple[int, int]]) -> list[bytes]:
+        return [os.pread(fd, length, offset) for offset, length in ranges]
 
     weakref.finalize(read, os.close, fd)
     return read
@@ -133,27 +142,28 @@ def _read_through(read: RangeReader, buf: bytes, end: int) -> bytes:
 
 
 def read_header_path(path: str) -> CacfHeader:
-    return read_header(local_range_reader(path))
+    return read_header(one_range(local_range_reader(path)))
 
 
 def read_chunk(
-    read: RangeReader,
+    read: RangesReader,
     chunk: FileChunk,
     wanted: Sequence[str],
     header: CacfHeader | None = None,
 ) -> ColumnBatch:
-    """Read exactly chunk.len events starting at chunk.start, wanted columns only."""
-    hdr = header if header is not None else read_header(read)
+    """Read exactly chunk.len events starting at chunk.start, wanted columns
+    only, all in one call of `read`."""
+    hdr = header if header is not None else read_header(one_range(read))
     if chunk.start + chunk.len > hdr.n_events:
         raise CacfError(
             f"chunk out of range: [{chunk.start}, {chunk.start + chunk.len}) "
             f"in a {hdr.n_events}-event file"
         )
+    n_bytes = chunk.len * 8
+    raws = read([(hdr.column_offset(name) + chunk.start * 8, n_bytes) for name in wanted])
     columns: dict[str, np.ndarray] = {}
-    for name in wanted:
-        base = hdr.column_offset(name)
-        raw = read(base + chunk.start * 8, chunk.len * 8)
-        if len(raw) != chunk.len * 8:
+    for name, raw in zip(wanted, raws):
+        if len(raw) != n_bytes:
             raise CacfError(f"short read for column {name}")
         columns[name] = np.frombuffer(raw, dtype="<f8")
     return ColumnBatch.trusted(columns, chunk.len, origin=(chunk.file, chunk.start))  # read_header checked names
@@ -166,7 +176,7 @@ def read_chunk_path(path: str, chunk: FileChunk, wanted: Sequence[str]) -> Colum
 def read_columns_path(path: str) -> ColumnBatch:
     """Whole-file read of every column (test and oracle helper)."""
     read = local_range_reader(path)
-    hdr = read_header(read)
+    hdr = read_header(one_range(read))
     if hdr.n_events == 0:
         return ColumnBatch({name: np.empty(0) for name in hdr.columns}, origin=(path, 0))
     return read_chunk(read, FileChunk(file=path, start=0, len=hdr.n_events, chunk_id=0), hdr.columns, header=hdr)

@@ -21,7 +21,7 @@ import sys
 
 from . import client
 from .bench import BenchConfig, oracle_throughput, run_adaptive, run_sweep, stall_report
-from .data_proxy import ProxyClient, range_reader
+from .data_proxy import ProxyClient
 from .launcher import run_facility
 
 DEFAULT_HOME = os.path.join(os.path.expanduser("~"), ".casa-mini")
@@ -120,13 +120,10 @@ def _resolve_dataset(args, home: str, session: dict) -> dict:
     proxy = ProxyClient(tuple(session["data_proxy"]))
     try:
         manifest_path = f"/store/datasets/{args.dataset}.json"
-        reader = range_reader(proxy.fetch, manifest_path, token)
         raw = b""
-        offset = 0
         while True:
-            piece = reader(offset, 65536)
+            (piece,) = proxy.fetch(manifest_path, [(len(raw), 65536)], token)
             raw += piece
-            offset += len(piece)
             if len(piece) < 65536:
                 break
         return json.loads(raw.decode())

@@ -7,11 +7,17 @@ coordination means concurrent cold reads cause exactly one origin fetch.
 
 Wire format
   Both listeners take one request, a framed WireMessage
-  {kind:"Fetch", body:{path, offset, length, token | cred}}: the proxy checks
+  {kind:"Fetch", body:{path, ranges, token | cred}}, where ranges lists
+  [offset, length] pairs, in the spirit of XRootD's kXR_readv: at most
+  MAX_RANGES of them, of at most MAX_FETCH bytes together.  The proxy checks
   a user's data token, the origin the proxy's federation credential.  Each
   reply is a length-prefixed block whose first byte is a status tag (TAG_*).
-  A request that is not a Fetch, or whose path or secret is not a string or
-  whose offset or length is not an integer, gets TAG_ERROR.
+  After TAG_OK come one big-endian u32 per range, the length of its bytes
+  (short at EOF), then those bytes, range after range; after any other tag, a
+  message.  A request that is not a Fetch, whose path or secret is not a
+  string, or whose ranges break those bounds gets TAG_ERROR.  Both proxies
+  ask the origin for the blocks a request misses in as few such Fetches as
+  those bounds allow (`fetch_requests`), as a worker asks a proxy.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import hmac
+import itertools
 import os
 import socket
 import struct
@@ -30,13 +37,17 @@ from dataclasses import dataclass
 from . import tokens, wire
 
 BLOCK_SIZE = 64 * 1024
-MAX_FETCH = 16 * 1024 * 1024
+MAX_FETCH = 16 * 1024 * 1024  # bytes one Fetch may ask for, over all its ranges
+MAX_RANGES = 1024  # ranges one Fetch may list, as many as a kXR_readv
+# The longest block reply: its tag, a length per range and MAX_FETCH bytes.
+MAX_REPLY = 1 + 4 * MAX_RANGES + MAX_FETCH
 
 TAG_OK = 0
 TAG_NOT_FOUND = 1
 TAG_BAD_CRED = 2
 TAG_ERROR = 3
 TAG_BAD_TOKEN = 4
+TAG_UNAVAILABLE = 5
 
 _LEN = struct.Struct(">I")
 
@@ -53,12 +64,17 @@ class BadFederationCred(ProxyError):
     pass
 
 
+class OriginUnavailable(ProxyError):
+    """The origin could not be reached or did not answer; a later request may succeed."""
+
+
 # The status tag of each error a Fetch can end in; any other error is
 # TAG_ERROR, and a client raises ProxyError for it.
 _ERROR_TAGS = {
     OriginNotFound: TAG_NOT_FOUND,
     BadFederationCred: TAG_BAD_CRED,
     tokens.TokenError: TAG_BAD_TOKEN,
+    OriginUnavailable: TAG_UNAVAILABLE,
 }
 _TAG_ERRORS = {tag: cls for cls, tag in _ERROR_TAGS.items()}
 
@@ -158,36 +174,78 @@ class BlockStore:
                 _, evicted = self._blocks.popitem(last=False)
                 self._total -= len(evicted)
 
-    def slice_blocks(self, blocks: list[bytes], first_idx: int, offset: int, length: int) -> bytes:
-        """Cut [offset, offset+length) out of contiguous blocks starting at first_idx.
+    def blocks_of(self, ranges: list[tuple[int, int]]) -> list[int]:
+        """The blocks the ranges touch, each once, in order."""
+        return sorted({idx for offset, length in ranges for idx in self.block_range(offset, length)})
 
-        Operates on the caller's block list, not the store: under an LRU cap a
+    def cut(self, blocks: dict[int, bytes], ranges: list[tuple[int, int]]) -> list[bytes]:
+        """Each range's bytes, joined from memoryview slices of the blocks
+        that hold it, so each byte is copied once; a short block ends the file.
+
+        Operates on the caller's blocks, not the store: under an LRU cap a
         long fetch may span more blocks than the cache retains at once.
         """
-        joined = b"".join(blocks)
-        rel = offset - first_idx * self.block_size if blocks else 0
-        return joined[rel : rel + length]
+        size = self.block_size
+        out = []
+        for offset, length in ranges:
+            parts = []
+            for idx in self.block_range(offset, length):
+                base = idx * size
+                parts.append(memoryview(blocks[idx])[max(offset - base, 0) : offset + length - base])
+            out.append(b"".join(parts))
+        return out
+
+
+def check_ranges(ranges) -> list[tuple[int, int]]:
+    """A Fetch's ranges, checked: a list of at most MAX_RANGES [offset,
+    length] pairs of non-negative integers, of at most MAX_FETCH bytes together."""
+    if not isinstance(ranges, (list, tuple)):
+        raise ProxyError("Fetch ranges must be a list of [offset, length] pairs")
+    if len(ranges) > MAX_RANGES:
+        raise ProxyError(f"fetch of {len(ranges)} ranges exceeds {MAX_RANGES}")
+    checked = []
+    for pair in ranges:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(type(n) is int for n in pair)):
+            raise ProxyError("Fetch ranges must be a list of [offset, length] pairs of integers")
+        if pair[0] < 0 or pair[1] < 0:
+            raise ProxyError("negative offset or length")
+        checked.append((pair[0], pair[1]))
+    total = sum(length for _, length in checked)
+    if total > MAX_FETCH:
+        raise ProxyError(f"fetch of {total} bytes exceeds {MAX_FETCH}")
+    return checked
+
+
+def fetch_requests(ranges: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Ranges of at most MAX_FETCH bytes each, in order, packed into as few
+    Fetch requests as MAX_FETCH and MAX_RANGES allow."""
+    requests, request, total = [], [], 0
+    for piece in ranges:
+        if request and (total + piece[1] > MAX_FETCH or len(request) == MAX_RANGES):
+            requests.append(request)
+            request, total = [], 0
+        request.append(piece)
+        total += piece[1]
+    if request:
+        requests.append(request)
+    return requests
 
 
 def range_reader(fetch, path: str, token: str):
-    """A CACF range reader of `path` over a proxy's fetch(path, offset,
-    length, token); a read longer than MAX_FETCH goes as consecutive fetches
-    of at most MAX_FETCH bytes each."""
+    """A CACF ranges reader of `path` over a proxy's fetch(path, ranges,
+    token), in as few fetches as fetch_requests makes; a range longer than
+    MAX_FETCH goes as pieces of at most MAX_FETCH bytes each."""
 
-    def read(offset: int, length: int) -> bytes:
-        if length <= MAX_FETCH:
-            return fetch(path, offset, length, token)
-        end = offset + length
-        return b"".join(fetch(path, at, min(MAX_FETCH, end - at), token) for at in range(offset, end, MAX_FETCH))
+    def read(ranges: list[tuple[int, int]]) -> list[bytes]:
+        pieces, counts = [], []  # the ranges cut to at most MAX_FETCH; pieces per range
+        for offset, length in ranges:
+            cut = [(at, min(MAX_FETCH, offset + length - at)) for at in range(offset, offset + length, MAX_FETCH)]
+            pieces += cut
+            counts.append(len(cut))
+        parts = (data for request in fetch_requests(pieces) for data in fetch(path, request, token))
+        return [b"".join(itertools.islice(parts, n)) for n in counts]
 
     return read
-
-
-def _check_fetch_args(offset: int, length: int) -> None:
-    if offset < 0 or length < 0:
-        raise ProxyError("negative offset or length")
-    if length > MAX_FETCH:
-        raise ProxyError(f"fetch of {length} bytes exceeds {MAX_FETCH}")
 
 
 class LocalOrigin:
@@ -196,7 +254,7 @@ class LocalOrigin:
     def __init__(self, root: str, cred: str):
         self.root = os.path.abspath(root)
         self.cred = cred
-        self.fetches = 0  # instrumentation for single-flight checks
+        self.fetches = 0  # requests served, for single-flight checks
 
     def resolve(self, path: str) -> str:
         if not path.startswith("/store/"):
@@ -208,18 +266,65 @@ class LocalOrigin:
             raise OriginNotFound(f"no such object {path!r}")
         return full
 
-    def fetch(self, path: str, offset: int, length: int, cred: str) -> bytes:
+    def fetch(self, path: str, ranges: list[tuple[int, int]], cred: str) -> list[bytes]:
         if not hmac.compare_digest(cred.encode(), self.cred.encode()):
             raise BadFederationCred("bad federation credential")
-        _check_fetch_args(offset, length)
+        ranges = check_ranges(ranges)
         full = self.resolve(path)
         self.fetches += 1
-        with open(full, "rb") as fh:
-            fh.seek(offset)
-            return fh.read(length)
+        fd = os.open(full, os.O_RDONLY)
+        try:
+            return [os.pread(fd, length, offset) for offset, length in ranges]
+        finally:
+            os.close(fd)
 
 
-class SyncDataProxy:
+class _ReadThrough:
+    """What both proxies share: the token gate, the block walk, the cache
+    fill and the counters.  A fetch looks up the blocks its ranges touch,
+    has the proxy fill the missing ones from the origin, then cuts its ranges
+    out of them."""
+
+    def __init__(self, data_key: bytes, block_size: int, max_bytes: int | None, cache_dir: str | None, clock):
+        self.store = BlockStore(block_size=block_size, max_bytes=max_bytes, cache_dir=cache_dir)
+        self.token_gate = tokens.TokenGate(data_key, "data")
+        self._clock = clock
+
+    def _lookup(self, path: str, ranges, token: str, now: float):
+        """The checked ranges, the cached blocks they touch by index, and
+        the indices of those missing; the token is checked before anything."""
+        self.token_gate.check(token, now)
+        ranges = check_ranges(ranges)
+        found: dict[int, bytes] = {}
+        missing = []
+        for idx in self.store.blocks_of(ranges):
+            data = self.store.get(path, idx)
+            if data is None:
+                missing.append(idx)
+            else:
+                found[idx] = data
+        self.store.stats.cache_hits += len(found)
+        return ranges, found, missing
+
+    def _block_ranges(self, blocks: list[int]) -> list[tuple[int, int]]:
+        size = self.store.block_size
+        return [(idx * size, size) for idx in blocks]
+
+    def _keep(self, path: str, idx: int, data: bytes, found: dict[int, bytes]) -> None:
+        self.store.stats.origin_fetches += 1
+        self.store.put(path, idx, data)
+        found[idx] = data
+
+    def _serve(self, ranges: list[tuple[int, int]], found: dict[int, bytes]) -> list[bytes]:
+        out = self.store.cut(found, ranges)
+        self.store.stats.bytes_served += sum(map(len, out))
+        return out
+
+    def stats(self) -> dict:
+        return self.store.stats.as_dict()
+
+
+class SyncDataProxy(_ReadThrough):
     """In-process read-through proxy; the virtual-clock facility's data path."""
 
     def __init__(
@@ -230,38 +335,27 @@ class SyncDataProxy:
         max_bytes: int | None = None,
         clock=time.time,
     ):
-        self.store = BlockStore(block_size=block_size, max_bytes=max_bytes)
+        super().__init__(data_key, block_size, max_bytes, None, clock)
         self.origin = origin
-        self.token_gate = tokens.TokenGate(data_key, "data")
-        self._clock = clock
 
-    def fetch(self, path: str, offset: int, length: int, token: str, now: float | None = None) -> bytes:
-        now = self._clock() if now is None else now
-        self.token_gate.check(token, now)  # before any origin contact
-        _check_fetch_args(offset, length)
-        wanted = self.store.block_range(offset, length)
-        blocks: list[bytes] = []
-        for idx in wanted:
-            data = self.store.get(path, idx)
-            if data is not None:
-                self.store.stats.cache_hits += 1
-            else:
-                data = self.origin.fetch(
-                    path, idx * self.store.block_size, self.store.block_size, self.origin.cred
-                )
-                self.store.stats.origin_fetches += 1
-                self.store.put(path, idx, data)
-            blocks.append(data)
-        out = self.store.slice_blocks(blocks, wanted.start, offset, length)
-        self.store.stats.bytes_served += len(out)
-        return out
-
-    def stats(self) -> dict:
-        return self.store.stats.as_dict()
+    def fetch(self, path: str, ranges, token: str, now: float | None = None) -> list[bytes]:
+        ranges, found, missing = self._lookup(path, ranges, token, self._clock() if now is None else now)
+        if missing:
+            read = range_reader(self.origin.fetch, path, self.origin.cred)
+            for idx, data in zip(missing, read(self._block_ranges(missing))):
+                self._keep(path, idx, data, found)
+        return self._serve(ranges, found)
 
 
 def _tagged(tag: int, payload: bytes) -> bytes:
     return _LEN.pack(1 + len(payload)) + bytes([tag]) + payload
+
+
+def _served(parts: list[bytes]) -> bytes:
+    """The TAG_OK block reply carrying each range's bytes."""
+    lengths = [len(part) for part in parts]
+    table = struct.pack(f">{len(parts)}I", *lengths)
+    return b"".join([_LEN.pack(1 + len(table) + sum(lengths)), bytes([TAG_OK]), table, *parts])
 
 
 def _error_reply(exc: ValueError) -> bytes:
@@ -273,31 +367,41 @@ async def _read_block_reply(reader: asyncio.StreamReader) -> bytes:
     """The tagged body of one block reply."""
     header = await reader.readexactly(_LEN.size)
     (length,) = _LEN.unpack(header)
-    if length > MAX_FETCH + 1:
+    if length > MAX_REPLY:
         raise ProxyError(f"oversized block reply of {length} bytes")
     return await reader.readexactly(length)
 
 
-def _untag(body: bytes) -> bytes:
+def _untag(body: bytes | bytearray, n_ranges: int) -> list[bytes]:
+    """The bytes of each of a request's n_ranges ranges from its reply's
+    tagged body; an error reply raises its error."""
     if not body:
         raise ProxyError("empty block reply")
-    tag, payload = body[0], bytes(memoryview(body)[1:])
-    if tag == TAG_OK:
-        return payload
-    raise _TAG_ERRORS.get(tag, ProxyError)(payload.decode("utf-8", "replace"))
+    if body[0] != TAG_OK:
+        raise _TAG_ERRORS.get(body[0], ProxyError)(bytes(body[1:]).decode("utf-8", "replace"))
+    at = 1 + 4 * n_ranges
+    if len(body) < at:
+        raise ProxyError("block reply is shorter than its length table")
+    lengths = struct.unpack_from(f">{n_ranges}I", body, 1)
+    if at + sum(lengths) != len(body):
+        raise ProxyError("block reply does not match its length table")
+    out = []
+    with memoryview(body) as view:
+        for length in lengths:
+            out.append(bytes(view[at : at + length]))
+            at += length
+    return out
 
 
-def _parse_fetch(msg: wire.WireMessage, secret: str) -> tuple[str, int, int, str]:
-    """The path, offset, length and `secret` ("token" or "cred") of a Fetch."""
+def _parse_fetch(msg: wire.WireMessage, secret: str) -> tuple[str, object, str]:
+    """The path, ranges (checked by the fetch) and `secret` ("token" or "cred") of a Fetch."""
     if msg.kind != "Fetch":
         raise ProxyError(f"unsupported kind {msg.kind}")
     body = msg.body
-    path, offset, length, key = body.get("path"), body.get("offset"), body.get("length"), body.get(secret, "")
+    path, key = body.get("path"), body.get(secret, "")
     if not (isinstance(path, str) and isinstance(key, str)):
         raise ProxyError(f"Fetch path and {secret} must be strings")
-    if not all(isinstance(n, int) and not isinstance(n, bool) for n in (offset, length)):
-        raise ProxyError("Fetch offset and length must be integers")
-    return path, offset, length, key
+    return path, body.get("ranges"), key
 
 
 class OriginServer:
@@ -320,13 +424,12 @@ class OriginServer:
 
     async def _respond(self, msg: wire.WireMessage) -> bytes:
         try:
-            data = self.local.fetch(*_parse_fetch(msg, "cred"))
+            return _served(self.local.fetch(*_parse_fetch(msg, "cred")))
         except ValueError as exc:
             return _error_reply(exc)
-        return _tagged(TAG_OK, data)
 
 
-class DataProxyServer:
+class DataProxyServer(_ReadThrough):
     """Networked read-through proxy in front of an origin server."""
 
     def __init__(
@@ -339,11 +442,9 @@ class DataProxyServer:
         cache_dir: str | None = None,
         clock=time.time,
     ):
-        self.store = BlockStore(block_size=block_size, max_bytes=max_bytes, cache_dir=cache_dir)
+        super().__init__(data_key, block_size, max_bytes, cache_dir, clock)
         self.origin_addr = origin_addr
         self.federation_cred = federation_cred
-        self.token_gate = tokens.TokenGate(data_key, "data")
-        self._clock = clock
         self._inflight: dict[tuple[str, int], asyncio.Future] = {}
         self._origin = wire.Channel(lambda: asyncio.open_connection(*origin_addr))
         self._server: asyncio.AbstractServer | None = None
@@ -360,65 +461,63 @@ class DataProxyServer:
         await self._conns.close(self._server)
         self._origin.close()
 
-    async def _origin_fetch(self, path: str, offset: int, length: int) -> bytes:
-        request = wire.WireMessage(
-            "Fetch", {"path": path, "offset": offset, "length": length, "cred": self.federation_cred}
-        )
+    async def _origin_fetch(self, path: str, ranges: list[tuple[int, int]]) -> list[bytes]:
+        """The ranges' bytes, in one origin Fetch."""
+        request = wire.WireMessage("Fetch", {"path": path, "ranges": ranges, "cred": self.federation_cred})
         try:
             body = await self._origin.request(request, _read_block_reply)
         except (ConnectionError, asyncio.IncompleteReadError):
-            raise ProxyError("origin connection lost") from None
-        return _untag(body)
+            raise OriginUnavailable("origin connection lost") from None
+        return _untag(body, len(ranges))
 
-    async def _get_block(self, path: str, idx: int) -> bytes:
-        key = (path, idx)
-        cached = self.store.get(path, idx)
-        if cached is not None:
-            self.store.stats.cache_hits += 1
-            return cached
-        pending = self._inflight.get(key)
-        if pending is not None:
-            data = await asyncio.shield(pending)
-            self.store.stats.cache_hits += 1
-            return data
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = fut
+    async def _fill(self, path: str, missing: list[int], found: dict[int, bytes]) -> None:
+        """Put each missing block in `found`: a block another request is
+        already fetching is awaited, the others are asked of the origin in
+        as few Fetches as fetch_requests makes, each under a single-flight
+        future."""
+        loop = asyncio.get_running_loop()
+        led: dict[int, asyncio.Future] = {}
+        joined = []
+        for idx in missing:
+            pending = self._inflight.get((path, idx))
+            if pending is None:
+                led[idx] = self._inflight[(path, idx)] = loop.create_future()
+            else:
+                joined.append((idx, pending))
+        error: Exception = OriginUnavailable(f"origin fetch of {path} did not finish")
         try:
-            data = await self._origin_fetch(path, idx * self.store.block_size, self.store.block_size)
+            for request in fetch_requests(self._block_ranges(list(led))):
+                for (offset, _), data in zip(request, await self._origin_fetch(path, request)):
+                    idx = offset // self.store.block_size
+                    self._keep(path, idx, data, found)
+                    led[idx].set_result(data)
         except BaseException as exc:
-            # Settle the followers on any exit, cancellation included; the
-            # next request for the block fetches it again.
-            if not isinstance(exc, Exception):
-                exc = ProxyError(f"origin fetch of {path} block {idx} did not finish")
-            fut.set_exception(exc)
-            fut.exception()  # mark retrieved for the no-follower case
+            if isinstance(exc, Exception):
+                error = exc
             raise
-        else:
-            self.store.stats.origin_fetches += 1
-            self.store.put(path, idx, data)
-            fut.set_result(data)
-            return data
         finally:
-            del self._inflight[key]
+            # Settle the followers on any exit, cancellation included; the
+            # next request for a block fetches it again.
+            for idx, fut in led.items():
+                del self._inflight[(path, idx)]
+                if not fut.done():
+                    fut.set_exception(error)
+                    fut.exception()  # mark retrieved for the no-follower case
+        for idx, pending in joined:
+            found[idx] = await asyncio.shield(pending)
+            self.store.stats.cache_hits += 1
 
-    async def fetch(self, path: str, offset: int, length: int, token: str) -> bytes:
-        self.token_gate.check(token, self._clock())
-        _check_fetch_args(offset, length)
-        wanted = self.store.block_range(offset, length)
-        blocks = [await self._get_block(path, idx) for idx in wanted]
-        out = self.store.slice_blocks(blocks, wanted.start, offset, length)
-        self.store.stats.bytes_served += len(out)
-        return out
-
-    def stats(self) -> dict:
-        return self.store.stats.as_dict()
+    async def fetch(self, path: str, ranges, token: str) -> list[bytes]:
+        ranges, found, missing = self._lookup(path, ranges, token, self._clock())
+        if missing:
+            await self._fill(path, missing, found)
+        return self._serve(ranges, found)
 
     async def _respond(self, msg: wire.WireMessage) -> bytes:
         try:
-            data = await self.fetch(*_parse_fetch(msg, "token"))
+            return _served(await self.fetch(*_parse_fetch(msg, "token")))
         except ValueError as exc:
             return _error_reply(exc)
-        return _tagged(TAG_OK, data)
 
 
 class _NoReply(ConnectionError):
@@ -478,10 +577,8 @@ class ProxyClient:
         for sock in socks:
             sock.close()
 
-    def fetch(self, path: str, offset: int, length: int, token: str) -> bytes:
-        request = wire.encode(
-            wire.WireMessage("Fetch", {"path": path, "offset": offset, "length": length, "token": token})
-        )
+    def fetch(self, path: str, ranges: list[tuple[int, int]], token: str) -> list[bytes]:
+        request = wire.encode(wire.WireMessage("Fetch", {"path": path, "ranges": ranges, "token": token}))
         reused = self._sock() is not None
         try:
             reply = self._exchange(request)
@@ -489,7 +586,7 @@ class ProxyClient:
             if not reused:
                 raise
             reply = self._exchange(request)
-        return _untag(reply)
+        return _untag(reply, len(ranges))
 
     def _exchange(self, request: bytes) -> bytearray:
         sock = self._connect()
@@ -499,7 +596,7 @@ class ProxyClient:
             except ConnectionError as exc:
                 raise _NoReply(str(exc)) from exc
             (size,) = _LEN.unpack(_recv_exact(sock, _LEN.size, first=True))
-            if size > MAX_FETCH + 1:
+            if size > MAX_REPLY:
                 raise ProxyError(f"oversized block reply of {size} bytes")
             return _recv_exact(sock, size)
         except BaseException:

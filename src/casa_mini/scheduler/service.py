@@ -6,6 +6,9 @@ port (normally through the SNI ingress) with certificates minted by the
 cluster CA; the peer certificate's CN is the caller identity.  A worker's
 reports (Heartbeat, TaskDone, TaskFailed) are one-way, as in dask.distributed:
 it is sent only the Ok to its WorkerHello, AssignTask, and Err to refuse one.
+Each dispatch sends a worker one AssignTask with every task that dispatch
+gave it, each job's pipeline once (`types.assignment`); tasks whose frame
+would exceed MAX_FRAME are split over as many AssignTasks as need be.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import time
 
 from .. import wire
 from ..engine.pipeline import TaskResult
-from ..types import DatasetSpec
+from ..types import DatasetSpec, TaskSpec, assignment
 from .state import (
     AUTOSCALE_INTERVAL,
     DEFAULT_CORES,
@@ -55,6 +58,19 @@ def _peer_cn(writer: asyncio.StreamWriter) -> str:
             if key == "commonName":
                 return value
     return ""
+
+
+def assign_frames(specs: list[TaskSpec]) -> list[tuple[list[TaskSpec], bytes | None]]:
+    """One worker's tasks as encoded AssignTask frames: one frame for all
+    of them, or else the frames of each half, down to a task alone, whose
+    frame is None where it still exceeds MAX_FRAME."""
+    try:
+        return [(specs, wire.encode(wire.WireMessage("AssignTask", assignment(specs))))]
+    except wire.FrameTooLarge:
+        if len(specs) == 1:
+            return [(specs, None)]
+    half = len(specs) // 2
+    return assign_frames(specs[:half]) + assign_frames(specs[half:])
 
 
 class SchedulerService:
@@ -163,15 +179,31 @@ class SchedulerService:
     # ---- dispatch -------------------------------------------------------------
 
     async def _dispatch(self, now: float) -> None:
+        """Send each worker the tasks this schedule_step gave it, in queue
+        order, in one write of its AssignTask frames.  A task whose frame
+        alone exceeds MAX_FRAME fails rather than stays assigned."""
+        given: dict[str, list[TaskSpec]] = {}
         for worker_id, spec in self.state.schedule_step(now):
+            given.setdefault(worker_id, []).append(spec)
+        for worker_id, specs in given.items():
             writer, lock = self._worker_conns.get(worker_id, (None, None))
             if writer is None:
                 continue
+            frames = []
+            for part, frame in assign_frames(specs):
+                if frame is not None:
+                    frames.append(frame)
+                    continue
+                reason = f"assignment exceeds the {wire.MAX_FRAME}-byte frame limit"
+                for spec in part:
+                    if self.state.fail_task(worker_id, spec.job_id, spec.chunk.chunk_id, reason, now) != "running":
+                        self._wake(("job", spec.job_id))
+            if not frames:
+                continue
             try:
                 async with lock:
-                    await wire.send_message(
-                        writer, wire.WireMessage("AssignTask", spec.to_dict())
-                    )
+                    writer.write(b"".join(frames))
+                    await writer.drain()
             except (ConnectionError, RuntimeError) as exc:
                 log.warning("assign to %s failed: %s", worker_id, exc)
 
@@ -290,8 +322,10 @@ class SchedulerService:
                         job_state = self.state.fail_task(worker_id, job_id, chunk_id, f"bad result: {exc}", now)
                     self._tasks.spawn(self._dispatch(now))
                 else:
-                    reason = msg.body.get("reason", "")
-                    job_state = self.state.fail_task(worker_id, job_id, chunk_id, reason, now)
+                    reason, transient = msg.body.get("reason", ""), msg.body.get("transient") is True
+                    job_state = self.state.fail_task(worker_id, job_id, chunk_id, reason, now, transient)
+                    if transient:  # a requeued chunk goes out again at once
+                        self._tasks.spawn(self._dispatch(now))
                 if job_state != "running":
                     self._wake(("job", job_id))
                 return refusal

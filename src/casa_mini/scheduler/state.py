@@ -9,7 +9,9 @@ Scheduling discipline: tasks leave the queue FIFO by (job order, chunk id);
 among workers with spare cores the fewest-running wins, worker_id breaking
 ties.  Workers are recorded when they are *requested* (registered_at), and
 become assignable when they arrive; the gap to their first task is the
-per-worker stall the benchmark profiles.
+per-worker stall the benchmark profiles.  A chunk whose task failed for a
+transient reason is queued again, at most TASK_RETRIES times, and goes to a
+worker other than the one it failed on where another is free.
 
 No event scans every worker or every job: the choice of worker pops a heap
 of (len(running), worker_id) entries, pushed whenever a worker arrives or
@@ -36,6 +38,9 @@ log = logging.getLogger(__name__)
 DEFAULT_CORES = 4
 HEARTBEAT_TIMEOUT = 10.0
 AUTOSCALE_INTERVAL = 1.0
+# Times a chunk whose task failed for a transient reason (its worker lost
+# the data proxy or the proxy its origin) is queued again before it fails.
+TASK_RETRIES = 2
 
 
 class SchedulerError(ValueError):
@@ -116,6 +121,7 @@ class JobState:
     done: set = field(default_factory=set)
     failed: set = field(default_factory=set)
     merged: dict = field(default_factory=dict)  # hist name -> Histogram
+    retried: dict = field(default_factory=dict)  # chunk_id -> (transient failures, worker of the last)
     n_events_in: int = 0
     n_events_pass: int = 0
     finished_at: float | None = None
@@ -336,6 +342,11 @@ class ClusterState:
             worker = self._pop_free()
             if worker is None:
                 break
+            if chunk_id in job.retried and worker.worker_id == job.retried[chunk_id][1]:
+                other = self._pop_free()  # a retry goes to another worker where one is free
+                if other is not None:
+                    self._offer(worker)
+                    worker = other
             heapq.heappop(self._queue)
             job.queued.remove(chunk_id)
             job.assigned[chunk_id] = worker.worker_id
@@ -381,19 +392,31 @@ class ClusterState:
             job.finished_at = now
         return job.state
 
-    def fail_task(self, worker_id: str, job_id: str, chunk_id: int, reason: str, now: float) -> str:
+    def fail_task(
+        self, worker_id: str, job_id: str, chunk_id: int, reason: str, now: float, transient: bool = False
+    ) -> str:
+        """A task failed.  A transient failure queues the chunk again, up to
+        TASK_RETRIES times, for a worker other than this one where another
+        is free; any other failure fails the chunk."""
         job = self.jobs.get(job_id)
         if job is None:
             raise SchedulerError(f"unknown job {job_id!r}")
         if job.assigned.get(chunk_id) == worker_id:
             del job.assigned[chunk_id]
             self._n_assigned -= 1
-            job.failed.add(chunk_id)
             self._release(worker_id, job_id, chunk_id, now)
-            self.events.append(
-                TaskStreamEvent("TaskEnd", worker_id, chunk_id, now, f"failed: {reason}")
-            )
-            log.warning("task %s/%d failed on %s: %s", job_id, chunk_id, worker_id, reason)
+            retries = job.retried.get(chunk_id, (0, ""))[0]
+            if transient and retries < TASK_RETRIES:
+                job.retried[chunk_id] = (retries + 1, worker_id)
+                job.queued.add(chunk_id)
+                self._n_queued += 1
+                heapq.heappush(self._queue, (job.seq, chunk_id, job_id))
+                outcome = "retried"
+            else:
+                job.failed.add(chunk_id)
+                outcome = "failed"
+            self.events.append(TaskStreamEvent("TaskEnd", worker_id, chunk_id, now, f"{outcome}: {reason}"))
+            log.warning("task %s/%d %s on %s: %s", job_id, chunk_id, outcome, worker_id, reason)
         return job.state
 
     def _release(self, worker_id: str, job_id: str, chunk_id: int, now: float) -> None:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 from .batchsim import BatchSim, DelayModel, JobSpec
 from .data_proxy import SyncDataProxy
@@ -41,34 +40,11 @@ from .scheduler.state import (
     WorkerState,
 )
 from .types import DatasetSpec, FileChunk, TaskSpec
-from .worker import DataPath
+from .worker import DataPath, passes
 
-# Events one engine pass reads at most, so each column's one range read stays
-# far below the proxy's MAX_FETCH and a pass's arrays stay small (a longer
-# chunk runs alone).
-PASS_EVENTS = 1 << 16
 # Passes whose unused results are kept; a job has about one open pass per
 # file, and a pass dropped past this is run again for its chunks left.
 PASS_CACHE = 64
-
-
-def passes(chunks: Iterable[FileChunk]) -> Iterator[tuple[FileChunk, ...]]:
-    """The engine passes over chunks, in order: runs of adjacent chunks of
-    one file, of at most PASS_EVENTS events together."""
-    run: list[FileChunk] = []
-    n_events = 0
-    for chunk in chunks:
-        if run and (
-            chunk.file != run[-1].file
-            or chunk.start != run[-1].start + run[-1].len
-            or n_events + chunk.len > PASS_EVENTS
-        ):
-            yield tuple(run)
-            run, n_events = [], 0
-        run.append(chunk)
-        n_events += chunk.len
-    if run:
-        yield tuple(run)
 
 
 class VirtualLoop:
@@ -248,9 +224,7 @@ class VirtualFacility:
     def _run_pass(self, job: JobState, span: tuple[FileChunk, ...]) -> dict[int, TaskResult]:
         """One read of the span's columns and one engine pass over it; the
         results of its chunks not yet done, by chunk id."""
-        first = span[0]
-        whole = FileChunk(file=first.file, start=first.start, len=sum(c.len for c in span), chunk_id=first.chunk_id)
-        batch = self.data.read(whole, job.pipeline)
+        batch = self.data.read(span, job.pipeline)
         passed = run_pipeline(batch, job.pipeline, [c.len for c in span], [c.chunk_id for c in span])
         return {r.chunk_id: r for r in passed.results if r.chunk_id not in job.done}
 

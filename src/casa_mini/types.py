@@ -8,7 +8,7 @@ encoded as 1.0/0.0 further up the stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -119,13 +119,20 @@ class TaskSpec:
     chunk: FileChunk
     pipeline: tuple = field(default_factory=tuple)  # JSON-shaped step list
 
-    def to_dict(self) -> dict:
-        return {"job_id": self.job_id, "chunk": self.chunk.to_dict(), "pipeline": list(self.pipeline)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskSpec":
-        return cls(
-            job_id=d["job_id"],
-            chunk=FileChunk.from_dict(d["chunk"]),
-            pipeline=tuple(d["pipeline"]),
-        )
+def assignment(specs: Sequence[TaskSpec]) -> dict:
+    """The AssignTask body of tasks: each job's pipeline once, by job_id,
+    and each task as its job_id and chunk."""
+    return {
+        "pipelines": {spec.job_id: list(spec.pipeline) for spec in specs},
+        "tasks": [{"job_id": spec.job_id, "chunk": spec.chunk.to_dict()} for spec in specs],
+    }
+
+
+def assigned(body: dict) -> list[TaskSpec]:
+    """The tasks of an AssignTask body made by assignment()."""
+    pipelines = {job_id: tuple(pipeline) for job_id, pipeline in body["pipelines"].items()}
+    return [
+        TaskSpec(task["job_id"], FileChunk.from_dict(task["chunk"]), pipelines[task["job_id"]])
+        for task in body["tasks"]
+    ]

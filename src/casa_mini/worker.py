@@ -3,13 +3,19 @@
 Runs as `main([config])` with one argument, the path to a JSON config (this
 is the payload a batch job carries): in a facility, in a process forked by
 the zygote (`casa_mini.zygote`); alone, as `python -m casa_mini.worker`.
-Task execution runs in threads, one per logical core, while the control
-connection stays responsive for heartbeats.  Reports get no reply unless the
-scheduler refuses one, with an Err the worker logs.  A task's chunk reaches
-its pipeline through DataPath, which the virtual facility (`sim`) uses too:
-remote files come from the caching proxy with the worker's data token, over
-one kept connection per task thread; the reader and header of every file
-read and the compiled pipeline of every job run are kept while it runs.
+The scheduler sends one AssignTask per dispatch, listing every task that
+dispatch gave this worker and each job's pipeline once.  The worker cuts them into runs of adjacent
+chunks of one file of one job (`passes`, as the virtual facility does) and
+runs each run as one read of its span and one segmented engine pass, on one
+of its task threads (one per logical core), while the control connection
+stays responsive for heartbeats.  It still reports each task on its own: a
+TaskDone, or a TaskFailed that says whether a retry elsewhere may succeed.
+Reports get no reply unless the scheduler refuses one, with an Err the
+worker logs.  A task's chunk reaches its pipeline through DataPath, which
+the virtual facility (`sim`) uses too: remote files come from the caching
+proxy with the worker's data token, over one kept connection per task
+thread; the reader and header of every file read and the compiled pipeline
+of every job run are kept while it runs.
 """
 
 from __future__ import annotations
@@ -24,13 +30,14 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from itertools import groupby
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import cacf, wire
-from .data_proxy import ProxyClient, ProxyError, parse_remote_url, range_reader
-from .engine.pipeline import KernelPipeline, run_pipeline
+from .data_proxy import OriginUnavailable, ProxyClient, ProxyError, parse_remote_url, range_reader
+from .engine.pipeline import KernelPipeline, TaskResult, run_pipeline
 from .tokens import TokenError
-from .types import ColumnBatch, FileChunk, TaskSpec
+from .types import ColumnBatch, FileChunk, TaskSpec, assigned
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +49,31 @@ _NOFILE = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
 HEADER_CACHE_FILES = 4096 if _NOFILE == resource.RLIM_INFINITY else min(4096, _NOFILE // 4)
 PIPELINE_CACHE_JOBS = 64  # compiled job pipelines a worker keeps, likewise
 HEARTBEAT_INTERVAL = 2.0
+# Events one engine pass reads at most, so the columns of a pass fit in one
+# proxy request and its arrays stay small (a longer chunk runs alone).
+PASS_EVENTS = 1 << 16
+# Failures a retry may not meet, reported as transient in TaskFailed: the
+# proxy or its origin could not be reached.
+TRANSIENT_ERRORS = (ConnectionError, TimeoutError, OriginUnavailable)
+
+
+def passes(chunks: Iterable[FileChunk]) -> Iterator[tuple[FileChunk, ...]]:
+    """The engine passes over chunks, in order: runs of adjacent chunks of
+    one file, of at most PASS_EVENTS events together."""
+    run: list[FileChunk] = []
+    n_events = 0
+    for chunk in chunks:
+        if run and (
+            chunk.file != run[-1].file
+            or chunk.start != run[-1].start + run[-1].len
+            or n_events + chunk.len > PASS_EVENTS
+        ):
+            yield tuple(run)
+            run, n_events = [], 0
+        run.append(chunk)
+        n_events += chunk.len
+    if run:
+        yield tuple(run)
 
 
 class WorkerConfig:
@@ -70,11 +102,10 @@ class WorkerConfig:
 class DataPath:
     """The one way from a TaskSpec to its compiled pipeline and its columns,
     kept across tasks; the live worker and the virtual facility each keep one.
-    The live worker loads each task; the virtual facility, which has each
-    job's pipeline from its submission, reads a span of chunks at a time.
+    Both read the columns of a span of adjacent chunks of one file at a time.
 
-    A root:// chunk is read through a proxy's `fetch(path, offset, length,
-    token)` with the data token (`data_proxy.range_reader`); with no
+    A root:// chunk is read through a proxy's `fetch(path, ranges, token)`
+    with the data token (`data_proxy.range_reader`); with no
     `fetch`, it is refused rather than looked for on local disk.  A local
     path is read from local disk.  Each file's reader (a local one holds
     the file's descriptor until no task reads through it) and CACF
@@ -84,14 +115,14 @@ class DataPath:
     cluster a DataPath serves), at most PIPELINE_CACHE_JOBS of them.
     """
 
-    def __init__(self, fetch: Callable[[str, int, int, str], bytes] | None, token: str = ""):
+    def __init__(self, fetch: Callable[[str, list[tuple[int, int]], str], list[bytes]] | None, token: str = ""):
         self.fetch = fetch
         self.token = token
         self._lock = threading.Lock()
-        self._files: OrderedDict[str, tuple[cacf.RangeReader, cacf.CacfHeader]] = OrderedDict()
+        self._files: OrderedDict[str, tuple[cacf.RangesReader, cacf.CacfHeader]] = OrderedDict()
         self._pipelines: OrderedDict[str, KernelPipeline] = OrderedDict()
 
-    def reader(self, url: str) -> cacf.RangeReader:
+    def reader(self, url: str) -> cacf.RangesReader:
         remote = parse_remote_url(url)
         if remote is None:
             return cacf.local_range_reader(url)
@@ -113,37 +144,62 @@ class DataPath:
                 cache.popitem(last=False)
         return value
 
-    def load(self, spec: TaskSpec) -> tuple[KernelPipeline, ColumnBatch]:
-        """The task's compiled pipeline and the chunk columns it reads."""
-        pipeline = self._cached(
+    def pipeline(self, spec: TaskSpec) -> KernelPipeline:
+        """The task's job's compiled pipeline."""
+        return self._cached(
             self._pipelines, spec.job_id, lambda _: KernelPipeline.from_json(list(spec.pipeline)), PIPELINE_CACHE_JOBS
         )
-        return pipeline, self.read(spec.chunk, pipeline)
 
-    def read(self, chunk: FileChunk, pipeline: KernelPipeline) -> ColumnBatch:
-        """The columns the pipeline reads of a chunk, or of a span of chunks
-        of one file: one range read per column."""
-        read, header = self._cached(self._files, chunk.file, self._open, HEADER_CACHE_FILES)
-        return cacf.read_chunk(read, chunk, sorted(pipeline.input_columns()), header=header)
+    def read(self, span: Sequence[FileChunk], pipeline: KernelPipeline) -> ColumnBatch:
+        """The columns the pipeline reads of a span of adjacent chunks of one
+        file (a run of passes()), in one vectored read."""
+        first = span[0]
+        whole = FileChunk(file=first.file, start=first.start, len=sum(c.len for c in span), chunk_id=first.chunk_id)
+        read, header = self._cached(self._files, first.file, self._open, HEADER_CACHE_FILES)
+        return cacf.read_chunk(read, whole, sorted(pipeline.input_columns()), header=header)
 
-    def _open(self, url: str) -> tuple[cacf.RangeReader, cacf.CacfHeader]:
+    def _open(self, url: str) -> tuple[cacf.RangesReader, cacf.CacfHeader]:
         read = self.reader(url)
-        return read, cacf.read_header(read)
+        return read, cacf.read_header(cacf.one_range(read))
 
     def close(self) -> None:
         """Drop every kept file, which a task still reading it closes when done."""
         self._files = OrderedDict()  # a _cached call in flight keeps the old map
 
 
-def execute_task(spec: TaskSpec, data: DataPath, worker_id: str):
-    """Load the chunk and run the pipeline; runs in a task thread."""
+def task_runs(specs: Sequence[TaskSpec]) -> Iterator[Sequence[TaskSpec]]:
+    """One dispatch's tasks, in order, as the runs one engine pass each
+    runs: the passes() over the chunks of each job's tasks."""
+    for _, same_job in groupby(specs, key=lambda spec: spec.job_id):
+        same_job = list(same_job)
+        at = 0
+        for span in passes(spec.chunk for spec in same_job):
+            yield same_job[at : at + len(span)]
+            at += len(span)
+
+
+def execute_pass(specs: Sequence[TaskSpec], data: DataPath, worker_id: str) -> list[TaskResult]:
+    """One read of a run's span and one engine pass over it; a result per
+    task, in order.  Runs in a task thread."""
     t_start = time.time()
-    pipeline, batch = data.load(spec)
-    (result,) = run_pipeline(batch, pipeline, chunk_ids=[spec.chunk.chunk_id]).results  # one segment
-    result.worker_id = worker_id
-    result.t_start = t_start
-    result.t_end = time.time()
-    return result
+    pipeline = data.pipeline(specs[0])
+    span = [spec.chunk for spec in specs]
+    passed = run_pipeline(data.read(span, pipeline), pipeline, [c.len for c in span], [c.chunk_id for c in span])
+    t_end = time.time()
+    for result in passed.results:
+        result.worker_id, result.t_start, result.t_end = worker_id, t_start, t_end
+    return passed.results
+
+
+def execute_run(specs: Sequence[TaskSpec], data: DataPath, worker_id: str) -> list[TaskResult | Exception]:
+    """Each task's result or error: a pass that raises is run again task by
+    task, so each task ends as it would have alone."""
+    try:
+        return execute_pass(specs, data, worker_id)
+    except Exception as exc:
+        if len(specs) == 1:
+            return [exc]
+    return [outcome for spec in specs for outcome in execute_run([spec], data, worker_id)]
 
 
 class WorkerAgent:
@@ -169,9 +225,11 @@ class WorkerAgent:
         )
         return reader, writer
 
-    async def _send(self, msg: wire.WireMessage) -> None:
+    async def _send(self, *msgs: wire.WireMessage) -> None:
+        """Send the messages in one write."""
         async with self._send_lock:
-            await wire.send_message(self._writer, msg)
+            self._writer.write(b"".join(map(wire.encode, msgs)))
+            await self._writer.drain()
 
     async def _heartbeat_loop(self) -> None:
         while True:
@@ -179,17 +237,25 @@ class WorkerAgent:
             if self.worker_id:
                 await self._send(wire.WireMessage("Heartbeat", {"worker_id": self.worker_id}))
 
-    async def _run_task(self, body: dict) -> None:
-        spec = TaskSpec.from_dict(body)
-        reply = {"worker_id": self.worker_id, "job_id": spec.job_id, "chunk_id": spec.chunk.chunk_id}
+    def _assign(self, body: dict) -> None:
+        """Start an AssignTask's runs of tasks, each on its own task thread."""
+        for run in task_runs(assigned(body)):
+            self._tasks.spawn(self._run(run))
+
+    async def _run(self, specs: Sequence[TaskSpec]) -> None:
+        """Run one run of tasks on a task thread and report each task."""
         loop = asyncio.get_running_loop()
-        try:
-            result = await loop.run_in_executor(self._pool, execute_task, spec, self._data, self.worker_id)
-        except Exception as exc:
-            reason = f"data token rejected: {exc}" if isinstance(exc, TokenError) else str(exc)
-            await self._send(wire.WireMessage("TaskFailed", {**reply, "reason": reason}))
-            return
-        await self._send(wire.WireMessage("TaskDone", {**reply, "result": result.to_dict()}))
+        outcomes = await loop.run_in_executor(self._pool, execute_run, specs, self._data, self.worker_id)
+        reports = []
+        for spec, outcome in zip(specs, outcomes):
+            reply = {"worker_id": self.worker_id, "job_id": spec.job_id, "chunk_id": spec.chunk.chunk_id}
+            if isinstance(outcome, TaskResult):
+                reports.append(wire.WireMessage("TaskDone", {**reply, "result": outcome.to_dict()}))
+                continue
+            reason = f"data token rejected: {outcome}" if isinstance(outcome, TokenError) else str(outcome)
+            transient = isinstance(outcome, TRANSIENT_ERRORS)
+            reports.append(wire.WireMessage("TaskFailed", {**reply, "reason": reason, "transient": transient}))
+        await self._send(*reports)
 
     async def _session(self, reader: asyncio.StreamReader) -> None:
         heartbeat = self._tasks.spawn(self._heartbeat_loop())
@@ -199,7 +265,7 @@ class WorkerAgent:
                 if msg.kind == "Ok":  # the reply to WorkerHello
                     self.worker_id = msg.body["worker_id"]
                 elif msg.kind == "AssignTask":
-                    self._tasks.spawn(self._run_task(msg.body))
+                    self._assign(msg.body)
                 elif msg.kind == "Err":
                     log.warning("scheduler error: %s", msg.body)
         finally:

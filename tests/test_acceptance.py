@@ -270,7 +270,7 @@ def test_criterion_6_auth(idp_keys, tmp_path):
 
             # credential 3: data token -> proxy fetch
             path = "/store/mini/part00.cacf"
-            data = await facility.proxy.fetch(path, 0, 64, reply["data_token"])
+            (data,) = await facility.proxy.fetch(path, [(0, 64)], reply["data_token"])
             assert data[:4] == b"CACF"
 
             # single-byte tampering: every mutation of either token is rejected
@@ -337,10 +337,10 @@ def test_criterion_7_data_proxy(bench_cfg, tmp_path):
         proxy = DataProxyServer(origin_addr, "fed", ctx.keys.data, clock=lambda: 0.0)
         token = mint_token(ctx.keys.data, "x", "data", exp=1e9)
         path = "/store/bench/part00.cacf"
-        await asyncio.gather(*(proxy.fetch(path, 0, 100, token) for _ in range(20)))
+        await asyncio.gather(*(proxy.fetch(path, [(0, 100)], token) for _ in range(20)))
         assert origin.local.fetches == 1
         with pytest.raises(TokenError):
-            await proxy.fetch(path, 0, 100, "tampered.token")
+            await proxy.fetch(path, [(0, 100)], "tampered.token")
         assert origin.local.fetches == 1  # invalid token never reached the origin
         await proxy.close()
         await origin.close()

@@ -89,7 +89,7 @@ def _two_column_file(tmp_path):
 
 def test_read_header_is_one_range_read(tmp_path):
     path = _two_column_file(tmp_path)
-    read, calls = _counting(cacf.local_range_reader(path))
+    read, calls = _counting(cacf.one_range(cacf.local_range_reader(path)))
     hdr = cacf.read_header(read)
     assert calls == [(0, cacf.HEADER_PREFIX)]
     assert hdr == cacf.CacfHeader(n_events=2, columns=("pt", "eta"), payload_offset=29)
@@ -102,12 +102,13 @@ def test_column_table_longer_than_prefix(tmp_path, n_columns, n_reads):
     names = [f"c{i:03d}_" + "x" * 59 for i in range(n_columns)]  # 64-byte names
     columns = {name: np.full(3, float(i)) for i, name in enumerate(names)}
     assert cacf.write_dataset_file(columns, path) == cacf.file_size(names, 3)
-    read, calls = _counting(cacf.local_range_reader(path))
+    read_ranges = cacf.local_range_reader(path)
+    read, calls = _counting(cacf.one_range(read_ranges))
     hdr = cacf.read_header(read)
     assert hdr.columns == tuple(names) and hdr.n_events == 3
     assert hdr.payload_offset == 20 + 66 * n_columns > cacf.HEADER_PREFIX
     assert len(calls) == n_reads  # each further read doubles what was read
-    back = cacf.read_chunk(read, FileChunk(path, start=1, len=2, chunk_id=0), [names[-1]], header=hdr)
+    back = cacf.read_chunk(read_ranges, FileChunk(path, start=1, len=2, chunk_id=0), [names[-1]], header=hdr)
     assert back[names[-1]].tolist() == [n_columns - 1.0] * 2
 
 

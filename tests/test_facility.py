@@ -360,7 +360,7 @@ def test_stop_after_fetch_logs_no_error(idp_keys, tmp_path, caplog):
         token = mint_token(facility.keys.data, "alice", "data", exp=time.time() + 600)
         clients.append(ProxyClient(addrs["data_proxy"]))
         try:
-            data = await asyncio.to_thread(clients[0].fetch, "/store/mini/part00.cacf", 0, 64, token)
+            (data,) = await asyncio.to_thread(clients[0].fetch, "/store/mini/part00.cacf", [(0, 64)], token)
             assert data[:4] == b"CACF"
         finally:
             await facility.stop()
@@ -447,7 +447,7 @@ def test_worker_that_exits_on_bad_config_leaves_traceback_in_its_log(idp_keys, t
 
 
 def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
-    """execute_task surfaces a proxy token rejection as TokenError,
+    """execute_pass surfaces a proxy token rejection as TokenError,
     which the agent reports as TaskFailed("data token rejected...")."""
     import numpy as np
 
@@ -455,7 +455,7 @@ def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
     from casa_mini.data_proxy import OriginServer, DataProxyServer
     from casa_mini.tokens import TokenError
     from casa_mini.types import FileChunk, TaskSpec
-    from casa_mini.worker import DataPath, WorkerConfig, execute_task
+    from casa_mini.worker import DataPath, WorkerConfig, execute_pass
 
     os.makedirs(tmp_path / "store" / "d", exist_ok=True)
     cacf_mod.write_dataset_file({"pt": np.arange(100.0)}, str(tmp_path / "store" / "d" / "f.cacf"))
@@ -486,7 +486,7 @@ def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
         proxy_client = ProxyClient(cfg.proxy)
         data = DataPath(proxy_client.fetch, cfg.data_token)
         with pytest.raises(TokenError):
-            await asyncio.to_thread(execute_task, spec, data, "w1")
+            await asyncio.to_thread(execute_pass, [spec], data, "w1")
         proxy_client.close()
         assert origin.local.fetches == 0
         await proxy.close()
@@ -498,7 +498,7 @@ def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
 def test_worker_keeps_headers_and_proxy_connection_across_tasks(tmp_path, monkeypatch):
     from casa_mini.data_proxy import DataProxyServer, OriginServer
     from casa_mini.types import FileChunk, TaskSpec
-    from casa_mini.worker import DataPath, WorkerConfig, execute_task
+    from casa_mini.worker import DataPath, WorkerConfig, execute_pass
 
     os.makedirs(tmp_path / "store" / "d", exist_ok=True)
     for name in ("a", "b"):
@@ -536,7 +536,7 @@ def test_worker_keeps_headers_and_proxy_connection_across_tasks(tmp_path, monkey
         data = DataPath(proxy_client.fetch, cfg.data_token)
         try:
             # one thread, as a task thread runs one task after another
-            results = await asyncio.to_thread(lambda: [execute_task(s, data, "w1") for s in specs])
+            results = await asyncio.to_thread(lambda: [execute_pass([s], data, "w1")[0] for s in specs])
             assert len(proxy_client._socks) == 1
         finally:
             proxy_client.close()
@@ -565,7 +565,7 @@ def test_worker_header_cache_is_bounded(tmp_path, monkeypatch):
     data = worker.DataPath(None)
     for i, path in enumerate([paths[0], paths[0], paths[1], paths[0]]):
         spec = TaskSpec(job_id="job-1", chunk=FileChunk(file=path, start=0, len=10, chunk_id=i), pipeline=tuple(PIPELINE))
-        assert worker.execute_task(spec, data, "w1").n_events_in == 10
+        assert worker.execute_pass([spec], data, "w1")[0].n_events_in == 10
     assert len(header_reads) == 3  # b pushed a out
     assert list(data._files) == [paths[0]]
 
@@ -582,7 +582,7 @@ def test_data_path_opens_each_local_file_once(tmp_path, opened_paths):
     for i in range(20):
         chunk = FileChunk(file=paths[i % 2], start=10 * (i // 2), len=10, chunk_id=i)
         spec = TaskSpec(job_id="job-1", chunk=chunk, pipeline=tuple(PIPELINE))
-        assert worker.execute_task(spec, data, "w1").n_events_in == 10
+        assert worker.execute_pass([spec], data, "w1")[0].n_events_in == 10
     assert opened_paths == paths
 
 
@@ -599,7 +599,7 @@ for i in range(120):
     path = {str(tmp_path)!r} + f"/f{{i}}.cacf"
     cacf.write_dataset_file({{"px": np.arange(10.0), "py": np.ones(10)}}, path)
     spec = TaskSpec("job-1", FileChunk(path, 0, 10, i), tuple({PIPELINE!r}))
-    assert worker.execute_task(spec, data, "w1").n_events_in == 10
+    assert worker.execute_pass([spec], data, "w1")[0].n_events_in == 10
 print(len(data._files), worker.HEADER_CACHE_FILES)
 """
     src = os.path.dirname(os.path.dirname(cacf.__file__))
@@ -637,7 +637,7 @@ def test_evicted_file_stays_open_for_a_read_in_flight(tmp_path, monkeypatch):
 
     def task(name: str, start: int):
         spec = TaskSpec(job_id="j", chunk=FileChunk(file=paths[name], start=start, len=20, chunk_id=0), pipeline=tuple(PIPELINE))
-        got = worker.execute_task(spec, data, "w1")
+        got = worker.execute_pass([spec], data, "w1")[0]
         piece = ColumnBatch({n: v[start : start + 20] for n, v in columns[name].items()})
         (want,) = run_pipeline(piece, pipeline).results
         assert [h.to_dict() for h in got.histograms] == [h.to_dict() for h in want.histograms]
@@ -663,20 +663,149 @@ def test_remote_chunk_without_a_proxy_fails_its_task(opened_paths):
     agent = worker.WorkerAgent(cfg)  # no "proxy" in its config
     sent = []
 
-    async def send(msg):
-        sent.append(msg)
+    async def send(*msgs):
+        sent.extend(msgs)
 
-    agent._send = send
+    agent._send = send  # of one run's reports
     url = "root://origin//store/d/f.cacf"
     spec = TaskSpec(job_id="job-1", chunk=FileChunk(file=url, start=0, len=10, chunk_id=0), pipeline=tuple(PIPELINE))
     try:
-        run_async(agent._run_task(spec.to_dict()))
+        run_async(agent._run([spec]))
     finally:
         agent._pool.shutdown()
     # not read as /store/d/f.cacf from the worker's own disk
     assert [path for path in opened_paths if path.endswith(".cacf")] == []
     assert [msg.kind for msg in sent] == ["TaskFailed"]
-    assert url in sent[0].body["reason"]
+    assert url in sent[0].body["reason"] and sent[0].body["transient"] is False
+
+
+def test_a_lost_proxy_connection_is_a_transient_failure():
+    from casa_mini import worker
+    from casa_mini.types import FileChunk, TaskSpec
+
+    closed = socket.create_server(("127.0.0.1", 0))
+    port = closed.getsockname()[1]
+    closed.close()  # nothing listens there now
+    cfg = {"ingress": ["127.0.0.1", 1], "sni": "x", "ca": "c", "cert": "c", "key": "k", "proxy": ["127.0.0.1", port]}
+    agent = worker.WorkerAgent(worker.WorkerConfig(cfg))
+    sent = []
+
+    async def send(*msgs):
+        sent.extend(msgs)
+
+    agent._send = send
+    chunk = FileChunk(file="root://origin//store/d/f.cacf", start=0, len=10, chunk_id=3)
+    try:
+        run_async(agent._run([TaskSpec(job_id="job-1", chunk=chunk, pipeline=tuple(PIPELINE))]))
+    finally:
+        agent._proxy.close()
+        agent._pool.shutdown()
+    assert [(msg.kind, msg.body["chunk_id"], msg.body["transient"]) for msg in sent] == [("TaskFailed", 3, True)]
+
+
+def test_a_pass_that_raises_is_run_again_chunk_by_chunk(tmp_path):
+    from casa_mini import worker
+    from casa_mini.types import FileChunk, TaskSpec
+
+    path = str(tmp_path / "a.cacf")
+    cacf.write_dataset_file({"px": np.arange(25.0), "py": np.ones(25)}, path)
+    specs = [
+        TaskSpec(job_id="job-1", chunk=FileChunk(file=path, start=10 * i, len=10, chunk_id=i), pipeline=tuple(PIPELINE))
+        for i in range(3)  # the last chunk runs past the file's 25 events
+    ]
+    assert list(worker.task_runs(specs)) == [specs]  # one run, whose pass raises
+    data = worker.DataPath(None)
+    outcomes = worker.execute_run(specs, data, "w1")
+    assert isinstance(outcomes[2], cacf.CacfError) and "chunk out of range" in str(outcomes[2])
+    for spec, outcome in zip(specs[:2], outcomes):
+        (alone,) = worker.execute_pass([spec], data, "w1")
+        assert outcome.to_dict() | {"t_start": 0, "t_end": 0} == alone.to_dict() | {"t_start": 0, "t_end": 0}
+
+
+def test_task_runs_split_at_jobs_files_and_gaps():
+    from casa_mini import worker
+    from casa_mini.types import FileChunk, TaskSpec
+
+    def spec(job_id, file, start, chunk_id):
+        return TaskSpec(job_id=job_id, chunk=FileChunk(file=file, start=start, len=10, chunk_id=chunk_id))
+
+    a0, a1, a3 = spec("j1", "a", 0, 0), spec("j1", "a", 10, 1), spec("j1", "a", 30, 3)
+    b0, other = spec("j1", "b", 0, 4), spec("j2", "a", 20, 0)
+    runs = list(worker.task_runs([a0, a1, a3, b0, other]))
+    assert runs == [[a0, a1], [a3], [b0], [other]]
+
+
+def test_worker_runs_adjacent_chunks_of_one_assignment_in_one_pass(tmp_path, monkeypatch):
+    """Two adjacent chunks of one file in one AssignTask: one engine pass and
+    one proxy request for their columns, and two TaskDone results equal, bit
+    for bit, to two single-chunk runs and, merged, to casabench's reference."""
+    from casa_mini import worker
+    from casa_mini.data_proxy import DataProxyServer, OriginServer
+    from casa_mini.engine.hist import merge_histograms
+    from casa_mini.engine.pipeline import TaskResult
+    from casa_mini.types import FileChunk, TaskSpec, assignment
+
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)), "casabench"))
+    import reference
+
+    os.makedirs(tmp_path / "store" / "d")
+    path = str(tmp_path / "store" / "d" / "f.cacf")
+    rng = np.random.default_rng(5)
+    cacf.write_dataset_file({name: rng.normal(0, 30, 2000) for name in ("eta", "px", "py")}, path)
+    segments = []
+    engine = worker.run_pipeline
+    monkeypatch.setattr(worker, "run_pipeline", lambda batch, p, lengths, ids: segments.append(lengths) or engine(batch, p, lengths, ids))
+    token = mint_token(b"k" * 32, "alice", "data", exp=time.time() + 600)
+    specs = [
+        TaskSpec("job-1", FileChunk("root://origin//store/d/f.cacf", 1000 * i, 1000, i), tuple(reference.PIPELINE))
+        for i in range(2)
+    ]
+
+    async def scenario():
+        origin = OriginServer(str(tmp_path), "fed")
+        proxy = DataProxyServer(await origin.start("127.0.0.1", 0), "fed", b"k" * 32)
+        proxy_addr = await proxy.start("127.0.0.1", 0)
+        requests = []
+        fetch = proxy.fetch
+        proxy.fetch = lambda path, ranges, token: requests.append(ranges) or fetch(path, ranges, token)
+        cfg = {"worker_id": "w1", "ingress": ["127.0.0.1", 1], "sni": "x", "ca": "c", "cert": "c", "key": "k"}
+        agent = worker.WorkerAgent(worker.WorkerConfig({**cfg, "proxy": list(proxy_addr), "data_token": token}))
+        sent = []
+
+        async def send(*msgs):
+            sent.extend(msgs)
+
+        agent._send = send
+        client = ProxyClient(proxy_addr)
+        try:
+            agent._assign(assignment(specs))
+            deadline = time.monotonic() + 10
+            while len(sent) < 2 and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+            seen = (list(segments), list(requests))
+            data = worker.DataPath(client.fetch, token)
+            alone = [await asyncio.to_thread(worker.execute_pass, [spec], data, "w1") for spec in specs]
+        finally:
+            await agent._tasks.close()
+            agent._proxy.close()
+            agent._pool.shutdown()
+            client.close()
+            await proxy.close()
+            await origin.close()
+        return sent, seen, alone
+
+    sent, (passes, requests), alone = run_async(scenario())
+    assert passes == [[1000, 1000]]  # one engine pass of two segments
+    assert requests == [[[0, cacf.HEADER_PREFIX]], requests[1]] and len(requests[1]) == 3  # the header, then one for the span
+    assert [(msg.kind, msg.body["chunk_id"]) for msg in sent] == [("TaskDone", 0), ("TaskDone", 1)]
+    results = [TaskResult.from_dict(msg.body["result"]) for msg in sent]
+    for got, (want,) in zip(results, alone):
+        assert (got.chunk_id, got.n_events_in, got.n_events_pass) == (want.chunk_id, want.n_events_in, want.n_events_pass)
+        assert [h.to_dict() for h in got.histograms] == [h.to_dict() for h in want.histograms]
+    merged = {h.name: merge_histograms(h, other) for h, other in zip(results[0].histograms, results[1].histograms)}
+    reference.expected([path], 1000).check(
+        sum(r.n_events_in for r in results), sum(r.n_events_pass for r in results), reference.histograms_of(merged)
+    )
 
 
 def test_stop_after_login_and_batch_submit_logs_no_error(idp_keys, tmp_path, caplog):
@@ -768,7 +897,7 @@ def test_worker_compiles_each_jobs_pipeline_once(tmp_path, monkeypatch):
 
     def run(job_id, chunk_id):
         chunk = FileChunk(file=path, start=10 * chunk_id, len=10, chunk_id=chunk_id)
-        return worker.execute_task(TaskSpec(job_id=job_id, chunk=chunk, pipeline=tuple(PIPELINE)), data, "w1")
+        return worker.execute_pass([TaskSpec(job_id=job_id, chunk=chunk, pipeline=tuple(PIPELINE))], data, "w1")[0]
 
     results = [run("job-1", i) for i in range(4)]
     assert len(built) == 1  # four tasks of one job, one KernelPipeline

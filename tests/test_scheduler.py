@@ -9,6 +9,7 @@ from casa_mini.scheduler.state import (
     Autoscaler,
     ClusterState,
     ScalePolicy,
+    TASK_RETRIES,
     SchedulerError,
     autoscale_target,
     events_to_csv,
@@ -300,6 +301,36 @@ def test_fail_task_marks_failed():
     state.schedule_step(0.0)
     assert state.fail_task("w1", job_id, 0, "boom", 1.0) == "failed"
     assert state.jobs[job_id].failed == {0}
+
+
+def test_a_transient_failure_requeues_its_chunk_on_another_worker():
+    state = ClusterState()
+    job_id = _submit(state, chunk_size=100, n_files=1)  # one chunk
+    for worker_id in ("w1", "w2"):
+        state.worker_arrived(worker_id, "alice", 0.0, n_cores=1)
+    ran_on = [state.schedule_step(0.0)[0][0]]
+    for t in (1.0, 2.0):
+        assert state.fail_task(ran_on[-1], job_id, 0, "proxy connection lost", t, transient=True) == "running"
+        _check_counters(state)
+        ((worker_id, spec),) = state.schedule_step(t)
+        assert spec.chunk.chunk_id == 0
+        ran_on.append(worker_id)
+    assert ran_on == ["w1", "w2", "w1"]  # each retry away from the worker that failed it
+    # past TASK_RETRIES the chunk fails like any other failure
+    assert state.fail_task("w1", job_id, 0, "proxy connection lost", 3.0, transient=True) == "failed"
+    assert state.jobs[job_id].failed == {0} and state.total_queued() == state.total_assigned() == 0
+    ends = [e.detail for e in state.events if e.kind == "TaskEnd"]
+    assert ends == ["retried: proxy connection lost"] * TASK_RETRIES + ["failed: proxy connection lost"]
+
+
+def test_a_transient_failure_retries_on_the_same_worker_when_no_other_is_free():
+    state = ClusterState()
+    job_id = _submit(state, chunk_size=100, n_files=1)
+    state.worker_arrived("w1", "alice", 0.0, n_cores=1)
+    state.schedule_step(0.0)
+    state.fail_task("w1", job_id, 0, "origin connection lost", 1.0, transient=True)
+    assert [(w, spec.chunk.chunk_id) for w, spec in state.schedule_step(1.0)] == [("w1", 0)]
+    assert state.complete_task("w1", job_id, 0, _result(0, n=100), 2.0) == "done"
 
 
 # ---- the worker heap and the counters, against scans over every worker and job ----

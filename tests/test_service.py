@@ -60,8 +60,8 @@ class Rig:
         await self.client.aclose()
         await self.service.close()
 
-    async def submit(self, chunk_size: int = 200) -> str:
-        return await self.client.submit_job(PIPELINE, "d", [self.tls["data"]], [200], chunk_size)
+    async def submit(self, chunk_size: int = 200, pipeline: list = PIPELINE) -> str:
+        return await self.client.submit_job(pipeline, "d", [self.tls["data"]], [200], chunk_size)
 
     async def connect(self) -> "ScriptedWorker":
         ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
@@ -97,7 +97,7 @@ class ScriptedWorker:
         msg = await wire.read_message(self.reader)
         self.received.append(msg)
         if msg.kind == "AssignTask":
-            self.assigned.append(msg.body)
+            self.assigned.extend(msg.body["tasks"])
         return msg
 
     async def report(self, kind: str, body: dict) -> None:
@@ -290,7 +290,8 @@ def test_worker_gets_only_its_hello_reply_tasks_and_refusals(tls):
             # replies come in order, so once this refusal is read every earlier report's reply would have been
             assert (await w.request("Heartbeat", {"worker_id": "w2"})).kind == "Err"
             kinds = [msg.kind for msg in w.received]
-            assert kinds == ["Ok", "AssignTask", "AssignTask", "AssignTask", "AssignTask", "Err"], kinds
+            assert kinds == ["Ok", "AssignTask", "Err"], kinds  # the four tasks in one AssignTask
+            assert len(w.received[1].body["tasks"]) == 4
             assert w.received[0].body == {"worker_id": "w1"}  # no job status, no histogram
             w.close()
             for _ in range(100):
@@ -298,6 +299,85 @@ def test_worker_gets_only_its_hello_reply_tasks_and_refusals(tls):
                     break
                 await asyncio.sleep(0.01)
             assert rig.service._worker_conns == {}
+
+    run_async(scenario())
+
+
+def padded(n_bytes: int) -> list:
+    """PIPELINE with its expression padded by n_bytes of spaces."""
+    return [{"hist": ["h_pt", "pt" + " " * n_bytes, 10, 0, 100]}]
+
+
+def test_an_assignment_carries_each_pipeline_once(tls, monkeypatch):
+    """A pipeline larger than MAX_FRAME / n_cores reaches a worker given
+    n_cores of its tasks at once, in one AssignTask, and the job finishes."""
+    monkeypatch.setattr(wire, "MAX_FRAME", 64 * 1024)
+
+    async def scenario():
+        async with Rig(tls) as rig:
+            w = await rig.worker("w1")  # 4 cores
+            job_id = await rig.submit(chunk_size=50, pipeline=padded(24 * 1024))  # 4 chunks
+            tasks = [await asyncio.wait_for(w.next_task(), 5) for _ in range(4)]
+            assert [msg.kind for msg in w.received] == ["Ok", "AssignTask"]
+            assert len(w.received[1].body["pipelines"]) == 1
+            for task in tasks:
+                await w.done(task, "w1")
+            assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
+            w.close()
+
+    run_async(scenario())
+
+
+def test_an_assignment_past_the_frame_limit_is_split_or_its_task_failed(tls, monkeypatch):
+    """Tasks that do not fit one AssignTask go in several; a task that does
+    not fit one alone fails, and its job with it, instead of hanging."""
+    monkeypatch.setattr(wire, "MAX_FRAME", 64 * 1024)
+
+    async def split():
+        async with Rig(tls) as rig:
+            # queued before any worker, so that one dispatch gives w1 both
+            jobs = [await rig.submit(pipeline=padded(40 * 1024)) for _ in range(2)]
+            w = await rig.worker("w1")
+            tasks = [await asyncio.wait_for(w.next_task(), 5) for _ in jobs]
+            assert [msg.kind for msg in w.received] == ["Ok", "AssignTask", "AssignTask"]
+            for task in tasks:
+                await w.done(task, "w1")
+            for job_id in jobs:
+                assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
+            w.close()
+
+    async def refused():
+        async with Rig(tls) as rig:
+            job_id = await rig.submit(pipeline=padded(40 * 1024))
+            monkeypatch.setattr(wire, "MAX_FRAME", 32 * 1024)
+            w = await rig.worker("w1")
+            status = await rig.client.wait_job(job_id, timeout=5)
+            assert status["state"] == "failed"
+            assert [msg.kind for msg in w.received] == ["Ok"]
+            w.close()
+
+    run_async(split())
+    run_async(refused())
+
+
+def test_a_transient_task_failure_sends_its_chunk_out_again(tls):
+    async def scenario():
+        async with Rig(tls) as rig:
+            w = await rig.worker("w1")
+            job_id = await rig.submit(chunk_size=200)  # one chunk
+            task = await w.next_task()
+            failed = {"worker_id": "w1", "job_id": job_id, "chunk_id": 0, "reason": "proxy connection closed"}
+            await w.report("TaskFailed", {**failed, "transient": True})
+            again = await asyncio.wait_for(w.next_task(), 5)  # no other worker: the same one
+            assert again == task
+            await w.done(again, "w1")
+            assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
+            # a failure not marked transient (the field must be true) fails its chunk at once
+            job_id = await rig.submit(chunk_size=200)
+            await w.next_task()
+            await w.report("TaskFailed", {**failed, "job_id": job_id, "reason": "bad", "transient": "yes"})
+            assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "failed"
+            w.close()
 
     run_async(scenario())
 

@@ -12,9 +12,9 @@ from casa_mini.data_proxy import DataProxyServer, OriginServer, ProxyClient
 from casa_mini.engine.hist import merge_histograms
 from casa_mini.engine.pipeline import KernelPipeline, run_pipeline
 from casa_mini.scheduler.state import events_to_csv
-from casa_mini.sim import PASS_EVENTS, VirtualLoop, passes
+from casa_mini.sim import VirtualLoop
 from casa_mini.types import DatasetSpec, FileChunk, TaskSpec
-from casa_mini.worker import DataPath, execute_task
+from casa_mini.worker import PASS_EVENTS, DataPath, execute_pass, passes
 
 from .conftest import local_files_for, run_async
 
@@ -42,17 +42,18 @@ def test_one_header_read_per_file(tmp_path, monkeypatch):
     reads = []
     fetch = ctx.proxy.fetch
 
-    def counted(path, offset, *args):
-        reads.append((path, offset))
-        return fetch(path, offset, *args)
+    def counted(path, ranges, *args):
+        reads.append((path, [offset for offset, _ in ranges]))
+        return fetch(path, ranges, *args)
 
     monkeypatch.setattr(ctx.proxy, "fetch", counted)
     job, _ = run_once(ctx, fixed_policy(3, cfg))
     assert job.state == "done"
-    header_paths = sorted(path for path, offset in reads if offset == 0)
+    header_paths = sorted(path for path, offsets in reads if offsets == [0])
     assert header_paths == ["/store/bench/part00.cacf", "/store/bench/part01.cacf"]
-    # apart from the headers, one read of each of the pipeline's 3 input columns per file
-    assert len(reads) == 2 + 3 * len(job.dataset.files)
+    # apart from the headers, one request per file, for the pipeline's 3 input columns
+    assert len(reads) == 2 + len(job.dataset.files)
+    assert sorted(len(offsets) for _, offsets in reads) == [1, 1, 3, 3]
 
 
 def test_each_job_pipeline_is_parsed_once(tmp_path, monkeypatch):
@@ -94,7 +95,7 @@ def test_one_engine_pass_per_file_gives_the_per_chunk_results(tmp_path, monkeypa
     pipeline = KernelPipeline.from_json(BENCH_PIPELINE)
     merged = {}
     for chunk in job.chunks.values():
-        (alone,) = run_pipeline(data.read(chunk, pipeline), pipeline).results
+        (alone,) = run_pipeline(data.read([chunk], pipeline), pipeline).results
         for h in alone.histograms:
             merged[h.name] = merge_histograms(merged[h.name], h) if h.name in merged else h
     assert {name: h.to_dict() for name, h in merged.items()} == {name: h.to_dict() for name, h in job.merged.items()}
@@ -172,7 +173,8 @@ def test_worker_and_virtual_facility_give_a_task_the_same_result(tmp_path):
         proxy_client = ProxyClient(await proxy.start("127.0.0.1", 0))
         try:
             data = DataPath(proxy_client.fetch, ctx.data_token)
-            return await asyncio.to_thread(execute_task, spec, data, "w1")
+            (result,) = await asyncio.to_thread(execute_pass, [spec], data, "w1")
+            return result
         finally:
             proxy_client.close()
             await proxy.close()

@@ -130,7 +130,7 @@ async def _origin(tmp_path, idp_keys):
     (tmp_path / "store" / "blob").write_bytes(BLOB)
     origin = data_proxy.OriginServer(str(tmp_path), CRED)
     try:
-        fetch = {"path": "/store/blob", "offset": 3, "length": 100, "cred": CRED}
+        fetch = {"path": "/store/blob", "ranges": [[3, 100]], "cred": CRED}
         yield await origin.start("127.0.0.1", 0), wire.WireMessage("Fetch", fetch)
     finally:
         await origin.close()
@@ -142,7 +142,7 @@ async def _data_proxy(tmp_path, idp_keys):
         proxy = data_proxy.DataProxyServer(origin_addr, CRED, DATA_KEY)
         try:
             token = tokens.mint_token(DATA_KEY, "alice", "data", exp=time.time() + 600)
-            fetch = {"path": "/store/blob", "offset": 3, "length": 100, "token": token}
+            fetch = {"path": "/store/blob", "ranges": [[3, 100]], "token": token}
             yield await proxy.start("127.0.0.1", 0), wire.WireMessage("Fetch", fetch)
         finally:
             await proxy.close()
@@ -161,7 +161,7 @@ def _answered(frame: bytes) -> bool:
 
 
 def _served_block(frame: bytes) -> bool:
-    return frame == data_proxy._tagged(data_proxy.TAG_OK, BLOB[3:103])
+    return frame == data_proxy._served([BLOB[3:103]])
 
 
 # log label -> how to start the service, its reply to an unsupported kind, and
