@@ -83,4 +83,4 @@ class SchedulerClient(wire.Channel):
         return await self.call("ScaleRequest", body)
 
     async def task_stream_csv(self) -> str:
-        return (await self.call("ScaleRequest", {"export": "task_stream"}))["task_stream_csv"]
+        return (await self.call("TaskStream", {}))["task_stream_csv"]

@@ -355,9 +355,9 @@ class SchedulerService:
                 if msg.kind == "WaitJob":
                     timeout = min(float(msg.body.get("timeout", MAX_WAIT)), MAX_WAIT)
                 return wire.ok(await self.wait_job(job_id, timeout))
+            if msg.kind == "TaskStream":
+                return wire.ok({"task_stream_csv": events_to_csv(self.state.events)})
             if msg.kind == "ScaleRequest":
-                if msg.body.get("export") == "task_stream":
-                    return wire.ok({"task_stream_csv": events_to_csv(self.state.events)})
                 self.policy.mode = msg.body.get("mode", self.policy.mode)
                 if "fixed_n" in msg.body:
                     self.policy.fixed_n = int(msg.body["fixed_n"])

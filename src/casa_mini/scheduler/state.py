@@ -111,7 +111,7 @@ def events_to_csv(events: list[TaskStreamEvent]) -> str:
 class JobState:
     job_id: str
     seq: int
-    pipeline_json: list
+    pipeline_spec: tuple  # the pipeline's JSON, which every TaskSpec carries
     pipeline: KernelPipeline  # parsed and checked once, at submission
     dataset: DatasetSpec
     chunks: dict[int, FileChunk]
@@ -125,9 +125,6 @@ class JobState:
     n_events_in: int = 0
     n_events_pass: int = 0
     finished_at: float | None = None
-
-    def __post_init__(self):
-        self.pipeline_spec = tuple(self.pipeline_json)  # what every TaskSpec carries
 
     @property
     def state(self) -> str:
@@ -297,7 +294,7 @@ class ClusterState:
         job = JobState(
             job_id=job_id,
             seq=self._job_seq,
-            pipeline_json=pipeline_json,
+            pipeline_spec=tuple(pipeline_json),
             pipeline=pipeline,
             dataset=dataset,
             chunks={c.chunk_id: c for c in chunks},

@@ -7,16 +7,17 @@ worker's cores bound how many tasks it holds, not its throughput), while task
 *results* come from really evaluating the pipeline on the chunk, read by
 the live worker's own DataPath with remote files read through the facility
 data proxy.  That keeps the scaling study analytic and the merged histograms
-oracle-checkable at the same time.  The first task of a file reads the job's
-chunks of that file in one span and runs them in one segmented engine pass;
-the other chunks' results wait for their own tasks, so the per-call cost of
-the engine is paid once per file, not once per chunk.
+oracle-checkable at the same time.  The first task of a file runs the job's
+chunks of that file through the live worker's run_span (one read, one
+segmented engine pass); the other chunks' outcomes wait for their own tasks,
+so the per-call cost of the engine is paid once per file, not once per chunk.
 
-Workers fail as live ones do.  A killed worker is a process exit: its batch
-job finishes and its connection closes at the kill time, and it leaves
-through the same Autoscaler.drop_worker as every other departure (reason
-"connection closed"), which requeues its chunks.  A simulated worker never
-goes silent, so no heartbeat is recorded and none times out.
+Tasks and workers fail as live ones do: a chunk's error goes through the
+worker's task_failure to ClusterState.fail_task, so its job ends `failed`.  A
+killed worker is a process exit: its batch job finishes and its connection
+closes at the kill time, and it leaves through the same Autoscaler.drop_worker
+as every other departure (reason "connection closed"), which requeues its
+chunks.  A simulated worker never goes silent, so no heartbeat is recorded.
 
 Same seed, same submissions: identical event order, identical task stream.
 """
@@ -40,7 +41,7 @@ from .scheduler.state import (
     WorkerState,
 )
 from .types import DatasetSpec, FileChunk, TaskSpec
-from .worker import DataPath, passes
+from .worker import DataPath, passes, run_span, task_failure
 
 # Passes whose unused results are kept; a job has about one open pass per
 # file, and a pass dropped past this is run again for its chunks left.
@@ -115,8 +116,8 @@ class VirtualFacility:
         self.autoscaler = Autoscaler(self.state, policy, self._request_workers, self._release)
         self.sim_workers: dict[str, _SimWorker] = {}
         self.data = DataPath(proxy.fetch, data_token)  # the live worker's data path
-        # (job_id, first chunk_id of a pass) -> results not yet handed out, least recently used first
-        self._results: OrderedDict[tuple[str, int], dict[int, TaskResult]] = OrderedDict()
+        # (job_id, first chunk_id of a pass) -> outcomes not yet handed out, least recently used first
+        self._results: OrderedDict[tuple[str, int], dict[int, TaskResult | Exception]] = OrderedDict()
         self._spans: dict[str, dict[int, tuple[FileChunk, ...]]] = {}  # job_id -> chunk_id -> its pass
         self._kill_plan: list[tuple[float, str]] = []
 
@@ -191,28 +192,32 @@ class VirtualFacility:
         job = self.state.jobs.get(spec.job_id)
         if job is None or job.assigned.get(spec.chunk.chunk_id) != sw.worker_id:
             return  # reassigned while this event was in flight
-        result = self._execute(spec, sw.worker_id, started, now)
-        self.state.complete_task(sw.worker_id, spec.job_id, spec.chunk.chunk_id, result, now)
+        outcome = self._execute(spec)
+        if isinstance(outcome, TaskResult):
+            outcome.worker_id, outcome.t_start, outcome.t_end = sw.worker_id, started, now
+            self.state.complete_task(sw.worker_id, spec.job_id, spec.chunk.chunk_id, outcome, now)
+        else:  # as SchedulerService takes a live worker's TaskFailed
+            reason, transient = task_failure(outcome)
+            self.state.fail_task(sw.worker_id, spec.job_id, spec.chunk.chunk_id, reason, now, transient)
         self._maybe_start_next(sw, now)
         self._dispatch(now)
 
-    def _execute(self, spec: TaskSpec, worker_id: str, t_start: float, t_end: float) -> TaskResult:
-        """The chunk's result from its engine pass, which the pass's first
-        task runs; each other chunk's result is kept until its own task runs
-        (a kill before that leaves it kept), and handed out once."""
+    def _execute(self, spec: TaskSpec) -> TaskResult | Exception:
+        """The chunk's result or error from its engine pass, which the pass's
+        first task runs; each other chunk's outcome is kept until its own task
+        runs (a kill before that leaves it kept), and handed out once."""
         job = self.state.jobs[spec.job_id]
         span = self._span_of(job, spec.chunk.chunk_id)
         key = (job.job_id, span[0].chunk_id)
-        results = self._results.pop(key, None)
-        if results is None:
-            results = self._run_pass(job, span)
-        result = results.pop(spec.chunk.chunk_id)
-        if results:
-            self._results[key] = results  # now the most recently used
+        outcomes = self._results.pop(key, {})
+        if spec.chunk.chunk_id not in outcomes:  # a first task, or a retry
+            outcomes = self._run_pass(job, span)
+        outcome = outcomes.pop(spec.chunk.chunk_id)
+        if outcomes:
+            self._results[key] = outcomes  # now the most recently used
             if len(self._results) > PASS_CACHE:
                 self._results.popitem(last=False)
-        result.worker_id, result.t_start, result.t_end = worker_id, t_start, t_end
-        return result
+        return outcome
 
     def _span_of(self, job: JobState, chunk_id: int) -> tuple[FileChunk, ...]:
         """The chunks of the engine pass that runs chunk_id."""
@@ -221,12 +226,10 @@ class VirtualFacility:
             spans = self._spans[job.job_id] = {c.chunk_id: span for span in passes(job.chunks.values()) for c in span}
         return spans[chunk_id]
 
-    def _run_pass(self, job: JobState, span: tuple[FileChunk, ...]) -> dict[int, TaskResult]:
-        """One read of the span's columns and one engine pass over it; the
-        results of its chunks not yet done, by chunk id."""
-        batch = self.data.read(span, job.pipeline)
-        passed = run_pipeline(batch, job.pipeline, [c.len for c in span], [c.chunk_id for c in span])
-        return {r.chunk_id: r for r in passed.results if r.chunk_id not in job.done}
+    def _run_pass(self, job: JobState, span: tuple[FileChunk, ...]) -> dict[int, TaskResult | Exception]:
+        """run_span's outcomes for the span's chunks not yet done, by chunk id."""
+        outcomes = run_span(span, job.pipeline, self.data, run_pipeline)
+        return {c.chunk_id: o for c, o in zip(span, outcomes) if c.chunk_id not in job.done}
 
     # ---- driving --------------------------------------------------------------
 

@@ -38,6 +38,7 @@ KINDS = frozenset(
         "JobStatus",
         "WaitJob",
         "ScaleRequest",
+        "TaskStream",
         # facility services
         "Login",
         "Fetch",

@@ -4,12 +4,12 @@ Runs as `main([config])` with one argument, the path to a JSON config (this
 is the payload a batch job carries): in a facility, in a process forked by
 the zygote (`casa_mini.zygote`); alone, as `python -m casa_mini.worker`.
 The scheduler sends one AssignTask per dispatch, listing every task that
-dispatch gave this worker and each job's pipeline once.  The worker cuts them into runs of adjacent
-chunks of one file of one job (`passes`, as the virtual facility does) and
-runs each run as one read of its span and one segmented engine pass, on one
-of its task threads (one per logical core), while the control connection
-stays responsive for heartbeats.  It still reports each task on its own: a
-TaskDone, or a TaskFailed that says whether a retry elsewhere may succeed.
+dispatch gave this worker and each job's pipeline once.  The worker cuts them
+into runs of adjacent chunks of one file of one job (`passes`) and runs each
+through `run_span`, as the virtual facility does (one read of its span, one
+segmented engine pass), on one of its task threads, one per logical core, so
+heartbeats keep flowing.  Each task gets its own TaskDone, or a TaskFailed
+whose reason and transience come from `task_failure`.
 Reports get no reply unless the scheduler refuses one, with an Err the
 worker logs.  A task's chunk reaches its pipeline through DataPath, which
 the virtual facility (`sim`) uses too: remote files come from the caching
@@ -30,6 +30,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -178,28 +179,37 @@ def task_runs(specs: Sequence[TaskSpec]) -> Iterator[Sequence[TaskSpec]]:
             at += len(span)
 
 
-def execute_pass(specs: Sequence[TaskSpec], data: DataPath, worker_id: str) -> list[TaskResult]:
-    """One read of a run's span and one engine pass over it; a result per
-    task, in order.  Runs in a task thread."""
-    t_start = time.time()
-    pipeline = data.pipeline(specs[0])
-    span = [spec.chunk for spec in specs]
-    passed = run_pipeline(data.read(span, pipeline), pipeline, [c.len for c in span], [c.chunk_id for c in span])
-    t_end = time.time()
-    for result in passed.results:
-        result.worker_id, result.t_start, result.t_end = worker_id, t_start, t_end
-    return passed.results
+def run_span(
+    span: Sequence[FileChunk], pipeline: KernelPipeline, data: DataPath, engine
+) -> list[TaskResult | Exception]:
+    """Each chunk's result or error, in order, from one read of a span (a run
+    of passes()) and one segmented pass of `engine`, the caller's run_pipeline.
+    A pass that raises is run again chunk by chunk, so each chunk ends as it would alone."""
+    try:
+        return engine(data.read(span, pipeline), pipeline, [c.len for c in span], [c.chunk_id for c in span]).results
+    except Exception as exc:
+        if len(span) == 1:
+            return [exc]
+    return [outcome for chunk in span for outcome in run_span([chunk], pipeline, data, engine)]
+
+
+def task_failure(exc: Exception) -> tuple[str, bool]:
+    """A failed task's reason, and whether a retry on another worker may succeed."""
+    reason = f"data token rejected: {exc}" if isinstance(exc, TokenError) else str(exc)
+    return reason, isinstance(exc, TRANSIENT_ERRORS)
 
 
 def execute_run(specs: Sequence[TaskSpec], data: DataPath, worker_id: str) -> list[TaskResult | Exception]:
-    """Each task's result or error: a pass that raises is run again task by
-    task, so each task ends as it would have alone."""
+    """Each task's result or error from run_span, a result stamped with this
+    worker and the run's start and end.  Runs in a task thread."""
+    t_start = time.time()
     try:
-        return execute_pass(specs, data, worker_id)
-    except Exception as exc:
-        if len(specs) == 1:
-            return [exc]
-    return [outcome for spec in specs for outcome in execute_run([spec], data, worker_id)]
+        pipeline = data.pipeline(specs[0])
+    except Exception as exc:  # the job's pipeline does not compile
+        return [exc] * len(specs)
+    outcomes = run_span([spec.chunk for spec in specs], pipeline, data, run_pipeline)
+    stamp = {"worker_id": worker_id, "t_start": t_start, "t_end": time.time()}
+    return [replace(outcome, **stamp) if isinstance(outcome, TaskResult) else outcome for outcome in outcomes]
 
 
 class WorkerAgent:
@@ -252,8 +262,7 @@ class WorkerAgent:
             if isinstance(outcome, TaskResult):
                 reports.append(wire.WireMessage("TaskDone", {**reply, "result": outcome.to_dict()}))
                 continue
-            reason = f"data token rejected: {outcome}" if isinstance(outcome, TokenError) else str(outcome)
-            transient = isinstance(outcome, TRANSIENT_ERRORS)
+            reason, transient = task_failure(outcome)
             reports.append(wire.WireMessage("TaskFailed", {**reply, "reason": reason, "transient": transient}))
         await self._send(*reports)
 

@@ -447,15 +447,15 @@ def test_worker_that_exits_on_bad_config_leaves_traceback_in_its_log(idp_keys, t
 
 
 def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
-    """execute_pass surfaces a proxy token rejection as TokenError,
-    which the agent reports as TaskFailed("data token rejected...")."""
+    """The executor gives a proxy token rejection as the task's TokenError
+    outcome, which task_failure reports as "data token rejected: ...", not transient."""
     import numpy as np
 
     from casa_mini import cacf as cacf_mod
     from casa_mini.data_proxy import OriginServer, DataProxyServer
     from casa_mini.tokens import TokenError
     from casa_mini.types import FileChunk, TaskSpec
-    from casa_mini.worker import DataPath, WorkerConfig, execute_pass
+    from casa_mini.worker import DataPath, WorkerConfig, execute_run, task_failure
 
     os.makedirs(tmp_path / "store" / "d", exist_ok=True)
     cacf_mod.write_dataset_file({"pt": np.arange(100.0)}, str(tmp_path / "store" / "d" / "f.cacf"))
@@ -485,8 +485,9 @@ def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
         )
         proxy_client = ProxyClient(cfg.proxy)
         data = DataPath(proxy_client.fetch, cfg.data_token)
-        with pytest.raises(TokenError):
-            await asyncio.to_thread(execute_pass, [spec], data, "w1")
+        (outcome,) = await asyncio.to_thread(execute_run, [spec], data, "w1")
+        assert isinstance(outcome, TokenError)
+        assert task_failure(outcome) == (f"data token rejected: {outcome}", False)
         proxy_client.close()
         assert origin.local.fetches == 0
         await proxy.close()
@@ -498,7 +499,7 @@ def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
 def test_worker_keeps_headers_and_proxy_connection_across_tasks(tmp_path, monkeypatch):
     from casa_mini.data_proxy import DataProxyServer, OriginServer
     from casa_mini.types import FileChunk, TaskSpec
-    from casa_mini.worker import DataPath, WorkerConfig, execute_pass
+    from casa_mini.worker import DataPath, WorkerConfig, execute_run
 
     os.makedirs(tmp_path / "store" / "d", exist_ok=True)
     for name in ("a", "b"):
@@ -536,7 +537,7 @@ def test_worker_keeps_headers_and_proxy_connection_across_tasks(tmp_path, monkey
         data = DataPath(proxy_client.fetch, cfg.data_token)
         try:
             # one thread, as a task thread runs one task after another
-            results = await asyncio.to_thread(lambda: [execute_pass([s], data, "w1")[0] for s in specs])
+            results = await asyncio.to_thread(lambda: [execute_run([s], data, "w1")[0] for s in specs])
             assert len(proxy_client._socks) == 1
         finally:
             proxy_client.close()
@@ -565,7 +566,7 @@ def test_worker_header_cache_is_bounded(tmp_path, monkeypatch):
     data = worker.DataPath(None)
     for i, path in enumerate([paths[0], paths[0], paths[1], paths[0]]):
         spec = TaskSpec(job_id="job-1", chunk=FileChunk(file=path, start=0, len=10, chunk_id=i), pipeline=tuple(PIPELINE))
-        assert worker.execute_pass([spec], data, "w1")[0].n_events_in == 10
+        assert worker.execute_run([spec], data, "w1")[0].n_events_in == 10
     assert len(header_reads) == 3  # b pushed a out
     assert list(data._files) == [paths[0]]
 
@@ -582,7 +583,7 @@ def test_data_path_opens_each_local_file_once(tmp_path, opened_paths):
     for i in range(20):
         chunk = FileChunk(file=paths[i % 2], start=10 * (i // 2), len=10, chunk_id=i)
         spec = TaskSpec(job_id="job-1", chunk=chunk, pipeline=tuple(PIPELINE))
-        assert worker.execute_pass([spec], data, "w1")[0].n_events_in == 10
+        assert worker.execute_run([spec], data, "w1")[0].n_events_in == 10
     assert opened_paths == paths
 
 
@@ -599,7 +600,7 @@ for i in range(120):
     path = {str(tmp_path)!r} + f"/f{{i}}.cacf"
     cacf.write_dataset_file({{"px": np.arange(10.0), "py": np.ones(10)}}, path)
     spec = TaskSpec("job-1", FileChunk(path, 0, 10, i), tuple({PIPELINE!r}))
-    assert worker.execute_pass([spec], data, "w1")[0].n_events_in == 10
+    assert worker.execute_run([spec], data, "w1")[0].n_events_in == 10
 print(len(data._files), worker.HEADER_CACHE_FILES)
 """
     src = os.path.dirname(os.path.dirname(cacf.__file__))
@@ -637,7 +638,7 @@ def test_evicted_file_stays_open_for_a_read_in_flight(tmp_path, monkeypatch):
 
     def task(name: str, start: int):
         spec = TaskSpec(job_id="j", chunk=FileChunk(file=paths[name], start=start, len=20, chunk_id=0), pipeline=tuple(PIPELINE))
-        got = worker.execute_pass([spec], data, "w1")[0]
+        got = worker.execute_run([spec], data, "w1")[0]
         piece = ColumnBatch({n: v[start : start + 20] for n, v in columns[name].items()})
         (want,) = run_pipeline(piece, pipeline).results
         assert [h.to_dict() for h in got.histograms] == [h.to_dict() for h in want.histograms]
@@ -718,7 +719,7 @@ def test_a_pass_that_raises_is_run_again_chunk_by_chunk(tmp_path):
     outcomes = worker.execute_run(specs, data, "w1")
     assert isinstance(outcomes[2], cacf.CacfError) and "chunk out of range" in str(outcomes[2])
     for spec, outcome in zip(specs[:2], outcomes):
-        (alone,) = worker.execute_pass([spec], data, "w1")
+        (alone,) = worker.execute_run([spec], data, "w1")
         assert outcome.to_dict() | {"t_start": 0, "t_end": 0} == alone.to_dict() | {"t_start": 0, "t_end": 0}
 
 
@@ -784,7 +785,7 @@ def test_worker_runs_adjacent_chunks_of_one_assignment_in_one_pass(tmp_path, mon
                 await asyncio.sleep(0.01)
             seen = (list(segments), list(requests))
             data = worker.DataPath(client.fetch, token)
-            alone = [await asyncio.to_thread(worker.execute_pass, [spec], data, "w1") for spec in specs]
+            alone = [await asyncio.to_thread(worker.execute_run, [spec], data, "w1") for spec in specs]
         finally:
             await agent._tasks.close()
             agent._proxy.close()
@@ -897,7 +898,7 @@ def test_worker_compiles_each_jobs_pipeline_once(tmp_path, monkeypatch):
 
     def run(job_id, chunk_id):
         chunk = FileChunk(file=path, start=10 * chunk_id, len=10, chunk_id=chunk_id)
-        return worker.execute_pass([TaskSpec(job_id=job_id, chunk=chunk, pipeline=tuple(PIPELINE))], data, "w1")[0]
+        return worker.execute_run([TaskSpec(job_id=job_id, chunk=chunk, pipeline=tuple(PIPELINE))], data, "w1")[0]
 
     results = [run("job-1", i) for i in range(4)]
     assert len(built) == 1  # four tasks of one job, one KernelPipeline

@@ -4,6 +4,8 @@ test runs a SchedulerService behind mutual TLS, a client, and a scripted
 worker connection."""
 
 import asyncio
+import csv
+import io
 import logging
 import ssl
 import time
@@ -144,6 +146,31 @@ def test_wait_job_returns_when_the_job_finishes(tls):
 
     run_async(scenario())
 
+
+
+def test_task_stream_is_its_own_request(tls):
+    """TaskStream gives the task stream as CSV, with the job's TaskStart and
+    TaskEnd rows, and leaves the scale policy alone; a ScaleRequest only sets
+    the policy, whatever else its body holds."""
+
+    async def scenario():
+        async with Rig(tls) as rig:
+            w = await rig.worker("w1")
+            job_id = await rig.submit(chunk_size=100)
+            for _ in range(2):
+                await w.done(await w.next_task(), "w1")
+            assert (await rig.client.wait_job(job_id, timeout=10))["state"] == "done"
+            policy = vars(rig.service.policy).copy()
+            text = await rig.client.task_stream_csv()
+            assert vars(rig.service.policy) == policy
+            assert await rig.client.scale_request(export="task_stream") == {"mode": policy["mode"], "fixed_n": 0}
+            w.close()
+            return job_id, text
+
+    job_id, text = run_async(scenario())
+    rows = list(csv.DictReader(io.StringIO(text)))
+    tasks = sorted((r["kind"], r["worker_id"], r["chunk_id"], r["detail"]) for r in rows if r["kind"].startswith("Task"))
+    assert tasks == [(kind, "w1", chunk_id, job_id) for kind in ("TaskEnd", "TaskStart") for chunk_id in "01"]
 
 def test_wait_on_finished_job_returns_at_once(tls):
     async def scenario():

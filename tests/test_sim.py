@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from casa_mini import sim
+from casa_mini import sim, worker
 from casa_mini.bench import BENCH_PIPELINE, BenchConfig, fixed_policy, make_context, make_facility, run_once
 from casa_mini.data_proxy import DataProxyServer, OriginServer, ProxyClient
 from casa_mini.engine.hist import merge_histograms
@@ -14,7 +14,7 @@ from casa_mini.engine.pipeline import KernelPipeline, run_pipeline
 from casa_mini.scheduler.state import events_to_csv
 from casa_mini.sim import VirtualLoop
 from casa_mini.types import DatasetSpec, FileChunk, TaskSpec
-from casa_mini.worker import PASS_EVENTS, DataPath, execute_pass, passes
+from casa_mini.worker import PASS_EVENTS, DataPath, execute_run, passes
 
 from .conftest import local_files_for, run_async
 
@@ -163,8 +163,7 @@ def test_worker_and_virtual_facility_give_a_task_the_same_result(tmp_path):
     chunk = facility.state.jobs[job_id].chunks[13]
     assert chunk == FileChunk(file=ctx.dataset.files[1], start=3000, len=1000, chunk_id=13)
     spec = TaskSpec(job_id=job_id, chunk=chunk, pipeline=tuple(BENCH_PIPELINE))
-    virtual = facility._execute(spec, "w1", 0.0, 1.0)  # from the pass over the file's 10 chunks
-    assert (virtual.worker_id, virtual.t_start, virtual.t_end) == ("w1", 0.0, 1.0)
+    virtual = facility._execute(spec)  # from the pass over the file's 10 chunks
 
     async def live():
         # the worker's own path: a networked proxy in front of the same files
@@ -173,7 +172,7 @@ def test_worker_and_virtual_facility_give_a_task_the_same_result(tmp_path):
         proxy_client = ProxyClient(await proxy.start("127.0.0.1", 0))
         try:
             data = DataPath(proxy_client.fetch, ctx.data_token)
-            (result,) = await asyncio.to_thread(execute_pass, [spec], data, "w1")
+            (result,) = await asyncio.to_thread(execute_run, [spec], data, "w1")
             return result
         finally:
             proxy_client.close()
@@ -182,9 +181,95 @@ def test_worker_and_virtual_facility_give_a_task_the_same_result(tmp_path):
 
     result = run_async(live())
     assert (result.chunk_id, result.n_events_in, result.n_events_pass) == (13, 1000, virtual.n_events_pass)
+    assert result.worker_id == "w1" and 0 < result.t_start <= result.t_end
     assert 0 < virtual.n_events_pass < 1000
     assert [h.to_dict() for h in result.histograms] == [h.to_dict() for h in virtual.histograms]
     assert len(virtual.histograms) == len(BENCH_PIPELINE) - 2  # every hist step
+
+
+
+def _two_file_job(tmp_path, pipeline=BENCH_PIPELINE, claimed=2600, local=False, complete=None):
+    """A virtual job over two 2,000-event files in chunks of 500, whose
+    manifest claims `claimed` events for the second (at 2,600, chunks 8 and 9
+    lie past its end), and its failed chunks' TaskEnd details.
+    complete(chunk_id, result) sees every result the facility merges."""
+    cfg = BenchConfig(n_files=2, events_per_file=2000, chunk_size=500)
+    ctx = make_context(cfg, str(tmp_path))
+    files = tuple(local_files_for(ctx, str(tmp_path))) if local else ctx.dataset.files
+    dataset = DatasetSpec(name=ctx.dataset.name, files=files, n_events_total=2000 + claimed)
+    facility = make_facility(ctx, fixed_policy(3, cfg))
+    if complete is not None:
+        merge = facility.state.complete_task
+
+        def recording(worker_id, job_id, chunk_id, result, now):
+            complete(chunk_id, result)
+            return merge(worker_id, job_id, chunk_id, result, now)
+
+        facility.state.complete_task = recording
+    job = facility.run_job(pipeline, dataset, cfg.chunk_size, [2000, claimed])  # raises for no chunk
+    failed = {e.chunk_id: e.detail for e in facility.state.events if e.kind == "TaskEnd" and e.detail.startswith("failed")}
+    return ctx, job, failed
+
+
+def test_chunks_past_the_end_of_a_file_fail_and_the_rest_of_the_job_is_merged(tmp_path):
+    ctx, job, failed = _two_file_job(tmp_path)
+    assert job.state == "failed"
+    assert job.failed == {8, 9} and job.done == set(range(8))
+    assert failed == {
+        8: "failed: chunk out of range: [2000, 2500) in a 2000-event file",
+        9: "failed: chunk out of range: [2500, 2600) in a 2000-event file",
+    }
+    data = DataPath(ctx.proxy.fetch, ctx.data_token)
+    pipeline = KernelPipeline.from_json(BENCH_PIPELINE)
+    merged = {}
+    for chunk_id in sorted(job.done):
+        chunk = job.chunks[chunk_id]
+        (alone,) = run_pipeline(data.read([chunk], pipeline), pipeline).results
+        for h in alone.histograms:
+            merged[h.name] = merge_histograms(merged[h.name], h) if h.name in merged else h
+    assert {name: h.to_dict() for name, h in merged.items()} == {name: h.to_dict() for name, h in job.merged.items()}
+
+
+def test_a_pipeline_reading_a_missing_column_fails_every_chunk(tmp_path):
+    pipeline = [*BENCH_PIPELINE, {"hist": ["h_mass", "mass", 10, 0, 100]}]
+    _, job, failed = _two_file_job(tmp_path, pipeline, claimed=2000)
+    assert job.state == "failed" and job.failed == set(range(8)) and not job.done
+    assert set(failed.values()) == {"failed: unknown column mass"}
+
+
+def test_live_worker_reports_what_the_virtual_facility_records(tmp_path):
+    """The same chunks through a live WorkerAgent: a TaskFailed, not
+    transient, for each chunk the virtual job failed, with the reason its
+    TaskEnd gives, and a TaskDone result equal to each virtual one."""
+    virtual = {}
+    _, job, failed = _two_file_job(tmp_path, local=True, complete=virtual.__setitem__)
+    assert sorted(failed) == [8, 9] and sorted(virtual) == sorted(job.done)
+    assert all(r.worker_id and r.t_start < r.t_end for r in virtual.values())  # its worker's virtual run
+    cfg = worker.WorkerConfig({"worker_id": "w1", "ingress": ["127.0.0.1", 1], "sni": "x", "ca": "c", "cert": "c", "key": "k"})
+    agent = worker.WorkerAgent(cfg)  # local files, so no proxy
+    sent = []
+
+    async def send(*msgs):
+        sent.extend(msgs)
+
+    async def live():
+        specs = [TaskSpec(job_id=job.job_id, chunk=chunk, pipeline=tuple(BENCH_PIPELINE)) for chunk in job.chunks.values()]
+        for run in worker.task_runs(specs):
+            await agent._run(run)
+
+    agent._send = send
+    try:
+        run_async(live())
+    finally:
+        agent._pool.shutdown()
+    reports = {msg.body["chunk_id"]: msg for msg in sent}
+    assert sorted(reports) == list(range(10))
+    refused = {c: msg.body for c, msg in reports.items() if msg.kind == "TaskFailed"}
+    assert {c: f"failed: {body['reason']}" for c, body in refused.items()} == failed
+    assert all(body["transient"] is False for body in refused.values())
+    unstamped = {"worker_id": "", "t_start": 0.0, "t_end": 0.0}
+    live_results = {c: msg.body["result"] | unstamped for c, msg in reports.items() if msg.kind == "TaskDone"}
+    assert live_results == {c: r.to_dict() | unstamped for c, r in virtual.items()}
 
 
 def test_single_worker_throughput_matches_rate(tmp_path):
