@@ -30,7 +30,6 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -200,16 +199,16 @@ def task_failure(exc: Exception) -> tuple[str, bool]:
 
 
 def execute_run(specs: Sequence[TaskSpec], data: DataPath, worker_id: str) -> list[TaskResult | Exception]:
-    """Each task's result or error from run_span, a result stamped with this
-    worker and the run's start and end.  Runs in a task thread."""
+    """run_span's outcomes for a run of tasks, each result stamped with this worker and the run's times."""
     t_start = time.time()
     try:
-        pipeline = data.pipeline(specs[0])
+        outcomes = run_span([spec.chunk for spec in specs], data.pipeline(specs[0]), data, run_pipeline)
     except Exception as exc:  # the job's pipeline does not compile
         return [exc] * len(specs)
-    outcomes = run_span([spec.chunk for spec in specs], pipeline, data, run_pipeline)
-    stamp = {"worker_id": worker_id, "t_start": t_start, "t_end": time.time()}
-    return [replace(outcome, **stamp) if isinstance(outcome, TaskResult) else outcome for outcome in outcomes]
+    t_end = time.time()
+    for result in [outcome for outcome in outcomes if isinstance(outcome, TaskResult)]:
+        result.worker_id, result.t_start, result.t_end = worker_id, t_start, t_end
+    return outcomes
 
 
 class WorkerAgent:

@@ -147,7 +147,6 @@ def test_wait_job_returns_when_the_job_finishes(tls):
     run_async(scenario())
 
 
-
 def test_task_stream_is_its_own_request(tls):
     """TaskStream gives the task stream as CSV, with the job's TaskStart and
     TaskEnd rows, and leaves the scale policy alone; a ScaleRequest only sets
@@ -171,6 +170,7 @@ def test_task_stream_is_its_own_request(tls):
     rows = list(csv.DictReader(io.StringIO(text)))
     tasks = sorted((r["kind"], r["worker_id"], r["chunk_id"], r["detail"]) for r in rows if r["kind"].startswith("Task"))
     assert tasks == [(kind, "w1", chunk_id, job_id) for kind in ("TaskEnd", "TaskStart") for chunk_id in "01"]
+
 
 def test_wait_on_finished_job_returns_at_once(tls):
     async def scenario():

@@ -187,12 +187,11 @@ def test_worker_and_virtual_facility_give_a_task_the_same_result(tmp_path):
     assert len(virtual.histograms) == len(BENCH_PIPELINE) - 2  # every hist step
 
 
-
 def _two_file_job(tmp_path, pipeline=BENCH_PIPELINE, claimed=2600, local=False, complete=None):
     """A virtual job over two 2,000-event files in chunks of 500, whose
     manifest claims `claimed` events for the second (at 2,600, chunks 8 and 9
-    lie past its end), and its failed chunks' TaskEnd details.
-    complete(chunk_id, result) sees every result the facility merges."""
+    lie past its end), its failed chunks' TaskEnd details, and the facility.
+    complete(worker_id, chunk_id, result, now) sees every result the facility merges."""
     cfg = BenchConfig(n_files=2, events_per_file=2000, chunk_size=500)
     ctx = make_context(cfg, str(tmp_path))
     files = tuple(local_files_for(ctx, str(tmp_path))) if local else ctx.dataset.files
@@ -202,17 +201,17 @@ def _two_file_job(tmp_path, pipeline=BENCH_PIPELINE, claimed=2600, local=False, 
         merge = facility.state.complete_task
 
         def recording(worker_id, job_id, chunk_id, result, now):
-            complete(chunk_id, result)
+            complete(worker_id, chunk_id, result, now)
             return merge(worker_id, job_id, chunk_id, result, now)
 
         facility.state.complete_task = recording
     job = facility.run_job(pipeline, dataset, cfg.chunk_size, [2000, claimed])  # raises for no chunk
     failed = {e.chunk_id: e.detail for e in facility.state.events if e.kind == "TaskEnd" and e.detail.startswith("failed")}
-    return ctx, job, failed
+    return ctx, job, failed, facility
 
 
 def test_chunks_past_the_end_of_a_file_fail_and_the_rest_of_the_job_is_merged(tmp_path):
-    ctx, job, failed = _two_file_job(tmp_path)
+    ctx, job, failed, _ = _two_file_job(tmp_path)
     assert job.state == "failed"
     assert job.failed == {8, 9} and job.done == set(range(8))
     assert failed == {
@@ -232,19 +231,58 @@ def test_chunks_past_the_end_of_a_file_fail_and_the_rest_of_the_job_is_merged(tm
 
 def test_a_pipeline_reading_a_missing_column_fails_every_chunk(tmp_path):
     pipeline = [*BENCH_PIPELINE, {"hist": ["h_mass", "mass", 10, 0, 100]}]
-    _, job, failed = _two_file_job(tmp_path, pipeline, claimed=2000)
+    _, job, failed, _ = _two_file_job(tmp_path, pipeline, claimed=2000)
     assert job.state == "failed" and job.failed == set(range(8)) and not job.done
     assert set(failed.values()) == {"failed: unknown column mass"}
+
+
+def test_a_transient_task_error_retries_the_chunk(tmp_path, monkeypatch):
+    """An engine pass over chunk 3 that loses its connection once: the chunk
+    is retried, its retry runs the pass again, and the job merges as a clean one."""
+    _, clean, _, _ = _two_file_job(tmp_path / "clean", claimed=2000)
+    flaky = {3}
+
+    def dropping_run_pipeline(batch, pipeline, lengths=None, chunk_ids=None):
+        if flaky & set(chunk_ids):
+            if chunk_ids == [3]:  # the chunk run alone, after its span's pass raised
+                flaky.clear()
+            raise ConnectionError("connection reset")
+        return run_pipeline(batch, pipeline, lengths, chunk_ids)
+
+    monkeypatch.setattr(sim, "run_pipeline", dropping_run_pipeline)
+    _, job, failed, facility = _two_file_job(tmp_path / "flaky", claimed=2000)
+    ends = [e.detail for e in facility.state.events if e.kind == "TaskEnd" and e.chunk_id == 3]
+    assert ends == ["retried: connection reset", job.job_id]
+    assert job.state == "done" and job.done == set(range(8)) and not failed
+    assert {n: h.to_dict() for n, h in job.merged.items()} == {n: h.to_dict() for n, h in clean.merged.items()}
 
 
 def test_live_worker_reports_what_the_virtual_facility_records(tmp_path):
     """The same chunks through a live WorkerAgent: a TaskFailed, not
     transient, for each chunk the virtual job failed, with the reason its
     TaskEnd gives, and a TaskDone result equal to each virtual one."""
-    virtual = {}
-    _, job, failed = _two_file_job(tmp_path, local=True, complete=virtual.__setitem__)
+    virtual, merged_by = {}, {}
+
+    def complete(worker_id, chunk_id, result, now):
+        virtual[chunk_id] = result
+        merged_by[chunk_id] = (worker_id, now)
+
+    _, job, failed, facility = _two_file_job(tmp_path, local=True, complete=complete)
     assert sorted(failed) == [8, 9] and sorted(virtual) == sorted(job.done)
-    assert all(r.worker_id and r.t_start < r.t_end for r in virtual.values())  # its worker's virtual run
+    # each result is stamped with its worker, the start of its run on that
+    # worker's timeline (its dispatch, or its worker's previous TaskEnd if
+    # later), and its completion
+    started, free_at = {}, {}
+    for e in facility.state.events:
+        if e.kind == "TaskStart":
+            started[e.chunk_id] = e.t
+        elif e.kind == "TaskEnd":
+            if e.chunk_id in virtual:
+                r = virtual[e.chunk_id]
+                run = (e.worker_id, max(started[e.chunk_id], free_at.get(e.worker_id, 0.0)), e.t)
+                assert (r.worker_id, r.t_start, r.t_end) == run
+                assert merged_by[e.chunk_id] == (r.worker_id, r.t_end)
+            free_at[e.worker_id] = e.t
     cfg = worker.WorkerConfig({"worker_id": "w1", "ingress": ["127.0.0.1", 1], "sni": "x", "ca": "c", "cert": "c", "key": "k"})
     agent = worker.WorkerAgent(cfg)  # local files, so no proxy
     sent = []
