@@ -158,6 +158,8 @@ def cmd_submit(args) -> int:
         f"job {status['job_id']}: {status['state']} "
         f"(events in {status['n_events_in']}, pass {status['n_events_pass']})"
     )
+    if status["state"] == "failed":
+        print(f"error: {status['error']}")
     if status["state"] == "done" and args.out:
         with open(args.out, "w") as fh:
             json.dump(status["histograms"], fh, indent=1)

@@ -8,7 +8,10 @@ reports (Heartbeat, TaskDone, TaskFailed) are one-way, as in dask.distributed:
 it is sent only the Ok to its WorkerHello, AssignTask, and Err to refuse one.
 Each dispatch sends a worker one AssignTask with every task that dispatch
 gave it, each job's pipeline once (`types.assignment`); tasks whose frame
-would exceed MAX_FRAME are split over as many AssignTasks as need be.
+would exceed MAX_FRAME are split over as many AssignTasks as need be.  A live
+worker runs each run of adjacent chunks of one file as one engine pass on one
+task thread, so a core here counts such a run, not a chunk: the dispatch asks
+ClusterState.schedule_step to join runs, and a small job goes out at once.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ class SchedulerService:
         progress send their replies, then every connection ends."""
         self._closed = True
         await self._tasks.close()
-        self.state.fail_unfinished()
+        self.state.fail_unfinished(self.clock())
         answering = list(self._answering)
         for event in self._waiters.values():
             event.set()
@@ -183,7 +186,7 @@ class SchedulerService:
         order, in one write of its AssignTask frames.  A task whose frame
         alone exceeds MAX_FRAME fails rather than stays assigned."""
         given: dict[str, list[TaskSpec]] = {}
-        for worker_id, spec in self.state.schedule_step(now):
+        for worker_id, spec in self.state.schedule_step(now, join_runs=True):
             given.setdefault(worker_id, []).append(spec)
         for worker_id, specs in given.items():
             writer, lock = self._worker_conns.get(worker_id, (None, None))

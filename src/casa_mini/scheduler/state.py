@@ -6,18 +6,27 @@ mutation through a single logical owner (event loop), so no locking happens
 here.
 
 Scheduling discipline: tasks leave the queue FIFO by (job order, chunk id);
-among workers with spare cores the fewest-running wins, worker_id breaking
-ties.  Workers are recorded when they are *requested* (registered_at), and
-become assignable when they arrive; the gap to their first task is the
-per-worker stall the benchmark profiles.  A chunk whose task failed for a
-transient reason is queued again, at most TASK_RETRIES times, and goes to a
-worker other than the one it failed on where another is free.
+among workers with spare cores the one with the fewest cores in use wins,
+worker_id breaking ties.  Workers are recorded when they are *requested*
+(registered_at), and become assignable when they arrive; the gap to their
+first task is the per-worker stall the benchmark profiles.  A chunk whose
+task failed for a transient reason is queued again, at most TASK_RETRIES
+times, and goes to a worker other than the one it failed on where another
+is free.
 
-No event scans every worker or every job: the choice of worker pops a heap
-of (len(running), worker_id) entries, pushed whenever a worker arrives or
-its running set changes and dropped when popped out of date, in the spirit
-of the idle and saturated worker sets of dask.distributed; the queued and
-assigned totals the autoscaler reads are counters kept at each mutation.
+What a core counts differs by facility.  A virtual worker charges each
+chunk to its one timeline, so there every chunk takes a core.  A live worker
+runs each run of adjacent chunks of one file as one engine pass on one task
+thread, so the live service asks schedule_step to join runs: a chunk that
+continues the run just given to a worker goes to that worker without a core
+of its own, within PASS_EVENTS and a fair share of the queue.
+
+No event scans every worker or every job (a step that joins runs sums the
+free cores once): the choice of worker pops a heap of (cores in use,
+worker_id) entries, pushed whenever a worker arrives or its running set
+changes and dropped when popped out of date, in the spirit of the idle and
+saturated worker sets of dask.distributed; the queued and assigned totals
+the autoscaler reads are counters kept at each mutation.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 from ..cacf import plan_chunks
 from ..engine.pipeline import KernelPipeline, TaskResult
-from ..types import DatasetSpec, FileChunk, TaskSpec
+from ..types import PASS_EVENTS, DatasetSpec, FileChunk, TaskSpec
 
 log = logging.getLogger(__name__)
 
@@ -79,6 +88,8 @@ class WorkerState:
     last_heartbeat: float
     n_cores: int = DEFAULT_CORES
     running: set = field(default_factory=set)  # of (job_id, chunk_id)
+    joined: set = field(default_factory=set)  # those of running that joined a run, and take no core
+    in_use: int = 0  # cores in use: one per run of chunks, so len(running) on a virtual worker
     first_task_at: float | None = None
     arrived: bool = False
     idle_since: float = 0.0
@@ -86,7 +97,7 @@ class WorkerState:
 
     @property
     def capacity(self) -> int:
-        return self.n_cores - len(self.running)
+        return self.n_cores - self.in_use
 
 
 @dataclass
@@ -124,7 +135,8 @@ class JobState:
     retried: dict = field(default_factory=dict)  # chunk_id -> (transient failures, worker of the last)
     n_events_in: int = 0
     n_events_pass: int = 0
-    finished_at: float | None = None
+    finished_at: float | None = None  # when its last chunk was done or failed
+    error: str = ""  # the first chunk failure's reason
 
     @property
     def state(self) -> str:
@@ -133,6 +145,12 @@ class JobState:
         if self.finished_at is not None:
             return "done"
         return "running"
+
+    def settle(self, now: float) -> str:
+        """Stamp finished_at once no chunk is queued or assigned; the state."""
+        if self.finished_at is None and not self.queued and not self.assigned:
+            self.finished_at = now
+        return self.state
 
     def status(self) -> dict:
         body = {
@@ -147,6 +165,8 @@ class JobState:
             "submitted_at": self.submitted_at,
             "finished_at": self.finished_at,
         }
+        if self.state == "failed":
+            body["error"] = self.error
         if self.state == "done":
             body["histograms"] = [self.merged[name].to_dict() for name in sorted(self.merged)]
         return body
@@ -159,7 +179,7 @@ class ClusterState:
         self.jobs: dict[str, JobState] = {}
         self.events: list[TaskStreamEvent] = []
         self._queue: list[tuple[int, int, str]] = []  # (job_seq, chunk_id, job_id)
-        # (len(running), worker_id) of every worker with a spare core, plus
+        # (in_use, worker_id) of every worker with a spare core, plus
         # out-of-date entries that are dropped when popped
         self._free: list[tuple[int, str]] = []
         self._n_queued = 0
@@ -174,20 +194,18 @@ class ClusterState:
         if it can take a task, and rebuild the heap from the live workers once
         it holds more than twice as many entries as there are workers."""
         if w.arrived and w.capacity > 0:
-            heapq.heappush(self._free, (len(w.running), w.worker_id))
+            heapq.heappush(self._free, (w.in_use, w.worker_id))
         if len(self._free) > 2 * len(self.workers):
-            self._free = [
-                (len(v.running), v.worker_id) for v in self.workers.values() if v.arrived and v.capacity > 0
-            ]
+            self._free = [(v.in_use, v.worker_id) for v in self.workers.values() if v.arrived and v.capacity > 0]
             heapq.heapify(self._free)
 
     def _pop_free(self) -> WorkerState | None:
-        """The arrived worker with a spare core and the fewest running tasks,
+        """The arrived worker with a spare core and the fewest cores in use,
         lowest worker_id first; its entry leaves the heap."""
         while self._free:
-            n_running, worker_id = heapq.heappop(self._free)
+            in_use, worker_id = heapq.heappop(self._free)
             w = self.workers.get(worker_id)
-            if w is not None and w.arrived and len(w.running) == n_running and w.capacity > 0:
+            if w is not None and w.arrived and w.in_use == in_use and w.capacity > 0:
                 return w
         return None
 
@@ -314,13 +332,15 @@ class ClusterState:
     def total_assigned(self) -> int:
         return self._n_assigned
 
-    def fail_unfinished(self) -> None:
+    def fail_unfinished(self, now: float) -> None:
         """Fail every queued and assigned chunk (the cluster is going away)."""
         for job in self.jobs.values():
             if job.state == "running":
                 job.failed |= job.queued | set(job.assigned)
                 job.queued.clear()
                 job.assigned.clear()
+                job.error = job.error or "cluster closed"
+                job.settle(now)
         self._n_queued = self._n_assigned = 0
 
     def unfinished_jobs(self) -> list[str]:
@@ -328,35 +348,62 @@ class ClusterState:
 
     # ---- scheduling -------------------------------------------------------
 
-    def schedule_step(self, now: float) -> list[tuple[str, TaskSpec]]:
+    def schedule_step(self, now: float, join_runs: bool = False) -> list[tuple[str, TaskSpec]]:
+        """Give queued chunks, in queue order, to workers with a spare core.
+
+        With join_runs, a chunk that continues the run just given to a worker
+        (same job and file, the next adjacent chunk) joins that run without a
+        core of its own while the run stays within PASS_EVENTS events and a
+        fair share of ceil(queued chunks / free cores) chunks, both reckoned
+        at the start of the step.  A retried chunk never joins a run."""
         assignments: list[tuple[str, TaskSpec]] = []
+        # the run just given: its worker, chunks and events, and (job, file, end) of its last chunk
+        share = run_chunks = 0
+        if join_runs and self._n_queued:
+            free = sum(w.capacity for w in self.workers.values() if w.arrived)
+            share = -(-self._n_queued // free) if free else 0
+            run_worker, run_events, run_end = None, 0, None
         while self._queue:
             seq, chunk_id, job_id = self._queue[0]
             job = self.jobs[job_id]
             if chunk_id not in job.queued:
                 heapq.heappop(self._queue)  # stale entry (completed elsewhere or re-pushed)
                 continue
-            worker = self._pop_free()
-            if worker is None:
-                break
-            if chunk_id in job.retried and worker.worker_id == job.retried[chunk_id][1]:
-                other = self._pop_free()  # a retry goes to another worker where one is free
-                if other is not None:
-                    self._offer(worker)
-                    worker = other
+            chunk = job.chunks[chunk_id]
+            if (
+                run_chunks < share
+                and run_end == (job_id, chunk.file, chunk.start)
+                and run_events + chunk.len <= PASS_EVENTS
+                and chunk_id not in job.retried
+            ):
+                worker = run_worker
+                worker.joined.add((job_id, chunk_id))
+                run_chunks, run_events = run_chunks + 1, run_events + chunk.len
+            else:
+                worker = self._pop_free()
+                if worker is None:
+                    break
+                if chunk_id in job.retried and worker.worker_id == job.retried[chunk_id][1]:
+                    other = self._pop_free()  # a retry goes to another worker where one is free
+                    if other is not None:
+                        self._offer(worker)
+                        worker = other
+                worker.in_use += 1
+                self._offer(worker)
+                if share:
+                    run_worker, run_chunks, run_events = worker, 1, chunk.len
+            if share:  # else no chunk can join
+                run_end = (job_id, chunk.file, chunk.start + chunk.len)
             heapq.heappop(self._queue)
             job.queued.remove(chunk_id)
             job.assigned[chunk_id] = worker.worker_id
             self._n_queued -= 1
             self._n_assigned += 1
             worker.running.add((job_id, chunk_id))
-            self._offer(worker)
             if worker.first_task_at is None:
                 worker.first_task_at = now
             self.events.append(TaskStreamEvent("TaskStart", worker.worker_id, chunk_id, now, job_id))
-            assignments.append(
-                (worker.worker_id, TaskSpec(job_id=job_id, chunk=job.chunks[chunk_id], pipeline=job.pipeline_spec))
-            )
+            assignments.append((worker.worker_id, TaskSpec(job_id=job_id, chunk=chunk, pipeline=job.pipeline_spec)))
         return assignments
 
     def complete_task(self, worker_id: str, job_id: str, chunk_id: int, result: TaskResult, now: float) -> str:
@@ -385,9 +432,7 @@ class ClusterState:
                 job.merged[h.name] = replace(h, counts=h.counts.copy())
         self._release(worker_id, job_id, chunk_id, now)
         self.events.append(TaskStreamEvent("TaskEnd", worker_id, chunk_id, now, job_id))
-        if not job.queued and not job.assigned and job.finished_at is None and not job.failed:
-            job.finished_at = now
-        return job.state
+        return job.settle(now)
 
     def fail_task(
         self, worker_id: str, job_id: str, chunk_id: int, reason: str, now: float, transient: bool = False
@@ -411,15 +456,22 @@ class ClusterState:
                 outcome = "retried"
             else:
                 job.failed.add(chunk_id)
+                job.error = job.error or reason
                 outcome = "failed"
             self.events.append(TaskStreamEvent("TaskEnd", worker_id, chunk_id, now, f"{outcome}: {reason}"))
             log.warning("task %s/%d %s on %s: %s", job_id, chunk_id, outcome, worker_id, reason)
-        return job.state
+        return job.settle(now)
 
     def _release(self, worker_id: str, job_id: str, chunk_id: int, now: float) -> None:
         worker = self.workers.get(worker_id)
         if worker is not None:
-            worker.running.discard((job_id, chunk_id))
+            key = (job_id, chunk_id)
+            if key in worker.running:
+                worker.running.remove(key)
+                if worker.joined and key in worker.joined:
+                    worker.joined.remove(key)
+                else:
+                    worker.in_use -= 1
             if not worker.running:
                 worker.idle_since = now
             self._offer(worker)

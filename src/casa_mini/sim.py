@@ -40,8 +40,8 @@ from .scheduler.state import (
     ScalePolicy,
     WorkerState,
 )
-from .types import DatasetSpec, FileChunk, TaskSpec
-from .worker import DataPath, passes, run_span, task_failure
+from .types import DatasetSpec, FileChunk, TaskSpec, passes
+from .worker import DataPath, run_span, task_failure
 
 # Passes whose unused results are kept; a job has about one open pass per
 # file, and a pass dropped past this is run again for its chunks left.

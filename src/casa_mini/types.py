@@ -8,11 +8,14 @@ encoded as 1.0/0.0 further up the stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 MAX_COLUMN_NAME_LEN = 64
+# Events one engine pass reads at most, so the columns of a pass fit in one
+# proxy request and its arrays stay small (a longer chunk runs alone).
+PASS_EVENTS = 1 << 16
 
 
 class ColumnError(ValueError):
@@ -109,6 +112,25 @@ class FileChunk:
     @classmethod
     def from_dict(cls, d: dict) -> "FileChunk":
         return cls(file=d["file"], start=int(d["start"]), len=int(d["len"]), chunk_id=int(d["chunk_id"]))
+
+
+def passes(chunks: Iterable[FileChunk]) -> Iterator[tuple[FileChunk, ...]]:
+    """The engine passes over chunks, in order: runs of adjacent chunks of
+    one file, of at most PASS_EVENTS events together."""
+    run: list[FileChunk] = []
+    n_events = 0
+    for chunk in chunks:
+        if run and (
+            chunk.file != run[-1].file
+            or chunk.start != run[-1].start + run[-1].len
+            or n_events + chunk.len > PASS_EVENTS
+        ):
+            yield tuple(run)
+            run, n_events = [], 0
+        run.append(chunk)
+        n_events += chunk.len
+    if run:
+        yield tuple(run)
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,13 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from itertools import groupby
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import cacf, wire
 from .data_proxy import OriginUnavailable, ProxyClient, ProxyError, parse_remote_url, range_reader
 from .engine.pipeline import KernelPipeline, TaskResult, run_pipeline
 from .tokens import TokenError
-from .types import ColumnBatch, FileChunk, TaskSpec, assigned
+from .types import PASS_EVENTS, ColumnBatch, FileChunk, TaskSpec, assigned, passes  # PASS_EVENTS bounds passes()' runs
 
 log = logging.getLogger(__name__)
 
@@ -49,31 +49,9 @@ _NOFILE = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
 HEADER_CACHE_FILES = 4096 if _NOFILE == resource.RLIM_INFINITY else min(4096, _NOFILE // 4)
 PIPELINE_CACHE_JOBS = 64  # compiled job pipelines a worker keeps, likewise
 HEARTBEAT_INTERVAL = 2.0
-# Events one engine pass reads at most, so the columns of a pass fit in one
-# proxy request and its arrays stay small (a longer chunk runs alone).
-PASS_EVENTS = 1 << 16
 # Failures a retry may not meet, reported as transient in TaskFailed: the
 # proxy or its origin could not be reached.
 TRANSIENT_ERRORS = (ConnectionError, TimeoutError, OriginUnavailable)
-
-
-def passes(chunks: Iterable[FileChunk]) -> Iterator[tuple[FileChunk, ...]]:
-    """The engine passes over chunks, in order: runs of adjacent chunks of
-    one file, of at most PASS_EVENTS events together."""
-    run: list[FileChunk] = []
-    n_events = 0
-    for chunk in chunks:
-        if run and (
-            chunk.file != run[-1].file
-            or chunk.start != run[-1].start + run[-1].len
-            or n_events + chunk.len > PASS_EVENTS
-        ):
-            yield tuple(run)
-            run, n_events = [], 0
-        run.append(chunk)
-        n_events += chunk.len
-    if run:
-        yield tuple(run)
 
 
 class WorkerConfig:

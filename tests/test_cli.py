@@ -105,6 +105,12 @@ def test_login_cluster_submit_cli(idp_keys, tmp_path, capsys):
         assert "done" in out
         hists = json.loads((tmp_path / "hists.json").read_text())
         assert hists[0]["name"] == "h" and sum(hists[0]["counts"]) > 0
+        # a job that fails says why
+        pipeline_path.write_text(json.dumps([{"hist": ["h", "mass", 10, 0, 100]}]))  # a column the files lack
+        rc = cli.main(["submit", "--pipeline", str(pipeline_path), "--dataset", "mini", "--home", home])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert ": failed " in out and "error: unknown column mass" in out
     finally:
         stop = asyncio.run_coroutine_threadsafe(facility.stop(), loop)
         stop.result(timeout=20)

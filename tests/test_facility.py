@@ -809,6 +809,48 @@ def test_worker_runs_adjacent_chunks_of_one_assignment_in_one_pass(tmp_path, mon
     )
 
 
+def test_a_live_worker_gets_a_small_job_in_one_assignment_and_one_pass_per_file(idp_keys, tmp_path, monkeypatch):
+    """A 2-file, 4-chunk job on a 2-core dedicated worker goes out in one
+    AssignTask and runs as two engine passes, one per file, each on its own
+    task thread (the chunks of one pass share its start and end times)."""
+    from casa_mini.scheduler import service
+
+    frames = []
+    assign_frames = service.assign_frames
+    monkeypatch.setattr(
+        service, "assign_frames", lambda specs: frames.append([s.chunk.chunk_id for s in specs]) or assign_frames(specs)
+    )
+
+    async def scenario():
+        facility, dataset, epf = small_facility(idp_keys, tmp_path, dedicated_cores=2)
+        addrs = await facility.start()
+        try:
+            reply = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            state = facility.clusters["alice-1"].service.state
+            passes = {}
+            complete = state.complete_task
+
+            def recording(worker_id, job_id, chunk_id, result, now):
+                passes.setdefault((result.t_start, result.t_end), []).append(chunk_id)
+                return complete(worker_id, job_id, chunk_id, result, now)
+
+            state.complete_task = recording
+            sc = scheduler_client(reply, write_client_creds(reply, str(tmp_path / "alice")))
+            job_id = await sc.submit_job(PIPELINE, "mini", list(dataset.files), epf, chunk_size=100)
+            status = await sc.wait_job(job_id, timeout=30)
+            sc.close()
+        finally:
+            await facility.stop()
+        return dataset, status, passes
+
+    dataset, status, passes = run_async(scenario())
+    assert status["state"] == "done"
+    oracle = oracle_histograms(dataset, str(tmp_path), PIPELINE)
+    assert status["histograms"][0]["counts"] == [int(c) for c in oracle.histograms[0].counts]
+    assert frames == [[0, 1, 2, 3]]  # at the parent [[0, 1], [2, 3]]: one file per dispatch
+    assert sorted(sorted(ids) for ids in passes.values()) == [[0, 1], [2, 3]]
+
+
 def test_stop_after_login_and_batch_submit_logs_no_error(idp_keys, tmp_path, caplog):
     socks = []
 

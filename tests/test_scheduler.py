@@ -14,7 +14,7 @@ from casa_mini.scheduler.state import (
     autoscale_target,
     events_to_csv,
 )
-from casa_mini.types import DatasetSpec
+from casa_mini.types import PASS_EVENTS, DatasetSpec
 
 PIPELINE = [{"hist": ["h", "pt", 2, 0, 10]}]
 
@@ -339,20 +339,40 @@ def test_a_transient_failure_retries_on_the_same_worker_when_no_other_is_free():
 def _check_counters(state):
     assert state.total_queued() == sum(len(j.queued) for j in state.jobs.values())
     assert state.total_assigned() == sum(len(j.assigned) for j in state.jobs.values())
+    for w in state.workers.values():
+        assert w.joined <= w.running and w.in_use == len(w.running) - len(w.joined) <= w.n_cores
 
 
-def _schedule_checked(state, now):
-    """schedule_step, with each choice checked against min(eligible, key=(len(running), worker_id))
-    over every worker, as the scan it replaced chose."""
-    running = {wid: len(w.running) for wid, w in state.workers.items() if w.arrived}
+def _schedule_checked(state, now, join_runs=False):
+    """schedule_step, with each choice checked against a scan over every
+    worker: a chunk joins the run just given where join_runs lets it (same
+    job and file, adjacent, within the step's share and PASS_EVENTS), and
+    otherwise goes to min(eligible, key=(cores in use, worker_id))."""
+    in_use = {wid: w.in_use for wid, w in state.workers.items() if w.arrived}
     queued = state.total_queued()  # checked against the jobs by _check_counters
-    assignments = state.schedule_step(now)
-    for worker_id, _ in assignments:
-        eligible = [wid for wid, n in running.items() if n < state.workers[wid].n_cores]
-        assert worker_id == min(eligible, key=lambda wid: (running[wid], wid))
-        running[worker_id] += 1
-    spare = sum(state.workers[wid].n_cores - n for wid, n in running.items())
+    free = sum(state.workers[wid].n_cores - n for wid, n in in_use.items())
+    share = -(-queued // free) if join_runs and free else 0
+    assignments = state.schedule_step(now, join_runs=join_runs)
+    run = []  # the run just given, as (worker_id, chunk, job_id)
+    for worker_id, spec in assignments:
+        chunk = spec.chunk
+        last = run[-1][1] if run else None
+        if (
+            last is not None
+            and len(run) < share
+            and (spec.job_id, chunk.file, chunk.start) == (run[-1][2], last.file, last.start + last.len)
+            and sum(c.len for _, c, _ in run) + chunk.len <= PASS_EVENTS
+        ):
+            assert worker_id == run[-1][0]
+            run.append((worker_id, chunk, spec.job_id))
+            continue
+        eligible = [wid for wid, n in in_use.items() if n < state.workers[wid].n_cores]
+        assert worker_id == min(eligible, key=lambda wid: (in_use[wid], wid))
+        in_use[worker_id] += 1
+        run = [(worker_id, chunk, spec.job_id)]
+    spare = sum(state.workers[wid].n_cores - n for wid, n in in_use.items())
     assert len(assignments) == queued or spare == 0  # stops only when out of tasks or cores
+    assert all(state.workers[wid].in_use == n for wid, n in in_use.items())
     return assignments
 
 
@@ -360,8 +380,8 @@ OPS = st.sampled_from(["expect", "arrive", "schedule", "complete", "fail", "remo
 
 
 @settings(max_examples=300, deadline=None)
-@given(ops=st.lists(st.tuples(OPS, st.integers(0, 5), st.integers(1, 4)), max_size=80))
-def test_worker_choice_matches_scan(ops):
+@given(ops=st.lists(st.tuples(OPS, st.integers(0, 5), st.integers(1, 4)), max_size=80), join_runs=st.booleans())
+def test_worker_choice_matches_scan(ops, join_runs):
     state = ClusterState()
     _submit(state, chunk_size=10)  # 20 chunks
     now = 0.0
@@ -376,7 +396,7 @@ def test_worker_choice_matches_scan(ops):
         elif op == "arrive":
             state.worker_arrived(worker_id, "alice", now, n_cores=n)
         elif op == "schedule":
-            _schedule_checked(state, now)
+            _schedule_checked(state, now, join_runs)
         elif op in ("complete", "fail") and tasks:
             wid, job_id, chunk_id = tasks[(i * 7 + n) % len(tasks)]
             if op == "complete":
@@ -388,7 +408,7 @@ def test_worker_choice_matches_scan(ops):
         elif op == "submit":
             _submit(state, chunk_size=25 * n)
         _check_counters(state)
-    _schedule_checked(state, now + 1.0)
+    _schedule_checked(state, now + 1.0, join_runs)
     _check_counters(state)
 
 
@@ -409,3 +429,41 @@ def test_worker_heap_stays_bounded():
             assert len(state._free) <= bound
     _check_counters(state)
     assert state.total_queued() == state.total_assigned() == 0
+
+
+# ---- joined runs ----------------------------------------------------------------
+
+
+def test_a_joined_run_ends_at_the_pass_bound_and_at_its_file():
+    state = ClusterState()
+    half = PASS_EVENTS // 2  # two chunks make one full pass
+    ds = DatasetSpec(name="d", files=("f0", "f1"), n_events_total=6 * half)
+    job_id = state.submit_job(PIPELINE, ds, half, now=0.0, events_per_file=[3 * half] * 2)  # chunks 0-2, 3-5
+    state.worker_arrived("w1", "alice", 0.0, n_cores=1)
+    w = state.workers["w1"]
+
+    def step(now):
+        ids = [spec.chunk.chunk_id for _, spec in state.schedule_step(now, join_runs=True)]
+        assert (w.in_use, w.capacity) == (1, 0)  # however long, the run takes the one core
+        for chunk_id in ids:
+            state.complete_task("w1", job_id, chunk_id, _result(chunk_id, n=half), now)
+        return ids
+
+    # share 6/1 chunks: chunk 2 would take the run past PASS_EVENTS, chunk 3 is in another file
+    assert [step(1.0), step(2.0), step(3.0), step(4.0)] == [[0, 1], [2], [3, 4], [5]]
+    assert state.jobs[job_id].state == "done" and w.joined == set()
+    # without join_runs, as in the virtual facility, each chunk takes a core
+    job_id = state.submit_job(PIPELINE, ds, half, now=5.0, events_per_file=[3 * half] * 2)
+    assert [spec.chunk.chunk_id for _, spec in state.schedule_step(5.0)] == [0]
+
+
+def test_a_failed_job_ends_with_its_first_reason_and_time():
+    state = ClusterState()
+    job_id = _submit(state, chunk_size=50, n_files=1)  # 2 chunks
+    state.worker_arrived("w1", "alice", 0.0)
+    state.schedule_step(0.0)
+    assert state.fail_task("w1", job_id, 0, "chunk out of range", 1.0) == "running"
+    assert state.jobs[job_id].finished_at is None
+    assert state.complete_task("w1", job_id, 1, _result(1), 2.0) == "failed"
+    status = state.jobs[job_id].status()
+    assert (status["state"], status["finished_at"], status["error"]) == ("failed", 2.0, "chunk out of range")

@@ -546,3 +546,112 @@ def test_silent_batch_worker_is_dropped_with_its_batch_job_and_connection(tls):
             assert "w0001" not in rig.service._worker_conns
 
     run_async(scenario())
+
+
+# ---- what a live worker's core counts: a run of adjacent chunks -------------------
+
+
+async def assignment_of(w: ScriptedWorker) -> list[dict]:
+    """The tasks of the next AssignTask the worker reads."""
+    await asyncio.wait_for(w.next_task(), 5)
+    msg = w.received[-1]
+    assert msg.kind == "AssignTask"
+    w.assigned.clear()
+    return msg.body["tasks"]
+
+
+def chunk_ids(tasks: list[dict]) -> list[int]:
+    return [task["chunk"]["chunk_id"] for task in tasks]
+
+
+def test_a_free_worker_gets_a_small_job_in_one_assignment(tls):
+    """Eight chunks, one free 4-core worker: a share of two chunks per core,
+    so all eight go out at once as four runs of two (four at the parent)."""
+
+    async def scenario():
+        async with Rig(tls) as rig:
+            w = await rig.worker("w1")
+            job_id = await rig.submit(chunk_size=25)
+            tasks = await assignment_of(w)
+            assert chunk_ids(tasks) == list(range(8))
+            worker = rig.service.state.workers["w1"]
+            assert (len(worker.running), worker.in_use, worker.capacity) == (8, 4, 0)
+            for task in tasks:
+                await w.done(task, "w1")
+            assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
+            assert (worker.running, worker.joined, worker.capacity) == (set(), set(), 4)
+            w.close()
+
+    run_async(scenario())
+
+
+def test_two_free_workers_share_a_small_job_a_chunk_per_core(tls):
+    """Eight chunks, eight free cores on two workers: a share of one, so no
+    chunk joins a run and the chunks are dealt out in turn."""
+
+    async def scenario():
+        async with Rig(tls) as rig:
+            w1, w2 = await rig.worker("w1"), await rig.worker("w2")
+            job_id = await rig.submit(chunk_size=25)
+            given = {"w1": await assignment_of(w1), "w2": await assignment_of(w2)}
+            assert {wid: chunk_ids(tasks) for wid, tasks in given.items()} == {"w1": [0, 2, 4, 6], "w2": [1, 3, 5, 7]}
+            for (wid, tasks), w in zip(given.items(), (w1, w2)):
+                for task in tasks:
+                    await w.done(task, wid)
+            assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
+            w1.close()
+            w2.close()
+
+    run_async(scenario())
+
+
+def test_a_retried_chunk_does_not_join_a_run_on_the_worker_it_failed_on(tls):
+    async def scenario():
+        async with Rig(tls) as rig:
+            w = await rig.worker("w1")
+            job_id = await rig.submit(chunk_size=25)
+            tasks = await assignment_of(w)  # runs 0-1, 2-3, 4-5 and 6-7
+            # the run 0-1 fails for a transient reason, its reports in one write as a worker sends them
+            failed = [
+                wire.WireMessage(
+                    "TaskFailed",
+                    {"worker_id": "w1", "job_id": job_id, "chunk_id": i, "reason": "proxy connection closed", "transient": True},
+                )
+                for i in (0, 1)
+            ]
+            w.writer.write(b"".join(map(wire.encode, failed)))
+            await w.writer.drain()
+            # one core is free again: chunk 0 retries on it, and chunk 1, a retry too, does not join it
+            assert chunk_ids(await assignment_of(w)) == [0]
+            await w.done(tasks[0], "w1")
+            assert chunk_ids(await assignment_of(w)) == [1]
+            for task in tasks[1:]:
+                await w.done(task, "w1")
+            assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
+            retried = [e.chunk_id for e in rig.service.state.events if e.detail.startswith("retried")]
+            assert sorted(retried) == [0, 1]
+            w.close()
+
+    run_async(scenario())
+
+
+def test_every_chunk_of_a_joined_run_is_requeued_when_its_worker_drops(tls):
+    async def scenario():
+        async with Rig(tls) as rig:
+            w1 = await rig.worker("w1")
+            job_id = await rig.submit(chunk_size=25)
+            assert chunk_ids(await assignment_of(w1)) == list(range(8))  # four joined chunks among them
+            w1.close()
+            await until(lambda: "w1" not in rig.service.state.workers)
+            w2 = await rig.worker("w2")
+            tasks = await assignment_of(w2)
+            assert chunk_ids(tasks) == list(range(8))
+            for task in tasks:
+                await w2.done(task, "w2")
+            status = await rig.client.wait_job(job_id, timeout=5)
+            assert (status["state"], status["done"], status["n_events_in"]) == ("done", 8, 200)
+            starts = [e.worker_id for e in rig.service.state.events if e.kind == "TaskStart"]
+            assert starts == ["w1"] * 8 + ["w2"] * 8
+            w2.close()
+
+    run_async(scenario())

@@ -229,6 +229,18 @@ def test_chunks_past_the_end_of_a_file_fail_and_the_rest_of_the_job_is_merged(tm
     assert {name: h.to_dict() for name, h in merged.items()} == {name: h.to_dict() for name, h in job.merged.items()}
 
 
+def test_a_failed_job_reports_when_it_ended_and_why(tmp_path):
+    """The stale-manifest job's status: `failed`, stamped at its last chunk's
+    end, with the reason of its first failed chunk."""
+    _, job, failed, facility = _two_file_job(tmp_path)
+    ends = [e for e in facility.state.events if e.kind == "TaskEnd"]
+    first_failure = next(e.detail for e in ends if e.detail.startswith("failed: "))
+    status = job.status()
+    assert (status["state"], status["finished_at"]) == ("failed", max(e.t for e in ends))
+    assert status["error"] == first_failure.removeprefix("failed: ")
+    assert status["error"].startswith("chunk out of range: ")
+
+
 def test_a_pipeline_reading_a_missing_column_fails_every_chunk(tmp_path):
     pipeline = [*BENCH_PIPELINE, {"hist": ["h_mass", "mass", 10, 0, 100]}]
     _, job, failed, _ = _two_file_job(tmp_path, pipeline, claimed=2000)

@@ -9,8 +9,10 @@ worker has --cores task threads, and runs --jobs jobs of the bench pipeline
 after one cold job.  It prints one JSON object: the median job time
 (submit to done, as a client sees it) and the median time from a job's
 first TaskStart to its first TaskEnd in the scheduler's task stream, both
-in milliseconds.  It imports casa_mini from the `src/` beside it, so running
-it from two checkouts compares them.
+in milliseconds; the AssignTask frames the scheduler sent per timed job;
+and how many engine passes of each number of chunks the timed jobs ran
+(the chunks of one pass share its start and end).  It imports casa_mini
+from the `src/` beside it, so running it from two checkouts compares them.
 """
 
 from __future__ import annotations
@@ -25,12 +27,15 @@ import statistics
 import sys
 import tempfile
 import time
+from collections import Counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 os.environ["PYTHONPATH"] = sys.path[0]  # the worker processes import the same sources
 
 from casa_mini import authd, bench, client  # noqa: E402
 from casa_mini.launcher import Facility, FacilityConfig  # noqa: E402
+from casa_mini.scheduler import service  # noqa: E402
+from casa_mini.scheduler.state import ClusterState  # noqa: E402
 
 
 def parse_args(argv):
@@ -44,7 +49,26 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
+def _record(frames: list, passes: dict) -> None:
+    """Count each AssignTask frame in `frames` and group each merged result's
+    chunk by (job, pass start, pass end) in `passes`."""
+    assign_frames, complete_task = service.assign_frames, ClusterState.complete_task
+
+    def assigning(specs):
+        sent = assign_frames(specs)
+        frames.extend(part[0].job_id for part, _ in sent)  # a frame's job: the tool runs one job at a time
+        return sent
+
+    def completing(self, worker_id, job_id, chunk_id, result, now):
+        passes.setdefault((job_id, result.t_start, result.t_end), []).append(chunk_id)
+        return complete_task(self, worker_id, job_id, chunk_id, result, now)
+
+    service.assign_frames, ClusterState.complete_task = assigning, completing
+
+
 async def _measure(args, root: str) -> dict:
+    frames, passes = [], {}
+    _record(frames, passes)
     private_pem, public_pem = authd.generate_idp_keypair()
     cfg = bench.BenchConfig(
         seed=args.seed,
@@ -97,7 +121,14 @@ async def _measure(args, root: str) -> dict:
         mine = [row for row in rows if row["detail"] == job_id]
         first_start = min(float(row["t"]) for row in mine if row["kind"] == "TaskStart")
         first_task_s.append(min(float(row["t"]) for row in mine if row["kind"] == "TaskEnd") - first_start)
-    return {"job_ms": statistics.median(job_s) * 1e3, "first_task_ms": statistics.median(first_task_s) * 1e3}
+    timed = set(job_ids)
+    sizes = Counter(len(chunks) for (job_id, _, _), chunks in passes.items() if job_id in timed)
+    return {
+        "job_ms": statistics.median(job_s) * 1e3,
+        "first_task_ms": statistics.median(first_task_s) * 1e3,
+        "assign_frames_per_job": sum(job_id in timed for job_id in frames) / len(job_ids),
+        "pass_chunks": {str(n): sizes[n] for n in sorted(sizes)},
+    }
 
 
 def main(argv=None) -> int:
