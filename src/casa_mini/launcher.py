@@ -3,9 +3,14 @@
 One process starts every shared service: the identity broker, the SNI
 ingress, the batch system, and the data proxy with its federation origin.
 A successful login provisions that user's cluster: a dedicated scheduler
-behind mutual TLS, an 8-core worker already registered (first results
-without touching the batch system), and an ingress route so the cluster is
-reachable at <cluster-id>.<facility-domain> on the shared address.
+behind mutual TLS, an ingress route so the cluster is reachable at
+<cluster-id>.<facility-domain> on the shared address, and an 8-core worker
+(first results without touching the batch system).  The login returns once
+that worker is forked, as Dask Gateway's new_cluster() returns once the
+scheduler runs: the worker registers while the analyst connects, and a job
+submitted first waits in the queue until it does.  A worker that exits or
+does not register in time fails the cluster's unfinished jobs with the
+reason and takes the cluster down.
 
 Every worker process, dedicated or batch, is forked by the facility's one
 zygote (`casa_mini.zygote`), which has already imported the worker, so a
@@ -40,7 +45,9 @@ log = logging.getLogger(__name__)
 DEDICATED_CORES = 8
 BATCH_CORES = 4
 REAP_TIMEOUT = 5.0
-REGISTER_TIMEOUT = 15.0  # for a dedicated worker's WorkerHello
+# Longest a dedicated worker may take from its fork to its WorkerHello
+# before its cluster is taken down; the login does not wait for it.
+REGISTER_TIMEOUT = 15.0
 
 
 async def reap(proc: WorkerProcess, timeout: float = REAP_TIMEOUT) -> int:
@@ -103,9 +110,10 @@ class ClusterRecord:
     scheduler_addr: tuple[str, int]
     service: SchedulerService
     batch_client: BatchClient  # the scheduler's scale-out link to the batch service
-    dedicated_worker: WorkerProcess | None
+    dedicated_worker: WorkerProcess
     created_at: float
     cred_dir: str
+    registration: asyncio.Task | None = None  # the wait for the dedicated worker's WorkerHello, once provisioned
 
 
 class Facility:
@@ -175,7 +183,7 @@ class Facility:
             except Exception as exc:
                 log.warning("teardown of %s during stop failed: %s", cluster_id, exc)
         await self.batch_service.close()  # no batch job starts from here on
-        await self._tasks.close()  # each batch job's task reaps its worker
+        await self._tasks.close()  # each batch job's task reaps its worker; a cluster being taken down finishes
         await self.sni.close()
         if self.proxy is not None:
             await self.proxy.close()
@@ -272,6 +280,8 @@ class Facility:
         }
 
     async def provision_cluster(self, bundle: authd.CredentialBundle) -> ClusterRecord:
+        """The user's cluster, provisioned once its scheduler listens, its
+        route is registered and its dedicated worker is forked."""
         async with self._provision_lock, contextlib.AsyncExitStack() as undo:
             existing = self.clusters.get(bundle.cluster_id)
             if existing is not None:
@@ -328,6 +338,7 @@ class Facility:
                 cred_dir=cred_dir,
             )
             self.clusters[bundle.cluster_id] = record
+            record.registration = self._tasks.spawn(self._await_registration(record))
             log.info(
                 "provisioned cluster %s for %s at %s (route %s)",
                 bundle.cluster_id,
@@ -340,46 +351,64 @@ class Facility:
     async def _spawn_dedicated_worker(
         self, bundle: authd.CredentialBundle, cred_dir: str, service: SchedulerService
     ) -> WorkerProcess:
-        """Fork the cluster's dedicated worker and wait until it registers.
-        A worker that exits first fails the provisioning at once, one that
-        has not registered after REGISTER_TIMEOUT fails it then."""
+        """Fork the cluster's dedicated worker, which the scheduler counts
+        as requested until its WorkerHello."""
         worker_id = f"{bundle.cluster_id}-dedicated"
         config = self._worker_config(bundle, cred_dir, worker_id, self.cfg.dedicated_cores)
         config_path = os.path.join(cred_dir, "dedicated-worker.json")
         with open(config_path, "w") as fh:
             json.dump(config, fh)
-        proc = await self._spawn_worker(config_path, worker_id)
-        registered = asyncio.ensure_future(service.wait_worker(worker_id, REGISTER_TIMEOUT))
+        service.state.expect_worker(service.clock(), n_cores=self.cfg.dedicated_cores, worker_id=worker_id)
+        return await self._spawn_worker(config_path, worker_id)
+
+    async def _await_registration(self, record: ClusterRecord) -> None:
+        """Wait until the cluster's dedicated worker registers.  One that
+        exits first, or has not registered after REGISTER_TIMEOUT, fails the
+        cluster's unfinished jobs with the reason and takes the cluster
+        down.  A teardown meanwhile cancels the wait."""
+        proc = record.dedicated_worker
+        registered = asyncio.ensure_future(
+            record.service.wait_worker(f"{record.cluster_id}-dedicated", REGISTER_TIMEOUT)
+        )
         exited = asyncio.ensure_future(proc.wait())
         try:
             await asyncio.wait([registered, exited], return_when=asyncio.FIRST_COMPLETED)
-            if registered.done() and registered.exception() is None:
-                return proc
-            why = "did not register" if proc.returncode is None else f"exited with code {proc.returncode}"
-        except BaseException:
-            await reap(proc)
-            raise
         finally:
             registered.cancel()
             exited.cancel()
-        await reap(proc)
-        raise RuntimeError(f"dedicated worker for {bundle.cluster_id} {why}")
+        if registered.done() and registered.exception() is None:
+            return
+        why = "did not register" if proc.returncode is None else f"exited with code {proc.returncode}"
+        reason = f"dedicated worker for {record.cluster_id} {why}"
+        log.warning("cluster %s: %s; taking it down", record.cluster_id, reason)
+        del self.clusters[record.cluster_id]  # a teardown from here on finds no cluster
+        release = asyncio.ensure_future(self._release_cluster(record, reason))
+        try:
+            await asyncio.shield(release)
+        except asyncio.CancelledError:
+            await release  # stop() waits for a release begun here
+            raise
 
     async def teardown_cluster(self, cluster_id: str) -> dict:
         record = self.clusters.pop(cluster_id, None)
         if record is None:
             raise KeyError(f"unknown cluster {cluster_id!r}")
+        record.registration.cancel()  # a wait for the dedicated worker ends quietly
+        await self._release_cluster(record, "cluster closed")
+        log.info("cluster %s torn down", cluster_id)
+        return {"cluster_id": cluster_id, "state": "removed"}
+
+    async def _release_cluster(self, record: ClusterRecord, reason: str) -> None:
+        """End what a cluster taken out of self.clusters holds; its
+        unfinished jobs fail with `reason`."""
         await record.service.cancel_all_batch_workers()
         try:
             self.sni.routes.remove(record.sni_hostname)
         except Exception:
             pass
-        await record.service.close()  # fails the cluster's unfinished jobs
+        await record.service.close(reason)
         record.batch_client.close()
-        if record.dedicated_worker is not None:
-            await reap(record.dedicated_worker)
-        log.info("cluster %s torn down", cluster_id)
-        return {"cluster_id": cluster_id, "state": "removed"}
+        await reap(record.dedicated_worker)
 
 
 async def run_facility(config_path: str) -> None:

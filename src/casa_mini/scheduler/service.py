@@ -100,6 +100,7 @@ class SchedulerService:
         # worker_id -> its connection's writer, and the lock every send on it holds
         self._worker_conns: dict[str, tuple[asyncio.StreamWriter, asyncio.Lock]] = {}
         self._server: asyncio.AbstractServer | None = None
+        self._ssl: ssl.SSLContext | None = None
         self._conns = wire.ConnectionTasks()
         self._answering: set[asyncio.Task] = set()  # handlers between a request and its reply
         self._tasks = wire.BackgroundTasks()
@@ -111,18 +112,22 @@ class SchedulerService:
     # ---- lifecycle ---------------------------------------------------------
 
     async def start(self, host: str, port: int, ssl_context: ssl.SSLContext) -> tuple[str, int]:
-        self._server = await asyncio.start_server(self._conns.wrap(self._handle), host, port, ssl=ssl_context)
+        # Each handler runs its connection's TLS handshake, not the server's
+        # accept: close() cancels a handshake in progress quietly, where an
+        # accept-time one that the peer left would be logged as an error.
+        self._ssl = ssl_context
+        self._server = await asyncio.start_server(self._conns.wrap(self._handle), host, port)
         self._tasks.spawn(self._tick_loop())
         addr = self._server.sockets[0].getsockname()
         return addr[0], addr[1]
 
-    async def close(self) -> None:
-        """Stop serving.  Every unfinished job fails, and every waiter wakes:
-        a client waiting on a job gets its failed status.  Requests in
-        progress send their replies, then every connection ends."""
+    async def close(self, reason: str = "cluster closed") -> None:
+        """Stop serving.  Every unfinished job fails with `reason`, and every
+        waiter wakes: a client waiting on a job gets its failed status.
+        Requests in progress send their replies, then every connection ends."""
         self._closed = True
         await self._tasks.close()
-        self.state.fail_unfinished(self.clock())
+        self.state.fail_unfinished(self.clock(), reason)
         answering = list(self._answering)
         for event in self._waiters.values():
             event.set()
@@ -248,11 +253,15 @@ class SchedulerService:
     # ---- connection handling -----------------------------------------------------
 
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        identity = _peer_cn(writer)
         worker_id: str | None = None
         conn = (writer, asyncio.Lock())
         task = asyncio.current_task()
         try:
+            try:
+                await writer.start_tls(self._ssl)
+            except (ssl.SSLError, ConnectionError):  # a peer refused or gone mid-handshake is not served
+                return
+            identity = _peer_cn(writer)
             while not self._closed:
                 try:
                     msg = await wire.read_message(reader)

@@ -281,18 +281,22 @@ class ClusterState:
     def reap_lost_workers(self, now: float, timeout: float = HEARTBEAT_TIMEOUT) -> list[str]:
         """The arrived workers silent for longer than `timeout`; the caller
         drops each with Autoscaler.drop_worker."""
-        return [wid for wid, w in sorted(self.workers.items()) if w.arrived and now - w.last_heartbeat > timeout]
+        return sorted(wid for wid, w in self.workers.items() if w.arrived and now - w.last_heartbeat > timeout)
 
     def n_supplied(self) -> int:
         """Workers requested or alive; the autoscaler's notion of supply."""
         return len(self.workers)
 
     def idle_workers(self, now: float, idle_timeout: float) -> list[str]:
-        return [
+        """The arrived workers with a batch job that have run nothing for
+        `idle_timeout`: those scale-down may drop.  A worker the batch
+        system did not start for the autoscaler (a cluster's dedicated
+        worker) is never one of them."""
+        return sorted(
             wid
-            for wid, w in sorted(self.workers.items())
-            if w.arrived and not w.running and now - w.idle_since >= idle_timeout
-        ]
+            for wid, w in self.workers.items()
+            if w.batch_handle is not None and w.arrived and not w.running and now - w.idle_since >= idle_timeout
+        )
 
     # ---- jobs -------------------------------------------------------------
 
@@ -332,14 +336,15 @@ class ClusterState:
     def total_assigned(self) -> int:
         return self._n_assigned
 
-    def fail_unfinished(self, now: float) -> None:
-        """Fail every queued and assigned chunk (the cluster is going away)."""
+    def fail_unfinished(self, now: float, reason: str = "cluster closed") -> None:
+        """Fail every queued and assigned chunk (the cluster is going away);
+        `reason` is each such job's error unless it has one already."""
         for job in self.jobs.values():
             if job.state == "running":
                 job.failed |= job.queued | set(job.assigned)
                 job.queued.clear()
                 job.assigned.clear()
-                job.error = job.error or "cluster closed"
+                job.error = job.error or reason
                 job.settle(now)
         self._n_queued = self._n_assigned = 0
 
@@ -494,7 +499,8 @@ class Autoscaler:
     virtual worker) goes through drop_worker, which requeues the worker's
     chunks, records its WorkerDown, and calls release(worker, now) to end
     what the worker still holds: its batch job and its connection.
-    Scale-down touches only workers idle past the policy's idle_timeout.
+    Scale-down touches only workers with a batch job that are idle past
+    the policy's idle_timeout; every worker counts as supply.
     """
 
     def __init__(self, state: ClusterState, policy: ScalePolicy, request_workers, release):

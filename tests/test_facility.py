@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from casa_mini import cacf, client, wire
+from casa_mini import cacf, client, launcher, wire
 from casa_mini.batchsim import JobSpec
 from casa_mini.bench import BenchConfig, generate_dataset
 from casa_mini.data_proxy import LocalOrigin, ProxyClient, SyncDataProxy
@@ -90,13 +90,15 @@ def test_login_provision_and_dedicated_worker(idp_keys, tmp_path):
             assert reply["sni_hostname"] == "alice-1.dask.local"
             record = facility.clusters["alice-1"]
             assert record.subject == "alice"
-            # dedicated worker is registered before login returns
-            dedicated = record.service.state.workers["alice-1-dedicated"]
-            assert dedicated.arrived and dedicated.n_cores == 8
 
             creds = write_client_creds(reply, str(tmp_path / "alice"))
             sc = scheduler_client(reply, creds)
+            # the login did not wait for the dedicated worker: a job submitted
+            # while it registers waits in the queue for it
             job_id = await sc.submit_job(PIPELINE, "mini", list(dataset.files), epf, chunk_size=50)
+            await record.service.wait_worker("alice-1-dedicated", 30)
+            dedicated = record.service.state.workers["alice-1-dedicated"]
+            assert dedicated.arrived and dedicated.n_cores == 8
             status = await sc.wait_job(job_id, timeout=30)
             assert status["state"] == "done"
             # served entirely by the dedicated worker: the batch system saw nothing
@@ -116,7 +118,7 @@ def test_login_provision_and_dedicated_worker(idp_keys, tmp_path):
     run_async(scenario())
 
 
-def test_login_whose_dedicated_worker_dies_fails_at_once_and_leaves_nothing(idp_keys, tmp_path):
+def test_cluster_whose_dedicated_worker_dies_fails_at_once_and_leaves_nothing(idp_keys, tmp_path, caplog):
     with socket.create_server(("127.0.0.1", 0)) as sock:
         sched_port = sock.getsockname()[1]  # free again, for the cluster's scheduler
 
@@ -130,23 +132,103 @@ def test_login_whose_dedicated_worker_dies_fails_at_once_and_leaves_nothing(idp_
 
     async def scenario():
         # a worker config with 0 cores makes the dedicated worker exit before it registers
-        facility, _, _ = small_facility(idp_keys, tmp_path, dedicated_cores=0, scheduler_base_port=sched_port)
+        facility, dataset, epf = small_facility(
+            idp_keys, tmp_path, dedicated_cores=0, scheduler_base_port=sched_port
+        )
         addrs = await facility.start()
         try:
             start = time.monotonic()
-            with pytest.raises(wire.RequestError) as failed:
-                await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
-            assert time.monotonic() - start < 2.0  # not REGISTER_TIMEOUT
-            assert failed.value.code == "provision_failed"
-            assert "dedicated worker for alice-1 exited with code 1" in failed.value.message
-            assert facility.clusters == {} and len(facility.sni.routes) == 0
+            reply = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            assert reply["cluster_id"] == "alice-1"  # the login returns once the worker is forked
+            while facility.clusters or facility._tasks._tasks:  # until the cluster is down and released
+                assert time.monotonic() - start < 2.0  # not REGISTER_TIMEOUT
+                await asyncio.sleep(0.005)
+            assert len(facility.sni.routes) == 0
             assert await refused()
+
+            # a job queued before the worker's exit is seen fails with the reason
+            bob = await facility.provision_cluster(facility.auth.login(make_assertion(idp_keys, sub="bob")))
+            job_id = bob.service.state.submit_job(PIPELINE, dataset, 50, 0.0, events_per_file=epf)
+            status = await bob.service.wait_job(job_id, timeout=2.0)
+            assert status["state"] == "failed"
+            assert status["error"] == f"dedicated worker for {bob.cluster_id} exited with code 1"
+            assert facility.clusters == {} and len(facility.sni.routes) == 0
         finally:
             await facility.stop()
         assert len(facility.sni.routes) == 0
         assert await refused()
 
     run_async(scenario())
+    reasons = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert any("dedicated worker for alice-1 exited with code 1" in m for m in reasons), reasons
+
+
+def silent_dedicated_worker(facility, port: int) -> None:
+    """Point the facility's dedicated workers at `port`, which never
+    answers: each waits in its TLS handshake and never registers."""
+    worker_config = facility._worker_config
+
+    def config(bundle, cred_dir, worker_id, n_cores):
+        body = worker_config(bundle, cred_dir, worker_id, n_cores)
+        if worker_id.endswith("-dedicated"):
+            body["ingress"] = ["127.0.0.1", port]
+        return body
+
+    facility._worker_config = config
+
+
+def test_a_dedicated_worker_that_never_registers_fails_the_waiting_job(idp_keys, tmp_path, silent_port, monkeypatch):
+    monkeypatch.setattr(launcher, "REGISTER_TIMEOUT", 0.5)
+
+    async def scenario():
+        facility, dataset, epf = small_facility(idp_keys, tmp_path)
+        silent_dedicated_worker(facility, silent_port)
+        addrs = await facility.start()
+        try:
+            start = time.monotonic()
+            reply = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            record = facility.clusters["alice-1"]
+            sc = scheduler_client(reply, write_client_creds(reply, str(tmp_path / "alice")))
+            job_id = await sc.submit_job(PIPELINE, "mini", list(dataset.files), epf, chunk_size=50)
+            status = await sc.wait_job(job_id, timeout=30)
+            elapsed = time.monotonic() - start
+            sc.close()
+            assert status["state"] == "failed"
+            assert status["error"] == "dedicated worker for alice-1 did not register"
+            assert 0.5 <= elapsed < 5.0
+            await record.registration
+            assert facility.clusters == {} and len(facility.sni.routes) == 0
+            assert record.dedicated_worker.returncode == -signal.SIGTERM
+        finally:
+            await facility.stop()
+
+    run_async(scenario())
+
+
+def test_teardown_or_stop_while_the_dedicated_worker_registers_is_quiet(idp_keys, tmp_path, silent_port, caplog):
+    async def scenario():
+        facility, _, _ = small_facility(idp_keys, tmp_path)
+        silent_dedicated_worker(facility, silent_port)
+        addrs = await facility.start()
+        try:
+            replies = [
+                await client.login(addrs["authd"], make_assertion(idp_keys, sub=sub)) for sub in ("alice", "bob")
+            ]
+            alice, bob = (facility.clusters[reply["cluster_id"]] for reply in replies)
+            await facility.teardown_cluster(alice.cluster_id)
+            assert alice.registration.cancelled()
+            assert alice.dedicated_worker.returncode == -signal.SIGTERM
+            assert not bob.registration.done()
+        finally:
+            await facility.stop()
+        assert bob.registration.cancelled()
+        assert bob.dedicated_worker.returncode == -signal.SIGTERM
+        assert facility.clusters == {} and facility._tasks._tasks == set()
+        assert facility.zygote.workers == {}
+
+    run_async(scenario())
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert warnings == []
 
 
 def test_batch_scale_out_completes_job(idp_keys, tmp_path):

@@ -282,6 +282,29 @@ def test_autoscaler_requests_and_cancels():
     assert [e.detail for e in state.events if e.kind == "WorkerDown"] == ["scaled down"] * 2
 
 
+def test_scale_down_drops_only_workers_with_a_batch_job():
+    """A worker that registered itself (a cluster's dedicated worker) counts
+    as supply but is never scaled down, however long it idles; an idle
+    worker the autoscaler requested from the batch system still is."""
+    state = ClusterState()
+    state.worker_arrived("d1", "alice", 0.0)
+    state.expect_worker(0.0, worker_id="w1", batch_handle=7)
+    state.worker_arrived("w1", "alice", 0.0)
+    requested, cancelled = [], []
+    policy = ScalePolicy(mode="fixed", fixed_n=0, idle_timeout=0.5)
+    scaler = Autoscaler(
+        state, policy, lambda count, now: requested.append(count), lambda w, now: cancelled.append(w.batch_handle)
+    )
+    scaler.tick(10.0)
+    assert cancelled == [7] and list(state.workers) == ["d1"]
+    scaler.tick(20.0)
+    assert list(state.workers) == ["d1"]
+    assert [(e.worker_id, e.detail) for e in state.events if e.kind == "WorkerDown"] == [("w1", "scaled down")]
+    policy.fixed_n = 1
+    scaler.tick(30.0)
+    assert requested == []  # d1 is the one worker asked for
+
+
 def test_events_csv_shape():
     state = ClusterState()
     _submit(state)

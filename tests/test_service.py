@@ -197,6 +197,7 @@ def test_wait_on_closed_cluster_returns_failed(tls):
             status = await asyncio.wait_for(waiting, 1.0)
             assert time.monotonic() - closed_at < 1.0
             assert status["state"] == "failed"
+            assert status["error"] == "cluster closed"
             assert rig.service._waiters == {}
 
     run_async(scenario())
@@ -483,6 +484,36 @@ def test_close_ends_open_connections(tls, caplog):
             # the handler has ended and closed the connection
             assert await asyncio.wait_for(conn.reader.read(), 5) == b""
             conn.close()
+
+    run_async(scenario())
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [], [r.getMessage() for r in errors]
+
+
+def test_close_during_a_handshake_is_quiet(tls, caplog):
+    """A peer that has sent its ClientHello and no more, as a worker still
+    starting when its cluster is taken down, is dropped by close() without
+    an error, in asyncio's debug mode too."""
+    ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
+    ctx.load_verify_locations(tls["ca"])
+    ctx.load_cert_chain(tls["user_cert"], tls["user_key"])
+    outgoing = ssl.MemoryBIO()
+    tls_client = ctx.wrap_bio(ssl.MemoryBIO(), outgoing, server_hostname=HOST)
+    with pytest.raises(ssl.SSLWantReadError):
+        tls_client.do_handshake()
+    client_hello = outgoing.read()
+
+    async def scenario():
+        asyncio.get_running_loop().set_debug(True)
+        service = SchedulerService("alice-1")
+        addr = await service.start("127.0.0.1", 0, server_ssl_context(tls["host_cert"], tls["host_key"], tls["ca"]))
+        reader, writer = await asyncio.open_connection(*addr)
+        writer.write(client_hello)
+        assert await asyncio.wait_for(reader.read(1), 5)  # the server's reply: the handshake is under way
+        await service.close()
+        while await asyncio.wait_for(reader.read(65536), 5):  # until the server closes the connection
+            pass
+        writer.close()
 
     run_async(scenario())
     errors = [r for r in caplog.records if r.levelno >= logging.ERROR]

@@ -66,6 +66,7 @@ def test_dedicated_worker_is_a_child_of_the_zygote_and_clusters_share_none(idp_k
             assert alice.dedicated_worker.pid != bob.dedicated_worker.pid
             for record in (alice, bob):
                 assert int(stat_fields(record.dedicated_worker.pid)[1]) == facility.zygote.pid
+                await record.service.wait_worker(f"{record.cluster_id}-dedicated", 30)
                 assert record.service.state.workers[f"{record.cluster_id}-dedicated"].arrived
             # each cluster's worker is its own process: killing alice's leaves bob's
             alice.dedicated_worker.kill()
