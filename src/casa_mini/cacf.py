@@ -198,6 +198,8 @@ def plan_chunks(
         events_per_file = [read_header_path(p).n_events for p in dataset.files]
     if len(events_per_file) != len(dataset.files):
         raise ValueError("events_per_file does not match the dataset file list")
+    if any(n < 0 for n in events_per_file):
+        raise ValueError("events_per_file holds a negative count")
     total = sum(events_per_file)
     if total != dataset.n_events_total:
         raise ValueError(

@@ -8,9 +8,9 @@ behind mutual TLS, an ingress route so the cluster is reachable at
 (first results without touching the batch system).  The login returns once
 that worker is forked, as Dask Gateway's new_cluster() returns once the
 scheduler runs: the worker registers while the analyst connects, and a job
-submitted first waits in the queue until it does.  A worker that exits or
-does not register in time fails the cluster's unfinished jobs with the
-reason and takes the cluster down.
+submitted first waits in the queue until it does.  A dedicated worker that
+exits while its cluster is up, or does not register in time, fails the
+cluster's unfinished jobs with the reason and takes the cluster down.
 
 Every worker process, dedicated or batch, is forked by the facility's one
 zygote (`casa_mini.zygote`), which has already imported the worker, so a
@@ -113,7 +113,7 @@ class ClusterRecord:
     dedicated_worker: WorkerProcess
     created_at: float
     cred_dir: str
-    registration: asyncio.Task | None = None  # the wait for the dedicated worker's WorkerHello, once provisioned
+    watch: asyncio.Task | None = None  # the watch over the dedicated worker, once provisioned
 
 
 class Facility:
@@ -338,7 +338,7 @@ class Facility:
                 cred_dir=cred_dir,
             )
             self.clusters[bundle.cluster_id] = record
-            record.registration = self._tasks.spawn(self._await_registration(record))
+            record.watch = self._tasks.spawn(self._watch_dedicated_worker(record))
             log.info(
                 "provisioned cluster %s for %s at %s (route %s)",
                 bundle.cluster_id,
@@ -361,11 +361,10 @@ class Facility:
         service.state.expect_worker(service.clock(), n_cores=self.cfg.dedicated_cores, worker_id=worker_id)
         return await self._spawn_worker(config_path, worker_id)
 
-    async def _await_registration(self, record: ClusterRecord) -> None:
-        """Wait until the cluster's dedicated worker registers.  One that
-        exits first, or has not registered after REGISTER_TIMEOUT, fails the
-        cluster's unfinished jobs with the reason and takes the cluster
-        down.  A teardown meanwhile cancels the wait."""
+    async def _watch_dedicated_worker(self, record: ClusterRecord) -> None:
+        """Watch the cluster's dedicated worker while the cluster is up.  One
+        that exits, or has not registered after REGISTER_TIMEOUT, fails the
+        cluster's unfinished jobs with the reason and takes the cluster down."""
         proc = record.dedicated_worker
         registered = asyncio.ensure_future(
             record.service.wait_worker(f"{record.cluster_id}-dedicated", REGISTER_TIMEOUT)
@@ -373,11 +372,11 @@ class Facility:
         exited = asyncio.ensure_future(proc.wait())
         try:
             await asyncio.wait([registered, exited], return_when=asyncio.FIRST_COMPLETED)
+            if not exited.done() and registered.exception() is None:
+                await exited  # registered: watch on until it exits
         finally:
             registered.cancel()
             exited.cancel()
-        if registered.done() and registered.exception() is None:
-            return
         why = "did not register" if proc.returncode is None else f"exited with code {proc.returncode}"
         reason = f"dedicated worker for {record.cluster_id} {why}"
         log.warning("cluster %s: %s; taking it down", record.cluster_id, reason)
@@ -393,7 +392,7 @@ class Facility:
         record = self.clusters.pop(cluster_id, None)
         if record is None:
             raise KeyError(f"unknown cluster {cluster_id!r}")
-        record.registration.cancel()  # a wait for the dedicated worker ends quietly
+        record.watch.cancel()  # the watch over the dedicated worker ends quietly
         await self._release_cluster(record, "cluster closed")
         log.info("cluster %s torn down", cluster_id)
         return {"cluster_id": cluster_id, "state": "removed"}

@@ -6,12 +6,12 @@ port (normally through the SNI ingress) with certificates minted by the
 cluster CA; the peer certificate's CN is the caller identity.  A worker's
 reports (Heartbeat, TaskDone, TaskFailed) are one-way, as in dask.distributed:
 it is sent only the Ok to its WorkerHello, AssignTask, and Err to refuse one.
-Each dispatch sends a worker one AssignTask with every task that dispatch
-gave it, each job's pipeline once (`types.assignment`); tasks whose frame
-would exceed MAX_FRAME are split over as many AssignTasks as need be.  A live
-worker runs each run of adjacent chunks of one file as one engine pass on one
-task thread, so a core here counts such a run, not a chunk: the dispatch asks
-ClusterState.schedule_step to join runs, and a small job goes out at once.
+Each dispatch sends a worker one AssignTask with every run of tasks that
+dispatch gave it, each job's pipeline once (`types.assignment`); runs whose
+frame would exceed MAX_FRAME are split over as many AssignTasks as need be.
+The dispatch asks ClusterState.schedule_step to join runs of adjacent chunks
+of one file, one core each, and the worker runs each run it is sent as one
+engine pass on one task thread, so a small job goes out at once.
 """
 
 from __future__ import annotations
@@ -63,17 +63,20 @@ def _peer_cn(writer: asyncio.StreamWriter) -> str:
     return ""
 
 
-def assign_frames(specs: list[TaskSpec]) -> list[tuple[list[TaskSpec], bytes | None]]:
-    """One worker's tasks as encoded AssignTask frames: one frame for all
-    of them, or else the frames of each half, down to a task alone, whose
-    frame is None where it still exceeds MAX_FRAME."""
+def assign_frames(runs: list[list[TaskSpec]]) -> list[tuple[list[list[TaskSpec]], bytes | None]]:
+    """One worker's runs of tasks as encoded AssignTask frames: one for all,
+    or else those of each half of the runs.  Only a run too large for a frame
+    alone is cut in two, down to a task alone, whose frame is None if still so."""
     try:
-        return [(specs, wire.encode(wire.WireMessage("AssignTask", assignment(specs))))]
+        return [(runs, wire.encode(wire.WireMessage("AssignTask", assignment(runs))))]
     except wire.FrameTooLarge:
-        if len(specs) == 1:
-            return [(specs, None)]
-    half = len(specs) // 2
-    return assign_frames(specs[:half]) + assign_frames(specs[half:])
+        if len(runs) == 1:
+            (run,) = runs
+            if len(run) == 1:
+                return [(runs, None)]
+            runs = [run[: len(run) // 2], run[len(run) // 2 :]]
+    half = len(runs) // 2
+    return assign_frames(runs[:half]) + assign_frames(runs[half:])
 
 
 class SchedulerService:
@@ -187,25 +190,28 @@ class SchedulerService:
     # ---- dispatch -------------------------------------------------------------
 
     async def _dispatch(self, now: float) -> None:
-        """Send each worker the tasks this schedule_step gave it, in queue
-        order, in one write of its AssignTask frames.  A task whose frame
-        alone exceeds MAX_FRAME fails rather than stays assigned."""
-        given: dict[str, list[TaskSpec]] = {}
-        for worker_id, spec in self.state.schedule_step(now, join_runs=True):
-            given.setdefault(worker_id, []).append(spec)
-        for worker_id, specs in given.items():
+        """Send each worker the runs of tasks this schedule_step gave it, in
+        queue order, in one write of its AssignTask frames.  A task whose
+        frame alone exceeds MAX_FRAME fails rather than stays assigned."""
+        given: dict[str, list[list[TaskSpec]]] = {}
+        for worker_id, spec, joins in self.state.schedule_step(now, join_runs=True):
+            if joins:
+                given[worker_id][-1].append(spec)
+            else:
+                given.setdefault(worker_id, []).append([spec])
+        for worker_id, runs in given.items():
             writer, lock = self._worker_conns.get(worker_id, (None, None))
             if writer is None:
                 continue
             frames = []
-            for part, frame in assign_frames(specs):
+            for part, frame in assign_frames(runs):
                 if frame is not None:
                     frames.append(frame)
                     continue
+                ((spec,),) = part
                 reason = f"assignment exceeds the {wire.MAX_FRAME}-byte frame limit"
-                for spec in part:
-                    if self.state.fail_task(worker_id, spec.job_id, spec.chunk.chunk_id, reason, now) != "running":
-                        self._wake(("job", spec.job_id))
+                if self.state.fail_task(worker_id, spec.job_id, spec.chunk.chunk_id, reason, now) != "running":
+                    self._wake(("job", spec.job_id))
             if not frames:
                 continue
             try:

@@ -14,12 +14,12 @@ task failed for a transient reason is queued again, at most TASK_RETRIES
 times, and goes to a worker other than the one it failed on where another
 is free.
 
-What a core counts differs by facility.  A virtual worker charges each
-chunk to its one timeline, so there every chunk takes a core.  A live worker
-runs each run of adjacent chunks of one file as one engine pass on one task
-thread, so the live service asks schedule_step to join runs: a chunk that
-continues the run just given to a worker goes to that worker without a core
-of its own, within PASS_EVENTS and a fair share of the queue.
+A core runs a run of chunks until its last chunk is released; schedule_step
+says which run each task starts or continues.  A virtual worker charges each
+chunk to its one timeline, so there every run is one chunk.  A live worker
+runs each run it is sent as one engine pass on one task thread, so the live
+service asks schedule_step to join runs: a chunk that continues the run just
+given to a worker joins it, within PASS_EVENTS and a fair share of the queue.
 
 No event scans every worker or every job (a step that joins runs sums the
 free cores once): the choice of worker pops a heap of (cores in use,
@@ -87,9 +87,8 @@ class WorkerState:
     registered_at: float
     last_heartbeat: float
     n_cores: int = DEFAULT_CORES
-    running: set = field(default_factory=set)  # of (job_id, chunk_id)
-    joined: set = field(default_factory=set)  # those of running that joined a run, and take no core
-    in_use: int = 0  # cores in use: one per run of chunks, so len(running) on a virtual worker
+    running: dict = field(default_factory=dict)  # (job_id, chunk_id) -> the set of its run's running chunks, or None
+    in_use: int = 0  # cores in use: one per run that holds a running chunk
     first_task_at: float | None = None
     arrived: bool = False
     idle_since: float = 0.0
@@ -311,6 +310,8 @@ class ClusterState:
     ) -> str:
         pipeline = KernelPipeline.from_json(pipeline_json)  # a malformed pipeline is refused here, not by each task
         chunks = plan_chunks(dataset, chunk_size, events_per_file=events_per_file)
+        if not chunks:  # a job with no chunk would never end
+            raise SchedulerError(f"dataset {dataset.name!r} has no events")
         self._job_seq += 1
         job_id = f"job-{self._job_seq:04d}"
         job = JobState(
@@ -348,22 +349,21 @@ class ClusterState:
                 job.settle(now)
         self._n_queued = self._n_assigned = 0
 
-    def unfinished_jobs(self) -> list[str]:
-        return [j.job_id for j in self.jobs.values() if j.state == "running"]
-
     # ---- scheduling -------------------------------------------------------
 
-    def schedule_step(self, now: float, join_runs: bool = False) -> list[tuple[str, TaskSpec]]:
-        """Give queued chunks, in queue order, to workers with a spare core.
+    def schedule_step(self, now: float, join_runs: bool = False) -> list[tuple[str, TaskSpec, bool]]:
+        """Give queued chunks, in queue order, to workers with a spare core:
+        a (worker_id, task, joins) per task, joins if it continues the previous task's run.
 
         With join_runs, a chunk that continues the run just given to a worker
         (same job and file, the next adjacent chunk) joins that run without a
         core of its own while the run stays within PASS_EVENTS events and a
         fair share of ceil(queued chunks / free cores) chunks, both reckoned
         at the start of the step.  A retried chunk never joins a run."""
-        assignments: list[tuple[str, TaskSpec]] = []
-        # the run just given: its worker, chunks and events, and (job, file, end) of its last chunk
-        share = run_chunks = 0
+        assignments: list[tuple[str, TaskSpec, bool]] = []
+        # the run just given: its set of running chunks (None where no chunk can join, as on a virtual
+        # worker), its worker, chunks and events, and (job, file, end) of its last chunk
+        share, run_chunks, run = 0, 0, None
         if join_runs and self._n_queued:
             free = sum(w.capacity for w in self.workers.values() if w.arrived)
             share = -(-self._n_queued // free) if free else 0
@@ -382,8 +382,9 @@ class ClusterState:
                 and chunk_id not in job.retried
             ):
                 worker = run_worker
-                worker.joined.add((job_id, chunk_id))
+                run.add((job_id, chunk_id))
                 run_chunks, run_events = run_chunks + 1, run_events + chunk.len
+                run_end = (job_id, chunk.file, chunk.start + chunk.len)
             else:
                 worker = self._pop_free()
                 if worker is None:
@@ -395,20 +396,21 @@ class ClusterState:
                         worker = other
                 worker.in_use += 1
                 self._offer(worker)
-                if share:
+                if share:  # else no chunk can join
+                    run = {(job_id, chunk_id)}
                     run_worker, run_chunks, run_events = worker, 1, chunk.len
-            if share:  # else no chunk can join
-                run_end = (job_id, chunk.file, chunk.start + chunk.len)
+                    run_end = (job_id, chunk.file, chunk.start + chunk.len)
             heapq.heappop(self._queue)
             job.queued.remove(chunk_id)
             job.assigned[chunk_id] = worker.worker_id
             self._n_queued -= 1
             self._n_assigned += 1
-            worker.running.add((job_id, chunk_id))
+            worker.running[job_id, chunk_id] = run
             if worker.first_task_at is None:
                 worker.first_task_at = now
             self.events.append(TaskStreamEvent("TaskStart", worker.worker_id, chunk_id, now, job_id))
-            assignments.append((worker.worker_id, TaskSpec(job_id=job_id, chunk=chunk, pipeline=job.pipeline_spec)))
+            spec = TaskSpec(job_id=job_id, chunk=chunk, pipeline=job.pipeline_spec)
+            assignments.append((worker.worker_id, spec, run_chunks > 1))  # a run's second chunk on joins it
         return assignments
 
     def complete_task(self, worker_id: str, job_id: str, chunk_id: int, result: TaskResult, now: float) -> str:
@@ -472,10 +474,10 @@ class ClusterState:
         if worker is not None:
             key = (job_id, chunk_id)
             if key in worker.running:
-                worker.running.remove(key)
-                if worker.joined and key in worker.joined:
-                    worker.joined.remove(key)
-                else:
+                run = worker.running.pop(key)
+                if run is not None:
+                    run.discard(key)
+                if not run:  # the run's last chunk: its core is free
                     worker.in_use -= 1
             if not worker.running:
                 worker.idle_since = now

@@ -171,7 +171,7 @@ class VirtualFacility:
     # ---- task execution ------------------------------------------------------
 
     def _dispatch(self, now: float) -> None:
-        for worker_id, spec in self.state.schedule_step(now):
+        for worker_id, spec, _ in self.state.schedule_step(now):
             sw = self.sim_workers[worker_id]
             sw.pending.append(spec)
             self._maybe_start_next(sw, now)
@@ -237,7 +237,7 @@ class VirtualFacility:
         now = self.loop.now
         self.autoscaler.tick(now)
         self._dispatch(now)
-        if self.state.unfinished_jobs():
+        if self.state.total_queued() or self.state.total_assigned():
             self.loop.schedule(AUTOSCALE_INTERVAL, self._tick)
 
     def run_job(

@@ -115,8 +115,8 @@ class FileChunk:
 
 
 def passes(chunks: Iterable[FileChunk]) -> Iterator[tuple[FileChunk, ...]]:
-    """The engine passes over chunks, in order: runs of adjacent chunks of
-    one file, of at most PASS_EVENTS events together."""
+    """The virtual facility's engine passes over chunks, in order: runs of
+    adjacent chunks of one file, of at most PASS_EVENTS events together."""
     run: list[FileChunk] = []
     n_events = 0
     for chunk in chunks:
@@ -142,19 +142,19 @@ class TaskSpec:
     pipeline: tuple = field(default_factory=tuple)  # JSON-shaped step list
 
 
-def assignment(specs: Sequence[TaskSpec]) -> dict:
-    """The AssignTask body of tasks: each job's pipeline once, by job_id,
-    and each task as its job_id and chunk."""
+def assignment(runs: Sequence[Sequence[TaskSpec]]) -> dict:
+    """The AssignTask body of runs of tasks: each job's pipeline once, by
+    job_id, and each run as its tasks, each task as its job_id and chunk."""
     return {
-        "pipelines": {spec.job_id: list(spec.pipeline) for spec in specs},
-        "tasks": [{"job_id": spec.job_id, "chunk": spec.chunk.to_dict()} for spec in specs],
+        "pipelines": {spec.job_id: list(spec.pipeline) for run in runs for spec in run},
+        "runs": [[{"job_id": spec.job_id, "chunk": spec.chunk.to_dict()} for spec in run] for run in runs],
     }
 
 
-def assigned(body: dict) -> list[TaskSpec]:
-    """The tasks of an AssignTask body made by assignment()."""
+def assigned(body: dict) -> list[list[TaskSpec]]:
+    """The runs of tasks of an AssignTask body made by assignment()."""
     pipelines = {job_id: tuple(pipeline) for job_id, pipeline in body["pipelines"].items()}
     return [
-        TaskSpec(task["job_id"], FileChunk.from_dict(task["chunk"]), pipelines[task["job_id"]])
-        for task in body["tasks"]
+        [TaskSpec(task["job_id"], FileChunk.from_dict(task["chunk"]), pipelines[task["job_id"]]) for task in run]
+        for run in body["runs"]
     ]

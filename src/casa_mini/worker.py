@@ -3,13 +3,13 @@
 Runs as `main([config])` with one argument, the path to a JSON config (this
 is the payload a batch job carries): in a facility, in a process forked by
 the zygote (`casa_mini.zygote`); alone, as `python -m casa_mini.worker`.
-The scheduler sends one AssignTask per dispatch, listing every task that
-dispatch gave this worker and each job's pipeline once.  The worker cuts them
-into runs of adjacent chunks of one file of one job (`passes`) and runs each
-through `run_span`, as the virtual facility does (one read of its span, one
-segmented engine pass), on one of its task threads, one per logical core, so
-heartbeats keep flowing.  Each task gets its own TaskDone, or a TaskFailed
-whose reason and transience come from `task_failure`.
+The scheduler sends one AssignTask per dispatch: each job's pipeline once
+and every run of tasks that dispatch gave this worker (adjacent chunks of one
+file of one job, one core each).  The worker runs each run as sent through
+`run_span`, as the virtual facility does (one read of its span, one segmented
+engine pass), on one of its task threads, one per logical core, so heartbeats
+keep flowing.  Each task gets its own TaskDone, or a TaskFailed whose reason
+and transience come from `task_failure`.
 Reports get no reply unless the scheduler refuses one, with an Err the
 worker logs.  A task's chunk reaches its pipeline through DataPath, which
 the virtual facility (`sim`) uses too: remote files come from the caching
@@ -30,14 +30,13 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from itertools import groupby
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from . import cacf, wire
 from .data_proxy import OriginUnavailable, ProxyClient, ProxyError, parse_remote_url, range_reader
 from .engine.pipeline import KernelPipeline, TaskResult, run_pipeline
 from .tokens import TokenError
-from .types import PASS_EVENTS, ColumnBatch, FileChunk, TaskSpec, assigned, passes  # PASS_EVENTS bounds passes()' runs
+from .types import ColumnBatch, FileChunk, TaskSpec, assigned
 
 log = logging.getLogger(__name__)
 
@@ -130,7 +129,7 @@ class DataPath:
 
     def read(self, span: Sequence[FileChunk], pipeline: KernelPipeline) -> ColumnBatch:
         """The columns the pipeline reads of a span of adjacent chunks of one
-        file (a run of passes()), in one vectored read."""
+        file (one engine pass), in one vectored read."""
         first = span[0]
         whole = FileChunk(file=first.file, start=first.start, len=sum(c.len for c in span), chunk_id=first.chunk_id)
         read, header = self._cached(self._files, first.file, self._open, HEADER_CACHE_FILES)
@@ -145,23 +144,13 @@ class DataPath:
         self._files = OrderedDict()  # a _cached call in flight keeps the old map
 
 
-def task_runs(specs: Sequence[TaskSpec]) -> Iterator[Sequence[TaskSpec]]:
-    """One dispatch's tasks, in order, as the runs one engine pass each
-    runs: the passes() over the chunks of each job's tasks."""
-    for _, same_job in groupby(specs, key=lambda spec: spec.job_id):
-        same_job = list(same_job)
-        at = 0
-        for span in passes(spec.chunk for spec in same_job):
-            yield same_job[at : at + len(span)]
-            at += len(span)
-
-
 def run_span(
     span: Sequence[FileChunk], pipeline: KernelPipeline, data: DataPath, engine
 ) -> list[TaskResult | Exception]:
-    """Each chunk's result or error, in order, from one read of a span (a run
-    of passes()) and one segmented pass of `engine`, the caller's run_pipeline.
-    A pass that raises is run again chunk by chunk, so each chunk ends as it would alone."""
+    """Each chunk's result or error, in order, from one read of a span of
+    adjacent chunks of one file and one segmented pass of `engine`, the
+    caller's run_pipeline.  A pass that raises is run again chunk by chunk,
+    so each chunk ends as it would alone."""
     try:
         return engine(data.read(span, pipeline), pipeline, [c.len for c in span], [c.chunk_id for c in span]).results
     except Exception as exc:
@@ -225,8 +214,8 @@ class WorkerAgent:
                 await self._send(wire.WireMessage("Heartbeat", {"worker_id": self.worker_id}))
 
     def _assign(self, body: dict) -> None:
-        """Start an AssignTask's runs of tasks, each on its own task thread."""
-        for run in task_runs(assigned(body)):
+        """Start an AssignTask's runs of tasks, each as sent on its own task thread."""
+        for run in assigned(body):
             self._tasks.spawn(self._run(run))
 
     async def _run(self, specs: Sequence[TaskSpec]) -> None:

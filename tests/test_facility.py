@@ -80,7 +80,7 @@ def oracle_histograms(dataset, root: str, pipeline_json):
     return result
 
 
-def test_login_provision_and_dedicated_worker(idp_keys, tmp_path):
+def test_login_provision_and_dedicated_worker(idp_keys, tmp_path, caplog):
     async def scenario():
         facility, dataset, epf = small_facility(idp_keys, tmp_path)
         addrs = await facility.start()
@@ -116,6 +116,9 @@ def test_login_provision_and_dedicated_worker(idp_keys, tmp_path):
             await facility.stop()
 
     run_async(scenario())
+    # stop() ends the watch over the registered dedicated worker before it reaps the worker
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert not any("dedicated worker" in m for m in warnings), warnings
 
 
 def test_cluster_whose_dedicated_worker_dies_fails_at_once_and_leaves_nothing(idp_keys, tmp_path, caplog):
@@ -163,6 +166,31 @@ def test_cluster_whose_dedicated_worker_dies_fails_at_once_and_leaves_nothing(id
     assert any("dedicated worker for alice-1 exited with code 1" in m for m in reasons), reasons
 
 
+def test_a_dedicated_worker_that_dies_after_it_registered_takes_its_cluster_down(idp_keys, tmp_path):
+    async def scenario():
+        facility, dataset, epf = small_facility(idp_keys, tmp_path)  # no batch workers: fixed_n=0
+        addrs = await facility.start()
+        try:
+            await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            record = facility.clusters["alice-1"]
+            await record.service.wait_worker("alice-1-dedicated", 30)
+            start = time.monotonic()
+            record.dedicated_worker.kill()
+            # submitted before the exit is seen: the dedicated worker was the one worker to run it
+            job_id = record.service.state.submit_job(PIPELINE, dataset, 50, 0.0, events_per_file=epf)
+            status = await record.service.wait_job(job_id, timeout=2.0)
+            assert status["state"] == "failed"  # not left running on a cluster with no worker
+            assert status["error"] == f"dedicated worker for alice-1 exited with code {-signal.SIGKILL}"
+            while facility.clusters or facility._tasks._tasks:  # until the cluster is down and released
+                assert time.monotonic() - start < 2.0
+                await asyncio.sleep(0.005)
+            assert len(facility.sni.routes) == 0
+        finally:
+            await facility.stop()
+
+    run_async(scenario())
+
+
 def silent_dedicated_worker(facility, port: int) -> None:
     """Point the facility's dedicated workers at `port`, which never
     answers: each waits in its TLS handshake and never registers."""
@@ -196,7 +224,7 @@ def test_a_dedicated_worker_that_never_registers_fails_the_waiting_job(idp_keys,
             assert status["state"] == "failed"
             assert status["error"] == "dedicated worker for alice-1 did not register"
             assert 0.5 <= elapsed < 5.0
-            await record.registration
+            await record.watch
             assert facility.clusters == {} and len(facility.sni.routes) == 0
             assert record.dedicated_worker.returncode == -signal.SIGTERM
         finally:
@@ -216,12 +244,12 @@ def test_teardown_or_stop_while_the_dedicated_worker_registers_is_quiet(idp_keys
             ]
             alice, bob = (facility.clusters[reply["cluster_id"]] for reply in replies)
             await facility.teardown_cluster(alice.cluster_id)
-            assert alice.registration.cancelled()
+            assert alice.watch.cancelled()
             assert alice.dedicated_worker.returncode == -signal.SIGTERM
-            assert not bob.registration.done()
+            assert not bob.watch.done()
         finally:
             await facility.stop()
-        assert bob.registration.cancelled()
+        assert bob.watch.cancelled()
         assert bob.dedicated_worker.returncode == -signal.SIGTERM
         assert facility.clusters == {} and facility._tasks._tasks == set()
         assert facility.zygote.workers == {}
@@ -786,36 +814,29 @@ def test_a_lost_proxy_connection_is_a_transient_failure():
     assert [(msg.kind, msg.body["chunk_id"], msg.body["transient"]) for msg in sent] == [("TaskFailed", 3, True)]
 
 
-def test_a_pass_that_raises_is_run_again_chunk_by_chunk(tmp_path):
+def test_a_pass_that_raises_is_run_again_chunk_by_chunk(tmp_path, monkeypatch):
     from casa_mini import worker
-    from casa_mini.types import FileChunk, TaskSpec
+    from casa_mini.scheduler.state import ClusterState
+    from casa_mini.types import DatasetSpec
 
     path = str(tmp_path / "a.cacf")
     cacf.write_dataset_file({"px": np.arange(25.0), "py": np.ones(25)}, path)
-    specs = [
-        TaskSpec(job_id="job-1", chunk=FileChunk(file=path, start=10 * i, len=10, chunk_id=i), pipeline=tuple(PIPELINE))
-        for i in range(3)  # the last chunk runs past the file's 25 events
-    ]
-    assert list(worker.task_runs(specs)) == [specs]  # one run, whose pass raises
+    state = ClusterState()  # told 30 events: the last chunk runs past the file's 25
+    state.submit_job(PIPELINE, DatasetSpec("d", (path,), 30), 10, 0.0, events_per_file=[30])
+    state.worker_arrived("w1", "alice", 0.0, n_cores=1)
+    given = state.schedule_step(0.0, join_runs=True)
+    assert [joins for _, _, joins in given] == [False, True, True]  # one run, whose pass raises
+    specs = [spec for _, spec, _ in given]
+    passes = []
+    engine = worker.run_pipeline
+    monkeypatch.setattr(worker, "run_pipeline", lambda batch, p, n, ids: passes.append(ids) or engine(batch, p, n, ids))
     data = worker.DataPath(None)
     outcomes = worker.execute_run(specs, data, "w1")
+    assert passes == [[0], [1]]  # then each chunk alone, and the last one's read raises
     assert isinstance(outcomes[2], cacf.CacfError) and "chunk out of range" in str(outcomes[2])
     for spec, outcome in zip(specs[:2], outcomes):
         (alone,) = worker.execute_run([spec], data, "w1")
         assert outcome.to_dict() | {"t_start": 0, "t_end": 0} == alone.to_dict() | {"t_start": 0, "t_end": 0}
-
-
-def test_task_runs_split_at_jobs_files_and_gaps():
-    from casa_mini import worker
-    from casa_mini.types import FileChunk, TaskSpec
-
-    def spec(job_id, file, start, chunk_id):
-        return TaskSpec(job_id=job_id, chunk=FileChunk(file=file, start=start, len=10, chunk_id=chunk_id))
-
-    a0, a1, a3 = spec("j1", "a", 0, 0), spec("j1", "a", 10, 1), spec("j1", "a", 30, 3)
-    b0, other = spec("j1", "b", 0, 4), spec("j2", "a", 20, 0)
-    runs = list(worker.task_runs([a0, a1, a3, b0, other]))
-    assert runs == [[a0, a1], [a3], [b0], [other]]
 
 
 def test_worker_runs_adjacent_chunks_of_one_assignment_in_one_pass(tmp_path, monkeypatch):
@@ -861,7 +882,7 @@ def test_worker_runs_adjacent_chunks_of_one_assignment_in_one_pass(tmp_path, mon
         agent._send = send
         client = ProxyClient(proxy_addr)
         try:
-            agent._assign(assignment(specs))
+            agent._assign(assignment([specs]))
             deadline = time.monotonic() + 10
             while len(sent) < 2 and time.monotonic() < deadline:
                 await asyncio.sleep(0.01)
@@ -891,6 +912,60 @@ def test_worker_runs_adjacent_chunks_of_one_assignment_in_one_pass(tmp_path, mon
     )
 
 
+def test_a_worker_runs_the_runs_it_is_sent_one_pass_each_all_at_once(tmp_path, monkeypatch):
+    """Two files of eight 5,000-event chunks, a free 8-core worker: the
+    scheduler's eight runs of two, one core each, run as eight engine passes
+    of two segments, all eight in flight at once."""
+    from casa_mini import worker
+    from casa_mini.scheduler.state import ClusterState
+    from casa_mini.types import DatasetSpec, assignment
+
+    paths = [str(tmp_path / f"{name}.cacf") for name in "ab"]
+    for path in paths:
+        cacf.write_dataset_file({"px": np.arange(40_000.0), "py": np.ones(40_000)}, path)
+    state = ClusterState()
+    state.submit_job(PIPELINE, DatasetSpec("d", tuple(paths), 80_000), 5000, 0.0, events_per_file=[40_000] * 2)
+    state.worker_arrived("w1", "alice", 0.0, n_cores=8)
+    runs = []
+    for _, spec, joins in state.schedule_step(0.0, join_runs=True):
+        if joins:
+            runs[-1].append(spec)
+        else:
+            runs.append([spec])
+    assert state.workers["w1"].in_use == 8
+    segments = []
+    in_flight = threading.Barrier(8, timeout=10)  # each pass waits until eight are in flight
+    engine = worker.run_pipeline
+
+    def passing(batch, pipeline, lengths, ids):
+        segments.append(lengths)
+        in_flight.wait()
+        return engine(batch, pipeline, lengths, ids)
+
+    monkeypatch.setattr(worker, "run_pipeline", passing)
+    cfg = {"worker_id": "w1", "ingress": ["127.0.0.1", 1], "sni": "x", "ca": "c", "cert": "c", "key": "k", "n_cores": 8}
+    agent = worker.WorkerAgent(worker.WorkerConfig(cfg))
+    sent = []
+
+    async def send(*msgs):
+        sent.extend(msgs)
+
+    async def scenario():
+        agent._assign(assignment(runs))
+        deadline = time.monotonic() + 20
+        while len(sent) < 16 and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        await agent._tasks.close()
+
+    agent._send = send
+    try:
+        run_async(scenario())
+    finally:
+        agent._pool.shutdown()
+    assert segments == [[5000, 5000]] * 8
+    assert sorted((msg.kind, msg.body["chunk_id"]) for msg in sent) == [("TaskDone", i) for i in range(16)]
+
+
 def test_a_live_worker_gets_a_small_job_in_one_assignment_and_one_pass_per_file(idp_keys, tmp_path, monkeypatch):
     """A 2-file, 4-chunk job on a 2-core dedicated worker goes out in one
     AssignTask and runs as two engine passes, one per file, each on its own
@@ -899,9 +974,12 @@ def test_a_live_worker_gets_a_small_job_in_one_assignment_and_one_pass_per_file(
 
     frames = []
     assign_frames = service.assign_frames
-    monkeypatch.setattr(
-        service, "assign_frames", lambda specs: frames.append([s.chunk.chunk_id for s in specs]) or assign_frames(specs)
-    )
+
+    def framing(runs):
+        frames.append([[s.chunk.chunk_id for s in run] for run in runs])
+        return assign_frames(runs)
+
+    monkeypatch.setattr(service, "assign_frames", framing)
 
     async def scenario():
         facility, dataset, epf = small_facility(idp_keys, tmp_path, dedicated_cores=2)
@@ -929,7 +1007,7 @@ def test_a_live_worker_gets_a_small_job_in_one_assignment_and_one_pass_per_file(
     assert status["state"] == "done"
     oracle = oracle_histograms(dataset, str(tmp_path), PIPELINE)
     assert status["histograms"][0]["counts"] == [int(c) for c in oracle.histograms[0].counts]
-    assert frames == [[0, 1, 2, 3]]  # at the parent [[0, 1], [2, 3]]: one file per dispatch
+    assert frames == [[[0, 1], [2, 3]]]  # one AssignTask of two runs
     assert sorted(sorted(ids) for ids in passes.values()) == [[0, 1], [2, 3]]
 
 

@@ -51,13 +51,25 @@ def test_submit_bad_pipeline_rejected():
         state.submit_job([{"filter": "1"}], ds, 50, 0.0, events_per_file=epf)
 
 
+def test_a_dataset_with_no_events_is_refused():
+    state = ClusterState()
+    ds = DatasetSpec(name="d", files=("root://o//a.cacf",), n_events_total=0)
+    with pytest.raises(SchedulerError, match="no events"):
+        state.submit_job(PIPELINE, ds, 10, 0.0, events_per_file=[0])
+    for events in ([-5], [5, -5]):
+        ds = DatasetSpec(name="d", files=tuple(f"f{i}" for i in range(len(events))), n_events_total=sum(events))
+        with pytest.raises(ValueError, match="negative"):
+            state.submit_job(PIPELINE, ds, 10, 0.0, events_per_file=events)
+    assert state.jobs == {} and state.total_queued() == 0
+
+
 def test_schedule_three_tasks_one_worker():
     state = ClusterState()
     ds, epf = _dataset(n_files=1, events=150)
     state.submit_job(PIPELINE, ds, 50, 0.0, events_per_file=epf)
     state.worker_arrived("w1", "alice", 1.0, n_cores=4)
     assignments = state.schedule_step(1.0)
-    assert [w for w, _ in assignments] == ["w1", "w1", "w1"]
+    assert [w for w, _, _ in assignments] == ["w1", "w1", "w1"]
     assert len(state.workers["w1"].running) == 3
 
 
@@ -82,10 +94,10 @@ def test_schedule_fifo_across_jobs():
     j1 = _submit(state, chunk_size=100, n_files=1)  # 1 chunk
     j2 = _submit(state, chunk_size=100, n_files=1)
     state.worker_arrived("w1", "alice", 1.0, n_cores=1)
-    ((_, first),) = state.schedule_step(1.0)
+    ((_, first, _),) = state.schedule_step(1.0)
     assert first.job_id == j1
     state.complete_task("w1", j1, 0, _result(0, n=100), 2.0)
-    ((_, second),) = state.schedule_step(2.0)
+    ((_, second, _),) = state.schedule_step(2.0)
     assert second.job_id == j2
 
 
@@ -335,7 +347,7 @@ def test_a_transient_failure_requeues_its_chunk_on_another_worker():
     for t in (1.0, 2.0):
         assert state.fail_task(ran_on[-1], job_id, 0, "proxy connection lost", t, transient=True) == "running"
         _check_counters(state)
-        ((worker_id, spec),) = state.schedule_step(t)
+        ((worker_id, spec, _),) = state.schedule_step(t)
         assert spec.chunk.chunk_id == 0
         ran_on.append(worker_id)
     assert ran_on == ["w1", "w2", "w1"]  # each retry away from the worker that failed it
@@ -352,7 +364,7 @@ def test_a_transient_failure_retries_on_the_same_worker_when_no_other_is_free():
     state.worker_arrived("w1", "alice", 0.0, n_cores=1)
     state.schedule_step(0.0)
     state.fail_task("w1", job_id, 0, "origin connection lost", 1.0, transient=True)
-    assert [(w, spec.chunk.chunk_id) for w, spec in state.schedule_step(1.0)] == [("w1", 0)]
+    assert [(w, spec.chunk.chunk_id) for w, spec, _ in state.schedule_step(1.0)] == [("w1", 0)]
     assert state.complete_task("w1", job_id, 0, _result(0, n=100), 2.0) == "done"
 
 
@@ -363,29 +375,36 @@ def _check_counters(state):
     assert state.total_queued() == sum(len(j.queued) for j in state.jobs.values())
     assert state.total_assigned() == sum(len(j.assigned) for j in state.jobs.values())
     for w in state.workers.values():
-        assert w.joined <= w.running and w.in_use == len(w.running) - len(w.joined) <= w.n_cores
+        held = {(j.job_id, c) for j in state.jobs.values() for c, wid in j.assigned.items() if wid == w.worker_id}
+        assert set(w.running) == held
+        # a run's set holds exactly its running chunks; in_use counts the runs holding one
+        runs = {id(run): run for run in w.running.values() if run is not None}
+        assert all(run and all(w.running[key] is run for key in run) for run in runs.values())
+        assert w.in_use == len(runs) + list(w.running.values()).count(None) <= w.n_cores
 
 
 def _schedule_checked(state, now, join_runs=False):
     """schedule_step, with each choice checked against a scan over every
     worker: a chunk joins the run just given where join_runs lets it (same
     job and file, adjacent, within the step's share and PASS_EVENTS), and
-    otherwise goes to min(eligible, key=(cores in use, worker_id))."""
+    its entry says so; otherwise it starts a run, with a core of its own, on
+    min(eligible, key=(cores in use, worker_id))."""
     in_use = {wid: w.in_use for wid, w in state.workers.items() if w.arrived}
     queued = state.total_queued()  # checked against the jobs by _check_counters
     free = sum(state.workers[wid].n_cores - n for wid, n in in_use.items())
     share = -(-queued // free) if join_runs and free else 0
     assignments = state.schedule_step(now, join_runs=join_runs)
     run = []  # the run just given, as (worker_id, chunk, job_id)
-    for worker_id, spec in assignments:
+    for worker_id, spec, joins in assignments:
         chunk = spec.chunk
         last = run[-1][1] if run else None
-        if (
+        assert joins == (
             last is not None
             and len(run) < share
             and (spec.job_id, chunk.file, chunk.start) == (run[-1][2], last.file, last.start + last.len)
             and sum(c.len for _, c, _ in run) + chunk.len <= PASS_EVENTS
-        ):
+        )
+        if joins:
             assert worker_id == run[-1][0]
             run.append((worker_id, chunk, spec.job_id))
             continue
@@ -447,7 +466,7 @@ def test_worker_heap_stays_bounded():
         job_id = _submit(state, chunk_size=50, n_files=1, events=50 * (1 + cycle % 3))
         assigned = _schedule_checked(state, now)
         assert len(state._free) <= bound
-        for worker_id, spec in assigned:
+        for worker_id, spec, _ in assigned:
             state.complete_task(worker_id, job_id, spec.chunk.chunk_id, _result(spec.chunk.chunk_id), now)
             assert len(state._free) <= bound
     _check_counters(state)
@@ -466,18 +485,42 @@ def test_a_joined_run_ends_at_the_pass_bound_and_at_its_file():
     w = state.workers["w1"]
 
     def step(now):
-        ids = [spec.chunk.chunk_id for _, spec in state.schedule_step(now, join_runs=True)]
+        ids = [spec.chunk.chunk_id for _, spec, _ in state.schedule_step(now, join_runs=True)]
         assert (w.in_use, w.capacity) == (1, 0)  # however long, the run takes the one core
         for chunk_id in ids:
+            assert w.in_use == 1  # until the run's last chunk is released, its first one included
             state.complete_task("w1", job_id, chunk_id, _result(chunk_id, n=half), now)
+        assert w.in_use == 0
         return ids
 
     # share 6/1 chunks: chunk 2 would take the run past PASS_EVENTS, chunk 3 is in another file
     assert [step(1.0), step(2.0), step(3.0), step(4.0)] == [[0, 1], [2], [3, 4], [5]]
-    assert state.jobs[job_id].state == "done" and w.joined == set()
+    assert state.jobs[job_id].state == "done" and (w.running, w.in_use) == ({}, 0)
     # without join_runs, as in the virtual facility, each chunk takes a core
     job_id = state.submit_job(PIPELINE, ds, half, now=5.0, events_per_file=[3 * half] * 2)
-    assert [spec.chunk.chunk_id for _, spec in state.schedule_step(5.0)] == [0]
+    assert [spec.chunk.chunk_id for _, spec, _ in state.schedule_step(5.0)] == [0]
+
+
+def _first_runs(sizes, done):
+    """(job, chunk, joins) of the first join_runs step on a free 1-core
+    worker, over jobs of sizes[j] 10-event chunks of one file, of which the
+    (j, chunk) in `done` were done elsewhere and the rest queued again."""
+    state = ClusterState()
+    jobs = [_submit(state, chunk_size=10, n_files=1, events=10 * n) for n in sizes]
+    state.worker_arrived("w0", "alice", 0.0, n_cores=sum(sizes))
+    state.schedule_step(0.0)
+    for j, chunk_id in done:
+        state.complete_task("w0", jobs[j], chunk_id, _result(chunk_id, n=10), 0.0)
+    state.remove_worker("w0", 0.0, "gone")
+    state.worker_arrived("w1", "alice", 1.0, n_cores=1)
+    return [(spec.job_id, spec.chunk.chunk_id, joins) for _, spec, joins in state.schedule_step(1.0, join_runs=True)]
+
+
+def test_a_run_ends_at_a_gap_and_at_its_job():
+    assert _first_runs([3], []) == [("job-0001", 0, False), ("job-0001", 1, True), ("job-0001", 2, True)]
+    assert _first_runs([3], [(0, 1)]) == [("job-0001", 0, False)]  # chunk 2 does not continue chunk 0
+    # chunk 1 of job 2 continues chunk 0 of job 1 in the file, but not in its job
+    assert _first_runs([2, 2], [(0, 1), (1, 0)]) == [("job-0001", 0, False)]
 
 
 def test_a_failed_job_ends_with_its_first_reason_and_time():

@@ -99,7 +99,7 @@ class ScriptedWorker:
         msg = await wire.read_message(self.reader)
         self.received.append(msg)
         if msg.kind == "AssignTask":
-            self.assigned.extend(msg.body["tasks"])
+            self.assigned.extend(task for run in msg.body["runs"] for task in run)
         return msg
 
     async def report(self, kind: str, body: dict) -> None:
@@ -143,6 +143,21 @@ def test_wait_job_returns_when_the_job_finishes(tls):
                 assert status["state"] == "done"
             w.close()
             assert max(lags) < 0.03, lags
+
+    run_async(scenario())
+
+
+@pytest.mark.parametrize("events_per_file", [[0], [-5], [5, -5]])
+def test_a_job_with_no_events_or_a_negative_count_is_refused(tls, events_per_file):
+    """Such a job would have no chunk to end it, and a client would wait on it for ever."""
+
+    async def scenario():
+        async with Rig(tls) as rig:
+            files = [rig.tls["data"]] * len(events_per_file)
+            with pytest.raises(wire.RequestError) as refused:
+                await rig.client.submit_job(PIPELINE, "d", files, events_per_file, 10)
+            assert refused.value.code == "scheduler_error"
+            assert rig.service.state.jobs == {}
 
     run_async(scenario())
 
@@ -319,7 +334,7 @@ def test_worker_gets_only_its_hello_reply_tasks_and_refusals(tls):
             assert (await w.request("Heartbeat", {"worker_id": "w2"})).kind == "Err"
             kinds = [msg.kind for msg in w.received]
             assert kinds == ["Ok", "AssignTask", "Err"], kinds  # the four tasks in one AssignTask
-            assert len(w.received[1].body["tasks"]) == 4
+            assert sum(map(len, w.received[1].body["runs"])) == 4
             assert w.received[0].body == {"worker_id": "w1"}  # no job status, no histogram
             w.close()
             for _ in range(100):
@@ -386,6 +401,31 @@ def test_an_assignment_past_the_frame_limit_is_split_or_its_task_failed(tls, mon
 
     run_async(split())
     run_async(refused())
+
+
+def test_assign_frames_split_between_runs_and_cut_only_a_run_too_large_alone(monkeypatch):
+    from casa_mini.scheduler.service import assign_frames
+    from casa_mini.types import FileChunk, TaskSpec, assignment
+
+    def task(i):
+        return TaskSpec("job-1", FileChunk("f", 10 * i, 10, i), tuple(PIPELINE))
+
+    def size(runs):  # of the payload, less the length prefix
+        return len(wire.encode(wire.WireMessage("AssignTask", assignment(runs)))) - 4
+
+    def sent(runs):  # each frame's runs, as chunk ids, and whether it has a frame
+        return [([[s.chunk.chunk_id for s in r] for r in part], frame is not None) for part, frame in assign_frames(runs)]
+
+    runs = [[task(0)], [task(1), task(2), task(3)], [task(4), task(5)]]
+    # the longest run fits a frame alone, no two runs do: halving the six tasks would cut it
+    monkeypatch.setattr(wire, "MAX_FRAME", size(runs[1:2]))
+    assert sent(runs) == [([[0]], True), ([[1, 2, 3]], True), ([[4, 5]], True)]
+    # a run whose frame alone is too large is cut in two
+    monkeypatch.setattr(wire, "MAX_FRAME", size([[task(1), task(2)]]))
+    assert sent(runs) == [([[0]], True), ([[1]], True), ([[2, 3]], True), ([[4, 5]], True)]
+    # and a task whose frame alone is too large has none
+    monkeypatch.setattr(wire, "MAX_FRAME", size([[task(0)]]) - 1)
+    assert sent(runs[:1]) == [([[0]], False)]
 
 
 def test_a_transient_task_failure_sends_its_chunk_out_again(tls):
@@ -583,12 +623,12 @@ def test_silent_batch_worker_is_dropped_with_its_batch_job_and_connection(tls):
 
 
 async def assignment_of(w: ScriptedWorker) -> list[dict]:
-    """The tasks of the next AssignTask the worker reads."""
+    """The tasks of the next AssignTask the worker reads, run by run."""
     await asyncio.wait_for(w.next_task(), 5)
     msg = w.received[-1]
     assert msg.kind == "AssignTask"
     w.assigned.clear()
-    return msg.body["tasks"]
+    return [task for run in msg.body["runs"] for task in run]
 
 
 def chunk_ids(tasks: list[dict]) -> list[int]:
@@ -605,12 +645,41 @@ def test_a_free_worker_gets_a_small_job_in_one_assignment(tls):
             job_id = await rig.submit(chunk_size=25)
             tasks = await assignment_of(w)
             assert chunk_ids(tasks) == list(range(8))
+            assert [chunk_ids(run) for run in w.received[-1].body["runs"]] == [[0, 1], [2, 3], [4, 5], [6, 7]]
             worker = rig.service.state.workers["w1"]
             assert (len(worker.running), worker.in_use, worker.capacity) == (8, 4, 0)
             for task in tasks:
                 await w.done(task, "w1")
             assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
-            assert (worker.running, worker.joined, worker.capacity) == (set(), set(), 4)
+            assert (worker.running, worker.in_use, worker.capacity) == ({}, 0, 4)
+            w.close()
+
+    run_async(scenario())
+
+
+def test_an_eight_core_worker_is_sent_the_scheduler_runs(tls):
+    """Two files of eight 5,000-event chunks, one free 8-core worker: a
+    share of two, so one AssignTask of eight runs of two, one core each,
+    and a run's core is free once its last chunk is done."""
+
+    async def scenario():
+        async with Rig(tls) as rig:
+            w = await rig.connect()
+            assert (await w.request("WorkerHello", {"worker_id": "w1", "n_cores": 8})).kind == "Ok"
+            files = ["root://origin//store/d/a.cacf", "root://origin//store/d/b.cacf"]
+            job_id = await rig.client.submit_job(PIPELINE, "d", files, [40_000, 40_000], 5000)
+            tasks = await assignment_of(w)
+            runs = [chunk_ids(run) for run in w.received[-1].body["runs"]]
+            assert runs == [[i, i + 1] for i in range(0, 16, 2)]
+            worker = rig.service.state.workers["w1"]
+            assert (len(worker.running), worker.in_use) == (16, 8)
+            in_use = []
+            for task in tasks:
+                await w.done(task, "w1")
+                await until(lambda: task["chunk"]["chunk_id"] not in rig.service.state.jobs[job_id].assigned)
+                in_use.append(worker.in_use)
+            assert in_use == [8 - (i + 1) // 2 for i in range(16)]  # 8, 7, 7, 6, 6, ..., 1, 1, 0
+            assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
             w.close()
 
     run_async(scenario())

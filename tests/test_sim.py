@@ -13,8 +13,8 @@ from casa_mini.engine.hist import merge_histograms
 from casa_mini.engine.pipeline import KernelPipeline, run_pipeline
 from casa_mini.scheduler.state import events_to_csv
 from casa_mini.sim import VirtualLoop
-from casa_mini.types import DatasetSpec, FileChunk, TaskSpec
-from casa_mini.worker import PASS_EVENTS, DataPath, execute_run, passes
+from casa_mini.types import PASS_EVENTS, DatasetSpec, FileChunk, TaskSpec, passes
+from casa_mini.worker import DataPath, execute_run
 
 from .conftest import local_files_for, run_async
 
@@ -303,9 +303,8 @@ def test_live_worker_reports_what_the_virtual_facility_records(tmp_path):
         sent.extend(msgs)
 
     async def live():
-        specs = [TaskSpec(job_id=job.job_id, chunk=chunk, pipeline=tuple(BENCH_PIPELINE)) for chunk in job.chunks.values()]
-        for run in worker.task_runs(specs):
-            await agent._run(run)
+        for span in passes(job.chunks.values()):  # the virtual facility's passes
+            await agent._run([TaskSpec(job.job_id, chunk, tuple(BENCH_PIPELINE)) for chunk in span])
 
     agent._send = send
     try:

@@ -9,9 +9,9 @@ worker has --cores task threads, and runs --jobs jobs of the bench pipeline
 after one cold job.  It prints one JSON object: the median job time
 (submit to done, as a client sees it) and the median time from a job's
 first TaskStart to its first TaskEnd in the scheduler's task stream, both
-in milliseconds; the AssignTask frames the scheduler sent per timed job;
-and how many engine passes of each number of chunks the timed jobs ran
-(the chunks of one pass share its start and end).  It imports casa_mini
+in milliseconds; the AssignTask frames and the runs of tasks the scheduler
+sent per timed job; and how many engine passes of each number of chunks the
+timed jobs ran (the chunks of one pass share its start and end).  It imports casa_mini
 from the `src/` beside it, so running it from two checkouts compares them.
 """
 
@@ -50,13 +50,14 @@ def parse_args(argv):
 
 
 def _record(frames: list, passes: dict) -> None:
-    """Count each AssignTask frame in `frames` and group each merged result's
-    chunk by (job, pass start, pass end) in `passes`."""
+    """Record each AssignTask frame's job and number of runs in `frames`,
+    and group each merged result's chunk by (job, pass start, pass end) in
+    `passes`."""
     assign_frames, complete_task = service.assign_frames, ClusterState.complete_task
 
-    def assigning(specs):
-        sent = assign_frames(specs)
-        frames.extend(part[0].job_id for part, _ in sent)  # a frame's job: the tool runs one job at a time
+    def assigning(runs):
+        sent = assign_frames(runs)
+        frames.extend((part[0][0].job_id, len(part)) for part, _ in sent)  # the tool runs one job at a time
         return sent
 
     def completing(self, worker_id, job_id, chunk_id, result, now):
@@ -126,7 +127,8 @@ async def _measure(args, root: str) -> dict:
     return {
         "job_ms": statistics.median(job_s) * 1e3,
         "first_task_ms": statistics.median(first_task_s) * 1e3,
-        "assign_frames_per_job": sum(job_id in timed for job_id in frames) / len(job_ids),
+        "assign_frames_per_job": sum(job_id in timed for job_id, _ in frames) / len(job_ids),
+        "runs_sent_per_job": sum(n for job_id, n in frames if job_id in timed) / len(job_ids),
         "pass_chunks": {str(n): sizes[n] for n in sorted(sizes)},
     }
 
