@@ -4,20 +4,20 @@ Worker jobs are admitted against a slot pool and start after a seeded delay:
 the k-th submission of a wave (submissions landing in the same autoscale
 tick) starts s0 + c*k after it arrived, so scale-up bursts stagger — the
 linear-in-wave-index stall the benchmark measures.  The discrete-event core
-is clock-agnostic: submit() schedules transitions, advance(to) fires them, and
-after each operation the sim asks its driver's wake(t), once per time, to
-advance it at its earliest pending start.  No event scans the jobs: slots in
-use and committed are counters each transition updates, and pending starts
-sit in a (start_at, handle) heap whose entries are dropped once their job is
-no longer Starting.
+is clock-agnostic: submit() schedules a start, advance(to) fires the starts
+due, and after each operation the sim asks its driver's wake(t), once per
+time, to advance it at its earliest pending start.  A BatchJob is the one
+record of its job: its state and the times it was submitted, due to start,
+started and ended.  No event scans the jobs: slots in use and committed are
+counters each transition updates, and pending starts sit in a
+(start_at, handle) heap whose entries are dropped once their job is no
+longer Starting.
 """
 
 from __future__ import annotations
 
 import asyncio
-import csv
 import heapq
-import io
 import math
 import random
 from collections import deque
@@ -53,16 +53,13 @@ class DelayModel:
 
 @dataclass
 class JobSpec:
-    image: str = "casa-mini-worker:latest"
     n_cores: int = 4
-    memory_gb: float = 6.0
-    open_ports: list = field(default_factory=list)
     worker_config: dict = field(default_factory=dict)
     batch_token: str = ""
 
     def __post_init__(self):
-        if self.n_cores <= 0 or self.memory_gb <= 0:
-            raise BatchError("n_cores and memory_gb must be positive")
+        if self.n_cores <= 0:
+            raise BatchError("n_cores must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -70,21 +67,10 @@ class JobSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "JobSpec":
         return cls(
-            image=d.get("image", "casa-mini-worker:latest"),
             n_cores=int(d.get("n_cores", 4)),
-            memory_gb=float(d.get("memory_gb", 6.0)),
-            open_ports=list(d.get("open_ports", [])),
             worker_config=dict(d.get("worker_config", {})),
             batch_token=d.get("batch_token", ""),
         )
-
-
-@dataclass
-class Transition:
-    handle: int
-    frm: str
-    to: str
-    t: float
 
 
 @dataclass
@@ -96,15 +82,6 @@ class BatchJob:
     start_at: float | None = None
     started_at: float | None = None
     ended_at: float | None = None
-
-
-def transitions_to_csv(transitions: list[Transition]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["handle", "from", "to", "t"])
-    for tr in transitions:
-        writer.writerow([tr.handle, tr.frm, tr.to, repr(tr.t)])
-    return out.getvalue()
 
 
 class BatchSim:
@@ -125,7 +102,6 @@ class BatchSim:
         self.on_stop = on_stop  # fn(job, now)
         self.wake = None  # fn(t), set by the driver: call advance at time t
         self.jobs: dict[int, BatchJob] = {}
-        self.transitions: list[Transition] = []
         self.clock = 0.0
         self._next_handle = 0
         self._rng = random.Random(self.delay.seed)
@@ -147,7 +123,6 @@ class BatchSim:
         handle = self._next_handle
         job = BatchJob(handle=handle, spec=spec, state=QUEUED, submitted_at=now)
         self.jobs[handle] = job
-        self._log(handle, "", QUEUED, now)
         if self.committed < self.total_slots:
             self._schedule_start(job, now)
         else:
@@ -168,7 +143,6 @@ class BatchSim:
         job.start_at = now + delay
         self.committed += 1
         heapq.heappush(self._starts, (job.start_at, job.handle))
-        self._log(job.handle, QUEUED, STARTING, now)
 
     def _next_start(self) -> tuple[float, int] | None:
         """The earliest (start_at, handle) of a job still Starting."""
@@ -187,11 +161,10 @@ class BatchSim:
             self._woken.add(t)
             self.wake(t)
 
-    def advance(self, to: float) -> list[Transition]:
-        """Fire every transition scheduled up to `to`, in time order."""
+    def advance(self, to: float) -> None:
+        """Start every job due to start by `to`, in time order."""
         if to < self.clock:
             raise BatchError(f"time cannot move backwards ({to} < {self.clock})")
-        fired: list[Transition] = []
         while (start := self._next_start()) is not None and start[0] <= to:
             heapq.heappop(self._starts)
             job = self.jobs[start[1]]
@@ -199,14 +172,11 @@ class BatchSim:
             self.in_use += 1
             job.state = RUNNING
             job.started_at = job.start_at
-            tr = self._log(job.handle, STARTING, RUNNING, job.start_at)
-            fired.append(tr)
             if self.on_start is not None:
                 self.on_start(job, job.start_at)
         self.clock = max(self.clock, to)
         self._woken = {t for t in self._woken if t > to}
         self._wake_next()
-        return fired
 
     def cancel(self, handle: int, now: float) -> str:
         job = self.jobs.get(handle)
@@ -225,7 +195,6 @@ class BatchSim:
             self.committed -= 1
             if prev == RUNNING:
                 self.in_use -= 1
-        self._log(handle, prev, CANCELLED, now)
         if prev == RUNNING and self.on_stop is not None:
             self.on_stop(job, now)
         self._promote_waiting(now)  # a no-op unless a slot was freed
@@ -243,7 +212,6 @@ class BatchSim:
         job.ended_at = now
         self.in_use -= 1
         self.committed -= 1
-        self._log(handle, RUNNING, DONE, now)
         self._promote_waiting(now)
         self._wake_next()
         return job.state
@@ -252,11 +220,6 @@ class BatchSim:
         while self._waiting and self.committed < self.total_slots:
             handle = self._waiting.popleft()
             self._schedule_start(self.jobs[handle], now)
-
-    def _log(self, handle: int, frm: str, to: str, t: float) -> Transition:
-        tr = Transition(handle=handle, frm=frm, to=to, t=t)
-        self.transitions.append(tr)
-        return tr
 
 
 class BatchService:

@@ -8,11 +8,12 @@ here.
 Scheduling discipline: tasks leave the queue FIFO by (job order, chunk id);
 among workers with spare cores the one with the fewest cores in use wins,
 worker_id breaking ties.  Workers are recorded when they are *requested*
-(registered_at), and become assignable when they arrive; the gap to their
-first task is the per-worker stall the benchmark profiles.  A chunk whose
-task failed for a transient reason is queued again, at most TASK_RETRIES
-times, and goes to a worker other than the one it failed on where another
-is free.
+(their WorkerUp in the task stream), and become assignable when they
+arrive; the gap from that WorkerUp to their first TaskStart is the
+per-worker stall the benchmark profiles (bench.stall_report reads both from
+the task stream).  A chunk whose task failed for a transient reason is
+queued again, at most TASK_RETRIES times, and goes to a worker other than
+the one it failed on where another is free.
 
 A core runs a run of chunks until its last chunk is released; schedule_step
 says which run each task starts or continues.  A virtual worker charges each
@@ -84,12 +85,11 @@ def autoscale_target(queued: int, running: int, policy: ScalePolicy) -> int:
 class WorkerState:
     worker_id: str
     identity: str
-    registered_at: float
     last_heartbeat: float
     n_cores: int = DEFAULT_CORES
-    running: dict = field(default_factory=dict)  # (job_id, chunk_id) -> the set of its run's running chunks, or None
+    # (job_id, chunk_id) -> the set of its run's running chunks, or None; in the order assigned
+    running: dict = field(default_factory=dict)
     in_use: int = 0  # cores in use: one per run that holds a running chunk
-    first_task_at: float | None = None
     arrived: bool = False
     idle_since: float = 0.0
     batch_handle: int | None = None
@@ -226,7 +226,6 @@ class ClusterState:
         self.workers[worker_id] = WorkerState(
             worker_id=worker_id,
             identity="",
-            registered_at=now,
             last_heartbeat=now,
             n_cores=n_cores,
             batch_handle=batch_handle,
@@ -406,8 +405,6 @@ class ClusterState:
             self._n_queued -= 1
             self._n_assigned += 1
             worker.running[job_id, chunk_id] = run
-            if worker.first_task_at is None:
-                worker.first_task_at = now
             self.events.append(TaskStreamEvent("TaskStart", worker.worker_id, chunk_id, now, job_id))
             spec = TaskSpec(job_id=job_id, chunk=chunk, pipeline=job.pipeline_spec)
             assignments.append((worker.worker_id, spec, run_chunks > 1))  # a run's second chunk on joins it

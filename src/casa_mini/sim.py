@@ -3,14 +3,17 @@ advancing deterministically from one event loop.
 
 Simulated compute charges chunk_len / rate virtual seconds per task against a
 worker's single execution timeline (`rate` is the per-worker event rate; a
-worker's cores bound how many tasks it holds, not its throughput), while task
-*results* come from really evaluating the pipeline on the chunk, read by
-the live worker's own DataPath with remote files read through the facility
-data proxy.  That keeps the scaling study analytic and the merged histograms
-oracle-checkable at the same time.  The first task of a file runs the job's
-chunks of that file through the live worker's run_span (one read, one
-segmented engine pass); the other chunks' outcomes wait for their own tasks,
-so the per-call cost of the engine is paid once per file, not once per chunk.
+worker's cores bound how many tasks it holds, not its throughput).  A virtual
+worker is its scheduler WorkerState: its running chunks, in the order they
+were assigned, are its queue, the oldest on its timeline and the rest
+waiting their turn.  Task *results* come from really evaluating the
+pipeline on the chunk, read by the live worker's own DataPath with remote
+files read through the facility data proxy.  That keeps the scaling study
+analytic and the merged histograms oracle-checkable at the same time.  The
+first task of a file runs the job's chunks of that file through the live
+worker's run_span (one read, one segmented engine pass); the other chunks'
+outcomes wait for their own tasks, so the per-call cost of the engine is
+paid once per file, not once per chunk.
 
 Tasks and workers fail as live ones do: a chunk's error goes through the
 worker's task_failure to ClusterState.fail_task, so its job ends `failed`.  A
@@ -25,8 +28,8 @@ Same seed, same submissions: identical event order, identical task stream.
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 
 from .batchsim import BatchSim, DelayModel, JobSpec
 from .data_proxy import SyncDataProxy
@@ -40,7 +43,7 @@ from .scheduler.state import (
     ScalePolicy,
     WorkerState,
 )
-from .types import DatasetSpec, FileChunk, TaskSpec, passes
+from .types import DatasetSpec, FileChunk, passes
 from .worker import DataPath, run_span, task_failure
 
 # Passes whose unused results are kept; a job has about one open pass per
@@ -75,14 +78,6 @@ class VirtualLoop:
 
 
 @dataclass
-class _SimWorker:
-    worker_id: str
-    alive: bool = True
-    busy: bool = False
-    pending: deque = field(default_factory=deque)
-
-
-@dataclass
 class SimParams:
     rate: float = 4000.0  # per-worker events/s in simulated compute
     n_cores: int = DEFAULT_CORES
@@ -114,7 +109,6 @@ class VirtualFacility:
         )
         self.batch.wake = lambda t: self.loop.schedule_at(t, lambda: self.batch.advance(t))
         self.autoscaler = Autoscaler(self.state, policy, self._request_workers, self._release)
-        self.sim_workers: dict[str, _SimWorker] = {}
         self.data = DataPath(proxy.fetch, data_token)  # the live worker's data path
         # (job_id, first chunk_id of a pass) -> outcomes not yet handed out, least recently used first
         self._results: OrderedDict[tuple[str, int], dict[int, TaskResult | Exception]] = OrderedDict()
@@ -137,11 +131,8 @@ class VirtualFacility:
             )
 
     def _release(self, w: WorkerState, now: float) -> None:
-        """A dropped worker's simulated process is retired and its batch job
-        cancelled (a no-op for a job that has finished)."""
-        sw = self.sim_workers.pop(w.worker_id, None)
-        if sw is not None:
-            sw.alive = False
+        """A dropped worker's batch job is cancelled (a no-op for a job that
+        has finished); its chunks' completions find it gone."""
         if w.batch_handle is not None:
             self.batch.cancel(w.batch_handle, now)
 
@@ -149,7 +140,6 @@ class VirtualFacility:
         worker_id = job.spec.worker_config["worker_id"]
         if worker_id not in self.state.workers:
             return  # cancelled before it started
-        self.sim_workers[worker_id] = _SimWorker(worker_id)
         self.state.worker_arrived(worker_id, "sim", t, n_cores=job.spec.n_cores)
         self._dispatch(t)
 
@@ -162,9 +152,10 @@ class VirtualFacility:
         """The worker's process dies, as a SIGKILL does in the live facility:
         its batch job finishes and its connection closes, both at `now`, so
         its chunks are requeued and dispatched at once."""
-        if worker_id not in self.sim_workers:
+        w = self.state.workers.get(worker_id)
+        if w is None or not w.arrived:
             return  # not started, or already gone
-        self.batch.finish(self.state.workers[worker_id].batch_handle, now)
+        self.batch.finish(w.batch_handle, now)
         self.autoscaler.drop_worker(worker_id, now, "connection closed")
         self._dispatch(now)
 
@@ -172,47 +163,43 @@ class VirtualFacility:
 
     def _dispatch(self, now: float) -> None:
         for worker_id, spec, _ in self.state.schedule_step(now):
-            sw = self.sim_workers[worker_id]
-            sw.pending.append(spec)
-            self._maybe_start_next(sw, now)
+            key = (spec.job_id, spec.chunk.chunk_id)
+            if next(iter(self.state.workers[worker_id].running)) == key:  # the worker was idle
+                self._start(worker_id, key, now)
 
-    def _maybe_start_next(self, sw: _SimWorker, now: float) -> None:
-        if sw.busy or not sw.alive or not sw.pending:
-            return
-        spec = sw.pending.popleft()
-        sw.busy = True
-        duration = spec.chunk.len / self.params.rate
-        self.loop.schedule(duration, lambda: self._complete(sw, spec, now))
+    def _start(self, worker_id: str, key: tuple[str, int], now: float) -> None:
+        """Charge the chunk to the worker's timeline from now."""
+        job_id, chunk_id = key
+        duration = self.state.jobs[job_id].chunks[chunk_id].len / self.params.rate
+        self.loop.schedule(duration, lambda: self._complete(worker_id, key, now))
 
-    def _complete(self, sw: _SimWorker, spec: TaskSpec, started: float) -> None:
+    def _complete(self, worker_id: str, key: tuple[str, int], started: float) -> None:
         now = self.loop.now
-        sw.busy = False
-        if not sw.alive:
-            return
-        job = self.state.jobs.get(spec.job_id)
-        if job is None or job.assigned.get(spec.chunk.chunk_id) != sw.worker_id:
-            return  # reassigned while this event was in flight
-        outcome = self._execute(spec)
+        w = self.state.workers.get(worker_id)
+        if w is None or key not in w.running:
+            return  # the worker was dropped, and its chunks requeued
+        job_id, chunk_id = key
+        outcome = self._execute(self.state.jobs[job_id], chunk_id)
         if isinstance(outcome, TaskResult):
-            outcome.worker_id, outcome.t_start, outcome.t_end = sw.worker_id, started, now
-            self.state.complete_task(sw.worker_id, spec.job_id, spec.chunk.chunk_id, outcome, now)
+            outcome.worker_id, outcome.t_start, outcome.t_end = worker_id, started, now
+            self.state.complete_task(worker_id, job_id, chunk_id, outcome, now)
         else:  # as SchedulerService takes a live worker's TaskFailed
             reason, transient = task_failure(outcome)
-            self.state.fail_task(sw.worker_id, spec.job_id, spec.chunk.chunk_id, reason, now, transient)
-        self._maybe_start_next(sw, now)
+            self.state.fail_task(worker_id, job_id, chunk_id, reason, now, transient)
+        if w.running:  # its oldest chunk is the next on its timeline
+            self._start(worker_id, next(iter(w.running)), now)
         self._dispatch(now)
 
-    def _execute(self, spec: TaskSpec) -> TaskResult | Exception:
+    def _execute(self, job: JobState, chunk_id: int) -> TaskResult | Exception:
         """The chunk's result or error from its engine pass, which the pass's
         first task runs; each other chunk's outcome is kept until its own task
         runs (a kill before that leaves it kept), and handed out once."""
-        job = self.state.jobs[spec.job_id]
-        span = self._span_of(job, spec.chunk.chunk_id)
+        span = self._span_of(job, chunk_id)
         key = (job.job_id, span[0].chunk_id)
         outcomes = self._results.pop(key, {})
-        if spec.chunk.chunk_id not in outcomes:  # a first task, or a retry
+        if chunk_id not in outcomes:  # a first task, or a retry
             outcomes = self._run_pass(job, span)
-        outcome = outcomes.pop(spec.chunk.chunk_id)
+        outcome = outcomes.pop(chunk_id)
         if outcomes:
             self._results[key] = outcomes  # now the most recently used
             if len(self._results) > PASS_CACHE:

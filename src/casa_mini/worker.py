@@ -129,8 +129,12 @@ class DataPath:
 
     def read(self, span: Sequence[FileChunk], pipeline: KernelPipeline) -> ColumnBatch:
         """The columns the pipeline reads of a span of adjacent chunks of one
-        file (one engine pass), in one vectored read."""
+        file (one engine pass), in one vectored read; ValueError for a span
+        that is not."""
         first = span[0]
+        for prev, chunk in zip(span, span[1:]):
+            if chunk.file != first.file or chunk.start != prev.start + prev.len:
+                raise ValueError(f"chunks {prev.chunk_id} and {chunk.chunk_id} are not adjacent chunks of one file")
         whole = FileChunk(file=first.file, start=first.start, len=sum(c.len for c in span), chunk_id=first.chunk_id)
         read, header = self._cached(self._files, first.file, self._open, HEADER_CACHE_FILES)
         return cacf.read_chunk(read, whole, sorted(pipeline.input_columns()), header=header)

@@ -12,7 +12,6 @@ from casa_mini.batchsim import (
     BatchSim,
     DelayModel,
     JobSpec,
-    transitions_to_csv,
 )
 from casa_mini.tokens import TokenError, TokenWrongAudience, mint_token
 
@@ -80,7 +79,7 @@ def test_advance_fires_in_order_and_is_deterministic():
         for _ in range(5):
             sim.submit(_spec(), 0.0)
         sim.advance(100.0)
-        return started, transitions_to_csv(sim.transitions)
+        return started, [(h, j.state, j.start_at, j.started_at, j.ended_at) for h, j in sim.jobs.items()]
 
     a_started, a_log = run()
     b_started, b_log = run()
@@ -98,14 +97,16 @@ def test_advance_backwards_rejected():
 
 
 def test_cancel_queued_never_starts():
-    sim = BatchSim(slots=1, delay=DelayModel(s0=1.0, c=0.0))
-    sim.submit(_spec(), 0.0)
+    started = []
+    sim = BatchSim(slots=1, delay=DelayModel(s0=1.0, c=0.0), on_start=lambda job, t: started.append(job.handle))
+    h1 = sim.submit(_spec(), 0.0)
     h2 = sim.submit(_spec(), 0.0)
     assert sim.jobs[h2].state == QUEUED
     sim.cancel(h2, 0.5)
     sim.advance(50.0)
     assert sim.jobs[h2].state == CANCELLED
-    assert all(tr.to != RUNNING for tr in sim.transitions if tr.handle == h2)
+    assert sim.jobs[h2].started_at is None
+    assert started == [h1]
 
 
 def test_cancel_running_frees_slot_and_signals():
@@ -123,9 +124,9 @@ def test_cancel_idempotent():
     sim = BatchSim(delay=DelayModel(s0=0.1, c=0.0))
     h = sim.submit(_spec(), 0.0)
     assert sim.cancel(h, 1.0) == CANCELLED
-    before = len(sim.transitions)
+    before = (sim.jobs[h].ended_at, sim.committed, sim.in_use)
     assert sim.cancel(h, 2.0) == CANCELLED  # no-op returning the final state
-    assert len(sim.transitions) == before
+    assert (sim.jobs[h].ended_at, sim.committed, sim.in_use) == before == (1.0, 0, 0)
 
 
 def test_cancel_unknown_handle():
@@ -202,11 +203,3 @@ def test_wave_availability_invariant():
     for k, handle in enumerate(handles, start=1):
         assert sim.jobs[handle].started_at == 2.0 + 1.0 * k
 
-
-def test_transitions_csv_schema():
-    sim = BatchSim(delay=DelayModel(s0=0.5, c=0.0))
-    sim.submit(_spec(), 0.0)
-    sim.advance(1.0)
-    lines = transitions_to_csv(sim.transitions).splitlines()
-    assert lines[0] == "handle,from,to,t"
-    assert lines[1] == "1,,Queued,0.0"

@@ -839,6 +839,25 @@ def test_a_pass_that_raises_is_run_again_chunk_by_chunk(tmp_path, monkeypatch):
         assert outcome.to_dict() | {"t_start": 0, "t_end": 0} == alone.to_dict() | {"t_start": 0, "t_end": 0}
 
 
+def test_a_run_that_is_not_one_span_is_run_chunk_by_chunk(tmp_path):
+    """A run with a gap, or across two files, is not read as one span: each
+    chunk gets the result it gets alone."""
+    from casa_mini import worker
+    from casa_mini.types import FileChunk, TaskSpec
+
+    paths = [str(tmp_path / "a.cacf"), str(tmp_path / "b.cacf")]
+    for offset, path in zip((0.0, 100.0), paths):
+        cacf.write_dataset_file({"px": np.arange(100.0) * 2.5 + offset, "py": np.ones(100)}, path)
+    data = worker.DataPath(None)
+    for second in (FileChunk(paths[0], 50, 10, 5), FileChunk(paths[1], 10, 10, 1)):
+        specs = [TaskSpec("job-1", chunk, tuple(PIPELINE)) for chunk in (FileChunk(paths[0], 0, 10, 0), second)]
+        outcomes = worker.execute_run(specs, data, "w1")
+        for spec, outcome in zip(specs, outcomes):
+            (alone,) = worker.execute_run([spec], data, "w1")
+            assert [h.to_dict() for h in outcome.histograms] == [h.to_dict() for h in alone.histograms]
+        assert outcomes[1].n_events_pass == 10
+
+
 def test_worker_runs_adjacent_chunks_of_one_assignment_in_one_pass(tmp_path, monkeypatch):
     """Two adjacent chunks of one file in one AssignTask: one engine pass and
     one proxy request for their columns, and two TaskDone results equal, bit

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casa_mini.bench import stall_report
 from casa_mini.engine.hist import HistError, Histogram
 from casa_mini.engine.pipeline import TaskResult
 from casa_mini.scheduler.state import (
@@ -220,9 +221,7 @@ def test_stall_fields():
     state.expect_worker(0.0, worker_id="w1")
     state.worker_arrived("w1", "alice", 3.0)
     state.schedule_step(3.0)
-    w = state.workers["w1"]
-    assert w.registered_at == 0.0 and w.first_task_at == 3.0
-    assert w.last_heartbeat >= w.registered_at
+    assert stall_report(events_to_csv(state.events)).rows == [("w1", 0.0, 3.0, 3.0)]
 
 
 # ---- autoscale_target ---------------------------------------------------------

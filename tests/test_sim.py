@@ -163,7 +163,7 @@ def test_worker_and_virtual_facility_give_a_task_the_same_result(tmp_path):
     chunk = facility.state.jobs[job_id].chunks[13]
     assert chunk == FileChunk(file=ctx.dataset.files[1], start=3000, len=1000, chunk_id=13)
     spec = TaskSpec(job_id=job_id, chunk=chunk, pipeline=tuple(BENCH_PIPELINE))
-    virtual = facility._execute(spec)  # from the pass over the file's 10 chunks
+    virtual = facility._execute(facility.state.jobs[job_id], 13)  # from the pass over the file's 10 chunks
 
     async def live():
         # the worker's own path: a networked proxy in front of the same files
@@ -377,9 +377,10 @@ def test_kill_and_requeue_preserves_results(tmp_path):
     assert injected.finished_at > clean.finished_at
 
 
-def _batch_transitions(facility, worker_id):
-    handle = next(h for h, j in facility.batch.jobs.items() if j.spec.worker_config["worker_id"] == worker_id)
-    return [(tr.frm, tr.to, tr.t) for tr in facility.batch.transitions if tr.handle == handle]
+def _batch_start(facility, worker_id):
+    """When the worker's batch job was due to start and when it started."""
+    job = next(j for j in facility.batch.jobs.values() if j.spec.worker_config["worker_id"] == worker_id)
+    return job.start_at, job.started_at
 
 
 def test_job_promoted_when_a_worker_dies_starts(tmp_path):
@@ -388,7 +389,7 @@ def test_job_promoted_when_a_worker_dies_starts(tmp_path):
     cfg, ctx = small_ctx(tmp_path, slots=1)
     job, facility = run_once(ctx, fixed_policy(2, cfg), kill_plan=[(4.0, "w0001")])
     assert job.state == "done"
-    assert _batch_transitions(facility, "w0002")[1:3] == [("Queued", "Starting", 4.0), ("Starting", "Running", 7.0)]
+    assert _batch_start(facility, "w0002") == (7.0, 7.0)
 
 
 def test_job_promoted_by_a_scale_down_cancel_starts(tmp_path):
@@ -404,7 +405,7 @@ def test_job_promoted_by_a_scale_down_cancel_starts(tmp_path):
     facility.loop.schedule_at(4.0, scale_down)
     job = facility.run_job(BENCH_PIPELINE, ctx.dataset, cfg.chunk_size, ctx.events_per_file, max_time=1000.0)
     assert job.state == "done"
-    assert _batch_transitions(facility, "w0002")[1:3] == [("Queued", "Starting", 4.0), ("Starting", "Running", 7.0)]
+    assert _batch_start(facility, "w0002") == (7.0, 7.0)
     assert len(facility.batch.jobs) == 2
 
 
