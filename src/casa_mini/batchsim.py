@@ -263,11 +263,6 @@ class BatchService:
                 return wire.ok({"handle": self.sim.submit(JobSpec.from_dict(msg.body), now)})
             if msg.kind == "Cancel":
                 return wire.ok({"state": self.sim.cancel(int(msg.body["handle"]), now)})
-            if msg.kind == "JobStatus":
-                job = self.sim.jobs.get(int(msg.body["handle"]))
-                if job is None:
-                    raise BatchError("unknown job handle")
-                return wire.ok({"state": job.state, "start_at": job.start_at})
             return wire.err("bad_request", f"unsupported kind {msg.kind}")
         except tokens.TokenError as exc:
             return wire.err("bad_token", str(exc))

@@ -15,6 +15,7 @@ the chunk-quantization band around it.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -236,6 +237,13 @@ class SweepResult:
     points: list[BenchmarkPoint]
     csv_text: str
     streams: dict = field(default_factory=dict)  # (n, run) -> task stream CSV text
+
+    def sha256(self) -> str:
+        """SHA-256 of the CSV followed by each task stream, in (n, run) order."""
+        digest = hashlib.sha256(self.csv_text.encode())
+        for key in sorted(self.streams):
+            digest.update(self.streams[key].encode())
+        return digest.hexdigest()
 
 
 def fixed_policy(n: int, cfg: BenchConfig) -> ScalePolicy:

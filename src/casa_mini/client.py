@@ -29,9 +29,6 @@ class BatchClient(wire.Channel):
     async def cancel(self, handle: int) -> str:
         return (await self.call("Cancel", {"handle": handle}))["state"]
 
-    async def status(self, handle: int) -> dict:
-        return await self.call("JobStatus", {"handle": handle})
-
 
 class SchedulerClient(wire.Channel):
     """Client-side session to a scheduler, normally through the SNI ingress."""
@@ -63,7 +60,8 @@ class SchedulerClient(wire.Channel):
         return (await self.call("SubmitJob", body))["job_id"]
 
     async def job_status(self, job_id: str) -> dict:
-        return await self.call("JobStatus", {"job_id": job_id})
+        """The job's current status: a WaitJob that does not wait."""
+        return await self.call("WaitJob", {"job_id": job_id, "timeout": 0})
 
     async def wait_job(self, job_id: str, timeout: float = 60.0) -> dict:
         """The job's status once it has finished or failed.  The scheduler

@@ -133,7 +133,6 @@ class TaskResult:
     n_events_in: int
     n_events_pass: int
     histograms: list[Histogram]
-    worker_id: str = ""
     t_start: float = 0.0
     t_end: float = 0.0
 
@@ -151,7 +150,6 @@ class TaskResult:
             n_events_in=int(d["n_events_in"]),
             n_events_pass=int(d["n_events_pass"]),
             histograms=[Histogram.from_dict(h) for h in d["histograms"]],
-            worker_id=d.get("worker_id", ""),
             t_start=float(d.get("t_start", 0.0)),
             t_end=float(d.get("t_end", 0.0)),
         )

@@ -4,13 +4,15 @@ One process starts every shared service: the identity broker, the SNI
 ingress, the batch system, and the data proxy with its federation origin.
 A successful login provisions that user's cluster: a dedicated scheduler
 behind mutual TLS, an ingress route so the cluster is reachable at
-<cluster-id>.<facility-domain> on the shared address, and an 8-core worker
-(first results without touching the batch system).  The login returns once
-that worker is forked, as Dask Gateway's new_cluster() returns once the
-scheduler runs: the worker registers while the analyst connects, and a job
-submitted first waits in the queue until it does.  A dedicated worker that
-exits while its cluster is up, or does not register in time, fails the
-cluster's unfinished jobs with the reason and takes the cluster down.
+<cluster-id>.<facility-domain> on the shared address, and a dedicated worker
+(first results without touching the batch system) with one task thread per
+CPU of the host, at most DEDICATED_CORES.  Each worker's WorkerHello tells
+the scheduler its cores.  The login returns once that worker is forked, as
+Dask Gateway's new_cluster() returns once the scheduler runs: the worker
+registers while the analyst connects, and a job submitted first waits in
+the queue until it does.  A dedicated worker that exits while its cluster
+is up, or does not register in time, fails the cluster's unfinished jobs
+with the reason and takes the cluster down.
 
 Every worker process, dedicated or batch, is forked by the facility's one
 zygote (`casa_mini.zygote`), which has already imported the worker, so a
@@ -84,7 +86,8 @@ class FacilityConfig:
     delay_model: dict = field(default_factory=lambda: {"s0": 2.0, "c": 1.0, "jitter": 0.0, "seed": 1})
     data_root: str = "data"
     run_dir: str = ""
-    dedicated_cores: int = DEDICATED_CORES
+    # one task thread per CPU this process may run on, at most DEDICATED_CORES
+    dedicated_cores: int = field(default_factory=lambda: min(DEDICATED_CORES, len(os.sched_getaffinity(0))))
     worker_cores: int = BATCH_CORES
     heartbeat_timeout: float = 10.0
 
@@ -107,12 +110,9 @@ class ClusterRecord:
     cluster_id: str
     subject: str
     sni_hostname: str
-    scheduler_addr: tuple[str, int]
     service: SchedulerService
     batch_client: BatchClient  # the scheduler's scale-out link to the batch service
     dedicated_worker: WorkerProcess
-    created_at: float
-    cred_dir: str
     watch: asyncio.Task | None = None  # the watch over the dedicated worker, once provisioned
 
 
@@ -291,7 +291,8 @@ class Facility:
             batch_client = BatchClient(self.addresses["batch"])
             undo.callback(batch_client.close)
 
-            async def scale_submit(worker_id: str, n_cores: int) -> int:
+            async def scale_submit(worker_id: str) -> int:
+                n_cores = self.cfg.worker_cores
                 spec = JobSpec(
                     n_cores=n_cores,
                     worker_config=self._worker_config(bundle, cred_dir, worker_id, n_cores),
@@ -307,7 +308,6 @@ class Facility:
                 policy=ScalePolicy(mode="fixed", fixed_n=0),
                 scale_submit=scale_submit,
                 scale_cancel=scale_cancel,
-                worker_cores=self.cfg.worker_cores,
                 heartbeat_timeout=self.cfg.heartbeat_timeout,
             )
             ssl_ctx = server_ssl_context(
@@ -330,12 +330,9 @@ class Facility:
                 cluster_id=bundle.cluster_id,
                 subject=bundle.subject,
                 sni_hostname=bundle.sni_hostname,
-                scheduler_addr=sched_addr,
                 service=service,
                 batch_client=batch_client,
                 dedicated_worker=dedicated,
-                created_at=time.time(),
-                cred_dir=cred_dir,
             )
             self.clusters[bundle.cluster_id] = record
             record.watch = self._tasks.spawn(self._watch_dedicated_worker(record))
@@ -358,7 +355,7 @@ class Facility:
         config_path = os.path.join(cred_dir, "dedicated-worker.json")
         with open(config_path, "w") as fh:
             json.dump(config, fh)
-        service.state.expect_worker(service.clock(), n_cores=self.cfg.dedicated_cores, worker_id=worker_id)
+        service.state.expect_worker(service.clock(), worker_id=worker_id)
         return await self._spawn_worker(config_path, worker_id)
 
     async def _watch_dedicated_worker(self, record: ClusterRecord) -> None:

@@ -3,9 +3,12 @@
 One asyncio event loop owns all state mutation; connection handlers never
 touch the state concurrently.  Workers and clients both connect to the same
 port (normally through the SNI ingress) with certificates minted by the
-cluster CA; the peer certificate's CN is the caller identity.  A worker's
-reports (Heartbeat, TaskDone, TaskFailed) are one-way, as in dask.distributed:
-it is sent only the Ok to its WorkerHello, AssignTask, and Err to refuse one.
+cluster CA; the peer certificate's CN is the caller identity.  A worker
+says its cores in its WorkerHello, and from then on its connection names it:
+its reports (Heartbeat, TaskDone, TaskFailed) carry no worker id.  They are
+one-way, as in dask.distributed: it is sent only the Ok to its WorkerHello,
+AssignTask, and Err to refuse one.  A client's WaitJob with timeout 0 is its
+status poll.
 Each dispatch sends a worker one AssignTask with every run of tasks that
 dispatch gave it, each job's pipeline once (`types.assignment`); runs whose
 frame would exceed MAX_FRAME are split over as many AssignTasks as need be.
@@ -86,10 +89,9 @@ class SchedulerService:
         self,
         cluster_id: str,
         policy: ScalePolicy | None = None,
-        scale_submit=None,  # async (worker_id, n_cores) -> batch handle
+        scale_submit=None,  # async (worker_id) -> batch handle
         scale_cancel=None,  # async (handle) -> None
         clock=time.time,
-        worker_cores: int = DEFAULT_CORES,
         heartbeat_timeout: float = HEARTBEAT_TIMEOUT,
     ):
         self.state = ClusterState(cluster_id)
@@ -97,7 +99,6 @@ class SchedulerService:
         self.scale_submit = scale_submit
         self.scale_cancel = scale_cancel
         self.clock = clock
-        self.worker_cores = worker_cores
         self.heartbeat_timeout = heartbeat_timeout
         self.autoscaler = Autoscaler(self.state, self.policy, self._request_workers, self._release)
         # worker_id -> its connection's writer, and the lock every send on it holds
@@ -151,12 +152,12 @@ class SchedulerService:
             return
         for _ in range(count):
             worker_id = self.state.next_worker_id()
-            self.state.expect_worker(now, n_cores=self.worker_cores, worker_id=worker_id)
+            self.state.expect_worker(now, worker_id=worker_id)
             self._tasks.spawn(self._submit_one(worker_id))
 
     async def _submit_one(self, worker_id: str) -> None:
         try:
-            handle = await self.scale_submit(worker_id, self.worker_cores)
+            handle = await self.scale_submit(worker_id)
             w = self.state.workers.get(worker_id)
             if w is not None:
                 w.batch_handle = handle
@@ -299,49 +300,38 @@ class SchedulerService:
                     self._tasks.spawn(self._dispatch(now))
             writer.close()
 
-    def _check_sender(self, body: dict, bound: str | None) -> str:
-        """The worker this connection registered as with WorkerHello, which
-        a message body that names a worker must agree with."""
-        if bound is None:
-            raise SchedulerError("no WorkerHello on this connection")
-        named = body.get("worker_id", bound)
-        if named != bound:
-            raise SchedulerError(f"connection of worker {bound!r} sent a message for {named!r}")
-        return bound
-
     async def _one_message(self, msg: wire.WireMessage, identity: str, bound: str | None) -> wire.WireMessage | None:
         """Serve one message: its reply, or None for an accepted worker
-        report.  `bound` is the worker this connection registered as, if any."""
+        report.  `bound` is the worker this connection registered as, if any:
+        the one each report on it is about."""
         now = self.clock()
         try:
             if msg.kind == "WorkerHello":
                 worker_id = self.state.worker_arrived(
-                    msg.body.get("worker_id"),
-                    identity,
-                    now,
-                    n_cores=int(msg.body.get("n_cores", self.worker_cores)),
+                    msg.body.get("worker_id"), now, n_cores=int(msg.body.get("n_cores", DEFAULT_CORES))
                 )
                 self._wake(("worker", worker_id))
                 self._tasks.spawn(self._dispatch(now))
                 return wire.ok({"worker_id": worker_id})
+            if msg.kind in ("Heartbeat", "TaskDone", "TaskFailed") and bound is None:
+                raise SchedulerError("no WorkerHello on this connection")
             if msg.kind == "Heartbeat":
-                self.state.heartbeat(self._check_sender(msg.body, bound), now)
+                self.state.heartbeat(bound, now)
                 return None
             if msg.kind in ("TaskDone", "TaskFailed"):
-                worker_id = self._check_sender(msg.body, bound)
                 job_id, chunk_id = msg.body["job_id"], int(msg.body["chunk_id"])
                 refusal = None
                 if msg.kind == "TaskDone":
                     try:
                         result = TaskResult.from_dict(msg.body["result"])
-                        job_state = self.state.complete_task(worker_id, job_id, chunk_id, result, now)
+                        job_state = self.state.complete_task(bound, job_id, chunk_id, result, now)
                     except (KeyError, TypeError, ValueError) as exc:  # fails the chunk if this worker holds it
                         refusal = wire.err("scheduler_error", str(exc))
-                        job_state = self.state.fail_task(worker_id, job_id, chunk_id, f"bad result: {exc}", now)
+                        job_state = self.state.fail_task(bound, job_id, chunk_id, f"bad result: {exc}", now)
                     self._tasks.spawn(self._dispatch(now))
                 else:
                     reason, transient = msg.body.get("reason", ""), msg.body.get("transient") is True
-                    job_state = self.state.fail_task(worker_id, job_id, chunk_id, reason, now, transient)
+                    job_state = self.state.fail_task(bound, job_id, chunk_id, reason, now, transient)
                     if transient:  # a requeued chunk goes out again at once
                         self._tasks.spawn(self._dispatch(now))
                 if job_state != "running":
@@ -365,13 +355,11 @@ class SchedulerService:
                 self.autoscaler.tick(now)
                 self._tasks.spawn(self._dispatch(now))
                 return wire.ok({"job_id": job_id})
-            if msg.kind in ("JobStatus", "WaitJob"):
+            if msg.kind == "WaitJob":  # with timeout 0, the status poll
                 job_id = msg.body["job_id"]
                 if job_id not in self.state.jobs:
                     return wire.err("unknown_job", f"unknown job {job_id!r}")
-                timeout = 0.0
-                if msg.kind == "WaitJob":
-                    timeout = min(float(msg.body.get("timeout", MAX_WAIT)), MAX_WAIT)
+                timeout = min(float(msg.body.get("timeout", MAX_WAIT)), MAX_WAIT)
                 return wire.ok(await self.wait_job(job_id, timeout))
             if msg.kind == "TaskStream":
                 return wire.ok({"task_stream_csv": events_to_csv(self.state.events)})

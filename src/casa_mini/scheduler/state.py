@@ -9,11 +9,11 @@ Scheduling discipline: tasks leave the queue FIFO by (job order, chunk id);
 among workers with spare cores the one with the fewest cores in use wins,
 worker_id breaking ties.  Workers are recorded when they are *requested*
 (their WorkerUp in the task stream), and become assignable when they
-arrive; the gap from that WorkerUp to their first TaskStart is the
-per-worker stall the benchmark profiles (bench.stall_report reads both from
-the task stream).  A chunk whose task failed for a transient reason is
-queued again, at most TASK_RETRIES times, and goes to a worker other than
-the one it failed on where another is free.
+arrive, with the cores they say they run; the gap from that WorkerUp to
+their first TaskStart is the per-worker stall the benchmark profiles
+(bench.stall_report reads both from the task stream).  A chunk whose task
+failed for a transient reason is queued again, at most TASK_RETRIES times,
+and goes to a worker other than the one it failed on where another is free.
 
 A core runs a run of chunks until its last chunk is released; schedule_step
 says which run each task starts or continues.  A virtual worker charges each
@@ -84,9 +84,8 @@ def autoscale_target(queued: int, running: int, policy: ScalePolicy) -> int:
 @dataclass
 class WorkerState:
     worker_id: str
-    identity: str
     last_heartbeat: float
-    n_cores: int = DEFAULT_CORES
+    n_cores: int = 0  # as the worker's first hello says
     # (job_id, chunk_id) -> the set of its run's running chunks, or None; in the order assigned
     running: dict = field(default_factory=dict)
     in_use: int = 0  # cores in use: one per run that holds a running chunk
@@ -212,40 +211,27 @@ class ClusterState:
         self._worker_seq += 1
         return f"w{self._worker_seq:04d}"
 
-    def expect_worker(
-        self,
-        now: float,
-        n_cores: int = DEFAULT_CORES,
-        worker_id: str | None = None,
-        batch_handle: int | None = None,
-    ) -> str:
+    def expect_worker(self, now: float, worker_id: str | None = None, batch_handle: int | None = None) -> str:
         """Record a requested worker; it becomes assignable once it arrives."""
         worker_id = worker_id or self.next_worker_id()
         if worker_id in self.workers:
             raise SchedulerError(f"worker {worker_id!r} already known")
-        self.workers[worker_id] = WorkerState(
-            worker_id=worker_id,
-            identity="",
-            last_heartbeat=now,
-            n_cores=n_cores,
-            batch_handle=batch_handle,
-        )
+        self.workers[worker_id] = WorkerState(worker_id=worker_id, last_heartbeat=now, batch_handle=batch_handle)
         self.events.append(TaskStreamEvent("WorkerUp", worker_id, None, now, "requested"))
         return worker_id
 
-    def worker_arrived(
-        self,
-        worker_id: str | None,
-        identity: str,
-        now: float,
-        n_cores: int = DEFAULT_CORES,
-    ) -> str:
-        """WorkerHello: activate a requested worker, or direct-register a new one."""
+    def worker_arrived(self, worker_id: str | None, now: float, n_cores: int) -> str:
+        """WorkerHello: activate a requested worker, or direct-register a new
+        one, with the cores it says it runs; a worker already arrived keeps
+        the count of its first hello."""
+        if n_cores < 1:
+            raise SchedulerError(f"a worker needs at least one core, not {n_cores}")
         if worker_id is None or worker_id not in self.workers:
-            worker_id = self.expect_worker(now, n_cores=n_cores, worker_id=worker_id)
+            worker_id = self.expect_worker(now, worker_id=worker_id)
         w = self.workers[worker_id]
+        if not w.arrived:
+            w.n_cores = n_cores
         w.arrived = True
-        w.identity = identity
         w.last_heartbeat = max(w.last_heartbeat, now)
         w.idle_since = now
         self._offer(w)

@@ -126,9 +126,7 @@ class VirtualFacility:
                 batch_token=self.batch_token,
             )
             handle = self.batch.submit(spec, now)
-            self.state.expect_worker(
-                now, n_cores=self.params.n_cores, worker_id=worker_id, batch_handle=handle
-            )
+            self.state.expect_worker(now, worker_id=worker_id, batch_handle=handle)
 
     def _release(self, w: WorkerState, now: float) -> None:
         """A dropped worker's batch job is cancelled (a no-op for a job that
@@ -140,7 +138,7 @@ class VirtualFacility:
         worker_id = job.spec.worker_config["worker_id"]
         if worker_id not in self.state.workers:
             return  # cancelled before it started
-        self.state.worker_arrived(worker_id, "sim", t, n_cores=job.spec.n_cores)
+        self.state.worker_arrived(worker_id, t, n_cores=job.spec.n_cores)
         self._dispatch(t)
 
     # ---- failure injection --------------------------------------------------
@@ -181,7 +179,7 @@ class VirtualFacility:
         job_id, chunk_id = key
         outcome = self._execute(self.state.jobs[job_id], chunk_id)
         if isinstance(outcome, TaskResult):
-            outcome.worker_id, outcome.t_start, outcome.t_end = worker_id, started, now
+            outcome.t_start, outcome.t_end = started, now
             self.state.complete_task(worker_id, job_id, chunk_id, outcome, now)
         else:  # as SchedulerService takes a live worker's TaskFailed
             reason, transient = task_failure(outcome)

@@ -35,7 +35,6 @@ KINDS = frozenset(
         "TaskDone",
         "TaskFailed",
         "SubmitJob",
-        "JobStatus",
         "WaitJob",
         "ScaleRequest",
         "TaskStream",

@@ -8,8 +8,10 @@ and every run of tasks that dispatch gave this worker (adjacent chunks of one
 file of one job, one core each).  The worker runs each run as sent through
 `run_span`, as the virtual facility does (one read of its span, one segmented
 engine pass), on one of its task threads, one per logical core, so heartbeats
-keep flowing.  Each task gets its own TaskDone, or a TaskFailed whose reason
-and transience come from `task_failure`.
+keep flowing.  The WorkerHello says the worker's cores (its task threads),
+and from then on the connection names the worker to the scheduler, so no
+report carries its id.  Each task gets its own TaskDone, or a TaskFailed
+whose reason and transience come from `task_failure`.
 Reports get no reply unless the scheduler refuses one, with an Err the
 worker logs.  A task's chunk reaches its pipeline through DataPath, which
 the virtual facility (`sim`) uses too: remote files come from the caching
@@ -169,8 +171,8 @@ def task_failure(exc: Exception) -> tuple[str, bool]:
     return reason, isinstance(exc, TRANSIENT_ERRORS)
 
 
-def execute_run(specs: Sequence[TaskSpec], data: DataPath, worker_id: str) -> list[TaskResult | Exception]:
-    """run_span's outcomes for a run of tasks, each result stamped with this worker and the run's times."""
+def execute_run(specs: Sequence[TaskSpec], data: DataPath) -> list[TaskResult | Exception]:
+    """run_span's outcomes for a run of tasks, each result stamped with the run's times."""
     t_start = time.time()
     try:
         outcomes = run_span([spec.chunk for spec in specs], data.pipeline(specs[0]), data, run_pipeline)
@@ -178,7 +180,7 @@ def execute_run(specs: Sequence[TaskSpec], data: DataPath, worker_id: str) -> li
         return [exc] * len(specs)
     t_end = time.time()
     for result in [outcome for outcome in outcomes if isinstance(outcome, TaskResult)]:
-        result.worker_id, result.t_start, result.t_end = worker_id, t_start, t_end
+        result.t_start, result.t_end = t_start, t_end
     return outcomes
 
 
@@ -214,8 +216,7 @@ class WorkerAgent:
     async def _heartbeat_loop(self) -> None:
         while True:
             await asyncio.sleep(HEARTBEAT_INTERVAL)
-            if self.worker_id:
-                await self._send(wire.WireMessage("Heartbeat", {"worker_id": self.worker_id}))
+            await self._send(wire.WireMessage("Heartbeat", {}))
 
     def _assign(self, body: dict) -> None:
         """Start an AssignTask's runs of tasks, each as sent on its own task thread."""
@@ -225,10 +226,10 @@ class WorkerAgent:
     async def _run(self, specs: Sequence[TaskSpec]) -> None:
         """Run one run of tasks on a task thread and report each task."""
         loop = asyncio.get_running_loop()
-        outcomes = await loop.run_in_executor(self._pool, execute_run, specs, self._data, self.worker_id)
+        outcomes = await loop.run_in_executor(self._pool, execute_run, specs, self._data)
         reports = []
         for spec, outcome in zip(specs, outcomes):
-            reply = {"worker_id": self.worker_id, "job_id": spec.job_id, "chunk_id": spec.chunk.chunk_id}
+            reply = {"job_id": spec.job_id, "chunk_id": spec.chunk.chunk_id}
             if isinstance(outcome, TaskResult):
                 reports.append(wire.WireMessage("TaskDone", {**reply, "result": outcome.to_dict()}))
                 continue

@@ -98,7 +98,7 @@ def test_login_provision_and_dedicated_worker(idp_keys, tmp_path, caplog):
             job_id = await sc.submit_job(PIPELINE, "mini", list(dataset.files), epf, chunk_size=50)
             await record.service.wait_worker("alice-1-dedicated", 30)
             dedicated = record.service.state.workers["alice-1-dedicated"]
-            assert dedicated.arrived and dedicated.n_cores == 8
+            assert dedicated.arrived and dedicated.n_cores == min(8, len(os.sched_getaffinity(0)))
             status = await sc.wait_job(job_id, timeout=30)
             assert status["state"] == "done"
             # served entirely by the dedicated worker: the batch system saw nothing
@@ -119,6 +119,10 @@ def test_login_provision_and_dedicated_worker(idp_keys, tmp_path, caplog):
     # stop() ends the watch over the registered dedicated worker before it reaps the worker
     warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
     assert not any("dedicated worker" in m for m in warnings), warnings
+
+
+def test_the_dedicated_worker_runs_a_task_thread_per_host_cpu_up_to_eight():
+    assert FacilityConfig().dedicated_cores == min(8, len(os.sched_getaffinity(0)))
 
 
 def test_cluster_whose_dedicated_worker_dies_fails_at_once_and_leaves_nothing(idp_keys, tmp_path, caplog):
@@ -450,7 +454,7 @@ def test_teardown_closes_batch_client(idp_keys, tmp_path):
             await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
             batch_client = facility.clusters["alice-1"].batch_client
             with pytest.raises(wire.RequestError):  # any request opens the connection
-                await batch_client.status(999)
+                await batch_client.cancel(999)
             writer = batch_client._conn[1]
             await facility.teardown_cluster("alice-1")
             assert batch_client._conn is None
@@ -595,7 +599,7 @@ def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
         )
         proxy_client = ProxyClient(cfg.proxy)
         data = DataPath(proxy_client.fetch, cfg.data_token)
-        (outcome,) = await asyncio.to_thread(execute_run, [spec], data, "w1")
+        (outcome,) = await asyncio.to_thread(execute_run, [spec], data)
         assert isinstance(outcome, TokenError)
         assert task_failure(outcome) == (f"data token rejected: {outcome}", False)
         proxy_client.close()
@@ -647,7 +651,7 @@ def test_worker_keeps_headers_and_proxy_connection_across_tasks(tmp_path, monkey
         data = DataPath(proxy_client.fetch, cfg.data_token)
         try:
             # one thread, as a task thread runs one task after another
-            results = await asyncio.to_thread(lambda: [execute_run([s], data, "w1")[0] for s in specs])
+            results = await asyncio.to_thread(lambda: [execute_run([s], data)[0] for s in specs])
             assert len(proxy_client._socks) == 1
         finally:
             proxy_client.close()
@@ -676,7 +680,7 @@ def test_worker_header_cache_is_bounded(tmp_path, monkeypatch):
     data = worker.DataPath(None)
     for i, path in enumerate([paths[0], paths[0], paths[1], paths[0]]):
         spec = TaskSpec(job_id="job-1", chunk=FileChunk(file=path, start=0, len=10, chunk_id=i), pipeline=tuple(PIPELINE))
-        assert worker.execute_run([spec], data, "w1")[0].n_events_in == 10
+        assert worker.execute_run([spec], data)[0].n_events_in == 10
     assert len(header_reads) == 3  # b pushed a out
     assert list(data._files) == [paths[0]]
 
@@ -693,7 +697,7 @@ def test_data_path_opens_each_local_file_once(tmp_path, opened_paths):
     for i in range(20):
         chunk = FileChunk(file=paths[i % 2], start=10 * (i // 2), len=10, chunk_id=i)
         spec = TaskSpec(job_id="job-1", chunk=chunk, pipeline=tuple(PIPELINE))
-        assert worker.execute_run([spec], data, "w1")[0].n_events_in == 10
+        assert worker.execute_run([spec], data)[0].n_events_in == 10
     assert opened_paths == paths
 
 
@@ -710,7 +714,7 @@ for i in range(120):
     path = {str(tmp_path)!r} + f"/f{{i}}.cacf"
     cacf.write_dataset_file({{"px": np.arange(10.0), "py": np.ones(10)}}, path)
     spec = TaskSpec("job-1", FileChunk(path, 0, 10, i), tuple({PIPELINE!r}))
-    assert worker.execute_run([spec], data, "w1")[0].n_events_in == 10
+    assert worker.execute_run([spec], data)[0].n_events_in == 10
 print(len(data._files), worker.HEADER_CACHE_FILES)
 """
     src = os.path.dirname(os.path.dirname(cacf.__file__))
@@ -748,7 +752,7 @@ def test_evicted_file_stays_open_for_a_read_in_flight(tmp_path, monkeypatch):
 
     def task(name: str, start: int):
         spec = TaskSpec(job_id="j", chunk=FileChunk(file=paths[name], start=start, len=20, chunk_id=0), pipeline=tuple(PIPELINE))
-        got = worker.execute_run([spec], data, "w1")[0]
+        got = worker.execute_run([spec], data)[0]
         piece = ColumnBatch({n: v[start : start + 20] for n, v in columns[name].items()})
         (want,) = run_pipeline(piece, pipeline).results
         assert [h.to_dict() for h in got.histograms] == [h.to_dict() for h in want.histograms]
@@ -823,7 +827,7 @@ def test_a_pass_that_raises_is_run_again_chunk_by_chunk(tmp_path, monkeypatch):
     cacf.write_dataset_file({"px": np.arange(25.0), "py": np.ones(25)}, path)
     state = ClusterState()  # told 30 events: the last chunk runs past the file's 25
     state.submit_job(PIPELINE, DatasetSpec("d", (path,), 30), 10, 0.0, events_per_file=[30])
-    state.worker_arrived("w1", "alice", 0.0, n_cores=1)
+    state.worker_arrived("w1", 0.0, n_cores=1)
     given = state.schedule_step(0.0, join_runs=True)
     assert [joins for _, _, joins in given] == [False, True, True]  # one run, whose pass raises
     specs = [spec for _, spec, _ in given]
@@ -831,11 +835,11 @@ def test_a_pass_that_raises_is_run_again_chunk_by_chunk(tmp_path, monkeypatch):
     engine = worker.run_pipeline
     monkeypatch.setattr(worker, "run_pipeline", lambda batch, p, n, ids: passes.append(ids) or engine(batch, p, n, ids))
     data = worker.DataPath(None)
-    outcomes = worker.execute_run(specs, data, "w1")
+    outcomes = worker.execute_run(specs, data)
     assert passes == [[0], [1]]  # then each chunk alone, and the last one's read raises
     assert isinstance(outcomes[2], cacf.CacfError) and "chunk out of range" in str(outcomes[2])
     for spec, outcome in zip(specs[:2], outcomes):
-        (alone,) = worker.execute_run([spec], data, "w1")
+        (alone,) = worker.execute_run([spec], data)
         assert outcome.to_dict() | {"t_start": 0, "t_end": 0} == alone.to_dict() | {"t_start": 0, "t_end": 0}
 
 
@@ -851,9 +855,9 @@ def test_a_run_that_is_not_one_span_is_run_chunk_by_chunk(tmp_path):
     data = worker.DataPath(None)
     for second in (FileChunk(paths[0], 50, 10, 5), FileChunk(paths[1], 10, 10, 1)):
         specs = [TaskSpec("job-1", chunk, tuple(PIPELINE)) for chunk in (FileChunk(paths[0], 0, 10, 0), second)]
-        outcomes = worker.execute_run(specs, data, "w1")
+        outcomes = worker.execute_run(specs, data)
         for spec, outcome in zip(specs, outcomes):
-            (alone,) = worker.execute_run([spec], data, "w1")
+            (alone,) = worker.execute_run([spec], data)
             assert [h.to_dict() for h in outcome.histograms] == [h.to_dict() for h in alone.histograms]
         assert outcomes[1].n_events_pass == 10
 
@@ -907,7 +911,7 @@ def test_worker_runs_adjacent_chunks_of_one_assignment_in_one_pass(tmp_path, mon
                 await asyncio.sleep(0.01)
             seen = (list(segments), list(requests))
             data = worker.DataPath(client.fetch, token)
-            alone = [await asyncio.to_thread(worker.execute_run, [spec], data, "w1") for spec in specs]
+            alone = [await asyncio.to_thread(worker.execute_run, [spec], data) for spec in specs]
         finally:
             await agent._tasks.close()
             agent._proxy.close()
@@ -944,7 +948,7 @@ def test_a_worker_runs_the_runs_it_is_sent_one_pass_each_all_at_once(tmp_path, m
         cacf.write_dataset_file({"px": np.arange(40_000.0), "py": np.ones(40_000)}, path)
     state = ClusterState()
     state.submit_job(PIPELINE, DatasetSpec("d", tuple(paths), 80_000), 5000, 0.0, events_per_file=[40_000] * 2)
-    state.worker_arrived("w1", "alice", 0.0, n_cores=8)
+    state.worker_arrived("w1", 0.0, n_cores=8)
     runs = []
     for _, spec, joins in state.schedule_step(0.0, join_runs=True):
         if joins:
@@ -1119,7 +1123,7 @@ def test_worker_compiles_each_jobs_pipeline_once(tmp_path, monkeypatch):
 
     def run(job_id, chunk_id):
         chunk = FileChunk(file=path, start=10 * chunk_id, len=10, chunk_id=chunk_id)
-        return worker.execute_run([TaskSpec(job_id=job_id, chunk=chunk, pipeline=tuple(PIPELINE))], data, "w1")[0]
+        return worker.execute_run([TaskSpec(job_id=job_id, chunk=chunk, pipeline=tuple(PIPELINE))], data)[0]
 
     results = [run("job-1", i) for i in range(4)]
     assert len(built) == 1  # four tasks of one job, one KernelPipeline

@@ -144,9 +144,9 @@ def test_filters_keep_only_live_columns_with_the_same_result(seed, n_events):
 def test_task_result_round_trip():
     batch = ColumnBatch({"px": np.array([3.0, 0.0]), "py": np.array([4.0, 0.0])})
     (result,) = run_pipeline(batch, KernelPipeline.from_json(PIPELINE_JSON), chunk_ids=[7]).results
-    result.worker_id = "w1"
+    result.t_start, result.t_end = 1.0, 2.5
     back = TaskResult.from_dict(result.to_dict())
-    assert back.chunk_id == 7 and back.worker_id == "w1"
+    assert (back.chunk_id, back.t_start, back.t_end) == (7, 1.0, 2.5)
     assert back.n_events_pass == result.n_events_pass
     assert np.array_equal(back.histograms[0].counts, result.histograms[0].counts)
     with pytest.raises(ValueError):

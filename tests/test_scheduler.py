@@ -68,7 +68,7 @@ def test_schedule_three_tasks_one_worker():
     state = ClusterState()
     ds, epf = _dataset(n_files=1, events=150)
     state.submit_job(PIPELINE, ds, 50, 0.0, events_per_file=epf)
-    state.worker_arrived("w1", "alice", 1.0, n_cores=4)
+    state.worker_arrived("w1", 1.0, n_cores=4)
     assignments = state.schedule_step(1.0)
     assert [w for w, _, _ in assignments] == ["w1", "w1", "w1"]
     assert len(state.workers["w1"].running) == 3
@@ -78,8 +78,8 @@ def test_schedule_tiebreak_lowest_worker_id():
     state = ClusterState()
     ds, epf = _dataset(n_files=1, events=50)
     state.submit_job(PIPELINE, ds, 50, 0.0, events_per_file=epf)
-    state.worker_arrived("w2", "alice", 1.0)
-    state.worker_arrived("w1", "alice", 1.0)
+    state.worker_arrived("w2", 1.0, n_cores=4)
+    state.worker_arrived("w1", 1.0, n_cores=4)
     assignments = state.schedule_step(1.0)
     assert assignments[0][0] == "w1"
 
@@ -94,7 +94,7 @@ def test_schedule_fifo_across_jobs():
     state = ClusterState()
     j1 = _submit(state, chunk_size=100, n_files=1)  # 1 chunk
     j2 = _submit(state, chunk_size=100, n_files=1)
-    state.worker_arrived("w1", "alice", 1.0, n_cores=1)
+    state.worker_arrived("w1", 1.0, n_cores=1)
     ((_, first, _),) = state.schedule_step(1.0)
     assert first.job_id == j1
     state.complete_task("w1", j1, 0, _result(0, n=100), 2.0)
@@ -105,7 +105,7 @@ def test_schedule_fifo_across_jobs():
 def test_respects_core_limit():
     state = ClusterState()
     _submit(state, chunk_size=10)  # 20 chunks
-    state.worker_arrived("w1", "alice", 0.0, n_cores=4)
+    state.worker_arrived("w1", 0.0, n_cores=4)
     assignments = state.schedule_step(0.0)
     assert len(assignments) == 4
     assert state.schedule_step(0.0) == []  # full
@@ -114,7 +114,7 @@ def test_respects_core_limit():
 def test_complete_flow_and_merge():
     state = ClusterState()
     job_id = _submit(state, chunk_size=100, n_files=2)  # 2 chunks
-    state.worker_arrived("w1", "alice", 0.0)
+    state.worker_arrived("w1", 0.0, n_cores=4)
     state.schedule_step(0.0)
     state.complete_task("w1", job_id, 0, _result(0, n=100, counts=(1, 2)), 1.0)
     assert state.jobs[job_id].state == "running"
@@ -127,7 +127,7 @@ def test_complete_flow_and_merge():
 def test_completions_merge_into_the_jobs_own_copy():
     state = ClusterState()
     job_id = _submit(state, chunk_size=100, n_files=2)  # 2 chunks
-    state.worker_arrived("w1", "alice", 0.0)
+    state.worker_arrived("w1", 0.0, n_cores=4)
     state.schedule_step(0.0)
     first, second = _result(0, n=100, counts=(1, 2)), _result(1, n=100, counts=(4, 8))
     state.complete_task("w1", job_id, 0, first, 1.0)
@@ -142,7 +142,7 @@ def test_completions_merge_into_the_jobs_own_copy():
 def test_mismatched_histogram_spec_changes_nothing():
     state = ClusterState()
     job_id = _submit(state, chunk_size=100, n_files=2)  # 2 chunks
-    state.worker_arrived("w1", "alice", 0.0)
+    state.worker_arrived("w1", 0.0, n_cores=4)
     state.schedule_step(0.0)
 
     def result(chunk_id, g_bins):
@@ -162,7 +162,7 @@ def test_mismatched_histogram_spec_changes_nothing():
 def test_duplicate_completion_idempotent():
     state = ClusterState()
     job_id = _submit(state, chunk_size=100, n_files=1)
-    state.worker_arrived("w1", "alice", 0.0)
+    state.worker_arrived("w1", 0.0, n_cores=4)
     state.schedule_step(0.0)
     state.complete_task("w1", job_id, 0, _result(0, n=100), 1.0)
     before = state.jobs[job_id].status()
@@ -174,7 +174,7 @@ def test_duplicate_completion_idempotent():
 def test_completion_from_wrong_worker_rejected():
     state = ClusterState()
     job_id = _submit(state, chunk_size=100, n_files=1)
-    state.worker_arrived("w1", "alice", 0.0)
+    state.worker_arrived("w1", 0.0, n_cores=4)
     state.schedule_step(0.0)
     with pytest.raises(SchedulerError, match="not assigned"):
         state.complete_task("w9", job_id, 0, _result(0, n=100), 1.0)
@@ -183,7 +183,7 @@ def test_completion_from_wrong_worker_rejected():
 def test_reap_requeues_running_chunks():
     state = ClusterState()
     job_id = _submit(state, chunk_size=100)  # 2 chunks
-    state.worker_arrived("w1", "alice", 0.0)
+    state.worker_arrived("w1", 0.0, n_cores=4)
     state.schedule_step(0.0)
     assert len(state.jobs[job_id].assigned) == 2
     assert state.reap_lost_workers(now=20.0, timeout=10.0) == ["w1"]
@@ -194,16 +194,26 @@ def test_reap_requeues_running_chunks():
     assert state.events[-1].detail == "heartbeat timeout"
     assert state.jobs[job_id].queued == {0, 1}
     # a fresh worker picks the chunks back up
-    state.worker_arrived("w2", "alice", 21.0)
+    state.worker_arrived("w2", 21.0, n_cores=4)
     assert len(state.schedule_step(21.0)) == 2
 
 
 def test_reap_no_timeouts():
     state = ClusterState()
-    state.worker_arrived("w1", "alice", 0.0)
+    state.worker_arrived("w1", 0.0, n_cores=4)
     state.heartbeat("w1", 5.0)
     assert state.reap_lost_workers(now=6.0, timeout=10.0) == []
     assert "w1" in state.workers
+
+
+def test_a_second_hello_keeps_the_first_core_count():
+    state = ClusterState()
+    _submit(state)
+    state.worker_arrived("w1", 0.0, n_cores=4)
+    assert len(state.schedule_step(0.0)) == 4
+    state.worker_arrived("w1", 1.0, n_cores=1)  # fewer cores than it has in use
+    w = state.workers["w1"]
+    assert (w.n_cores, w.in_use, w.capacity) == (4, 4, 0)
 
 
 def test_requested_workers_not_assignable():
@@ -211,7 +221,7 @@ def test_requested_workers_not_assignable():
     _submit(state)
     state.expect_worker(0.0, worker_id="w1")
     assert state.schedule_step(0.0) == []  # requested but not arrived
-    state.worker_arrived("w1", "alice", 3.0)
+    state.worker_arrived("w1", 3.0, n_cores=4)
     assert len(state.schedule_step(3.0)) == 4
 
 
@@ -219,7 +229,7 @@ def test_stall_fields():
     state = ClusterState()
     _submit(state)
     state.expect_worker(0.0, worker_id="w1")
-    state.worker_arrived("w1", "alice", 3.0)
+    state.worker_arrived("w1", 3.0, n_cores=4)
     state.schedule_step(3.0)
     assert stall_report(events_to_csv(state.events)).rows == [("w1", 0.0, 3.0, 3.0)]
 
@@ -280,7 +290,7 @@ def test_autoscaler_requests_and_cancels():
     assert len(requested) == 2
     # drain the queue, workers become idle, scale-down after idle_timeout
     for wid in requested:
-        state.worker_arrived(wid, "alice", 1.0)
+        state.worker_arrived(wid, 1.0, n_cores=4)
     state.schedule_step(1.0)
     job = next(iter(state.jobs.values()))
     for chunk_id, wid in list(job.assigned.items()):
@@ -298,9 +308,9 @@ def test_scale_down_drops_only_workers_with_a_batch_job():
     as supply but is never scaled down, however long it idles; an idle
     worker the autoscaler requested from the batch system still is."""
     state = ClusterState()
-    state.worker_arrived("d1", "alice", 0.0)
+    state.worker_arrived("d1", 0.0, n_cores=4)
     state.expect_worker(0.0, worker_id="w1", batch_handle=7)
-    state.worker_arrived("w1", "alice", 0.0)
+    state.worker_arrived("w1", 0.0, n_cores=4)
     requested, cancelled = [], []
     policy = ScalePolicy(mode="fixed", fixed_n=0, idle_timeout=0.5)
     scaler = Autoscaler(
@@ -319,7 +329,7 @@ def test_scale_down_drops_only_workers_with_a_batch_job():
 def test_events_csv_shape():
     state = ClusterState()
     _submit(state)
-    state.worker_arrived("w1", "alice", 1.5)
+    state.worker_arrived("w1", 1.5, n_cores=4)
     state.schedule_step(1.5)
     text = events_to_csv(state.events)
     lines = text.splitlines()
@@ -331,7 +341,7 @@ def test_events_csv_shape():
 def test_fail_task_marks_failed():
     state = ClusterState()
     job_id = _submit(state, chunk_size=100, n_files=1)
-    state.worker_arrived("w1", "alice", 0.0)
+    state.worker_arrived("w1", 0.0, n_cores=4)
     state.schedule_step(0.0)
     assert state.fail_task("w1", job_id, 0, "boom", 1.0) == "failed"
     assert state.jobs[job_id].failed == {0}
@@ -341,7 +351,7 @@ def test_a_transient_failure_requeues_its_chunk_on_another_worker():
     state = ClusterState()
     job_id = _submit(state, chunk_size=100, n_files=1)  # one chunk
     for worker_id in ("w1", "w2"):
-        state.worker_arrived(worker_id, "alice", 0.0, n_cores=1)
+        state.worker_arrived(worker_id, 0.0, n_cores=1)
     ran_on = [state.schedule_step(0.0)[0][0]]
     for t in (1.0, 2.0):
         assert state.fail_task(ran_on[-1], job_id, 0, "proxy connection lost", t, transient=True) == "running"
@@ -360,7 +370,7 @@ def test_a_transient_failure_requeues_its_chunk_on_another_worker():
 def test_a_transient_failure_retries_on_the_same_worker_when_no_other_is_free():
     state = ClusterState()
     job_id = _submit(state, chunk_size=100, n_files=1)
-    state.worker_arrived("w1", "alice", 0.0, n_cores=1)
+    state.worker_arrived("w1", 0.0, n_cores=1)
     state.schedule_step(0.0)
     state.fail_task("w1", job_id, 0, "origin connection lost", 1.0, transient=True)
     assert [(w, spec.chunk.chunk_id) for w, spec, _ in state.schedule_step(1.0)] == [("w1", 0)]
@@ -433,9 +443,9 @@ def test_worker_choice_matches_scan(ops, join_runs):
             (wid, job_id, chunk_id) for wid, w in state.workers.items() for job_id, chunk_id in w.running
         )
         if op == "expect" and worker_id not in state.workers:
-            state.expect_worker(now, n_cores=n, worker_id=worker_id)
+            state.expect_worker(now, worker_id=worker_id)
         elif op == "arrive":
-            state.worker_arrived(worker_id, "alice", now, n_cores=n)
+            state.worker_arrived(worker_id, now, n_cores=n)
         elif op == "schedule":
             _schedule_checked(state, now, join_runs)
         elif op in ("complete", "fail") and tasks:
@@ -458,7 +468,7 @@ def test_worker_heap_stays_bounded():
     # completion leaves one out-of-date entry behind until it is rebuilt.
     state = ClusterState()
     for k, n_cores in enumerate((1, 2, 4, 8)):
-        state.worker_arrived(f"w{k}", "alice", 0.0, n_cores=n_cores)
+        state.worker_arrived(f"w{k}", 0.0, n_cores=n_cores)
     bound = 2 * len(state.workers)
     for cycle in range(10_000):
         now = float(cycle)
@@ -480,7 +490,7 @@ def test_a_joined_run_ends_at_the_pass_bound_and_at_its_file():
     half = PASS_EVENTS // 2  # two chunks make one full pass
     ds = DatasetSpec(name="d", files=("f0", "f1"), n_events_total=6 * half)
     job_id = state.submit_job(PIPELINE, ds, half, now=0.0, events_per_file=[3 * half] * 2)  # chunks 0-2, 3-5
-    state.worker_arrived("w1", "alice", 0.0, n_cores=1)
+    state.worker_arrived("w1", 0.0, n_cores=1)
     w = state.workers["w1"]
 
     def step(now):
@@ -506,12 +516,12 @@ def _first_runs(sizes, done):
     (j, chunk) in `done` were done elsewhere and the rest queued again."""
     state = ClusterState()
     jobs = [_submit(state, chunk_size=10, n_files=1, events=10 * n) for n in sizes]
-    state.worker_arrived("w0", "alice", 0.0, n_cores=sum(sizes))
+    state.worker_arrived("w0", 0.0, n_cores=sum(sizes))
     state.schedule_step(0.0)
     for j, chunk_id in done:
         state.complete_task("w0", jobs[j], chunk_id, _result(chunk_id, n=10), 0.0)
     state.remove_worker("w0", 0.0, "gone")
-    state.worker_arrived("w1", "alice", 1.0, n_cores=1)
+    state.worker_arrived("w1", 1.0, n_cores=1)
     return [(spec.job_id, spec.chunk.chunk_id, joins) for _, spec, joins in state.schedule_step(1.0, join_runs=True)]
 
 
@@ -525,7 +535,7 @@ def test_a_run_ends_at_a_gap_and_at_its_job():
 def test_a_failed_job_ends_with_its_first_reason_and_time():
     state = ClusterState()
     job_id = _submit(state, chunk_size=50, n_files=1)  # 2 chunks
-    state.worker_arrived("w1", "alice", 0.0)
+    state.worker_arrived("w1", 0.0, n_cores=4)
     state.schedule_step(0.0)
     assert state.fail_task("w1", job_id, 0, "chunk out of range", 1.0) == "running"
     assert state.jobs[job_id].finished_at is None

@@ -79,11 +79,11 @@ class Rig:
         return w
 
 
-def done_body(task: dict, worker_id: str, histograms=()) -> dict:
+def done_body(task: dict, histograms=()) -> dict:
     """A TaskDone for an assigned task, with the given result histograms."""
     chunk = task["chunk"]
     result = TaskResult(chunk["chunk_id"], chunk["len"], 0, list(histograms))
-    return {"worker_id": worker_id, "job_id": task["job_id"], "chunk_id": chunk["chunk_id"], "result": result.to_dict()}
+    return {"job_id": task["job_id"], "chunk_id": chunk["chunk_id"], "result": result.to_dict()}
 
 
 class ScriptedWorker:
@@ -119,8 +119,8 @@ class ScriptedWorker:
             assert msg.kind == "AssignTask", msg
         return self.assigned.pop(0)
 
-    async def done(self, task: dict, worker_id: str) -> None:
-        await self.report("TaskDone", done_body(task, worker_id))
+    async def done(self, task: dict) -> None:
+        await self.report("TaskDone", done_body(task))
 
     def close(self):
         self.writer.close()
@@ -137,7 +137,7 @@ def test_wait_job_returns_when_the_job_finishes(tls):
                 waiting = asyncio.ensure_future(rig.client.wait_job(job_id, timeout=10))
                 await asyncio.sleep(0.05)
                 assert not waiting.done()
-                await w.done(task, "w1")
+                await w.done(task)
                 status = await waiting
                 lags.append(time.time() - status["finished_at"])
                 assert status["state"] == "done"
@@ -172,7 +172,7 @@ def test_task_stream_is_its_own_request(tls):
             w = await rig.worker("w1")
             job_id = await rig.submit(chunk_size=100)
             for _ in range(2):
-                await w.done(await w.next_task(), "w1")
+                await w.done(await w.next_task())
             assert (await rig.client.wait_job(job_id, timeout=10))["state"] == "done"
             policy = vars(rig.service.policy).copy()
             text = await rig.client.task_stream_csv()
@@ -192,7 +192,7 @@ def test_wait_on_finished_job_returns_at_once(tls):
         async with Rig(tls) as rig:
             w = await rig.worker("w1")
             job_id = await rig.submit()
-            await w.done(await w.next_task(), "w1")
+            await w.done(await w.next_task())
             status = await asyncio.wait_for(rig.service.wait_job(job_id, 5.0), 0.05)
             assert status["state"] == "done"
             w.close()
@@ -253,7 +253,7 @@ def test_cancelled_wait_leaves_the_client_usable(tls, caplog):
             # the owed WaitJob reply is not taken for the next request's
             second = await rig.submit()
             assert second != job_id
-            await w.done(await w.next_task(), "w1")
+            await w.done(await w.next_task())
             assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
             w.close()
 
@@ -269,7 +269,7 @@ def test_done_events_are_dropped_once_fired(tls):
             for _ in range(3):
                 job_id = await rig.submit()
                 waiting = asyncio.ensure_future(rig.client.wait_job(job_id, timeout=10))
-                await w.done(await w.next_task(), "w1")
+                await w.done(await w.next_task())
                 assert (await waiting)["state"] == "done"
             assert rig.service._waiters == {}
             w.close()
@@ -300,19 +300,18 @@ def test_task_reports_use_the_connection_worker(tls):
             b = await rig.worker("wB")
             job_id = await rig.submit(chunk_size=100)  # two chunks, one each
             task_a, task_b = await a.next_task(), await b.next_task()
-            # wA claims wB's chunk: refused, and the chunk stays wB's
-            reply = await a.request("TaskDone", done_body(task_b, "wB"))
+            # a report on wA's connection is about wA: a failure of wB's chunk is ignored, as a stale one is
+            await a.report("TaskFailed", {"job_id": job_id, "chunk_id": task_b["chunk"]["chunk_id"], "reason": "x"})
+            # wA's claim of wB's chunk is refused, and the chunk stays wB's
+            reply = await a.request("TaskDone", done_body(task_b))
             assert reply.kind == "Err" and "wA" in reply.body["message"]
-            # nor may wA report wB's chunk as its own: a malformed result fails no chunk it does not hold
-            bad = {**done_body(task_b, "wA"), "result": {"chunk_id": 1}}
+            # a malformed result fails no chunk its sender does not hold
+            bad = {**done_body(task_b), "result": {"chunk_id": 1}}
             assert (await a.request("TaskDone", bad)).kind == "Err"
-            body = {"worker_id": "wB", "job_id": job_id, "chunk_id": task_b["chunk"]["chunk_id"], "reason": "x"}
-            assert (await a.request("TaskFailed", body)).kind == "Err"
-            assert (await a.request("Heartbeat", {"worker_id": "wB"})).kind == "Err"
             job = rig.service.state.jobs[job_id]
             assert job.assigned == {0: "wA", 1: "wB"} and not job.failed
-            await a.done(task_a, "wA")
-            await b.done(task_b, "wB")
+            await a.done(task_a)
+            await b.done(task_b)
             assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
             a.close()
             b.close()
@@ -325,13 +324,14 @@ def test_worker_gets_only_its_hello_reply_tasks_and_refusals(tls):
         async with Rig(tls) as rig:
             w = await rig.worker("w1")
             job_id = await rig.submit(chunk_size=50)  # four chunks, all assigned to w1's four cores
-            await w.report("Heartbeat", {"worker_id": "w1"})
+            await w.report("Heartbeat", {})
             for _ in range(4):
-                await w.done(await w.next_task(), "w1")
-                await w.report("Heartbeat", {"worker_id": "w1"})
+                task = await w.next_task()
+                await w.done(task)
+                await w.report("Heartbeat", {})
             assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
             # replies come in order, so once this refusal is read every earlier report's reply would have been
-            assert (await w.request("Heartbeat", {"worker_id": "w2"})).kind == "Err"
+            assert (await w.request("TaskDone", {**done_body(task), "chunk_id": 99})).kind == "Err"
             kinds = [msg.kind for msg in w.received]
             assert kinds == ["Ok", "AssignTask", "Err"], kinds  # the four tasks in one AssignTask
             assert sum(map(len, w.received[1].body["runs"])) == 4
@@ -342,6 +342,35 @@ def test_worker_gets_only_its_hello_reply_tasks_and_refusals(tls):
                     break
                 await asyncio.sleep(0.01)
             assert rig.service._worker_conns == {}
+
+    run_async(scenario())
+
+
+def test_a_requested_worker_runs_the_cores_its_hello_says(tls):
+    async def scenario():
+        async with Rig(tls) as rig:
+            rig.service.state.expect_worker(rig.service.clock(), worker_id="w1")  # as a dedicated worker is
+            w = await rig.connect()
+            assert (await w.request("WorkerHello", {"worker_id": "w1", "n_cores": 2})).kind == "Ok"
+            assert rig.service.state.workers["w1"].n_cores == 2
+            await rig.submit(chunk_size=50)  # four chunks: two runs of two, one per core
+            assert [[t["chunk"]["chunk_id"] for t in run] for run in (await w._read()).body["runs"]] == [[0, 1], [2, 3]]
+            w.close()
+
+    run_async(scenario())
+
+
+def test_a_worker_with_no_core_or_no_hello_is_refused(tls):
+    async def scenario():
+        async with Rig(tls) as rig:
+            w = await rig.connect()
+            reply = await w.request("WorkerHello", {"worker_id": "w1", "n_cores": 0})
+            assert reply.kind == "Err" and "core" in reply.body["message"]
+            assert rig.service.state.workers == {}
+            # the connection has not said a WorkerHello that was taken, so its reports are refused
+            reply = await w.request("Heartbeat", {})
+            assert reply.kind == "Err" and "WorkerHello" in reply.body["message"]
+            w.close()
 
     run_async(scenario())
 
@@ -364,7 +393,7 @@ def test_an_assignment_carries_each_pipeline_once(tls, monkeypatch):
             assert [msg.kind for msg in w.received] == ["Ok", "AssignTask"]
             assert len(w.received[1].body["pipelines"]) == 1
             for task in tasks:
-                await w.done(task, "w1")
+                await w.done(task)
             assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
             w.close()
 
@@ -384,7 +413,7 @@ def test_an_assignment_past_the_frame_limit_is_split_or_its_task_failed(tls, mon
             tasks = [await asyncio.wait_for(w.next_task(), 5) for _ in jobs]
             assert [msg.kind for msg in w.received] == ["Ok", "AssignTask", "AssignTask"]
             for task in tasks:
-                await w.done(task, "w1")
+                await w.done(task)
             for job_id in jobs:
                 assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
             w.close()
@@ -434,11 +463,11 @@ def test_a_transient_task_failure_sends_its_chunk_out_again(tls):
             w = await rig.worker("w1")
             job_id = await rig.submit(chunk_size=200)  # one chunk
             task = await w.next_task()
-            failed = {"worker_id": "w1", "job_id": job_id, "chunk_id": 0, "reason": "proxy connection closed"}
+            failed = {"job_id": job_id, "chunk_id": 0, "reason": "proxy connection closed"}
             await w.report("TaskFailed", {**failed, "transient": True})
             again = await asyncio.wait_for(w.next_task(), 5)  # no other worker: the same one
             assert again == task
-            await w.done(again, "w1")
+            await w.done(again)
             assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
             # a failure not marked transient (the field must be true) fails its chunk at once
             job_id = await rig.submit(chunk_size=200)
@@ -464,8 +493,8 @@ def test_result_that_cannot_be_merged_fails_its_job(tls, result):
             w = await rig.worker("w1")
             job_id = await rig.submit(chunk_size=100)  # two chunks
             first, second = await w.next_task(), await w.next_task()
-            await w.report("TaskDone", done_body(first, "w1", [Histogram("h_pt", 10, 0.0, 100.0)]))
-            body = done_body(second, "w1")
+            await w.report("TaskDone", done_body(first, [Histogram("h_pt", 10, 0.0, 100.0)]))
+            body = done_body(second)
             body["result"].update(result)
             assert (await w.request("TaskDone", body)).kind == "Err"
             status = await asyncio.wait_for(rig.client.wait_job(job_id, timeout=1), 1.0)
@@ -519,7 +548,7 @@ def test_close_ends_open_connections(tls, caplog):
         async with Rig(tls) as rig:
             job_id = await rig.submit()
             conn = await rig.connect()
-            assert (await conn.request("JobStatus", {"job_id": job_id})).kind == "Ok"
+            assert (await conn.request("WaitJob", {"job_id": job_id, "timeout": 0})).kind == "Ok"
             await rig.service.close()
             # the handler has ended and closed the connection
             assert await asyncio.wait_for(conn.reader.read(), 5) == b""
@@ -570,7 +599,7 @@ def test_chunks_of_a_worker_whose_connection_closes_go_to_another(tls):
             w1.close()
             moved = await asyncio.wait_for(w2.next_task(), 1.0)
             assert moved == task
-            await w2.done(moved, "w2")
+            await w2.done(moved)
             assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
             assert "w1" not in rig.service.state.workers
             downs = [(e.worker_id, e.detail) for e in rig.service.state.events if e.kind == "WorkerDown"]
@@ -591,7 +620,7 @@ def test_silent_batch_worker_is_dropped_with_its_batch_job_and_connection(tls):
     handles = iter(range(100, 200))
     cancelled = []
 
-    async def scale_submit(worker_id, n_cores):
+    async def scale_submit(worker_id):
         return next(handles)
 
     async def scale_cancel(handle):
@@ -649,7 +678,7 @@ def test_a_free_worker_gets_a_small_job_in_one_assignment(tls):
             worker = rig.service.state.workers["w1"]
             assert (len(worker.running), worker.in_use, worker.capacity) == (8, 4, 0)
             for task in tasks:
-                await w.done(task, "w1")
+                await w.done(task)
             assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
             assert (worker.running, worker.in_use, worker.capacity) == ({}, 0, 4)
             w.close()
@@ -675,7 +704,7 @@ def test_an_eight_core_worker_is_sent_the_scheduler_runs(tls):
             assert (len(worker.running), worker.in_use) == (16, 8)
             in_use = []
             for task in tasks:
-                await w.done(task, "w1")
+                await w.done(task)
                 await until(lambda: task["chunk"]["chunk_id"] not in rig.service.state.jobs[job_id].assigned)
                 in_use.append(worker.in_use)
             assert in_use == [8 - (i + 1) // 2 for i in range(16)]  # 8, 7, 7, 6, 6, ..., 1, 1, 0
@@ -695,9 +724,9 @@ def test_two_free_workers_share_a_small_job_a_chunk_per_core(tls):
             job_id = await rig.submit(chunk_size=25)
             given = {"w1": await assignment_of(w1), "w2": await assignment_of(w2)}
             assert {wid: chunk_ids(tasks) for wid, tasks in given.items()} == {"w1": [0, 2, 4, 6], "w2": [1, 3, 5, 7]}
-            for (wid, tasks), w in zip(given.items(), (w1, w2)):
+            for tasks, w in zip(given.values(), (w1, w2)):
                 for task in tasks:
-                    await w.done(task, wid)
+                    await w.done(task)
             assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
             w1.close()
             w2.close()
@@ -715,7 +744,7 @@ def test_a_retried_chunk_does_not_join_a_run_on_the_worker_it_failed_on(tls):
             failed = [
                 wire.WireMessage(
                     "TaskFailed",
-                    {"worker_id": "w1", "job_id": job_id, "chunk_id": i, "reason": "proxy connection closed", "transient": True},
+                    {"job_id": job_id, "chunk_id": i, "reason": "proxy connection closed", "transient": True},
                 )
                 for i in (0, 1)
             ]
@@ -723,10 +752,10 @@ def test_a_retried_chunk_does_not_join_a_run_on_the_worker_it_failed_on(tls):
             await w.writer.drain()
             # one core is free again: chunk 0 retries on it, and chunk 1, a retry too, does not join it
             assert chunk_ids(await assignment_of(w)) == [0]
-            await w.done(tasks[0], "w1")
+            await w.done(tasks[0])
             assert chunk_ids(await assignment_of(w)) == [1]
             for task in tasks[1:]:
-                await w.done(task, "w1")
+                await w.done(task)
             assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
             retried = [e.chunk_id for e in rig.service.state.events if e.detail.startswith("retried")]
             assert sorted(retried) == [0, 1]
@@ -747,7 +776,7 @@ def test_every_chunk_of_a_joined_run_is_requeued_when_its_worker_drops(tls):
             tasks = await assignment_of(w2)
             assert chunk_ids(tasks) == list(range(8))
             for task in tasks:
-                await w2.done(task, "w2")
+                await w2.done(task)
             status = await rig.client.wait_job(job_id, timeout=5)
             assert (status["state"], status["done"], status["n_events_in"]) == ("done", 8, 200)
             starts = [e.worker_id for e in rig.service.state.events if e.kind == "TaskStart"]

@@ -242,13 +242,13 @@ def test_cancelled_batch_request_leaves_no_reply_for_the_next():
         async with _scripted(held_first) as addr:
             batch = BatchClient(addr)
             try:
-                first = asyncio.create_task(batch.status(1))
+                first = asyncio.create_task(batch.call("Cancel", {"handle": 1}))
                 while received == 0:
                     await asyncio.sleep(0.005)
                 first.cancel()
                 with pytest.raises(asyncio.CancelledError):
                     await first
-                assert await asyncio.wait_for(batch.status(2), 2.0) == {"handle": 2}
+                assert await asyncio.wait_for(batch.call("Cancel", {"handle": 2}), 2.0) == {"handle": 2}
             finally:
                 batch.close()
 
@@ -273,13 +273,13 @@ def test_failed_exchange_closes_the_connection(bad_reply):
         async with _scripted(answers_once) as addr:
             batch = BatchClient(addr)
             try:
-                assert await batch.status(1) == {"handle": 1}
+                assert await batch.call("Cancel", {"handle": 1}) == {"handle": 1}
                 writer = batch._conn[1]
                 with pytest.raises((asyncio.IncompleteReadError, wire.WireError)):
-                    await asyncio.wait_for(batch.status(1), 2.0)
+                    await asyncio.wait_for(batch.call("Cancel", {"handle": 1}), 2.0)
                 assert batch._conn is None and writer.is_closing()
                 # the next request opens a new connection
-                assert await asyncio.wait_for(batch.status(1), 2.0) == {"handle": 1}
+                assert await asyncio.wait_for(batch.call("Cancel", {"handle": 1}), 2.0) == {"handle": 1}
             finally:
                 batch.close()
 

@@ -50,14 +50,6 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
-def sweep_digest(cfg: bench.BenchConfig, root: str) -> str:
-    result = bench.run_sweep(cfg, root)
-    digest = hashlib.sha256(result.csv_text.encode())
-    for key in sorted(result.streams):
-        digest.update(result.streams[key].encode())
-    return digest.hexdigest()
-
-
 def wide_config(seed: int, quick: bool) -> bench.BenchConfig:
     """casabench's `wide` shape."""
     if quick:
@@ -100,7 +92,7 @@ def main(argv=None) -> int:
         sweep_cfg = replace(sweep_cfg, sweep=(2, 4), repeats=2)
     with tempfile.TemporaryDirectory(prefix="sim-digest-") as root:
         wide_sha, retained = wide_digest(wide_config(args.seed, args.quick), root)
-        out = {"seed": args.seed, "quick": args.quick, "sweep_sha256": sweep_digest(sweep_cfg, root)}
+        out = {"seed": args.seed, "quick": args.quick, "sweep_sha256": bench.run_sweep(sweep_cfg, root).sha256()}
     out.update(wide_sha256=wide_sha, wide_retained=retained)
     print(json.dumps(out, indent=1))
     return 0
