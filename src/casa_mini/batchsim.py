@@ -259,7 +259,7 @@ class BatchService:
     async def _respond(self, msg: wire.WireMessage) -> wire.WireMessage:
         now = self.clock()
         try:
-            if msg.kind == "SubmitJob":
+            if msg.kind == "SubmitBatchJob":
                 return wire.ok({"handle": self.sim.submit(JobSpec.from_dict(msg.body), now)})
             if msg.kind == "Cancel":
                 return wire.ok({"state": self.sim.cancel(int(msg.body["handle"]), now)})

@@ -246,6 +246,15 @@ class SweepResult:
         return digest.hexdigest()
 
 
+def job_sha256(job, events: list) -> str:
+    """SHA-256 of a job's task stream (`events_to_csv` of `events`) followed
+    by its merged histograms, in name order."""
+    digest = hashlib.sha256(events_to_csv(events).encode())
+    histograms = [job.merged[name].to_dict() for name in sorted(job.merged)]
+    digest.update(json.dumps(histograms, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 def fixed_policy(n: int, cfg: BenchConfig) -> ScalePolicy:
     return ScalePolicy(
         mode="fixed",

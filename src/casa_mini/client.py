@@ -24,7 +24,7 @@ class BatchClient(wire.Channel):
         super().__init__(lambda: asyncio.open_connection(*addr))
 
     async def submit(self, spec: JobSpec) -> int:
-        return int((await self.call("SubmitJob", spec.to_dict()))["handle"])
+        return int((await self.call("SubmitBatchJob", spec.to_dict()))["handle"])
 
     async def cancel(self, handle: int) -> str:
         return (await self.call("Cancel", {"handle": handle}))["state"]

@@ -14,6 +14,10 @@ the queue until it does.  A dedicated worker that exits while its cluster
 is up, or does not register in time, fails the cluster's unfinished jobs
 with the reason and takes the cluster down.
 
+A cluster's scheduler submits and cancels its batch workers on the
+facility's BatchSim in this process; a new batch worker gets the tokens of
+the cluster's latest login, and a running one keeps those it started with.
+
 Every worker process, dedicated or batch, is forked by the facility's one
 zygote (`casa_mini.zygote`), which has already imported the worker, so a
 login does not wait for Python to start and numpy to import.  A worker's
@@ -35,11 +39,9 @@ from dataclasses import dataclass, field
 
 from . import authd, wire
 from .batchsim import BatchService, BatchSim, DelayModel, JobSpec
-from .client import BatchClient
 from .data_proxy import DataProxyServer, OriginServer
 from .ingress import SniProxy
 from .scheduler.service import SchedulerService, server_ssl_context
-from .scheduler.state import ScalePolicy
 from .zygote import WorkerProcess, Zygote, ZygoteError
 
 log = logging.getLogger(__name__)
@@ -107,13 +109,14 @@ class FacilityConfig:
 
 @dataclass
 class ClusterRecord:
-    cluster_id: str
-    subject: str
-    sni_hostname: str
+    bundle: authd.CredentialBundle  # the latest login's; new batch workers get its tokens
     service: SchedulerService
-    batch_client: BatchClient  # the scheduler's scale-out link to the batch service
-    dedicated_worker: WorkerProcess
+    dedicated_worker: WorkerProcess | None = None  # once forked
     watch: asyncio.Task | None = None  # the watch over the dedicated worker, once provisioned
+
+    @property
+    def cluster_id(self) -> str:
+        return self.bundle.cluster_id
 
 
 class Facility:
@@ -243,11 +246,11 @@ class Facility:
     # ---- provisioning --------------------------------------------------------------
 
     async def _on_login(self, bundle: authd.CredentialBundle) -> dict:
-        record = await self.provision_cluster(bundle)
+        await self.provision_cluster(bundle)
         return {
             "ingress": list(self.addresses["ingress"]),
             "data_proxy": list(self.addresses["data_proxy"]),
-            "sni_hostname": record.sni_hostname,
+            "sni_hostname": bundle.sni_hostname,
         }
 
     def _write_creds(self, bundle: authd.CredentialBundle) -> str:
@@ -279,37 +282,33 @@ class Facility:
             "n_cores": n_cores,
         }
 
+    def _batch_worker(self, bundle: authd.CredentialBundle, cred_dir: str, worker_id: str) -> JobSpec:
+        """The batch job of a scale-out worker, with the given login's tokens."""
+        n_cores = self.cfg.worker_cores
+        return JobSpec(
+            n_cores=n_cores,
+            worker_config=self._worker_config(bundle, cred_dir, worker_id, n_cores),
+            batch_token=bundle.batch_token,
+        )
+
     async def provision_cluster(self, bundle: authd.CredentialBundle) -> ClusterRecord:
         """The user's cluster, provisioned once its scheduler listens, its
-        route is registered and its dedicated worker is forked."""
+        route is registered and its dedicated worker is forked.  A cluster
+        already up keeps running and takes the bundle's fresh tokens."""
         async with self._provision_lock, contextlib.AsyncExitStack() as undo:
             existing = self.clusters.get(bundle.cluster_id)
             if existing is not None:
+                existing.bundle = bundle
                 return existing
             # until the cluster is provisioned, a failure undoes every step taken
             cred_dir = self._write_creds(bundle)
-            batch_client = BatchClient(self.addresses["batch"])
-            undo.callback(batch_client.close)
-
-            async def scale_submit(worker_id: str) -> int:
-                n_cores = self.cfg.worker_cores
-                spec = JobSpec(
-                    n_cores=n_cores,
-                    worker_config=self._worker_config(bundle, cred_dir, worker_id, n_cores),
-                    batch_token=bundle.batch_token,
-                )
-                return await batch_client.submit(spec)
-
-            async def scale_cancel(handle: int) -> None:
-                await batch_client.cancel(handle)
-
             service = SchedulerService(
                 bundle.cluster_id,
-                policy=ScalePolicy(mode="fixed", fixed_n=0),
-                scale_submit=scale_submit,
-                scale_cancel=scale_cancel,
+                self.batch_sim,
+                lambda worker_id: self._batch_worker(record.bundle, cred_dir, worker_id),
                 heartbeat_timeout=self.cfg.heartbeat_timeout,
             )
+            record = ClusterRecord(bundle, service)  # before anything can ask for a batch worker
             ssl_ctx = server_ssl_context(
                 os.path.join(cred_dir, "host-cert.pem"),
                 os.path.join(cred_dir, "host-key.pem"),
@@ -324,16 +323,8 @@ class Facility:
             self.sni.routes.register(bundle.sni_hostname, sched_addr)
             undo.callback(self.sni.routes.remove, bundle.sni_hostname)
 
-            dedicated = await self._spawn_dedicated_worker(bundle, cred_dir, service)
+            record.dedicated_worker = await self._spawn_dedicated_worker(bundle, cred_dir, service)
             undo.pop_all()  # provisioned: teardown_cluster releases it all from here on
-            record = ClusterRecord(
-                cluster_id=bundle.cluster_id,
-                subject=bundle.subject,
-                sni_hostname=bundle.sni_hostname,
-                service=service,
-                batch_client=batch_client,
-                dedicated_worker=dedicated,
-            )
             self.clusters[bundle.cluster_id] = record
             record.watch = self._tasks.spawn(self._watch_dedicated_worker(record))
             log.info(
@@ -397,13 +388,11 @@ class Facility:
     async def _release_cluster(self, record: ClusterRecord, reason: str) -> None:
         """End what a cluster taken out of self.clusters holds; its
         unfinished jobs fail with `reason`."""
-        await record.service.cancel_all_batch_workers()
         try:
-            self.sni.routes.remove(record.sni_hostname)
+            self.sni.routes.remove(record.bundle.sni_hostname)
         except Exception:
             pass
-        await record.service.close(reason)
-        record.batch_client.close()
+        await record.service.close(reason)  # cancels every batch job the cluster holds
         await reap(record.dedicated_worker)
 
 

@@ -15,6 +15,9 @@ frame would exceed MAX_FRAME are split over as many AssignTasks as need be.
 The dispatch asks ClusterState.schedule_step to join runs of adjacent chunks
 of one file, one core each, and the worker runs each run it is sent as one
 engine pass on one task thread, so a small job goes out at once.
+Scale-out is the virtual facility's: the Autoscaler submits and cancels
+batch jobs on the facility's BatchSim with no await, and close() drops
+every worker still held, so no batch job outlives its cluster.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import ssl
 import time
 
 from .. import wire
+from ..batchsim import BatchSim
 from ..engine.pipeline import TaskResult
 from ..types import DatasetSpec, TaskSpec, assignment
 from .state import (
@@ -83,24 +87,23 @@ def assign_frames(runs: list[list[TaskSpec]]) -> list[tuple[list[list[TaskSpec]]
 
 
 class SchedulerService:
-    """TLS front end over ClusterState plus the batch scale-out adapter."""
+    """TLS front end over ClusterState, scaling out onto the facility's
+    BatchSim; worker_spec(worker_id) is the JobSpec of a batch worker."""
 
     def __init__(
         self,
         cluster_id: str,
+        batch: BatchSim,
+        worker_spec,
         policy: ScalePolicy | None = None,
-        scale_submit=None,  # async (worker_id) -> batch handle
-        scale_cancel=None,  # async (handle) -> None
         clock=time.time,
         heartbeat_timeout: float = HEARTBEAT_TIMEOUT,
     ):
         self.state = ClusterState(cluster_id)
         self.policy = policy or ScalePolicy(mode="fixed", fixed_n=0)
-        self.scale_submit = scale_submit
-        self.scale_cancel = scale_cancel
         self.clock = clock
         self.heartbeat_timeout = heartbeat_timeout
-        self.autoscaler = Autoscaler(self.state, self.policy, self._request_workers, self._release)
+        self.autoscaler = Autoscaler(self.state, self.policy, batch, worker_spec, self._release)
         # worker_id -> its connection's writer, and the lock every send on it holds
         self._worker_conns: dict[str, tuple[asyncio.StreamWriter, asyncio.Lock]] = {}
         self._server: asyncio.AbstractServer | None = None
@@ -126,12 +129,16 @@ class SchedulerService:
         return addr[0], addr[1]
 
     async def close(self, reason: str = "cluster closed") -> None:
-        """Stop serving.  Every unfinished job fails with `reason`, and every
+        """Stop serving.  Every worker is dropped with `reason`, so its batch
+        job is cancelled, and every unfinished job fails with it; every
         waiter wakes: a client waiting on a job gets its failed status.
         Requests in progress send their replies, then every connection ends."""
         self._closed = True
         await self._tasks.close()
-        self.state.fail_unfinished(self.clock(), reason)
+        now = self.clock()
+        for worker_id in list(self.state.workers):  # no tick or request asks for more from here on
+            self.autoscaler.drop_worker(worker_id, now, reason)
+        self.state.fail_unfinished(now, reason)
         answering = list(self._answering)
         for event in self._waiters.values():
             event.set()
@@ -140,44 +147,11 @@ class SchedulerService:
             await asyncio.wait(answering, timeout=CLOSE_GRACE)
         await self._conns.close(self._server)
 
-    async def cancel_all_batch_workers(self) -> None:
-        for w in list(self.state.workers.values()):
-            if w.batch_handle is not None and self.scale_cancel is not None:
-                await self._cancel_handle(w.batch_handle)
-
-    # ---- autoscale plumbing --------------------------------------------------
-
-    def _request_workers(self, count: int, now: float) -> None:
-        if self.scale_submit is None:
-            return
-        for _ in range(count):
-            worker_id = self.state.next_worker_id()
-            self.state.expect_worker(now, worker_id=worker_id)
-            self._tasks.spawn(self._submit_one(worker_id))
-
-    async def _submit_one(self, worker_id: str) -> None:
-        try:
-            handle = await self.scale_submit(worker_id)
-            w = self.state.workers.get(worker_id)
-            if w is not None:
-                w.batch_handle = handle
-        except Exception as exc:
-            log.warning("batch submit for %s failed: %s", worker_id, exc)
-            self.autoscaler.drop_worker(worker_id, self.clock(), f"batch submit failed: {exc}")
-
     def _release(self, w: WorkerState, now: float) -> None:
-        """A dropped worker's connection closes and its batch job is cancelled."""
+        """A dropped worker's connection closes."""
         conn = self._worker_conns.pop(w.worker_id, None)
         if conn is not None:
             conn[0].close()
-        if w.batch_handle is not None and self.scale_cancel is not None:
-            self._tasks.spawn(self._cancel_handle(w.batch_handle))
-
-    async def _cancel_handle(self, handle) -> None:
-        try:
-            await self.scale_cancel(handle)
-        except Exception as exc:
-            log.warning("batch cancel %s failed: %s", handle, exc)
 
     async def _tick_loop(self) -> None:
         while True:

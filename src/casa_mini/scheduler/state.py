@@ -8,7 +8,8 @@ here.
 Scheduling discipline: tasks leave the queue FIFO by (job order, chunk id);
 among workers with spare cores the one with the fewest cores in use wins,
 worker_id breaking ties.  Workers are recorded when they are *requested*
-(their WorkerUp in the task stream), and become assignable when they
+(their WorkerUp in the task stream; the Autoscaler submits each one's batch
+job in the same call, on either facility), and become assignable when they
 arrive, with the cores they say they run; the gap from that WorkerUp to
 their first TaskStart is the per-worker stall the benchmark profiles
 (bench.stall_report reads both from the task stream).  A chunk whose task
@@ -39,8 +40,10 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 
+from ..batchsim import BatchError, BatchSim
 from ..cacf import plan_chunks
 from ..engine.pipeline import KernelPipeline, TaskResult
+from ..tokens import TokenError
 from ..types import PASS_EVENTS, DatasetSpec, FileChunk, TaskSpec
 
 log = logging.getLogger(__name__)
@@ -207,16 +210,15 @@ class ClusterState:
                 return w
         return None
 
-    def next_worker_id(self) -> str:
-        self._worker_seq += 1
-        return f"w{self._worker_seq:04d}"
-
-    def expect_worker(self, now: float, worker_id: str | None = None, batch_handle: int | None = None) -> str:
-        """Record a requested worker; it becomes assignable once it arrives."""
-        worker_id = worker_id or self.next_worker_id()
+    def expect_worker(self, now: float, worker_id: str | None = None) -> str:
+        """Record a requested worker, by default the next wNNNN; it becomes
+        assignable once it arrives."""
+        if not worker_id:
+            self._worker_seq += 1
+            worker_id = f"w{self._worker_seq:04d}"
         if worker_id in self.workers:
             raise SchedulerError(f"worker {worker_id!r} already known")
-        self.workers[worker_id] = WorkerState(worker_id=worker_id, last_heartbeat=now, batch_handle=batch_handle)
+        self.workers[worker_id] = WorkerState(worker_id=worker_id, last_heartbeat=now)
         self.events.append(TaskStreamEvent("WorkerUp", worker_id, None, now, "requested"))
         return worker_id
 
@@ -475,33 +477,49 @@ class ClusterState:
 
 
 class Autoscaler:
-    """Drives worker supply toward the policy target via batch callbacks,
-    and is the one way a worker leaves the cluster.
+    """Drives worker supply toward the policy target on the facility's
+    BatchSim, and is the one way a worker leaves the cluster.
 
-    request_workers(count, now) must create the batch jobs and call
-    state.expect_worker for each.  Every departure (scale-down, a closed
-    connection, a heartbeat timeout, a failed batch submit, a killed
-    virtual worker) goes through drop_worker, which requeues the worker's
-    chunks, records its WorkerDown, and calls release(worker, now) to end
-    what the worker still holds: its batch job and its connection.
-    Scale-down touches only workers with a batch job that are idle past
-    the policy's idle_timeout; every worker counts as supply.
+    Both facilities build it with worker_spec(worker_id) -> JobSpec.  A
+    request records the worker and submits its batch job in one call, so it
+    has its batch handle at once; a refused submit (an expired batch token,
+    say) drops it again and never raises out of tick.  Every departure
+    (scale-down, a closed connection, a heartbeat timeout, a refused submit,
+    a killed virtual worker) goes through drop_worker, which requeues the
+    worker's chunks, records its WorkerDown, cancels its batch job and calls
+    release(worker, now), if given: the live service closes its connection.
+    Scale-down touches only workers with a batch job that are idle past the
+    policy's idle_timeout; every worker counts as supply.
     """
 
-    def __init__(self, state: ClusterState, policy: ScalePolicy, request_workers, release):
+    def __init__(self, state: ClusterState, policy: ScalePolicy, batch: BatchSim, worker_spec, release=None):
         self.state = state
         self.policy = policy
-        self.request_workers = request_workers
+        self.batch = batch
+        self.worker_spec = worker_spec  # (worker_id) -> JobSpec
         self.release = release
         self._last_target: int | None = None
 
+    def _request_worker(self, now: float) -> None:
+        """Record a new worker and submit its batch job."""
+        worker_id = self.state.expect_worker(now)
+        spec = self.worker_spec(worker_id)
+        try:
+            self.state.workers[worker_id].batch_handle = self.batch.submit(spec, now)
+        except (TokenError, BatchError) as exc:
+            log.warning("batch submit for %s failed: %s", worker_id, exc)
+            self.drop_worker(worker_id, now, f"batch submit failed: {exc}")
+
     def drop_worker(self, worker_id: str, now: float, reason: str) -> list[int]:
-        """Remove a worker and release what it holds; the chunk ids requeued."""
+        """Remove a worker and end what it holds; the chunk ids requeued."""
         w = self.state.workers.get(worker_id)
         if w is None:
             return []
         requeued = self.state.remove_worker(worker_id, now, reason)
-        self.release(w, now)
+        if w.batch_handle is not None:
+            self.batch.cancel(w.batch_handle, now)
+        if self.release is not None:
+            self.release(w, now)
         log.info("worker %s down (%s); %d chunks requeued", worker_id, reason, len(requeued))
         return requeued
 
@@ -517,7 +535,8 @@ class Autoscaler:
             self._last_target = target
         supply = self.state.n_supplied()
         if target > supply:
-            self.request_workers(target - supply, now)
+            for _ in range(target - supply):
+                self._request_worker(now)
         elif target < supply:
             spare = supply - target
             for worker_id in self.state.idle_workers(now, self.policy.idle_timeout)[:spare]:

@@ -15,6 +15,10 @@ worker's run_span (one read, one segmented engine pass); the other chunks'
 outcomes wait for their own tasks, so the per-call cost of the engine is
 paid once per file, not once per chunk.
 
+Scale-out is the live scheduler's: the Autoscaler submits and cancels
+each worker's batch job on this facility's BatchSim, and a worker arrives
+when its job starts.
+
 Tasks and workers fail as live ones do: a chunk's error goes through the
 worker's task_failure to ClusterState.fail_task, so its job ends `failed`.  A
 killed worker is a process exit: its batch job finishes and its connection
@@ -41,7 +45,6 @@ from .scheduler.state import (
     ClusterState,
     JobState,
     ScalePolicy,
-    WorkerState,
 )
 from .types import DatasetSpec, FileChunk, passes
 from .worker import DataPath, run_span, task_failure
@@ -108,7 +111,7 @@ class VirtualFacility:
             on_start=self._on_batch_start,
         )
         self.batch.wake = lambda t: self.loop.schedule_at(t, lambda: self.batch.advance(t))
-        self.autoscaler = Autoscaler(self.state, policy, self._request_workers, self._release)
+        self.autoscaler = Autoscaler(self.state, policy, self.batch, self._worker_spec)
         self.data = DataPath(proxy.fetch, data_token)  # the live worker's data path
         # (job_id, first chunk_id of a pass) -> outcomes not yet handed out, least recently used first
         self._results: OrderedDict[tuple[str, int], dict[int, TaskResult | Exception]] = OrderedDict()
@@ -117,22 +120,8 @@ class VirtualFacility:
 
     # ---- batch plumbing ----------------------------------------------------
 
-    def _request_workers(self, count: int, now: float) -> None:
-        for _ in range(count):
-            worker_id = self.state.next_worker_id()
-            spec = JobSpec(
-                n_cores=self.params.n_cores,
-                worker_config={"worker_id": worker_id},
-                batch_token=self.batch_token,
-            )
-            handle = self.batch.submit(spec, now)
-            self.state.expect_worker(now, worker_id=worker_id, batch_handle=handle)
-
-    def _release(self, w: WorkerState, now: float) -> None:
-        """A dropped worker's batch job is cancelled (a no-op for a job that
-        has finished); its chunks' completions find it gone."""
-        if w.batch_handle is not None:
-            self.batch.cancel(w.batch_handle, now)
+    def _worker_spec(self, worker_id: str) -> JobSpec:
+        return JobSpec(self.params.n_cores, {"worker_id": worker_id}, self.batch_token)
 
     def _on_batch_start(self, job, t: float) -> None:
         worker_id = job.spec.worker_config["worker_id"]

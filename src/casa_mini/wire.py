@@ -39,6 +39,7 @@ KINDS = frozenset(
         "ScaleRequest",
         "TaskStream",
         # facility services
+        "SubmitBatchJob",
         "Login",
         "Fetch",
         "RegisterRoute",

@@ -89,7 +89,7 @@ def test_login_provision_and_dedicated_worker(idp_keys, tmp_path, caplog):
             assert reply["cluster_id"] == "alice-1"
             assert reply["sni_hostname"] == "alice-1.dask.local"
             record = facility.clusters["alice-1"]
-            assert record.subject == "alice"
+            assert record.bundle.subject == "alice"
 
             creds = write_client_creds(reply, str(tmp_path / "alice"))
             sc = scheduler_client(reply, creds)
@@ -446,19 +446,53 @@ def test_stop_reaps_dedicated_worker(idp_keys, tmp_path):
     run_async(scenario())
 
 
-def test_teardown_closes_batch_client(idp_keys, tmp_path):
+def test_a_teardown_cancels_every_batch_job_however_soon_after_the_scale_out(idp_keys, tmp_path):
+    """A scale-out tick, then a teardown 0 to 20 event-loop iterations later:
+    each time, every batch job the tick asked for ends Cancelled and no slot
+    stays committed."""
+
     async def scenario():
-        facility, dataset, epf = small_facility(idp_keys, tmp_path)
+        facility, _, _ = small_facility(idp_keys, tmp_path)
+        sim = facility.batch_sim
+        await facility.start()
+        try:
+            for offset in range(21):
+                bundle = facility.auth.login(make_assertion(idp_keys, sub=f"user{offset}"))
+                service = (await facility.provision_cluster(bundle)).service
+                service.policy.fixed_n = 4  # the dedicated worker and three batch workers
+                service.autoscaler.tick(service.clock())
+                for _ in range(offset):
+                    await asyncio.sleep(0)
+                await facility.teardown_cluster(bundle.cluster_id)
+                assert sim.committed == 0, offset
+                assert [job.state for job in sim.jobs.values()] == ["Cancelled"] * 3 * (offset + 1), offset
+        finally:
+            await facility.stop()
+
+    run_async(scenario())
+
+
+def test_a_re_login_renews_the_tokens_scale_out_presents(idp_keys, tmp_path):
+    """A login after the first login's tokens expired returns the same
+    cluster, and its batch workers present the new batch and data tokens."""
+
+    async def scenario():
+        facility, _, _ = small_facility(idp_keys, tmp_path, token_ttl=0.5)
+        facility.batch_sim.delay.s0 = 60.0  # the jobs stay Starting: no worker process
         addrs = await facility.start()
         try:
-            await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
-            batch_client = facility.clusters["alice-1"].batch_client
-            with pytest.raises(wire.RequestError):  # any request opens the connection
-                await batch_client.cancel(999)
-            writer = batch_client._conn[1]
-            await facility.teardown_cluster("alice-1")
-            assert batch_client._conn is None
-            assert writer.is_closing()
+            first = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            await asyncio.sleep(0.7)
+            again = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            assert again["cluster_id"] == first["cluster_id"] and again["batch_token"] != first["batch_token"]
+            service = facility.clusters[again["cluster_id"]].service
+            service.policy.fixed_n = 3  # the dedicated worker and two batch workers
+            service.autoscaler.tick(service.clock())
+            jobs = list(facility.batch_sim.jobs.values())
+            assert [job.state for job in jobs] == ["Starting"] * 2
+            assert {job.spec.batch_token for job in jobs} == {again["batch_token"]}
+            assert {job.spec.worker_config["data_token"] for job in jobs} == {again["data_token"]}
+            assert [e for e in service.state.events if e.kind == "WorkerDown"] == []
         finally:
             await facility.stop()
 
@@ -1053,7 +1087,7 @@ def test_stop_after_login_and_batch_submit_logs_no_error(idp_keys, tmp_path, cap
         try:
             login = wire.WireMessage("Login", {"assertion": make_assertion(idp_keys)})
             reply = (await asyncio.to_thread(request, addrs["authd"], login)).body
-            submit = wire.WireMessage("SubmitJob", JobSpec(batch_token=reply["batch_token"]).to_dict())
+            submit = wire.WireMessage("SubmitBatchJob", JobSpec(batch_token=reply["batch_token"]).to_dict())
             handle = (await asyncio.to_thread(request, addrs["batch"], submit)).body["handle"]
             assert facility.batch_sim.jobs[handle].state == "Starting"
         finally:

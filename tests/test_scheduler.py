@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casa_mini.batchsim import CANCELLED, STARTING, BatchSim, JobSpec
 from casa_mini.bench import stall_report
 from casa_mini.engine.hist import HistError, Histogram
 from casa_mini.engine.pipeline import TaskResult
@@ -30,6 +31,10 @@ def _dataset(n_files=2, events=100):
 def _submit(state, chunk_size=50, n_files=2, events=100):
     ds, epf = _dataset(n_files, events)
     return state.submit_job(PIPELINE, ds, chunk_size, now=0.0, events_per_file=epf)
+
+
+def batch_worker(worker_id):
+    return JobSpec(worker_config={"worker_id": worker_id})
 
 
 def _result(chunk_id, n=50, counts=(1, 0)):
@@ -188,7 +193,7 @@ def test_reap_requeues_running_chunks():
     assert len(state.jobs[job_id].assigned) == 2
     assert state.reap_lost_workers(now=20.0, timeout=10.0) == ["w1"]
     released = []
-    scaler = Autoscaler(state, ScalePolicy(), None, lambda w, now: released.append(w.worker_id))
+    scaler = Autoscaler(state, ScalePolicy(), BatchSim(), batch_worker, lambda w, now: released.append(w.worker_id))
     assert sorted(scaler.drop_worker("w1", 20.0, "heartbeat timeout")) == [0, 1]
     assert "w1" not in state.workers and released == ["w1"]
     assert state.events[-1].detail == "heartbeat timeout"
@@ -272,22 +277,25 @@ def test_autoscale_monotone_and_bounded(q1, q2, r1, r2, rho, n_min, extra):
 def test_autoscaler_requests_and_cancels():
     state = ClusterState()
     _submit(state, chunk_size=25)  # 8 chunks -> target 2 at rho 4
-    requested, cancelled = [], []
+    batch = BatchSim()
+    cancelled = []
 
-    def request(count, now):
-        for _ in range(count):
-            wid = state.next_worker_id()
-            state.expect_worker(now, worker_id=wid, batch_handle=100 + len(requested))
-            requested.append(wid)
-
-    def release(w, now):  # the worker has left the state before its batch job is ended
+    def release(w, now):  # the worker has left the state, and its batch job has ended, before it is released
         assert w.worker_id not in state.workers
+        assert batch.jobs[w.batch_handle].state == CANCELLED
         cancelled.append(w.batch_handle)
 
     policy = ScalePolicy(mode="adaptive", tasks_per_worker=4, idle_timeout=5.0)
-    scaler = Autoscaler(state, policy, request, release)
+    scaler = Autoscaler(state, policy, batch, batch_worker, release)
     assert scaler.tick(0.0) == 2
-    assert len(requested) == 2
+    requested = list(state.workers)
+    assert requested == ["w0001", "w0002"]
+    # each requested worker has its batch job as the tick returns
+    assert [state.workers[wid].batch_handle for wid in requested] == [1, 2]
+    assert [(j.state, j.spec.worker_config["worker_id"]) for j in batch.jobs.values()] == [
+        (STARTING, "w0001"),
+        (STARTING, "w0002"),
+    ]
     # drain the queue, workers become idle, scale-down after idle_timeout
     for wid in requested:
         state.worker_arrived(wid, 1.0, n_cores=4)
@@ -298,8 +306,8 @@ def test_autoscaler_requests_and_cancels():
     scaler.tick(3.0)  # target 0 but nothing idle long enough
     assert cancelled == []
     scaler.tick(8.0)
-    assert sorted(cancelled) == [100, 101]  # each worker's batch job
-    assert state.workers == {}
+    assert sorted(cancelled) == [1, 2]  # each worker's batch job
+    assert state.workers == {} and batch.committed == 0
     assert [e.detail for e in state.events if e.kind == "WorkerDown"] == ["scaled down"] * 2
 
 
@@ -308,22 +316,22 @@ def test_scale_down_drops_only_workers_with_a_batch_job():
     as supply but is never scaled down, however long it idles; an idle
     worker the autoscaler requested from the batch system still is."""
     state = ClusterState()
+    batch = BatchSim()
     state.worker_arrived("d1", 0.0, n_cores=4)
-    state.expect_worker(0.0, worker_id="w1", batch_handle=7)
+    state.expect_worker(0.0, worker_id="w1")
+    state.workers["w1"].batch_handle = batch.submit(JobSpec(), 0.0)
     state.worker_arrived("w1", 0.0, n_cores=4)
-    requested, cancelled = [], []
+    cancelled = []
     policy = ScalePolicy(mode="fixed", fixed_n=0, idle_timeout=0.5)
-    scaler = Autoscaler(
-        state, policy, lambda count, now: requested.append(count), lambda w, now: cancelled.append(w.batch_handle)
-    )
+    scaler = Autoscaler(state, policy, batch, batch_worker, lambda w, now: cancelled.append(w.batch_handle))
     scaler.tick(10.0)
-    assert cancelled == [7] and list(state.workers) == ["d1"]
+    assert cancelled == [1] and batch.jobs[1].state == CANCELLED and list(state.workers) == ["d1"]
     scaler.tick(20.0)
     assert list(state.workers) == ["d1"]
     assert [(e.worker_id, e.detail) for e in state.events if e.kind == "WorkerDown"] == [("w1", "scaled down")]
     policy.fixed_n = 1
     scaler.tick(30.0)
-    assert requested == []  # d1 is the one worker asked for
+    assert list(batch.jobs) == [1]  # d1 is the one worker asked for
 
 
 def test_events_csv_shape():

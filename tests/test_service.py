@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from casa_mini import cacf, certs, wire
+from casa_mini.batchsim import CANCELLED, STARTING, BatchSim, JobSpec
 from casa_mini.client import SchedulerClient
 from casa_mini.engine.hist import Histogram
 from casa_mini.engine.pipeline import TaskResult
 from casa_mini.scheduler.service import SchedulerService, server_ssl_context
 from casa_mini.scheduler.state import ScalePolicy
+from casa_mini.tokens import mint_token
 
 from .conftest import run_async
 
@@ -44,13 +46,19 @@ def tls(tmp_path):
     return paths
 
 
+def batch_worker(worker_id: str) -> JobSpec:
+    return JobSpec(worker_config={"worker_id": worker_id})
+
+
 class Rig:
     """A started service, a client connected to it, and a dataset of one
-    200-event file."""
+    200-event file.  Its batch system starts no job: a test connects the
+    batch workers it wants."""
 
-    def __init__(self, tls):
+    def __init__(self, tls, batch: BatchSim | None = None, worker_spec=batch_worker, **kwargs):
         self.tls = tls
-        self.service = SchedulerService("alice-1")
+        self.batch = batch or BatchSim()
+        self.service = SchedulerService("alice-1", self.batch, worker_spec, **kwargs)
 
     async def __aenter__(self):
         ctx = server_ssl_context(self.tls["host_cert"], self.tls["host_key"], self.tls["ca"])
@@ -574,7 +582,7 @@ def test_close_during_a_handshake_is_quiet(tls, caplog):
 
     async def scenario():
         asyncio.get_running_loop().set_debug(True)
-        service = SchedulerService("alice-1")
+        service = SchedulerService("alice-1", BatchSim(), batch_worker)
         addr = await service.start("127.0.0.1", 0, server_ssl_context(tls["host_cert"], tls["host_key"], tls["ca"]))
         reader, writer = await asyncio.open_connection(*addr)
         writer.write(client_hello)
@@ -617,33 +625,73 @@ async def until(condition, timeout: float = 5.0) -> None:
 
 
 def test_silent_batch_worker_is_dropped_with_its_batch_job_and_connection(tls):
-    handles = iter(range(100, 200))
-    cancelled = []
-
-    async def scale_submit(worker_id):
-        return next(handles)
-
-    async def scale_cancel(handle):
-        cancelled.append(handle)
-
     async def scenario():
-        rig = Rig(tls)
-        rig.service = SchedulerService(
-            "alice-1", ScalePolicy(mode="fixed"), scale_submit, scale_cancel, heartbeat_timeout=0.5
-        )
-        async with rig:
-            state = rig.service.state
+        async with Rig(tls, policy=ScalePolicy(mode="fixed"), heartbeat_timeout=0.5) as rig:
+            state, batch = rig.service.state, rig.batch
             await rig.client.scale_request(mode="fixed", fixed_n=1)  # asks for batch worker w0001
-            await until(lambda: state.workers["w0001"].batch_handle is not None)
+            assert state.workers["w0001"].batch_handle == 1
             w = await rig.worker("w0001")  # and never sends a Heartbeat
             # the next tick past the timeout drops it and closes its connection
             assert await asyncio.wait_for(w.reader.read(), 5) == b""
             w.close()
             downs = [(e.worker_id, e.detail) for e in state.events if e.kind == "WorkerDown"]
             assert downs == [("w0001", "heartbeat timeout")]
-            await until(lambda: cancelled)  # the cancel runs as a background task
-            assert cancelled == [100]  # its batch job ends; the replacement is a new one
+            # its batch job ends; the replacement is a new one
+            assert [(j.handle, j.state) for j in batch.jobs.values()] == [(1, CANCELLED), (2, STARTING)]
+            assert state.workers["w0002"].batch_handle == 2
             assert "w0001" not in rig.service._worker_conns
+
+    run_async(scenario())
+
+
+def test_each_requested_batch_worker_has_its_batch_job_as_the_tick_returns(tls):
+    """A scale-out tick submits every batch job it asks for, with no await
+    in between, so a close() that comes at any time after it finds each
+    job's handle and cancels it."""
+
+    async def scenario():
+        async with Rig(tls) as rig:
+            service = rig.service
+            service.policy.fixed_n = 3
+            assert service.autoscaler.tick(service.clock()) == 3
+            workers = list(service.state.workers.values())
+            assert [(w.worker_id, w.batch_handle) for w in workers] == [("w0001", 1), ("w0002", 2), ("w0003", 3)]
+            jobs = rig.batch.jobs
+            assert [(jobs[w.batch_handle].state, jobs[w.batch_handle].spec.worker_config) for w in workers] == [
+                (STARTING, {"worker_id": w.worker_id}) for w in workers
+            ]
+        assert [j.state for j in jobs.values()] == [CANCELLED] * 3 and rig.batch.committed == 0
+        assert service.state.workers == {}
+
+    run_async(scenario())
+
+
+def test_a_refused_scale_out_submit_drops_its_worker_and_the_ticks_go_on(tls):
+    """A batch token that has expired: each requested worker is recorded and
+    dropped again with the batch system's reason, nothing raises out of the
+    tick, and the service's tick loop goes on asking."""
+    key = b"b" * 32
+    expired = mint_token(key, "alice", "batch", exp=time.time() - 1.0)
+
+    def worker_spec(worker_id):
+        return JobSpec(worker_config={"worker_id": worker_id}, batch_token=expired)
+
+    async def scenario():
+        async with Rig(tls, BatchSim(batch_key=key), worker_spec) as rig:
+            service = rig.service
+            service.policy.fixed_n = 1
+            assert service.autoscaler.tick(service.clock()) == 1
+            assert service.state.workers == {} and rig.batch.jobs == {}
+            stream = list(csv.DictReader(io.StringIO(await rig.client.task_stream_csv())))
+            rows = [(r["kind"], r["worker_id"], r["detail"]) for r in stream if r["kind"] != "ScaleDecision"]
+            assert rows == [
+                ("WorkerUp", "w0001", "requested"),
+                ("WorkerDown", "w0001", "batch submit failed: token expired"),
+            ]
+            # the tick loop's next tick asks again, and is refused again
+            await until(lambda: [e for e in service.state.events if e.worker_id == "w0002" and e.kind == "WorkerDown"])
+            assert service.state.events[-1].detail == "batch submit failed: token expired"
+            assert rig.batch.jobs == {}
 
     run_async(scenario())
 

@@ -7,7 +7,17 @@ import numpy as np
 import pytest
 
 from casa_mini import sim, worker
-from casa_mini.bench import BENCH_PIPELINE, BenchConfig, fixed_policy, make_context, make_facility, run_once, run_sweep
+from casa_mini.bench import (
+    BENCH_PIPELINE,
+    BenchConfig,
+    adaptive_policy,
+    fixed_policy,
+    job_sha256,
+    make_context,
+    make_facility,
+    run_once,
+    run_sweep,
+)
 from casa_mini.data_proxy import DataProxyServer, OriginServer, ProxyClient
 from casa_mini.engine.hist import merge_histograms
 from casa_mini.engine.pipeline import KernelPipeline, run_pipeline
@@ -441,3 +451,23 @@ def test_the_published_sweep_keeps_its_schedule(tmp_path):
     result = run_sweep(BenchConfig(seed=9), str(tmp_path))
     assert len(result.streams) == 30  # 6 points of 5 runs
     assert result.sha256() == SEED_9_SWEEP_SHA256
+
+
+# bench.job_sha256 of the seed-9 `wide` job, as tools/sim_digest.py prints it
+# (wide_sha256): every one of its 1,200 workers goes through the scale-out
+# request path, so the digest changes when that path's order of batch submits
+# or task-stream rows does.
+SEED_9_WIDE_SHA256 = "1ccf789791aa3f72c8e58e3dd286d3832a78103230bd24a35088fe19d313c115"
+
+
+def test_the_wide_job_keeps_its_schedule(tmp_path):
+    cfg = BenchConfig(
+        seed=9, n_files=16, events_per_file=10000, chunk_size=100, tasks_per_worker=1, n_max=1200, dataset_name="wide"
+    )
+    ctx = make_context(cfg, str(tmp_path))
+    dataset = DatasetSpec(name="wide", files=tuple(local_files_for(ctx, str(tmp_path))), n_events_total=cfg.total_events)
+    facility = make_facility(ctx, adaptive_policy(cfg))
+    job = facility.run_job(BENCH_PIPELINE, dataset, cfg.chunk_size, ctx.events_per_file)
+    assert job.state == "done"
+    assert len(facility.batch.jobs) == 1200
+    assert job_sha256(job, facility.state.events) == SEED_9_WIDE_SHA256

@@ -99,7 +99,7 @@ BLOB = bytes(range(256)) * 4
 async def _batch(tmp_path, idp_keys):
     service = BatchService(BatchSim(), clock=time.time)
     try:
-        yield await service.start("127.0.0.1", 0), wire.WireMessage("SubmitJob", {})
+        yield await service.start("127.0.0.1", 0), wire.WireMessage("SubmitBatchJob", {})
     finally:
         await service.close()
 

@@ -8,10 +8,11 @@ Prints one JSON object with:
 - `sweep_sha256`: SHA-256 of the worker-scaling study's CSV
   (`bench.run_sweep(BenchConfig(seed))`) followed by each of its task
   streams, in (n, run) order;
-- `wide_sha256`: SHA-256 of the task stream and merged histograms of one
-  `wide`-shaped job (16 files of 10,000 events in 100-event chunks, read
-  from local paths, under the adaptive policy with up to 1,200 workers, one
-  task per worker);
+- `wide_sha256`: `bench.job_sha256`, the SHA-256 of the task stream and
+  merged histograms, of one `wide`-shaped job (16 files of 10,000 events
+  in 100-event chunks, read from local paths, under the adaptive policy
+  with up to 1,200 workers, one task per worker), which tier-1 pins for
+  seed 9;
 - `wide_retained`: the gc-tracked objects that job's finished facility
   retains, after `gc.collect()`, against a baseline taken just before it
   was made: the total and the count of each type (most first).
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import os
 import sys
@@ -39,7 +39,6 @@ from dataclasses import replace
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from casa_mini import bench  # noqa: E402
-from casa_mini.scheduler.state import events_to_csv  # noqa: E402
 from casa_mini.types import DatasetSpec  # noqa: E402
 
 
@@ -79,10 +78,7 @@ def wide_digest(cfg: bench.BenchConfig, root: str) -> tuple[str, dict]:
     retained = dict((after - before).most_common())
     if job.state != "done":
         raise SystemExit(f"wide job ended {job.state}: {job.error}")
-    histograms = [job.merged[name].to_dict() for name in sorted(job.merged)]
-    digest = hashlib.sha256(events_to_csv(facility.state.events).encode())
-    digest.update(json.dumps(histograms, sort_keys=True).encode())
-    return digest.hexdigest(), {"total": sum(retained.values()), "by_type": retained}
+    return bench.job_sha256(job, facility.state.events), {"total": sum(retained.values()), "by_type": retained}
 
 
 def main(argv=None) -> int:
