@@ -14,9 +14,11 @@ Grammar, loosest binding first:
 Values are f64: comparisons and logical operators produce 1.0/0.0, any
 comparison with a NaN operand yields 0.0, a value is true when it is not
 0.0 (NaN is true), and domain errors (sqrt/log of negatives) propagate as
-NaN.  An expression is compiled once into nested closures; comparisons and
-logic stay bool arrays and become f64 only where arithmetic, a function or
-the caller needs a number.
+NaN.  Columns are 1-D f64 vectors of one length, as ColumnBatch makes them.
+An expression is compiled once into nested closures; comparisons and logic
+stay bool arrays and become f64 only where arithmetic, a function or the
+caller needs a number, and other operators write into an operand's own
+temporary, never into a column (see _ufunc).
 """
 
 from __future__ import annotations
@@ -257,6 +259,24 @@ def _is_bool(node: Expr) -> bool:
     return isinstance(node, (Bin, Unary)) and node.op in _BOOL_OPS
 
 
+def _ufunc(op, operands: list[Evaluator], nodes: list[Expr]) -> Evaluator:
+    """op of the operands' values, written into the first operand that is a
+    new 1-D array of its own: a Unary, Bin or Call node over a column, never
+    a column, nor a 0-d value of constants alone."""
+    own = [isinstance(node, (Unary, Bin, Call)) and bool(needed_columns(node)) for node in nodes]
+    if len(operands) == 1:
+        (arg,) = operands
+        if own[0]:
+            return lambda cols: op(a := arg(cols), out=a)
+        return lambda cols: op(arg(cols))
+    left, right = operands
+    if own[0]:
+        return lambda cols: op(a := left(cols), right(cols), out=a)
+    if own[1]:
+        return lambda cols: op(left(cols), b := right(cols), out=b)
+    return lambda cols: op(left(cols), right(cols))
+
+
 def compile_number(expr: Expr) -> Evaluator:
     """Compile to a function of the columns giving f64 values (or an f64
     scalar for a constant); comparisons and logic give 1.0/0.0."""
@@ -292,10 +312,8 @@ def _compile(node: Expr) -> Evaluator:
         return column
     if isinstance(node, Unary):
         if node.op == "!":
-            operand = compile_truth(node.operand)
-            return lambda cols: ~operand(cols)
-        operand = compile_number(node.operand)
-        return lambda cols: np.negative(operand(cols))
+            return _ufunc(np.invert, [compile_truth(node.operand)], [node.operand])
+        return _ufunc(np.negative, [compile_number(node.operand)], [node.operand])
     if isinstance(node, Bin):
         if node.op in ("&&", "||"):
             left, right = compile_truth(node.left), compile_truth(node.right)
@@ -304,10 +322,14 @@ def _compile(node: Expr) -> Evaluator:
         else:
             left, right = compile_number(node.left), compile_number(node.right)
         op = _BINARY[node.op]
-        return lambda cols: op(left(cols), right(cols))
+        if node.op in _CMP_OPS:  # a bool result, which no f64 operand can hold
+            return lambda cols: op(left(cols), right(cols))
+        return _ufunc(op, [left, right], [node.left, node.right])
     if isinstance(node, Call):
         fn = _CALLS[node.fn]
         args = [compile_number(a) for a in node.args]
+        if len(args) == 1:
+            return _ufunc(fn, args, list(node.args))
         return lambda cols: fn(*[arg(cols) for arg in args])
     raise TypeError(f"not an expression node: {node!r}")
 

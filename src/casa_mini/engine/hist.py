@@ -3,7 +3,8 @@
 Binning convention: bin = floor((v - lo) / (hi - lo) * n_bins), lo inclusive,
 hi exclusive; v < lo underflows, v >= hi or NaN overflows.  bin_slots gives
 each value its slot among n_bins + 2, and every histogram is one bincount of
-slots: fill_counts for one histogram, run_pipeline for a histogram per segment.
+slots: fill_counts for one histogram, and run_pipeline for each segment of a
+pass, whose slots it offsets by segment id when the pass has more than one.
 """
 
 from __future__ import annotations
@@ -22,17 +23,22 @@ def bin_slots(values: np.ndarray, n_bins: int, lo: float, hi: float) -> np.ndarr
 
     Slot 0 is underflow, slot b + 1 is bin b, slot n_bins + 1 is overflow.
     Call it under np.errstate(all="ignore"): v far outside [lo, hi) may
-    overflow to inf.
+    overflow to inf, and NaN and +-inf cast to garbage slots, which the
+    underflow and overflow masks then overwrite.
     """
-    slot = np.floor((values - lo) / (hi - lo) * n_bins)
+    scaled = values - lo
+    scaled /= hi - lo
+    scaled *= n_bins
     # guard against float rounding landing exactly on n_bins for v just below hi
-    np.minimum(slot, n_bins - 1, out=slot)
+    np.minimum(scaled, n_bins - 1, out=scaled)
+    # for lo <= v < hi the scaled value is >= 0, so the cast's truncation is the floor
+    slot = scaled.astype(np.intp)
     slot += 1
     # underflow by comparison, not by a negative index: for a negative
     # denormal over lo = 0 the index rounds to -0.0
     slot[values < lo] = 0
     slot[~(values < hi)] = n_bins + 1  # v >= hi and NaN
-    return slot.astype(np.intp)
+    return slot
 
 
 def fill_counts(values: np.ndarray, n_bins: int, lo: float, hi: float):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence, Union
 
 import numpy as np
@@ -177,8 +178,10 @@ def run_pipeline(
     `lengths` events (default: one segment, the whole batch) with chunk ids
     `chunk_ids` (default 0, 1, ...); one TaskResult per segment.
 
-    Every row carries its segment id through each filter's take, and each
-    histogram is one bincount over segment * (n_bins + 2) + slot, so a
+    The pass carries each segment's row bounds, which a filter maps through
+    the rows it keeps.  A pass of more than one segment gives each row its
+    segment id once after each filter, for the histograms that follow, and
+    each histogram is one bincount over segment * (n_bins + 2) + slot, so a
     segment's result is, bit for bit, that of a pass over its rows alone.
     """
     lengths = [batch.n_events] if lengths is None else list(lengths)
@@ -189,13 +192,14 @@ def run_pipeline(
             f"for a {batch.n_events}-event batch"
         )
     n_segments = len(lengths)
-    segment = np.repeat(np.arange(n_segments), lengths)  # of each row still in
+    bounds = np.array([*accumulate(lengths, initial=0)])  # segment k's rows still in: bounds[k]:bounds[k + 1]
+    n_rows = batch.n_events  # rows still in
     kept = lengths  # rows still in, per segment
+    segment = None  # segment id of each row still in, once a histogram needs it
     columns: dict[str, np.ndarray] = dict(batch.columns)
     filled: list[tuple[HistSpec, np.ndarray, list[int]]] = []  # (step, slot counts, rows) per segment
     with np.errstate(all="ignore"):
         for i, (step, evaluate, keep) in enumerate(pipeline._plan[1]):
-            n_rows = segment.shape[0]
             try:
                 if isinstance(step, Define):
                     # defines never shadow each other, and a filter may have dropped the column
@@ -208,12 +212,17 @@ def run_pipeline(
                         mask = np.full(n_rows, bool(mask))
                     rows = np.flatnonzero(mask)
                     columns = {name: columns[name].take(rows) for name in keep if name in columns}
-                    segment = segment.take(rows)
-                    kept = np.bincount(segment, minlength=n_segments).tolist()
+                    n_rows = rows.shape[0]
+                    bounds = rows.searchsorted(bounds)
+                    kept = (bounds[1:] - bounds[:-1]).tolist()
+                    segment = None
                 else:
                     width = step.n_bins + 2
-                    keys = segment * width
-                    keys += bin_slots(broadcast(evaluate(columns), n_rows), step.n_bins, step.lo, step.hi)
+                    keys = bin_slots(broadcast(evaluate(columns), n_rows), step.n_bins, step.lo, step.hi)
+                    if n_segments > 1:
+                        if segment is None:
+                            segment = np.repeat(np.arange(n_segments), kept)
+                        keys += segment * width
                     slots = np.bincount(keys, minlength=n_segments * width).reshape(n_segments, width)
                     filled.append((step, slots, kept))
             except (ExprError, PipelineError) as exc:

@@ -299,6 +299,7 @@ class Facility:
             existing = self.clusters.get(bundle.cluster_id)
             if existing is not None:
                 existing.bundle = bundle
+                existing.service.autoscaler.reset_backoff()
                 return existing
             # until the cluster is provisioned, a failure undoes every step taken
             cred_dir = self._write_creds(bundle)

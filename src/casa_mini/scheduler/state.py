@@ -51,6 +51,9 @@ log = logging.getLogger(__name__)
 DEFAULT_CORES = 4
 HEARTBEAT_TIMEOUT = 10.0
 AUTOSCALE_INTERVAL = 1.0
+# While the batch system refuses submits, scale-out waits AUTOSCALE_INTERVAL
+# after the first refusal, twice as long after each further one, up to this.
+SUBMIT_BACKOFF_MAX = 64.0
 # Times a chunk whose task failed for a transient reason (its worker lost
 # the data proxy or the proxy its origin) is queued again before it fails.
 TASK_RETRIES = 2
@@ -483,7 +486,10 @@ class Autoscaler:
     Both facilities build it with worker_spec(worker_id) -> JobSpec.  A
     request records the worker and submits its batch job in one call, so it
     has its batch handle at once; a refused submit (an expired batch token,
-    say) drops it again and never raises out of tick.  Every departure
+    say) drops it again and never raises out of tick, and no worker is
+    requested until a back-off has passed: AUTOSCALE_INTERVAL, doubled with
+    each further refusal up to SUBMIT_BACKOFF_MAX, and cleared by an
+    accepted submit or by reset_backoff (renewed credentials).  Every departure
     (scale-down, a closed connection, a heartbeat timeout, a refused submit,
     a killed virtual worker) goes through drop_worker, which requeues the
     worker's chunks, records its WorkerDown, cancels its batch job and calls
@@ -499,9 +505,12 @@ class Autoscaler:
         self.worker_spec = worker_spec  # (worker_id) -> JobSpec
         self.release = release
         self._last_target: int | None = None
+        self._backoff = 0.0  # the wait after the last refused submit, 0 once one is accepted
+        self._retry_at = -math.inf  # no worker is requested before then
 
-    def _request_worker(self, now: float) -> None:
-        """Record a new worker and submit its batch job."""
+    def _request_worker(self, now: float) -> bool:
+        """Record a new worker and submit its batch job; False if the batch
+        system refused it."""
         worker_id = self.state.expect_worker(now)
         spec = self.worker_spec(worker_id)
         try:
@@ -509,6 +518,15 @@ class Autoscaler:
         except (TokenError, BatchError) as exc:
             log.warning("batch submit for %s failed: %s", worker_id, exc)
             self.drop_worker(worker_id, now, f"batch submit failed: {exc}")
+            self._backoff = min(max(2 * self._backoff, AUTOSCALE_INTERVAL), SUBMIT_BACKOFF_MAX)
+            self._retry_at = now + self._backoff
+            return False
+        self._backoff = 0.0
+        return True
+
+    def reset_backoff(self) -> None:
+        """The cluster's credentials were renewed: the next tick may request workers."""
+        self._backoff, self._retry_at = 0.0, -math.inf
 
     def drop_worker(self, worker_id: str, now: float, reason: str) -> list[int]:
         """Remove a worker and end what it holds; the chunk ids requeued."""
@@ -536,7 +554,8 @@ class Autoscaler:
         supply = self.state.n_supplied()
         if target > supply:
             for _ in range(target - supply):
-                self._request_worker(now)
+                if now < self._retry_at or not self._request_worker(now):
+                    break
         elif target < supply:
             spare = supply - target
             for worker_id in self.state.idle_workers(now, self.policy.idle_timeout)[:spare]:

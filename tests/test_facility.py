@@ -474,7 +474,8 @@ def test_a_teardown_cancels_every_batch_job_however_soon_after_the_scale_out(idp
 
 def test_a_re_login_renews_the_tokens_scale_out_presents(idp_keys, tmp_path):
     """A login after the first login's tokens expired returns the same
-    cluster, and its batch workers present the new batch and data tokens."""
+    cluster, clears the back-off of a scale-out refused meanwhile, and its
+    batch workers present the new batch and data tokens."""
 
     async def scenario():
         facility, _, _ = small_facility(idp_keys, tmp_path, token_ttl=0.5)
@@ -483,16 +484,24 @@ def test_a_re_login_renews_the_tokens_scale_out_presents(idp_keys, tmp_path):
         try:
             first = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
             await asyncio.sleep(0.7)
+            service = facility.clusters[first["cluster_id"]].service
+            service.policy.fixed_n = 2  # the dedicated worker and one batch worker
+            service.autoscaler.tick(service.clock())  # refused: the expired token; scale-out backs off
+            assert [e.detail for e in service.state.events if e.kind == "WorkerDown"] == [
+                "batch submit failed: token expired"
+            ]
             again = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
             assert again["cluster_id"] == first["cluster_id"] and again["batch_token"] != first["batch_token"]
-            service = facility.clusters[again["cluster_id"]].service
+            assert facility.clusters[again["cluster_id"]].service is service
             service.policy.fixed_n = 3  # the dedicated worker and two batch workers
-            service.autoscaler.tick(service.clock())
+            service.autoscaler.tick(service.clock())  # within the back-off, which the login cleared
             jobs = list(facility.batch_sim.jobs.values())
             assert [job.state for job in jobs] == ["Starting"] * 2
             assert {job.spec.batch_token for job in jobs} == {again["batch_token"]}
             assert {job.spec.worker_config["data_token"] for job in jobs} == {again["data_token"]}
-            assert [e for e in service.state.events if e.kind == "WorkerDown"] == []
+            assert {e.detail for e in service.state.events if e.kind == "WorkerDown"} == {
+                "batch submit failed: token expired"
+            }
         finally:
             await facility.stop()
 

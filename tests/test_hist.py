@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from casa_mini.engine.hist import (
     HistError,
     Histogram,
+    bin_slots,
     fill_counts,
     fill_histogram,
     merge_histograms,
@@ -171,6 +172,65 @@ def test_fill_counts_matches_reference_kernel(case):
     assert counts.dtype == ref_counts.dtype and np.array_equal(counts, ref_counts)
     assert (under, over) == (ref_under, ref_over)
     assert type(under) is int and type(over) is int
+
+
+def _floor_slots(values: np.ndarray, n_bins: int, lo: float, hi: float) -> np.ndarray:
+    # bin_slots as it was before the cast to intp took the place of np.floor, kept as the reference
+    slot = np.floor((values - lo) / (hi - lo) * n_bins)
+    np.minimum(slot, n_bins - 1, out=slot)
+    slot += 1
+    slot[values < lo] = 0
+    slot[~(values < hi)] = n_bins + 1
+    return slot.astype(np.intp)
+
+
+@pytest.mark.parametrize(
+    "n_bins, lo, hi",
+    [
+        (60, 0.0, 300.0),
+        (7, -3.5, 2.25),
+        (5, -1e308, 0.0),  # 1e308 - lo overflows to inf
+        (4, 0.0, 1e-300),  # a tiny range: most values scale far past n_bins
+        (3, 1e-300, 2e-300),
+        (1, -1.0, np.nextafter(-1.0, math.inf)),
+    ],
+)
+def test_bin_slots_edge_values_match_the_floor_formula(n_bins, lo, hi):
+    """The cast's truncation is the floor for every value in [lo, hi), and the
+    garbage that NaN and +-inf cast to is overwritten by the masks.  Through
+    fill_histogram, under warnings as errors: the cast warns only inside the
+    np.errstate that fill_histogram enters."""
+    values = np.array(
+        [
+            -0.0,
+            0.0,
+            -5e-324,  # a negative denormal: below lo = 0, though it scales to -0.0
+            5e-324,
+            lo,
+            np.nextafter(lo, -math.inf),
+            np.nextafter(lo, math.inf),
+            (lo + hi) / 2,
+            np.nextafter(hi, lo),
+            hi,
+            np.nextafter(hi, math.inf),
+            math.inf,
+            -math.inf,
+            math.nan,
+            1e308,
+            -1e308,
+        ]
+    )
+    with np.errstate(all="ignore"):
+        want = _floor_slots(values, n_bins, lo, hi)
+        got = bin_slots(values, n_bins, lo, hi)
+    assert got.dtype == np.intp and got.tolist() == want.tolist()
+    assert got[-5:-2].tolist() == [n_bins + 1, 0, n_bins + 1]  # inf, -inf, NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = fill_histogram(values, "h", n_bins, lo, hi)
+    slots = np.bincount(want, minlength=n_bins + 2)
+    assert h.counts.tolist() == slots[1:-1].tolist()
+    assert (h.underflow, h.overflow, h.n_filled) == (slots[0], slots[-1], len(values))
 
 
 def test_negative_denormal_underflows_at_lo_zero():

@@ -225,6 +225,15 @@ _segment_pipeline_strategy = st.sampled_from(
         ],
         [{"filter": "0"}, {"hist": ["h", "px", 4, 0, 4]}],
         [{"hist": ["h_all", "px", 4, -2, 2]}, {"filter": "px>0"}, {"filter": "py>0"}, {"hist": ["h", "px+py", 6, 0, 6]}],
+        # a histogram after each filter, so each reads segment ids rebuilt after that filter
+        [
+            {"define": ["r", "sqrt(px*px+py*py)"]},
+            {"filter": "px>0"},
+            {"hist": ["h_r", "r", 6, 0, 6]},
+            {"filter": "py>0 && r<4"},
+            {"hist": ["h_py", "py", 5, 0, 5]},
+            {"hist": ["h_r2", "r*r", 4, 0, 16]},
+        ],
     ]
 )
 
@@ -254,6 +263,8 @@ def test_a_segmented_pass_equals_a_run_per_chunk(lengths, seed, pipeline_json):
     for start, end in zip(starts, ends):
         if rng.random() < 0.3:
             columns["px"][start:end] = -1.0  # a segment that px > 0 filters to no rows
+        elif rng.random() < 0.3:
+            columns["py"][start:end] = -1.0  # one that survives px > 0 only to lose every row to py > 0
     pipeline = KernelPipeline.from_json(pipeline_json)
     chunk_ids = [100 + 3 * i for i in range(len(lengths))]
 
@@ -285,3 +296,78 @@ def test_segments_must_cover_the_batch():
         run_pipeline(batch, pipeline, [1, 1], [0, 1])
     with pytest.raises(ValueError, match="1 chunk ids"):
         run_pipeline(batch, pipeline, [1, 2], [0])
+
+
+# ---- a pass writes into nothing it was given ----------------------------------
+
+_no_write_pipeline_strategy = st.sampled_from(
+    [
+        # nested arithmetic, calls and && over columns, whose temporaries the evaluator reuses
+        [
+            {"define": ["pt", "sqrt(px*px+py*py)"]},
+            {"filter": "pt>1 && abs(eta)<2"},
+            {"hist": ["h_pt", "pt", 8, 0, 8]},
+            {"hist": ["h", "-(exp(eta/2) - log(abs(px)+1)) * (px+py)/2", 6, -6, 6]},
+        ],
+        # a define of a bare column: the define is the column itself, read after a filter
+        [
+            {"define": ["x", "px"]},
+            {"filter": "x > -1 || !(py < 0)"},
+            {"hist": ["h_x", "x", 4, -2, 2]},
+            {"hist": ["h_neg", "-x", 4, -2, 2]},
+            {"hist": ["h_sum", "2*(x+py) - min(x, 0)", 5, -5, 5]},
+        ],
+        # defines read after a filter, in expressions of their own
+        [
+            {"define": ["e", "exp(px/4)"]},
+            {"define": ["d", "px-py"]},
+            {"filter": "py>0 || px<0"},
+            {"hist": ["h_e", "e", 5, 0, 5]},
+            {"filter": "d*d < 9 && (e > 0.5 || e != e)"},
+            {"hist": ["h_d", "sqrt(abs(d))*e", 5, 0, 5]},
+        ],
+        # constants alone, which evaluate to 0-d values, beside columns
+        [
+            {"filter": "min(0, 0) + 1"},
+            {"hist": ["h_c", "max(1, 2) * px", 4, -4, 4]},
+            {"hist": ["h_p", "abs(-(eta*1))", 4, 0, 4]},
+        ],
+    ]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6),
+    seed=st.integers(min_value=0, max_value=2**31),
+    pipeline_json=_no_write_pipeline_strategy,
+)
+def test_a_pass_never_writes_into_its_batch(lengths, seed, pipeline_json):
+    """With its columns writable, so that a write would land rather than
+    raise, a pass leaves every column of its batch as it was, bit for bit,
+    and gives each segment what the reference loop gives its rows."""
+    rng = np.random.default_rng(seed)
+    n_events = sum(lengths)
+    columns = {}
+    for name in ("px", "py", "eta"):
+        values = rng.normal(0, 2, n_events)
+        special = rng.random(n_events) < 0.2
+        values[special] = rng.choice(_SPECIAL_VALUES, int(special.sum()))
+        columns[name] = values
+    batch = ColumnBatch(columns)
+    for values in batch.columns.values():
+        values.flags.writeable = True
+    before = {name: values.copy() for name, values in batch.columns.items()}
+    pipeline = KernelPipeline.from_json(pipeline_json)
+
+    passed = run_pipeline(batch, pipeline, lengths)
+
+    for name, values in batch.columns.items():
+        assert values.view(np.uint64).tolist() == before[name].view(np.uint64).tolist(), name
+    start = 0
+    for result, n in zip(passed.results, lengths):
+        piece = ColumnBatch({name: values[start : start + n] for name, values in before.items()})
+        n_pass, want = _reference_run(piece, pipeline)
+        assert result.n_events_pass == n_pass
+        assert [h.to_dict() for h in result.histograms] == [h.to_dict() for h in want]
+        start += n

@@ -8,6 +8,8 @@ from casa_mini.bench import stall_report
 from casa_mini.engine.hist import HistError, Histogram
 from casa_mini.engine.pipeline import TaskResult
 from casa_mini.scheduler.state import (
+    AUTOSCALE_INTERVAL,
+    SUBMIT_BACKOFF_MAX,
     Autoscaler,
     ClusterState,
     ScalePolicy,
@@ -16,6 +18,7 @@ from casa_mini.scheduler.state import (
     autoscale_target,
     events_to_csv,
 )
+from casa_mini.tokens import mint_token
 from casa_mini.types import PASS_EVENTS, DatasetSpec
 
 PIPELINE = [{"hist": ["h", "pt", 2, 0, 10]}]
@@ -332,6 +335,42 @@ def test_scale_down_drops_only_workers_with_a_batch_job():
     policy.fixed_n = 1
     scaler.tick(30.0)
     assert list(batch.jobs) == [1]  # d1 is the one worker asked for
+
+
+def test_a_refused_scale_out_backs_off_until_a_renewal():
+    """An expired batch token, ticked once a second for two minutes: after
+    each refused submit the autoscaler waits AUTOSCALE_INTERVAL, twice as
+    long after each further refusal (1, 2, 4, ... s, at most
+    SUBMIT_BACKOFF_MAX), so it asks 7 times, not 240 (two workers a tick).  After a renewal the
+    next tick asks again, and an accepted submit clears the back-off."""
+    key = b"k" * 32
+    token = {"batch": mint_token(key, "alice", "batch", exp=-1.0)}
+    batch = BatchSim(batch_key=key)
+    state = ClusterState()
+    policy = ScalePolicy(mode="fixed", fixed_n=2)
+
+    def worker_spec(worker_id):
+        return JobSpec(worker_config={"worker_id": worker_id}, batch_token=token["batch"])
+
+    scaler = Autoscaler(state, policy, batch, worker_spec)
+    for now in range(120):
+        scaler.tick(float(now))
+    asked = [e.t for e in state.events if e.kind == "WorkerUp"]
+    assert asked == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0]  # one worker per refused tick, then none until the wait ends
+    assert state.workers == {} and batch.jobs == {}
+    assert SUBMIT_BACKOFF_MAX == 64.0 and AUTOSCALE_INTERVAL == 1.0
+    scaler.tick(126.0)  # inside the 64 s wait after the refusal at 63 s
+    assert len(state.events) == len(asked) * 2 + 1  # a WorkerUp and a WorkerDown each, and one ScaleDecision
+    token["batch"] = mint_token(key, "alice", "batch", exp=1e9)  # a re-login
+    scaler.reset_backoff()
+    scaler.tick(127.0)
+    assert sorted(state.workers) == ["w0008", "w0009"] and len(batch.jobs) == 2
+    token["batch"] = mint_token(key, "alice", "batch", exp=-1.0)
+    policy.fixed_n = 3
+    scaler.tick(128.0)  # refused again: the wait starts over at AUTOSCALE_INTERVAL
+    scaler.tick(128.5)
+    scaler.tick(129.0)
+    assert [e.t for e in state.events if e.kind == "WorkerUp"][-2:] == [128.0, 129.0]
 
 
 def test_events_csv_shape():

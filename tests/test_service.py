@@ -669,7 +669,7 @@ def test_each_requested_batch_worker_has_its_batch_job_as_the_tick_returns(tls):
 def test_a_refused_scale_out_submit_drops_its_worker_and_the_ticks_go_on(tls):
     """A batch token that has expired: each requested worker is recorded and
     dropped again with the batch system's reason, nothing raises out of the
-    tick, and the service's tick loop goes on asking."""
+    tick, and the service's tick loop goes on asking, after a back-off."""
     key = b"b" * 32
     expired = mint_token(key, "alice", "batch", exp=time.time() - 1.0)
 
@@ -688,7 +688,7 @@ def test_a_refused_scale_out_submit_drops_its_worker_and_the_ticks_go_on(tls):
                 ("WorkerUp", "w0001", "requested"),
                 ("WorkerDown", "w0001", "batch submit failed: token expired"),
             ]
-            # the tick loop's next tick asks again, and is refused again
+            # the tick loop asks again once AUTOSCALE_INTERVAL has passed, and is refused again
             await until(lambda: [e for e in service.state.events if e.worker_id == "w0002" and e.kind == "WorkerDown"])
             assert service.state.events[-1].detail == "batch submit failed: token expired"
             assert rig.batch.jobs == {}
