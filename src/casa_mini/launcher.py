@@ -7,11 +7,12 @@ behind mutual TLS, an ingress route so the cluster is reachable at
 <cluster-id>.<facility-domain> on the shared address, and a dedicated worker
 (first results without touching the batch system) with one task thread per
 CPU of the host, at most DEDICATED_CORES.  Each worker's WorkerHello tells
-the scheduler its cores.  The login returns once that worker is forked, as
-Dask Gateway's new_cluster() returns once the scheduler runs: the worker
-registers while the analyst connects, and a job submitted first waits in
-the queue until it does.  A dedicated worker that exits while its cluster
-is up, or does not register in time, fails the cluster's unfinished jobs
+the scheduler its cores.  The login returns once the scheduler listens and
+its route is registered, as Dask Gateway's new_cluster() returns once the
+scheduler runs: the dedicated worker is forked and registers while the
+analyst connects, and a job submitted first waits in the queue until it
+does.  A dedicated worker that cannot be forked, exits while its cluster
+is up, or does not register in time fails the cluster's unfinished jobs
 with the reason and takes the cluster down.
 
 A cluster's scheduler submits and cancels its batch workers on the
@@ -111,8 +112,8 @@ class FacilityConfig:
 class ClusterRecord:
     bundle: authd.CredentialBundle  # the latest login's; new batch workers get its tokens
     service: SchedulerService
-    dedicated_worker: WorkerProcess | None = None  # once forked
-    watch: asyncio.Task | None = None  # the watch over the dedicated worker, once provisioned
+    dedicated_worker: WorkerProcess | None = None  # once its watch has forked it
+    watch: asyncio.Task | None = None  # forks, watches and reaps the dedicated worker, once provisioned
 
     @property
     def cluster_id(self) -> str:
@@ -292,9 +293,9 @@ class Facility:
         )
 
     async def provision_cluster(self, bundle: authd.CredentialBundle) -> ClusterRecord:
-        """The user's cluster, provisioned once its scheduler listens, its
-        route is registered and its dedicated worker is forked.  A cluster
-        already up keeps running and takes the bundle's fresh tokens."""
+        """The user's cluster, provisioned once its scheduler listens and its
+        route is registered; its watch task forks the dedicated worker.  A
+        cluster already up keeps running and takes the bundle's fresh tokens."""
         async with self._provision_lock, contextlib.AsyncExitStack() as undo:
             existing = self.clusters.get(bundle.cluster_id)
             if existing is not None:
@@ -324,10 +325,15 @@ class Facility:
             self.sni.routes.register(bundle.sni_hostname, sched_addr)
             undo.callback(self.sni.routes.remove, bundle.sni_hostname)
 
-            record.dedicated_worker = await self._spawn_dedicated_worker(bundle, cred_dir, service)
+            # the scheduler counts the dedicated worker as requested until its WorkerHello
+            worker_id = f"{bundle.cluster_id}-dedicated"
+            config_path = os.path.join(cred_dir, "dedicated-worker.json")
+            with open(config_path, "w") as fh:
+                json.dump(self._worker_config(bundle, cred_dir, worker_id, self.cfg.dedicated_cores), fh)
+            service.state.expect_worker(service.clock(), worker_id=worker_id)
             undo.pop_all()  # provisioned: teardown_cluster releases it all from here on
             self.clusters[bundle.cluster_id] = record
-            record.watch = self._tasks.spawn(self._watch_dedicated_worker(record))
+            record.watch = self._tasks.spawn(self._watch_dedicated_worker(record, config_path))
             log.info(
                 "provisioned cluster %s for %s at %s (route %s)",
                 bundle.cluster_id,
@@ -337,36 +343,29 @@ class Facility:
             )
             return record
 
-    async def _spawn_dedicated_worker(
-        self, bundle: authd.CredentialBundle, cred_dir: str, service: SchedulerService
-    ) -> WorkerProcess:
-        """Fork the cluster's dedicated worker, which the scheduler counts
-        as requested until its WorkerHello."""
-        worker_id = f"{bundle.cluster_id}-dedicated"
-        config = self._worker_config(bundle, cred_dir, worker_id, self.cfg.dedicated_cores)
-        config_path = os.path.join(cred_dir, "dedicated-worker.json")
-        with open(config_path, "w") as fh:
-            json.dump(config, fh)
-        service.state.expect_worker(service.clock(), worker_id=worker_id)
-        return await self._spawn_worker(config_path, worker_id)
-
-    async def _watch_dedicated_worker(self, record: ClusterRecord) -> None:
-        """Watch the cluster's dedicated worker while the cluster is up.  One
-        that exits, or has not registered after REGISTER_TIMEOUT, fails the
-        cluster's unfinished jobs with the reason and takes the cluster down."""
-        proc = record.dedicated_worker
-        registered = asyncio.ensure_future(
-            record.service.wait_worker(f"{record.cluster_id}-dedicated", REGISTER_TIMEOUT)
-        )
-        exited = asyncio.ensure_future(proc.wait())
+    async def _watch_dedicated_worker(self, record: ClusterRecord, config_path: str) -> None:
+        """The cluster's dedicated worker from fork to exit.  One that cannot
+        be forked, exits, or has not registered REGISTER_TIMEOUT after its
+        fork fails the cluster's unfinished jobs with the reason and takes the
+        cluster down.  Cancelling the task (a teardown) reaps the worker, or
+        kills it as soon as it is forked."""
+        worker_id = f"{record.cluster_id}-dedicated"
         try:
-            await asyncio.wait([registered, exited], return_when=asyncio.FIRST_COMPLETED)
-            if not exited.done() and registered.exception() is None:
-                await exited  # registered: watch on until it exits
-        finally:
-            registered.cancel()
-            exited.cancel()
-        why = "did not register" if proc.returncode is None else f"exited with code {proc.returncode}"
+            proc = record.dedicated_worker = await self._spawn_worker(config_path, worker_id)
+        except (OSError, ZygoteError) as exc:
+            why = f"not forked: {exc}"
+        else:
+            registered = asyncio.ensure_future(record.service.wait_worker(worker_id, REGISTER_TIMEOUT))
+            exited = asyncio.ensure_future(proc.wait())
+            try:
+                await asyncio.wait([registered, exited], return_when=asyncio.FIRST_COMPLETED)
+                if not exited.done() and registered.exception() is None:
+                    await exited  # registered: watch on until it exits
+                why = "did not register" if proc.returncode is None else f"exited with code {proc.returncode}"
+            finally:
+                registered.cancel()
+                exited.cancel()
+                await reap(proc)  # on a cancel too; returns at once for a worker that exited
         reason = f"dedicated worker for {record.cluster_id} {why}"
         log.warning("cluster %s: %s; taking it down", record.cluster_id, reason)
         del self.clusters[record.cluster_id]  # a teardown from here on finds no cluster
@@ -381,8 +380,9 @@ class Facility:
         record = self.clusters.pop(cluster_id, None)
         if record is None:
             raise KeyError(f"unknown cluster {cluster_id!r}")
-        record.watch.cancel()  # the watch over the dedicated worker ends quietly
+        record.watch.cancel()  # the watch ends quietly and reaps the dedicated worker
         await self._release_cluster(record, "cluster closed")
+        await asyncio.wait([record.watch])
         log.info("cluster %s torn down", cluster_id)
         return {"cluster_id": cluster_id, "state": "removed"}
 
@@ -394,7 +394,6 @@ class Facility:
         except Exception:
             pass
         await record.service.close(reason)  # cancels every batch job the cluster holds
-        await reap(record.dedicated_worker)
 
 
 async def run_facility(config_path: str) -> None:

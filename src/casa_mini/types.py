@@ -51,6 +51,7 @@ class ColumnBatch:
                 raise ColumnError(
                     f"unequal column lengths: {name!r} has {arr.shape[0]}, expected {n_events}"
                 )
+            arr = arr.view()  # read-only without touching the caller's own array
             arr.flags.writeable = False
             cols[name] = arr
         self.columns = cols

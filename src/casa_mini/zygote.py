@@ -4,9 +4,10 @@ that has already imported casa_mini.worker, not by starting Python.
     python -m casa_mini.zygote <fd>
 
 <fd> is the zygote's end of a SOCK_SEQPACKET socketpair with its facility.
-The zygote imports the worker once, with one BLAS thread, then answers one
-request at a time.  It starts no thread or event loop and opens no config
-or credential.  A request names a worker config and a log file.  The
+The zygote imports the worker once, with one BLAS thread and the collector
+off, freezes what it then holds (gc.freeze), and answers one request at a
+time.  It starts no thread or event loop and opens no config or
+credential.  A request names a worker config and a log file.  The
 zygote forks; the child points stdout and stderr at the log and runs the
 same `worker.main([config])` as `python -m casa_mini.worker config`.  The
 reply carries the child's pid and its pidfd (SCM_RIGHTS), opened while the
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import ctypes
+import gc
 import json
 import logging
 import os
@@ -40,8 +42,6 @@ import socket
 import sys
 import traceback
 from collections import deque
-
-from . import worker
 
 log = logging.getLogger(__name__)
 
@@ -66,6 +66,8 @@ def _run_worker(config_path: str, log_path: str) -> int:
     os.dup2(fd, 1)
     os.dup2(fd, 2)
     os.close(fd)
+    from . import worker  # imported by main() before the first fork
+
     try:
         return worker.main([config_path])
     except BaseException:
@@ -85,6 +87,7 @@ def _fork(sock: socket.socket, children: dict[int, int], request: dict) -> tuple
     if pid == 0:
         code = 1
         try:
+            gc.enable()  # the frozen objects stay out of the child's collections
             _libc.prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
             if os.getppid() != zygote_pid:  # orphaned before the request took effect
                 os._exit(1)
@@ -141,6 +144,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     # a terminal's interrupt reaches the facility too, which ends the zygote by closing the socket
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # Import the worker with the collector off, then freeze what is left, so
+    # no collection in a child writes to (and copies) the pages it shares
+    # with the zygote; each child turns the collector back on.
+    gc.disable()
+    from . import worker  # every child runs it: see _run_worker
+
+    gc.collect()
+    gc.freeze()
     with socket.socket(fileno=int(argv[0])) as sock:
         serve(sock)
     return 0

@@ -176,6 +176,17 @@ def test_column_batch_invariants():
     assert b.n_events == 0
 
 
+def test_column_batch_leaves_the_callers_array_writable():
+    values = np.array([1.0, 2.0, 3.0])  # already a contiguous f64 vector: no copy is made
+    batch = ColumnBatch({"px": values})
+    assert np.shares_memory(batch["px"], values)
+    assert not batch["px"].flags.writeable
+    values[0] = 5.0
+    assert batch["px"][0] == 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        batch["px"][1] = 0.0
+
+
 # ---- chunk planning ---------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import asyncio
+import collections
 import json
 import logging
 import os
@@ -25,7 +26,7 @@ from casa_mini.scheduler.state import ScalePolicy
 from casa_mini.sim import SimParams, VirtualFacility
 from casa_mini.tokens import mint_token
 from casa_mini.types import ColumnBatch
-from casa_mini.zygote import Zygote
+from casa_mini.zygote import Zygote, ZygoteError
 
 from .conftest import idle_worker_config, make_assertion, run_async, stat_fields, write_json
 
@@ -69,6 +70,16 @@ def scheduler_client(reply: dict, cred_paths: dict) -> client.SchedulerClient:
     return client.SchedulerClient(
         tuple(reply["ingress"]), reply["sni_hostname"], cred_paths["ca"], cred_paths["cert"], cred_paths["key"]
     )
+
+
+async def forked(record, timeout=30.0):
+    """The cluster's dedicated worker once its watch has forked it: the login
+    does not wait for the fork."""
+    deadline = time.monotonic() + timeout
+    while record.dedicated_worker is None:
+        assert time.monotonic() < deadline, "dedicated worker not forked"
+        await asyncio.sleep(0.002)
+    return record.dedicated_worker
 
 
 def oracle_histograms(dataset, root: str, pipeline_json):
@@ -179,7 +190,7 @@ def test_a_dedicated_worker_that_dies_after_it_registered_takes_its_cluster_down
             record = facility.clusters["alice-1"]
             await record.service.wait_worker("alice-1-dedicated", 30)
             start = time.monotonic()
-            record.dedicated_worker.kill()
+            (await forked(record)).kill()
             # submitted before the exit is seen: the dedicated worker was the one worker to run it
             job_id = record.service.state.submit_job(PIPELINE, dataset, 50, 0.0, events_per_file=epf)
             status = await record.service.wait_job(job_id, timeout=2.0)
@@ -247,6 +258,8 @@ def test_teardown_or_stop_while_the_dedicated_worker_registers_is_quiet(idp_keys
                 await client.login(addrs["authd"], make_assertion(idp_keys, sub=sub)) for sub in ("alice", "bob")
             ]
             alice, bob = (facility.clusters[reply["cluster_id"]] for reply in replies)
+            for record in (alice, bob):
+                await forked(record)
             await facility.teardown_cluster(alice.cluster_id)
             assert alice.watch.cancelled()
             assert alice.dedicated_worker.returncode == -signal.SIGTERM
@@ -257,6 +270,114 @@ def test_teardown_or_stop_while_the_dedicated_worker_registers_is_quiet(idp_keys
         assert bob.dedicated_worker.returncode == -signal.SIGTERM
         assert facility.clusters == {} and facility._tasks._tasks == set()
         assert facility.zygote.workers == {}
+
+    run_async(scenario())
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert warnings == []
+
+
+def hold_forks(facility) -> dict[str, asyncio.Event]:
+    """Hold each fork the facility asks of its zygote until the test sets the
+    event of its log name (<cluster-id>-dedicated for a dedicated worker)."""
+    spawn = facility.zygote.spawn
+    gates: dict[str, asyncio.Event] = collections.defaultdict(asyncio.Event)
+
+    async def held(config_path, log_path):
+        await gates[os.path.basename(log_path).removesuffix(".log")].wait()
+        return await spawn(config_path, log_path)
+
+    facility.zygote.spawn = held
+    return gates
+
+
+async def login(addrs, idp_keys, sub: str) -> dict:
+    return await asyncio.wait_for(client.login(addrs["authd"], make_assertion(idp_keys, sub=sub)), 10)
+
+
+def test_the_login_replies_while_the_dedicated_worker_forks(idp_keys, tmp_path):
+    async def scenario():
+        facility, dataset, epf = small_facility(idp_keys, tmp_path)
+        gates = hold_forks(facility)
+        addrs = await facility.start()
+        try:
+            reply = await login(addrs, idp_keys, "alice")
+            bob = await login(addrs, idp_keys, "bob")  # the provisioning lock does not span alice's fork
+            alice = facility.clusters["alice-1"]
+            assert alice.dedicated_worker is None and facility.clusters[bob["cluster_id"]].dedicated_worker is None
+            sc = scheduler_client(reply, write_client_creds(reply, str(tmp_path / "alice")))
+            job_id = await sc.submit_job(PIPELINE, "mini", list(dataset.files), epf, chunk_size=50)
+            await asyncio.sleep(0.2)
+            status = await sc.job_status(job_id)
+            assert (status["state"], status["assigned"], status["queued"]) == ("running", 0, 8)
+            gates["alice-1-dedicated"].set()
+            status = await sc.wait_job(job_id, timeout=30)
+            sc.close()
+            assert status["state"] == "done"
+            oracle = oracle_histograms(dataset, str(tmp_path), PIPELINE)
+            assert status["histograms"][0]["counts"] == [int(c) for c in oracle.histograms[0].counts]
+        finally:
+            await facility.stop()  # bob's fork is still held
+        assert facility.zygote.workers == {}
+
+    run_async(scenario())
+
+
+def test_a_dedicated_worker_that_cannot_be_forked_takes_its_cluster_down(idp_keys, tmp_path, caplog):
+    async def scenario():
+        facility, dataset, epf = small_facility(idp_keys, tmp_path)
+        refuse = asyncio.Event()
+
+        async def spawn(config_path, log_path):
+            await refuse.wait()
+            raise ZygoteError("fork: Resource temporarily unavailable")
+
+        facility.zygote.spawn = spawn
+        addrs = await facility.start()
+        try:
+            reply = await login(addrs, idp_keys, "alice")
+            assert reply["cluster_id"] == "alice-1"
+            record = facility.clusters["alice-1"]
+            job_id = record.service.state.submit_job(PIPELINE, dataset, 50, 0.0, events_per_file=epf)
+            refuse.set()
+            status = await record.service.wait_job(job_id, timeout=5.0)
+            assert status["state"] == "failed"
+            assert status["error"] == "dedicated worker for alice-1 not forked: fork: Resource temporarily unavailable"
+            await record.watch
+            assert facility.clusters == {} and len(facility.sni.routes) == 0
+            assert record.dedicated_worker is None
+        finally:
+            await facility.stop()
+
+    run_async(scenario())
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert any("dedicated worker for alice-1 not forked" in m for m in warnings), warnings
+
+
+@pytest.mark.parametrize("end", ["teardown", "stop"])
+def test_teardown_or_stop_while_a_fork_is_held_leaves_no_process(idp_keys, tmp_path, silent_port, caplog, end):
+    async def scenario():
+        facility, _, _ = small_facility(idp_keys, tmp_path)
+        silent_dedicated_worker(facility, silent_port)
+        gates = hold_forks(facility)
+        addrs = await facility.start()
+        try:
+            replies = [await login(addrs, idp_keys, sub) for sub in ("alice", "bob")]
+            alice, bob = (facility.clusters[reply["cluster_id"]] for reply in replies)
+            gates[f"{bob.cluster_id}-dedicated"].set()
+            bob_worker = await forked(bob)  # forked, and never registers
+            if end == "teardown":
+                await facility.teardown_cluster(alice.cluster_id)  # its fork still held
+                await facility.teardown_cluster(bob.cluster_id)
+                assert facility.zygote.workers == {}
+                gates["alice-1-dedicated"].set()  # a cancelled watch asks for no fork
+                await asyncio.sleep(0.05)
+        finally:
+            await facility.stop()
+        # bob's watch reaped its worker: the zygote's close would have killed it
+        assert bob_worker.returncode == -signal.SIGTERM
+        assert alice.dedicated_worker is None and alice.watch.cancelled()
+        assert facility.clusters == {} and facility.zygote.workers == {}
 
     run_async(scenario())
     warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
@@ -436,7 +557,7 @@ def test_stop_reaps_dedicated_worker(idp_keys, tmp_path):
         addrs = await facility.start()
         try:
             await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
-            worker = facility.clusters["alice-1"].dedicated_worker
+            worker = await forked(facility.clusters["alice-1"])
             assert worker.returncode is None
         finally:
             await facility.stop()

@@ -15,7 +15,7 @@ from casa_mini.batchsim import JobSpec
 from casa_mini.tokens import mint_token
 
 from .conftest import idle_worker_config, make_assertion, run_async, stat_fields, write_json
-from .test_facility import small_facility
+from .test_facility import forked, small_facility
 
 
 def alive(pid: int) -> bool:
@@ -63,6 +63,8 @@ def test_dedicated_worker_is_a_child_of_the_zygote_and_clusters_share_none(idp_k
             alice = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
             bob = await client.login(addrs["authd"], make_assertion(idp_keys, sub="bob"))
             alice, bob = facility.clusters[alice["cluster_id"]], facility.clusters[bob["cluster_id"]]
+            for record in (alice, bob):
+                await forked(record)
             assert alice.dedicated_worker.pid != bob.dedicated_worker.pid
             for record in (alice, bob):
                 assert int(stat_fields(record.dedicated_worker.pid)[1]) == facility.zygote.pid
@@ -196,7 +198,7 @@ def test_zygote_death_kills_its_workers_and_the_next_login_gets_a_new_one(idp_ke
         addrs = await facility.start()
         try:
             await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
-            dedicated = facility.clusters["alice-1"].dedicated_worker
+            dedicated = await forked(facility.clusters["alice-1"])
             handle = submit_idle_job(facility, tmp_path, silent_port)
             await wait_for(lambda: handle in facility._batch_procs)
             batch = facility._batch_procs[handle]
@@ -212,8 +214,8 @@ def test_zygote_death_kills_its_workers_and_the_next_login_gets_a_new_one(idp_ke
             assert not os.path.exists(f"/proc/{first}")  # the facility reaped it
 
             reply = await client.login(addrs["authd"], make_assertion(idp_keys, sub="bob"))
+            bob = await forked(facility.clusters[reply["cluster_id"]])  # by a new zygote
             second = facility.zygote.pid
-            bob = facility.clusters[reply["cluster_id"]].dedicated_worker
             assert second not in (None, first)
             assert int(stat_fields(bob.pid)[1]) == second
             pids.extend([second, bob.pid])
