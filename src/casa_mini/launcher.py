@@ -16,8 +16,9 @@ is up, or does not register in time fails the cluster's unfinished jobs
 with the reason and takes the cluster down.
 
 A cluster's scheduler submits and cancels its batch workers on the
-facility's BatchSim in this process; a new batch worker gets the tokens of
-the cluster's latest login, and a running one keeps those it started with.
+facility's BatchSim in this process, with its latest login's batch token,
+and holds its data token, which each AssignTask carries: no worker config
+or file holds one, and a re-login renews every running worker.
 
 Every worker process, dedicated or batch, is forked by the facility's one
 zygote (`casa_mini.zygote`), which has already imported the worker, so a
@@ -110,7 +111,7 @@ class FacilityConfig:
 
 @dataclass
 class ClusterRecord:
-    bundle: authd.CredentialBundle  # the latest login's; new batch workers get its tokens
+    bundle: authd.CredentialBundle  # the latest login's; new batch workers present its batch token
     service: SchedulerService
     dedicated_worker: WorkerProcess | None = None  # once its watch has forked it
     watch: asyncio.Task | None = None  # forks, watches and reaps the dedicated worker, once provisioned
@@ -279,12 +280,11 @@ class Facility:
             "cert": os.path.join(cred_dir, "user-cert.pem"),
             "key": os.path.join(cred_dir, "user-key.pem"),
             "proxy": list(self.addresses["data_proxy"]),
-            "data_token": bundle.data_token,
             "n_cores": n_cores,
         }
 
     def _batch_worker(self, bundle: authd.CredentialBundle, cred_dir: str, worker_id: str) -> JobSpec:
-        """The batch job of a scale-out worker, with the given login's tokens."""
+        """The batch job of a scale-out worker, with the given login's batch token."""
         n_cores = self.cfg.worker_cores
         return JobSpec(
             n_cores=n_cores,
@@ -299,7 +299,7 @@ class Facility:
         async with self._provision_lock, contextlib.AsyncExitStack() as undo:
             existing = self.clusters.get(bundle.cluster_id)
             if existing is not None:
-                existing.bundle = bundle
+                existing.bundle, existing.service.data_token = bundle, bundle.data_token
                 existing.service.autoscaler.reset_backoff()
                 return existing
             # until the cluster is provisioned, a failure undoes every step taken
@@ -309,6 +309,7 @@ class Facility:
                 self.batch_sim,
                 lambda worker_id: self._batch_worker(record.bundle, cred_dir, worker_id),
                 heartbeat_timeout=self.cfg.heartbeat_timeout,
+                data_token=bundle.data_token,
             )
             record = ClusterRecord(bundle, service)  # before anything can ask for a batch worker
             ssl_ctx = server_ssl_context(

@@ -9,9 +9,10 @@ its reports (Heartbeat, TaskDone, TaskFailed) carry no worker id.  They are
 one-way, as in dask.distributed: it is sent only the Ok to its WorkerHello,
 AssignTask, and Err to refuse one.  A client's WaitJob with timeout 0 is its
 status poll.
-Each dispatch sends a worker one AssignTask with every run of tasks that
-dispatch gave it, each job's pipeline once (`types.assignment`); runs whose
-frame would exceed MAX_FRAME are split over as many AssignTasks as need be.
+Each dispatch sends a worker one AssignTask with the cluster's data token,
+each job's pipeline once and every run of tasks that dispatch gave it
+(`types.assignment`); runs whose frame would exceed MAX_FRAME are split over
+as many AssignTasks as need be.
 The dispatch asks ClusterState.schedule_step to join runs of adjacent chunks
 of one file, one core each, and the worker runs each run it is sent as one
 engine pass on one task thread, so a small job goes out at once.
@@ -70,12 +71,12 @@ def _peer_cn(writer: asyncio.StreamWriter) -> str:
     return ""
 
 
-def assign_frames(runs: list[list[TaskSpec]]) -> list[tuple[list[list[TaskSpec]], bytes | None]]:
+def assign_frames(runs: list[list[TaskSpec]], token: str) -> list[tuple[list[list[TaskSpec]], bytes | None]]:
     """One worker's runs of tasks as encoded AssignTask frames: one for all,
     or else those of each half of the runs.  Only a run too large for a frame
     alone is cut in two, down to a task alone, whose frame is None if still so."""
     try:
-        return [(runs, wire.encode(wire.WireMessage("AssignTask", assignment(runs))))]
+        return [(runs, wire.encode(wire.WireMessage("AssignTask", assignment(runs, token))))]
     except wire.FrameTooLarge:
         if len(runs) == 1:
             (run,) = runs
@@ -83,12 +84,13 @@ def assign_frames(runs: list[list[TaskSpec]]) -> list[tuple[list[list[TaskSpec]]
                 return [(runs, None)]
             runs = [run[: len(run) // 2], run[len(run) // 2 :]]
     half = len(runs) // 2
-    return assign_frames(runs[:half]) + assign_frames(runs[half:])
+    return assign_frames(runs[:half], token) + assign_frames(runs[half:], token)
 
 
 class SchedulerService:
     """TLS front end over ClusterState, scaling out onto the facility's
-    BatchSim; worker_spec(worker_id) is the JobSpec of a batch worker."""
+    BatchSim; worker_spec(worker_id) is the JobSpec of a batch worker, and
+    data_token, which a re-login renews, goes out in every AssignTask."""
 
     def __init__(
         self,
@@ -98,8 +100,10 @@ class SchedulerService:
         policy: ScalePolicy | None = None,
         clock=time.time,
         heartbeat_timeout: float = HEARTBEAT_TIMEOUT,
+        data_token: str = "",
     ):
         self.state = ClusterState(cluster_id)
+        self.data_token = data_token
         self.policy = policy or ScalePolicy(mode="fixed", fixed_n=0)
         self.clock = clock
         self.heartbeat_timeout = heartbeat_timeout
@@ -179,7 +183,7 @@ class SchedulerService:
             if writer is None:
                 continue
             frames = []
-            for part, frame in assign_frames(runs):
+            for part, frame in assign_frames(runs, self.data_token):
                 if frame is not None:
                     frames.append(frame)
                     continue

@@ -143,10 +143,11 @@ class TaskSpec:
     pipeline: tuple = field(default_factory=tuple)  # JSON-shaped step list
 
 
-def assignment(runs: Sequence[Sequence[TaskSpec]]) -> dict:
-    """The AssignTask body of runs of tasks: each job's pipeline once, by
-    job_id, and each run as its tasks, each task as its job_id and chunk."""
+def assignment(runs: Sequence[Sequence[TaskSpec]], token: str) -> dict:
+    """The AssignTask body: the data token, each job's pipeline once, by job_id,
+    and each run of tasks as its tasks, each task as its job_id and chunk."""
     return {
+        "token": token,
         "pipelines": {spec.job_id: list(spec.pipeline) for run in runs for spec in run},
         "runs": [[{"job_id": spec.job_id, "chunk": spec.chunk.to_dict()} for spec in run] for run in runs],
     }

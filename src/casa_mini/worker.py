@@ -15,9 +15,10 @@ whose reason and transience come from `task_failure`.
 Reports get no reply unless the scheduler refuses one, with an Err the
 worker logs.  A task's chunk reaches its pipeline through DataPath, which
 the virtual facility (`sim`) uses too: remote files come from the caching
-proxy with the worker's data token, over one kept connection per task
-thread; the reader and header of every file read and the compiled pipeline
-of every job run are kept while it runs.
+proxy with the data token the last AssignTask carried (the config holds
+none), over one kept connection per task thread; the reader and header of
+every file read and the compiled pipeline of every job run are kept while
+it runs.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class WorkerConfig:
         self.cert = raw["cert"]
         self.key = raw["key"]
         self.proxy = (raw["proxy"][0], int(raw["proxy"][1])) if raw.get("proxy") else None
-        self.data_token = raw.get("data_token", "")
         self.n_cores = int(raw.get("n_cores", 4))
         for name in ("ca", "cert", "key"):
             if not getattr(self, name):
@@ -84,7 +84,7 @@ class DataPath:
     Both read the columns of a span of adjacent chunks of one file at a time.
 
     A root:// chunk is read through a proxy's `fetch(path, ranges, token)`
-    with the data token (`data_proxy.range_reader`); with no
+    with `token` as it is at each fetch (`data_proxy.range_reader`); with no
     `fetch`, it is refused rather than looked for on local disk.  A local
     path is read from local disk.  Each file's reader (a local one holds
     the file's descriptor until no task reads through it) and CACF
@@ -107,7 +107,7 @@ class DataPath:
             return cacf.local_range_reader(url)
         if self.fetch is None:
             raise ProxyError(f"no data proxy to read {url}")
-        return range_reader(self.fetch, remote.path, self.token)
+        return range_reader(lambda path, ranges, _: self.fetch(path, ranges, self.token), remote.path, "")
 
     def _cached(self, cache: OrderedDict, key: str, make, limit: int):
         """cache[key], made by make(key) on a miss; least recently used dropped past limit."""
@@ -190,7 +190,7 @@ class WorkerAgent:
         self.worker_id = cfg.worker_id or ""
         self._pool = ThreadPoolExecutor(max_workers=cfg.n_cores, thread_name_prefix="task")
         self._proxy = ProxyClient(cfg.proxy) if cfg.proxy else None
-        self._data = DataPath(self._proxy.fetch if self._proxy else None, cfg.data_token)
+        self._data = DataPath(self._proxy.fetch if self._proxy else None)
         self._tasks = wire.BackgroundTasks()
         self._send_lock = asyncio.Lock()
         self._writer: asyncio.StreamWriter | None = None
@@ -219,7 +219,8 @@ class WorkerAgent:
             await self._send(wire.WireMessage("Heartbeat", {}))
 
     def _assign(self, body: dict) -> None:
-        """Start an AssignTask's runs of tasks, each as sent on its own task thread."""
+        """Start an AssignTask's runs, each as sent on its own task thread, with its data token."""
+        self._data.token = body["token"]
         for run in assigned(body):
             self._tasks.spawn(self._run(run))
 

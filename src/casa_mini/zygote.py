@@ -4,8 +4,8 @@ that has already imported casa_mini.worker, not by starting Python.
     python -m casa_mini.zygote <fd>
 
 <fd> is the zygote's end of a SOCK_SEQPACKET socketpair with its facility.
-The zygote imports the worker once, with one BLAS thread and the collector
-off, freezes what it then holds (gc.freeze), and answers one request at a
+The zygote imports the worker once, with one BLAS thread, collects and
+freezes what it then holds (gc.freeze), and answers one request at a
 time.  It starts no thread or event loop and opens no config or
 credential.  A request names a worker config and a log file.  The
 zygote forks; the child points stdout and stderr at the log and runs the
@@ -87,7 +87,6 @@ def _fork(sock: socket.socket, children: dict[int, int], request: dict) -> tuple
     if pid == 0:
         code = 1
         try:
-            gc.enable()  # the frozen objects stay out of the child's collections
             _libc.prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
             if os.getppid() != zygote_pid:  # orphaned before the request took effect
                 os._exit(1)
@@ -144,10 +143,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     # a terminal's interrupt reaches the facility too, which ends the zygote by closing the socket
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # Import the worker with the collector off, then freeze what is left, so
-    # no collection in a child writes to (and copies) the pages it shares
-    # with the zygote; each child turns the collector back on.
-    gc.disable()
+    # Import the worker, then collect and freeze what is left, so no
+    # collection in a child writes to (and copies) the pages it shares with
+    # the zygote.
     from . import worker  # every child runs it: see _run_worker
 
     gc.collect()

@@ -596,7 +596,8 @@ def test_a_teardown_cancels_every_batch_job_however_soon_after_the_scale_out(idp
 def test_a_re_login_renews_the_tokens_scale_out_presents(idp_keys, tmp_path):
     """A login after the first login's tokens expired returns the same
     cluster, clears the back-off of a scale-out refused meanwhile, and its
-    batch workers present the new batch and data tokens."""
+    batch workers present the new batch token.  Its scheduler holds the new
+    data token, and no batch job carries one."""
 
     async def scenario():
         facility, _, _ = small_facility(idp_keys, tmp_path, token_ttl=0.5)
@@ -619,10 +620,78 @@ def test_a_re_login_renews_the_tokens_scale_out_presents(idp_keys, tmp_path):
             jobs = list(facility.batch_sim.jobs.values())
             assert [job.state for job in jobs] == ["Starting"] * 2
             assert {job.spec.batch_token for job in jobs} == {again["batch_token"]}
-            assert {job.spec.worker_config["data_token"] for job in jobs} == {again["data_token"]}
+            assert service.data_token == again["data_token"] != first["data_token"]
+            assert [job.spec.worker_config.get("data_token") for job in jobs] == [None] * 2
             assert {e.detail for e in service.state.events if e.kind == "WorkerDown"} == {
                 "batch submit failed: token expired"
             }
+        finally:
+            await facility.stop()
+
+    run_async(scenario())
+
+
+def test_a_re_login_renews_the_data_token_of_a_running_worker(idp_keys, tmp_path):
+    """Once the login's tokens have expired, a job fails with the proxy's
+    refusal; after a re-login, the same dedicated worker runs the next job
+    to the first job's histograms, with the token its next AssignTask carries."""
+    ttl = 2.0
+
+    async def scenario():
+        facility, dataset, epf = small_facility(idp_keys, tmp_path, token_ttl=ttl)
+        addrs = await facility.start()
+        try:
+            first = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            expires = time.monotonic() + ttl  # the tokens were minted before the reply
+            sc = scheduler_client(first, write_client_creds(first, str(tmp_path / "alice")))
+
+            async def run_job():
+                job_id = await sc.submit_job(PIPELINE, "mini", list(dataset.files), epf, chunk_size=50)
+                return await sc.wait_job(job_id, timeout=30)
+
+            statuses = [await run_job()]
+            assert time.monotonic() < expires, "the first job outlived the tokens"
+            worker = facility.clusters["alice-1"].dedicated_worker
+            await asyncio.sleep(expires - time.monotonic() + 0.1)
+            statuses.append(await run_job())  # no re-login yet
+            again = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            assert again["data_token"] != first["data_token"]
+            statuses.append(await run_job())
+            assert facility.clusters["alice-1"].dedicated_worker is worker  # the same process, renewed
+            sc.close()
+        finally:
+            await facility.stop()
+        return statuses
+
+    done, expired, renewed = run_async(scenario())
+    assert done["state"] == "done"
+    assert (expired["state"], expired["error"]) == ("failed", "data token rejected: token expired")
+    assert renewed["state"] == "done"
+    assert renewed["histograms"] == done["histograms"]
+
+
+def test_no_file_or_batch_job_holds_the_data_token(idp_keys, tmp_path):
+    """After a login and a scale-out whose batch worker registers, the data
+    token is in no file under run_dir and no batch job's worker config."""
+
+    async def scenario():
+        facility, _, _ = small_facility(idp_keys, tmp_path)
+        addrs = await facility.start()
+        try:
+            reply = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            service = facility.clusters["alice-1"].service
+            assert service.data_token == reply["data_token"]
+            sc = scheduler_client(reply, write_client_creds(reply, str(tmp_path / "alice")))
+            await sc.scale_request(mode="fixed", fixed_n=2)  # the dedicated worker and w0001
+            for worker_id in ("alice-1-dedicated", "w0001"):
+                await service.wait_worker(worker_id, 30)
+            sc.close()
+            configs = [job.spec.worker_config for job in facility.batch_sim.jobs.values()]
+            assert len(configs) == 1 and "data_token" not in configs[0]
+            token = reply["data_token"].encode()
+            files = [path for path in (tmp_path / "run").rglob("*") if path.is_file()]
+            assert "batch-job-1.json" in {path.name for path in files}
+            assert [path for path in files if token in path.read_bytes()] == []
         finally:
             await facility.stop()
 
@@ -692,7 +761,6 @@ def test_worker_exits_nonzero_without_scheduler(tmp_path, idp_keys):
         "cert": paths["cert"],
         "key": paths["key"],
         "proxy": None,
-        "data_token": "",
         "n_cores": 2,
     }
     config_path = tmp_path / "worker.json"
@@ -733,7 +801,7 @@ def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
     from casa_mini.data_proxy import OriginServer, DataProxyServer
     from casa_mini.tokens import TokenError
     from casa_mini.types import FileChunk, TaskSpec
-    from casa_mini.worker import DataPath, WorkerConfig, execute_run, task_failure
+    from casa_mini.worker import DataPath, execute_run, task_failure
 
     os.makedirs(tmp_path / "store" / "d", exist_ok=True)
     cacf_mod.write_dataset_file({"pt": np.arange(100.0)}, str(tmp_path / "store" / "d" / "f.cacf"))
@@ -743,26 +811,13 @@ def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
         origin_addr = await origin.start("127.0.0.1", 0)
         proxy = DataProxyServer(origin_addr, "fed", b"k" * 32)
         proxy_addr = await proxy.start("127.0.0.1", 0)
-        cfg = WorkerConfig(
-            {
-                "worker_id": "w1",
-                "ingress": ["127.0.0.1", 1],
-                "sni": "x",
-                "ca": "c",
-                "cert": "c",
-                "key": "k",
-                "proxy": list(proxy_addr),
-                "data_token": "expired.token",
-                "n_cores": 1,
-            }
-        )
         spec = TaskSpec(
             job_id="job-1",
             chunk=FileChunk(file="root://origin//store/d/f.cacf", start=0, len=50, chunk_id=0),
             pipeline=tuple(PIPELINE),
         )
-        proxy_client = ProxyClient(cfg.proxy)
-        data = DataPath(proxy_client.fetch, cfg.data_token)
+        proxy_client = ProxyClient(proxy_addr)
+        data = DataPath(proxy_client.fetch, "expired.token")
         (outcome,) = await asyncio.to_thread(execute_run, [spec], data)
         assert isinstance(outcome, TokenError)
         assert task_failure(outcome) == (f"data token rejected: {outcome}", False)
@@ -777,7 +832,7 @@ def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
 def test_worker_keeps_headers_and_proxy_connection_across_tasks(tmp_path, monkeypatch):
     from casa_mini.data_proxy import DataProxyServer, OriginServer
     from casa_mini.types import FileChunk, TaskSpec
-    from casa_mini.worker import DataPath, WorkerConfig, execute_run
+    from casa_mini.worker import DataPath, execute_run
 
     os.makedirs(tmp_path / "store" / "d", exist_ok=True)
     for name in ("a", "b"):
@@ -792,17 +847,7 @@ def test_worker_keeps_headers_and_proxy_connection_across_tasks(tmp_path, monkey
         origin = OriginServer(str(tmp_path), "fed")
         proxy = DataProxyServer(await origin.start("127.0.0.1", 0), "fed", b"k" * 32)
         proxy_addr = await proxy.start("127.0.0.1", 0)
-        cfg = WorkerConfig(
-            {
-                "ingress": ["127.0.0.1", 1],
-                "sni": "x",
-                "ca": "c",
-                "cert": "c",
-                "key": "k",
-                "proxy": list(proxy_addr),
-                "data_token": mint_token(b"k" * 32, "alice", "data", exp=time.time() + 600),
-            }
-        )
+        token = mint_token(b"k" * 32, "alice", "data", exp=time.time() + 600)
         specs = [
             TaskSpec(
                 job_id="job-1",
@@ -811,8 +856,8 @@ def test_worker_keeps_headers_and_proxy_connection_across_tasks(tmp_path, monkey
             )
             for i, (name, start) in enumerate([("a", 0), ("a", 50), ("b", 0), ("b", 50)])
         ]
-        proxy_client = ProxyClient(cfg.proxy)
-        data = DataPath(proxy_client.fetch, cfg.data_token)
+        proxy_client = ProxyClient(proxy_addr)
+        data = DataPath(proxy_client.fetch, token)
         try:
             # one thread, as a task thread runs one task after another
             results = await asyncio.to_thread(lambda: [execute_run([s], data)[0] for s in specs])
@@ -1060,7 +1105,7 @@ def test_worker_runs_adjacent_chunks_of_one_assignment_in_one_pass(tmp_path, mon
         fetch = proxy.fetch
         proxy.fetch = lambda path, ranges, token: requests.append(ranges) or fetch(path, ranges, token)
         cfg = {"worker_id": "w1", "ingress": ["127.0.0.1", 1], "sni": "x", "ca": "c", "cert": "c", "key": "k"}
-        agent = worker.WorkerAgent(worker.WorkerConfig({**cfg, "proxy": list(proxy_addr), "data_token": token}))
+        agent = worker.WorkerAgent(worker.WorkerConfig({**cfg, "proxy": list(proxy_addr)}))  # the data token comes with the AssignTask
         sent = []
 
         async def send(*msgs):
@@ -1069,7 +1114,7 @@ def test_worker_runs_adjacent_chunks_of_one_assignment_in_one_pass(tmp_path, mon
         agent._send = send
         client = ProxyClient(proxy_addr)
         try:
-            agent._assign(assignment([specs]))
+            agent._assign(assignment([specs], token))
             deadline = time.monotonic() + 10
             while len(sent) < 2 and time.monotonic() < deadline:
                 await asyncio.sleep(0.01)
@@ -1138,7 +1183,7 @@ def test_a_worker_runs_the_runs_it_is_sent_one_pass_each_all_at_once(tmp_path, m
         sent.extend(msgs)
 
     async def scenario():
-        agent._assign(assignment(runs))
+        agent._assign(assignment(runs, ""))  # local files: no token read
         deadline = time.monotonic() + 20
         while len(sent) < 16 and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
@@ -1162,9 +1207,9 @@ def test_a_live_worker_gets_a_small_job_in_one_assignment_and_one_pass_per_file(
     frames = []
     assign_frames = service.assign_frames
 
-    def framing(runs):
+    def framing(runs, token):
         frames.append([[s.chunk.chunk_id for s in run] for run in runs])
-        return assign_frames(runs)
+        return assign_frames(runs, token)
 
     monkeypatch.setattr(service, "assign_frames", framing)
 

@@ -440,18 +440,47 @@ def test_an_assignment_past_the_frame_limit_is_split_or_its_task_failed(tls, mon
     run_async(refused())
 
 
+def test_every_assignment_frame_carries_the_current_data_token(tls, monkeypatch):
+    """Each AssignTask frame carries the service's data token as it is at that
+    dispatch: both frames of a split dispatch, and after a renewal between two
+    dispatches, the new token in the next frame."""
+    monkeypatch.setattr(wire, "MAX_FRAME", 64 * 1024)
+
+    async def scenario():
+        async with Rig(tls, data_token="first") as rig:
+            # queued before any worker, so that one dispatch gives w1 both, in two frames
+            jobs = [await rig.submit(pipeline=padded(40 * 1024)) for _ in range(2)]
+            w = await rig.worker("w1")
+            tasks = [await asyncio.wait_for(w.next_task(), 5) for _ in jobs]
+            rig.service.data_token = "second"  # a re-login
+            jobs.append(await rig.submit())
+            tasks.append(await asyncio.wait_for(w.next_task(), 5))
+            assigned = [msg.body["token"] for msg in w.received if msg.kind == "AssignTask"]
+            assert assigned == ["first", "first", "second"]
+            for task in tasks:
+                await w.done(task)
+            for job_id in jobs:
+                assert (await rig.client.wait_job(job_id, timeout=5))["state"] == "done"
+            w.close()
+
+    run_async(scenario())
+
+
 def test_assign_frames_split_between_runs_and_cut_only_a_run_too_large_alone(monkeypatch):
     from casa_mini.scheduler.service import assign_frames
     from casa_mini.types import FileChunk, TaskSpec, assignment
+
+    token = "t" * 158  # a data token's length
 
     def task(i):
         return TaskSpec("job-1", FileChunk("f", 10 * i, 10, i), tuple(PIPELINE))
 
     def size(runs):  # of the payload, less the length prefix
-        return len(wire.encode(wire.WireMessage("AssignTask", assignment(runs)))) - 4
+        return len(wire.encode(wire.WireMessage("AssignTask", assignment(runs, token)))) - 4
 
     def sent(runs):  # each frame's runs, as chunk ids, and whether it has a frame
-        return [([[s.chunk.chunk_id for s in r] for r in part], frame is not None) for part, frame in assign_frames(runs)]
+        frames = assign_frames(runs, token)
+        return [([[s.chunk.chunk_id for s in r] for r in part], frame is not None) for part, frame in frames]
 
     runs = [[task(0)], [task(1), task(2), task(3)], [task(4), task(5)]]
     # the longest run fits a frame alone, no two runs do: halving the six tasks would cut it

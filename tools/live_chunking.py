@@ -55,8 +55,8 @@ def _record(frames: list, passes: dict) -> None:
     `passes`."""
     assign_frames, complete_task = service.assign_frames, ClusterState.complete_task
 
-    def assigning(runs):
-        sent = assign_frames(runs)
+    def assigning(runs, token):
+        sent = assign_frames(runs, token)
         frames.extend((part[0][0].job_id, len(part)) for part, _ in sent)  # the tool runs one job at a time
         return sent
 
