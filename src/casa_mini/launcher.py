@@ -21,8 +21,10 @@ and holds its data token, which each AssignTask carries: no worker config
 or file holds one, and a re-login renews every running worker.
 
 Every worker process, dedicated or batch, is forked by the facility's one
-zygote (`casa_mini.zygote`), which has already imported the worker, so a
-login does not wait for Python to start and numpy to import.  A worker's
+zygote (`casa_mini.zygote`), which has already imported the worker and run
+one mutual-TLS handshake on throwaway material of its own (never a
+cluster's), so a worker waits neither for Python to start and numpy to
+import nor for OpenSSL to set itself up before its WorkerHello.  A worker's
 exit is reported as it happens: a batch worker that exits on its own gives
 its slot back at once.
 """

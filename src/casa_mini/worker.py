@@ -17,8 +17,8 @@ worker logs.  A task's chunk reaches its pipeline through DataPath, which
 the virtual facility (`sim`) uses too: remote files come from the caching
 proxy with the data token the last AssignTask carried (the config holds
 none), over one kept connection per task thread; the reader and header of
-every file read and the compiled pipeline of every job run are kept while
-it runs.
+every file read and each distinct pipeline compiled are kept while it
+runs.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ RETRY_DELAY = 0.5
 # file's reader holds a descriptor, so they take at most a quarter of the process's limit.
 _NOFILE = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
 HEADER_CACHE_FILES = 4096 if _NOFILE == resource.RLIM_INFINITY else min(4096, _NOFILE // 4)
-PIPELINE_CACHE_JOBS = 64  # compiled job pipelines a worker keeps, likewise
+PIPELINE_CACHE_SPECS = 64  # distinct pipeline specs a worker keeps compiled, likewise
 HEARTBEAT_INTERVAL = 2.0
 # Failures a retry may not meet, reported as transient in TaskFailed: the
 # proxy or its origin could not be reached.
@@ -89,9 +89,9 @@ class DataPath:
     path is read from local disk.  Each file's reader (a local one holds
     the file's descriptor until no task reads through it) and CACF
     header are kept, at most HEADER_CACHE_FILES of them: dataset files are
-    immutable, as the proxy's block cache also assumes.  Each job's pipeline
-    is parsed and compiled once and kept by job_id (unique within the one
-    cluster a DataPath serves), at most PIPELINE_CACHE_JOBS of them.
+    immutable, as the proxy's block cache also assumes.  Each distinct
+    pipeline is parsed and compiled once and kept by its spec, so jobs that
+    run the same pipeline share one, at most PIPELINE_CACHE_SPECS of them.
     """
 
     def __init__(self, fetch: Callable[[str, list[tuple[int, int]], str], list[bytes]] | None, token: str = ""):
@@ -124,9 +124,10 @@ class DataPath:
         return value
 
     def pipeline(self, spec: TaskSpec) -> KernelPipeline:
-        """The task's job's compiled pipeline."""
+        """The task's compiled pipeline."""
+        key = json.dumps(spec.pipeline, sort_keys=True)
         return self._cached(
-            self._pipelines, spec.job_id, lambda _: KernelPipeline.from_json(list(spec.pipeline)), PIPELINE_CACHE_JOBS
+            self._pipelines, key, lambda _: KernelPipeline.from_json(list(spec.pipeline)), PIPELINE_CACHE_SPECS
         )
 
     def read(self, span: Sequence[FileChunk], pipeline: KernelPipeline) -> ColumnBatch:

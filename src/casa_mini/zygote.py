@@ -1,15 +1,23 @@
 """Worker fork server (the zygote): a worker starts as a fork of a process
-that has already imported casa_mini.worker, not by starting Python.
+that has already imported casa_mini.worker and set OpenSSL up, not by
+starting Python.
 
-    python -m casa_mini.zygote <fd>
+    python -m casa_mini.zygote <fd> <warm-up dir>
 
 <fd> is the zygote's end of a SOCK_SEQPACKET socketpair with its facility.
-The zygote imports the worker once, with one BLAS thread, collects and
-freezes what it then holds (gc.freeze), and answers one request at a
-time.  It starts no thread or event loop and opens no config or
-credential.  A request names a worker config and a log file.  The
-zygote forks; the child points stdout and stderr at the log and runs the
-same `worker.main([config])` as `python -m casa_mini.worker config`.  The
+The zygote imports the worker once, with one BLAS thread.  It then warms
+OpenSSL up: it loads the throwaway CA, host and user certificates in
+<warm-up dir> (minted for it alone, trusted by nothing else and never a
+cluster's) into a server and a client context, removes the directory, and
+runs one mutual-TLS handshake between the two in memory, so OpenSSL's
+per-process set-up is done once here and every child inherits it.  A
+warm-up that fails is logged on stderr and forking goes on.  The contexts
+are dropped, and the zygote collects and freezes what it then holds
+(gc.freeze) and answers one request at a time.  It starts no thread or
+event loop, and opens no config or credential of a cluster.  A request
+names a worker config and a log file.  The zygote forks; the child points
+stdout and stderr at the log and runs the same `worker.main([config])` as
+`python -m casa_mini.worker config`.  The
 reply carries the child's pid and its pidfd (SCM_RIGHTS), opened while the
 child cannot yet have been reaped, so a signal sent through it never
 reaches a process that reused the pid.  The zygote reaps each child with
@@ -20,12 +28,13 @@ child asks the kernel (PR_SET_PDEATHSIG) for SIGKILL when the zygote dies,
 so none outlives it, not even one forked just before the zygote died,
 whose pidfd never reached the facility.
 
-`Zygote` is the facility's side.  It starts the zygote process, sends
-requests and reads replies from the event loop without blocking it, and
-hands out one `WorkerProcess` per fork.  A fork whose caller was cancelled
-before the reply is killed as soon as the reply arrives.  When the zygote
-dies, its children are killed through their pidfds, and the next spawn
-starts a new zygote.
+`Zygote` is the facility's side.  It mints each zygote's warm-up material
+(`mint_warmup`), starts the zygote process, sends requests and reads
+replies from the event loop without blocking it, and hands out one
+`WorkerProcess` per fork.  A fork whose caller was cancelled before the
+reply is killed as soon as the reply arrives.  When the zygote dies, its
+children are killed through their pidfds, the warm-up directory is removed
+if the zygote had not, and the next spawn starts a new zygote.
 """
 
 from __future__ import annotations
@@ -37,11 +46,16 @@ import json
 import logging
 import os
 import select
+import shutil
 import signal
 import socket
+import ssl
 import sys
+import tempfile
 import traceback
 from collections import deque
+
+from . import wire
 
 log = logging.getLogger(__name__)
 
@@ -50,6 +64,9 @@ PR_SET_PDEATHSIG = 1  # linux/prctl.h
 _libc = ctypes.CDLL(None)
 # set in the zygote's environment, so numpy starts no BLAS thread pool in it
 BLAS_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# The warm-up material, by file name in its directory, and the host name its host certificate carries
+WARMUP_FILES = ("ca.pem", "host.pem", "host.key", "user.pem", "user.key")
+WARMUP_HOST = "zygote-warm-up.invalid"
 
 
 class ZygoteError(RuntimeError):
@@ -104,6 +121,51 @@ def _fork(sock: socket.socket, children: dict[int, int], request: dict) -> tuple
         raise
 
 
+def _handshake_step(tls: ssl.SSLObject) -> bool:
+    """Advance a handshake over memory BIOs; True once it is done."""
+    try:
+        tls.do_handshake()
+    except ssl.SSLWantReadError:
+        return False
+    return True
+
+
+def warm_tls(directory: str) -> None:
+    """Do OpenSSL's per-process set-up (algorithm fetches, PEM decoders, chain
+    verification) in this process, so every child forked from it inherits
+    it: load the material in `directory` into a server and a client context,
+    built as the scheduler's and a worker's are, remove the directory, and
+    run one mutual-TLS handshake between them over memory BIOs, with one
+    small record each way.  Both contexts are dropped on return."""
+    ca, host, host_key, user, user_key = (os.path.join(directory, name) for name in WARMUP_FILES)
+    try:
+        server = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)  # as scheduler.service.server_ssl_context
+        server.load_cert_chain(host, host_key)
+        server.load_verify_locations(ca)
+        server.verify_mode = ssl.CERT_REQUIRED
+        client = wire.client_ssl_context(ca, user, user_key)
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+    c_in, c_out, s_in, s_out = (ssl.MemoryBIO() for _ in range(4))
+    c_tls = client.wrap_bio(c_in, c_out, server_hostname=WARMUP_HOST)
+    s_tls = server.wrap_bio(s_in, s_out, server_side=True)
+    for _ in range(4):  # TLS 1.3 takes two rounds
+        done = _handshake_step(c_tls)
+        s_in.write(c_out.read())
+        done = _handshake_step(s_tls) and done
+        c_in.write(s_out.read())
+        if done:
+            break
+    else:
+        raise ssl.SSLError("warm-up handshake did not finish")
+    c_tls.write(b"ping")
+    s_in.write(c_out.read())
+    s_tls.read()
+    s_tls.write(b"pong")
+    c_in.write(s_out.read())
+    c_tls.read()
+
+
 def serve(sock: socket.socket) -> None:
     """Answer fork requests until the facility closes its end of `sock`."""
     children: dict[int, int] = {}  # pidfd -> pid of each child not yet reaped
@@ -138,16 +200,21 @@ def serve(sock: socket.socket) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: python -m casa_mini.zygote <fd>", file=sys.stderr)
+    if len(argv) != 2:
+        print("usage: python -m casa_mini.zygote <fd> <warm-up dir>", file=sys.stderr)
         return 2
     # a terminal's interrupt reaches the facility too, which ends the zygote by closing the socket
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # Import the worker, then collect and freeze what is left, so no
-    # collection in a child writes to (and copies) the pages it shares with
-    # the zygote.
+    # Import the worker and warm OpenSSL up, then collect and freeze what is
+    # left, so no collection in a child writes to (and copies) the pages it
+    # shares with the zygote.
     from . import worker  # every child runs it: see _run_worker
 
+    try:
+        warm_tls(argv[1])
+    except Exception:  # a cold OpenSSL only slows each child's first handshake
+        print("casa_mini.zygote: TLS warm-up failed; forking without it", file=sys.stderr)
+        traceback.print_exc()
     gc.collect()
     gc.freeze()
     with socket.socket(fileno=int(argv[0])) as sock:
@@ -156,6 +223,20 @@ def main(argv: list[str] | None = None) -> int:
 
 
 # ---- the facility's side ------------------------------------------------------------
+
+
+def mint_warmup() -> str:
+    """A fresh private directory holding one zygote's warm-up material: a
+    throwaway CA, a host and a user certificate it signed, and their keys."""
+    from . import certs  # imports cryptography, which neither the zygote nor a worker needs
+
+    ca = certs.make_ca("casa-mini zygote warm-up")
+    host, user = certs.make_host_cert(ca, WARMUP_HOST), certs.make_user_cert(ca, "zygote-warm-up")
+    directory = tempfile.mkdtemp(prefix="casa-mini-warm-up-")
+    for name, pem in zip(WARMUP_FILES, (ca.cert_pem, host.cert_pem, host.key_pem, user.cert_pem, user.key_pem)):
+        with open(os.path.join(directory, name), "w") as fh:
+            fh.write(pem)
+    return directory
 
 
 class WorkerProcess:
@@ -207,27 +288,31 @@ class Zygote:
         self._replies: deque[asyncio.Future] = deque()  # one per request sent, in order
         self._outbox: deque[bytes] = deque()  # requests the socket had no room for yet
         self._gone: asyncio.Future | None = None  # done once the zygote process is reaped
+        self._warmup: str | None = None  # the running zygote's warm-up directory, removed by then
         self._closed = False
 
     def start(self) -> None:
-        """Start a zygote process; it imports the worker while the caller goes on."""
+        """Start a zygote process; it imports the worker and warms OpenSSL up
+        while the caller goes on."""
         loop = asyncio.get_running_loop()
+        warmup = mint_warmup()
         ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         try:
             theirs.set_inheritable(True)
             pid = os.posix_spawn(
                 sys.executable,
-                [sys.executable, "-m", "casa_mini.zygote", str(theirs.fileno())],
+                [sys.executable, "-m", "casa_mini.zygote", str(theirs.fileno()), warmup],
                 {**os.environ, **BLAS_THREADS},
                 file_actions=[(os.POSIX_SPAWN_OPEN, 0, os.devnull, os.O_RDONLY, 0)],
             )
         except OSError:
             ours.close()
+            shutil.rmtree(warmup, ignore_errors=True)
             raise
         finally:
             theirs.close()
         ours.setblocking(False)
-        self.pid, self._sock, self._pidfd = pid, ours, os.pidfd_open(pid)
+        self.pid, self._sock, self._pidfd, self._warmup = pid, ours, os.pidfd_open(pid), warmup
         self._gone = loop.create_future()
         loop.add_reader(ours.fileno(), self._read)
         loop.add_reader(self._pidfd, self._zygote_exited)
@@ -293,7 +378,8 @@ class Zygote:
             log.warning("zygote pid %d exited with %d; killing its %d workers", self.pid, code, len(self.workers))
         os.close(self._pidfd)
         self._sock.close()
-        self.pid = self._sock = self._pidfd = None
+        shutil.rmtree(self._warmup, ignore_errors=True)  # if the zygote died before it loaded it
+        self.pid = self._sock = self._pidfd = self._warmup = None
         while self._replies:
             self._replies.popleft().set_exception(ZygoteError(f"zygote exited with {code}"))
         self._outbox.clear()

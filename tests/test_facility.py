@@ -1319,7 +1319,7 @@ def test_batch_worker_that_exits_returns_its_slot(idp_keys, tmp_path, silent_por
     assert [proc.returncode for proc in procs] == [-signal.SIGKILL] * 2
 
 
-def test_worker_compiles_each_jobs_pipeline_once(tmp_path, monkeypatch):
+def test_worker_compiles_each_distinct_pipeline_once(tmp_path, monkeypatch):
     from casa_mini import worker
     from casa_mini.types import FileChunk, TaskSpec
 
@@ -1329,18 +1329,23 @@ def test_worker_compiles_each_jobs_pipeline_once(tmp_path, monkeypatch):
     from_json = KernelPipeline.from_json
     monkeypatch.setattr(KernelPipeline, "from_json", classmethod(lambda cls, spec: built.append(1) or from_json(spec)))
     data = worker.DataPath(None)
+    other = [{"define": ["pt", "px+py"]}, {"hist": ["h_pt", "pt", 10, 0, 100]}]
 
-    def run(job_id, chunk_id):
+    def run(job_id, chunk_id, pipeline=PIPELINE):
         chunk = FileChunk(file=path, start=10 * chunk_id, len=10, chunk_id=chunk_id)
-        return worker.execute_run([TaskSpec(job_id=job_id, chunk=chunk, pipeline=tuple(PIPELINE))], data)[0]
+        return worker.execute_run([TaskSpec(job_id=job_id, chunk=chunk, pipeline=tuple(pipeline))], data)[0]
 
-    results = [run("job-1", i) for i in range(4)]
-    assert len(built) == 1  # four tasks of one job, one KernelPipeline
-    assert [r.n_events_in for r in results] == [10] * 4
-    assert sum(r.n_events_pass for r in results) == int(np.count_nonzero(np.hypot(np.arange(40.0), 1.0) > 20))
+    # job-2 sends an equal copy of job-1's pipeline, as a later AssignTask does
+    results = [run(job_id, i, json.loads(json.dumps(PIPELINE))) for job_id in ("job-1", "job-2") for i in range(4)]
+    assert len(built) == 1  # eight tasks of two jobs that run one pipeline, one KernelPipeline
+    assert [r.n_events_in for r in results] == [10] * 8
+    assert sum(r.n_events_pass for r in results[:4]) == int(np.count_nonzero(np.hypot(np.arange(40.0), 1.0) > 20))
+    assert [r.n_events_pass for r in results[4:]] == [r.n_events_pass for r in results[:4]]
 
-    monkeypatch.setattr(worker, "PIPELINE_CACHE_JOBS", 1)
-    for job_id in ("job-2", "job-2", "job-1"):
-        run(job_id, 0)
-    assert len(built) == 3  # job-2 once, then job-1 again: job-2 pushed it out
-    assert list(data._pipelines) == ["job-1"]
+    monkeypatch.setattr(worker, "PIPELINE_CACHE_SPECS", 1)
+    for job_id, pipeline in (("job-3", other), ("job-4", other), ("job-5", PIPELINE)):
+        run(job_id, 0, pipeline)
+    assert len(built) == 3  # other once for two jobs, then PIPELINE again: other pushed it out
+    assert len(data._pipelines) == 1
+    run("job-6", 1)
+    assert len(built) == 3  # PIPELINE is the one kept

@@ -15,7 +15,7 @@ from casa_mini.batchsim import JobSpec
 from casa_mini.tokens import mint_token
 
 from .conftest import idle_worker_config, make_assertion, run_async, stat_fields, write_json
-from .test_facility import forked, small_facility
+from .test_facility import PIPELINE, forked, oracle_histograms, scheduler_client, small_facility, write_client_creds
 
 
 def alive(pid: int) -> bool:
@@ -80,13 +80,17 @@ def test_dedicated_worker_is_a_child_of_the_zygote_and_clusters_share_none(idp_k
     run_async(scenario())
 
 
-def test_zygote_holds_no_cluster_file_and_runs_no_blas_thread(idp_keys, tmp_path):
+def test_zygote_holds_no_cluster_file_and_runs_no_blas_thread(idp_keys, tmp_path, capfd):
     async def scenario():
         facility, _, _ = small_facility(idp_keys, tmp_path)
         addrs = await facility.start()
         try:
-            await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
-            await client.login(addrs["authd"], make_assertion(idp_keys, sub="bob"))
+            warmup = facility.zygote._warmup
+            assert os.stat(warmup).st_mode & 0o777 == 0o700
+            for sub in ("alice", "bob"):
+                reply = await client.login(addrs["authd"], make_assertion(idp_keys, sub=sub))
+                await forked(facility.clusters[reply["cluster_id"]])
+            assert not os.path.exists(warmup)  # removed once loaded, before the first fork
             fd_dir = f"/proc/{facility.zygote.pid}/fd"
             targets = [os.readlink(os.path.join(fd_dir, fd)) for fd in os.listdir(fd_dir)]
             with open(f"/proc/{facility.zygote.pid}/status") as fh:
@@ -95,16 +99,75 @@ def test_zygote_holds_no_cluster_file_and_runs_no_blas_thread(idp_keys, tmp_path
                 environ = [entry.decode() for entry in fh.read().split(b"\0")]
         finally:
             await facility.stop()
-        return targets, threads, environ
+        return warmup, targets, threads, environ
 
-    targets, threads, environ = run_async(scenario())
+    warmup, targets, threads, environ = run_async(scenario())
     clusters = os.path.realpath(tmp_path / "run" / "clusters")
-    assert targets and not [t for t in targets if t.startswith(clusters)], targets
+    assert targets and not [t for t in targets if t.startswith((clusters, warmup))], targets
     assert threads == 1
+    assert "warm-up failed" not in capfd.readouterr().err
     # OpenBLAS stops its pool before each fork, so only the environment shows
     # that the zygote never starts one (before its first fork) and its workers never restart one
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         assert f"{name}=1" in environ
+
+
+def test_warm_tls_runs_a_handshake_on_minted_material_and_removes_it():
+    directory = zygote.mint_warmup()
+    assert sorted(os.listdir(directory)) == sorted(zygote.WARMUP_FILES)
+    zygote.warm_tls(directory)
+    assert not os.path.exists(directory)
+
+
+def test_a_zygote_whose_warm_up_fails_logs_it_and_its_worker_runs_a_job(idp_keys, tmp_path, monkeypatch, capfd):
+    unreadable = tmp_path / "warm-up"
+
+    def garbage() -> str:
+        unreadable.mkdir()
+        for name in zygote.WARMUP_FILES:
+            (unreadable / name).write_text("not PEM\n")
+        return str(unreadable)
+
+    monkeypatch.setattr(zygote, "mint_warmup", garbage)
+
+    async def scenario():
+        facility, dataset, epf = small_facility(idp_keys, tmp_path)
+        addrs = await facility.start()
+        try:
+            reply = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            sc = scheduler_client(reply, write_client_creds(reply, str(tmp_path / "alice")))
+            job_id = await sc.submit_job(PIPELINE, "mini", list(dataset.files), epf, chunk_size=50)
+            await facility.clusters["alice-1"].service.wait_worker("alice-1-dedicated", 30)
+            status = await sc.wait_job(job_id, timeout=30)
+            sc.close()
+        finally:
+            await facility.stop()
+        return dataset, status
+
+    dataset, status = run_async(scenario())
+    assert "casa_mini.zygote: TLS warm-up failed; forking without it" in capfd.readouterr().err
+    assert not unreadable.exists()
+    assert status["state"] == "done"
+    oracle = oracle_histograms(dataset, str(tmp_path), PIPELINE)
+    assert status["histograms"][0]["counts"] == [int(c) for c in oracle.histograms[0].counts]
+
+
+def test_no_warm_up_directory_outlives_its_zygote(idp_keys, tmp_path):
+    async def scenario():
+        facility, _, _ = small_facility(idp_keys, tmp_path)
+        await facility.start()
+        try:
+            killed = facility.zygote._warmup
+            os.kill(facility.zygote.pid, signal.SIGKILL)  # long before it has imported the worker
+            await wait_for(lambda: facility.zygote.pid is None)
+            assert not os.path.exists(killed)
+            facility.zygote.start()
+            stopped = facility.zygote._warmup
+        finally:
+            await facility.stop()
+        return stopped
+
+    assert not os.path.exists(run_async(scenario()))
 
 
 def test_sigkilled_batch_worker_returns_its_slot_within_50ms(idp_keys, tmp_path, silent_port):
@@ -233,7 +296,7 @@ def test_worker_dies_with_its_zygote_even_unknown_to_the_facility(tmp_path, sile
     # the worker through its pidfd: only the kernel can, when the zygote dies.
     ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "casa_mini.zygote", str(theirs.fileno())],
+        [sys.executable, "-m", "casa_mini.zygote", str(theirs.fileno()), zygote.mint_warmup()],
         pass_fds=[theirs.fileno()],
         env={**os.environ, **zygote.BLAS_THREADS},
         stdin=subprocess.DEVNULL,

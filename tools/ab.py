@@ -3,18 +3,22 @@
 
     python3 tools/ab.py BASE_REV --workload W [--pairs N] [--seconds T] [--seed S0] [--quick] [--out PATH]
 
-Checks BASE_REV out with `git worktree` under `.casabench/`, then runs
-`casabench/run.py --workload W --seed S --seconds T --trace 0` N times in
-each tree, alternating: the base runs first in odd-numbered pairs, and pair
-k uses seed S0 + k - 1 on both sides.  Each side runs its own casabench and
-its own `src/`.  Writes one JSON object (to PATH, or standard output): the
-machine, Python and numpy, the base SHA, every run's result line with its
-`correct` and `failed` flags, and per end-to-end metric of BENCHMARK.json
-each side's q1, median and q3 (numpy linear percentiles) and the pairs the
-working tree won (ties count for neither).  An existing PATH for the same
-base keeps its other workloads, so one file can hold several.  The worktree
-is removed at the end.  Exits 1 unless every run was correct with no
-failures.
+Checks out BASE_REV and the working tree as it stands (a commit of it, with
+untracked files that are not ignored, made through a scratch index, so no
+branch, index or file moves) with `git worktree`, as
+`.casabench/ab-<pid>/parent` and `.casabench/ab-<pid>/change`: both sides
+run from fresh trees at the same depth, with paths of the same length.  It
+then runs `casabench/run.py --workload W --seed S --seconds T --trace 0` N
+times in each tree, alternating: the base runs first in odd-numbered pairs,
+and pair k uses seed S0 + k - 1 on both sides.  Each side runs its own
+casabench and its own `src/`.  Writes one JSON object (to PATH, or standard
+output): the machine, Python and numpy, the base SHA, every run's result
+line with its `correct` and `failed` flags, and per end-to-end metric of
+BENCHMARK.json each side's q1, median and q3 (numpy linear percentiles) and
+the pairs the working tree won (ties count for neither).  An existing PATH
+for the same base keeps its other workloads, so one file can hold several.  Both
+worktrees are removed at the end.  Exits 1 unless every run was correct
+with no failures.
 """
 
 from __future__ import annotations
@@ -25,14 +29,28 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+def git(*args: str, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def working_tree_commit() -> str:
+    """A commit, on top of HEAD, of the working tree as it stands, untracked
+    files that are not ignored included; neither the index nor a branch moves."""
+    with tempfile.TemporaryDirectory() as scratch:
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(scratch, "index")}
+        git("read-tree", "HEAD", env=env)
+        git("add", "--all", env=env)
+        tree = git("write-tree", env=env)
+    who = {"GIT_AUTHOR_NAME": "ab", "GIT_AUTHOR_EMAIL": "ab@localhost"}
+    who |= {"GIT_COMMITTER_NAME": "ab", "GIT_COMMITTER_EMAIL": "ab@localhost"}  # a checkout may have no identity
+    return git("commit-tree", tree, "-p", "HEAD", "-m", "working tree", env={**os.environ, **who})
 
 
 def cpu_name() -> str:
@@ -108,19 +126,24 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = {m["name"]: (m["unit"], m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
     base_sha = git("rev-parse", "--verify", args.base_rev + "^{commit}")
-    worktree = os.path.join(ROOT, ".casabench", f"ab-{base_sha[:12]}-{os.getpid()}")
-    git("worktree", "add", "--detach", worktree, base_sha)
-    runs = []
+    top = os.path.join(ROOT, ".casabench", f"ab-{os.getpid()}")
+    sides = [("parent", base_sha), ("change", working_tree_commit())]
+    added, runs = [], []
     try:
+        for side, sha in sides:
+            git("worktree", "add", "--detach", os.path.join(top, side), sha)
+            added.append(os.path.join(top, side))
         for k in range(args.pairs):
             seed = args.seed + k
-            sides = [("parent", worktree), ("change", ROOT)]
-            for order, (side, tree) in enumerate(sides if k % 2 == 0 else sides[::-1]):
-                result = run_once(tree, args, seed)
+            for order, (side, _) in enumerate(sides if k % 2 == 0 else sides[::-1]):
+                result = run_once(os.path.join(top, side), args, seed)
                 runs.append({"seed": seed, "side": side, "ran_first": order == 0, **result})
                 print(f"ab: pair {k + 1} {side} seed {seed}: correct {result['correct']}", file=sys.stderr)
     finally:
-        git("worktree", "remove", "--force", worktree)
+        for worktree in added:
+            git("worktree", "remove", "--force", worktree)
+        if os.path.isdir(top):
+            os.rmdir(top)
     report = {}
     if args.out and os.path.exists(args.out):
         with open(args.out) as fh:
