@@ -24,7 +24,10 @@ Every worker process, dedicated or batch, is forked by the facility's one
 zygote (`casa_mini.zygote`), which has already imported the worker and run
 one mutual-TLS handshake on throwaway material of its own (never a
 cluster's), so a worker waits neither for Python to start and numpy to
-import nor for OpenSSL to set itself up before its WorkerHello.  A worker's
+import nor for OpenSSL to set itself up before its WorkerHello.  The fork
+request carries the worker's config, so a login writes no file but its
+cluster's TLS files (`wire.write_tls_files`: `ssl` loads certificates only
+from files), which go when the cluster leaves the facility.  A worker's
 exit is reported as it happens: a batch worker that exits on its own gives
 its slot back at once.
 """
@@ -37,6 +40,7 @@ import json
 import logging
 import os
 import secrets
+import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -45,7 +49,7 @@ from . import authd, wire
 from .batchsim import BatchService, BatchSim, DelayModel, JobSpec
 from .data_proxy import DataProxyServer, OriginServer
 from .ingress import SniProxy
-from .scheduler.service import SchedulerService, server_ssl_context
+from .scheduler.service import SchedulerService
 from .zygote import WorkerProcess, Zygote, ZygoteError
 
 log = logging.getLogger(__name__)
@@ -77,7 +81,6 @@ class FacilityConfig:
     ports: dict = field(
         default_factory=lambda: {
             "ingress": 0,
-            "ingress_admin": 0,
             "authd": 0,
             "batch": 0,
             "data_proxy": 0,
@@ -164,7 +167,7 @@ class Facility:
 
     async def start(self) -> dict:
         bind = self.cfg.bind
-        os.makedirs(self.run_dir, exist_ok=True)
+        os.makedirs(os.path.join(self.run_dir, "logs"), exist_ok=True)  # each worker process's output
         self.zygote.start()  # imports the worker while the services start
         self.addresses["origin"] = await self.origin.start(bind, self.cfg.ports.get("origin", 0))
         self.proxy = DataProxyServer(
@@ -173,9 +176,6 @@ class Facility:
         self.addresses["data_proxy"] = await self.proxy.start(bind, self.cfg.ports.get("data_proxy", 0))
         self.addresses["batch"] = await self.batch_service.start(bind, self.cfg.ports.get("batch", 0))
         self.addresses["ingress"] = await self.sni.start(bind, self.cfg.ports.get("ingress", 0))
-        self.addresses["ingress_admin"] = await self.sni.start_admin(
-            bind, self.cfg.ports.get("ingress_admin", 0)
-        )
         self._authd_server = await authd.serve(
             self.auth, bind, self.cfg.ports.get("authd", 0), on_login=self._on_login, conns=self._authd_conns
         )
@@ -211,12 +211,9 @@ class Facility:
         An exit of its own (shutdown or crash), or no process at all, gives the
         slot back.  Cancelling the task reaps the process instead, or kills it
         as soon as it is forked."""
-        config_path = os.path.join(self.run_dir, f"batch-job-{handle}.json")
         try:
-            with open(config_path, "w") as fh:
-                json.dump(worker_config, fh)
-            # named like its config: worker ids repeat across clusters, handles do not
-            proc = await self._spawn_worker(config_path, f"batch-job-{handle}")
+            # logged by handle: worker ids repeat across clusters, handles do not
+            proc = await self._spawn_worker(worker_config, f"batch-job-{handle}")
         except (OSError, ZygoteError) as exc:
             log.warning("batch job %d: no worker process: %s", handle, exc)
             self.batch_sim.finish(handle, self.batch_service.clock())
@@ -234,11 +231,9 @@ class Facility:
         self.batch_sim.finish(handle, self.batch_service.clock())
         return code
 
-    async def _spawn_worker(self, config_path: str, log_name: str) -> WorkerProcess:
+    async def _spawn_worker(self, config: dict, log_name: str) -> WorkerProcess:
         """Fork a worker process whose stdout and stderr go to run_dir/logs/<log_name>.log."""
-        log_dir = os.path.join(self.run_dir, "logs")
-        os.makedirs(log_dir, exist_ok=True)
-        return await self.zygote.spawn(config_path, os.path.join(log_dir, f"{log_name}.log"))
+        return await self.zygote.spawn(config, os.path.join(self.run_dir, "logs", f"{log_name}.log"))
 
     def _stop_batch_worker(self, job, now: float) -> None:
         task = self._batch_tasks.get(job.handle)
@@ -257,40 +252,28 @@ class Facility:
             "sni_hostname": bundle.sni_hostname,
         }
 
-    def _write_creds(self, bundle: authd.CredentialBundle) -> str:
-        cred_dir = os.path.join(self.run_dir, "clusters", bundle.cluster_id)
-        os.makedirs(cred_dir, exist_ok=True)
-        for name, text in (
-            ("ca.pem", bundle.ca.cert_pem),
-            ("host-cert.pem", bundle.host.cert_pem),
-            ("host-key.pem", bundle.host.key_pem),
-            ("user-cert.pem", bundle.user.cert_pem),
-            ("user-key.pem", bundle.user.key_pem),
-        ):
-            with open(os.path.join(cred_dir, name), "w") as fh:
-                fh.write(text)
-        return cred_dir
+    def _cred_dir(self, cluster_id: str) -> str:
+        return os.path.join(self.run_dir, "clusters", cluster_id)
 
-    def _worker_config(
-        self, bundle: authd.CredentialBundle, cred_dir: str, worker_id: str | None, n_cores: int
-    ) -> dict:
+    def _worker_config(self, bundle: authd.CredentialBundle, worker_id: str, n_cores: int) -> dict:
+        ca, _, _, cert, key = (os.path.join(self._cred_dir(bundle.cluster_id), name) for name in wire.TLS_FILES)
         return {
             "worker_id": worker_id,
             "ingress": list(self.addresses["ingress"]),
             "sni": bundle.sni_hostname,
-            "ca": os.path.join(cred_dir, "ca.pem"),
-            "cert": os.path.join(cred_dir, "user-cert.pem"),
-            "key": os.path.join(cred_dir, "user-key.pem"),
+            "ca": ca,
+            "cert": cert,
+            "key": key,
             "proxy": list(self.addresses["data_proxy"]),
             "n_cores": n_cores,
         }
 
-    def _batch_worker(self, bundle: authd.CredentialBundle, cred_dir: str, worker_id: str) -> JobSpec:
+    def _batch_worker(self, bundle: authd.CredentialBundle, worker_id: str) -> JobSpec:
         """The batch job of a scale-out worker, with the given login's batch token."""
         n_cores = self.cfg.worker_cores
         return JobSpec(
             n_cores=n_cores,
-            worker_config=self._worker_config(bundle, cred_dir, worker_id, n_cores),
+            worker_config=self._worker_config(bundle, worker_id, n_cores),
             batch_token=bundle.batch_token,
         )
 
@@ -305,20 +288,18 @@ class Facility:
                 existing.service.autoscaler.reset_backoff()
                 return existing
             # until the cluster is provisioned, a failure undoes every step taken
-            cred_dir = self._write_creds(bundle)
+            cred_dir = self._cred_dir(bundle.cluster_id)
+            undo.callback(shutil.rmtree, cred_dir, ignore_errors=True)
+            ca, host_cert, host_key, _, _ = wire.write_tls_files(cred_dir, bundle.ca, bundle.host, bundle.user)
             service = SchedulerService(
                 bundle.cluster_id,
                 self.batch_sim,
-                lambda worker_id: self._batch_worker(record.bundle, cred_dir, worker_id),
+                lambda worker_id: self._batch_worker(record.bundle, worker_id),
                 heartbeat_timeout=self.cfg.heartbeat_timeout,
                 data_token=bundle.data_token,
             )
             record = ClusterRecord(bundle, service)  # before anything can ask for a batch worker
-            ssl_ctx = server_ssl_context(
-                os.path.join(cred_dir, "host-cert.pem"),
-                os.path.join(cred_dir, "host-key.pem"),
-                os.path.join(cred_dir, "ca.pem"),
-            )
+            ssl_ctx = wire.server_ssl_context(host_cert, host_key, ca)
             port = 0
             if self._next_sched_port:
                 port = self._next_sched_port
@@ -330,13 +311,10 @@ class Facility:
 
             # the scheduler counts the dedicated worker as requested until its WorkerHello
             worker_id = f"{bundle.cluster_id}-dedicated"
-            config_path = os.path.join(cred_dir, "dedicated-worker.json")
-            with open(config_path, "w") as fh:
-                json.dump(self._worker_config(bundle, cred_dir, worker_id, self.cfg.dedicated_cores), fh)
             service.state.expect_worker(service.clock(), worker_id=worker_id)
             undo.pop_all()  # provisioned: teardown_cluster releases it all from here on
             self.clusters[bundle.cluster_id] = record
-            record.watch = self._tasks.spawn(self._watch_dedicated_worker(record, config_path))
+            record.watch = self._tasks.spawn(self._watch_dedicated_worker(record))
             log.info(
                 "provisioned cluster %s for %s at %s (route %s)",
                 bundle.cluster_id,
@@ -346,15 +324,16 @@ class Facility:
             )
             return record
 
-    async def _watch_dedicated_worker(self, record: ClusterRecord, config_path: str) -> None:
+    async def _watch_dedicated_worker(self, record: ClusterRecord) -> None:
         """The cluster's dedicated worker from fork to exit.  One that cannot
         be forked, exits, or has not registered REGISTER_TIMEOUT after its
         fork fails the cluster's unfinished jobs with the reason and takes the
         cluster down.  Cancelling the task (a teardown) reaps the worker, or
         kills it as soon as it is forked."""
         worker_id = f"{record.cluster_id}-dedicated"
+        config = self._worker_config(record.bundle, worker_id, self.cfg.dedicated_cores)
         try:
-            proc = record.dedicated_worker = await self._spawn_worker(config_path, worker_id)
+            proc = record.dedicated_worker = await self._spawn_worker(config, worker_id)
         except (OSError, ZygoteError) as exc:
             why = f"not forked: {exc}"
         else:
@@ -371,7 +350,7 @@ class Facility:
                 await reap(proc)  # on a cancel too; returns at once for a worker that exited
         reason = f"dedicated worker for {record.cluster_id} {why}"
         log.warning("cluster %s: %s; taking it down", record.cluster_id, reason)
-        del self.clusters[record.cluster_id]  # a teardown from here on finds no cluster
+        self._drop_cluster(record.cluster_id)  # a teardown from here on finds no cluster
         release = asyncio.ensure_future(self._release_cluster(record, reason))
         try:
             await asyncio.shield(release)
@@ -380,7 +359,7 @@ class Facility:
             raise
 
     async def teardown_cluster(self, cluster_id: str) -> dict:
-        record = self.clusters.pop(cluster_id, None)
+        record = self._drop_cluster(cluster_id)
         if record is None:
             raise KeyError(f"unknown cluster {cluster_id!r}")
         record.watch.cancel()  # the watch ends quietly and reaps the dedicated worker
@@ -389,13 +368,18 @@ class Facility:
         log.info("cluster %s torn down", cluster_id)
         return {"cluster_id": cluster_id, "state": "removed"}
 
+    def _drop_cluster(self, cluster_id: str) -> ClusterRecord | None:
+        """Take a cluster out of self.clusters and remove its TLS files with no await
+        between: from then on a re-login may provision the same cluster id, and files."""
+        record = self.clusters.pop(cluster_id, None)
+        if record is not None:
+            shutil.rmtree(self._cred_dir(cluster_id), ignore_errors=True)
+        return record
+
     async def _release_cluster(self, record: ClusterRecord, reason: str) -> None:
         """End what a cluster taken out of self.clusters holds; its
         unfinished jobs fail with `reason`."""
-        try:
-            self.sni.routes.remove(record.bundle.sni_hostname)
-        except Exception:
-            pass
+        self.sni.routes.remove(record.bundle.sni_hostname)  # nothing else removes a cluster's route
         await record.service.close(reason)  # cancels every batch job the cluster holds
 
 

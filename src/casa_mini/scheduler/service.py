@@ -54,14 +54,6 @@ MAX_WAIT = 10.0
 CLOSE_GRACE = 1.0
 
 
-def server_ssl_context(host_cert_path: str, host_key_path: str, ca_path: str) -> ssl.SSLContext:
-    ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-    ctx.load_cert_chain(host_cert_path, host_key_path)
-    ctx.load_verify_locations(ca_path)
-    ctx.verify_mode = ssl.CERT_REQUIRED
-    return ctx
-
-
 def _peer_cn(writer: asyncio.StreamWriter) -> str:
     cert = writer.get_extra_info("peercert") or {}
     for rdn in cert.get("subject", ()):

@@ -8,7 +8,8 @@ length prefix around raw bytes instead of JSON; see data_proxy.
 `answering` is the one read, answer and close loop of every request/reply
 service; `ConnectionTasks` ends a server's open connections at shutdown.
 `Channel` is the client side: one kept connection that requests take turns
-on.
+on.  `write_tls_files` writes a cluster's certificates and keys, and the
+two `*_ssl_context` functions build its mutual-TLS contexts from them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import os
 import ssl
 import struct
 from dataclasses import dataclass, field
@@ -24,6 +26,8 @@ log = logging.getLogger(__name__)
 
 MAX_FRAME = 16 * 1024 * 1024
 _LEN = struct.Struct(">I")
+# A cluster's TLS files, by name in its directory: the CA's certificate, then a host and a user certificate and key
+TLS_FILES = ("ca.pem", "host.pem", "host.key", "user.pem", "user.key")
 
 # Control-plane vocabulary.  Decoding any kind outside this set is rejected.
 KINDS = frozenset(
@@ -125,6 +129,26 @@ def raise_on_err(msg: WireMessage) -> WireMessage:
     if msg.kind == "Err":
         raise RequestError(msg.body.get("code", "error"), msg.body.get("message", ""))
     return msg
+
+
+def write_tls_files(directory: str, ca, host, user) -> tuple[str, ...]:
+    """Write the CA's certificate and the host's and user's certificates and keys
+    (`certs.PemPair`s) as TLS_FILES in `directory`, made private if new; their paths."""
+    os.makedirs(directory, mode=0o700, exist_ok=True)
+    paths = tuple(os.path.join(directory, name) for name in TLS_FILES)
+    for path, pem in zip(paths, (ca.cert_pem, host.cert_pem, host.key_pem, user.cert_pem, user.key_pem)):
+        with open(path, "w") as fh:
+            fh.write(pem)
+    return paths
+
+
+def server_ssl_context(host_cert_path: str, host_key_path: str, ca_path: str) -> ssl.SSLContext:
+    """Mutual TLS as a cluster's scheduler: present the host certificate, require one the cluster CA minted."""
+    ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    ctx.load_cert_chain(host_cert_path, host_key_path)
+    ctx.load_verify_locations(ca_path)
+    ctx.verify_mode = ssl.CERT_REQUIRED
+    return ctx
 
 
 def client_ssl_context(ca_path: str, cert_path: str, key_path: str) -> ssl.SSLContext:

@@ -1,8 +1,8 @@
 """Worker agent: joins its cluster over mTLS, executes assigned tasks.
 
-Runs as `main([config])` with one argument, the path to a JSON config (this
-is the payload a batch job carries): in a facility, in a process forked by
-the zygote (`casa_mini.zygote`); alone, as `python -m casa_mini.worker`.
+Runs as `run(config)` with its batch job's payload as the config: in a
+facility, in a process forked by the zygote (`casa_mini.zygote`), whose fork
+request carries it; alone, as `python -m casa_mini.worker config.json`.
 The scheduler sends one AssignTask per dispatch: each job's pipeline once
 and every run of tasks that dispatch gave this worker (adjacent chunks of one
 file of one job, one core each).  The worker runs each run as sent through
@@ -71,11 +71,6 @@ class WorkerConfig:
                 raise ValueError(f"worker config missing credential {name!r}")
         if self.n_cores < 1:
             raise ValueError("n_cores must be >= 1")
-
-    @classmethod
-    def load(cls, path: str) -> "WorkerConfig":
-        with open(path) as fh:
-            return cls(json.load(fh))
 
 
 class DataPath:
@@ -287,14 +282,20 @@ class WorkerAgent:
                 writer.close()
 
 
+def run(config: dict) -> int:
+    """Run a worker with `config` until it gives up on its scheduler; its exit code."""
+    logging.basicConfig(level=logging.INFO, format="%(asctime)s worker %(message)s")
+    return asyncio.run(WorkerAgent(WorkerConfig(config)).run())
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
         print("usage: python -m casa_mini.worker <config.json>", file=sys.stderr)
         return 2
-    logging.basicConfig(level=logging.INFO, format="%(asctime)s worker %(message)s")
-    cfg = WorkerConfig.load(argv[0])
-    return asyncio.run(WorkerAgent(cfg).run())
+    with open(argv[0]) as fh:
+        config = json.load(fh)
+    return run(config)
 
 
 if __name__ == "__main__":

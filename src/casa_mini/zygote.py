@@ -8,16 +8,16 @@ starting Python.
 The zygote imports the worker once, with one BLAS thread.  It then warms
 OpenSSL up: it loads the throwaway CA, host and user certificates in
 <warm-up dir> (minted for it alone, trusted by nothing else and never a
-cluster's) into a server and a client context, removes the directory, and
-runs one mutual-TLS handshake between the two in memory, so OpenSSL's
-per-process set-up is done once here and every child inherits it.  A
-warm-up that fails is logged on stderr and forking goes on.  The contexts
-are dropped, and the zygote collects and freezes what it then holds
-(gc.freeze) and answers one request at a time.  It starts no thread or
-event loop, and opens no config or credential of a cluster.  A request
-names a worker config and a log file.  The zygote forks; the child points
-stdout and stderr at the log and runs the same `worker.main([config])` as
-`python -m casa_mini.worker config`.  The
+cluster's) into the scheduler's and a worker's contexts (`wire`), removes
+the directory, and runs one mutual-TLS handshake between the two in
+memory, so OpenSSL's per-process set-up is done once here and every child
+inherits it.  A warm-up that fails is logged on stderr and forking goes
+on.  The contexts are dropped, and the zygote collects and freezes what it
+then holds (gc.freeze) and answers one request at a time.  It starts no
+thread or event loop, and opens no file of a cluster.  A request carries a
+worker config (its batch job's payload) and names a log file.  The zygote
+forks; the child points stdout and stderr at the log and runs the same
+`worker.run(config)` as `python -m casa_mini.worker config.json`.  The
 reply carries the child's pid and its pidfd (SCM_RIGHTS), opened while the
 child cannot yet have been reaped, so a signal sent through it never
 reaches a process that reused the pid.  The zygote reaps each child with
@@ -29,7 +29,8 @@ so none outlives it, not even one forked just before the zygote died,
 whose pidfd never reached the facility.
 
 `Zygote` is the facility's side.  It mints each zygote's warm-up material
-(`mint_warmup`), starts the zygote process, sends requests and reads
+(`mint_warmup`), starts the zygote process, sends requests (refusing one
+longer than MAX_MESSAGE, which the zygote could not read) and reads
 replies from the event loop without blocking it, and hands out one
 `WorkerProcess` per fork.  A fork whose caller was cancelled before the
 reply is killed as soon as the reply arrives.  When the zygote dies, its
@@ -64,9 +65,7 @@ PR_SET_PDEATHSIG = 1  # linux/prctl.h
 _libc = ctypes.CDLL(None)
 # set in the zygote's environment, so numpy starts no BLAS thread pool in it
 BLAS_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-# The warm-up material, by file name in its directory, and the host name its host certificate carries
-WARMUP_FILES = ("ca.pem", "host.pem", "host.key", "user.pem", "user.key")
-WARMUP_HOST = "zygote-warm-up.invalid"
+WARMUP_HOST = "zygote-warm-up.invalid"  # the host name of the warm-up host certificate
 
 
 class ZygoteError(RuntimeError):
@@ -76,7 +75,7 @@ class ZygoteError(RuntimeError):
 # ---- the zygote process -------------------------------------------------------
 
 
-def _run_worker(config_path: str, log_path: str) -> int:
+def _run_worker(config: dict, log_path: str) -> int:
     """In a forked child: stdout and stderr to the log, then the worker."""
     signal.signal(signal.SIGINT, signal.default_int_handler)  # the zygote ignores it
     fd = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
@@ -86,7 +85,7 @@ def _run_worker(config_path: str, log_path: str) -> int:
     from . import worker  # imported by main() before the first fork
 
     try:
-        return worker.main([config_path])
+        return worker.run(config)
     except BaseException:
         traceback.print_exc()  # as `python -m` does; the child then exits with 1
         raise
@@ -133,16 +132,13 @@ def _handshake_step(tls: ssl.SSLObject) -> bool:
 def warm_tls(directory: str) -> None:
     """Do OpenSSL's per-process set-up (algorithm fetches, PEM decoders, chain
     verification) in this process, so every child forked from it inherits
-    it: load the material in `directory` into a server and a client context,
-    built as the scheduler's and a worker's are, remove the directory, and
-    run one mutual-TLS handshake between them over memory BIOs, with one
-    small record each way.  Both contexts are dropped on return."""
-    ca, host, host_key, user, user_key = (os.path.join(directory, name) for name in WARMUP_FILES)
+    it: load the material in `directory` into the scheduler's and a
+    worker's contexts, remove the directory, and run one mutual-TLS
+    handshake between them over memory BIOs, with one small record each
+    way.  Both contexts are dropped on return."""
+    ca, host, host_key, user, user_key = (os.path.join(directory, name) for name in wire.TLS_FILES)
     try:
-        server = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)  # as scheduler.service.server_ssl_context
-        server.load_cert_chain(host, host_key)
-        server.load_verify_locations(ca)
-        server.verify_mode = ssl.CERT_REQUIRED
+        server = wire.server_ssl_context(host, host_key, ca)
         client = wire.client_ssl_context(ca, user, user_key)
     finally:
         shutil.rmtree(directory, ignore_errors=True)
@@ -233,9 +229,7 @@ def mint_warmup() -> str:
     ca = certs.make_ca("casa-mini zygote warm-up")
     host, user = certs.make_host_cert(ca, WARMUP_HOST), certs.make_user_cert(ca, "zygote-warm-up")
     directory = tempfile.mkdtemp(prefix="casa-mini-warm-up-")
-    for name, pem in zip(WARMUP_FILES, (ca.cert_pem, host.cert_pem, host.key_pem, user.cert_pem, user.key_pem)):
-        with open(os.path.join(directory, name), "w") as fh:
-            fh.write(pem)
+    wire.write_tls_files(directory, ca, host, user)
     return directory
 
 
@@ -317,15 +311,18 @@ class Zygote:
         loop.add_reader(ours.fileno(), self._read)
         loop.add_reader(self._pidfd, self._zygote_exited)
 
-    async def spawn(self, config_path: str, log_path: str) -> WorkerProcess:
-        """Fork a worker that runs `config_path`, its output appended to `log_path`."""
+    async def spawn(self, config: dict, log_path: str) -> WorkerProcess:
+        """Fork a worker that runs `config`, its output appended to `log_path`."""
         if self._closed:
             raise ZygoteError("zygote closed")
+        request = json.dumps({"config": config, "log": log_path}).encode()
+        if len(request) > MAX_MESSAGE:  # the zygote would read it cut short
+            raise ZygoteError(f"fork request of {len(request)} bytes exceeds {MAX_MESSAGE}")
         if self.pid is None:
             self.start()
         reply = asyncio.get_running_loop().create_future()
         self._replies.append(reply)
-        self._outbox.append(json.dumps({"config": config_path, "log": log_path}).encode())
+        self._outbox.append(request)
         self._flush()
         try:
             return await asyncio.shield(reply)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import socket
 import time
@@ -88,8 +87,3 @@ def stat_fields(pid: int) -> list[str]:
     with open(f"/proc/{pid}/stat") as fh:
         return fh.read().rsplit(")", 1)[1].split()
 
-
-def write_json(path, value) -> str:
-    with open(path, "w") as fh:
-        json.dump(value, fh)
-    return str(path)

@@ -28,7 +28,7 @@ from casa_mini.tokens import mint_token
 from casa_mini.types import ColumnBatch
 from casa_mini.zygote import Zygote, ZygoteError
 
-from .conftest import idle_worker_config, make_assertion, run_async, stat_fields, write_json
+from .conftest import idle_worker_config, make_assertion, run_async, stat_fields
 
 PIPELINE = [
     {"define": ["pt", "sqrt(px*px+py*py)"]},
@@ -200,6 +200,7 @@ def test_a_dedicated_worker_that_dies_after_it_registered_takes_its_cluster_down
                 assert time.monotonic() - start < 2.0
                 await asyncio.sleep(0.005)
             assert len(facility.sni.routes) == 0
+            assert not (tmp_path / "run" / "clusters" / "alice-1").exists()
         finally:
             await facility.stop()
 
@@ -211,8 +212,8 @@ def silent_dedicated_worker(facility, port: int) -> None:
     answers: each waits in its TLS handshake and never registers."""
     worker_config = facility._worker_config
 
-    def config(bundle, cred_dir, worker_id, n_cores):
-        body = worker_config(bundle, cred_dir, worker_id, n_cores)
+    def config(bundle, worker_id, n_cores):
+        body = worker_config(bundle, worker_id, n_cores)
         if worker_id.endswith("-dedicated"):
             body["ingress"] = ["127.0.0.1", port]
         return body
@@ -282,9 +283,9 @@ def hold_forks(facility) -> dict[str, asyncio.Event]:
     spawn = facility.zygote.spawn
     gates: dict[str, asyncio.Event] = collections.defaultdict(asyncio.Event)
 
-    async def held(config_path, log_path):
+    async def held(config, log_path):
         await gates[os.path.basename(log_path).removesuffix(".log")].wait()
-        return await spawn(config_path, log_path)
+        return await spawn(config, log_path)
 
     facility.zygote.spawn = held
     return gates
@@ -327,7 +328,7 @@ def test_a_dedicated_worker_that_cannot_be_forked_takes_its_cluster_down(idp_key
         facility, dataset, epf = small_facility(idp_keys, tmp_path)
         refuse = asyncio.Event()
 
-        async def spawn(config_path, log_path):
+        async def spawn(config, log_path):
             await refuse.wait()
             raise ZygoteError("fork: Resource temporarily unavailable")
 
@@ -497,9 +498,67 @@ def test_no_batch_worker_starts_after_stop(idp_keys, tmp_path):
         assert started == [first]
         assert facility.batch_sim.jobs[second].state == "Starting"
         assert facility._batch_procs == {}
-        assert not os.path.exists(os.path.join(facility.run_dir, f"batch-job-{second}.json"))
+        assert not os.path.exists(os.path.join(facility.run_dir, "logs", f"batch-job-{second}.log"))
 
     run_async(scenario())
+
+
+def test_the_facility_listens_for_its_five_services_only(idp_keys, tmp_path):
+    async def scenario():
+        facility, _, _ = small_facility(idp_keys, tmp_path)
+        try:
+            return await facility.start()
+        finally:
+            await facility.stop()
+
+    # no ingress admin listener: the launcher registers each cluster's route in process
+    assert set(run_async(scenario())) == {"authd", "ingress", "batch", "data_proxy", "origin"}
+
+
+def test_teardown_removes_the_clusters_tls_files_and_a_re_login_runs_a_job(idp_keys, tmp_path):
+    cred_dir = tmp_path / "run" / "clusters" / "alice-1"
+
+    async def scenario():
+        facility, dataset, epf = small_facility(idp_keys, tmp_path)
+        addrs = await facility.start()
+        try:
+            await login(addrs, idp_keys, "alice")
+            assert sorted(os.listdir(cred_dir)) == sorted(wire.TLS_FILES)
+            assert os.stat(cred_dir).st_mode & 0o777 == 0o700
+            await facility.teardown_cluster("alice-1")
+            assert not cred_dir.exists()
+            reply = await login(addrs, idp_keys, "alice")
+            assert reply["cluster_id"] == "alice-1"  # the same cluster id, provisioned afresh
+            sc = scheduler_client(reply, write_client_creds(reply, str(tmp_path / "alice")))
+            job_id = await sc.submit_job(PIPELINE, "mini", list(dataset.files), epf, chunk_size=50)
+            status = await sc.wait_job(job_id, timeout=30)
+            sc.close()
+        finally:
+            await facility.stop()
+        return dataset, status
+
+    dataset, status = run_async(scenario())
+    assert not cred_dir.exists()  # stop() tore the cluster down
+    assert status["state"] == "done"
+    oracle = oracle_histograms(dataset, str(tmp_path), PIPELINE)
+    assert status["histograms"][0]["counts"] == [int(c) for c in oracle.histograms[0].counts]
+
+
+def test_a_failed_provisioning_leaves_no_cluster_route_or_file(idp_keys, tmp_path):
+    async def scenario(port: int):
+        facility, _, _ = small_facility(idp_keys, tmp_path, scheduler_base_port=port)
+        addrs = await facility.start()
+        try:
+            with pytest.raises(wire.RequestError) as failed:
+                await login(addrs, idp_keys, "alice")
+            assert failed.value.code == "provision_failed"
+            assert facility.clusters == {} and len(facility.sni.routes) == 0
+        finally:
+            await facility.stop()
+
+    with socket.create_server(("127.0.0.1", 0)) as taken:  # the scheduler's port is in use
+        run_async(scenario(taken.getsockname()[1]))
+    assert os.listdir(tmp_path / "run" / "clusters") == []
 
 
 def test_two_users_two_routes_and_isolation(idp_keys, tmp_path):
@@ -672,7 +731,9 @@ def test_a_re_login_renews_the_data_token_of_a_running_worker(idp_keys, tmp_path
 
 def test_no_file_or_batch_job_holds_the_data_token(idp_keys, tmp_path):
     """After a login and a scale-out whose batch worker registers, the data
-    token is in no file under run_dir and no batch job's worker config."""
+    token is in no file under run_dir and no batch job's worker config, and
+    the only files under run_dir are the cluster's TLS files and the worker
+    logs: each worker's config reaches it in its fork request."""
 
     async def scenario():
         facility, _, _ = small_facility(idp_keys, tmp_path)
@@ -689,9 +750,14 @@ def test_no_file_or_batch_job_holds_the_data_token(idp_keys, tmp_path):
             configs = [job.spec.worker_config for job in facility.batch_sim.jobs.values()]
             assert len(configs) == 1 and "data_token" not in configs[0]
             token = reply["data_token"].encode()
-            files = [path for path in (tmp_path / "run").rglob("*") if path.is_file()]
-            assert "batch-job-1.json" in {path.name for path in files}
-            assert [path for path in files if token in path.read_bytes()] == []
+            run_dir = tmp_path / "run"
+            files = [path for path in run_dir.rglob("*") if path.is_file()]
+            assert {str(path.relative_to(run_dir)) for path in files} == {
+                *(f"clusters/alice-1/{name}" for name in wire.TLS_FILES),
+                "logs/alice-1-dedicated.log",
+                "logs/batch-job-1.log",
+            }
+            assert [path for path in files if path.suffix == ".json" or token in path.read_bytes()] == []
         finally:
             await facility.stop()
 
@@ -726,8 +792,7 @@ def test_reap_kills_worker_that_ignores_sigterm(tmp_path, silent_port):
         zygote = Zygote()
         zygote.start()
         try:
-            config = write_json(tmp_path / "worker.json", idle_worker_config(tmp_path, silent_port))
-            proc = await zygote.spawn(config, str(tmp_path / "worker.log"))
+            proc = await zygote.spawn(idle_worker_config(tmp_path, silent_port), str(tmp_path / "worker.log"))
             os.kill(proc.pid, signal.SIGSTOP)  # a stopped process does not act on SIGTERM
             while stat_fields(proc.pid)[0] != "T":
                 await asyncio.sleep(0.005)

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from casa_mini import cacf, certs, wire
+from casa_mini.wire import server_ssl_context
 from casa_mini.batchsim import CANCELLED, STARTING, BatchSim, JobSpec
 from casa_mini.client import SchedulerClient
 from casa_mini.engine.hist import Histogram
 from casa_mini.engine.pipeline import TaskResult
-from casa_mini.scheduler.service import SchedulerService, server_ssl_context
+from casa_mini.scheduler.service import SchedulerService
 from casa_mini.scheduler.state import ScalePolicy
 from casa_mini.tokens import mint_token
 

@@ -10,11 +10,11 @@ import subprocess
 import sys
 import time
 
-from casa_mini import client, zygote
+from casa_mini import client, wire, zygote
 from casa_mini.batchsim import JobSpec
 from casa_mini.tokens import mint_token
 
-from .conftest import idle_worker_config, make_assertion, run_async, stat_fields, write_json
+from .conftest import idle_worker_config, make_assertion, run_async, stat_fields
 from .test_facility import PIPELINE, forked, oracle_histograms, scheduler_client, small_facility, write_client_creds
 
 
@@ -114,7 +114,7 @@ def test_zygote_holds_no_cluster_file_and_runs_no_blas_thread(idp_keys, tmp_path
 
 def test_warm_tls_runs_a_handshake_on_minted_material_and_removes_it():
     directory = zygote.mint_warmup()
-    assert sorted(os.listdir(directory)) == sorted(zygote.WARMUP_FILES)
+    assert sorted(os.listdir(directory)) == sorted(wire.TLS_FILES)
     zygote.warm_tls(directory)
     assert not os.path.exists(directory)
 
@@ -124,7 +124,7 @@ def test_a_zygote_whose_warm_up_fails_logs_it_and_its_worker_runs_a_job(idp_keys
 
     def garbage() -> str:
         unreadable.mkdir()
-        for name in zygote.WARMUP_FILES:
+        for name in wire.TLS_FILES:
             (unreadable / name).write_text("not PEM\n")
         return str(unreadable)
 
@@ -168,6 +168,39 @@ def test_no_warm_up_directory_outlives_its_zygote(idp_keys, tmp_path):
         return stopped
 
     assert not os.path.exists(run_async(scenario()))
+
+
+def test_a_batch_job_too_large_to_fork_ends_done_and_kills_no_other_worker(
+    idp_keys, tmp_path, silent_port, monkeypatch, caplog
+):
+    forks = record_forks(monkeypatch)
+
+    async def scenario():
+        facility, _, _ = small_facility(idp_keys, tmp_path)
+        sim = facility.batch_sim
+        addrs = await facility.start()
+        try:
+            reply = await client.login(addrs["authd"], make_assertion(idp_keys, sub="bob"))
+            bob = await forked(facility.clusters[reply["cluster_id"]])
+            zygote_pid = facility.zygote.pid
+            sim.delay.s0, sim.delay.c = 0.0, 0.0
+            token = mint_token(facility.keys.batch, "alice", "batch", exp=time.time() + 600)
+            config = {**idle_worker_config(tmp_path, silent_port), "padding": "x" * zygote.MAX_MESSAGE}
+            handle = sim.submit(JobSpec(worker_config=config, batch_token=token), facility.batch_service.clock())
+            await wait_for(lambda: sim.jobs[handle].state == "Done")
+            assert forks == [bob] and facility._batch_procs == {}
+            assert not (tmp_path / "run" / "logs" / f"batch-job-{handle}.log").exists()  # refused before the fork
+            assert facility.zygote.pid == zygote_pid
+            assert alive(bob.pid) and bob.returncode is None
+            nxt = submit_idle_job(facility, tmp_path, silent_port)  # and the zygote forks on
+            await wait_for(lambda: nxt in facility._batch_procs)
+            assert len(forks) == 2 and facility.zygote.pid == zygote_pid
+        finally:
+            await facility.stop()
+
+    run_async(scenario())
+    refused = [r.getMessage() for r in caplog.records if "no worker process" in r.getMessage()]
+    assert len(refused) == 1 and f"exceeds {zygote.MAX_MESSAGE}" in refused[0], refused
 
 
 def test_sigkilled_batch_worker_returns_its_slot_within_50ms(idp_keys, tmp_path, silent_port):
@@ -304,7 +337,7 @@ def test_worker_dies_with_its_zygote_even_unknown_to_the_facility(tmp_path, sile
     theirs.close()
     pidfd = None
     try:
-        config = write_json(tmp_path / "idle.json", idle_worker_config(tmp_path, silent_port))
+        config = idle_worker_config(tmp_path, silent_port)
         ours.send(json.dumps({"config": config, "log": str(tmp_path / "idle.log")}).encode())
         data, fds, _, _ = socket.recv_fds(ours, zygote.MAX_MESSAGE, 1)
         pid, pidfd = json.loads(data)["pid"], fds[0]
