@@ -7,11 +7,16 @@ linear-in-wave-index stall the benchmark measures.  The discrete-event core
 is clock-agnostic: submit() schedules a start, advance(to) fires the starts
 due, and after each operation the sim asks its driver's wake(t), once per
 time, to advance it at its earliest pending start.  A BatchJob is the one
-record of its job: its state and the times it was submitted, due to start,
-started and ended.  No event scans the jobs: slots in use and committed are
+record of its job: its state, its owner (the subject of the batch token
+that submitted it) and the times it was submitted, due to start, started
+and ended.  No event scans the jobs: slots in use and committed are
 counters each transition updates, and pending starts sit in a
 (start_at, handle) heap whose entries are dropped once their job is no
 longer Starting.
+
+A JobSpec is a job's cores, its worker id and its batch token.  Only the
+facility's schedulers, in process, set a worker id: a SubmitBatchJob from
+the network names none, and a Cancel must carry a token of the job's owner.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 from . import tokens, wire
 
@@ -54,7 +59,7 @@ class DelayModel:
 @dataclass
 class JobSpec:
     n_cores: int = 4
-    worker_config: dict = field(default_factory=dict)
+    worker_id: str = ""  # the worker a cluster's autoscaler asked for; never read off the wire
     batch_token: str = ""
 
     def __post_init__(self):
@@ -62,15 +67,11 @@ class JobSpec:
             raise BatchError("n_cores must be positive")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"n_cores": self.n_cores, "batch_token": self.batch_token}
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobSpec":
-        return cls(
-            n_cores=int(d.get("n_cores", 4)),
-            worker_config=dict(d.get("worker_config", {})),
-            batch_token=d.get("batch_token", ""),
-        )
+        return cls(n_cores=int(d.get("n_cores", 4)), batch_token=d.get("batch_token", ""))
 
 
 @dataclass
@@ -79,6 +80,7 @@ class BatchJob:
     spec: JobSpec
     state: str
     submitted_at: float
+    owner: str = ""  # the subject of the batch token that submitted it
     start_at: float | None = None
     started_at: float | None = None
     ended_at: float | None = None
@@ -115,13 +117,15 @@ class BatchSim:
 
     # ---- operations --------------------------------------------------------
 
+    def _subject(self, batch_token: str, now: float) -> str:
+        return self.token_gate.check(batch_token, now) if self.token_gate is not None else ""
+
     def submit(self, spec: JobSpec, now: float) -> int:
-        if self.token_gate is not None:
-            self.token_gate.check(spec.batch_token, now)
+        owner = self._subject(spec.batch_token, now)
         self.clock = max(self.clock, now)
         self._next_handle += 1
         handle = self._next_handle
-        job = BatchJob(handle=handle, spec=spec, state=QUEUED, submitted_at=now)
+        job = BatchJob(handle=handle, spec=spec, state=QUEUED, submitted_at=now, owner=owner)
         self.jobs[handle] = job
         if self.committed < self.total_slots:
             self._schedule_start(job, now)
@@ -178,8 +182,14 @@ class BatchSim:
         self._woken = {t for t in self._woken if t > to}
         self._wake_next()
 
-    def cancel(self, handle: int, now: float) -> str:
+    def cancel(self, handle: int, now: float, batch_token: str | None = None) -> str:
+        """Cancel a job; with a `batch_token` (a request from outside the
+        facility), only one whose token names the job's owner."""
         job = self.jobs.get(handle)
+        if batch_token is not None:
+            subject = self._subject(batch_token, now)  # a bad token learns nothing of the handle
+            if job is not None and job.owner != subject:
+                raise BatchError(f"batch job {handle} is not the token holder's")
         if job is None:
             raise BatchError(f"unknown job handle {handle}")
         self.clock = max(self.clock, now)
@@ -262,7 +272,8 @@ class BatchService:
             if msg.kind == "SubmitBatchJob":
                 return wire.ok({"handle": self.sim.submit(JobSpec.from_dict(msg.body), now)})
             if msg.kind == "Cancel":
-                return wire.ok({"state": self.sim.cancel(int(msg.body["handle"]), now)})
+                handle, token = int(msg.body["handle"]), msg.body.get("batch_token", "")
+                return wire.ok({"state": self.sim.cancel(handle, now, batch_token=token)})
             return wire.err("bad_request", f"unsupported kind {msg.kind}")
         except tokens.TokenError as exc:
             return wire.err("bad_token", str(exc))

@@ -26,8 +26,8 @@ class BatchClient(wire.Channel):
     async def submit(self, spec: JobSpec) -> int:
         return int((await self.call("SubmitBatchJob", spec.to_dict()))["handle"])
 
-    async def cancel(self, handle: int) -> str:
-        return (await self.call("Cancel", {"handle": handle}))["state"]
+    async def cancel(self, handle: int, batch_token: str) -> str:
+        return (await self.call("Cancel", {"handle": handle, "batch_token": batch_token}))["state"]
 
 
 class SchedulerClient(wire.Channel):

@@ -17,8 +17,11 @@ with the reason and takes the cluster down.
 
 A cluster's scheduler submits and cancels its batch workers on the
 facility's BatchSim in this process, with its latest login's batch token,
-and holds its data token, which each AssignTask carries: no worker config
-or file holds one, and a re-login renews every running worker.
+and holds its data token, which each AssignTask carries, so a re-login
+renews every running worker.  A worker config exists only in this process,
+built from the cluster's record at the fork.  Only a batch job whose handle
+a cluster's WorkerState records gets a process; any other (a client's
+SubmitBatchJob) starts none and gives its slot back as it starts.
 
 Every worker process, dedicated or batch, is forked by the facility's one
 zygote (`casa_mini.zygote`), which has already imported the worker and run
@@ -46,7 +49,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import authd, wire
-from .batchsim import BatchService, BatchSim, DelayModel, JobSpec
+from .batchsim import BatchJob, BatchService, BatchSim, DelayModel, JobSpec
 from .data_proxy import DataProxyServer, OriginServer
 from .ingress import SniProxy
 from .scheduler.service import SchedulerService
@@ -200,21 +203,33 @@ class Facility:
 
     # ---- batch worker processes -------------------------------------------------
 
-    def _start_batch_worker(self, job, now: float) -> None:
+    def _start_batch_worker(self, job: BatchJob, now: float) -> None:
         # BatchSim calls this synchronously: the fork and the wait for the exit run as a task
-        task = self._tasks.spawn(self._run_batch_worker(job.handle, job.spec.worker_config))
+        task = self._tasks.spawn(self._run_batch_worker(job))
         self._batch_tasks[job.handle] = task
         task.add_done_callback(lambda _: self._batch_tasks.pop(job.handle, None))
 
-    async def _run_batch_worker(self, handle: int, worker_config: dict) -> int | None:
+    def _submitter(self, job: BatchJob) -> ClusterRecord | None:
+        """The cluster whose autoscaler submitted the job, by its handle: worker ids repeat across clusters."""
+        for record in self.clusters.values():
+            w = record.service.state.workers.get(job.spec.worker_id)
+            if w is not None and w.batch_handle == job.handle:
+                return record
+        return None
+
+    async def _run_batch_worker(self, job: BatchJob) -> int | None:
         """A batch job's worker process from fork to exit; returns its exit code.
-        An exit of its own (shutdown or crash), or no process at all, gives the
-        slot back.  Cancelling the task reaps the process instead, or kills it
-        as soon as it is forked."""
+        Its config is built from its cluster's record as it is now.  An exit
+        of its own (shutdown or crash), or no process at all, gives the slot
+        back.  Cancelling the task reaps the process instead, or kills it as
+        soon as it is forked."""
+        handle, record = job.handle, self._submitter(job)
         try:
-            # logged by handle: worker ids repeat across clusters, handles do not
-            proc = await self._spawn_worker(worker_config, f"batch-job-{handle}")
-        except (OSError, ZygoteError) as exc:
+            if record is None:
+                raise LookupError("no cluster submitted it")
+            config = self._worker_config(record.bundle, job.spec.worker_id, job.spec.n_cores)
+            proc = await self._spawn_worker(config, f"batch-job-{handle}")  # by handle, as worker ids repeat
+        except (LookupError, OSError, ZygoteError) as exc:
             log.warning("batch job %d: no worker process: %s", handle, exc)
             self.batch_sim.finish(handle, self.batch_service.clock())
             return None
@@ -268,15 +283,6 @@ class Facility:
             "n_cores": n_cores,
         }
 
-    def _batch_worker(self, bundle: authd.CredentialBundle, worker_id: str) -> JobSpec:
-        """The batch job of a scale-out worker, with the given login's batch token."""
-        n_cores = self.cfg.worker_cores
-        return JobSpec(
-            n_cores=n_cores,
-            worker_config=self._worker_config(bundle, worker_id, n_cores),
-            batch_token=bundle.batch_token,
-        )
-
     async def provision_cluster(self, bundle: authd.CredentialBundle) -> ClusterRecord:
         """The user's cluster, provisioned once its scheduler listens and its
         route is registered; its watch task forks the dedicated worker.  A
@@ -294,7 +300,8 @@ class Facility:
             service = SchedulerService(
                 bundle.cluster_id,
                 self.batch_sim,
-                lambda worker_id: self._batch_worker(record.bundle, worker_id),
+                # a scale-out worker's batch job presents the latest login's batch token
+                lambda worker_id: JobSpec(self.cfg.worker_cores, worker_id, record.bundle.batch_token),
                 heartbeat_timeout=self.cfg.heartbeat_timeout,
                 data_token=bundle.data_token,
             )

@@ -57,6 +57,10 @@ SUBMIT_BACKOFF_MAX = 64.0
 # Times a chunk whose task failed for a transient reason (its worker lost
 # the data proxy or the proxy its origin) is queued again before it fails.
 TASK_RETRIES = 2
+# The most chunks one job may plan: a job is planned in full on the
+# facility's shared event loop, from the event counts and chunk size its
+# client claims (about 2 us and 350 B per chunk).
+MAX_JOB_CHUNKS = 100_000
 
 
 class SchedulerError(ValueError):
@@ -295,10 +299,14 @@ class ClusterState:
         dataset: DatasetSpec,
         chunk_size: int,
         now: float,
-        events_per_file: list[int] | None = None,
+        events_per_file: list[int],
         identity: str = "",
     ) -> str:
         pipeline = KernelPipeline.from_json(pipeline_json)  # a malformed pipeline is refused here, not by each task
+        if chunk_size >= 1:  # counted file by file, before a chunk is planned
+            n_chunks = sum(-(-max(n, 0) // chunk_size) for n in events_per_file)
+            if n_chunks > MAX_JOB_CHUNKS:
+                raise SchedulerError(f"job of {n_chunks} chunks exceeds {MAX_JOB_CHUNKS}; use a larger chunk_size")
         chunks = plan_chunks(dataset, chunk_size, events_per_file=events_per_file)
         if not chunks:  # a job with no chunk would never end
             raise SchedulerError(f"dataset {dataset.name!r} has no events")

@@ -121,10 +121,10 @@ class VirtualFacility:
     # ---- batch plumbing ----------------------------------------------------
 
     def _worker_spec(self, worker_id: str) -> JobSpec:
-        return JobSpec(self.params.n_cores, {"worker_id": worker_id}, self.batch_token)
+        return JobSpec(self.params.n_cores, worker_id, self.batch_token)
 
     def _on_batch_start(self, job, t: float) -> None:
-        worker_id = job.spec.worker_config["worker_id"]
+        worker_id = job.spec.worker_id
         if worker_id not in self.state.workers:
             return  # cancelled before it started
         self.state.worker_arrived(worker_id, t, n_cores=job.spec.n_cores)

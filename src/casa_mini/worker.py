@@ -1,8 +1,8 @@
 """Worker agent: joins its cluster over mTLS, executes assigned tasks.
 
-Runs as `run(config)` with its batch job's payload as the config: in a
-facility, in a process forked by the zygote (`casa_mini.zygote`), whose fork
-request carries it; alone, as `python -m casa_mini.worker config.json`.
+Runs as `run(config)` in a process forked by the facility's zygote
+(`casa_mini.zygote`), whose fork request carries the config the facility
+built from the worker's cluster; nothing reads a worker config from a file.
 The scheduler sends one AssignTask per dispatch: each job's pipeline once
 and every run of tasks that dispatch gave this worker (adjacent chunks of one
 file of one job, one core each).  The worker runs each run as sent through
@@ -28,7 +28,6 @@ import json
 import logging
 import resource
 import ssl
-import sys
 import threading
 import time
 from collections import OrderedDict
@@ -287,16 +286,3 @@ def run(config: dict) -> int:
     logging.basicConfig(level=logging.INFO, format="%(asctime)s worker %(message)s")
     return asyncio.run(WorkerAgent(WorkerConfig(config)).run())
 
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: python -m casa_mini.worker <config.json>", file=sys.stderr)
-        return 2
-    with open(argv[0]) as fh:
-        config = json.load(fh)
-    return run(config)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,18 +15,17 @@ inherits it.  A warm-up that fails is logged on stderr and forking goes
 on.  The contexts are dropped, and the zygote collects and freezes what it
 then holds (gc.freeze) and answers one request at a time.  It starts no
 thread or event loop, and opens no file of a cluster.  A request carries a
-worker config (its batch job's payload) and names a log file.  The zygote
-forks; the child points stdout and stderr at the log and runs the same
-`worker.run(config)` as `python -m casa_mini.worker config.json`.  The
-reply carries the child's pid and its pidfd (SCM_RIGHTS), opened while the
-child cannot yet have been reaped, so a signal sent through it never
-reaches a process that reused the pid.  The zygote reaps each child with
-waitpid when its pidfd turns readable, so the children count in
-RUSAGE_CHILDREN, and reports the exit code.  End of file on the socket
-ends the zygote, after it has killed and reaped any child left.  Each
-child asks the kernel (PR_SET_PDEATHSIG) for SIGKILL when the zygote dies,
-so none outlives it, not even one forked just before the zygote died,
-whose pidfd never reached the facility.
+worker config, which the facility built, and names a log file.  The zygote
+forks; the child points stdout and stderr at the log and runs
+`worker.run(config)`.  The reply carries the child's pid and its pidfd
+(SCM_RIGHTS), opened while the child cannot yet have been reaped, so a
+signal sent through it never reaches a process that reused the pid.  The
+zygote reaps each child with waitpid when its pidfd turns readable, so the
+children count in RUSAGE_CHILDREN, and reports the exit code.  End of file
+on the socket ends the zygote, after it has killed and reaped any child
+left.  Each child asks the kernel (PR_SET_PDEATHSIG) for SIGKILL when the
+zygote dies, so none outlives it, not even one forked just before the
+zygote died, whose pidfd never reached the facility.
 
 `Zygote` is the facility's side.  It mints each zygote's warm-up material
 (`mint_warmup`), starts the zygote process, sends requests (refusing one
@@ -350,6 +349,8 @@ class Zygote:
                 data, fds, _, _ = socket.recv_fds(self._sock, MAX_MESSAGE, 1, socket.MSG_CMSG_CLOEXEC)
             except BlockingIOError:
                 return
+            except ConnectionResetError:  # it exited with a request unread
+                data = b""
             if not data:  # end of file: the zygote's exit is seen through its pidfd
                 asyncio.get_running_loop().remove_reader(self._sock.fileno())
                 return

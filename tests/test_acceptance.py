@@ -257,15 +257,11 @@ def test_criterion_6_auth(idp_keys, tmp_path):
 
             # credential 2: batch token -> batch-sim submit
             batch = BatchClient(addrs["batch"])
-            handle = await batch.submit(
-                JobSpec(worker_config={"worker_id": "probe"}, batch_token=reply["batch_token"])
-            )
+            handle = await batch.submit(JobSpec(batch_token=reply["batch_token"]))
             assert handle > 0
-            await batch.cancel(handle)
+            await batch.cancel(handle, reply["batch_token"])
             with pytest.raises(wire.RequestError, match="bad_token"):
-                await batch.submit(
-                    JobSpec(worker_config={}, batch_token=reply["data_token"])  # wrong audience
-                )
+                await batch.submit(JobSpec(batch_token=reply["data_token"]))  # wrong audience
             batch.close()
 
             # credential 3: data token -> proxy fetch

@@ -21,7 +21,7 @@ def _keys():
 
 
 def _spec(token=""):
-    return JobSpec(worker_config={"worker_id": "w"}, batch_token=token)
+    return JobSpec(worker_id="w", batch_token=token)
 
 
 def test_wave_start_times():

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -137,12 +136,11 @@ def test_the_dedicated_worker_runs_a_task_thread_per_host_cpu_up_to_eight():
 
 
 def test_cluster_whose_dedicated_worker_dies_fails_at_once_and_leaves_nothing(idp_keys, tmp_path, caplog):
-    with socket.create_server(("127.0.0.1", 0)) as sock:
-        sched_port = sock.getsockname()[1]  # free again, for the cluster's scheduler
+    schedulers = {}  # each cluster's scheduler address, read from its route as it is registered
 
-    async def refused() -> bool:
+    async def refused(hostname: str) -> bool:
         try:
-            _, writer = await asyncio.open_connection("127.0.0.1", sched_port)
+            _, writer = await asyncio.open_connection(*schedulers[hostname])
         except ConnectionRefusedError:
             return True
         writer.close()
@@ -150,8 +148,10 @@ def test_cluster_whose_dedicated_worker_dies_fails_at_once_and_leaves_nothing(id
 
     async def scenario():
         # a worker config with 0 cores makes the dedicated worker exit before it registers
-        facility, dataset, epf = small_facility(
-            idp_keys, tmp_path, dedicated_cores=0, scheduler_base_port=sched_port
+        facility, dataset, epf = small_facility(idp_keys, tmp_path, dedicated_cores=0)
+        register = facility.sni.routes.register
+        facility.sni.routes.register = lambda hostname, backend: register(
+            hostname, schedulers.setdefault(hostname, backend)
         )
         addrs = await facility.start()
         try:
@@ -162,7 +162,7 @@ def test_cluster_whose_dedicated_worker_dies_fails_at_once_and_leaves_nothing(id
                 assert time.monotonic() - start < 2.0  # not REGISTER_TIMEOUT
                 await asyncio.sleep(0.005)
             assert len(facility.sni.routes) == 0
-            assert await refused()
+            assert await refused(reply["sni_hostname"])
 
             # a job queued before the worker's exit is seen fails with the reason
             bob = await facility.provision_cluster(facility.auth.login(make_assertion(idp_keys, sub="bob")))
@@ -174,7 +174,9 @@ def test_cluster_whose_dedicated_worker_dies_fails_at_once_and_leaves_nothing(id
         finally:
             await facility.stop()
         assert len(facility.sni.routes) == 0
-        assert await refused()
+        assert len(schedulers) == 2
+        for hostname in schedulers:
+            assert await refused(hostname)
 
     run_async(scenario())
     reasons = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
@@ -207,18 +209,27 @@ def test_a_dedicated_worker_that_dies_after_it_registered_takes_its_cluster_down
     run_async(scenario())
 
 
-def silent_dedicated_worker(facility, port: int) -> None:
-    """Point the facility's dedicated workers at `port`, which never
-    answers: each waits in its TLS handshake and never registers."""
+def silent_workers(facility, port: int, batch: bool = False) -> None:
+    """Point the facility's dedicated workers (with `batch`, its batch
+    workers instead) at `port`, which never answers: each waits in its TLS
+    handshake and never registers."""
     worker_config = facility._worker_config
 
     def config(bundle, worker_id, n_cores):
         body = worker_config(bundle, worker_id, n_cores)
-        if worker_id.endswith("-dedicated"):
+        if worker_id.endswith("-dedicated") != batch:
             body["ingress"] = ["127.0.0.1", port]
         return body
 
     facility._worker_config = config
+
+
+def request_batch_worker(record) -> int:
+    """The batch handle of one more worker the cluster's autoscaler asks
+    for, as a scale-out does."""
+    service = record.service
+    assert service.autoscaler._request_worker(service.clock())
+    return list(service.state.workers.values())[-1].batch_handle
 
 
 def test_a_dedicated_worker_that_never_registers_fails_the_waiting_job(idp_keys, tmp_path, silent_port, monkeypatch):
@@ -226,7 +237,7 @@ def test_a_dedicated_worker_that_never_registers_fails_the_waiting_job(idp_keys,
 
     async def scenario():
         facility, dataset, epf = small_facility(idp_keys, tmp_path)
-        silent_dedicated_worker(facility, silent_port)
+        silent_workers(facility, silent_port)
         addrs = await facility.start()
         try:
             start = time.monotonic()
@@ -252,7 +263,7 @@ def test_a_dedicated_worker_that_never_registers_fails_the_waiting_job(idp_keys,
 def test_teardown_or_stop_while_the_dedicated_worker_registers_is_quiet(idp_keys, tmp_path, silent_port, caplog):
     async def scenario():
         facility, _, _ = small_facility(idp_keys, tmp_path)
-        silent_dedicated_worker(facility, silent_port)
+        silent_workers(facility, silent_port)
         addrs = await facility.start()
         try:
             replies = [
@@ -359,7 +370,7 @@ def test_a_dedicated_worker_that_cannot_be_forked_takes_its_cluster_down(idp_key
 def test_teardown_or_stop_while_a_fork_is_held_leaves_no_process(idp_keys, tmp_path, silent_port, caplog, end):
     async def scenario():
         facility, _, _ = small_facility(idp_keys, tmp_path)
-        silent_dedicated_worker(facility, silent_port)
+        silent_workers(facility, silent_port)
         gates = hold_forks(facility)
         addrs = await facility.start()
         try:
@@ -680,7 +691,7 @@ def test_a_re_login_renews_the_tokens_scale_out_presents(idp_keys, tmp_path):
             assert [job.state for job in jobs] == ["Starting"] * 2
             assert {job.spec.batch_token for job in jobs} == {again["batch_token"]}
             assert service.data_token == again["data_token"] != first["data_token"]
-            assert [job.spec.worker_config.get("data_token") for job in jobs] == [None] * 2
+            assert [again["data_token"] in repr(job) for job in jobs] == [False] * 2
             assert {e.detail for e in service.state.events if e.kind == "WorkerDown"} == {
                 "batch submit failed: token expired"
             }
@@ -731,9 +742,9 @@ def test_a_re_login_renews_the_data_token_of_a_running_worker(idp_keys, tmp_path
 
 def test_no_file_or_batch_job_holds_the_data_token(idp_keys, tmp_path):
     """After a login and a scale-out whose batch worker registers, the data
-    token is in no file under run_dir and no batch job's worker config, and
-    the only files under run_dir are the cluster's TLS files and the worker
-    logs: each worker's config reaches it in its fork request."""
+    token is in no file under run_dir and no batch job, and the only files
+    under run_dir are the cluster's TLS files and the worker logs: each
+    worker's config reaches it in its fork request."""
 
     async def scenario():
         facility, _, _ = small_facility(idp_keys, tmp_path)
@@ -747,8 +758,8 @@ def test_no_file_or_batch_job_holds_the_data_token(idp_keys, tmp_path):
             for worker_id in ("alice-1-dedicated", "w0001"):
                 await service.wait_worker(worker_id, 30)
             sc.close()
-            configs = [job.spec.worker_config for job in facility.batch_sim.jobs.values()]
-            assert len(configs) == 1 and "data_token" not in configs[0]
+            jobs = list(facility.batch_sim.jobs.values())
+            assert len(jobs) == 1 and reply["data_token"] not in repr(jobs[0])
             token = reply["data_token"].encode()
             run_dir = tmp_path / "run"
             files = [path for path in run_dir.rglob("*") if path.is_file()]
@@ -809,7 +820,7 @@ def test_reap_kills_worker_that_ignores_sigterm(tmp_path, silent_port):
 
 def test_worker_exits_nonzero_without_scheduler(tmp_path, idp_keys):
     # point a worker at a dead address: 3 connection attempts then exit 1
-    from casa_mini import certs
+    from casa_mini import certs, worker
 
     ca = certs.make_ca("dead-ca")
     user = certs.make_user_cert(ca, "alice")
@@ -828,32 +839,36 @@ def test_worker_exits_nonzero_without_scheduler(tmp_path, idp_keys):
         "proxy": None,
         "n_cores": 2,
     }
-    config_path = tmp_path / "worker.json"
-    config_path.write_text(json.dumps(config))
-    proc = subprocess.run(
-        [sys.executable, "-m", "casa_mini.worker", str(config_path)],
-        capture_output=True,
-        timeout=30,
-    )
-    assert proc.returncode == 1
+    assert worker.run(config) == 1
 
 
 def test_worker_that_exits_on_bad_config_leaves_traceback_in_its_log(idp_keys, tmp_path):
     async def scenario():
         facility, _, _ = small_facility(idp_keys, tmp_path)
+        worker_config = facility._worker_config
+
+        def config(bundle, worker_id, n_cores):  # a batch worker's has no credentials
+            body = worker_config(bundle, worker_id, n_cores)
+            return body if worker_id.endswith("-dedicated") else {k: body[k] for k in ("worker_id", "ingress", "sni")}
+
+        facility._worker_config = config
+        facility.batch_sim.delay.s0, facility.batch_sim.delay.c = 0.0, 0.0
         await facility.start()
         finished = []
         facility.batch_sim.finish = lambda handle, now: finished.append(handle)
-        bad = {"worker_id": "w0001", "ingress": ["127.0.0.1", 1], "sni": "x.dask.local"}  # no credentials
         try:
-            facility._start_batch_worker(SimpleNamespace(handle=7, spec=SimpleNamespace(worker_config=bad)), 0.0)
-            assert await asyncio.wait_for(facility._batch_tasks[7], 30) == 1
-            assert finished == [7]
+            record = await facility.provision_cluster(facility.auth.login(make_assertion(idp_keys)))
+            handle = request_batch_worker(record)
+            while handle not in facility._batch_tasks:
+                await asyncio.sleep(0.002)
+            assert await asyncio.wait_for(facility._batch_tasks[handle], 30) == 1
+            assert finished == [handle]
         finally:
             await facility.stop()
+        return handle
 
-    run_async(scenario())
-    text = (tmp_path / "run" / "logs" / "batch-job-7.log").read_text()
+    handle = run_async(scenario())
+    text = (tmp_path / "run" / "logs" / f"batch-job-{handle}.log").read_text()
     assert "Traceback" in text and "KeyError: 'ca'" in text
 
 
@@ -1353,15 +1368,15 @@ def test_batch_worker_that_exits_returns_its_slot(idp_keys, tmp_path, silent_por
 
     async def scenario():
         facility, dataset, epf = small_facility(idp_keys, tmp_path, slot_pool=1)
+        silent_workers(facility, silent_port, batch=True)
         sim = facility.batch_sim
         await facility.start()
         try:
             # Two batch workers that never reach a scheduler, so only its exit
             # ends each job.  (A scheduler that saw a worker's connection close
             # would cancel its job too, and ask for a replacement.)
-            token = mint_token(facility.keys.batch, "alice", "batch", exp=time.time() + 600)
-            spec = JobSpec(worker_config=idle_worker_config(tmp_path, silent_port), batch_token=token)
-            first, second = (sim.submit(spec, facility.batch_service.clock()) for _ in range(2))
+            record = await facility.provision_cluster(facility.auth.login(make_assertion(idp_keys)))
+            first, second = (request_batch_worker(record) for _ in range(2))
             await wait_for(lambda: first in facility._batch_procs)
             assert sim.jobs[second].state == "Queued" and list(sim._waiting) == [second]
             assert sim.committed == 1

@@ -37,7 +37,7 @@ def _submit(state, chunk_size=50, n_files=2, events=100):
 
 
 def batch_worker(worker_id):
-    return JobSpec(worker_config={"worker_id": worker_id})
+    return JobSpec(worker_id=worker_id)
 
 
 def _result(chunk_id, n=50, counts=(1, 0)):
@@ -295,7 +295,7 @@ def test_autoscaler_requests_and_cancels():
     assert requested == ["w0001", "w0002"]
     # each requested worker has its batch job as the tick returns
     assert [state.workers[wid].batch_handle for wid in requested] == [1, 2]
-    assert [(j.state, j.spec.worker_config["worker_id"]) for j in batch.jobs.values()] == [
+    assert [(j.state, j.spec.worker_id) for j in batch.jobs.values()] == [
         (STARTING, "w0001"),
         (STARTING, "w0002"),
     ]
@@ -350,7 +350,7 @@ def test_a_refused_scale_out_backs_off_until_a_renewal():
     policy = ScalePolicy(mode="fixed", fixed_n=2)
 
     def worker_spec(worker_id):
-        return JobSpec(worker_config={"worker_id": worker_id}, batch_token=token["batch"])
+        return JobSpec(worker_id=worker_id, batch_token=token["batch"])
 
     scaler = Autoscaler(state, policy, batch, worker_spec)
     for now in range(120):

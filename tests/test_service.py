@@ -20,7 +20,8 @@ from casa_mini.client import SchedulerClient
 from casa_mini.engine.hist import Histogram
 from casa_mini.engine.pipeline import TaskResult
 from casa_mini.scheduler.service import SchedulerService
-from casa_mini.scheduler.state import ScalePolicy
+from casa_mini.scheduler import state as state_module
+from casa_mini.scheduler.state import MAX_JOB_CHUNKS, ScalePolicy
 from casa_mini.tokens import mint_token
 
 from .conftest import run_async
@@ -48,7 +49,7 @@ def tls(tmp_path):
 
 
 def batch_worker(worker_id: str) -> JobSpec:
-    return JobSpec(worker_config={"worker_id": worker_id})
+    return JobSpec(worker_id=worker_id)
 
 
 class Rig:
@@ -166,6 +167,27 @@ def test_a_job_with_no_events_or_a_negative_count_is_refused(tls, events_per_fil
             with pytest.raises(wire.RequestError) as refused:
                 await rig.client.submit_job(PIPELINE, "d", files, events_per_file, 10)
             assert refused.value.code == "scheduler_error"
+            assert rig.service.state.jobs == {}
+
+    run_async(scenario())
+
+
+def test_a_job_of_too_many_chunks_is_refused_before_it_is_planned(tls, monkeypatch):
+    """Its chunks are counted file by file from the claimed event counts; a
+    job one chunk over MAX_JOB_CHUNKS is refused and none of it is planned."""
+
+    def plan_chunks(*args, **kwargs):
+        raise AssertionError("a refused job is not planned")
+
+    monkeypatch.setattr(state_module, "plan_chunks", plan_chunks)
+
+    async def scenario():
+        async with Rig(tls) as rig:
+            events = [MAX_JOB_CHUNKS * 10 - 5, 6]  # ceil(n / 10) chunks: MAX_JOB_CHUNKS, then 1
+            with pytest.raises(wire.RequestError) as refused:
+                await rig.client.submit_job(PIPELINE, "d", [rig.tls["data"]] * 2, events, 10)
+            assert refused.value.code == "scheduler_error"
+            assert f"job of {MAX_JOB_CHUNKS + 1} chunks exceeds {MAX_JOB_CHUNKS}" in str(refused.value)
             assert rig.service.state.jobs == {}
 
     run_async(scenario())
@@ -687,8 +709,8 @@ def test_each_requested_batch_worker_has_its_batch_job_as_the_tick_returns(tls):
             workers = list(service.state.workers.values())
             assert [(w.worker_id, w.batch_handle) for w in workers] == [("w0001", 1), ("w0002", 2), ("w0003", 3)]
             jobs = rig.batch.jobs
-            assert [(jobs[w.batch_handle].state, jobs[w.batch_handle].spec.worker_config) for w in workers] == [
-                (STARTING, {"worker_id": w.worker_id}) for w in workers
+            assert [(jobs[w.batch_handle].state, jobs[w.batch_handle].spec.worker_id) for w in workers] == [
+                (STARTING, w.worker_id) for w in workers
             ]
         assert [j.state for j in jobs.values()] == [CANCELLED] * 3 and rig.batch.committed == 0
         assert service.state.workers == {}
@@ -704,7 +726,7 @@ def test_a_refused_scale_out_submit_drops_its_worker_and_the_ticks_go_on(tls):
     expired = mint_token(key, "alice", "batch", exp=time.time() - 1.0)
 
     def worker_spec(worker_id):
-        return JobSpec(worker_config={"worker_id": worker_id}, batch_token=expired)
+        return JobSpec(worker_id=worker_id, batch_token=expired)
 
     async def scenario():
         async with Rig(tls, BatchSim(batch_key=key), worker_spec) as rig:

@@ -388,7 +388,7 @@ def test_kill_and_requeue_preserves_results(tmp_path):
 
 def _batch_start(facility, worker_id):
     """When the worker's batch job was due to start and when it started."""
-    job = next(j for j in facility.batch.jobs.values() if j.spec.worker_config["worker_id"] == worker_id)
+    job = next(j for j in facility.batch.jobs.values() if j.spec.worker_id == worker_id)
     return job.start_at, job.started_at
 
 

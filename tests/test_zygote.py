@@ -3,6 +3,7 @@
 import asyncio
 import contextlib
 import json
+import logging
 import os
 import signal
 import socket
@@ -10,12 +11,21 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from casa_mini import client, wire, zygote
-from casa_mini.batchsim import JobSpec
-from casa_mini.tokens import mint_token
 
 from .conftest import idle_worker_config, make_assertion, run_async, stat_fields
-from .test_facility import PIPELINE, forked, oracle_histograms, scheduler_client, small_facility, write_client_creds
+from .test_facility import (
+    PIPELINE,
+    forked,
+    oracle_histograms,
+    request_batch_worker,
+    scheduler_client,
+    silent_workers,
+    small_facility,
+    write_client_creds,
+)
 
 
 def alive(pid: int) -> bool:
@@ -46,13 +56,17 @@ async def wait_for(condition, timeout=20.0):
         await asyncio.sleep(0.002)
 
 
-def submit_idle_job(facility, tmp_path, port: int) -> int:
-    """A batch job, due at once, whose worker waits until it is killed."""
-    sim = facility.batch_sim
-    sim.delay.s0, sim.delay.c = 0.0, 0.0
-    token = mint_token(facility.keys.batch, "alice", "batch", exp=time.time() + 600)
-    spec = JobSpec(worker_config=idle_worker_config(tmp_path, port), batch_token=token)
-    return sim.submit(spec, facility.batch_service.clock())
+def idle_batch_workers(idp_keys, tmp_path, port: int):
+    """A facility whose batch workers are due at once and wait, each in its
+    TLS handshake with `port`, until they are killed."""
+    facility, _, _ = small_facility(idp_keys, tmp_path)
+    facility.batch_sim.delay.s0, facility.batch_sim.delay.c = 0.0, 0.0
+    silent_workers(facility, port, batch=True)
+    return facility
+
+
+async def provisioned(facility, idp_keys, sub: str = "alice"):
+    return await facility.provision_cluster(facility.auth.login(make_assertion(idp_keys, sub=sub)))
 
 
 def test_dedicated_worker_is_a_child_of_the_zygote_and_clusters_share_none(idp_keys, tmp_path):
@@ -176,23 +190,28 @@ def test_a_batch_job_too_large_to_fork_ends_done_and_kills_no_other_worker(
     forks = record_forks(monkeypatch)
 
     async def scenario():
-        facility, _, _ = small_facility(idp_keys, tmp_path)
+        facility = idle_batch_workers(idp_keys, tmp_path, silent_port)
+        worker_config = facility._worker_config
+
+        def config(bundle, worker_id, n_cores):  # the first batch worker's is too long to send
+            body = worker_config(bundle, worker_id, n_cores)
+            return {**body, "padding": "x" * zygote.MAX_MESSAGE} if worker_id == "w0001" else body
+
+        facility._worker_config = config
         sim = facility.batch_sim
         addrs = await facility.start()
         try:
             reply = await client.login(addrs["authd"], make_assertion(idp_keys, sub="bob"))
-            bob = await forked(facility.clusters[reply["cluster_id"]])
+            record = facility.clusters[reply["cluster_id"]]
+            bob = await forked(record)
             zygote_pid = facility.zygote.pid
-            sim.delay.s0, sim.delay.c = 0.0, 0.0
-            token = mint_token(facility.keys.batch, "alice", "batch", exp=time.time() + 600)
-            config = {**idle_worker_config(tmp_path, silent_port), "padding": "x" * zygote.MAX_MESSAGE}
-            handle = sim.submit(JobSpec(worker_config=config, batch_token=token), facility.batch_service.clock())
+            handle = request_batch_worker(record)
             await wait_for(lambda: sim.jobs[handle].state == "Done")
             assert forks == [bob] and facility._batch_procs == {}
             assert not (tmp_path / "run" / "logs" / f"batch-job-{handle}.log").exists()  # refused before the fork
             assert facility.zygote.pid == zygote_pid
             assert alive(bob.pid) and bob.returncode is None
-            nxt = submit_idle_job(facility, tmp_path, silent_port)  # and the zygote forks on
+            nxt = request_batch_worker(record)  # and the zygote forks on
             await wait_for(lambda: nxt in facility._batch_procs)
             assert len(forks) == 2 and facility.zygote.pid == zygote_pid
         finally:
@@ -203,9 +222,109 @@ def test_a_batch_job_too_large_to_fork_ends_done_and_kills_no_other_worker(
     assert len(refused) == 1 and f"exceeds {zygote.MAX_MESSAGE}" in refused[0], refused
 
 
-def test_sigkilled_batch_worker_returns_its_slot_within_50ms(idp_keys, tmp_path, silent_port):
+def test_a_batch_job_no_cluster_submitted_holds_its_slot_and_forks_nothing(
+    idp_keys, tmp_path, silent_port, monkeypatch, caplog
+):
+    """Mallory's SubmitBatchJob names Alice's TLS files, her SNI hostname and
+    a proxy address of Mallory's choosing: the job takes a slot and gives it
+    back as it starts, with no process, and Alice's scheduler hears from no
+    new worker."""
+    forks = record_forks(monkeypatch)
+
     async def scenario():
         facility, _, _ = small_facility(idp_keys, tmp_path)
+        sim = facility.batch_sim
+        sim.delay.s0, sim.delay.c = 0.05, 0.0
+        addrs = await facility.start()
+        batch = client.BatchClient(addrs["batch"])
+        try:
+            alice = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            record = facility.clusters[alice["cluster_id"]]
+            await record.service.wait_worker("alice-1-dedicated", 30)
+            mallory = await client.login(addrs["authd"], make_assertion(idp_keys, sub="mallory"))
+            dedicated = [record.dedicated_worker, await forked(facility.clusters[mallory["cluster_id"]])]
+            ca, _, _, cert, key = (str(tmp_path / "run" / "clusters" / "alice-1" / name) for name in wire.TLS_FILES)
+            config = {
+                "worker_id": "a-intruder",
+                "ingress": list(addrs["ingress"]),
+                "sni": alice["sni_hostname"],
+                "ca": ca,
+                "cert": cert,
+                "key": key,
+                "proxy": ["127.0.0.1", silent_port],  # where the worker would send Alice's data token
+                "n_cores": 1,
+            }
+            body = {"n_cores": 1, "worker_config": config, "worker_id": "alice-1-dedicated"}
+            handle = (await batch.call("SubmitBatchJob", {**body, "batch_token": mallory["batch_token"]}))["handle"]
+            assert sim.jobs[handle].state == "Starting" and sim.committed == 1
+            await wait_for(lambda: sim.jobs[handle].state == "Done", timeout=5.0)
+            assert sim.committed == 0 and sim.in_use == 0
+            assert forks == dedicated
+            assert not (tmp_path / "run" / "logs" / f"batch-job-{handle}.log").exists()
+            assert list(record.service.state.workers) == ["alice-1-dedicated"]
+            assert [e.worker_id for e in record.service.state.events if e.kind == "WorkerUp"] == ["alice-1-dedicated"]
+        finally:
+            batch.close()
+            await facility.stop()
+        return handle
+
+    handle = run_async(scenario())
+    assert f"batch job {handle}: no worker process: no cluster submitted it" in caplog.messages
+
+
+def test_a_cancel_of_another_users_batch_job_is_refused_and_its_worker_runs_on(idp_keys, tmp_path, silent_port):
+    async def scenario():
+        facility = idle_batch_workers(idp_keys, tmp_path, silent_port)
+        sim = facility.batch_sim
+        addrs = await facility.start()
+        batch = client.BatchClient(addrs["batch"])
+        try:
+            alice = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
+            mallory = await client.login(addrs["authd"], make_assertion(idp_keys, sub="mallory"))
+            handle = request_batch_worker(facility.clusters[alice["cluster_id"]])
+            await wait_for(lambda: handle in facility._batch_procs)
+            proc = facility._batch_procs[handle]
+            codes = []
+            for token in ({}, {"batch_token": mallory["batch_token"]}):
+                with pytest.raises(wire.RequestError) as refused:
+                    await batch.call("Cancel", {"handle": handle, **token})
+                codes.append(refused.value.code)
+            assert codes == ["bad_token", "batch_error"]
+            await asyncio.sleep(0.05)
+            assert sim.jobs[handle].state == "Running" and sim.in_use == 1
+            assert facility._batch_procs[handle] is proc and proc.returncode is None and alive(proc.pid)
+            assert await batch.cancel(handle, alice["batch_token"]) == "Cancelled"  # the owner's token does
+            assert await asyncio.wait_for(proc.wait(), 10) == -signal.SIGTERM
+        finally:
+            batch.close()
+            await facility.stop()
+
+    run_async(scenario())
+
+
+def test_a_zygote_that_dies_with_a_request_unread_is_handled_quietly(tmp_path, caplog):
+    async def scenario():
+        zyg = zygote.Zygote()
+        zyg.start()
+        pid = zyg.pid
+        try:
+            os.kill(pid, signal.SIGSTOP)  # it reads no request from here on
+            spawn = asyncio.ensure_future(zyg.spawn({"worker_id": "w"}, str(tmp_path / "w.log")))
+            await wait_for(lambda: zyg._replies and not zyg._outbox)  # sent, and never to be read
+            os.kill(pid, signal.SIGKILL)
+            with pytest.raises(zygote.ZygoteError, match="exited"):
+                await asyncio.wait_for(spawn, 10)
+            assert zyg.pid is None and not os.path.exists(f"/proc/{pid}")
+        finally:
+            await zyg.close()
+
+    run_async(scenario())
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+
+def test_sigkilled_batch_worker_returns_its_slot_within_50ms(idp_keys, tmp_path, silent_port):
+    async def scenario():
+        facility = idle_batch_workers(idp_keys, tmp_path, silent_port)
         sim = facility.batch_sim
         finished = {}
         finish = sim.finish
@@ -217,7 +336,9 @@ def test_sigkilled_batch_worker_returns_its_slot_within_50ms(idp_keys, tmp_path,
         sim.finish = recording
         await facility.start()
         try:
-            handles = [submit_idle_job(facility, tmp_path, silent_port) for _ in range(2)]
+            record = await provisioned(facility, idp_keys)
+            await record.service.wait_worker("alice-1-dedicated", 30)  # its handshake is not timed below
+            handles = [request_batch_worker(record) for _ in range(2)]
             await wait_for(lambda: all(h in facility._batch_procs for h in handles))
             assert sim.committed == 2 and sim.in_use == 2
             # the second kill comes right after the first slot came back
@@ -235,40 +356,44 @@ def test_sigkilled_batch_worker_returns_its_slot_within_50ms(idp_keys, tmp_path,
 
 
 def test_cancel_before_the_fork_reply_kills_the_worker(idp_keys, tmp_path, silent_port, monkeypatch):
-    forked = record_forks(monkeypatch)
+    forks = record_forks(monkeypatch)
 
     async def scenario():
-        facility, _, _ = small_facility(idp_keys, tmp_path)
+        facility = idle_batch_workers(idp_keys, tmp_path, silent_port)
         sim = facility.batch_sim
         await facility.start()
+        record = await provisioned(facility, idp_keys)
+        await forked(record)  # forks[0]
         zygote_pid = facility.zygote.pid
         os.kill(zygote_pid, signal.SIGSTOP)  # it replies to nothing until SIGCONT
         try:
-            handle = submit_idle_job(facility, tmp_path, silent_port)
+            handle = request_batch_worker(record)
             await wait_for(lambda: facility.zygote._replies)  # the fork is asked for
             assert sim.cancel(handle, facility.batch_service.clock()) == "Cancelled"
             os.kill(zygote_pid, signal.SIGCONT)
-            await wait_for(lambda: forked)
-            assert await asyncio.wait_for(forked[0].wait(), 10) == -signal.SIGKILL
+            await wait_for(lambda: len(forks) == 2)
+            assert await asyncio.wait_for(forks[1].wait(), 10) == -signal.SIGKILL
             assert sim.committed == 0 and facility._batch_procs == {}
         finally:
             os.kill(zygote_pid, signal.SIGCONT)
             await facility.stop()
 
     run_async(scenario())
-    assert len(forked) == 1 and not alive(forked[0].pid)
+    assert len(forks) == 2 and not alive(forks[1].pid)
 
 
 def test_stop_while_a_fork_is_in_flight_leaves_no_process(idp_keys, tmp_path, silent_port, monkeypatch):
-    forked = record_forks(monkeypatch)
+    forks = record_forks(monkeypatch)
 
     async def scenario():
-        facility, _, _ = small_facility(idp_keys, tmp_path)
+        facility = idle_batch_workers(idp_keys, tmp_path, silent_port)
         await facility.start()
+        record = await provisioned(facility, idp_keys)
+        await forked(record)  # forks[0]
         zygote_pid = facility.zygote.pid
         os.kill(zygote_pid, signal.SIGSTOP)
         try:
-            submit_idle_job(facility, tmp_path, silent_port)
+            request_batch_worker(record)
             await wait_for(lambda: facility.zygote._replies)
             stopping = asyncio.ensure_future(facility.stop())
             await asyncio.sleep(0.1)
@@ -280,8 +405,8 @@ def test_stop_while_a_fork_is_in_flight_leaves_no_process(idp_keys, tmp_path, si
         return zygote_pid
 
     zygote_pid = run_async(scenario())
-    assert len(forked) == 1 and forked[0].returncode == -signal.SIGKILL
-    assert not alive(forked[0].pid)
+    assert len(forks) == 2 and forks[1].returncode == -signal.SIGKILL
+    assert not [proc for proc in forks if alive(proc.pid)]
     assert not os.path.exists(f"/proc/{zygote_pid}")  # reaped, not only dead
 
 
@@ -289,13 +414,13 @@ def test_zygote_death_kills_its_workers_and_the_next_login_gets_a_new_one(idp_ke
     pids = []
 
     async def scenario():
-        facility, _, _ = small_facility(idp_keys, tmp_path)
+        facility = idle_batch_workers(idp_keys, tmp_path, silent_port)
         sim = facility.batch_sim
         addrs = await facility.start()
         try:
             await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
             dedicated = await forked(facility.clusters["alice-1"])
-            handle = submit_idle_job(facility, tmp_path, silent_port)
+            handle = request_batch_worker(facility.clusters["alice-1"])
             await wait_for(lambda: handle in facility._batch_procs)
             batch = facility._batch_procs[handle]
             first = facility.zygote.pid
@@ -305,7 +430,8 @@ def test_zygote_death_kills_its_workers_and_the_next_login_gets_a_new_one(idp_ke
             for proc in (dedicated, batch):
                 assert await asyncio.wait_for(proc.wait(), 10) == -signal.SIGKILL
                 assert not alive(proc.pid)
-            await wait_for(lambda: sim.jobs[handle].state == "Done")
+            # the worker's exit ends its job, unless the cluster, down with its dedicated worker, cancelled it first
+            await wait_for(lambda: sim.jobs[handle].state in ("Done", "Cancelled"))
             assert sim.committed == 0 and sim.in_use == 0
             assert not os.path.exists(f"/proc/{first}")  # the facility reaped it
 
