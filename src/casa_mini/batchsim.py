@@ -7,16 +7,17 @@ linear-in-wave-index stall the benchmark measures.  The discrete-event core
 is clock-agnostic: submit() schedules a start, advance(to) fires the starts
 due, and after each operation the sim asks its driver's wake(t), once per
 time, to advance it at its earliest pending start.  A BatchJob is the one
-record of its job: its state, its owner (the subject of the batch token
-that submitted it) and the times it was submitted, due to start, started
-and ended.  No event scans the jobs: slots in use and committed are
+record of its job: its state and the times it was submitted, due to start,
+started and ended.  No event scans the jobs: slots in use and committed are
 counters each transition updates, and pending starts sit in a
 (start_at, handle) heap whose entries are dropped once their job is no
 longer Starting.
 
-A JobSpec is a job's cores, its worker id and its batch token.  Only the
-facility's schedulers, in process, set a worker id: a SubmitBatchJob from
-the network names none, and a Cancel must carry a token of the job's owner.
+A JobSpec is a job's cores, its worker id and its batch token, which
+submit() checks.  The batch system takes no requests from the network: each
+cluster's autoscaler submits and cancels its workers' jobs in process.
+BatchService drives a BatchSim on wall time, the virtual facility on its
+own clock.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from . import tokens, wire
+from . import tokens
 
 QUEUED = "Queued"
 STARTING = "Starting"
@@ -59,19 +60,12 @@ class DelayModel:
 @dataclass
 class JobSpec:
     n_cores: int = 4
-    worker_id: str = ""  # the worker a cluster's autoscaler asked for; never read off the wire
+    worker_id: str = ""  # the worker a cluster's autoscaler asked for
     batch_token: str = ""
 
     def __post_init__(self):
         if self.n_cores <= 0:
             raise BatchError("n_cores must be positive")
-
-    def to_dict(self) -> dict:
-        return {"n_cores": self.n_cores, "batch_token": self.batch_token}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "JobSpec":
-        return cls(n_cores=int(d.get("n_cores", 4)), batch_token=d.get("batch_token", ""))
 
 
 @dataclass
@@ -80,7 +74,6 @@ class BatchJob:
     spec: JobSpec
     state: str
     submitted_at: float
-    owner: str = ""  # the subject of the batch token that submitted it
     start_at: float | None = None
     started_at: float | None = None
     ended_at: float | None = None
@@ -117,15 +110,13 @@ class BatchSim:
 
     # ---- operations --------------------------------------------------------
 
-    def _subject(self, batch_token: str, now: float) -> str:
-        return self.token_gate.check(batch_token, now) if self.token_gate is not None else ""
-
     def submit(self, spec: JobSpec, now: float) -> int:
-        owner = self._subject(spec.batch_token, now)
+        if self.token_gate is not None:
+            self.token_gate.check(spec.batch_token, now)
         self.clock = max(self.clock, now)
         self._next_handle += 1
         handle = self._next_handle
-        job = BatchJob(handle=handle, spec=spec, state=QUEUED, submitted_at=now, owner=owner)
+        job = BatchJob(handle=handle, spec=spec, state=QUEUED, submitted_at=now)
         self.jobs[handle] = job
         if self.committed < self.total_slots:
             self._schedule_start(job, now)
@@ -182,14 +173,8 @@ class BatchSim:
         self._woken = {t for t in self._woken if t > to}
         self._wake_next()
 
-    def cancel(self, handle: int, now: float, batch_token: str | None = None) -> str:
-        """Cancel a job; with a `batch_token` (a request from outside the
-        facility), only one whose token names the job's owner."""
+    def cancel(self, handle: int, now: float) -> str:
         job = self.jobs.get(handle)
-        if batch_token is not None:
-            subject = self._subject(batch_token, now)  # a bad token learns nothing of the handle
-            if job is not None and job.owner != subject:
-                raise BatchError(f"batch job {handle} is not the token holder's")
         if job is None:
             raise BatchError(f"unknown job handle {handle}")
         self.clock = max(self.clock, now)
@@ -233,49 +218,25 @@ class BatchSim:
 
 
 class BatchService:
-    """Framed-JSON front end to a BatchSim on wall time.  The sim's wake(t)
-    becomes a loop timer that advances it at t; close() cancels the timers
-    still pending, so no job starts after it."""
+    """Drives a BatchSim on wall time: the sim's wake(t) becomes a loop timer
+    that advances it at t, and close() cancels the timers still pending, so
+    no job starts after it."""
 
     def __init__(self, sim: BatchSim, clock):
         self.sim = sim
         self.clock = clock
-        self._server: asyncio.AbstractServer | None = None
-        self._conns = wire.ConnectionTasks()
         self._timers: dict[float, asyncio.TimerHandle] = {}  # by wake time
         sim.wake = self._wake
 
-    async def start(self, host: str, port: int) -> tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._conns.wrap(wire.answering(self._respond, "batch")), host, port
-        )
-        addr = self._server.sockets[0].getsockname()
-        return addr[0], addr[1]
-
-    async def close(self) -> None:
+    def close(self) -> None:
         self.sim.wake = None
         for timer in self._timers.values():
             timer.cancel()
-        await self._conns.close(self._server)
 
     def _wake(self, t: float) -> None:
         self._timers[t] = asyncio.get_running_loop().call_later(t - self.clock(), self._advance, t)
 
     def _advance(self, t: float) -> None:
         self._timers.pop(t, None)
-        # a timer may fire a little early, and a request may have moved the sim's clock past t
+        # a timer may fire a little early, and a submit may have moved the sim's clock past t
         self.sim.advance(max(t, self.sim.clock))
-
-    async def _respond(self, msg: wire.WireMessage) -> wire.WireMessage:
-        now = self.clock()
-        try:
-            if msg.kind == "SubmitBatchJob":
-                return wire.ok({"handle": self.sim.submit(JobSpec.from_dict(msg.body), now)})
-            if msg.kind == "Cancel":
-                handle, token = int(msg.body["handle"]), msg.body.get("batch_token", "")
-                return wire.ok({"state": self.sim.cancel(handle, now, batch_token=token)})
-            return wire.err("bad_request", f"unsupported kind {msg.kind}")
-        except tokens.TokenError as exc:
-            return wire.err("bad_token", str(exc))
-        except (BatchError, KeyError, TypeError, ValueError) as exc:
-            return wire.err("batch_error", str(exc))

@@ -1,11 +1,10 @@
-"""Async clients for the facility services: login, batch, scheduler."""
+"""Async clients for the facility services: login to authd, and a session with a scheduler."""
 
 from __future__ import annotations
 
 import asyncio
 
 from . import wire
-from .batchsim import JobSpec
 
 
 async def login(authd_addr: tuple[str, int], assertion: dict) -> dict:
@@ -17,17 +16,6 @@ async def login(authd_addr: tuple[str, int], assertion: dict) -> dict:
         return wire.raise_on_err(reply).body
     finally:
         writer.close()
-
-
-class BatchClient(wire.Channel):
-    def __init__(self, addr: tuple[str, int]):
-        super().__init__(lambda: asyncio.open_connection(*addr))
-
-    async def submit(self, spec: JobSpec) -> int:
-        return int((await self.call("SubmitBatchJob", spec.to_dict()))["handle"])
-
-    async def cancel(self, handle: int, batch_token: str) -> str:
-        return (await self.call("Cancel", {"handle": handle, "batch_token": batch_token}))["state"]
 
 
 class SchedulerClient(wire.Channel):

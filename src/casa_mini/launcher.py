@@ -1,7 +1,8 @@
 """Facility composition root.
 
 One process starts every shared service: the identity broker, the SNI
-ingress, the batch system, and the data proxy with its federation origin.
+ingress, the data proxy with its federation origin, and the batch system,
+which listens on no port.
 A successful login provisions that user's cluster: a dedicated scheduler
 behind mutual TLS, an ingress route so the cluster is reachable at
 <cluster-id>.<facility-domain> on the shared address, and a dedicated worker
@@ -20,8 +21,9 @@ facility's BatchSim in this process, with its latest login's batch token,
 and holds its data token, which each AssignTask carries, so a re-login
 renews every running worker.  A worker config exists only in this process,
 built from the cluster's record at the fork.  Only a batch job whose handle
-a cluster's WorkerState records gets a process; any other (a client's
-SubmitBatchJob) starts none and gives its slot back as it starts.
+a cluster's WorkerState records gets a process; any other (one whose
+cluster was taken down before it started) starts none and gives its slot
+back as it starts.
 
 Every worker process, dedicated or batch, is forked by the facility's one
 zygote (`casa_mini.zygote`), which has already imported the worker and run
@@ -46,7 +48,7 @@ import secrets
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import authd, wire
 from .batchsim import BatchJob, BatchService, BatchSim, DelayModel, JobSpec
@@ -85,7 +87,6 @@ class FacilityConfig:
         default_factory=lambda: {
             "ingress": 0,
             "authd": 0,
-            "batch": 0,
             "data_proxy": 0,
             "origin": 0,
         }
@@ -111,9 +112,13 @@ class FacilityConfig:
             with open(raw.pop("idp_public_key_path")) as fh:
                 raw["idp_public_key_pem"] = fh.read()
         cfg = cls()
+        known = {f.name for f in fields(cls)}
         for key, value in raw.items():
-            if hasattr(cfg, key):
-                setattr(cfg, key, value)
+            if key not in known:
+                raise ValueError(f"unknown facility config key {key!r}")
+            if key == "ports" and not set(value) <= set(cfg.ports):
+                raise ValueError(f"unknown facility config key 'ports.{min(set(value) - set(cfg.ports))}'")
+            setattr(cfg, key, value)
         return cfg
 
 
@@ -177,7 +182,6 @@ class Facility:
             self.addresses["origin"], self.federation_cred, self.keys.data
         )
         self.addresses["data_proxy"] = await self.proxy.start(bind, self.cfg.ports.get("data_proxy", 0))
-        self.addresses["batch"] = await self.batch_service.start(bind, self.cfg.ports.get("batch", 0))
         self.addresses["ingress"] = await self.sni.start(bind, self.cfg.ports.get("ingress", 0))
         self._authd_server = await authd.serve(
             self.auth, bind, self.cfg.ports.get("authd", 0), on_login=self._on_login, conns=self._authd_conns
@@ -192,7 +196,7 @@ class Facility:
                 await self.teardown_cluster(cluster_id)
             except Exception as exc:
                 log.warning("teardown of %s during stop failed: %s", cluster_id, exc)
-        await self.batch_service.close()  # no batch job starts from here on
+        self.batch_service.close()  # no batch job starts from here on
         await self._tasks.close()  # each batch job's task reaps its worker; a cluster being taken down finishes
         await self.sni.close()
         if self.proxy is not None:
@@ -253,8 +257,8 @@ class Facility:
     def _stop_batch_worker(self, job, now: float) -> None:
         task = self._batch_tasks.get(job.handle)
         if task is not None:
-            # Called synchronously from the batch service's Cancel handler;
-            # the task reaps the worker, and stop() still awaits it.
+            # Called synchronously from BatchSim.cancel; the task reaps the
+            # worker, and stop() still awaits it.
             task.cancel()
 
     # ---- provisioning --------------------------------------------------------------

@@ -103,27 +103,24 @@ class TokenGate:
     token string.
 
     The first call with a string runs the full verify_token.  The string's
-    `exp` and `sub` are then remembered, and a later call with the identical
-    string only checks `exp > now`: the same bytes always carry the same MAC,
-    audience, subject and expiry.  A failure is never remembered.  At most
-    GATE_CAPACITY strings are kept, the oldest dropped first.
+    `exp` is then remembered, and a later call with the identical string only
+    checks `exp > now`: the same bytes always carry the same MAC, audience and
+    expiry.  A failure is never remembered.  At most GATE_CAPACITY strings
+    are kept, the oldest dropped first.
     """
 
     def __init__(self, key: bytes, aud: str):
         self.key = key
         self.aud = aud
-        self._claims: dict[str, tuple[float, str]] = {}  # token -> (exp, sub)
+        self._exp: dict[str, float] = {}
 
-    def check(self, token: str, now: float) -> str:
-        """The token's subject, once it is known to be valid at `now`."""
-        claims = self._claims.get(token)
-        if claims is None:
-            verified = verify_token(token, self.key, self.aud, now)
-            claims = verified["exp"], str(verified.get("sub", ""))
-            if len(self._claims) >= GATE_CAPACITY:
-                del self._claims[next(iter(self._claims))]
-            self._claims[token] = claims
-        elif claims[0] <= now:
-            del self._claims[token]
+    def check(self, token: str, now: float) -> None:
+        exp = self._exp.get(token)
+        if exp is None:
+            exp = verify_token(token, self.key, self.aud, now)["exp"]
+            if len(self._exp) >= GATE_CAPACITY:
+                del self._exp[next(iter(self._exp))]
+            self._exp[token] = exp
+        elif exp <= now:
+            del self._exp[token]
             raise TokenExpired("token expired")
-        return claims[1]

@@ -43,13 +43,11 @@ KINDS = frozenset(
         "ScaleRequest",
         "TaskStream",
         # facility services
-        "SubmitBatchJob",
         "Login",
         "Fetch",
         "RegisterRoute",
         "RemoveRoute",
         "ListRoutes",
-        "Cancel",
         # generic replies
         "Ok",
         "Err",

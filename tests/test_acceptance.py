@@ -24,7 +24,6 @@ from casa_mini.bench import (
     run_sweep,
     stall_report,
 )
-from casa_mini.client import BatchClient
 from casa_mini.engine.pipeline import KernelPipeline, run_pipeline
 from casa_mini.scheduler.state import ScalePolicy, autoscale_target, events_to_csv
 from casa_mini.types import ColumnBatch
@@ -256,13 +255,11 @@ def test_criterion_6_auth(idp_keys, tmp_path):
             sc.close()
 
             # credential 2: batch token -> batch-sim submit
-            batch = BatchClient(addrs["batch"])
-            handle = await batch.submit(JobSpec(batch_token=reply["batch_token"]))
+            handle = facility.batch_sim.submit(JobSpec(batch_token=reply["batch_token"]), time.time())
             assert handle > 0
-            await batch.cancel(handle, reply["batch_token"])
-            with pytest.raises(wire.RequestError, match="bad_token"):
-                await batch.submit(JobSpec(batch_token=reply["data_token"]))  # wrong audience
-            batch.close()
+            facility.batch_sim.cancel(handle, time.time())
+            with pytest.raises(tokens.TokenError):  # signed with the data key, for the data audience
+                facility.batch_sim.submit(JobSpec(batch_token=reply["data_token"]), time.time())
 
             # credential 3: data token -> proxy fetch
             path = "/store/mini/part00.cacf"

@@ -135,6 +135,26 @@ def test_the_dedicated_worker_runs_a_task_thread_per_host_cpu_up_to_eight():
     assert FacilityConfig().dedicated_cores == min(8, len(os.sched_getaffinity(0)))
 
 
+def test_a_facility_config_file_loads_and_an_unknown_key_is_refused_by_name(idp_keys, tmp_path):
+    key_path = tmp_path / "idp.pem"
+    key_path.write_text(idp_keys[1])
+    good = {"idp_public_key_path": str(key_path), "ports": {"authd": 8443}, "slot_pool": 10}
+    path = tmp_path / "facility.json"
+    path.write_text(json.dumps(good))
+    cfg = FacilityConfig.load(str(path))
+    assert (cfg.idp_public_key_pem, cfg.ports, cfg.slot_pool) == (idp_keys[1], {"authd": 8443}, 10)
+    assert cfg.data_root == FacilityConfig().data_root  # a key the file leaves out keeps its default
+
+    for bad, named in (
+        ({"ports": {"authd": 8443, "batch": 8444}}, "'ports.batch'"),  # the batch system listens on no port
+        ({"slot_pol": 10}, "'slot_pol'"),
+        ({"load": 1}, "'load'"),  # not a field, though the class has it
+    ):
+        path.write_text(json.dumps({**good, **bad}))
+        with pytest.raises(ValueError, match=f"unknown facility config key {named}"):
+            FacilityConfig.load(str(path))
+
+
 def test_cluster_whose_dedicated_worker_dies_fails_at_once_and_leaves_nothing(idp_keys, tmp_path, caplog):
     schedulers = {}  # each cluster's scheduler address, read from its route as it is registered
 
@@ -514,7 +534,7 @@ def test_no_batch_worker_starts_after_stop(idp_keys, tmp_path):
     run_async(scenario())
 
 
-def test_the_facility_listens_for_its_five_services_only(idp_keys, tmp_path):
+def test_the_facility_listens_for_its_four_services_only(idp_keys, tmp_path):
     async def scenario():
         facility, _, _ = small_facility(idp_keys, tmp_path)
         try:
@@ -522,8 +542,12 @@ def test_the_facility_listens_for_its_five_services_only(idp_keys, tmp_path):
         finally:
             await facility.stop()
 
-    # no ingress admin listener: the launcher registers each cluster's route in process
-    assert set(run_async(scenario())) == {"authd", "ingress", "batch", "data_proxy", "origin"}
+    # no ingress admin listener: the launcher registers each cluster's route in process;
+    # no batch listener: each cluster's autoscaler submits and cancels its batch jobs in process
+    assert set(run_async(scenario())) == {"authd", "ingress", "data_proxy", "origin"}
+    for kind, body in (("SubmitBatchJob", {"n_cores": 4, "batch_token": "t"}), ("Cancel", {"handle": 1})):
+        with pytest.raises(wire.WireError, match="unknown message kind"):
+            wire.decode(json.dumps({"kind": kind, "body": body}).encode())
 
 
 def test_teardown_removes_the_clusters_tls_files_and_a_re_login_runs_a_job(idp_keys, tmp_path):
@@ -1337,19 +1361,23 @@ def test_stop_after_login_and_batch_submit_logs_no_error(idp_keys, tmp_path, cap
 
     async def scenario():
         facility, dataset, epf = small_facility(idp_keys, tmp_path)
-        facility.batch_sim.delay.s0 = 60.0  # the submitted job stays Starting: no worker process
+        facility.batch_sim.delay.s0 = 60.0  # the requested worker's job stays Starting: no worker process
         addrs = await facility.start()
         try:
             login = wire.WireMessage("Login", {"assertion": make_assertion(idp_keys)})
             reply = (await asyncio.to_thread(request, addrs["authd"], login)).body
-            submit = wire.WireMessage("SubmitBatchJob", JobSpec(batch_token=reply["batch_token"]).to_dict())
-            handle = (await asyncio.to_thread(request, addrs["batch"], submit)).body["handle"]
+            sc = scheduler_client(reply, write_client_creds(reply, str(tmp_path / "alice")))
+            try:
+                await sc.scale_request(mode="fixed", fixed_n=2)  # the dedicated worker and w0001
+            finally:
+                sc.close()
+            handle = facility.clusters[reply["cluster_id"]].service.state.workers["w0001"].batch_handle
             assert facility.batch_sim.jobs[handle].state == "Starting"
         finally:
             await facility.stop()
 
     try:
-        run_async(scenario())  # the loop closes while both connections are open
+        run_async(scenario())  # the loop closes while the authd connection is open
     finally:
         for sock in socks:
             sock.close()

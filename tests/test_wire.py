@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casa_mini import authd, data_proxy, tokens, wire
-from casa_mini.batchsim import BatchService, BatchSim
-from casa_mini.client import BatchClient
 from casa_mini.ingress import SniProxy
 
 from .conftest import make_assertion, run_async
@@ -96,15 +94,6 @@ BLOB = bytes(range(256)) * 4
 
 
 @contextlib.asynccontextmanager
-async def _batch(tmp_path, idp_keys):
-    service = BatchService(BatchSim(), clock=time.time)
-    try:
-        yield await service.start("127.0.0.1", 0), wire.WireMessage("SubmitBatchJob", {})
-    finally:
-        await service.close()
-
-
-@contextlib.asynccontextmanager
 async def _authd(tmp_path, idp_keys):
     conns = wire.ConnectionTasks()
     server = await authd.serve(authd.AuthService(idp_keys[1]), "127.0.0.1", 0, conns=conns)
@@ -167,7 +156,6 @@ def _served_block(frame: bytes) -> bool:
 # log label -> how to start the service, its reply to an unsupported kind, and
 # whether a reply to its valid request succeeded
 SERVICES = {
-    "batch": (_batch, _refused, _answered),
     "authd": (_authd, _refused, _answered),
     "ingress admin": (_ingress_admin, _refused, _answered),
     "origin": (_origin, _refused_block, _served_block),
@@ -219,7 +207,11 @@ async def _scripted(handler):
         await conns.close(server)
 
 
-def test_cancelled_batch_request_leaves_no_reply_for_the_next():
+def _channel(addr) -> wire.Channel:
+    return wire.Channel(lambda: asyncio.open_connection(*addr))
+
+
+def test_cancelled_request_leaves_no_reply_for_the_next():
     # The server holds its first reply; the request waiting on it is
     # cancelled, and the next request must get its own reply.
     async def scenario():
@@ -233,24 +225,24 @@ def test_cancelled_batch_request_leaves_no_reply_for_the_next():
                     received += 1
                     if received == 1:
                         await asyncio.sleep(0.2)
-                    await wire.send_message(writer, wire.ok({"handle": msg.body["handle"]}))
+                    await wire.send_message(writer, wire.ok({"job_id": msg.body["job_id"]}))
             except (asyncio.IncompleteReadError, ConnectionError):
                 pass
             finally:
                 writer.close()
 
         async with _scripted(held_first) as addr:
-            batch = BatchClient(addr)
+            channel = _channel(addr)
             try:
-                first = asyncio.create_task(batch.call("Cancel", {"handle": 1}))
+                first = asyncio.create_task(channel.call("WaitJob", {"job_id": "j1"}))
                 while received == 0:
                     await asyncio.sleep(0.005)
                 first.cancel()
                 with pytest.raises(asyncio.CancelledError):
                     await first
-                assert await asyncio.wait_for(batch.call("Cancel", {"handle": 2}), 2.0) == {"handle": 2}
+                assert await asyncio.wait_for(channel.call("WaitJob", {"job_id": "j2"}), 2.0) == {"job_id": "j2"}
             finally:
-                batch.close()
+                channel.close()
 
     run_async(scenario())
 
@@ -263,7 +255,7 @@ def test_failed_exchange_closes_the_connection(bad_reply):
         async def answers_once(reader, writer):
             try:
                 await wire.read_message(reader)
-                await wire.send_message(writer, wire.ok({"handle": 1}))
+                await wire.send_message(writer, wire.ok({"job_id": "j1"}))
                 await wire.read_message(reader)
                 writer.write(bad_reply)
                 await writer.drain()
@@ -271,16 +263,16 @@ def test_failed_exchange_closes_the_connection(bad_reply):
                 writer.close()
 
         async with _scripted(answers_once) as addr:
-            batch = BatchClient(addr)
+            channel = _channel(addr)
             try:
-                assert await batch.call("Cancel", {"handle": 1}) == {"handle": 1}
-                writer = batch._conn[1]
+                assert await channel.call("WaitJob", {"job_id": "j1"}) == {"job_id": "j1"}
+                writer = channel._conn[1]
                 with pytest.raises((asyncio.IncompleteReadError, wire.WireError)):
-                    await asyncio.wait_for(batch.call("Cancel", {"handle": 1}), 2.0)
-                assert batch._conn is None and writer.is_closing()
+                    await asyncio.wait_for(channel.call("WaitJob", {"job_id": "j1"}), 2.0)
+                assert channel._conn is None and writer.is_closing()
                 # the next request opens a new connection
-                assert await asyncio.wait_for(batch.call("Cancel", {"handle": 1}), 2.0) == {"handle": 1}
+                assert await asyncio.wait_for(channel.call("WaitJob", {"job_id": "j1"}), 2.0) == {"job_id": "j1"}
             finally:
-                batch.close()
+                channel.close()
 
     run_async(scenario())

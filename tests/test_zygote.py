@@ -14,6 +14,7 @@ import time
 import pytest
 
 from casa_mini import client, wire, zygote
+from casa_mini.batchsim import JobSpec
 
 from .conftest import idle_worker_config, make_assertion, run_async, stat_fields
 from .test_facility import (
@@ -223,12 +224,11 @@ def test_a_batch_job_too_large_to_fork_ends_done_and_kills_no_other_worker(
 
 
 def test_a_batch_job_no_cluster_submitted_holds_its_slot_and_forks_nothing(
-    idp_keys, tmp_path, silent_port, monkeypatch, caplog
+    idp_keys, tmp_path, monkeypatch, caplog
 ):
-    """Mallory's SubmitBatchJob names Alice's TLS files, her SNI hostname and
-    a proxy address of Mallory's choosing: the job takes a slot and gives it
-    back as it starts, with no process, and Alice's scheduler hears from no
-    new worker."""
+    """A batch job whose worker id no cluster's WorkerState records, with
+    Mallory's batch token: the job takes a slot and gives it back as it
+    starts, with no process, and Alice's scheduler hears from no new worker."""
     forks = record_forks(monkeypatch)
 
     async def scenario():
@@ -236,26 +236,14 @@ def test_a_batch_job_no_cluster_submitted_holds_its_slot_and_forks_nothing(
         sim = facility.batch_sim
         sim.delay.s0, sim.delay.c = 0.05, 0.0
         addrs = await facility.start()
-        batch = client.BatchClient(addrs["batch"])
         try:
             alice = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
             record = facility.clusters[alice["cluster_id"]]
             await record.service.wait_worker("alice-1-dedicated", 30)
             mallory = await client.login(addrs["authd"], make_assertion(idp_keys, sub="mallory"))
             dedicated = [record.dedicated_worker, await forked(facility.clusters[mallory["cluster_id"]])]
-            ca, _, _, cert, key = (str(tmp_path / "run" / "clusters" / "alice-1" / name) for name in wire.TLS_FILES)
-            config = {
-                "worker_id": "a-intruder",
-                "ingress": list(addrs["ingress"]),
-                "sni": alice["sni_hostname"],
-                "ca": ca,
-                "cert": cert,
-                "key": key,
-                "proxy": ["127.0.0.1", silent_port],  # where the worker would send Alice's data token
-                "n_cores": 1,
-            }
-            body = {"n_cores": 1, "worker_config": config, "worker_id": "alice-1-dedicated"}
-            handle = (await batch.call("SubmitBatchJob", {**body, "batch_token": mallory["batch_token"]}))["handle"]
+            spec = JobSpec(n_cores=1, worker_id="alice-1-intruder", batch_token=mallory["batch_token"])
+            handle = sim.submit(spec, facility.batch_service.clock())
             assert sim.jobs[handle].state == "Starting" and sim.committed == 1
             await wait_for(lambda: sim.jobs[handle].state == "Done", timeout=5.0)
             assert sim.committed == 0 and sim.in_use == 0
@@ -264,42 +252,11 @@ def test_a_batch_job_no_cluster_submitted_holds_its_slot_and_forks_nothing(
             assert list(record.service.state.workers) == ["alice-1-dedicated"]
             assert [e.worker_id for e in record.service.state.events if e.kind == "WorkerUp"] == ["alice-1-dedicated"]
         finally:
-            batch.close()
             await facility.stop()
         return handle
 
     handle = run_async(scenario())
     assert f"batch job {handle}: no worker process: no cluster submitted it" in caplog.messages
-
-
-def test_a_cancel_of_another_users_batch_job_is_refused_and_its_worker_runs_on(idp_keys, tmp_path, silent_port):
-    async def scenario():
-        facility = idle_batch_workers(idp_keys, tmp_path, silent_port)
-        sim = facility.batch_sim
-        addrs = await facility.start()
-        batch = client.BatchClient(addrs["batch"])
-        try:
-            alice = await client.login(addrs["authd"], make_assertion(idp_keys, sub="alice"))
-            mallory = await client.login(addrs["authd"], make_assertion(idp_keys, sub="mallory"))
-            handle = request_batch_worker(facility.clusters[alice["cluster_id"]])
-            await wait_for(lambda: handle in facility._batch_procs)
-            proc = facility._batch_procs[handle]
-            codes = []
-            for token in ({}, {"batch_token": mallory["batch_token"]}):
-                with pytest.raises(wire.RequestError) as refused:
-                    await batch.call("Cancel", {"handle": handle, **token})
-                codes.append(refused.value.code)
-            assert codes == ["bad_token", "batch_error"]
-            await asyncio.sleep(0.05)
-            assert sim.jobs[handle].state == "Running" and sim.in_use == 1
-            assert facility._batch_procs[handle] is proc and proc.returncode is None and alive(proc.pid)
-            assert await batch.cancel(handle, alice["batch_token"]) == "Cancelled"  # the owner's token does
-            assert await asyncio.wait_for(proc.wait(), 10) == -signal.SIGTERM
-        finally:
-            batch.close()
-            await facility.stop()
-
-    run_async(scenario())
 
 
 def test_a_zygote_that_dies_with_a_request_unread_is_handled_quietly(tmp_path, caplog):
