@@ -21,7 +21,7 @@ import json
 import math
 import os
 import statistics
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -68,11 +68,12 @@ class BenchConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "BenchConfig":
-        cfg = cls()
-        known = {k: v for k, v in d.items() if hasattr(cfg, k)}
-        if "sweep" in known:
-            known["sweep"] = tuple(known["sweep"])
-        return replace(cfg, **known)
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown bench config keys {', '.join(map(repr, unknown))}")
+        if "sweep" in d:
+            d = {**d, "sweep": tuple(d["sweep"])}
+        return replace(cls(), **d)
 
 
 BENCH_PIPELINE = [

@@ -200,63 +200,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-async def _serve_forever(*servers_or_objs):
-    try:
-        while True:
-            await asyncio.sleep(3600)
-    except (KeyboardInterrupt, asyncio.CancelledError):
-        pass
-    finally:
-        for obj in servers_or_objs:
-            await obj.close()
-
-
-def cmd_ingress(args) -> int:
-    from .ingress import SniProxy
-
-    async def go():
-        proxy = SniProxy(peek_timeout=args.peek_timeout)
-        listen = await proxy.start(*_addr(args.listen))
-        admin = await proxy.start_admin(*_addr(args.admin))
-        print(f"ingress listening on {listen[0]}:{listen[1]}, admin on {admin[0]}:{admin[1]}", flush=True)
-        await _serve_forever(proxy)
-
-    asyncio.run(go())
-    return 0
-
-
-def cmd_origin(args) -> int:
-    from .data_proxy import OriginServer
-
-    async def go():
-        origin = OriginServer(args.root, args.cred)
-        addr = await origin.start(*_addr(args.listen))
-        print(f"origin serving {args.root} on {addr[0]}:{addr[1]}", flush=True)
-        await _serve_forever(origin)
-
-    asyncio.run(go())
-    return 0
-
-
-def cmd_proxy(args) -> int:
-    from .data_proxy import DataProxyServer
-
-    async def go():
-        proxy = DataProxyServer(
-            _addr(args.origin),
-            args.cred,
-            bytes.fromhex(args.data_key),
-            block_size=args.block_size,
-            cache_dir=args.cache_dir,
-        )
-        addr = await proxy.start(*_addr(args.listen))
-        print(f"data proxy on {addr[0]}:{addr[1]} -> origin {args.origin}", flush=True)
-        await _serve_forever(proxy)
-
-    asyncio.run(go())
-    return 0
-
-
 def cmd_stalls(args) -> int:
     with open(args.stream) as fh:
         report = stall_report(fh.read())
@@ -319,27 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_stalls)
-
-    p = sub.add_parser("ingress", help="run a standalone SNI passthrough proxy")
-    p.add_argument("--listen", required=True, help="host:port for TLS traffic")
-    p.add_argument("--admin", required=True, help="host:port for route registration")
-    p.add_argument("--peek-timeout", type=float, default=5.0)
-    p.set_defaults(fn=cmd_ingress)
-
-    p = sub.add_parser("origin", help="run a standalone federation origin server")
-    p.add_argument("--listen", required=True)
-    p.add_argument("--root", required=True, help="directory holding /store/... files")
-    p.add_argument("--cred", required=True, help="federation credential the proxy must present")
-    p.set_defaults(fn=cmd_origin)
-
-    p = sub.add_parser("proxy", help="run a standalone caching data proxy")
-    p.add_argument("--listen", required=True)
-    p.add_argument("--origin", required=True, help="origin server host:port")
-    p.add_argument("--cred", required=True, help="federation credential for origin access")
-    p.add_argument("--data-key", required=True, help="hex HMAC key that data tokens verify under")
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--block-size", type=int, default=64 * 1024)
-    p.set_defaults(fn=cmd_proxy)
 
     return parser
 

@@ -23,7 +23,6 @@ Wire format
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import hmac
 import itertools
 import os
@@ -116,19 +115,11 @@ class CacheStats:
 
 
 class BlockStore:
-    """(path, block index) -> bytes, with optional LRU byte cap and disk spill."""
+    """(path, block index) -> bytes, in memory, with an optional LRU byte cap."""
 
-    def __init__(
-        self,
-        block_size: int = BLOCK_SIZE,
-        max_bytes: int | None = None,
-        cache_dir: str | None = None,
-    ):
+    def __init__(self, block_size: int = BLOCK_SIZE, max_bytes: int | None = None):
         self.block_size = block_size
         self.max_bytes = max_bytes
-        self.cache_dir = cache_dir
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
         self._blocks: OrderedDict[tuple[str, int], bytes] = OrderedDict()
         self._total = 0
         self.stats = CacheStats()
@@ -138,23 +129,11 @@ class BlockStore:
             return range(0)
         return range(offset // self.block_size, (offset + length - 1) // self.block_size + 1)
 
-    def _disk_path(self, path: str, idx: int) -> str:
-        digest = hashlib.sha256(path.encode()).hexdigest()[:24]
-        return os.path.join(self.cache_dir, f"{digest}.{idx}.blk")
-
     def get(self, path: str, idx: int) -> bytes | None:
         data = self._blocks.get((path, idx))
         if data is not None:
             self._blocks.move_to_end((path, idx))
-            return data
-        if self.cache_dir:
-            disk = self._disk_path(path, idx)
-            if os.path.exists(disk):
-                with open(disk, "rb") as fh:
-                    data = fh.read()
-                self.put(path, idx, data)
-                return data
-        return None
+        return data
 
     def put(self, path: str, idx: int, data: bytes) -> None:
         key = (path, idx)
@@ -162,13 +141,6 @@ class BlockStore:
             return
         self._blocks[key] = data
         self._total += len(data)
-        if self.cache_dir:
-            disk = self._disk_path(path, idx)
-            if not os.path.exists(disk):
-                # a crash mid-write leaves only the temporary file, which get never reads
-                with open(disk + ".tmp", "wb") as fh:
-                    fh.write(data)
-                os.replace(disk + ".tmp", disk)
         if self.max_bytes is not None:
             while self._total > self.max_bytes and len(self._blocks) > 1:
                 _, evicted = self._blocks.popitem(last=False)
@@ -285,8 +257,8 @@ class _ReadThrough:
     has the proxy fill the missing ones from the origin, then cuts its ranges
     out of them."""
 
-    def __init__(self, data_key: bytes, block_size: int, max_bytes: int | None, cache_dir: str | None, clock):
-        self.store = BlockStore(block_size=block_size, max_bytes=max_bytes, cache_dir=cache_dir)
+    def __init__(self, data_key: bytes, block_size: int, max_bytes: int | None, clock):
+        self.store = BlockStore(block_size=block_size, max_bytes=max_bytes)
         self.token_gate = tokens.TokenGate(data_key, "data")
         self._clock = clock
 
@@ -335,7 +307,7 @@ class SyncDataProxy(_ReadThrough):
         max_bytes: int | None = None,
         clock=time.time,
     ):
-        super().__init__(data_key, block_size, max_bytes, None, clock)
+        super().__init__(data_key, block_size, max_bytes, clock)
         self.origin = origin
 
     def fetch(self, path: str, ranges, token: str, now: float | None = None) -> list[bytes]:
@@ -439,10 +411,9 @@ class DataProxyServer(_ReadThrough):
         data_key: bytes,
         block_size: int = BLOCK_SIZE,
         max_bytes: int | None = None,
-        cache_dir: str | None = None,
         clock=time.time,
     ):
-        super().__init__(data_key, block_size, max_bytes, cache_dir, clock)
+        super().__init__(data_key, block_size, max_bytes, clock)
         self.origin_addr = origin_addr
         self.federation_cred = federation_cred
         self._inflight: dict[tuple[str, int], asyncio.Future] = {}

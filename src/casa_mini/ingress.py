@@ -119,37 +119,25 @@ class RouteError(ValueError):
 
 
 class RouteTable:
-    """Case-insensitive SNI hostname -> backend address, with atomic updates."""
+    """Case-insensitive SNI hostname -> backend address."""
 
     def __init__(self):
         self._routes: dict[str, tuple[str, int]] = {}
-        self.version = 0
 
-    def register(self, hostname: str, backend: tuple[str, int]) -> int:
+    def register(self, hostname: str, backend: tuple[str, int]) -> None:
         key = self._check(hostname)
         if key in self._routes:
             raise RouteError(f"duplicate route {key!r}")
-        routes = dict(self._routes)
-        routes[key] = (backend[0], int(backend[1]))
-        self._routes = routes
-        self.version += 1
-        return self.version
+        self._routes[key] = (backend[0], int(backend[1]))
 
-    def remove(self, hostname: str) -> int:
+    def remove(self, hostname: str) -> None:
         key = hostname.lower()
         if key not in self._routes:
             raise RouteError(f"unknown route {key!r}")
-        routes = dict(self._routes)
-        del routes[key]
-        self._routes = routes
-        self.version += 1
-        return self.version
+        del self._routes[key]
 
     def resolve(self, hostname: str) -> tuple[str, int] | None:
         return self._routes.get(hostname.lower())
-
-    def entries(self) -> dict[str, tuple[str, int]]:
-        return dict(self._routes)
 
     def __len__(self) -> int:
         return len(self._routes)
@@ -188,7 +176,6 @@ class SniProxy:
     routes: RouteTable = field(default_factory=RouteTable)
     peek_timeout: float = DEFAULT_PEEK_TIMEOUT
     _server: asyncio.AbstractServer | None = None
-    _admin: asyncio.AbstractServer | None = None
     _conns: wire.ConnectionTasks = field(default_factory=wire.ConnectionTasks)
 
     async def start(self, host: str, port: int) -> tuple[str, int]:
@@ -196,15 +183,8 @@ class SniProxy:
         addr = self._server.sockets[0].getsockname()
         return addr[0], addr[1]
 
-    async def start_admin(self, host: str, port: int) -> tuple[str, int]:
-        self._admin = await asyncio.start_server(
-            self._conns.wrap(wire.answering(self._respond_admin, "ingress admin")), host, port
-        )
-        addr = self._admin.sockets[0].getsockname()
-        return addr[0], addr[1]
-
     async def close(self) -> None:
-        await self._conns.close(self._server, self._admin)
+        await self._conns.close(self._server)
 
     async def _peek_hello(self, reader: asyncio.StreamReader) -> tuple[bytes, str | None]:
         buf = b""
@@ -253,16 +233,3 @@ class SniProxy:
                     except OSError:
                         pass
 
-    async def _respond_admin(self, msg: wire.WireMessage) -> wire.WireMessage:
-        try:
-            if msg.kind == "RegisterRoute":
-                host, port = msg.body["backend"]
-                return wire.ok({"version": self.routes.register(msg.body["hostname"], (host, port))})
-            if msg.kind == "RemoveRoute":
-                return wire.ok({"version": self.routes.remove(msg.body["hostname"])})
-            if msg.kind == "ListRoutes":
-                routes = {k: list(v) for k, v in self.routes.entries().items()}
-                return wire.ok({"version": self.routes.version, "routes": routes})
-            return wire.err("bad_request", f"unsupported kind {msg.kind}")
-        except (RouteError, KeyError, TypeError, ValueError) as exc:
-            return wire.err("route_error", str(exc))

@@ -116,10 +116,21 @@ class FacilityConfig:
         for key, value in raw.items():
             if key not in known:
                 raise ValueError(f"unknown facility config key {key!r}")
-            if key == "ports" and not set(value) <= set(cfg.ports):
-                raise ValueError(f"unknown facility config key 'ports.{min(set(value) - set(cfg.ports))}'")
+            _check_type(key, value, type(getattr(cfg, key)))
+            if key == "ports":
+                if not set(value) <= set(cfg.ports):
+                    raise ValueError(f"unknown facility config key 'ports.{min(set(value) - set(cfg.ports))}'")
+                for name, port in value.items():
+                    _check_type(f"ports.{name}", port, int)
             setattr(cfg, key, value)
         return cfg
+
+
+def _check_type(key: str, value, kind: type) -> None:
+    """Refuse a config value that is not of its default's type; an int is a
+    float too, and a bool is not an int."""
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise ValueError(f"facility config key {key!r} must be {kind.__name__}, not {type(value).__name__}")
 
 
 @dataclass

@@ -24,6 +24,7 @@ every worker still held, so no batch job outlives its cluster.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import logging
 import ssl
 import time
@@ -334,11 +335,13 @@ class SchedulerService:
             if msg.kind == "TaskStream":
                 return wire.ok({"task_stream_csv": events_to_csv(self.state.events)})
             if msg.kind == "ScaleRequest":
-                self.policy.mode = msg.body.get("mode", self.policy.mode)
-                if "fixed_n" in msg.body:
-                    self.policy.fixed_n = int(msg.body["fixed_n"])
-                if "tasks_per_worker" in msg.body:
-                    self.policy.tasks_per_worker = int(msg.body["tasks_per_worker"])
+                changes = {"mode": msg.body.get("mode", self.policy.mode)}
+                for key in ("fixed_n", "tasks_per_worker"):
+                    if key in msg.body:
+                        changes[key] = int(msg.body[key])
+                dataclasses.replace(self.policy, **changes)  # a policy that breaks its checks raises here
+                for key, value in changes.items():  # in place: the autoscaler holds this policy
+                    setattr(self.policy, key, value)
                 self.autoscaler.tick(now)
                 return wire.ok({"mode": self.policy.mode, "fixed_n": self.policy.fixed_n})
             return wire.err("bad_request", f"unsupported kind {msg.kind}")

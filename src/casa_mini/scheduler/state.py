@@ -79,6 +79,8 @@ class ScalePolicy:
     def __post_init__(self):
         if self.mode not in ("adaptive", "fixed"):
             raise SchedulerError(f"unknown scale mode {self.mode!r}")
+        if self.fixed_n < 0:
+            raise SchedulerError("fixed_n must be >= 0")
         if self.tasks_per_worker < 1:
             raise SchedulerError("tasks_per_worker must be >= 1")
         if self.n_min > self.n_max:

@@ -45,9 +45,6 @@ KINDS = frozenset(
         # facility services
         "Login",
         "Fetch",
-        "RegisterRoute",
-        "RemoveRoute",
-        "ListRoutes",
         # generic replies
         "Ok",
         "Err",

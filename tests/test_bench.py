@@ -58,6 +58,16 @@ def test_config_round_trip():
     assert back == cfg
 
 
+def test_config_refuses_unknown_keys_by_name():
+    # "repeat" used to be dropped silently (5 repeats ran), and "total_events",
+    # a property, raised a bare TypeError from dataclasses.replace
+    with pytest.raises(ValueError, match=r"^unknown bench config keys 'repeat'$"):
+        BenchConfig.from_json({"repeat": 2})
+    with pytest.raises(ValueError, match=r"^unknown bench config keys 'repeat', 'total_events'$"):
+        BenchConfig.from_json({"total_events": 5, "repeats": 2, "repeat": 2})
+    assert BenchConfig.from_json({"repeats": 2, "sweep": [2, 4]}) == BenchConfig(repeats=2, sweep=(2, 4))
+
+
 def test_small_sweep_tracks_oracle(tmp_path):
     cfg = BenchConfig(sweep=(2, 4), repeats=2)
     result = run_sweep(cfg, str(tmp_path))

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from casa_mini import cacf, data_proxy, tokens, wire
 from casa_mini.data_proxy import (
     BadFederationCred,
-    BlockStore,
     DataProxyServer,
     LocalOrigin,
     OriginNotFound,
@@ -308,123 +307,6 @@ def test_warm_second_pass_zero_origin_fetches(store):
     cold = proxy.stats()["origin_fetches"]
     full_scan()
     assert proxy.stats()["origin_fetches"] == cold
-
-
-def test_cache_dir_survives_restart(store, tmp_path):
-    async def scenario():
-        cache_dir = str(tmp_path / "cache")
-        origin = OriginServer(store, CRED)
-        origin_addr = await origin.start("127.0.0.1", 0)
-        first = DataProxyServer(origin_addr, CRED, KEY, cache_dir=cache_dir, clock=lambda: 0.0)
-        await first.fetch("/store/ds1/f0.cacf", [(0, 100_000)], _token())
-        cold = origin.local.fetches
-        assert (cold, first.stats()["origin_fetches"]) == (1, 2)  # two blocks in one origin request
-        await first.close()
-        # a fresh proxy over the same cache dir serves warm
-        second = DataProxyServer(origin_addr, CRED, KEY, cache_dir=cache_dir, clock=lambda: 0.0)
-        (data,) = await second.fetch("/store/ds1/f0.cacf", [(0, 100_000)], _token())
-        assert origin.local.fetches == cold
-        raw = Path(store, "store", "ds1", "f0.cacf").read_bytes()
-        assert data == raw[:100_000]
-        await second.close()
-        await origin.close()
-
-    run_async(scenario())
-
-
-def test_crash_mid_write_never_serves_a_partial_block(tmp_path, monkeypatch):
-    cache_dir = str(tmp_path / "cache")
-    block = bytes(range(256)) * 16
-
-    class DiskFull(OSError):
-        pass
-
-    def failing_open(path, mode="r", *args, **kwargs):
-        fh = open(path, mode, *args, **kwargs)
-        if "w" not in mode:
-            return fh
-
-        class HalfWriter:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                fh.close()
-
-            def write(self, data):
-                fh.write(data[: len(data) // 2])
-                raise DiskFull("no space left on device")
-
-        return HalfWriter()
-
-    monkeypatch.setattr(data_proxy, "open", failing_open, raising=False)
-    with pytest.raises(DiskFull):
-        BlockStore(block_size=len(block), cache_dir=cache_dir).put("/store/ds1/f0.cacf", 0, block)
-    monkeypatch.undo()
-    assert os.listdir(cache_dir), "the interrupted write left nothing on disk"
-
-    # a restarted store never serves the leftover, and a later put completes it
-    restarted = BlockStore(block_size=len(block), cache_dir=cache_dir)
-    assert restarted.get("/store/ds1/f0.cacf", 0) is None
-    restarted.put("/store/ds1/f0.cacf", 0, block)
-    assert BlockStore(block_size=len(block), cache_dir=cache_dir).get("/store/ds1/f0.cacf", 0) == block
-
-
-def test_standalone_origin_and_proxy_processes(store, tmp_path):
-    import subprocess
-    import sys
-    import time as _time
-
-    def spawn(args):
-        return subprocess.Popen(
-            [sys.executable, "-m", "casa_mini.cli", *args],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-
-    def ready_line(proc):
-        deadline = _time.monotonic() + 15
-        line = proc.stdout.readline()
-        assert line and _time.monotonic() < deadline, f"no ready line: {line!r}"
-        return line
-
-    origin = spawn(["origin", "--listen", "127.0.0.1:0", "--root", store, "--cred", CRED])
-    try:
-        origin_line = ready_line(origin)
-        origin_addr = origin_line.rsplit(" on ", 1)[1].strip()
-        proxy = spawn(
-            [
-                "proxy",
-                "--listen",
-                "127.0.0.1:0",
-                "--origin",
-                origin_addr,
-                "--cred",
-                CRED,
-                "--data-key",
-                KEY.hex(),
-                "--block-size",
-                "8192",
-            ]
-        )
-        try:
-            proxy_line = ready_line(proxy)
-            host_port = proxy_line.split(" on ", 1)[1].split(" -> ")[0].strip()
-            host, port = host_port.rsplit(":", 1)
-            client = ProxyClient((host, int(port)))
-            raw = Path(store, "store", "ds1", "f0.cacf").read_bytes()
-            got = client.fetch("/store/ds1/f0.cacf", [(100, 5000)], _token())
-            assert got == [raw[100:5100]]
-            client.close()
-        finally:
-            proxy.terminate()
-            proxy.wait(timeout=10)
-            proxy.stdout.close()
-    finally:
-        origin.terminate()
-        origin.wait(timeout=10)
-        origin.stdout.close()
 
 
 def test_lru_cap_smaller_than_one_fetch_still_correct(store):

@@ -155,6 +155,31 @@ def test_a_facility_config_file_loads_and_an_unknown_key_is_refused_by_name(idp_
             FacilityConfig.load(str(path))
 
 
+def test_a_facility_config_value_of_the_wrong_type_is_refused_by_name(idp_keys, tmp_path):
+    key_path = tmp_path / "idp.pem"
+    key_path.write_text(idp_keys[1])
+    path = tmp_path / "facility.json"
+    # a float field takes an int
+    path.write_text(json.dumps({"idp_public_key_path": str(key_path), "token_ttl": 60, "heartbeat_timeout": 2.5}))
+    cfg = FacilityConfig.load(str(path))
+    assert (cfg.token_ttl, cfg.heartbeat_timeout) == (60, 2.5)
+
+    for bad, named, wanted, got in (
+        ({"slot_pool": "10"}, "'slot_pool'", "int", "str"),  # used to fail only at the first scale-out
+        ({"slot_pool": 10.0}, "'slot_pool'", "int", "float"),
+        ({"worker_cores": True}, "'worker_cores'", "int", "bool"),
+        ({"token_ttl": "60"}, "'token_ttl'", "float", "str"),
+        ({"token_ttl": False}, "'token_ttl'", "float", "bool"),
+        ({"delay_model": [2.0, 1.0]}, "'delay_model'", "dict", "list"),
+        ({"ports": ["authd"]}, "'ports'", "dict", "list"),
+        ({"ports": {"authd": "8443"}}, "'ports.authd'", "int", "str"),
+        ({"required_group": 7}, "'required_group'", "str", "int"),
+    ):
+        path.write_text(json.dumps({"idp_public_key_path": str(key_path), **bad}))
+        with pytest.raises(ValueError, match=f"facility config key {named} must be {wanted}, not {got}$"):
+            FacilityConfig.load(str(path))
+
+
 def test_cluster_whose_dedicated_worker_dies_fails_at_once_and_leaves_nothing(idp_keys, tmp_path, caplog):
     schedulers = {}  # each cluster's scheduler address, read from its route as it is registered
 

@@ -218,6 +218,30 @@ def test_task_stream_is_its_own_request(tls):
     assert tasks == [(kind, "w1", chunk_id, job_id) for kind in ("TaskEnd", "TaskStart") for chunk_id in "01"]
 
 
+@pytest.mark.parametrize(
+    "body",
+    [{"mode": "bogus"}, {"fixed_n": -3}, {"mode": "adaptive", "tasks_per_worker": 0}],
+    ids=["unknown-mode", "negative-fixed-n", "zero-tasks-per-worker"],
+)
+def test_a_scale_request_that_breaks_the_policy_is_refused_and_changes_nothing(tls, body):
+    """A ScaleRequest is checked as a whole policy before any of it is set:
+    a bad one gets a scheduler_error, the policy stays as it was, and the
+    autoscaler still ticks (a tasks_per_worker of 0 used to divide by zero in
+    every later tick)."""
+
+    async def scenario():
+        async with Rig(tls) as rig:
+            policy = vars(rig.service.policy).copy()
+            with pytest.raises(wire.RequestError) as refused:
+                await rig.client.scale_request(**body)
+            assert refused.value.code == "scheduler_error"
+            assert vars(rig.service.policy) == policy
+            assert rig.service.autoscaler.tick(time.time()) == 0
+            assert await rig.client.scale_request(mode="fixed", fixed_n=0) == {"mode": "fixed", "fixed_n": 0}
+
+    run_async(scenario())
+
+
 def test_wait_on_finished_job_returns_at_once(tls):
     async def scenario():
         async with Rig(tls) as rig:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casa_mini import authd, data_proxy, tokens, wire
-from casa_mini.ingress import SniProxy
 
 from .conftest import make_assertion, run_async
 
@@ -33,8 +32,10 @@ def test_encode_decode_identity(kind, body):
 def test_unknown_kind_rejected():
     with pytest.raises(wire.WireError, match="unknown message kind"):
         wire.WireMessage("Bogus", {})
-    with pytest.raises(wire.WireError):
-        wire.decode(b'{"kind": "Nope", "body": {}}')
+    # the ingress route-admin kinds are not part of the vocabulary
+    for kind in ("Nope", "RegisterRoute", "RemoveRoute", "ListRoutes"):
+        with pytest.raises(wire.WireError, match="unknown message kind"):
+            wire.decode(b'{"kind": "%s", "body": {}}' % kind.encode())
 
 
 def test_non_object_frames_rejected():
@@ -105,15 +106,6 @@ async def _authd(tmp_path, idp_keys):
 
 
 @contextlib.asynccontextmanager
-async def _ingress_admin(tmp_path, idp_keys):
-    proxy = SniProxy()
-    try:
-        yield await proxy.start_admin("127.0.0.1", 0), wire.WireMessage("ListRoutes", {})
-    finally:
-        await proxy.close()
-
-
-@contextlib.asynccontextmanager
 async def _origin(tmp_path, idp_keys):
     (tmp_path / "store").mkdir()
     (tmp_path / "store" / "blob").write_bytes(BLOB)
@@ -157,7 +149,6 @@ def _served_block(frame: bytes) -> bool:
 # whether a reply to its valid request succeeded
 SERVICES = {
     "authd": (_authd, _refused, _answered),
-    "ingress admin": (_ingress_admin, _refused, _answered),
     "origin": (_origin, _refused_block, _served_block),
     "data proxy": (_data_proxy, _refused_block, _served_block),
 }
