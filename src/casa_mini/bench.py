@@ -181,11 +181,11 @@ class BenchContext:
 def make_context(cfg: BenchConfig, root: str) -> BenchContext:
     dataset, events_per_file = generate_dataset(cfg, root)
     keys = FacilityKeys.generate()
-    origin = LocalOrigin(root, cred="bench-federation-cred")
+    federation_cred = "bench-federation-cred"
     # tokens live in the virtual clock's time domain (starts at 0)
     data_token = mint_token(keys.data, "bench", "data", exp=1e9)
     batch_token = mint_token(keys.batch, "bench", "batch", exp=1e9)
-    proxy = SyncDataProxy(origin, keys.data, clock=lambda: 0.0)
+    proxy = SyncDataProxy(LocalOrigin(root, federation_cred), federation_cred, keys.data, clock=lambda: 0.0)
     return BenchContext(
         cfg=cfg,
         dataset=dataset,

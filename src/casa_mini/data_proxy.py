@@ -1,23 +1,25 @@
 """Token-authenticated caching data proxy and simulated federation origin.
 
-The proxy fetches 64 KiB blocks on demand from an origin server using its own
-federation credential (users never hold one), caches them, and serves byte
-ranges to anyone presenting a valid data token.  Per-block single-flight
-coordination means concurrent cold reads cause exactly one origin fetch.
+The proxy reads 64 KiB blocks on demand from the federation's store
+(`LocalOrigin`), presenting the facility's own federation credential (users
+never hold one), caches them, and serves byte ranges to anyone presenting a
+valid data token.  Both proxies make the same fetch, in process and with no
+await inside it: on the facility's loop one fetch runs to its end before the
+next request is served, so concurrent cold reads of a block cause exactly one
+origin read.  A proxy asks the store for the blocks a request misses in as
+few reads as MAX_FETCH and MAX_RANGES allow (`fetch_requests`), as a worker
+asks a proxy.
 
 Wire format
-  Both listeners take one request, a framed WireMessage
-  {kind:"Fetch", body:{path, ranges, token | cred}}, where ranges lists
-  [offset, length] pairs, in the spirit of XRootD's kXR_readv: at most
-  MAX_RANGES of them, of at most MAX_FETCH bytes together.  The proxy checks
-  a user's data token, the origin the proxy's federation credential.  Each
-  reply is a length-prefixed block whose first byte is a status tag (TAG_*).
-  After TAG_OK come one big-endian u32 per range, the length of its bytes
-  (short at EOF), then those bytes, range after range; after any other tag, a
-  message.  A request that is not a Fetch, whose path or secret is not a
-  string, or whose ranges break those bounds gets TAG_ERROR.  Both proxies
-  ask the origin for the blocks a request misses in as few such Fetches as
-  those bounds allow (`fetch_requests`), as a worker asks a proxy.
+  The networked proxy's listener takes one request, a framed WireMessage
+  {kind:"Fetch", body:{path, ranges, token}}, where ranges lists [offset,
+  length] pairs, in the spirit of XRootD's kXR_readv: at most MAX_RANGES of
+  them, of at most MAX_FETCH bytes together.  Each reply is a length-prefixed
+  block whose first byte is a status tag (TAG_*).  After TAG_OK come one
+  big-endian u32 per range, the length of its bytes (short at EOF), then
+  those bytes, range after range; after any other tag, a message.  A request
+  that is not a Fetch, whose path or token is not a string, or whose ranges
+  break those bounds gets TAG_ERROR.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ TAG_NOT_FOUND = 1
 TAG_BAD_CRED = 2
 TAG_ERROR = 3
 TAG_BAD_TOKEN = 4
-TAG_UNAVAILABLE = 5
 
 _LEN = struct.Struct(">I")
 
@@ -63,17 +64,12 @@ class BadFederationCred(ProxyError):
     pass
 
 
-class OriginUnavailable(ProxyError):
-    """The origin could not be reached or did not answer; a later request may succeed."""
-
-
 # The status tag of each error a Fetch can end in; any other error is
 # TAG_ERROR, and a client raises ProxyError for it.
 _ERROR_TAGS = {
     OriginNotFound: TAG_NOT_FOUND,
     BadFederationCred: TAG_BAD_CRED,
     tokens.TokenError: TAG_BAD_TOKEN,
-    OriginUnavailable: TAG_UNAVAILABLE,
 }
 _TAG_ERRORS = {tag: cls for cls, tag in _ERROR_TAGS.items()}
 
@@ -252,44 +248,48 @@ class LocalOrigin:
 
 
 class _ReadThrough:
-    """What both proxies share: the token gate, the block walk, the cache
-    fill and the counters.  A fetch looks up the blocks its ranges touch,
-    has the proxy fill the missing ones from the origin, then cuts its ranges
-    out of them."""
+    """The one fetch both proxies make: the token gate, the block lookup,
+    the fill of the missing blocks from the origin with the federation
+    credential, and the range cut.  Nothing in it awaits."""
 
-    def __init__(self, data_key: bytes, block_size: int, max_bytes: int | None, clock):
+    def __init__(
+        self,
+        origin: LocalOrigin,
+        federation_cred: str,
+        data_key: bytes,
+        block_size: int = BLOCK_SIZE,
+        max_bytes: int | None = None,
+        clock=time.time,
+    ):
+        self.origin = origin
+        self.federation_cred = federation_cred
         self.store = BlockStore(block_size=block_size, max_bytes=max_bytes)
         self.token_gate = tokens.TokenGate(data_key, "data")
         self._clock = clock
 
-    def _lookup(self, path: str, ranges, token: str, now: float):
-        """The checked ranges, the cached blocks they touch by index, and
-        the indices of those missing; the token is checked before anything."""
-        self.token_gate.check(token, now)
+    def _read(self, path: str, ranges, token: str, now: float | None = None) -> list[bytes]:
+        """Each range's bytes; the token is checked before anything."""
+        self.token_gate.check(token, self._clock() if now is None else now)
         ranges = check_ranges(ranges)
+        store = self.store
         found: dict[int, bytes] = {}
         missing = []
-        for idx in self.store.blocks_of(ranges):
-            data = self.store.get(path, idx)
+        for idx in store.blocks_of(ranges):
+            data = store.get(path, idx)
             if data is None:
                 missing.append(idx)
             else:
                 found[idx] = data
-        self.store.stats.cache_hits += len(found)
-        return ranges, found, missing
-
-    def _block_ranges(self, blocks: list[int]) -> list[tuple[int, int]]:
-        size = self.store.block_size
-        return [(idx * size, size) for idx in blocks]
-
-    def _keep(self, path: str, idx: int, data: bytes, found: dict[int, bytes]) -> None:
-        self.store.stats.origin_fetches += 1
-        self.store.put(path, idx, data)
-        found[idx] = data
-
-    def _serve(self, ranges: list[tuple[int, int]], found: dict[int, bytes]) -> list[bytes]:
-        out = self.store.cut(found, ranges)
-        self.store.stats.bytes_served += sum(map(len, out))
+        store.stats.cache_hits += len(found)
+        if missing:
+            read = range_reader(self.origin.fetch, path, self.federation_cred)
+            size = store.block_size
+            for idx, data in zip(missing, read([(idx * size, size) for idx in missing])):
+                store.put(path, idx, data)
+                found[idx] = data
+            store.stats.origin_fetches += len(missing)
+        out = store.cut(found, ranges)
+        store.stats.bytes_served += sum(map(len, out))
         return out
 
     def stats(self) -> dict:
@@ -299,24 +299,8 @@ class _ReadThrough:
 class SyncDataProxy(_ReadThrough):
     """In-process read-through proxy; the virtual-clock facility's data path."""
 
-    def __init__(
-        self,
-        origin: LocalOrigin,
-        data_key: bytes,
-        block_size: int = BLOCK_SIZE,
-        max_bytes: int | None = None,
-        clock=time.time,
-    ):
-        super().__init__(data_key, block_size, max_bytes, clock)
-        self.origin = origin
-
     def fetch(self, path: str, ranges, token: str, now: float | None = None) -> list[bytes]:
-        ranges, found, missing = self._lookup(path, ranges, token, self._clock() if now is None else now)
-        if missing:
-            read = range_reader(self.origin.fetch, path, self.origin.cred)
-            for idx, data in zip(missing, read(self._block_ranges(missing))):
-                self._keep(path, idx, data, found)
-        return self._serve(ranges, found)
+        return self._read(path, ranges, token, now)
 
 
 def _tagged(tag: int, payload: bytes) -> bytes:
@@ -333,15 +317,6 @@ def _served(parts: list[bytes]) -> bytes:
 def _error_reply(exc: ValueError) -> bytes:
     tag = next((tag for cls, tag in _ERROR_TAGS.items() if isinstance(exc, cls)), TAG_ERROR)
     return _tagged(tag, str(exc).encode())
-
-
-async def _read_block_reply(reader: asyncio.StreamReader) -> bytes:
-    """The tagged body of one block reply."""
-    header = await reader.readexactly(_LEN.size)
-    (length,) = _LEN.unpack(header)
-    if length > MAX_REPLY:
-        raise ProxyError(f"oversized block reply of {length} bytes")
-    return await reader.readexactly(length)
 
 
 def _untag(body: bytes | bytearray, n_ranges: int) -> list[bytes]:
@@ -365,59 +340,22 @@ def _untag(body: bytes | bytearray, n_ranges: int) -> list[bytes]:
     return out
 
 
-def _parse_fetch(msg: wire.WireMessage, secret: str) -> tuple[str, object, str]:
-    """The path, ranges (checked by the fetch) and `secret` ("token" or "cred") of a Fetch."""
+def _parse_fetch(msg: wire.WireMessage) -> tuple[str, object, str]:
+    """The path, ranges (checked by the fetch) and token of a Fetch."""
     if msg.kind != "Fetch":
         raise ProxyError(f"unsupported kind {msg.kind}")
     body = msg.body
-    path, key = body.get("path"), body.get(secret, "")
-    if not (isinstance(path, str) and isinstance(key, str)):
-        raise ProxyError(f"Fetch path and {secret} must be strings")
-    return path, body.get("ranges"), key
-
-
-class OriginServer:
-    """Federation origin: serves file ranges to holders of the federation cred."""
-
-    def __init__(self, root: str, cred: str):
-        self.local = LocalOrigin(root, cred)
-        self._server: asyncio.AbstractServer | None = None
-        self._conns = wire.ConnectionTasks()
-
-    async def start(self, host: str, port: int) -> tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._conns.wrap(wire.answering(self._respond, "origin")), host, port
-        )
-        addr = self._server.sockets[0].getsockname()
-        return addr[0], addr[1]
-
-    async def close(self) -> None:
-        await self._conns.close(self._server)
-
-    async def _respond(self, msg: wire.WireMessage) -> bytes:
-        try:
-            return _served(self.local.fetch(*_parse_fetch(msg, "cred")))
-        except ValueError as exc:
-            return _error_reply(exc)
+    path, token = body.get("path"), body.get("token", "")
+    if not (isinstance(path, str) and isinstance(token, str)):
+        raise ProxyError("Fetch path and token must be strings")
+    return path, body.get("ranges"), token
 
 
 class DataProxyServer(_ReadThrough):
-    """Networked read-through proxy in front of an origin server."""
+    """Networked read-through proxy; the live facility's data path."""
 
-    def __init__(
-        self,
-        origin_addr: tuple[str, int],
-        federation_cred: str,
-        data_key: bytes,
-        block_size: int = BLOCK_SIZE,
-        max_bytes: int | None = None,
-        clock=time.time,
-    ):
-        super().__init__(data_key, block_size, max_bytes, clock)
-        self.origin_addr = origin_addr
-        self.federation_cred = federation_cred
-        self._inflight: dict[tuple[str, int], asyncio.Future] = {}
-        self._origin = wire.Channel(lambda: asyncio.open_connection(*origin_addr))
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._server: asyncio.AbstractServer | None = None
         self._conns = wire.ConnectionTasks()
 
@@ -430,63 +368,13 @@ class DataProxyServer(_ReadThrough):
 
     async def close(self) -> None:
         await self._conns.close(self._server)
-        self._origin.close()
-
-    async def _origin_fetch(self, path: str, ranges: list[tuple[int, int]]) -> list[bytes]:
-        """The ranges' bytes, in one origin Fetch."""
-        request = wire.WireMessage("Fetch", {"path": path, "ranges": ranges, "cred": self.federation_cred})
-        try:
-            body = await self._origin.request(request, _read_block_reply)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            raise OriginUnavailable("origin connection lost") from None
-        return _untag(body, len(ranges))
-
-    async def _fill(self, path: str, missing: list[int], found: dict[int, bytes]) -> None:
-        """Put each missing block in `found`: a block another request is
-        already fetching is awaited, the others are asked of the origin in
-        as few Fetches as fetch_requests makes, each under a single-flight
-        future."""
-        loop = asyncio.get_running_loop()
-        led: dict[int, asyncio.Future] = {}
-        joined = []
-        for idx in missing:
-            pending = self._inflight.get((path, idx))
-            if pending is None:
-                led[idx] = self._inflight[(path, idx)] = loop.create_future()
-            else:
-                joined.append((idx, pending))
-        error: Exception = OriginUnavailable(f"origin fetch of {path} did not finish")
-        try:
-            for request in fetch_requests(self._block_ranges(list(led))):
-                for (offset, _), data in zip(request, await self._origin_fetch(path, request)):
-                    idx = offset // self.store.block_size
-                    self._keep(path, idx, data, found)
-                    led[idx].set_result(data)
-        except BaseException as exc:
-            if isinstance(exc, Exception):
-                error = exc
-            raise
-        finally:
-            # Settle the followers on any exit, cancellation included; the
-            # next request for a block fetches it again.
-            for idx, fut in led.items():
-                del self._inflight[(path, idx)]
-                if not fut.done():
-                    fut.set_exception(error)
-                    fut.exception()  # mark retrieved for the no-follower case
-        for idx, pending in joined:
-            found[idx] = await asyncio.shield(pending)
-            self.store.stats.cache_hits += 1
 
     async def fetch(self, path: str, ranges, token: str) -> list[bytes]:
-        ranges, found, missing = self._lookup(path, ranges, token, self._clock())
-        if missing:
-            await self._fill(path, missing, found)
-        return self._serve(ranges, found)
+        return self._read(path, ranges, token)
 
     async def _respond(self, msg: wire.WireMessage) -> bytes:
         try:
-            return _served(await self.fetch(*_parse_fetch(msg, "token")))
+            return _served(await self.fetch(*_parse_fetch(msg)))
         except ValueError as exc:
             return _error_reply(exc)
 

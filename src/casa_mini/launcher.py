@@ -1,8 +1,8 @@
 """Facility composition root.
 
 One process starts every shared service: the identity broker, the SNI
-ingress, the data proxy with its federation origin, and the batch system,
-which listens on no port.
+ingress, the data proxy, which reads the federation's store in process, and
+the batch system, which listens on no port.
 A successful login provisions that user's cluster: a dedicated scheduler
 behind mutual TLS, an ingress route so the cluster is reachable at
 <cluster-id>.<facility-domain> on the shared address, and a dedicated worker
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, fields
 
 from . import authd, wire
 from .batchsim import BatchJob, BatchService, BatchSim, DelayModel, JobSpec
-from .data_proxy import DataProxyServer, OriginServer
+from .data_proxy import DataProxyServer, LocalOrigin
 from .ingress import SniProxy
 from .scheduler.service import SchedulerService
 from .zygote import WorkerProcess, Zygote, ZygoteError
@@ -88,7 +88,6 @@ class FacilityConfig:
             "ingress": 0,
             "authd": 0,
             "data_proxy": 0,
-            "origin": 0,
         }
     )
     scheduler_base_port: int = 8801  # 0 -> ephemeral ports
@@ -152,7 +151,7 @@ class Facility:
         self.cfg = cfg
         self.run_dir = cfg.run_dir or tempfile.mkdtemp(prefix="casa-mini-")
         self.keys = authd.FacilityKeys.generate()
-        self.federation_cred = secrets.token_hex(16)
+        federation_cred = secrets.token_hex(16)
         self.auth = authd.AuthService(
             cfg.idp_public_key_pem,
             keys=self.keys,
@@ -160,7 +159,7 @@ class Facility:
             token_ttl=cfg.token_ttl,
             facility_domain=cfg.facility_domain,
         )
-        self.origin = OriginServer(cfg.data_root, self.federation_cred)
+        self.proxy = DataProxyServer(LocalOrigin(cfg.data_root, federation_cred), federation_cred, self.keys.data)
         self.batch_sim = BatchSim(
             delay=DelayModel(**cfg.delay_model),
             slots=cfg.slot_pool,
@@ -170,7 +169,6 @@ class Facility:
         )
         self.batch_service = BatchService(self.batch_sim, clock=time.time)
         self.sni = SniProxy()
-        self.proxy: DataProxyServer | None = None
         self.clusters: dict[str, ClusterRecord] = {}
         self.addresses: dict[str, tuple[str, int]] = {}
         self._authd_server: asyncio.AbstractServer | None = None
@@ -188,10 +186,6 @@ class Facility:
         bind = self.cfg.bind
         os.makedirs(os.path.join(self.run_dir, "logs"), exist_ok=True)  # each worker process's output
         self.zygote.start()  # imports the worker while the services start
-        self.addresses["origin"] = await self.origin.start(bind, self.cfg.ports.get("origin", 0))
-        self.proxy = DataProxyServer(
-            self.addresses["origin"], self.federation_cred, self.keys.data
-        )
         self.addresses["data_proxy"] = await self.proxy.start(bind, self.cfg.ports.get("data_proxy", 0))
         self.addresses["ingress"] = await self.sni.start(bind, self.cfg.ports.get("ingress", 0))
         self._authd_server = await authd.serve(
@@ -210,9 +204,7 @@ class Facility:
         self.batch_service.close()  # no batch job starts from here on
         await self._tasks.close()  # each batch job's task reaps its worker; a cluster being taken down finishes
         await self.sni.close()
-        if self.proxy is not None:
-            await self.proxy.close()
-        await self.origin.close()
+        await self.proxy.close()
         await self._authd_conns.close(self._authd_server)
         await self.zygote.close()  # kills any worker left, then ends and reaps the zygote
 

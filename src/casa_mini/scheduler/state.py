@@ -55,7 +55,7 @@ AUTOSCALE_INTERVAL = 1.0
 # after the first refusal, twice as long after each further one, up to this.
 SUBMIT_BACKOFF_MAX = 64.0
 # Times a chunk whose task failed for a transient reason (its worker lost
-# the data proxy or the proxy its origin) is queued again before it fails.
+# the data proxy) is queued again before it fails.
 TASK_RETRIES = 2
 # The most chunks one job may plan: a job is planned in full on the
 # facility's shared event loop, from the event counts and chunk size its

@@ -169,16 +169,15 @@ class Channel:
         self._conn: tuple[asyncio.StreamReader, asyncio.StreamWriter] | None = None
         self._lock = asyncio.Lock()
 
-    async def request(self, msg: WireMessage, read_reply=read_message):
-        """Send `msg` and return `await read_reply(reader)`, by default the
-        reply message."""
+    async def request(self, msg: WireMessage) -> WireMessage:
+        """Send `msg` and return the reply message."""
         async with self._lock:
             if self._conn is None:
                 self._conn = await self._open_connection()
             reader, writer = self._conn
             try:
                 await send_message(writer, msg)
-                return await read_reply(reader)
+                return await read_message(reader)
             except BaseException:
                 self.close()
                 raise

@@ -35,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 from . import cacf, wire
-from .data_proxy import OriginUnavailable, ProxyClient, ProxyError, parse_remote_url, range_reader
+from .data_proxy import ProxyClient, ProxyError, parse_remote_url, range_reader
 from .engine.pipeline import KernelPipeline, TaskResult, run_pipeline
 from .tokens import TokenError
 from .types import ColumnBatch, FileChunk, TaskSpec, assigned
@@ -51,8 +51,8 @@ HEADER_CACHE_FILES = 4096 if _NOFILE == resource.RLIM_INFINITY else min(4096, _N
 PIPELINE_CACHE_SPECS = 64  # distinct pipeline specs a worker keeps compiled, likewise
 HEARTBEAT_INTERVAL = 2.0
 # Failures a retry may not meet, reported as transient in TaskFailed: the
-# proxy or its origin could not be reached.
-TRANSIENT_ERRORS = (ConnectionError, TimeoutError, OriginUnavailable)
+# proxy could not be reached.
+TRANSIENT_ERRORS = (ConnectionError, TimeoutError)
 
 
 class WorkerConfig:

@@ -321,22 +321,19 @@ def test_criterion_7_data_proxy(bench_cfg, tmp_path):
     assert warm["origin_fetches"] == cold["origin_fetches"], "warm run touched the origin"
 
     # 20 concurrent cold reads of one block -> exactly 1 origin fetch; auth gate
-    from casa_mini.data_proxy import DataProxyServer, OriginServer
+    from casa_mini.data_proxy import DataProxyServer, LocalOrigin
     from casa_mini.tokens import TokenError, mint_token
 
     async def concurrent_checks():
-        origin = OriginServer(root, "fed")
-        origin_addr = await origin.start("127.0.0.1", 0)
-        proxy = DataProxyServer(origin_addr, "fed", ctx.keys.data, clock=lambda: 0.0)
+        origin = LocalOrigin(root, "fed")
+        proxy = DataProxyServer(origin, "fed", ctx.keys.data, clock=lambda: 0.0)
         token = mint_token(ctx.keys.data, "x", "data", exp=1e9)
         path = "/store/bench/part00.cacf"
         await asyncio.gather(*(proxy.fetch(path, [(0, 100)], token) for _ in range(20)))
-        assert origin.local.fetches == 1
+        assert origin.fetches == 1
         with pytest.raises(TokenError):
             await proxy.fetch(path, [(0, 100)], "tampered.token")
-        assert origin.local.fetches == 1  # invalid token never reached the origin
-        await proxy.close()
-        await origin.close()
+        assert origin.fetches == 1  # invalid token never reached the origin
 
     run_async(concurrent_checks())
     _ok(

@@ -473,7 +473,7 @@ def test_a_killed_batch_worker_leaves_alike_live_and_virtual(idp_keys, tmp_path)
 
     # virtual: w0001 starts at t=3 (s0 + c) and holds 4 chunks of 5 s each at t=5
     data_key = b"d" * 32
-    proxy = SyncDataProxy(LocalOrigin(str(tmp_path), "fed"), data_key, clock=lambda: 0.0)
+    proxy = SyncDataProxy(LocalOrigin(str(tmp_path), "fed"), "fed", data_key, clock=lambda: 0.0)
     virtual = VirtualFacility(
         proxy,
         mint_token(data_key, "alice", "data", exp=1e9),
@@ -559,7 +559,7 @@ def test_no_batch_worker_starts_after_stop(idp_keys, tmp_path):
     run_async(scenario())
 
 
-def test_the_facility_listens_for_its_four_services_only(idp_keys, tmp_path):
+def test_the_facility_listens_for_its_three_services_only(idp_keys, tmp_path):
     async def scenario():
         facility, _, _ = small_facility(idp_keys, tmp_path)
         try:
@@ -568,8 +568,9 @@ def test_the_facility_listens_for_its_four_services_only(idp_keys, tmp_path):
             await facility.stop()
 
     # no ingress admin listener: the launcher registers each cluster's route in process;
-    # no batch listener: each cluster's autoscaler submits and cancels its batch jobs in process
-    assert set(run_async(scenario())) == {"authd", "ingress", "data_proxy", "origin"}
+    # no batch listener: each cluster's autoscaler submits and cancels its batch jobs in process;
+    # no origin listener: the data proxy reads the federation's store in process
+    assert set(run_async(scenario())) == {"authd", "ingress", "data_proxy"}
     for kind, body in (("SubmitBatchJob", {"n_cores": 4, "batch_token": "t"}), ("Cancel", {"handle": 1})):
         with pytest.raises(wire.WireError, match="unknown message kind"):
             wire.decode(json.dumps({"kind": kind, "body": body}).encode())
@@ -927,7 +928,7 @@ def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
     import numpy as np
 
     from casa_mini import cacf as cacf_mod
-    from casa_mini.data_proxy import OriginServer, DataProxyServer
+    from casa_mini.data_proxy import DataProxyServer, LocalOrigin
     from casa_mini.tokens import TokenError
     from casa_mini.types import FileChunk, TaskSpec
     from casa_mini.worker import DataPath, execute_run, task_failure
@@ -936,9 +937,8 @@ def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
     cacf_mod.write_dataset_file({"pt": np.arange(100.0)}, str(tmp_path / "store" / "d" / "f.cacf"))
 
     async def scenario():
-        origin = OriginServer(str(tmp_path), "fed")
-        origin_addr = await origin.start("127.0.0.1", 0)
-        proxy = DataProxyServer(origin_addr, "fed", b"k" * 32)
+        origin = LocalOrigin(str(tmp_path), "fed")
+        proxy = DataProxyServer(origin, "fed", b"k" * 32)
         proxy_addr = await proxy.start("127.0.0.1", 0)
         spec = TaskSpec(
             job_id="job-1",
@@ -951,15 +951,14 @@ def test_task_fails_cleanly_on_rejected_data_token(tmp_path):
         assert isinstance(outcome, TokenError)
         assert task_failure(outcome) == (f"data token rejected: {outcome}", False)
         proxy_client.close()
-        assert origin.local.fetches == 0
+        assert origin.fetches == 0
         await proxy.close()
-        await origin.close()
 
     run_async(scenario())
 
 
 def test_worker_keeps_headers_and_proxy_connection_across_tasks(tmp_path, monkeypatch):
-    from casa_mini.data_proxy import DataProxyServer, OriginServer
+    from casa_mini.data_proxy import DataProxyServer, LocalOrigin
     from casa_mini.types import FileChunk, TaskSpec
     from casa_mini.worker import DataPath, execute_run
 
@@ -973,8 +972,7 @@ def test_worker_keeps_headers_and_proxy_connection_across_tasks(tmp_path, monkey
     monkeypatch.setattr(cacf, "read_header", lambda read: header_reads.append(1) or read_header(read))
 
     async def scenario():
-        origin = OriginServer(str(tmp_path), "fed")
-        proxy = DataProxyServer(await origin.start("127.0.0.1", 0), "fed", b"k" * 32)
+        proxy = DataProxyServer(LocalOrigin(str(tmp_path), "fed"), "fed", b"k" * 32)
         proxy_addr = await proxy.start("127.0.0.1", 0)
         token = mint_token(b"k" * 32, "alice", "data", exp=time.time() + 600)
         specs = [
@@ -994,7 +992,6 @@ def test_worker_keeps_headers_and_proxy_connection_across_tasks(tmp_path, monkey
         finally:
             proxy_client.close()
             await proxy.close()
-            await origin.close()
         return results
 
     results = run_async(scenario())
@@ -1205,7 +1202,7 @@ def test_worker_runs_adjacent_chunks_of_one_assignment_in_one_pass(tmp_path, mon
     one proxy request for their columns, and two TaskDone results equal, bit
     for bit, to two single-chunk runs and, merged, to casabench's reference."""
     from casa_mini import worker
-    from casa_mini.data_proxy import DataProxyServer, OriginServer
+    from casa_mini.data_proxy import DataProxyServer, LocalOrigin
     from casa_mini.engine.hist import merge_histograms
     from casa_mini.engine.pipeline import TaskResult
     from casa_mini.types import FileChunk, TaskSpec, assignment
@@ -1227,8 +1224,7 @@ def test_worker_runs_adjacent_chunks_of_one_assignment_in_one_pass(tmp_path, mon
     ]
 
     async def scenario():
-        origin = OriginServer(str(tmp_path), "fed")
-        proxy = DataProxyServer(await origin.start("127.0.0.1", 0), "fed", b"k" * 32)
+        proxy = DataProxyServer(LocalOrigin(str(tmp_path), "fed"), "fed", b"k" * 32)
         proxy_addr = await proxy.start("127.0.0.1", 0)
         requests = []
         fetch = proxy.fetch
@@ -1256,7 +1252,6 @@ def test_worker_runs_adjacent_chunks_of_one_assignment_in_one_pass(tmp_path, mon
             agent._pool.shutdown()
             client.close()
             await proxy.close()
-            await origin.close()
         return sent, seen, alone
 
     sent, (passes, requests), alone = run_async(scenario())

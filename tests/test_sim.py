@@ -18,7 +18,7 @@ from casa_mini.bench import (
     run_once,
     run_sweep,
 )
-from casa_mini.data_proxy import DataProxyServer, OriginServer, ProxyClient
+from casa_mini.data_proxy import DataProxyServer, ProxyClient
 from casa_mini.engine.hist import merge_histograms
 from casa_mini.engine.pipeline import KernelPipeline, run_pipeline
 from casa_mini.scheduler.state import events_to_csv
@@ -177,8 +177,7 @@ def test_worker_and_virtual_facility_give_a_task_the_same_result(tmp_path):
 
     async def live():
         # the worker's own path: a networked proxy in front of the same files
-        origin = OriginServer(str(tmp_path), ctx.proxy.origin.cred)
-        proxy = DataProxyServer(await origin.start("127.0.0.1", 0), ctx.proxy.origin.cred, ctx.keys.data, clock=lambda: 0.0)
+        proxy = DataProxyServer(ctx.proxy.origin, ctx.proxy.federation_cred, ctx.keys.data, clock=lambda: 0.0)
         proxy_client = ProxyClient(await proxy.start("127.0.0.1", 0))
         try:
             data = DataPath(proxy_client.fetch, ctx.data_token)
@@ -187,7 +186,6 @@ def test_worker_and_virtual_facility_give_a_task_the_same_result(tmp_path):
         finally:
             proxy_client.close()
             await proxy.close()
-            await origin.close()
 
     result = run_async(live())
     assert (result.chunk_id, result.n_events_in, result.n_events_pass) == (13, 1000, virtual.n_events_pass)

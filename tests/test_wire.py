@@ -106,27 +106,16 @@ async def _authd(tmp_path, idp_keys):
 
 
 @contextlib.asynccontextmanager
-async def _origin(tmp_path, idp_keys):
+async def _data_proxy(tmp_path, idp_keys):
     (tmp_path / "store").mkdir()
     (tmp_path / "store" / "blob").write_bytes(BLOB)
-    origin = data_proxy.OriginServer(str(tmp_path), CRED)
+    proxy = data_proxy.DataProxyServer(data_proxy.LocalOrigin(str(tmp_path), CRED), CRED, DATA_KEY)
     try:
-        fetch = {"path": "/store/blob", "ranges": [[3, 100]], "cred": CRED}
-        yield await origin.start("127.0.0.1", 0), wire.WireMessage("Fetch", fetch)
+        token = tokens.mint_token(DATA_KEY, "alice", "data", exp=time.time() + 600)
+        fetch = {"path": "/store/blob", "ranges": [[3, 100]], "token": token}
+        yield await proxy.start("127.0.0.1", 0), wire.WireMessage("Fetch", fetch)
     finally:
-        await origin.close()
-
-
-@contextlib.asynccontextmanager
-async def _data_proxy(tmp_path, idp_keys):
-    async with _origin(tmp_path, idp_keys) as (origin_addr, _):
-        proxy = data_proxy.DataProxyServer(origin_addr, CRED, DATA_KEY)
-        try:
-            token = tokens.mint_token(DATA_KEY, "alice", "data", exp=time.time() + 600)
-            fetch = {"path": "/store/blob", "ranges": [[3, 100]], "token": token}
-            yield await proxy.start("127.0.0.1", 0), wire.WireMessage("Fetch", fetch)
-        finally:
-            await proxy.close()
+        await proxy.close()
 
 
 def _refused(kind: str) -> bytes:
@@ -149,7 +138,6 @@ def _served_block(frame: bytes) -> bool:
 # whether a reply to its valid request succeeded
 SERVICES = {
     "authd": (_authd, _refused, _answered),
-    "origin": (_origin, _refused_block, _served_block),
     "data proxy": (_data_proxy, _refused_block, _served_block),
 }
 
