@@ -2,13 +2,14 @@
 
 The proxy reads 64 KiB blocks on demand from the federation's store
 (`LocalOrigin`), presenting the facility's own federation credential (users
-never hold one), caches them, and serves byte ranges to anyone presenting a
-valid data token.  Both proxies make the same fetch, in process and with no
-await inside it: on the facility's loop one fetch runs to its end before the
-next request is served, so concurrent cold reads of a block cause exactly one
-origin read.  A proxy asks the store for the blocks a request misses in as
-few reads as MAX_FETCH and MAX_RANGES allow (`fetch_requests`), as a worker
-asks a proxy.
+never hold one), caches up to CACHE_BYTES of them, and serves byte ranges to
+anyone presenting a valid data token.  Both proxies make the same fetch, in
+process and with no await inside it: on the facility's loop one fetch runs to
+its end before the next request is served, so concurrent cold reads of a
+block cause exactly one origin read.  A proxy asks the store for the blocks a
+request misses in as few reads as MAX_FETCH and MAX_RANGES allow
+(`fetch_requests`), as a worker asks a proxy.  A store read that fails gets
+an error reply naming its path.
 
 Wire format
   The networked proxy's listener takes one request, a framed WireMessage
@@ -40,6 +41,9 @@ from . import tokens, wire
 BLOCK_SIZE = 64 * 1024
 MAX_FETCH = 16 * 1024 * 1024  # bytes one Fetch may ask for, over all its ranges
 MAX_RANGES = 1024  # ranges one Fetch may list, as many as a kXR_readv
+# Bytes of blocks a proxy caches, least recently used dropped first: far above
+# any dataset read through one, as XCache's disk is above its working set.
+CACHE_BYTES = 1 << 30
 # The longest block reply: its tag, a length per range and MAX_FETCH bytes.
 MAX_REPLY = 1 + 4 * MAX_RANGES + MAX_FETCH
 
@@ -62,6 +66,10 @@ class OriginNotFound(ProxyError):
 
 class BadFederationCred(ProxyError):
     pass
+
+
+class OriginReadError(ProxyError):
+    """The store holds the object but could not read it."""
 
 
 # The status tag of each error a Fetch can end in; any other error is
@@ -111,9 +119,9 @@ class CacheStats:
 
 
 class BlockStore:
-    """(path, block index) -> bytes, in memory, with an optional LRU byte cap."""
+    """(path, block index) -> bytes, in memory, under an LRU byte cap."""
 
-    def __init__(self, block_size: int = BLOCK_SIZE, max_bytes: int | None = None):
+    def __init__(self, block_size: int = BLOCK_SIZE, max_bytes: int = CACHE_BYTES):
         self.block_size = block_size
         self.max_bytes = max_bytes
         self._blocks: OrderedDict[tuple[str, int], bytes] = OrderedDict()
@@ -137,10 +145,9 @@ class BlockStore:
             return
         self._blocks[key] = data
         self._total += len(data)
-        if self.max_bytes is not None:
-            while self._total > self.max_bytes and len(self._blocks) > 1:
-                _, evicted = self._blocks.popitem(last=False)
-                self._total -= len(evicted)
+        while self._total > self.max_bytes and len(self._blocks) > 1:
+            _, evicted = self._blocks.popitem(last=False)
+            self._total -= len(evicted)
 
     def blocks_of(self, ranges: list[tuple[int, int]]) -> list[int]:
         """The blocks the ranges touch, each once, in order."""
@@ -240,11 +247,14 @@ class LocalOrigin:
         ranges = check_ranges(ranges)
         full = self.resolve(path)
         self.fetches += 1
-        fd = os.open(full, os.O_RDONLY)
         try:
-            return [os.pread(fd, length, offset) for offset, length in ranges]
-        finally:
-            os.close(fd)
+            fd = os.open(full, os.O_RDONLY)
+            try:
+                return [os.pread(fd, length, offset) for offset, length in ranges]
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            raise OriginReadError(f"cannot read {path!r}: {exc.strerror or exc}") from None
 
 
 class _ReadThrough:
@@ -258,7 +268,7 @@ class _ReadThrough:
         federation_cred: str,
         data_key: bytes,
         block_size: int = BLOCK_SIZE,
-        max_bytes: int | None = None,
+        max_bytes: int = CACHE_BYTES,
         clock=time.time,
     ):
         self.origin = origin

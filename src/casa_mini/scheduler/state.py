@@ -85,6 +85,8 @@ class ScalePolicy:
             raise SchedulerError("tasks_per_worker must be >= 1")
         if self.n_min > self.n_max:
             raise SchedulerError("n_min must be <= n_max")
+        if self.fixed_n > self.n_max:  # in either mode, as Dask Gateway's cluster_max_workers
+            raise SchedulerError(f"fixed_n must be <= n_max ({self.n_max})")
 
 
 def autoscale_target(queued: int, running: int, policy: ScalePolicy) -> int:

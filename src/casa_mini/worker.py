@@ -11,7 +11,8 @@ engine pass), on one of its task threads, one per logical core, so heartbeats
 keep flowing.  The WorkerHello says the worker's cores (its task threads),
 and from then on the connection names the worker to the scheduler, so no
 report carries its id.  Each task gets its own TaskDone, or a TaskFailed
-whose reason and transience come from `task_failure`.
+whose reason and transience (the proxy could not be reached) come from
+`task_failure`.
 Reports get no reply unless the scheduler refuses one, with an Err the
 worker logs.  A task's chunk reaches its pipeline through DataPath, which
 the virtual facility (`sim`) uses too: remote files come from the caching

@@ -1,4 +1,5 @@
 import asyncio
+import errno
 import json
 import logging
 import os
@@ -18,6 +19,7 @@ from casa_mini.data_proxy import (
     DataProxyServer,
     LocalOrigin,
     OriginNotFound,
+    OriginReadError,
     ProxyClient,
     ProxyError,
     SyncDataProxy,
@@ -260,6 +262,36 @@ def test_origin_rejects_bad_federation_cred(store):
         assert imposter.stats() == {"origin_fetches": 0, "cache_hits": 0, "bytes_served": 0}
 
     run_async(scenario())
+
+
+def test_a_store_read_that_fails_gets_an_error_reply_naming_its_path(store, caplog, monkeypatch):
+    # a file the facility's user cannot read passes resolve's isfile check
+    def unreadable(fd, length, offset):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    path = "/store/ds1/f0.cacf"
+    raw = Path(store, "store", "ds1", "f0.cacf").read_bytes()
+    sync, _ = _sync_proxy(store)
+
+    async def scenario():
+        proxy = DataProxyServer(LocalOrigin(store, CRED), CRED, KEY, clock=lambda: 0.0)
+        client = ProxyClient(await proxy.start("127.0.0.1", 0))
+        try:
+            with monkeypatch.context() as patched:
+                patched.setattr(os, "pread", unreadable)
+                with pytest.raises(OriginReadError, match=f"cannot read '{path}': Permission denied"):
+                    sync.fetch(path, [(0, 10)], _token())
+                with pytest.raises(ProxyError, match=f"cannot read '{path}': Permission denied"):
+                    await asyncio.to_thread(client.fetch, path, [(0, 10)], _token())
+            # the same connection then serves the read, from a cache the failure left empty
+            assert await asyncio.to_thread(client.fetch, path, [(0, 10)], _token()) == [raw[:10]]
+            assert len(client._socks) == 1 and proxy.stats()["origin_fetches"] == 1
+        finally:
+            client.close()
+            await proxy.close()
+
+    run_async(scenario())
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
 
 
 def test_warm_second_pass_zero_origin_fetches(store):

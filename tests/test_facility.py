@@ -15,9 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from casa_mini import cacf, client, launcher, wire
+from casa_mini import cacf, client, data_proxy, launcher, wire
 from casa_mini.batchsim import JobSpec
-from casa_mini.bench import BenchConfig, generate_dataset
+from casa_mini.bench import BENCH_COLUMNS, BenchConfig, generate_dataset, make_context
 from casa_mini.data_proxy import LocalOrigin, ProxyClient, SyncDataProxy
 from casa_mini.engine.pipeline import KernelPipeline, run_pipeline
 from casa_mini.launcher import Facility, FacilityConfig, reap
@@ -147,12 +147,21 @@ def test_a_facility_config_file_loads_and_an_unknown_key_is_refused_by_name(idp_
 
     for bad, named in (
         ({"ports": {"authd": 8443, "batch": 8444}}, "'ports.batch'"),  # the batch system listens on no port
+        ({"ports": {"origin": 9444}}, "'ports.origin'"),  # the data proxy reads the store in process
         ({"slot_pol": 10}, "'slot_pol'"),
         ({"load": 1}, "'load'"),  # not a field, though the class has it
     ):
         path.write_text(json.dumps({**good, **bad}))
         with pytest.raises(ValueError, match=f"unknown facility config key {named}"):
             FacilityConfig.load(str(path))
+
+
+def test_both_facilities_cache_blocks_under_a_finite_cap_far_above_the_sweep(idp_keys, tmp_path):
+    facility, _, _ = small_facility(idp_keys, tmp_path)
+    ctx = make_context(BenchConfig(n_files=1, events_per_file=100), str(tmp_path / "bench"))
+    assert facility.proxy.store.max_bytes == ctx.proxy.store.max_bytes == data_proxy.CACHE_BYTES
+    sweep = BenchConfig()  # the largest dataset read through a proxy: 14.4 MB
+    assert data_proxy.CACHE_BYTES > 50 * sweep.n_files * cacf.file_size(BENCH_COLUMNS, sweep.events_per_file)
 
 
 def test_a_facility_config_value_of_the_wrong_type_is_refused_by_name(idp_keys, tmp_path):

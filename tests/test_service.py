@@ -220,8 +220,8 @@ def test_task_stream_is_its_own_request(tls):
 
 @pytest.mark.parametrize(
     "body",
-    [{"mode": "bogus"}, {"fixed_n": -3}, {"mode": "adaptive", "tasks_per_worker": 0}],
-    ids=["unknown-mode", "negative-fixed-n", "zero-tasks-per-worker"],
+    [{"mode": "bogus"}, {"fixed_n": -3}, {"mode": "adaptive", "tasks_per_worker": 0}, {"fixed_n": 51}],
+    ids=["unknown-mode", "negative-fixed-n", "zero-tasks-per-worker", "fixed-n-above-n-max"],
 )
 def test_a_scale_request_that_breaks_the_policy_is_refused_and_changes_nothing(tls, body):
     """A ScaleRequest is checked as a whole policy before any of it is set:

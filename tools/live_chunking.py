@@ -3,16 +3,18 @@
 
     python3 tools/live_chunking.py --chunk-size 5000 --events-per-file 40000 --files 2 --cores 8 --seed 701
 
-Starts a facility in this process (authd, ingress, proxy, origin) over a
+Starts a facility in this process (authd, ingress, data proxy) over a
 seeded dataset in a temporary directory, logs one user in, whose dedicated
 worker has --cores task threads, and runs --jobs jobs of the bench pipeline
 after one cold job.  It prints one JSON object: the median job time
 (submit to done, as a client sees it) and the median time from a job's
 first TaskStart to its first TaskEnd in the scheduler's task stream, both
 in milliseconds; the AssignTask frames and the runs of tasks the scheduler
-sent per timed job; and how many engine passes of each number of chunks the
-timed jobs ran (the chunks of one pass share its start and end).  It imports casa_mini
-from the `src/` beside it, so running it from two checkouts compares them.
+sent per timed job; how many engine passes of each number of chunks the
+timed jobs ran (the chunks of one pass share its start and end); and the
+cold job's time in milliseconds and the blocks the proxy read from the
+origin for it, which no timed job reads.  It imports casa_mini from the
+`src/` beside it, so running it from two checkouts compares them.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ async def _measure(args, root: str) -> dict:
         session = client.SchedulerClient(tuple(reply["ingress"]), reply["sni_hostname"], *paths)
         try:
             job_s, job_ids = [], []
-            for i in range(args.jobs + 1):  # the first job reads a cold cache and is not timed
+            for i in range(args.jobs + 1):  # the first job reads a cold cache and is reported alone
                 start = time.perf_counter()
                 job_id = await session.submit_job(
                     bench.BENCH_PIPELINE, dataset.name, list(dataset.files), epf, cfg.chunk_size
@@ -112,6 +114,9 @@ async def _measure(args, root: str) -> dict:
                 if i:
                     job_s.append(time.perf_counter() - start)
                     job_ids.append(job_id)
+                else:
+                    cold_s = time.perf_counter() - start
+                    cold_fetches = facility.proxy.stats()["origin_fetches"]
             rows = list(csv.DictReader(io.StringIO(await session.task_stream_csv())))
         finally:
             await session.aclose()
@@ -130,6 +135,8 @@ async def _measure(args, root: str) -> dict:
         "assign_frames_per_job": sum(job_id in timed for job_id, _ in frames) / len(job_ids),
         "runs_sent_per_job": sum(n for job_id, n in frames if job_id in timed) / len(job_ids),
         "pass_chunks": {str(n): sizes[n] for n in sorted(sizes)},
+        "cold_job_ms": cold_s * 1e3,
+        "cold_origin_fetches": cold_fetches,
     }
 
 
