@@ -260,7 +260,9 @@ class LocalOrigin:
 class _ReadThrough:
     """The one fetch both proxies make: the token gate, the block lookup,
     the fill of the missing blocks from the origin with the federation
-    credential, and the range cut.  Nothing in it awaits."""
+    credential, and the range cut.  Nothing in it may await: on the
+    facility's loop each fetch ends before the next starts, which is what
+    keeps concurrent cold reads of a block to one origin read."""
 
     def __init__(
         self,
